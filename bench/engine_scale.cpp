@@ -29,8 +29,9 @@
 // --smoke runs a reduced workload and exits non-zero if the 4-shard
 // within-run speedup (serialized shard work / critical path — both sides
 // measured in the same run, so host frequency drift cancels) falls below
-// 3.0x, the load varies across N, reruns diverge, or the cached path
-// allocates (the CI gate).
+// 3.0x, the load varies across N, reruns diverge, the cached path
+// allocates, or one hot run_sharded call allocates more than 0.1 times per
+// arrival (the CI gate).
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -134,6 +135,28 @@ double measure_cached_allocs_with_l2(int queries) {
     return -1.0;
   }
   return static_cast<double>(allocs) / queries;
+}
+
+/// Heap allocations per arrival over one whole hot run_sharded call —
+/// schedule, shard build, epochs and merge — at one shard on one thread,
+/// with the default TTLs so ~98% of queries hit the L1. The swarm client,
+/// arrival feed and cached engine path allocate nothing per query in steady
+/// state; what remains is a fixed ~70k for the world build and the 200
+/// upstream resolves (DoQ handshakes included), hence a 1.5M-arrival call.
+/// The code before the arrival cursor allocated ~14 times per arrival.
+double measure_call_allocs_per_arrival(const engine::ShardedConfig& base) {
+  engine::ShardedConfig config = base;
+  config.shards = 1;
+  config.threads = 1;
+  config.qps = 50000;
+  config.duration = 30 * kSecond;
+  config.engine = engine::EngineConfig{};
+  const std::uint64_t allocs0 = g_heap_allocs.load();
+  const auto result = engine::run_sharded(config);
+  const std::uint64_t allocs = g_heap_allocs.load() - allocs0;
+  if (result.total_arrivals == 0) return -1.0;
+  return static_cast<double>(allocs) /
+         static_cast<double>(result.total_arrivals);
 }
 
 struct ScaleRow {
@@ -288,6 +311,10 @@ int main(int argc, char** argv) {
   const double allocs = measure_cached_allocs_with_l2(smoke ? 1000 : 4000);
   std::printf("\ncached-query heap allocations with L2 attached: %.4f\n",
               allocs);
+  const double call_allocs = measure_call_allocs_per_arrival(base);
+  std::printf("heap allocations per arrival, one hot run_sharded call: "
+              "%.4f\n",
+              call_allocs);
 
   bool ok = true;
   bool batch_invariant = true;
@@ -337,6 +364,13 @@ int main(int argc, char** argv) {
                  allocs);
     ok = false;
   }
+  if (call_allocs < 0.0 || call_allocs > 0.1) {
+    std::fprintf(stderr,
+                 "FAIL: a hot run_sharded call allocates %.4f times per "
+                 "arrival (gate 0.1)\n",
+                 call_allocs);
+    ok = false;
+  }
 
   if (json) {
     bench::JsonReporter reporter;
@@ -367,6 +401,7 @@ int main(int argc, char** argv) {
       reporter.metric(bench, "p99_ms", b.row.p99_ms);
     }
     reporter.metric("invariants", "cached_allocs_with_l2", allocs);
+    reporter.metric("invariants", "call_allocs_per_arrival", call_allocs);
     reporter.metric("invariants", "rerun_digest_match",
                     deterministic ? 1.0 : 0.0);
     reporter.metric("invariants", "batch_outcome_match",

@@ -18,6 +18,9 @@ namespace {
 constexpr std::uint64_t kNetworkLane = 0x5A000000ull;
 constexpr std::uint64_t kResolverLane = 0x5B000000ull;
 
+/// One slot per 16-bit transaction id; id 0 is never handed out.
+constexpr std::size_t kIdSlots = std::size_t{1} << 16;
+
 }  // namespace
 
 net::IpAddress client_source(const ShardedConfig& config,
@@ -34,10 +37,26 @@ std::uint32_t shard_of(const ShardedConfig& config, net::IpAddress source) {
       splitmix64(config.seed ^ 0xC11E47ull, source.value()) % config.shards);
 }
 
+std::vector<std::uint8_t> swarm_query_image(std::uint32_t name) {
+  return dns::make_query(0,
+                         dns::DnsName::parse("name" + std::to_string(name) +
+                                             ".load.example"),
+                         dns::RRType::kA)
+      .encode();
+}
+
+util::Buffer swarm_query(std::span<const std::uint8_t> image,
+                         std::uint16_t id) {
+  util::Buffer query = util::Buffer::copy_of(image);
+  query.data()[0] = static_cast<std::uint8_t>(id >> 8);
+  query.data()[1] = static_cast<std::uint8_t>(id & 0xFF);
+  return query;
+}
+
 EngineShard::EngineShard(const ShardedConfig& config, std::uint32_t index,
-                         std::span<const Arrival> arrivals,
+                         std::vector<Arrival> arrivals,
                          dns::SharedPacketCache* l2)
-    : config_(config), index_(index) {
+    : config_(config), index_(index), arrivals_(std::move(arrivals)) {
   network_ = std::make_unique<net::Network>(
       sim_, Rng(splitmix64(config.seed, kNetworkLane + index)));
   network_->set_loss_rate(0.0);
@@ -116,11 +135,11 @@ EngineShard::EngineShard(const ShardedConfig& config, std::uint32_t index,
                                               engine_config);
   target_ = net::Endpoint{host_->address(), engine_config.listen_port};
 
-  names_.reserve(config.names);
-  for (std::size_t i = 0; i < config.names; ++i) {
-    names_.push_back(
-        dns::DnsName::parse("name" + std::to_string(i) + ".load.example"));
-  }
+  images_.resize(config.names);
+  // Only a shard with arrivals sends queries and so receives answers; the
+  // 2 MB id table would dominate the set-up of an empty one.
+  if (!arrivals_.empty()) pending_.resize(kIdSlots);
+  report_.latency_ms.reserve(arrivals_.size());
 
   swarm_ = udp_->bind_ephemeral();
   swarm_->on_datagram([this](const net::Endpoint&, util::Buffer payload) {
@@ -134,14 +153,26 @@ EngineShard::EngineShard(const ShardedConfig& config, std::uint32_t index,
     }
   });
 
-  arrivals_scheduled_ = arrivals.size();
-  for (const Arrival& arrival : arrivals) {
-    sim_.at(arrival.at, [this, client = arrival.client,
-                         name = arrival.name] { send_query(client, name); });
-  }
+  // The arrival cursor: the sequence numbers eager scheduling would have
+  // used are reserved here, where the whole slice used to be queued, and
+  // each arrival queues its successor under its own number.
+  arrival_seq_ = sim_.reserve_sequence(arrivals_.size());
+  schedule_arrival();
 }
 
 void EngineShard::run_until(SimTime deadline) { sim_.run_until(deadline); }
+
+void EngineShard::schedule_arrival() {
+  if (next_arrival_ == arrivals_.size()) return;
+  sim_.at(arrivals_[next_arrival_].at, arrival_seq_ + next_arrival_,
+          [this] { on_arrival(); });
+}
+
+void EngineShard::on_arrival() {
+  const Arrival arrival = arrivals_[next_arrival_++];
+  schedule_arrival();
+  send_query(arrival.client, arrival.name);
+}
 
 void EngineShard::book_outcome(SimTime sent_at, std::uint64_t outcome) {
   // Commutative sum — see outcome_digest() for the invariance contract.
@@ -154,7 +185,7 @@ void EngineShard::send_query(std::uint32_t client, std::uint32_t name_index) {
   // short-lived queries, a still-pending id is skipped (deterministically)
   // rather than clobbered.
   std::uint16_t id = next_id_;
-  while (pending_.find(id) != pending_.end()) {
+  while (pending_[id].live) {
     if (++id == 0) id = 1;
     if (id == next_id_) {
       // 65535 in flight: shed this arrival. Counted so the load report
@@ -167,39 +198,45 @@ void EngineShard::send_query(std::uint32_t client, std::uint32_t name_index) {
   next_id_ = static_cast<std::uint16_t>(id + 1);
   if (next_id_ == 0) next_id_ = 1;
 
-  dns::Message query = dns::make_query(id, names_[name_index],
-                                       dns::RRType::kA);
-  PendingQuery pending;
+  std::vector<std::uint8_t>& image = images_[name_index];
+  if (image.empty()) image = swarm_query_image(name_index);
+
+  PendingQuery& pending = pending_[id];
+  pending.live = true;
   pending.sent_at = sim_.now();
   pending.timeout = sim_.schedule(config_.client_timeout, [this, id] {
-    auto it = pending_.find(id);
-    if (it == pending_.end()) return;
-    book_outcome(it->second.sent_at, kOutcomeTimeout);
-    pending_.erase(it);
+    PendingQuery& expired = pending_[id];
+    if (!expired.live) return;
+    book_outcome(expired.sent_at, kOutcomeTimeout);
+    finish(expired);
     ++report_.timeouts;
   });
-  pending_[id] = std::move(pending);
+  ++in_flight_;
 
   ++report_.sent;
   swarm_->send_to_from(target_, client_source(config_, client),
-                       util::Buffer::copy_of(query.encode()));
+                       swarm_query(image, id));
+}
+
+void EngineShard::finish(PendingQuery& pending) {
+  pending.live = false;
+  --in_flight_;
 }
 
 void EngineShard::on_response(util::Buffer payload) {
-  auto response = dns::Message::decode(payload);
-  if (!response || !response->qr) return;
-  auto it = pending_.find(response->id);
-  if (it == pending_.end()) return;  // late answer after timeout
-  it->second.timeout.cancel();
-  if (response->rcode == dns::RCode::kServFail) {
+  if (!dns::Message::decode_into(payload, response_) || !response_.qr) return;
+  PendingQuery& pending = pending_[response_.id];
+  if (!pending.live) return;  // late answer after timeout
+  pending.timeout.cancel();
+  if (response_.rcode == dns::RCode::kServFail) {
     ++report_.servfails;
-    book_outcome(it->second.sent_at, kOutcomeServfail);
+    book_outcome(pending.sent_at, kOutcomeServfail);
   } else {
     ++report_.answered;
-    report_.latency_ms.push_back(to_ms(sim_.now() - it->second.sent_at));
-    book_outcome(it->second.sent_at, kOutcomeAnswered);
+    report_.latency_ms.push_back(to_ms(sim_.now() - pending.sent_at));
+    book_outcome(pending.sent_at, kOutcomeAnswered);
   }
-  pending_.erase(it);
+  finish(pending);
 }
 
 }  // namespace doxlab::engine

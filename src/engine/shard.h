@@ -16,14 +16,23 @@
 // via send_to_from. Replies route back through the client prefix and demux
 // by DNS transaction id, so per-client state is zero bytes — client count
 // scales to millions for free.
+//
+// Off the heap allocator: each name's query image is encoded once, on first
+// use, and a send copies it into a pooled buffer and patches the id; answers
+// decode into one scratch message; in-flight queries live in a flat table
+// indexed by transaction id. Arrivals stream through an arrival cursor: the
+// shard holds its slice and keeps exactly one arrival event queued, under
+// sequence numbers reserved where the whole slice used to be scheduled (see
+// sim/simulator.h), so the event stream is the one eager scheduling gives.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "dns/message.h"
 #include "dns/packet_cache.h"
 #include "dox/transport.h"
 #include "engine/engine.h"
@@ -99,13 +108,22 @@ net::IpAddress client_source(const ShardedConfig& config, std::uint32_t index);
 /// Which shard owns `source`: splitmix64 over the address, mod shard count.
 std::uint32_t shard_of(const ShardedConfig& config, net::IpAddress source);
 
+/// The swarm's query for name index `name` ("name<name>.load.example", type
+/// A, EDNS0 with a client cookie) under transaction id 0: byte-identical to
+/// dns::make_query(0, name, kA).encode().
+std::vector<std::uint8_t> swarm_query_image(std::uint32_t name);
+
+/// Copies a query `image` into a pooled buffer and patches in `id`.
+util::Buffer swarm_query(std::span<const std::uint8_t> image,
+                         std::uint16_t id);
+
 class EngineShard {
  public:
-  /// Builds the shard's world and pre-schedules its `arrivals` slice.
-  /// `l2` may be null (no shared cache). The ShardedConfig must outlive the
-  /// shard; arrivals are copied into the event queue.
+  /// Builds the shard's world and takes ownership of its `arrivals` slice,
+  /// which must be sorted by time (the coordinator's schedule is). `l2` may
+  /// be null (no shared cache). The ShardedConfig must outlive the shard.
   EngineShard(const ShardedConfig& config, std::uint32_t index,
-              std::span<const Arrival> arrivals, dns::SharedPacketCache* l2);
+              std::vector<Arrival> arrivals, dns::SharedPacketCache* l2);
 
   EngineShard(const EngineShard&) = delete;
   EngineShard& operator=(const EngineShard&) = delete;
@@ -134,7 +152,7 @@ class EngineShard {
   /// execute in the same order, it just stops barriering for a swarm that
   /// has nothing more to say. Pure function of sim state, so deterministic.
   bool drained() const {
-    return sim_.now() >= config_.duration && pending_.empty();
+    return sim_.now() >= config_.duration && in_flight_ == 0;
   }
   std::uint64_t stream_digest() const { return sim_.event_stream_digest(); }
   /// Commutative per-query outcome fingerprint: every terminal outcome
@@ -145,12 +163,16 @@ class EngineShard {
   /// batch-determinism ctest compares it across --batch-us settings, where
   /// the event-stream digest necessarily differs.
   std::uint64_t outcome_digest() const { return outcome_digest_; }
-  std::size_t arrivals_scheduled() const { return arrivals_scheduled_; }
+  std::size_t arrivals_scheduled() const { return arrivals_.size(); }
+  /// Moves the load report out (the coordinator's merge, once the run is
+  /// over); report() is empty afterwards.
+  LoadReport take_report() { return std::move(report_); }
 
  private:
   struct PendingQuery {
     SimTime sent_at = 0;
     sim::Timer timeout;
+    bool live = false;
   };
 
   enum OutcomeClass : std::uint64_t {
@@ -161,11 +183,20 @@ class EngineShard {
   };
   void book_outcome(SimTime sent_at, std::uint64_t outcome);
 
+  /// Queues arrivals_[next_arrival_] under its reserved sequence number.
+  void schedule_arrival();
+  void on_arrival();
   void send_query(std::uint32_t client, std::uint32_t name_index);
   void on_response(util::Buffer payload);
+  /// Frees a terminal query's id slot.
+  void finish(PendingQuery& pending);
 
   const ShardedConfig& config_;
   std::uint32_t index_;
+  std::vector<Arrival> arrivals_;
+  std::size_t next_arrival_ = 0;
+  /// First of arrivals_.size() sequence numbers reserved at construction.
+  std::uint64_t arrival_seq_ = 0;
   sim::Simulator sim_;
   std::unique_ptr<net::Network> network_;
   net::Host* host_ = nullptr;
@@ -179,10 +210,13 @@ class EngineShard {
   /// Swarm client state: one socket for every client on this shard.
   std::unique_ptr<net::UdpSocket> swarm_;
   net::Endpoint target_;
-  std::vector<dns::DnsName> names_;  ///< pre-parsed query names
+  /// Query images by name index, each built on first use (empty until then).
+  std::vector<std::vector<std::uint8_t>> images_;
+  dns::Message response_;  ///< decode scratch for answers
   std::uint16_t next_id_ = 1;
-  std::unordered_map<std::uint16_t, PendingQuery> pending_;
-  std::size_t arrivals_scheduled_ = 0;
+  /// In-flight queries indexed by transaction id (65536 slots).
+  std::vector<PendingQuery> pending_;
+  std::size_t in_flight_ = 0;
   std::uint64_t outcome_digest_ = 0;
   LoadReport report_;
 };

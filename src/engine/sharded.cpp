@@ -77,19 +77,33 @@ std::vector<Arrival> generate_schedule(const ShardedConfig& config) {
   return schedule;
 }
 
+/// The schedule split by owning shard, in schedule order. The global
+/// schedule is freed once sliced; with one shard it becomes the only slice.
+std::vector<std::vector<Arrival>> slice_schedule(const ShardedConfig& config,
+                                                 std::uint32_t n) {
+  std::vector<Arrival> schedule = generate_schedule(config);
+  std::vector<std::vector<Arrival>> slices(n);
+  if (n == 1) {
+    slices[0] = std::move(schedule);
+    return slices;
+  }
+  for (auto& slice : slices) slice.reserve(schedule.size() / n + 16);
+  for (const Arrival& arrival : schedule) {
+    slices[shard_of(config, client_source(config, arrival.client))]
+        .push_back(arrival);
+  }
+  return slices;
+}
+
 }  // namespace
 
 ShardedResult run_sharded(const ShardedConfig& config) {
   const std::uint32_t n = std::max<std::uint32_t>(1, config.shards);
   const auto wall_start = Clock::now();
 
-  const std::vector<Arrival> schedule = generate_schedule(config);
-  std::vector<std::vector<Arrival>> slices(n);
-  for (auto& slice : slices) slice.reserve(schedule.size() / n + 16);
-  for (const Arrival& arrival : schedule) {
-    slices[shard_of(config, client_source(config, arrival.client))]
-        .push_back(arrival);
-  }
+  std::vector<std::vector<Arrival>> slices = slice_schedule(config, n);
+  std::uint64_t total_arrivals = 0;
+  for (const auto& slice : slices) total_arrivals += slice.size();
 
   dns::SharedPacketCache l2(config.l2_capacity, n);
   dns::SharedPacketCache* l2_ptr = config.l2_capacity > 0 ? &l2 : nullptr;
@@ -102,8 +116,8 @@ ShardedResult run_sharded(const ShardedConfig& config) {
   std::vector<std::unique_ptr<EngineShard>> shards;
   shards.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    shards.push_back(
-        std::make_unique<EngineShard>(config, i, slices[i], l2_ptr));
+    shards.push_back(std::make_unique<EngineShard>(
+        config, i, std::move(slices[i]), l2_ptr));
   }
 
   ShardedResult result;
@@ -153,11 +167,19 @@ ShardedResult run_sharded(const ShardedConfig& config) {
     ++result.epochs;
   }
 
+  // Each shard's report moves into its outcome; the merged samples are the
+  // one copy, reserved up front.
+  std::size_t samples = 0;
+  for (const auto& shard : shards) {
+    samples += shard->report().latency_ms.size();
+  }
+  result.load.latency_ms.reserve(samples);
+  result.shards.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     ShardOutcome outcome;
     outcome.index = i;
     outcome.engine = shards[i]->engine_stats();
-    outcome.load = shards[i]->report();
+    outcome.load = shards[i]->take_report();
     outcome.arrivals = shards[i]->arrivals_scheduled();
     outcome.events = shards[i]->events_executed();
     outcome.stream_digest = shards[i]->stream_digest();
@@ -185,7 +207,7 @@ ShardedResult run_sharded(const ShardedConfig& config) {
   result.engine.l2_evictions = result.l2.expired_evicted;
   result.engine.l2_entries = result.l2.size;
   result.engine.l2_bytes = result.l2.bytes;
-  result.total_arrivals = schedule.size();
+  result.total_arrivals = total_arrivals;
   result.wall_ms = ms_since(wall_start);
   return result;
 }

@@ -10,6 +10,16 @@
 // Both return a `Timer` handle that can cancel the event (needed for
 // retransmission timers that are disarmed by an ACK).
 //
+// Reserved sequences: reserve_sequence(n) hands out n consecutive sequence
+// numbers without queueing anything, and at(time, seq, fn) later schedules
+// an event under one of them. The queue orders by (time, seq), so an event
+// scheduled late under a reserved number fires exactly where scheduling it
+// at reservation time would have put it: same ties, same events_executed(),
+// same event_stream_digest(). The one condition is that it is queued before
+// the loop pops anything that should follow it. A long arrival stream uses
+// this to keep one pending event instead of its whole schedule: each
+// arrival queues the next (engine/shard.h's arrival cursor).
+//
 // Hot-path layout: events live in a slab of pooled slots (recycled through a
 // free list, generation-counted so stale `Timer` handles can never touch a
 // reused slot), the priority queue holds small (time, seq, slot) records,
@@ -103,8 +113,8 @@ struct SimCore {
     free_head = idx;
   }
 
-  void push(SimTime time, std::uint32_t slot) {
-    heap.push_back(QueueEntry{time, next_seq++, slot});
+  void push(SimTime time, std::uint64_t seq, std::uint32_t slot) {
+    heap.push_back(QueueEntry{time, seq, slot});
     std::push_heap(heap.begin(), heap.end(), Later{});
   }
 
@@ -211,6 +221,24 @@ class Simulator {
   /// Schedules `fn` at an absolute time (clamped to be >= now()).
   template <typename F>
   Timer at(SimTime time, F&& fn) {
+    return at(time, core_->next_seq++, std::forward<F>(fn));
+  }
+
+  /// Hands out `n` consecutive sequence numbers and returns the first. No
+  /// event is queued; each number is later used once, through the `at`
+  /// overload below.
+  std::uint64_t reserve_sequence(std::uint64_t n) {
+    const std::uint64_t first = core_->next_seq;
+    core_->next_seq += n;
+    return first;
+  }
+
+  /// Schedules `fn` at an absolute time (clamped to be >= now()) under a
+  /// sequence number from reserve_sequence(). It fires exactly where an
+  /// event scheduled at reservation time would have: ties break on `seq`,
+  /// and the stream digest folds `seq` in.
+  template <typename F>
+  Timer at(SimTime time, std::uint64_t seq, F&& fn) {
     if (time < now_) time = now_;
     detail::SimCore& core = *core_;
     const std::uint32_t idx = core.acquire();
@@ -224,7 +252,7 @@ class Simulator {
       core.release(idx);
       throw;
     }
-    core.push(time, idx);
+    core.push(time, seq, idx);
     ++core.live;
     return Timer(core_, idx, slot.gen);
   }

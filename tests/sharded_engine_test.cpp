@@ -130,6 +130,24 @@ TEST(ShardedEngine, ShardOfIsStableAndInRange) {
   }
 }
 
+TEST(SwarmClient, QueryImageMatchesMakeQuery) {
+  // The swarm sends a stored image with the id patched in; it must be the
+  // exact bytes the per-query Message encode produced.
+  for (const std::uint32_t name : {0u, 7u, 199u, 99999u}) {
+    const std::vector<std::uint8_t> image = swarm_query_image(name);
+    const dns::DnsName parsed = dns::DnsName::parse(
+        "name" + std::to_string(name) + ".load.example");
+    for (const std::uint16_t id : {std::uint16_t{1}, std::uint16_t{0x1234},
+                                   std::uint16_t{0xFFFF}}) {
+      const util::Buffer query = swarm_query(image, id);
+      EXPECT_EQ(std::vector<std::uint8_t>(query.data(),
+                                          query.data() + query.size()),
+                dns::make_query(id, parsed, dns::RRType::kA).encode())
+          << "name " << name << " id " << id;
+    }
+  }
+}
+
 TEST(EngineStats, AddSumsCounters) {
   EngineStats a;
   a.queries = 10;

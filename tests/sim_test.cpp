@@ -1,9 +1,11 @@
 // Unit tests for the discrete-event simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace doxlab::sim {
 namespace {
@@ -279,6 +281,112 @@ TEST(Simulator, SmallCallbacksNeverHitEventFnHeap) {
   sim.run();
   EXPECT_TRUE(ran);
   EXPECT_EQ(EventFn::heap_allocations(), before + 1);
+}
+
+TEST(Simulator, ReservedSequenceFiresAheadOfLaterScheduledTie) {
+  // The reserved number was handed out before the ordinary event was
+  // scheduled, so at the same instant it fires first even though it is
+  // queued later in program order — where eager scheduling puts it.
+  Simulator sim;
+  std::vector<int> order;
+  const std::uint64_t reserved = sim.reserve_sequence(1);
+  sim.schedule(10, [&] { order.push_back(2); });
+  sim.at(10, reserved, [&] { order.push_back(1); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+
+  Simulator eager;
+  eager.schedule(10, [] {});
+  eager.schedule(10, [] {});
+  eager.run();
+  EXPECT_EQ(sim.event_stream_digest(), eager.event_stream_digest());
+  EXPECT_EQ(sim.events_executed(), eager.events_executed());
+}
+
+/// One chain of events at sorted times (with ties), fed either eagerly —
+/// every link scheduled up front — or lazily from a reserved block, each
+/// link queueing the next when it fires. Around the chain, seeded noise
+/// timers are scheduled at the same instants and cancelled in bursts, so
+/// lazy cancels and compaction sweeps interleave with the chain.
+class ChainRun {
+ public:
+  ChainRun(std::uint64_t seed, std::vector<SimTime> times, bool lazy)
+      : rng_(seed), times_(std::move(times)), lazy_(lazy) {}
+
+  void run() {
+    for (int i = 0; i < 8; ++i) add_noise();
+    if (lazy_) {
+      first_ = sim_.reserve_sequence(times_.size());
+      schedule_link(0);
+    } else {
+      for (std::size_t i = 0; i < times_.size(); ++i) {
+        sim_.at(times_[i], [this, i] { on_link(i); });
+      }
+    }
+    for (int i = 0; i < 8; ++i) add_noise();
+    sim_.run();
+  }
+
+  const Simulator& sim() const { return sim_; }
+  const std::vector<std::int64_t>& order() const { return order_; }
+
+ private:
+  void schedule_link(std::size_t i) {
+    if (i == times_.size()) return;
+    sim_.at(times_[i], first_ + i, [this, i] { on_link(i); });
+  }
+  void on_link(std::size_t i) {
+    order_.push_back(static_cast<std::int64_t>(i));
+    if (lazy_) schedule_link(i + 1);
+    const auto spawn = rng_.uniform_int(0, 12);
+    for (std::int64_t k = 0; k < spawn; ++k) add_noise();
+    const auto cancels = rng_.uniform_int(0, 12);
+    for (std::int64_t k = 0; k < cancels && !noise_.empty(); ++k) {
+      const auto recent = std::min<std::int64_t>(
+          64, static_cast<std::int64_t>(noise_.size()));
+      noise_[noise_.size() - 1 -
+             static_cast<std::size_t>(rng_.uniform_int(0, recent - 1))]
+          .cancel();
+    }
+  }
+  void add_noise() {
+    const std::int64_t id = next_noise_++;
+    noise_.push_back(sim_.schedule(rng_.uniform_int(0, 200), [this, id] {
+      order_.push_back(-id - 1);
+    }));
+  }
+
+  Simulator sim_;
+  Rng rng_;
+  std::vector<SimTime> times_;
+  bool lazy_;
+  std::uint64_t first_ = 0;
+  std::vector<Timer> noise_;
+  std::int64_t next_noise_ = 0;
+  std::vector<std::int64_t> order_;
+};
+
+TEST(Simulator, LazyReservedChainMatchesEagerScheduling) {
+  for (const std::uint64_t seed : {1u, 7u, 42u}) {
+    Rng rng(seed);
+    std::vector<SimTime> times;
+    SimTime t = 0;
+    for (int i = 0; i < 2000; ++i) {
+      t += rng.uniform_int(0, 3);  // zero gaps make same-instant ties
+      times.push_back(t);
+    }
+    ChainRun eager(seed, times, /*lazy=*/false);
+    ChainRun lazy(seed, times, /*lazy=*/true);
+    eager.run();
+    lazy.run();
+
+    EXPECT_EQ(lazy.order(), eager.order()) << "seed " << seed;
+    EXPECT_EQ(lazy.sim().event_stream_digest(),
+              eager.sim().event_stream_digest())
+        << "seed " << seed;
+    EXPECT_EQ(lazy.sim().events_executed(), eager.sim().events_executed());
+    EXPECT_GT(lazy.sim().compactions(), 0u) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -38,6 +38,10 @@ trap 'rm -rf "$snapdir"' EXIT
       --qps=2000 --seconds=2 --snapshot-dir="$snapdir" --l2-stale >/dev/null
 "$root/build-sanitize/tools/doxperf" churn --smoke --restart-at=4 \
       --snapshot-dir="$snapdir/churn" >/dev/null
+# A hot single-shard run at the benchmark's rate: the arrival cursor, the
+# swarm's flat id table and its pooled query images under ASan/UBSan.
+"$root/build-sanitize/tools/doxperf" engine --shards=1 --qps=50000 \
+      --seconds=1 >/dev/null
 
 echo "== race-detector build (${root}/build-tsan, TSan) =="
 cmake -B "$root/build-tsan" -S "$root" -DDOXLAB_TSAN=ON >/dev/null
