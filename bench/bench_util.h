@@ -2,6 +2,8 @@
 // parsing and paper-vs-measured table helpers.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -10,12 +12,22 @@
 
 namespace doxlab::bench {
 
-/// Parses "--name=value" integer flags; returns `fallback` if absent.
+/// Parses "--name=value" integer flags; returns `fallback` if absent. A
+/// value that is not wholly an integer in range exits with status 2.
 inline int flag_int(int argc, char** argv, const char* name, int fallback) {
   const std::string prefix = std::string(name) + "=";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::atoi(argv[i] + prefix.size());
+      const char* value = argv[i] + prefix.size();
+      const char* end = value + std::strlen(value);
+      int out = 0;
+      const auto [ptr, ec] = std::from_chars(value, end, out);
+      if (ec != std::errc() || ptr != end) {
+        std::fprintf(stderr, "%s=%s is not an integer in range\n", name,
+                     value);
+        std::exit(2);
+      }
+      return out;
     }
   }
   return fallback;
@@ -57,8 +69,13 @@ class JsonReporter {
       for (const auto& [name, value] : metrics) {
         if (!first_metric) out += ",\n";
         first_metric = false;
+        // Counts print exactly; %.6g would round 1737790 to 1.73779e+06.
         char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.6g", value);
+        if (value == std::trunc(value) && std::fabs(value) < 0x1p53) {
+          std::snprintf(buf, sizeof(buf), "%.0f", value);
+        } else {
+          std::snprintf(buf, sizeof(buf), "%.6g", value);
+        }
         out += "    \"" + name + "\": " + buf;
       }
       out += "\n  }";

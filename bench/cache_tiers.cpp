@@ -1,9 +1,9 @@
 // Tiered-cache hierarchy bench (src/dns/cache_tier.h + snapshot_tier.h):
 // gates the two properties the persistent snapshot tier was built for.
 //
-//   1. Warm restart. A churn campaign restarts the forwarder mid-run twice
-//      — once with the snapshot tier on (the new engine replays
-//      shard-0.snap into its L1) and once fully cold — and compares the
+//   1. Warm restart. A sharded run restarts the forwarder mid-run twice
+//      — once with the snapshot tier on (every rebuilt shard replays its
+//      shard-<i>.snap into its L1) and once fully cold — and compares the
 //      first post-restart epoch's cache hit rate against the steady-state
 //      window just before the restart. The gate is the PR's acceptance
 //      criterion: warm-start first-epoch hit rate within 10% of the
@@ -26,7 +26,7 @@
 
 #include "bench_util.h"
 #include "dns/snapshot_tier.h"
-#include "engine/churn.h"
+#include "engine/sharded.h"
 #include "stats/stats.h"
 
 namespace {
@@ -64,35 +64,34 @@ Window window_between(const engine::EngineStats& from,
 }
 
 struct RestartOutcome {
-  Window steady;       ///< pre-restart window of width epoch_window
-  Window first_epoch;  ///< first epoch_window after the restart
+  Window steady;       ///< the second before the restart
+  Window first_epoch;  ///< the second after the restart
   std::uint64_t warm_loaded = 0;
 };
 
-/// One restart campaign: no churn events, just the mid-run restart, so the
-/// only variable between the warm and cold runs is the snapshot tier.
+/// One restart run: no churn events, just the mid-run restart, so the only
+/// variable between the warm and cold runs is the snapshot tier.
 RestartOutcome run_restart(std::uint64_t seed, bool smoke,
                            const std::string& snapshot_dir) {
-  engine::ChurnConfig config;
+  engine::ShardedConfig config;
   config.seed = seed;
-  config.load.clients = smoke ? 150 : 300;
-  config.load.qps = smoke ? 400 : 1000;
-  config.load.duration = (smoke ? 10 : 16) * kSecond;
-  config.load.names = smoke ? 200 : 400;
+  config.clients = smoke ? 150 : 300;
+  config.qps = smoke ? 400 : 1000;
+  config.duration = (smoke ? 10 : 16) * kSecond;
+  config.names = smoke ? 200 : 400;
   config.restart_at = (smoke ? 6 : 10) * kSecond;
-  config.epoch_window = 1 * kSecond;
   // No TTL clamp: the testbed resolvers answer with 300 s TTLs, so nothing
   // expires inside the run and the restart is the only source of misses.
   config.engine.max_ttl = 0;
   config.engine.snapshot_dir = snapshot_dir;
 
-  const engine::ChurnResult result = engine::run_churn(config);
+  const engine::ShardedResult result = engine::run_sharded(config);
   RestartOutcome outcome;
   outcome.steady =
       window_between(result.pre_window_start, result.pre_restart);
   outcome.first_epoch =
       window_between(engine::EngineStats{}, result.post_first_epoch);
-  outcome.warm_loaded = result.warm_loaded;
+  outcome.warm_loaded = result.engine.snapshot_warm_loaded;
   return outcome;
 }
 
@@ -112,8 +111,8 @@ int main(int argc, char** argv) {
   std::filesystem::remove_all(scratch);
   std::filesystem::create_directories(scratch);
 
-  bench::banner("warm vs cold restart (churn campaign with mid-run "
-                "forwarder restart)");
+  bench::banner("warm vs cold restart (engine run with mid-run forwarder "
+                "restart)");
   const RestartOutcome warm =
       run_restart(seed, smoke, (scratch / "warm").string());
   const RestartOutcome cold = run_restart(seed, smoke, "");

@@ -15,7 +15,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "engine/scenario.h"
+#include "engine/sharded.h"
 #include "stats/stats.h"
 
 using namespace doxlab;
@@ -23,13 +23,16 @@ using namespace doxlab::engine;
 
 namespace {
 
-void print_run(const char* label, const ScenarioResult& result) {
+void print_run(const char* label, const ShardedConfig& config,
+               const ShardedResult& result) {
   const auto& e = result.engine;
   const auto& l = result.load;
   const auto summary = l.latency_summary();
   std::printf("%-24s %7.0f qps  p50 %6.2f  p95 %6.2f  p99 %7.2f ms\n",
-              label, result.engine_qps, summary.median, summary.p95,
-              summary.p99);
+              label,
+              static_cast<double>(e.queries) /
+                  (static_cast<double>(config.duration) / kSecond),
+              summary.median, summary.p95, summary.p99);
   std::printf(
       "    sent %llu  answered %llu  servfail %llu  timeout %llu | "
       "hit %llu  stale %llu  miss %llu  coalesced %llu (%.0f%%)\n",
@@ -56,18 +59,18 @@ void print_run(const char* label, const ScenarioResult& result) {
 
 int main(int argc, char** argv) {
   const bool full = bench::flag_set(argc, argv, "--full");
-  ScenarioConfig base;
+  ShardedConfig base;
   base.seed =
       static_cast<std::uint64_t>(bench::flag_int(argc, argv, "--seed", 42));
-  base.load.clients = static_cast<std::size_t>(
+  base.clients = static_cast<std::size_t>(
       bench::flag_int(argc, argv, "--clients", full ? 4000 : 1200));
-  base.load.qps = bench::flag_int(argc, argv, "--qps", full ? 4000 : 2000);
-  base.load.duration =
+  base.qps = bench::flag_int(argc, argv, "--qps", full ? 4000 : 2000);
+  base.duration =
       bench::flag_int(argc, argv, "--seconds", full ? 40 : 25) * kSecond;
   // Keep one-time cold-miss traffic (one resolve per name, plus the
   // queries that coalesce onto those first-contact windows) below 1% of
   // total queries, so the p99 bucket reflects steady-state behaviour.
-  base.load.names = full ? 400 : 100;
+  base.names = full ? 400 : 100;
   // Short TTLs force refresh/expiry traffic — without them the Zipf head
   // would be a one-time warmup and every mechanism under test would idle.
   base.engine.max_ttl = 1;
@@ -75,15 +78,15 @@ int main(int argc, char** argv) {
   // ---------------------------------------------------------------- 1.
   bench::banner("Engine load 1 — query coalescing (upstream traffic)");
   {
-    ScenarioConfig off = base;
+    ShardedConfig off = base;
     off.engine.serve_stale = false;  // isolate coalescing from serve-stale
     off.engine.coalesce = false;
-    ScenarioConfig on = off;
+    ShardedConfig on = off;
     on.engine.coalesce = true;
-    auto result_off = run_scenario(off);
-    auto result_on = run_scenario(on);
-    print_run("coalescing off", result_off);
-    print_run("coalescing on", result_on);
+    auto result_off = run_sharded(off);
+    auto result_on = run_sharded(on);
+    print_run("coalescing off", off, result_off);
+    print_run("coalescing on", on, result_on);
     const double saved =
         result_off.engine.upstream_resolves == 0
             ? 0.0
@@ -97,20 +100,20 @@ int main(int argc, char** argv) {
         "%zu clients\n",
         static_cast<unsigned long long>(result_off.engine.upstream_resolves),
         static_cast<unsigned long long>(result_on.engine.upstream_resolves),
-        saved, base.load.clients);
+        saved, base.clients);
   }
 
   // ---------------------------------------------------------------- 2.
   bench::banner("Engine load 2 — RFC 8767 serve-stale (tail latency)");
   {
-    ScenarioConfig off = base;
+    ShardedConfig off = base;
     off.engine.serve_stale = false;
-    ScenarioConfig on = base;
+    ShardedConfig on = base;
     on.engine.serve_stale = true;
-    auto result_off = run_scenario(off);
-    auto result_on = run_scenario(on);
-    print_run("serve-stale off", result_off);
-    print_run("serve-stale on", result_on);
+    auto result_off = run_sharded(off);
+    auto result_on = run_sharded(on);
+    print_run("serve-stale off", off, result_off);
+    print_run("serve-stale on", on, result_on);
     std::printf(
         "serve-stale p99: %.2f ms -> %.2f ms (expired hot names answer "
         "from cache while refreshing)\n",
@@ -121,10 +124,10 @@ int main(int argc, char** argv) {
   // ---------------------------------------------------------------- 3.
   bench::banner("Engine load 3 — primary upstream dies mid-run (failover)");
   {
-    ScenarioConfig kill = base;
-    kill.kill_primary_at = kill.load.duration / 2;
-    auto result = run_scenario(kill);
-    print_run("primary killed", result);
+    ShardedConfig kill = base;
+    kill.churn.push_back({kill.duration / 2, 0, ChurnAction::kOutage});
+    auto result = run_sharded(kill);
+    print_run("primary killed", kill, result);
     for (const auto& upstream : result.engine.upstreams) {
       std::printf(
           "    %-12s ewma %7.2f ms  attempts %6llu  failures %5llu  %s\n",

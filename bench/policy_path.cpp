@@ -24,7 +24,7 @@
 #include <new>
 
 #include "bench_util.h"
-#include "engine/scenario.h"
+#include "engine/sharded.h"
 #include "policy/policy.h"
 #include "stats/stats.h"
 
@@ -50,45 +50,6 @@ namespace {
 
 using namespace doxlab;
 
-/// The abuse chain the scenario installs, compiled standalone against the
-/// pool layout the engine would build.
-policy::ChainConfig bench_chain() {
-  policy::ChainConfig chain;
-  policy::RuleConfig txt;
-  txt.name = "refuse-txt";
-  txt.matcher = policy::MatcherKind::kQType;
-  txt.qtype = dns::RRType::kTXT;
-  txt.action = policy::ActionKind::kRefuse;
-  chain.rules.push_back(txt);
-  policy::RuleConfig qps;
-  qps.name = "qps-per-24";
-  qps.matcher = policy::MatcherKind::kRateLimit;
-  qps.rate_qps = 100;
-  qps.subnet_prefix_len = 24;
-  qps.action = policy::ActionKind::kDrop;
-  chain.rules.push_back(qps);
-  policy::RuleConfig flood;
-  flood.name = "refuse-flood-zone";
-  flood.matcher = policy::MatcherKind::kQnameSuffix;
-  flood.suffixes = {"flood.example"};
-  flood.action = policy::ActionKind::kRefuse;
-  chain.rules.push_back(flood);
-  policy::RuleConfig torture;
-  torture.name = "drop-torture-zone";
-  torture.matcher = policy::MatcherKind::kQnameSuffix;
-  torture.suffixes = {"torture.example"};
-  torture.action = policy::ActionKind::kDrop;
-  chain.rules.push_back(torture);
-  policy::RuleConfig route;
-  route.name = "route-load-anycast";
-  route.matcher = policy::MatcherKind::kQnameSuffix;
-  route.suffixes = {"load.example"};
-  route.action = policy::ActionKind::kRoutePool;
-  route.pool = "anycast";
-  chain.rules.push_back(route);
-  return chain;
-}
-
 struct EvalNumbers {
   double legit_ns = 0.0;
   double attack_ns = 0.0;
@@ -99,8 +60,10 @@ struct EvalNumbers {
 /// at the route rule) and on an attack query (sheds at the suffix rule),
 /// counting heap allocations across the whole measured region.
 EvalNumbers measure_eval(int iters) {
+  // The abuse chain the scenario installs, compiled standalone against the
+  // pool layout the engine builds.
   const std::vector<std::string> pools = {"default", "anycast"};
-  policy::RuleChain chain(bench_chain(), pools);
+  policy::RuleChain chain(engine::abuse_chain(100), pools);
   const dns::DnsName legit = dns::DnsName::parse("name42.load.example");
   const dns::DnsName attack = dns::DnsName::parse("r1337.flood.example");
   const net::IpAddress client = net::IpAddress::from_octets(10, 50, 3, 7);
@@ -141,12 +104,15 @@ EvalNumbers measure_eval(int iters) {
   return out;
 }
 
-void print_run(const char* label, const engine::ScenarioResult& result) {
+void print_run(const char* label, const engine::ShardedConfig& config,
+               const engine::ShardedResult& result) {
   const auto summary = result.load.latency_summary();
   std::printf("%-22s %7.0f qps  p50 %6.2f  p95 %6.2f  p99 %7.2f ms  "
               "answered %llu  timeout %llu\n",
-              label, result.engine_qps, summary.median, summary.p95,
-              summary.p99,
+              label,
+              static_cast<double>(result.engine.queries) /
+                  (static_cast<double>(config.duration) / kSecond),
+              summary.median, summary.p95, summary.p99,
               static_cast<unsigned long long>(result.load.answered),
               static_cast<unsigned long long>(result.load.timeouts));
 }
@@ -157,31 +123,26 @@ int main(int argc, char** argv) {
   const bool smoke = bench::flag_set(argc, argv, "--smoke");
   const bool json = bench::flag_set(argc, argv, "--json");
 
-  engine::ScenarioConfig attack;
+  engine::ShardedConfig attack;
   attack.seed =
       static_cast<std::uint64_t>(bench::flag_int(argc, argv, "--seed", 42));
-  attack.load.clients = static_cast<std::size_t>(
+  attack.clients = static_cast<std::size_t>(
       bench::flag_int(argc, argv, "--clients", smoke ? 300 : 1000));
-  attack.load.qps = bench::flag_int(argc, argv, "--qps", smoke ? 600 : 2000);
-  attack.load.duration =
+  attack.qps = bench::flag_int(argc, argv, "--qps", smoke ? 600 : 2000);
+  attack.duration =
       bench::flag_int(argc, argv, "--seconds", smoke ? 6 : 20) * kSecond;
-  attack.load.names = 100;
+  attack.names = 100;
   attack.engine.max_ttl = 1;  // keep refresh traffic flowing past warmup
-  attack.abuse.enabled = true;
-  attack.abuse.start = 2 * kSecond;
-  if (smoke) {
-    attack.abuse.flood_qps = 900;
-    attack.abuse.torture_qps = 450;
-    attack.abuse.amp_qps = 300;
-  }
+  attack.attacks = smoke ? engine::abuse_attacks(900, 450, 300, 2 * kSecond)
+                         : engine::abuse_attacks(3000, 1500, 1000,
+                                                 2 * kSecond);
+  attack.engine.policy = engine::abuse_chain(100);
 
   // The baseline is the same scenario with the attacks silenced: same
   // policy chain, same per-client addressing, same anycast pool — the only
   // variable is the abuse traffic.
-  engine::ScenarioConfig baseline = attack;
-  baseline.abuse.flood_qps = 0.0;
-  baseline.abuse.torture_qps = 0.0;
-  baseline.abuse.amp_qps = 0.0;
+  engine::ShardedConfig baseline = attack;
+  for (engine::AttackConfig& mix : baseline.attacks) mix.qps = 0.0;
 
   bench::banner("Policy path 1 — compiled chain evaluation (hot path)");
   const EvalNumbers eval = measure_eval(smoke ? 200000 : 1000000);
@@ -194,10 +155,10 @@ int main(int argc, char** argv) {
   std::printf("allocations   %7.2f per evaluation\n", eval.allocs_per_op);
 
   bench::banner("Policy path 2 — attack shed vs legit tail latency");
-  const auto result_base = engine::run_scenario(baseline);
-  const auto result_attack = engine::run_scenario(attack);
-  print_run("no attack", result_base);
-  print_run("under attack", result_attack);
+  const auto result_base = engine::run_sharded(baseline);
+  const auto result_attack = engine::run_sharded(attack);
+  print_run("no attack", baseline, result_base);
+  print_run("under attack", attack, result_attack);
   std::uint64_t attack_sent = 0;
   for (const auto& a : result_attack.attacks) attack_sent += a.sent;
   const double shed = result_attack.attack_shed_rate();

@@ -17,11 +17,45 @@ namespace {
 /// matter how many siblings it has.
 constexpr std::uint64_t kNetworkLane = 0x5A000000ull;
 constexpr std::uint64_t kResolverLane = 0x5B000000ull;
+/// An attack query's labels and id hash its schedule entry on this lane.
+constexpr std::uint64_t kAttackQueryLane = 0xA7AC0000ull;
 
 /// One slot per 16-bit transaction id; id 0 is never handed out.
 constexpr std::size_t kIdSlots = std::size_t{1} << 16;
 
+/// Routes the narrowest prefix covering [base, base + count - 1] to `via`.
+/// Exact host addresses win over prefix routes in Network::route_host, so
+/// a wide cover cannot hijack engine or upstream traffic.
+void route_range(net::Network& network, net::IpAddress base,
+                 std::uint32_t count, net::IpAddress via) {
+  const std::uint64_t last_wide =
+      std::uint64_t{base.value()} + std::max<std::uint32_t>(1, count) - 1;
+  const auto last = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(last_wide, 0xFFFFFFFFull));
+  network.add_prefix_route(base, 32 - std::bit_width(base.value() ^ last),
+                           via);
+}
+
 }  // namespace
+
+std::string_view attack_kind_name(AttackKind kind) {
+  switch (kind) {
+    case AttackKind::kRandomSubdomain: return "random-subdomain";
+    case AttackKind::kWaterTorture: return "water-torture";
+    case AttackKind::kAmplification: return "amplification";
+  }
+  return "?";
+}
+
+std::string_view churn_action_name(ChurnAction action) {
+  switch (action) {
+    case ChurnAction::kOutage: return "outage";
+    case ChurnAction::kRecover: return "recover";
+    case ChurnAction::kWithdraw: return "withdraw";
+    case ChurnAction::kAnnounce: return "announce";
+  }
+  return "?";
+}
 
 net::IpAddress client_source(const ShardedConfig& config,
                              std::uint32_t index) {
@@ -55,15 +89,26 @@ util::Buffer swarm_query(std::span<const std::uint8_t> image,
 
 EngineShard::EngineShard(const ShardedConfig& config, std::uint32_t index,
                          std::vector<Arrival> arrivals,
-                         dns::SharedPacketCache* l2)
-    : config_(config), index_(index), arrivals_(std::move(arrivals)) {
+                         dns::SharedPacketCache* l2, const Segment& segment)
+    : config_(config),
+      index_(index),
+      arrivals_(std::move(arrivals)),
+      legit_arrivals_(arrivals_.size()),
+      stop_(segment.stop) {
+  // A restarted world starts at the restart instant, so warm start and TTL
+  // decay see the true clock; on an empty queue this only moves the clock.
+  sim_.run_until(segment.start);
+  if (!config.attacks.empty()) {
+    legit_arrivals_ = static_cast<std::size_t>(
+        std::count_if(arrivals_.begin(), arrivals_.end(),
+                      [](const Arrival& a) { return !(a.name & kAttackTag); }));
+  }
   network_ = std::make_unique<net::Network>(
       sim_, Rng(splitmix64(config.seed, kNetworkLane + index)));
   network_->set_loss_rate(0.0);
   network_->set_batch_window(config.batch_window);
 
-  // The shard's host carries both the engine listener and the swarm socket
-  // (mirroring run_scenario, where generator and engine share one host).
+  // The shard's host carries both the engine listener and the swarm socket.
   host_ = &network_->add_host(
       "shard-" + std::to_string(index),
       net::IpAddress::from_octets(10, 1, 0,
@@ -77,20 +122,9 @@ EngineShard::EngineShard(const ShardedConfig& config, std::uint32_t index,
   }
 
   // Client sources live in their own prefix; answers to spoofed sources
-  // must route back to this host's swarm socket. Cover the whole source
-  // range [base, base + span - 1] with the narrowest containing prefix —
-  // a hardcoded length would blackhole replies whenever client_span
-  // outgrows it. Exact host addresses win over prefix routes in
-  // Network::route_host, so a wide cover cannot hijack engine or upstream
-  // traffic.
-  const std::uint32_t base = config.client_base.value();
-  const std::uint64_t last_wide =
-      std::uint64_t{base} + std::max<std::uint32_t>(1, config.client_span) - 1;
-  const auto last = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(last_wide, 0xFFFFFFFFull));
-  network_->add_prefix_route(config.client_base,
-                             32 - std::bit_width(base ^ last),
-                             host_->address());
+  // must route back to this host's swarm socket.
+  route_range(*network_, config.client_base, config.client_span,
+              host_->address());
 
   std::vector<UpstreamConfig> upstreams;
   for (std::size_t i = 0; i < config.upstream_one_way.size(); ++i) {
@@ -113,6 +147,7 @@ EngineShard::EngineShard(const ShardedConfig& config, std::uint32_t index,
     upstream.protocols = config.protocols;
     upstreams.push_back(std::move(upstream));
   }
+  if (!config.attacks.empty()) build_attack_world(upstreams);
 
   dox::TransportDeps deps;
   deps.sim = &sim_;
@@ -138,8 +173,8 @@ EngineShard::EngineShard(const ShardedConfig& config, std::uint32_t index,
   images_.resize(config.names);
   // Only a shard with arrivals sends queries and so receives answers; the
   // 2 MB id table would dominate the set-up of an empty one.
-  if (!arrivals_.empty()) pending_.resize(kIdSlots);
-  report_.latency_ms.reserve(arrivals_.size());
+  if (legit_arrivals_ > 0) pending_.resize(kIdSlots);
+  report_.latency_ms.reserve(legit_arrivals_);
 
   swarm_ = udp_->bind_ephemeral();
   swarm_->on_datagram([this](const net::Endpoint&, util::Buffer payload) {
@@ -152,12 +187,78 @@ EngineShard::EngineShard(const ShardedConfig& config, std::uint32_t index,
       on_response(std::move(datagram.payload));
     }
   });
+  for (std::size_t k = 0; k < config.attacks.size(); ++k) {
+    attack_sockets_.push_back(udp_->bind_ephemeral());
+    attack_sockets_.back()->on_datagram(
+        [this, k](const net::Endpoint&, util::Buffer payload) {
+          on_attack_response(k, payload);
+        });
+    attack_reports_.push_back(AttackReport{config.attacks[k].kind});
+  }
+  schedule_segment_events(segment);
 
   // The arrival cursor: the sequence numbers eager scheduling would have
   // used are reserved here, where the whole slice used to be queued, and
   // each arrival queues its successor under its own number.
   arrival_seq_ = sim_.reserve_sequence(arrivals_.size());
   schedule_arrival();
+}
+
+void EngineShard::build_attack_world(std::vector<UpstreamConfig>& upstreams) {
+  for (const AttackConfig& attack : config_.attacks) {
+    net::IpAddress via = host_->address();
+    if (attack.kind == AttackKind::kAmplification) {
+      // The victim: its prefix must route *somewhere* for the latency
+      // model, and the engine's answers to the spoofed sources (the
+      // backscatter) land here — never back at the bots.
+      via = attack.source_base;
+      if (network_->find_host(via) == nullptr) {
+        network_->add_host("victim", via, {40.71, -74.01},
+                           net::Continent::kNorthAmerica);
+      }
+    }
+    route_range(*network_, attack.source_base, attack.source_count, via);
+  }
+  // The route rule of the abuse chain sends the legit zone to a dedicated
+  // pool: upstream 0 again, with its own connections, at identical RTT.
+  UpstreamConfig anycast = upstreams.front();
+  anycast.name += "-anycast";
+  anycast.pool = "anycast";
+  upstreams.push_back(std::move(anycast));
+}
+
+void EngineShard::schedule_segment_events(const Segment& segment) {
+  // A restart's first worlds apply the events before it; the last worlds
+  // apply every later one, including events past the arrival window.
+  const bool last = segment.stop >= config_.duration;
+  for (const ChurnEvent& event : config_.churn) {
+    if (event.at < segment.start || (!last && event.at >= segment.stop)) {
+      continue;
+    }
+    sim_.at(event.at, [this, event] { apply_churn(event); });
+  }
+  probes_.resize(segment.probes.size());
+  for (std::size_t i = 0; i < segment.probes.size(); ++i) {
+    sim_.at(segment.probes[i], [this, i] { probes_[i] = engine_stats(); });
+  }
+}
+
+void EngineShard::apply_churn(const ChurnEvent& event) {
+  ++churn_applied_;
+  switch (event.action) {
+    case ChurnAction::kOutage:
+      resolvers_[event.upstream]->host().set_up(false);
+      break;
+    case ChurnAction::kRecover:
+      resolvers_[event.upstream]->host().set_up(true);
+      break;
+    case ChurnAction::kWithdraw:
+      engine_->pool(0).set_enabled(event.upstream, false);
+      break;
+    case ChurnAction::kAnnounce:
+      engine_->pool(0).set_enabled(event.upstream, true);
+      break;
+  }
 }
 
 void EngineShard::run_until(SimTime deadline) { sim_.run_until(deadline); }
@@ -171,13 +272,42 @@ void EngineShard::schedule_arrival() {
 void EngineShard::on_arrival() {
   const Arrival arrival = arrivals_[next_arrival_++];
   schedule_arrival();
-  send_query(arrival.client, arrival.name);
+  if (arrival.name & kAttackTag) {
+    send_attack(arrival);
+  } else {
+    send_query(arrival.client, arrival.name);
+  }
 }
 
 void EngineShard::book_outcome(SimTime sent_at, std::uint64_t outcome) {
   // Commutative sum — see outcome_digest() for the invariance contract.
   outcome_digest_ +=
       splitmix64(config_.seed ^ static_cast<std::uint64_t>(sent_at), outcome);
+}
+
+void EngineShard::book_terminal(SimTime sent_at, std::uint64_t outcome,
+                                double latency_ms) {
+  book_outcome(sent_at, outcome);
+  if (config_.series_bucket <= 0) return;
+  const auto index =
+      static_cast<std::size_t>(sent_at / config_.series_bucket);
+  while (series_.size() <= index) {
+    series_.push_back(SeriesBucket{
+        static_cast<SimTime>(series_.size()) * config_.series_bucket});
+  }
+  SeriesBucket& bucket = series_[index];
+  switch (outcome) {
+    case kOutcomeAnswered:
+      ++bucket.answered;
+      bucket.latency_ms.push_back(latency_ms);
+      break;
+    case kOutcomeServfail:
+      ++bucket.servfails;
+      break;
+    default:
+      ++bucket.timeouts;
+      break;
+  }
 }
 
 void EngineShard::send_query(std::uint32_t client, std::uint32_t name_index) {
@@ -207,7 +337,7 @@ void EngineShard::send_query(std::uint32_t client, std::uint32_t name_index) {
   pending.timeout = sim_.schedule(config_.client_timeout, [this, id] {
     PendingQuery& expired = pending_[id];
     if (!expired.live) return;
-    book_outcome(expired.sent_at, kOutcomeTimeout);
+    book_terminal(expired.sent_at, kOutcomeTimeout, 0.0);
     finish(expired);
     ++report_.timeouts;
   });
@@ -216,6 +346,40 @@ void EngineShard::send_query(std::uint32_t client, std::uint32_t name_index) {
   ++report_.sent;
   swarm_->send_to_from(target_, client_source(config_, client),
                        swarm_query(image, id));
+}
+
+void EngineShard::send_attack(const Arrival& arrival) {
+  const std::size_t k = arrival.name & ~kAttackTag;
+  const AttackConfig& attack = config_.attacks[k];
+  // Labels and id are a function of the entry, never of which shard sends
+  // it, so the attack traffic is the same at every shard count.
+  const std::uint64_t h = splitmix64(
+      config_.seed ^ kAttackQueryLane ^ static_cast<std::uint64_t>(arrival.at),
+      (std::uint64_t{arrival.name} << 32) | arrival.client);
+  const std::string label = std::to_string(h & 0x3FFFFFFF);
+  std::string qname;
+  dns::RRType qtype = dns::RRType::kA;
+  switch (attack.kind) {
+    case AttackKind::kRandomSubdomain:
+      qname = "r" + label + "." + attack.zone;
+      break;
+    case AttackKind::kWaterTorture:
+      qname = "w" + label + ".z" + std::to_string((h >> 30) & 7) + "." +
+              attack.zone;
+      break;
+    case AttackKind::kAmplification:
+      // Small query, big TXT answer: the resolver sizes the payload from
+      // the leading label.
+      qname = "txt" + std::to_string(attack.amp_payload) + "." + attack.zone;
+      qtype = dns::RRType::kTXT;
+      break;
+  }
+  const auto id = static_cast<std::uint16_t>(1 + (h >> 33) % 0xFFFF);
+  ++attack_reports_[k].sent;
+  attack_sockets_[k]->send_to_from(
+      target_, net::IpAddress(arrival.client),
+      util::Buffer::copy_of(
+          dns::make_query(id, dns::DnsName::parse(qname), qtype).encode()));
 }
 
 void EngineShard::finish(PendingQuery& pending) {
@@ -230,13 +394,27 @@ void EngineShard::on_response(util::Buffer payload) {
   pending.timeout.cancel();
   if (response_.rcode == dns::RCode::kServFail) {
     ++report_.servfails;
-    book_outcome(pending.sent_at, kOutcomeServfail);
+    book_terminal(pending.sent_at, kOutcomeServfail, 0.0);
   } else {
     ++report_.answered;
-    report_.latency_ms.push_back(to_ms(sim_.now() - pending.sent_at));
-    book_outcome(pending.sent_at, kOutcomeAnswered);
+    const double latency = to_ms(sim_.now() - pending.sent_at);
+    report_.latency_ms.push_back(latency);
+    book_terminal(pending.sent_at, kOutcomeAnswered, latency);
   }
   finish(pending);
+}
+
+void EngineShard::on_attack_response(std::size_t attack,
+                                     const util::Buffer& payload) {
+  if (!dns::Message::decode_into(payload, response_) || !response_.qr) return;
+  AttackReport& report = attack_reports_[attack];
+  if (response_.tc) {
+    ++report.truncated;
+  } else if (response_.rcode == dns::RCode::kRefused) {
+    ++report.refused;
+  } else {
+    ++report.answered;
+  }
 }
 
 }  // namespace doxlab::engine

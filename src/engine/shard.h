@@ -9,13 +9,12 @@
 // event stream is bit-identical run to run; the simulator's
 // event_stream_digest() pins exactly that in the determinism tests.
 //
-// The swarm client differs from engine/load_gen.h's LoadGenerator: instead
-// of one ephemeral socket per client (the UDP stack has ~16k ephemeral
-// ports; the sharded scenario drives millions of clients), the whole shard
-// shares ONE socket and stamps each query with its client's source address
-// via send_to_from. Replies route back through the client prefix and demux
-// by DNS transaction id, so per-client state is zero bytes — client count
-// scales to millions for free.
+// The swarm client does not open one ephemeral socket per client (the UDP
+// stack has ~16k ephemeral ports; the sharded scenario drives millions of
+// clients): the whole shard shares ONE socket and stamps each query with
+// its client's source address via send_to_from. Replies route back through
+// the client prefix and demux by DNS transaction id, so per-client state is
+// zero bytes — client count scales to millions for free.
 //
 // Off the heap allocator: each name's query image is encoded once, on first
 // use, and a send copies it into a pooled buffer and patches the id; answers
@@ -24,36 +23,153 @@
 // shard holds its slice and keeps exactly one arrival event queued, under
 // sequence numbers reserved where the whole slice used to be scheduled (see
 // sim/simulator.h), so the event stream is the one eager scheduling gives.
+//
+// Attack entries, churn events, restart probes and the send-time series
+// only exist when the config asks for them; without them the world and its
+// event stream are the plain engine run's.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "dns/message.h"
 #include "dns/packet_cache.h"
 #include "dox/transport.h"
 #include "engine/engine.h"
-#include "engine/load_gen.h"
 #include "net/network.h"
 #include "resolver/resolver.h"
+#include "stats/stats.h"
 #include "tcp/tcp.h"
 
 namespace doxlab::engine {
 
-/// One entry of the global arrival schedule: at simulated time `at`, client
-/// `client` asks for name index `name`. Generated once by the coordinator
-/// from the seed — identical for every shard count.
+/// One entry of the global arrival schedule, generated once by the
+/// coordinator from the seed — identical for every shard count. A legit
+/// entry means client `client` asks for name index `name` at `at`. An
+/// attack entry has kAttackTag set in `name` (the low bits index
+/// ShardedConfig::attacks) and carries its spoofed source address in
+/// `client`.
 struct Arrival {
   SimTime at = 0;
   std::uint32_t client = 0;
   std::uint32_t name = 0;
 };
+// Each shard holds its slice of the schedule for the whole run: at 500k
+// arrivals, a larger entry pushes the hot single-shard run's peak RSS
+// toward its benchmark bound.
+static_assert(sizeof(Arrival) == 16, "Arrival must stay 16 bytes");
+
+/// Marks an attack entry's `name` field; legit name indices stay below it.
+inline constexpr std::uint32_t kAttackTag = 0x80000000u;
+
+/// Abuse-traffic families (the attack mixes behind `doxperf abuse`).
+enum class AttackKind : std::uint8_t {
+  /// Cache-busting flood: a fresh random label under `zone` per query, so
+  /// every query misses the cache and reaches the upstream path.
+  kRandomSubdomain,
+  /// Water torture: random labels under rotating subzones of `zone` — the
+  /// classic NXDOMAIN flood shape against one victim domain.
+  kWaterTorture,
+  /// Reflection/amplification: small TXT queries whose spoofed sources are
+  /// the victim's addresses, so answers (the amplified payload) backscatter
+  /// towards the victim instead of the bot.
+  kAmplification,
+};
+
+std::string_view attack_kind_name(AttackKind kind);
+
+/// One attack mix: Poisson arrivals at `qps` from `start` until the arrival
+/// window closes, each from a source in [source_base, source_base +
+/// source_count). Bot sources (floods, torture) route back to the shard;
+/// amplification sources route to a victim host, so the backscatter never
+/// returns.
+struct AttackConfig {
+  AttackKind kind = AttackKind::kRandomSubdomain;
+  double qps = 1000.0;
+  SimTime start = 0;
+  /// Zone the attack queries live under (one policy suffix rule covers the
+  /// whole family).
+  std::string zone = "flood.example";
+  net::IpAddress source_base;
+  std::uint32_t source_count = 256;
+  /// kAmplification: requested TXT payload bytes (the resolver sizes the
+  /// answer from a leading "txt<bytes>" label).
+  std::size_t amp_payload = 1200;
+};
+
+/// What came back to one attack's sockets. Spoofed sources outside the
+/// shard's prefixes never answer, so those counters stay at `sent` only.
+struct AttackReport {
+  AttackKind kind = AttackKind::kRandomSubdomain;
+  std::uint64_t sent = 0;
+  std::uint64_t answered = 0;   ///< non-error responses
+  std::uint64_t refused = 0;    ///< REFUSED (the policy shed)
+  std::uint64_t truncated = 0;  ///< TC=1 (policy slow-pathed the abuser)
+};
+
+/// Resolver-churn transitions. kOutage/kRecover take the upstream host down
+/// and back (the pool discovers it through timeouts and quarantine);
+/// kWithdraw/kAnnounce remove it from and restore it to the default pool's
+/// candidate plan (an anycast catchment shift: no timeout is paid).
+enum class ChurnAction : std::uint8_t {
+  kOutage,
+  kRecover,
+  kWithdraw,
+  kAnnounce,
+};
+
+std::string_view churn_action_name(ChurnAction action);
+
+struct ChurnEvent {
+  SimTime at = 0;
+  std::size_t upstream = 0;  ///< index into `upstream_one_way`
+  ChurnAction action = ChurnAction::kOutage;
+};
+
+/// The legit client-visible counters of a run (attack traffic is counted
+/// in AttackReport).
+struct LoadReport {
+  std::uint64_t sent = 0;
+  std::uint64_t answered = 0;   ///< non-SERVFAIL responses
+  std::uint64_t servfails = 0;  ///< client-visible SERVFAILs
+  std::uint64_t timeouts = 0;   ///< gave up waiting
+  /// Arrivals dropped before sending (the swarm's 16-bit transaction-id
+  /// space was exhausted); sent + shed == arrivals offered.
+  std::uint64_t shed = 0;
+  std::vector<double> latency_ms;  ///< answered queries only
+
+  /// Every *sent* query reached a terminal outcome (shed never went out).
+  bool complete() const { return answered + servfails + timeouts == sent; }
+  stats::Summary latency_summary() const {
+    return stats::Summary::of(latency_ms);
+  }
+};
+
+/// One send-time bucket of the legit series: the queries sent in
+/// [start, start + width) by terminal outcome, with the answered ones'
+/// latencies.
+struct SeriesBucket {
+  SimTime start = 0;
+  std::uint64_t answered = 0;
+  std::uint64_t servfails = 0;
+  std::uint64_t timeouts = 0;
+  std::vector<double> latency_ms;
+
+  std::uint64_t sent() const { return answered + servfails + timeouts; }
+  double answer_rate() const {
+    return sent() == 0 ? 0.0
+                       : static_cast<double>(answered) /
+                             static_cast<double>(sent());
+  }
+};
 
 /// Workload + world parameters shared by every shard (the coordinator's
-/// config; see sharded.h for the fields' one-stop documentation).
+/// config).
 struct ShardedConfig {
   std::uint32_t shards = 1;
   std::uint64_t seed = 42;
@@ -61,11 +177,12 @@ struct ShardedConfig {
   std::size_t clients = 1'000'000;
   /// Aggregate Poisson arrival rate across all shards, queries per second.
   double qps = 20'000.0;
+  /// Arrival window [0, duration); attack entries fall inside it too.
   SimTime duration = 10 * kSecond;
   std::size_t names = 500;
   double zipf_exponent = 1.0;
   SimTime client_timeout = 8 * kSecond;
-  /// Client source addressing (mirrors LoadConfig): client i sends from
+  /// Client source addressing: client i sends from
   /// `client_base + splitmix64(seed, i) % client_span`. Each shard routes
   /// the narrowest prefix covering the whole span back to its swarm
   /// socket, so any span fits.
@@ -99,6 +216,21 @@ struct ShardedConfig {
   /// the link queues under engine load — the TSan CI stage runs one; the
   /// default (unset) keeps the pinned digests' event streams.
   std::optional<net::LinkConfig> bottleneck;
+  /// Attack mixes, each drawn on its own RNG lane and merged by time into
+  /// the schedule. When non-empty every shard also binds one socket per
+  /// attack, routes the bot and victim prefixes, and duplicates upstream 0
+  /// into an "anycast" pool for the policy chain to route to.
+  std::vector<AttackConfig> attacks;
+  /// Churn events, applied by every shard to its own copy of the upstream
+  /// at the event's exact time.
+  std::vector<ChurnEvent> churn;
+  /// Restart the forwarder at this instant (0 = never): the arrivals
+  /// before it run and drain in one set of worlds, then every shard and
+  /// the L2 are rebuilt at `restart_at` (warm-starting from the snapshot
+  /// tier when `engine.snapshot_dir` is set) and take the rest.
+  SimTime restart_at = 0;
+  /// Send-time series bucket width (0 = no series).
+  SimTime series_bucket = 0;
 };
 
 /// The source address client `index` sends from (shared by the coordinator
@@ -117,13 +249,24 @@ std::vector<std::uint8_t> swarm_query_image(std::uint32_t name);
 util::Buffer swarm_query(std::span<const std::uint8_t> image,
                          std::uint16_t id);
 
+/// The part of a run one set of shard worlds covers: the clock starts at
+/// `start`, the arrivals fall in [start, stop), and the engine counters are
+/// copied at each `probes` instant.
+struct Segment {
+  SimTime start = 0;
+  SimTime stop = 0;
+  std::vector<SimTime> probes;
+};
+
 class EngineShard {
  public:
-  /// Builds the shard's world and takes ownership of its `arrivals` slice,
-  /// which must be sorted by time (the coordinator's schedule is). `l2` may
-  /// be null (no shared cache). The ShardedConfig must outlive the shard.
+  /// Builds the shard's world for `segment` and takes ownership of its
+  /// `arrivals` slice, which must be sorted by time (the coordinator's
+  /// schedule is). `l2` may be null (no shared cache). The ShardedConfig
+  /// must outlive the shard.
   EngineShard(const ShardedConfig& config, std::uint32_t index,
-              std::vector<Arrival> arrivals, dns::SharedPacketCache* l2);
+              std::vector<Arrival> arrivals, dns::SharedPacketCache* l2,
+              const Segment& segment);
 
   EngineShard(const EngineShard&) = delete;
   EngineShard& operator=(const EngineShard&) = delete;
@@ -145,15 +288,13 @@ class EngineShard {
   }
   const LoadReport& report() const { return report_; }
   std::uint64_t events_executed() const { return sim_.events_executed(); }
-  /// True once this shard is past the arrival window with no client query
+  /// True once this shard is past its arrival window with no client query
   /// awaiting an answer: everything left in the event queue is engine
   /// housekeeping (idle timers, keep-alives). The coordinator then collapses
   /// the remaining settle window into a single epoch — the same events
   /// execute in the same order, it just stops barriering for a swarm that
   /// has nothing more to say. Pure function of sim state, so deterministic.
-  bool drained() const {
-    return sim_.now() >= config_.duration && in_flight_ == 0;
-  }
+  bool drained() const { return sim_.now() >= stop_ && in_flight_ == 0; }
   std::uint64_t stream_digest() const { return sim_.event_stream_digest(); }
   /// Commutative per-query outcome fingerprint: every terminal outcome
   /// (answered / servfail / timeout / shed) folds
@@ -163,10 +304,21 @@ class EngineShard {
   /// batch-determinism ctest compares it across --batch-us settings, where
   /// the event-stream digest necessarily differs.
   std::uint64_t outcome_digest() const { return outcome_digest_; }
-  std::size_t arrivals_scheduled() const { return arrivals_.size(); }
+  /// Legit schedule entries in this shard's slice.
+  std::size_t arrivals_scheduled() const { return legit_arrivals_; }
   /// Moves the load report out (the coordinator's merge, once the run is
   /// over); report() is empty afterwards.
   LoadReport take_report() { return std::move(report_); }
+  /// Per-attack counters, in ShardedConfig::attacks order.
+  const std::vector<AttackReport>& attack_reports() const {
+    return attack_reports_;
+  }
+  /// Churn events this shard applied.
+  std::uint64_t churn_applied() const { return churn_applied_; }
+  /// Engine counters copied at each Segment::probes instant.
+  const std::vector<EngineStats>& probes() const { return probes_; }
+  /// Send-time series buckets (empty unless series_bucket is set).
+  const std::vector<SeriesBucket>& series() const { return series_; }
 
  private:
   struct PendingQuery {
@@ -182,21 +334,36 @@ class EngineShard {
     kOutcomeShed = 4,
   };
   void book_outcome(SimTime sent_at, std::uint64_t outcome);
+  /// Books a sent query's terminal outcome, and its series bucket when the
+  /// series is on. `latency_ms` is read for kOutcomeAnswered only.
+  void book_terminal(SimTime sent_at, std::uint64_t outcome,
+                     double latency_ms);
+
+  /// Adds the attack sockets, routes and anycast pool (attacks configured).
+  void build_attack_world(std::vector<UpstreamConfig>& upstreams);
+  /// Schedules the segment's churn events and stat probes.
+  void schedule_segment_events(const Segment& segment);
+  void apply_churn(const ChurnEvent& event);
 
   /// Queues arrivals_[next_arrival_] under its reserved sequence number.
   void schedule_arrival();
   void on_arrival();
   void send_query(std::uint32_t client, std::uint32_t name_index);
+  void send_attack(const Arrival& arrival);
   void on_response(util::Buffer payload);
+  void on_attack_response(std::size_t attack, const util::Buffer& payload);
   /// Frees a terminal query's id slot.
   void finish(PendingQuery& pending);
 
   const ShardedConfig& config_;
   std::uint32_t index_;
   std::vector<Arrival> arrivals_;
+  std::size_t legit_arrivals_ = 0;
   std::size_t next_arrival_ = 0;
   /// First of arrivals_.size() sequence numbers reserved at construction.
   std::uint64_t arrival_seq_ = 0;
+  /// End of this segment's arrival window (the drain check).
+  SimTime stop_ = 0;
   sim::Simulator sim_;
   std::unique_ptr<net::Network> network_;
   net::Host* host_ = nullptr;
@@ -219,6 +386,13 @@ class EngineShard {
   std::size_t in_flight_ = 0;
   std::uint64_t outcome_digest_ = 0;
   LoadReport report_;
+
+  /// One socket per attack, so attack replies never touch the id table.
+  std::vector<std::unique_ptr<net::UdpSocket>> attack_sockets_;
+  std::vector<AttackReport> attack_reports_;
+  std::uint64_t churn_applied_ = 0;
+  std::vector<EngineStats> probes_;
+  std::vector<SeriesBucket> series_;
 };
 
 }  // namespace doxlab::engine

@@ -1,11 +1,13 @@
-// The sharded engine coordinator: one scenario spread across all cores.
+// The sharded engine coordinator: the one engine harness, one scenario
+// spread across all cores.
 //
-// `run_sharded` generates ONE global arrival schedule from the seed (the
-// same Poisson/Zipf process LoadGenerator uses), assigns every simulated
-// client a source address, hashes sources onto shards (splitmix64 — see
-// engine/shard.h), and builds one EngineShard world per shard. The offered
-// load is therefore *identical for every shard count*: changing --shards
-// only repartitions the same arrivals.
+// `run_sharded` generates ONE global arrival schedule from the seed (a
+// Poisson process of uniformly chosen clients asking Zipf-popular names,
+// plus each configured attack mix on its own RNG lane, merged by time),
+// assigns every simulated client a source address, hashes sources onto
+// shards (splitmix64 — see engine/shard.h), and builds one EngineShard world
+// per shard. The offered load is therefore *identical for every shard
+// count*: changing --shards only repartitions the same arrivals.
 //
 // Execution is epoch-barriered on a util::ThreadPool:
 //
@@ -22,6 +24,12 @@
 // determinism contract the engine_shards ctests pin via the simulator's
 // event-stream digests.
 //
+// Churn events are scheduled on every shard's own simulator at their exact
+// times, never rounded to epochs. A restart (`restart_at`) runs two sets of
+// worlds, because engines cannot be torn down mid-simulation: the first
+// takes the arrivals before the restart and drains, then every shard and
+// the L2 are rebuilt with the clock at `restart_at` and take the rest.
+//
 // Scaling is reported two ways, because a CI container may have a single
 // core: `wall_ms` is real elapsed time, while `critical_path_ms` charges
 // each epoch its *slowest shard* plus the serial sweep — the wall time an
@@ -35,14 +43,14 @@
 
 namespace doxlab::engine {
 
-/// Per-shard outcome. Everything except `busy_ms` is deterministic for a
-/// fixed (seed, shard count) — busy_ms is measured wall time and is kept
-/// out of the pinned CSV columns.
+/// Per-shard outcome, summed over both worlds of a restart run. Everything
+/// except `busy_ms` is deterministic for a fixed (seed, shard count) —
+/// busy_ms is measured CPU time and is kept out of the pinned CSV columns.
 struct ShardOutcome {
   std::uint32_t index = 0;
   EngineStats engine;
   LoadReport load;
-  std::uint64_t arrivals = 0;      ///< schedule entries assigned here
+  std::uint64_t arrivals = 0;      ///< legit schedule entries assigned here
   std::uint64_t events = 0;        ///< simulator events executed
   std::uint64_t stream_digest = 0; ///< sim event-stream fingerprint
   /// Commutative per-query outcome fingerprint (see
@@ -58,8 +66,10 @@ struct ShardedResult {
   EngineStats engine;
   /// Per-shard load reports summed; latencies concatenated in shard order.
   LoadReport load;
+  /// The L2 of the last set of worlds (the one alive at the end).
   dns::SharedPacketCache::Stats l2;
   std::uint64_t epochs = 0;
+  /// Legit schedule entries (attack entries are counted in `attacks`).
   std::uint64_t total_arrivals = 0;
   /// Per-shard digests folded in shard order (FNV-style) — the one number
   /// the determinism test compares across runs.
@@ -71,6 +81,22 @@ struct ShardedResult {
   double wall_ms = 0.0;           ///< real elapsed time (this machine)
   double critical_path_ms = 0.0;  ///< sum over epochs of slowest shard
   double sweep_ms = 0.0;          ///< serial L2 sweep time (inside critical)
+
+  /// Per-attack counters summed over shards, in ShardedConfig::attacks
+  /// order.
+  std::vector<AttackReport> attacks;
+  /// Churn events applied, each counted once (not once per shard).
+  std::uint64_t events_executed = 0;
+  /// Send-time series, merged in shard order (series_bucket > 0 only).
+  /// Empty buckets inside the horizon appear explicitly.
+  std::vector<SeriesBucket> series;
+  /// Restart runs: engine counters merged across shards one second before
+  /// `restart_at` and at it (first worlds), and one second after it
+  /// (rebuilt worlds, whose counters start from zero, so that snapshot IS
+  /// the first post-restart window).
+  EngineStats pre_window_start;
+  EngineStats pre_restart;
+  EngineStats post_first_epoch;
 
   /// Queries the engines processed per critical-path second — the
   /// hardware-independent scaling metric bench/engine_scale gates on.
@@ -85,11 +111,29 @@ struct ShardedResult {
                           : static_cast<double>(engine.queries) /
                                 (wall_ms / 1000.0);
   }
+  /// Fraction of attack queries shed (refused/dropped/truncated). Sent
+  /// minus answered covers silent drops AND spoofed-source backscatter
+  /// that never returns to the bots.
+  double attack_shed_rate() const;
 };
 
-/// Builds the schedule and the shard worlds, runs the epoch loop to
-/// completion (duration + client timeout + settle slack), and returns the
-/// merged result.
+/// Checks the config, builds the schedule and the shard worlds, runs the
+/// epoch loop to completion (duration + client timeout + settle slack), and
+/// returns the merged result. Throws std::invalid_argument naming the
+/// offending field when the config cannot run.
 ShardedResult run_sharded(const ShardedConfig& config);
+
+/// The abuse-scenario family's attack mixes from `start` to the end of the
+/// arrival window: a random-subdomain flood (flood.example) and water
+/// torture (torture.example) from bot subnets in 198.18.0.0/16, and a
+/// spoofed-source TXT amplification run whose sources sit in the victim
+/// prefix 203.0.113.0/24.
+std::vector<AttackConfig> abuse_attacks(double flood_qps, double torture_qps,
+                                        double amp_qps, SimTime start);
+
+/// The canonical abuse chain, ordered the way an operator would stack it:
+/// refuse TXT, per-/24 rate-limit drop, refuse flood.example, drop
+/// torture.example, route load.example to the "anycast" pool.
+policy::ChainConfig abuse_chain(std::uint32_t rate_limit_qps);
 
 }  // namespace doxlab::engine

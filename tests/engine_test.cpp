@@ -1,12 +1,9 @@
 // Tests for the forwarder engine: query coalescing fan-out, the bounded LRU
 // cache, RFC 8767 serve-stale + background refresh, upstream fallback
-// ordering and health-based failover, SERVFAIL accounting, and the load
-// generator's determinism.
+// ordering and health-based failover, and SERVFAIL accounting.
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
-#include "engine/load_gen.h"
-#include "engine/scenario.h"
 #include "net/network.h"
 #include "resolver/resolver.h"
 #include "sim/simulator.h"
@@ -614,130 +611,6 @@ TEST(EngineStatsTest, AddMergesWireCounters) {
   a.add(b);
   EXPECT_EQ(a.wire_hits, 7u);
   EXPECT_EQ(a.wire_lookups, 21u);
-}
-
-TEST(LoadGenerator, DeterministicFromSeed) {
-  auto run = [](std::uint64_t seed) {
-    ScenarioConfig config;
-    config.seed = seed;
-    config.load.seed = seed;
-    config.load.clients = 50;
-    config.load.qps = 200;
-    config.load.duration = 2 * kSecond;
-    config.load.names = 20;
-    return run_scenario(config);
-  };
-  const ScenarioResult a = run(11);
-  const ScenarioResult b = run(11);
-  const ScenarioResult c = run(12);
-  EXPECT_EQ(a.load.sent, b.load.sent);
-  EXPECT_EQ(a.load.answered, b.load.answered);
-  EXPECT_EQ(a.engine.upstream_resolves, b.engine.upstream_resolves);
-  EXPECT_EQ(a.load.latency_ms, b.load.latency_ms);
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_NE(a.load.latency_ms, c.load.latency_ms);  // seed matters
-}
-
-TEST(LoadGenerator, ClientSourceAddressesDeterministicFromSeed) {
-  // Per-client spoofed sources are a pure function of (seed, index): two
-  // generators with the same seed agree address-for-address, a different
-  // seed reshuffles, and every address stays inside the configured span.
-  auto sources = [](std::uint64_t seed) {
-    sim::Simulator sim;
-    net::Network network(sim, Rng(5));
-    net::Host& host = network.add_host(
-        "stub", IpAddress::from_octets(10, 9, 0, 1), {50.11, 8.68},
-        Continent::kEurope);
-    net::UdpStack udp(host);
-    LoadConfig config;
-    config.seed = seed;
-    config.clients = 32;
-    config.duration = 0;  // addressing only; no arrivals scheduled
-    config.client_base = IpAddress::from_octets(10, 50, 0, 0);
-    config.client_span = std::uint32_t{1} << 16;
-    config.target = Endpoint{host.address(), 53};
-    LoadGenerator generator(sim, udp, config);
-    std::vector<net::IpAddress> out;
-    for (std::size_t i = 0; i < config.clients; ++i) {
-      out.push_back(generator.client_source(i));
-    }
-    return out;
-  };
-  const auto a = sources(42);
-  const auto b = sources(42);
-  const auto c = sources(43);
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a, c);
-  const policy::Netmask span = policy::Netmask::parse("10.50.0.0/16");
-  for (const auto& address : a) EXPECT_TRUE(span.contains(address));
-}
-
-TEST(LoadGenerator, AbuseScenarioShedsAttacksWithoutPerturbingLegitLoad) {
-  ScenarioConfig config;
-  config.load.clients = 100;
-  config.load.qps = 400;
-  config.load.duration = 5 * kSecond;
-  config.load.names = 50;
-  config.abuse.enabled = true;
-  config.abuse.start = kSecond;
-  config.abuse.flood_qps = 400;
-  config.abuse.torture_qps = 200;
-  config.abuse.amp_qps = 150;
-
-  // Baseline: same scenario, attacks silenced. The attack streams draw from
-  // disjoint splitmix64-derived Rngs, so the legitimate arrival schedule is
-  // identical between the runs (same sent count, sample for sample); the
-  // individual latencies may wiggle (attack packets interleave with legit
-  // ones on the shared network), but the tail must stay within the same 10%
-  // band the bench gates on.
-  ScenarioConfig baseline = config;
-  baseline.abuse.flood_qps = 0.0;
-  baseline.abuse.torture_qps = 0.0;
-  baseline.abuse.amp_qps = 0.0;
-
-  const ScenarioResult quiet = run_scenario(baseline);
-  const ScenarioResult attacked = run_scenario(config);
-  EXPECT_EQ(quiet.load.sent, attacked.load.sent);
-  EXPECT_EQ(quiet.load.latency_ms.size(), attacked.load.latency_ms.size());
-  EXPECT_TRUE(attacked.load.complete());
-  EXPECT_EQ(attacked.load.timeouts, 0u);
-  const double p99_quiet = quiet.load.latency_summary().p99;
-  const double p99_attacked = attacked.load.latency_summary().p99;
-  EXPECT_LE(p99_attacked, 1.10 * p99_quiet);
-
-  // All three attack families fired and were shed at the policy chain.
-  ASSERT_EQ(attacked.attacks.size(), 3u);
-  std::uint64_t sent = 0;
-  for (const auto& attack : attacked.attacks) {
-    EXPECT_GT(attack.sent, 0u) << attack_kind_name(attack.kind);
-    sent += attack.sent;
-  }
-  EXPECT_GE(attacked.attack_shed_rate(), 0.95);
-  const EngineStats& stats = attacked.engine;
-  EXPECT_EQ(stats.policy_evaluations, stats.queries);
-  EXPECT_GT(stats.policy_refused, 0u);
-  EXPECT_GT(stats.policy_dropped, 0u);
-  EXPECT_EQ(stats.policy_errors.count(util::ErrorClass::kRcode),
-            stats.policy_refused);
-  EXPECT_EQ(stats.policy_errors.count(util::ErrorClass::kCancelled),
-            stats.policy_dropped);
-  ASSERT_EQ(stats.policy_rules.size(), 5u);
-  std::uint64_t rule_matches = 0;
-  for (const auto& rule : stats.policy_rules) rule_matches += rule.matches;
-  EXPECT_GT(rule_matches, sent / 2);  // the chain saw the attack traffic
-}
-
-TEST(LoadGenerator, AllQueriesAccountedFor) {
-  ScenarioConfig config;
-  config.load.clients = 100;
-  config.load.qps = 500;
-  config.load.duration = 4 * kSecond;
-  const ScenarioResult result = run_scenario(config);
-  EXPECT_GT(result.load.sent, 1000u);
-  EXPECT_TRUE(result.load.complete());
-  EXPECT_EQ(result.load.servfails, 0u);
-  EXPECT_EQ(result.load.timeouts, 0u);
-  EXPECT_EQ(result.load.sent, result.engine.queries);
 }
 
 }  // namespace

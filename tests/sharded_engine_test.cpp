@@ -1,9 +1,14 @@
-// Tests for the sharded forwarder engine (engine/shard.h, engine/sharded.h):
-// the offered load must be invariant under the shard count, repeated runs
-// must be bit-identical (event-stream digests), the merged result must equal
-// the sum of its shards, and the shared L2 must actually carry answers
-// across shards.
+// Tests for the sharded forwarder engine (engine/shard.h, engine/sharded.h),
+// the one engine harness: the offered load must be invariant under the
+// shard count, repeated runs must be bit-identical (event-stream digests),
+// the merged result must equal the sum of its shards, the shared L2 must
+// actually carry answers across shards, and the schedule's attack mixes,
+// churn events, restart and series must hold at any shard count.
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <stdexcept>
+#include <string>
 
 #include "engine/sharded.h"
 #include "policy/policy.h"
@@ -146,6 +151,267 @@ TEST(SwarmClient, QueryImageMatchesMakeQuery) {
           << "name " << name << " id " << id;
     }
   }
+}
+
+TEST(ShardedEngine, RejectsInvalidConfigNamingTheField) {
+  const auto expect_rejected = [](const ShardedConfig& config,
+                                  const std::string& field) {
+    try {
+      run_sharded(config);
+      ADD_FAILURE() << "accepted an invalid " << field;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+          << error.what();
+    }
+  };
+  const ShardedConfig base = small_config();
+  ShardedConfig config = base;
+  config.names = 0;  // an empty Zipf CDF
+  expect_rejected(config, "names");
+  config = base;
+  config.clients = 0;  // uniform_int(0, -1)
+  expect_rejected(config, "clients");
+  config.clients = (std::size_t{1} << 32) + 1;  // wraps Arrival::client
+  expect_rejected(config, "clients");
+  config = base;
+  config.client_span = 0;  // division by zero in client_source
+  expect_rejected(config, "client_span");
+  config = base;
+  config.shards = 0;
+  expect_rejected(config, "shards");
+  config = base;
+  config.churn = {{kSecond, 3, ChurnAction::kOutage}};  // 3 upstreams
+  expect_rejected(config, "churn[0].upstream");
+  config = base;
+  config.attacks = abuse_attacks(100, 100, 100, 0);
+  config.attacks[1].source_count = 0;
+  expect_rejected(config, "attacks[1].source_count");
+  config = base;
+  config.restart_at = config.duration;
+  expect_rejected(config, "restart_at");
+}
+
+// The global schedule is the one load generator: legit arrivals, client
+// addressing and the attack mixes all come from it.
+
+TEST(LoadGenerator, DeterministicFromSeed) {
+  auto run = [](std::uint64_t seed) {
+    ShardedConfig config;
+    config.seed = seed;
+    config.clients = 50;
+    config.qps = 200;
+    config.duration = 2 * kSecond;
+    config.names = 20;
+    return run_sharded(config);
+  };
+  const ShardedResult a = run(11);
+  const ShardedResult b = run(11);
+  const ShardedResult c = run(12);
+  EXPECT_EQ(a.load.sent, b.load.sent);
+  EXPECT_EQ(a.load.answered, b.load.answered);
+  EXPECT_EQ(a.engine.upstream_resolves, b.engine.upstream_resolves);
+  EXPECT_EQ(a.load.latency_ms, b.load.latency_ms);
+  EXPECT_EQ(a.merged_digest, b.merged_digest);
+  EXPECT_EQ(a.shards[0].events, b.shards[0].events);
+  EXPECT_NE(a.load.latency_ms, c.load.latency_ms);  // seed matters
+}
+
+TEST(LoadGenerator, ClientSourceAddressesDeterministicFromSeed) {
+  // Per-client sources are a pure function of (seed, index): two configs
+  // with the same seed agree address-for-address, a different seed
+  // reshuffles, and every address stays inside the configured span.
+  auto sources = [](std::uint64_t seed) {
+    ShardedConfig config;
+    config.seed = seed;
+    std::vector<net::IpAddress> out;
+    for (std::uint32_t i = 0; i < 32; ++i) {
+      out.push_back(client_source(config, i));
+    }
+    return out;
+  };
+  const auto a = sources(42);
+  const auto b = sources(42);
+  const auto c = sources(43);
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a, c);
+  const policy::Netmask span = policy::Netmask::parse("10.50.0.0/16");
+  for (const auto& address : a) EXPECT_TRUE(span.contains(address));
+}
+
+TEST(LoadGenerator, AbuseScenarioShedsAttacksWithoutPerturbingLegitLoad) {
+  std::vector<std::uint64_t> attack_sent_at_one_shard;
+  for (const std::uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ShardedConfig config;
+    config.shards = shards;
+    config.clients = 100;
+    config.qps = 400;
+    config.duration = 5 * kSecond;
+    config.names = 50;
+    config.attacks = abuse_attacks(400, 200, 150, kSecond);
+    config.engine.policy = abuse_chain(100);
+
+    // Baseline: the same world with the attacks silenced. The attack
+    // entries come from their own RNG lanes, so the legit entries are the
+    // same entry for entry (same arrivals, same sends); the tail must stay
+    // within the 10% band the bench gates on.
+    ShardedConfig baseline = config;
+    for (AttackConfig& attack : baseline.attacks) attack.qps = 0.0;
+
+    const ShardedResult quiet = run_sharded(baseline);
+    const ShardedResult attacked = run_sharded(config);
+    EXPECT_EQ(quiet.total_arrivals, attacked.total_arrivals);
+    EXPECT_EQ(quiet.load.sent, attacked.load.sent);
+    EXPECT_EQ(quiet.load.latency_ms.size(), attacked.load.latency_ms.size());
+    // The legit ledger closes: attack entries never enter it.
+    EXPECT_EQ(attacked.load.sent + attacked.load.shed,
+              attacked.total_arrivals);
+    EXPECT_TRUE(attacked.load.complete());
+    EXPECT_EQ(attacked.load.timeouts, 0u);
+    EXPECT_LE(attacked.load.latency_summary().p99,
+              1.10 * quiet.load.latency_summary().p99);
+
+    // All three attack families fired and were shed at the policy chain,
+    // and every rule matched something.
+    ASSERT_EQ(attacked.attacks.size(), 3u);
+    std::vector<std::uint64_t> attack_sent;
+    std::uint64_t sent = 0;
+    for (const auto& attack : attacked.attacks) {
+      EXPECT_GT(attack.sent, 0u) << attack_kind_name(attack.kind);
+      attack_sent.push_back(attack.sent);
+      sent += attack.sent;
+    }
+    EXPECT_GE(attacked.attack_shed_rate(), 0.95);
+    const EngineStats& stats = attacked.engine;
+    EXPECT_EQ(stats.queries, attacked.load.sent + sent);
+    EXPECT_EQ(stats.policy_evaluations, stats.queries);
+    EXPECT_GT(stats.policy_refused, 0u);
+    EXPECT_GT(stats.policy_dropped, 0u);
+    EXPECT_EQ(stats.policy_errors.count(util::ErrorClass::kRcode),
+              stats.policy_refused);
+    EXPECT_EQ(stats.policy_errors.count(util::ErrorClass::kCancelled),
+              stats.policy_dropped);
+    ASSERT_EQ(stats.policy_rules.size(), 5u);
+    for (const auto& rule : stats.policy_rules) {
+      EXPECT_GT(rule.matches, 0u) << rule.name;
+    }
+    // The attack traffic does not depend on the shard count either.
+    if (shards == 1) {
+      attack_sent_at_one_shard = attack_sent;
+    } else {
+      EXPECT_EQ(attack_sent, attack_sent_at_one_shard);
+    }
+  }
+}
+
+TEST(LoadGenerator, AllQueriesAccountedFor) {
+  ShardedConfig config;
+  config.clients = 100;
+  config.qps = 500;
+  config.duration = 4 * kSecond;
+  const ShardedResult result = run_sharded(config);
+  EXPECT_GT(result.load.sent, 1000u);
+  EXPECT_EQ(result.load.sent + result.load.shed, result.total_arrivals);
+  EXPECT_TRUE(result.load.complete());
+  EXPECT_EQ(result.load.servfails, 0u);
+  EXPECT_EQ(result.load.timeouts, 0u);
+  EXPECT_EQ(result.load.sent, result.engine.queries);
+}
+
+/// Four shards under the four kinds of churn, with a 1 s series.
+ShardedConfig churn_config() {
+  ShardedConfig config;
+  config.shards = 4;
+  config.clients = 20;
+  config.qps = 100.0;
+  config.duration = 4 * kSecond;
+  config.names = 20;
+  config.series_bucket = kSecond;
+  config.churn = {{kSecond, 0, ChurnAction::kOutage},
+                  {2 * kSecond, 0, ChurnAction::kRecover},
+                  {2 * kSecond, 1, ChurnAction::kWithdraw},
+                  {3 * kSecond, 1, ChurnAction::kAnnounce}};
+  return config;
+}
+
+TEST(ChurnCampaign, BucketAccountingIsExhaustive) {
+  const ShardedConfig config = churn_config();
+  const ShardedResult result = run_sharded(config);
+
+  // Every shard applied every event; each is counted once.
+  EXPECT_EQ(result.events_executed, 4u);
+  EXPECT_TRUE(result.load.complete());
+  EXPECT_GT(result.load.sent, 0u);
+  ASSERT_FALSE(result.series.empty());
+  std::uint64_t sent = 0, answered = 0, servfails = 0, timeouts = 0;
+  std::size_t samples = 0;
+  for (std::size_t i = 0; i < result.series.size(); ++i) {
+    const SeriesBucket& bucket = result.series[i];
+    EXPECT_EQ(bucket.start, static_cast<SimTime>(i) * kSecond);
+    EXPECT_EQ(bucket.latency_ms.size(), bucket.answered);
+    sent += bucket.sent();
+    answered += bucket.answered;
+    servfails += bucket.servfails;
+    timeouts += bucket.timeouts;
+    samples += bucket.latency_ms.size();
+  }
+  // Every sent query reached exactly one bucket, by its terminal outcome.
+  EXPECT_EQ(sent, result.load.sent);
+  EXPECT_EQ(answered, result.load.answered);
+  EXPECT_EQ(servfails, result.load.servfails);
+  EXPECT_EQ(timeouts, result.load.timeouts);
+  EXPECT_EQ(samples, result.load.latency_ms.size());
+
+  // Determinism: the same config reproduces the same series.
+  const ShardedResult again = run_sharded(config);
+  ASSERT_EQ(again.series.size(), result.series.size());
+  for (std::size_t i = 0; i < result.series.size(); ++i) {
+    EXPECT_EQ(again.series[i].answered, result.series[i].answered);
+    EXPECT_EQ(again.series[i].latency_ms, result.series[i].latency_ms);
+  }
+}
+
+TEST(ChurnCampaign, EventsFireAtExactTimesWhateverTheEpoch) {
+  // Events are scheduled on each shard's simulator, not applied at epoch
+  // barriers, so without the L2 (whose inserts land at barriers) the event
+  // streams and outcomes are the same for any epoch length.
+  ShardedConfig config = churn_config();
+  config.l2_capacity = 0;
+  const ShardedResult coarse = run_sharded(config);
+  config.epoch = 37 * kMillisecond;
+  const ShardedResult fine = run_sharded(config);
+  EXPECT_NE(coarse.epochs, fine.epochs);
+  EXPECT_EQ(coarse.merged_digest, fine.merged_digest);
+  EXPECT_EQ(coarse.outcome_digest, fine.outcome_digest);
+  EXPECT_EQ(fine.events_executed, 4u);
+}
+
+TEST(ChurnCampaign, RestartWarmStartsFromSnapshot) {
+  const std::string dir = ::testing::TempDir() + "sharded_restart_snapdir";
+  std::filesystem::remove_all(dir);
+  ShardedConfig config;
+  config.shards = 2;
+  config.clients = 30;
+  config.qps = 150.0;
+  config.duration = 5 * kSecond;
+  config.names = 25;
+  config.restart_at = 3 * kSecond;
+  config.engine.snapshot_dir = dir;
+  const ShardedResult result = run_sharded(config);
+
+  // Every rebuilt shard replayed the log its predecessor wrote.
+  EXPECT_GT(result.engine.snapshot_warm_loaded, 0u);
+  EXPECT_EQ(result.load.sent + result.load.shed, result.total_arrivals);
+  EXPECT_TRUE(result.load.complete());
+  // The pre-restart windows were probed in ascending order.
+  EXPECT_GE(result.pre_restart.queries, result.pre_window_start.queries);
+  EXPECT_GT(result.pre_restart.queries, 0u);
+  EXPECT_GT(result.post_first_epoch.queries, 0u);
+  // Warm start: the rebuilt engines answered from their promoted tiers far
+  // more often than they resolved upstream.
+  EXPECT_LT(result.post_first_epoch.upstream_resolves,
+            result.post_first_epoch.queries / 2);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(EngineStats, AddSumsCounters) {

@@ -1,9 +1,8 @@
 // End-to-end tests for the tiered cache hierarchy inside the forwarder
 // engine: warm-starting a fresh engine from the snapshot tier across a
 // restart, the stale-L2 / stale-snapshot serve paths (stale answer, exactly
-// one upstream refresh, re-promotion into L1), administrative
-// withdraw/announce through the upstream pool, and the churn-campaign
-// runner's bucket accounting.
+// one upstream refresh, re-promotion into L1), and administrative
+// withdraw/announce through the upstream pool.
 //
 // Engine worlds are built as a self-contained `World` value (not a gtest
 // fixture) so a restart test can tear the whole first world down — engine,
@@ -15,9 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "engine/churn.h"
 #include "engine/engine.h"
-#include "engine/load_gen.h"
 #include "net/network.h"
 #include "resolver/resolver.h"
 #include "sim/simulator.h"
@@ -265,65 +262,6 @@ TEST(TieredEngine, WithdrawSkipsUpstreamAnnounceRestoresIt) {
   stats = world.engine->stats();
   EXPECT_TRUE(stats.upstreams[0].admin_enabled);
   EXPECT_GE(stats.upstreams[0].attempts, 1u);
-}
-
-TEST(ChurnCampaign, BucketAccountingIsExhaustive) {
-  ChurnConfig config;
-  config.load.clients = 20;
-  config.load.qps = 100.0;
-  config.load.duration = 4 * kSecond;
-  config.load.names = 20;
-  config.events = {{kSecond, 0, ChurnAction::kOutage},
-                   {2 * kSecond, 0, ChurnAction::kRecover},
-                   {2 * kSecond, 1, ChurnAction::kWithdraw},
-                   {3 * kSecond, 1, ChurnAction::kAnnounce}};
-  const ChurnResult result = run_churn(config);
-
-  EXPECT_EQ(result.events_executed, 4u);
-  EXPECT_TRUE(result.load.complete());
-  EXPECT_GT(result.load.sent, 0u);
-  ASSERT_FALSE(result.series.empty());
-  std::uint64_t sent = 0;
-  for (const ChurnBucket& bucket : result.series) {
-    // Every sent query in a bucket reached exactly one terminal outcome.
-    EXPECT_EQ(bucket.sent,
-              bucket.answered + bucket.servfails + bucket.timeouts);
-    sent += bucket.sent;
-  }
-  EXPECT_EQ(sent, result.load.sent);
-
-  // Determinism: the same config reproduces the same series.
-  const ChurnResult again = run_churn(config);
-  ASSERT_EQ(again.series.size(), result.series.size());
-  for (std::size_t i = 0; i < result.series.size(); ++i) {
-    EXPECT_EQ(again.series[i].sent, result.series[i].sent);
-    EXPECT_EQ(again.series[i].answered, result.series[i].answered);
-    EXPECT_EQ(again.series[i].p99_ms, result.series[i].p99_ms);
-  }
-}
-
-TEST(ChurnCampaign, RestartWarmStartsFromSnapshot) {
-  const std::string dir = temp_dir("churn_restart_snapdir");
-  ChurnConfig config;
-  config.load.clients = 30;
-  config.load.qps = 150.0;
-  config.load.duration = 5 * kSecond;
-  config.load.names = 25;
-  config.restart_at = 3 * kSecond;
-  config.epoch_window = kSecond;
-  config.engine.snapshot_dir = dir;
-  const ChurnResult result = run_churn(config);
-
-  EXPECT_GT(result.warm_loaded, 0u);
-  EXPECT_TRUE(result.load.complete());
-  // The pre-restart windows were probed in ascending order.
-  EXPECT_GE(result.pre_restart.queries, result.pre_window_start.queries);
-  EXPECT_GT(result.pre_restart.queries, 0u);
-  EXPECT_GT(result.post_first_epoch.queries, 0u);
-  // Warm start: the post-restart engine answered from its promoted tiers
-  // far more often than it resolved upstream.
-  EXPECT_LT(result.post_first_epoch.upstream_resolves,
-            result.post_first_epoch.queries / 2);
 }
 
 }  // namespace

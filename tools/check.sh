@@ -28,16 +28,16 @@ cmake -B "$root/build-sanitize" -S "$root" -DDOXLAB_SANITIZE=ON >/dev/null
 cmake --build "$root/build-sanitize" -j "$jobs"
 ctest --test-dir "$root/build-sanitize" --output-on-failure -j "$jobs"
 # Snapshot-tier warm start under ASan: the second run replays the log the
-# first one wrote (append + replay + compaction paths), then a churn
-# campaign with a mid-run restart exercises the two-world teardown.
+# first one wrote (append + replay + compaction paths), then a two-shard
+# churn campaign with a mid-run restart exercises the two-world teardown.
 snapdir=$(mktemp -d)
 trap 'rm -rf "$snapdir"' EXIT
 "$root/build-sanitize/tools/doxperf" engine --shards=2 --clients=2000 \
       --qps=2000 --seconds=2 --snapshot-dir="$snapdir" >/dev/null
 "$root/build-sanitize/tools/doxperf" engine --shards=2 --clients=2000 \
       --qps=2000 --seconds=2 --snapshot-dir="$snapdir" --l2-stale >/dev/null
-"$root/build-sanitize/tools/doxperf" churn --smoke --restart-at=4 \
-      --snapshot-dir="$snapdir/churn" >/dev/null
+"$root/build-sanitize/tools/doxperf" churn --smoke --shards=2 \
+      --restart-at=4 --snapshot-dir="$snapdir/churn" >/dev/null
 # A hot single-shard run at the benchmark's rate: the arrival cursor, the
 # swarm's flat id table and its pooled query images under ASan/UBSan.
 "$root/build-sanitize/tools/doxperf" engine --shards=1 --qps=50000 \
@@ -80,5 +80,10 @@ done
 "$root/build-tsan/tools/doxperf" engine --shards=4 --clients=5000 \
       --qps=3000 --seconds=2 --snapshot-dir="$snapdir/tsan" \
       --l2-stale >/dev/null
+# Attack mixes and churn (events, restart, series) across 4 shards: attack
+# sockets, per-shard churn events and the rebuilt worlds of a restart.
+"$root/build-tsan/tools/doxperf" abuse --smoke --shards=4 >/dev/null
+"$root/build-tsan/tools/doxperf" churn --smoke --shards=4 --restart-at=4 \
+      --snapshot-dir="$snapdir/tsan-churn" >/dev/null
 
 echo "== all checks passed =="

@@ -13,14 +13,14 @@
 //   doxperf --0rtt --pad --csv=out.csv
 //   doxperf engine --clients=2000 --qps=3000  # forwarder-engine load run
 //   doxperf campaign --jobs=8 --reps=4        # parallel measurement sweep
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "engine/churn.h"
-#include "engine/scenario.h"
 #include "engine/sharded.h"
 #include "measure/csv.h"
 #include "measure/report.h"
@@ -62,36 +62,39 @@ campaign subcommand — the same studies sharded over a thread pool
   --jobs=N           worker threads (default 1; 0 = all hardware threads)
   plus the study flags above (--web, --protocols, --resolvers, --reps, ...)
 
-engine subcommand — forwarder-engine load run (doxperf engine ...):
-  --clients=N        simulated stub clients (default 1000)
-  --qps=N            aggregate Poisson query rate (default 2000)
+engine subcommand — the forwarder-engine load run (doxperf engine ...): one
+scenario partitioned across N shard worlds driven by the thread pool,
+clients source-hashed onto shards, per-shard L1 caches over one shared L2
+packet cache:
+  --shards=N         shard count (default 1)
+  --clients=N        simulated stub clients (default 1000000)
+  --qps=N            aggregate Poisson query rate (default 20000)
   --seconds=N        arrival window length (default 10)
   --names=N          distinct query names, Zipf-popular (default 200)
   --seed=N           scenario seed (default 42)
-  --no-coalesce      resolve each concurrent identical query upstream
-  --no-stale         disable RFC 8767 serve-stale
-  --kill-primary     take the primary upstream down mid-run
-  --snapshot-dir=DIR persistent snapshot tier: replay DIR/shard-N.snap into
-                     the caches at startup (warm start) and append every
-                     successful resolve (default: disabled)
-  --l2-stale         serve RFC 8767 stale answers straight from the shared
-                     L2 (sharded runs; one background refresh per stale hit)
-
-sharded engine (doxperf engine --shards=N ...): one scenario partitioned
-across N shard worlds driven by the thread pool, clients source-hashed onto
-shards, per-shard L1 caches over one shared L2 packet cache:
-  --shards=N         shard count (default: unset — single-engine run above)
   --threads=N        pool worker threads (default 0 = hardware threads)
   --epoch-ms=N       epoch barrier interval for L2 sweeps (default 100)
   --l2-capacity=N    shared packet-cache entries, 0 disables (default 65536)
   --batch-us=N       coalesce UDP datagrams per host within an N-us window
                      into one batch event, 0 = per-datagram (default 0)
   --wire-cache=N     raw-wire packet-cache entries fronting the L1, 0
-                     disables (default 0; also honoured by single-engine)
+                     disables (default 0)
   --bottleneck-mbps=N     finite-rate ingress link on each shard host, 0
                      disables (default 0)
   --bottleneck-queue-kb=N tail-drop queue depth for that link (default 64)
+  --no-coalesce      resolve each concurrent identical query upstream
+  --no-stale         disable RFC 8767 serve-stale
+  --kill-primary     take the primary upstream down at half the run
+  --snapshot-dir=DIR persistent snapshot tier: replay DIR/shard-N.snap into
+                     the caches at startup (warm start) and append every
+                     successful resolve (default: disabled)
+  --l2-stale         serve RFC 8767 stale answers straight from the shared
+                     L2 (one background refresh per stale hit)
+  --restart-at=N     restart the forwarder at second N (0 = never); with
+                     --snapshot-dir every shard warm-starts from disk
+  --bucket-ms=N      send-time series bucket width, 0 = none (default 0)
   --shard-csv=FILE   per-shard stats rows (deterministic columns only)
+  --churn-csv=FILE   write the send-time series as CSV
 
 adverse subcommand — the adverse-path study (doxperf adverse ...): the
 single-query sweep repeated per link profile (baseline / burstloss /
@@ -105,7 +108,8 @@ QUIC RFC 9002) on every transport. Bit-identical for any --jobs value:
   --smoke            tiny deterministic run (CI)
 
 abuse subcommand — engine load plus attack mixes shed by the policy chain
-(doxperf abuse ...): the engine flags above, and
+(doxperf abuse ...): every engine flag above (defaults 1000 clients, 2000
+qps, 10 s), and
   --flood-qps=N      random-subdomain flood rate (default 3000)
   --torture-qps=N    water-torture rate (default 1500)
   --amp-qps=N        spoofed-source TXT amplification rate (default 1000)
@@ -116,29 +120,28 @@ abuse subcommand — engine load plus attack mixes shed by the policy chain
 churn subcommand — resolver-churn availability campaign (doxperf churn
 ...): scripted upstream outages/recoveries and anycast-style route flaps
 under live load, with the answerable rate and tail latency bucketed into a
-time series through every transition:
-  --clients/--qps/--seconds/--names/--seed   as for engine (defaults
-                     500 / 1000 / 60 / 200 / 42)
-  --bucket-ms=N      time-series bucket width (default 1000)
-  --restart-at=N     restart the forwarder at second N (0 = never); with
-                     --snapshot-dir the new engine warm-starts from disk
-  --snapshot-dir=DIR persistent snapshot tier directory
-  --churn-csv=FILE   write the bucket series as CSV
+time series through every transition. Every engine flag above (defaults
+500 clients, 1000 qps, 60 s, --bucket-ms=1000), and
   --smoke            tiny deterministic run (CI)
-Without explicit events the default schedule runs: primary outage at 20%
-of the horizon, recovery at 50%, secondary withdraw at 60%, re-announce
-at 80%.
+The transition schedule: primary outage at 20% of the horizon, recovery at
+50%, secondary withdraw at 60%, re-announce at 80%.
 )";
+
+/// The value of `--name=VALUE`, or null when the flag is absent.
+const char* find_flag(int argc, char** argv, const char* name) {
+  const std::size_t length = std::strlen(name);
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], name, length) == 0 && argv[i][length] == '=') {
+      return argv[i] + length + 1;
+    }
+  }
+  return nullptr;
+}
 
 std::string flag_value(int argc, char** argv, const char* name,
                        const char* fallback) {
-  const std::string prefix = std::string(name) + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return argv[i] + prefix.size();
-    }
-  }
-  return fallback;
+  const char* value = find_flag(argc, argv, name);
+  return value != nullptr ? value : fallback;
 }
 
 bool flag_set(int argc, char** argv, const char* name) {
@@ -172,9 +175,24 @@ std::vector<dox::DnsProtocol> parse_protocols(const std::string& list) {
   return out;
 }
 
+/// A numeric flag: the whole value must parse as a T in range, or the run
+/// stops with exit status 2 (main reports the exception).
+template <typename T>
+T flag_num(int argc, char** argv, const char* name, T fallback) {
+  const char* value = find_flag(argc, argv, name);
+  if (value == nullptr) return fallback;
+  const char* end = value + std::strlen(value);
+  T out{};
+  const auto [ptr, ec] = std::from_chars(value, end, out);
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument(std::string(name) + "=" + value +
+                                " is not an integer in range");
+  }
+  return out;
+}
+
 int flag_int(int argc, char** argv, const char* name, int fallback) {
-  const std::string value = flag_value(argc, argv, name, "");
-  return value.empty() ? fallback : std::atoi(value.c_str());
+  return flag_num<int>(argc, argv, name, fallback);
 }
 
 /// Per-shard stats rows. Only simulation-derived (deterministic) columns —
@@ -239,59 +257,154 @@ std::string shard_csv(const engine::ShardedResult& result) {
   return out;
 }
 
-/// `doxperf engine --shards=N` — the sharded engine run.
-int run_engine_sharded(int argc, char** argv, std::uint32_t shards) {
+/// The send-time series as CSV:
+/// `bucket_s,sent,answered,servfails,timeouts,answer_rate,p50_ms,p99_ms`.
+std::string series_csv(const std::vector<engine::SeriesBucket>& series) {
+  std::string csv =
+      "bucket_s,sent,answered,servfails,timeouts,answer_rate,p50_ms,"
+      "p99_ms\n";
+  char line[160];
+  for (const engine::SeriesBucket& bucket : series) {
+    const stats::Summary latency = stats::Summary::of(bucket.latency_ms);
+    std::snprintf(line, sizeof(line),
+                  "%.3f,%llu,%llu,%llu,%llu,%.6f,%.3f,%.3f\n",
+                  static_cast<double>(bucket.start) / kSecond,
+                  static_cast<unsigned long long>(bucket.sent()),
+                  static_cast<unsigned long long>(bucket.answered),
+                  static_cast<unsigned long long>(bucket.servfails),
+                  static_cast<unsigned long long>(bucket.timeouts),
+                  bucket.answer_rate(), latency.median, latency.p99);
+    csv += line;
+  }
+  return csv;
+}
+
+/// The run `doxperf engine`, `abuse` or `churn` asks for: one flag parser.
+/// The subcommands differ only in their defaults, abuse's attack mixes and
+/// policy chain, and churn's transition schedule.
+engine::ShardedConfig engine_config(int argc, char** argv,
+                                    const std::string& mode) {
+  const bool abuse = mode == "abuse";
+  const bool churn = mode == "churn";
+  const bool smoke = flag_set(argc, argv, "--smoke");
+  std::size_t clients = 1'000'000;
+  int qps = 20000;
+  int seconds = 10;
+  if (abuse) {
+    clients = smoke ? 200 : 1000;
+    qps = smoke ? 500 : 2000;
+    seconds = smoke ? 5 : 10;
+  } else if (churn) {
+    clients = smoke ? 100 : 500;
+    qps = smoke ? 300 : 1000;
+    seconds = smoke ? 8 : 60;
+  }
+
   engine::ShardedConfig config;
-  config.shards = shards;
-  config.seed = static_cast<std::uint64_t>(
-      std::atoll(flag_value(argc, argv, "--seed", "42").c_str()));
-  config.clients = static_cast<std::size_t>(
-      std::atoll(flag_value(argc, argv, "--clients", "1000000").c_str()));
-  config.qps = flag_int(argc, argv, "--qps", 20000);
-  config.duration = flag_int(argc, argv, "--seconds", 10) * kSecond;
-  config.names =
-      static_cast<std::size_t>(flag_int(argc, argv, "--names", 200));
+  config.shards = flag_num<std::uint32_t>(argc, argv, "--shards", 1);
+  config.seed = flag_num<std::uint64_t>(argc, argv, "--seed", 42);
+  config.clients = flag_num<std::size_t>(argc, argv, "--clients", clients);
+  config.qps = flag_int(argc, argv, "--qps", qps);
+  config.duration = flag_int(argc, argv, "--seconds", seconds) * kSecond;
+  config.names = flag_num<std::size_t>(argc, argv, "--names", 200);
   config.threads = flag_int(argc, argv, "--threads", 0);
   config.epoch = flag_int(argc, argv, "--epoch-ms", 100) * kMillisecond;
-  config.l2_capacity = static_cast<std::size_t>(
-      flag_int(argc, argv, "--l2-capacity", 1 << 16));
+  config.l2_capacity =
+      flag_num<std::size_t>(argc, argv, "--l2-capacity", 1 << 16);
   config.batch_window =
       flag_int(argc, argv, "--batch-us", 0) * kMicrosecond;
   config.engine.coalesce = !flag_set(argc, argv, "--no-coalesce");
   config.engine.serve_stale = !flag_set(argc, argv, "--no-stale");
-  config.engine.wire_cache_capacity = static_cast<std::size_t>(
-      flag_int(argc, argv, "--wire-cache", 0));
+  config.engine.wire_cache_capacity =
+      flag_num<std::size_t>(argc, argv, "--wire-cache", 0);
   config.engine.snapshot_dir = flag_value(argc, argv, "--snapshot-dir", "");
   config.engine.l2_serve_stale = flag_set(argc, argv, "--l2-stale");
+  // Short TTLs keep refresh traffic flowing past the initial warmup, so an
+  // outage shows as latency/timeouts instead of vanishing into the cache.
   config.engine.max_ttl = 1;
   const int bottleneck_mbps = flag_int(argc, argv, "--bottleneck-mbps", 0);
   if (bottleneck_mbps > 0) {
     net::LinkConfig link;
     link.rate_bps = static_cast<double>(bottleneck_mbps) * 1e6;
-    link.queue_bytes = static_cast<std::size_t>(
-                           flag_int(argc, argv, "--bottleneck-queue-kb", 64)) *
+    link.queue_bytes = flag_num<std::size_t>(argc, argv,
+                                             "--bottleneck-queue-kb", 64) *
                        1024;
     config.bottleneck = link;
   }
+  config.restart_at = flag_int(argc, argv, "--restart-at", 0) * kSecond;
+  config.series_bucket =
+      flag_int(argc, argv, "--bucket-ms", churn ? 1000 : 0) * kMillisecond;
+  if (flag_set(argc, argv, "--kill-primary")) {
+    config.churn.push_back(
+        {config.duration / 2, 0, engine::ChurnAction::kOutage});
+  }
+  if (abuse) {
+    config.attacks = engine::abuse_attacks(
+        flag_int(argc, argv, "--flood-qps", smoke ? 800 : 3000),
+        flag_int(argc, argv, "--torture-qps", smoke ? 400 : 1500),
+        flag_int(argc, argv, "--amp-qps", smoke ? 300 : 1000),
+        (smoke ? 1 : 2) * kSecond);
+    config.engine.policy = engine::abuse_chain(
+        flag_num<std::uint32_t>(argc, argv, "--rate-limit", 100));
+  }
+  if (churn) {
+    // The default transition schedule, scaled to the horizon: the primary
+    // dies and recovers (timeout-discovered), the second upstream is
+    // withdrawn and re-announced (plan-level, no timeout paid).
+    const SimTime horizon = config.duration;
+    config.churn.push_back({horizon / 5, 0, engine::ChurnAction::kOutage});
+    config.churn.push_back({horizon / 2, 0, engine::ChurnAction::kRecover});
+    config.churn.push_back(
+        {horizon * 3 / 5, 1, engine::ChurnAction::kWithdraw});
+    config.churn.push_back(
+        {horizon * 4 / 5, 1, engine::ChurnAction::kAnnounce});
+  }
+  return config;
+}
 
-  const auto result = engine::run_sharded(config);
+/// The one engine report: every run's engine and client lines, plus the
+/// attack and series sections when the run has them.
+void print_engine_report(const char* title,
+                         const engine::ShardedConfig& config,
+                         const engine::ShardedResult& result) {
   const auto& e = result.engine;
   const auto latency = result.load.latency_summary();
-  std::printf("sharded engine: %u shards, %zu clients, %.0f qps offered for "
+  std::printf("%s: %u shards, %zu clients, %zu names, %.0f qps offered for "
               "%llu s (seed %llu)\n",
-              config.shards, config.clients, config.qps,
+              title, config.shards, config.clients, config.names, config.qps,
               static_cast<unsigned long long>(config.duration / kSecond),
               static_cast<unsigned long long>(config.seed));
   std::printf("  epoch %llu ms, %llu epochs, L2 capacity %zu, coalescing "
-              "%s, batch window %llu us, wire cache %zu\n",
+              "%s, serve-stale %s, batch window %llu us, wire cache %zu\n",
               static_cast<unsigned long long>(config.epoch / kMillisecond),
               static_cast<unsigned long long>(result.epochs),
               config.l2_capacity, config.engine.coalesce ? "on" : "off",
+              config.engine.serve_stale ? "on" : "off",
               static_cast<unsigned long long>(config.batch_window),
               config.engine.wire_cache_capacity);
+  for (const auto& event : config.churn) {
+    std::printf("  t=%5.1fs upstream-%zu %s\n",
+                static_cast<double>(event.at) / kSecond, event.upstream,
+                std::string(engine::churn_action_name(event.action)).c_str());
+  }
+  if (config.restart_at > 0) {
+    std::printf("  t=%5.1fs forwarder restart (%s; warm-loaded %llu)\n",
+                static_cast<double>(config.restart_at) / kSecond,
+                config.engine.snapshot_dir.empty() ? "cold"
+                                                   : "snapshot warm start",
+                static_cast<unsigned long long>(e.snapshot_warm_loaded));
+  }
+
+  std::uint64_t events = 0;
+  for (const auto& shard : result.shards) events += shard.events;
   std::printf("\nthroughput     %9.0f qps critical-path (%.0f qps wall on "
               "this host)\n",
               result.effective_qps(), result.wall_qps());
+  std::printf("sustained      %9.0f qps over the arrival window\n",
+              config.duration <= 0
+                  ? 0.0
+                  : static_cast<double>(e.queries) /
+                        (static_cast<double>(config.duration) / kSecond));
   std::printf("timing         wall %.1f ms  critical path %.1f ms  sweeps "
               "%.2f ms\n",
               result.wall_ms, result.critical_path_ms, result.sweep_ms);
@@ -299,12 +412,7 @@ int run_engine_sharded(int argc, char** argv, std::uint32_t shards) {
               "events\n",
               static_cast<unsigned long long>(e.queries),
               static_cast<unsigned long long>(result.total_arrivals),
-              static_cast<unsigned long long>(
-                  [&] {
-                    std::uint64_t total = 0;
-                    for (const auto& s : result.shards) total += s.events;
-                    return total;
-                  }()));
+              static_cast<unsigned long long>(events));
   std::printf("latency        p50 %.2f  p95 %.2f  p99 %.2f  max %.2f ms\n",
               latency.median, latency.p95, latency.p99, latency.max);
   std::printf("client side    answered %llu  servfail %llu  timeout %llu  "
@@ -313,10 +421,12 @@ int run_engine_sharded(int argc, char** argv, std::uint32_t shards) {
               static_cast<unsigned long long>(result.load.servfails),
               static_cast<unsigned long long>(result.load.timeouts),
               static_cast<unsigned long long>(result.load.shed));
-  std::printf("L1 cache       hit %llu  stale %llu  miss %llu\n",
+  std::printf("L1 cache       hit %llu  stale %llu  miss %llu  evictions "
+              "%llu\n",
               static_cast<unsigned long long>(e.cache_hits),
               static_cast<unsigned long long>(e.stale_hits),
-              static_cast<unsigned long long>(e.misses));
+              static_cast<unsigned long long>(e.misses),
+              static_cast<unsigned long long>(e.cache_evictions));
   std::printf("wire cache     hit %llu / %llu lookups\n",
               static_cast<unsigned long long>(e.wire_hits),
               static_cast<unsigned long long>(e.wire_lookups));
@@ -338,13 +448,39 @@ int run_engine_sharded(int argc, char** argv, std::uint32_t shards) {
                 static_cast<unsigned long long>(e.snapshot_entries),
                 static_cast<unsigned long long>(e.snapshot_bytes));
   }
-  std::printf("coalescing     joined %llu in-flight resolves\n",
-              static_cast<unsigned long long>(e.coalesced));
-  std::printf("upstream       resolves %llu  attempts %llu  servfails "
-              "%llu\n",
+  std::printf("coalescing     joined %llu in-flight resolves (%.0f%% of "
+              "misses)\n",
+              static_cast<unsigned long long>(e.coalesced),
+              100.0 * e.coalesce_rate());
+  std::printf("upstream       resolves %llu  attempts %llu  failovers %llu"
+              "  stale refreshes %llu  servfails %llu\n",
               static_cast<unsigned long long>(e.upstream_resolves),
               static_cast<unsigned long long>(e.upstream_attempts),
+              static_cast<unsigned long long>(e.failovers),
+              static_cast<unsigned long long>(e.stale_refreshes),
               static_cast<unsigned long long>(e.servfails_sent));
+  for (const auto& shard : result.shards) {
+    for (const auto& upstream : shard.engine.upstreams) {
+      const std::string label =
+          result.shards.size() > 1
+              ? "s" + std::to_string(shard.index) + "/" + upstream.name
+              : upstream.name;
+      std::printf("  %-20s ewma %7.2f ms  attempts %6llu  failures %5llu"
+                  "  %s\n",
+                  label.c_str(), upstream.ewma_latency_ms,
+                  static_cast<unsigned long long>(upstream.attempts),
+                  static_cast<unsigned long long>(upstream.failures),
+                  upstream.healthy ? "healthy" : "quarantined");
+    }
+  }
+  std::printf("failure classes");
+  for (util::ErrorClass cls : util::kAllErrorClasses) {
+    if (cls == util::ErrorClass::kNone) continue;
+    std::printf("  %s %llu", std::string(util::error_class_name(cls)).c_str(),
+                static_cast<unsigned long long>(
+                    e.upstream_errors.count(cls)));
+  }
+  std::printf("\n");
   std::printf("per shard      arrivals [");
   for (const auto& shard : result.shards) {
     std::printf("%s%llu", shard.index == 0 ? "" : " ",
@@ -358,278 +494,76 @@ int run_engine_sharded(int argc, char** argv, std::uint32_t shards) {
   }
   std::printf("]\n");
 
-  const std::string csv_path = flag_value(argc, argv, "--shard-csv", "");
-  if (!csv_path.empty()) {
-    write_file(csv_path, shard_csv(result));
-    std::printf("shard report -> %s\n", csv_path.c_str());
+  if (!config.attacks.empty()) {
+    std::printf("\n");
+    for (const auto& attack : result.attacks) {
+      std::printf("  %-17s sent %7llu  answered %6llu  refused %6llu  "
+                  "truncated %6llu\n",
+                  std::string(engine::attack_kind_name(attack.kind)).c_str(),
+                  static_cast<unsigned long long>(attack.sent),
+                  static_cast<unsigned long long>(attack.answered),
+                  static_cast<unsigned long long>(attack.refused),
+                  static_cast<unsigned long long>(attack.truncated));
+    }
+    std::printf("policy         evaluated %llu  dropped %llu  refused %llu  "
+                "truncated %llu  routed %llu\n",
+                static_cast<unsigned long long>(e.policy_evaluations),
+                static_cast<unsigned long long>(e.policy_dropped),
+                static_cast<unsigned long long>(e.policy_refused),
+                static_cast<unsigned long long>(e.policy_truncated),
+                static_cast<unsigned long long>(e.policy_routed));
+    for (const auto& rule : e.policy_rules) {
+      std::printf("  %-18s %-13s %-10s %8llu hits\n", rule.name.c_str(),
+                  std::string(policy::matcher_kind_name(rule.matcher)).c_str(),
+                  std::string(policy::action_kind_name(rule.action)).c_str(),
+                  static_cast<unsigned long long>(rule.matches));
+    }
+    std::printf("attack shed    %.1f%%\n", 100.0 * result.attack_shed_rate());
   }
-  return 0;
+
+  if (!result.series.empty()) {
+    std::printf("\n%8s %8s %8s %9s %9s %12s %9s %9s\n", "bucket_s", "sent",
+                "answered", "servfails", "timeouts", "answer_rate", "p50_ms",
+                "p99_ms");
+    for (const auto& bucket : result.series) {
+      const stats::Summary bucket_latency =
+          stats::Summary::of(bucket.latency_ms);
+      std::printf("%8.1f %8llu %8llu %9llu %9llu %12.4f %9.2f %9.2f\n",
+                  static_cast<double>(bucket.start) / kSecond,
+                  static_cast<unsigned long long>(bucket.sent()),
+                  static_cast<unsigned long long>(bucket.answered),
+                  static_cast<unsigned long long>(bucket.servfails),
+                  static_cast<unsigned long long>(bucket.timeouts),
+                  bucket.answer_rate(), bucket_latency.median,
+                  bucket_latency.p99);
+    }
+  }
 }
 
-/// `doxperf engine` — run the forwarder engine under multi-client load and
-/// print its stats surface.
-int run_engine(int argc, char** argv) {
-  const int shards = flag_int(argc, argv, "--shards", 0);
-  if (shards > 0) {
-    return run_engine_sharded(argc, argv,
-                              static_cast<std::uint32_t>(shards));
-  }
-  engine::ScenarioConfig config;
-  config.seed = static_cast<std::uint64_t>(
-      std::atoll(flag_value(argc, argv, "--seed", "42").c_str()));
-  config.load.clients =
-      static_cast<std::size_t>(flag_int(argc, argv, "--clients", 1000));
-  config.load.qps = flag_int(argc, argv, "--qps", 2000);
-  config.load.duration = flag_int(argc, argv, "--seconds", 10) * kSecond;
-  config.load.names =
-      static_cast<std::size_t>(flag_int(argc, argv, "--names", 200));
-  config.engine.coalesce = !flag_set(argc, argv, "--no-coalesce");
-  config.engine.serve_stale = !flag_set(argc, argv, "--no-stale");
-  config.engine.wire_cache_capacity = static_cast<std::size_t>(
-      flag_int(argc, argv, "--wire-cache", 0));
-  config.engine.snapshot_dir = flag_value(argc, argv, "--snapshot-dir", "");
-  // Short TTLs keep refresh traffic flowing past the initial warmup.
-  config.engine.max_ttl = 1;
-  if (flag_set(argc, argv, "--kill-primary")) {
-    config.kill_primary_at = config.load.duration / 2;
-  }
+/// `doxperf engine`, `abuse` and `churn`: one parser, one run_sharded call
+/// and one report.
+int run_engine(int argc, char** argv, const std::string& mode) {
+  const engine::ShardedConfig config = engine_config(argc, argv, mode);
+  const auto result = engine::run_sharded(config);
+  print_engine_report(mode == "abuse"   ? "abuse scenario"
+                      : mode == "churn" ? "churn campaign"
+                                        : "forwarder engine",
+                      config, result);
 
-  const auto result = engine::run_scenario(config);
-  const auto& e = result.engine;
-  const auto& l = result.load;
-  const auto latency = l.latency_summary();
-  std::printf("forwarder engine: %zu clients, %zu names, %.0f qps offered "
-              "for %llu s (seed %llu)\n",
-              config.load.clients, config.load.names, config.load.qps,
-              static_cast<unsigned long long>(config.load.duration /
-                                              kSecond),
-              static_cast<unsigned long long>(config.seed));
-  std::printf("  coalescing %s, serve-stale %s, primary %s\n",
-              config.engine.coalesce ? "on" : "off",
-              config.engine.serve_stale ? "on" : "off",
-              config.kill_primary_at ? "killed mid-run" : "up");
-  std::printf("\nsustained      %9.0f qps (%llu queries, %llu events)\n",
-              result.engine_qps, static_cast<unsigned long long>(e.queries),
-              static_cast<unsigned long long>(result.events));
-  std::printf("latency        p50 %.2f  p95 %.2f  p99 %.2f  max %.2f ms\n",
-              latency.median, latency.p95, latency.p99, latency.max);
-  std::printf("client side    answered %llu  servfail %llu  timeout %llu\n",
-              static_cast<unsigned long long>(l.answered),
-              static_cast<unsigned long long>(l.servfails),
-              static_cast<unsigned long long>(l.timeouts));
-  std::printf("cache          hit %llu  stale %llu  miss %llu  "
-              "evictions %llu\n",
-              static_cast<unsigned long long>(e.cache_hits),
-              static_cast<unsigned long long>(e.stale_hits),
-              static_cast<unsigned long long>(e.misses),
-              static_cast<unsigned long long>(e.cache_evictions));
-  if (config.engine.wire_cache_capacity > 0) {
-    std::printf("wire cache     hit %llu / %llu lookups\n",
-                static_cast<unsigned long long>(e.wire_hits),
-                static_cast<unsigned long long>(e.wire_lookups));
+  const std::string shard_path = flag_value(argc, argv, "--shard-csv", "");
+  if (!shard_path.empty()) {
+    write_file(shard_path, shard_csv(result));
+    std::printf("shard report -> %s\n", shard_path.c_str());
   }
-  if (!config.engine.snapshot_dir.empty()) {
-    std::printf("snapshot tier  hit %llu / %llu lookups  warm-loaded %llu  "
-                "entries %llu (%llu bytes)\n",
-                static_cast<unsigned long long>(e.snapshot_hits),
-                static_cast<unsigned long long>(e.snapshot_lookups),
-                static_cast<unsigned long long>(e.snapshot_warm_loaded),
-                static_cast<unsigned long long>(e.snapshot_entries),
-                static_cast<unsigned long long>(e.snapshot_bytes));
+  const std::string policy_path = flag_value(argc, argv, "--policy-csv", "");
+  if (!policy_path.empty()) {
+    write_file(policy_path, policy::policy_csv(result.engine.policy_rules));
+    std::printf("policy report -> %s\n", policy_path.c_str());
   }
-  std::printf("coalescing     joined %llu in-flight resolves (%.0f%% of "
-              "misses)\n",
-              static_cast<unsigned long long>(e.coalesced),
-              100.0 * e.coalesce_rate());
-  std::printf("upstream       resolves %llu  attempts %llu  failovers %llu"
-              "  stale refreshes %llu  servfails %llu\n",
-              static_cast<unsigned long long>(e.upstream_resolves),
-              static_cast<unsigned long long>(e.upstream_attempts),
-              static_cast<unsigned long long>(e.failovers),
-              static_cast<unsigned long long>(e.stale_refreshes),
-              static_cast<unsigned long long>(e.servfails_sent));
-  for (const auto& upstream : e.upstreams) {
-    std::printf("  %-12s ewma %7.2f ms  attempts %6llu  failures %5llu"
-                "  %s\n",
-                upstream.name.c_str(), upstream.ewma_latency_ms,
-                static_cast<unsigned long long>(upstream.attempts),
-                static_cast<unsigned long long>(upstream.failures),
-                upstream.healthy ? "healthy" : "quarantined");
-  }
-  std::printf("failure classes");
-  for (util::ErrorClass cls : util::kAllErrorClasses) {
-    if (cls == util::ErrorClass::kNone) continue;
-    std::printf("  %s %llu", std::string(util::error_class_name(cls)).c_str(),
-                static_cast<unsigned long long>(
-                    e.upstream_errors.count(cls)));
-  }
-  std::printf("\n");
-  return 0;
-}
-
-/// `doxperf abuse` — the abuse-scenario family: legit load plus the three
-/// attack mixes, shed by the canonical policy chain.
-int run_abuse(int argc, char** argv) {
-  const bool smoke = flag_set(argc, argv, "--smoke");
-  engine::ScenarioConfig config;
-  config.seed = static_cast<std::uint64_t>(
-      std::atoll(flag_value(argc, argv, "--seed", "42").c_str()));
-  config.load.clients = static_cast<std::size_t>(
-      flag_int(argc, argv, "--clients", smoke ? 200 : 1000));
-  config.load.qps = flag_int(argc, argv, "--qps", smoke ? 500 : 2000);
-  config.load.duration =
-      flag_int(argc, argv, "--seconds", smoke ? 5 : 10) * kSecond;
-  config.load.names =
-      static_cast<std::size_t>(flag_int(argc, argv, "--names", 200));
-  config.abuse.enabled = true;
-  config.abuse.flood_qps =
-      flag_int(argc, argv, "--flood-qps", smoke ? 800 : 3000);
-  config.abuse.torture_qps =
-      flag_int(argc, argv, "--torture-qps", smoke ? 400 : 1500);
-  config.abuse.amp_qps = flag_int(argc, argv, "--amp-qps", smoke ? 300 : 1000);
-  config.abuse.start = (smoke ? 1 : 2) * kSecond;
-  config.abuse.rate_limit_qps = static_cast<std::uint32_t>(
-      flag_int(argc, argv, "--rate-limit", 100));
-  config.engine.max_ttl = 1;
-
-  const auto result = engine::run_scenario(config);
-  const auto& e = result.engine;
-  const auto latency = result.load.latency_summary();
-  std::printf("abuse scenario: %zu clients at %.0f legit qps for %llu s "
-              "(seed %llu)\n",
-              config.load.clients, config.load.qps,
-              static_cast<unsigned long long>(config.load.duration / kSecond),
-              static_cast<unsigned long long>(config.seed));
-  for (const auto& attack : result.attacks) {
-    std::printf("  %-17s sent %7llu  answered %6llu  refused %6llu  "
-                "truncated %6llu\n",
-                std::string(engine::attack_kind_name(attack.kind)).c_str(),
-                static_cast<unsigned long long>(attack.sent),
-                static_cast<unsigned long long>(attack.answered),
-                static_cast<unsigned long long>(attack.refused),
-                static_cast<unsigned long long>(attack.truncated));
-  }
-  std::printf("policy         evaluated %llu  dropped %llu  refused %llu  "
-              "truncated %llu  routed %llu\n",
-              static_cast<unsigned long long>(e.policy_evaluations),
-              static_cast<unsigned long long>(e.policy_dropped),
-              static_cast<unsigned long long>(e.policy_refused),
-              static_cast<unsigned long long>(e.policy_truncated),
-              static_cast<unsigned long long>(e.policy_routed));
-  for (const auto& rule : e.policy_rules) {
-    std::printf("  %-18s %-13s %-10s %8llu hits\n", rule.name.c_str(),
-                std::string(policy::matcher_kind_name(rule.matcher)).c_str(),
-                std::string(policy::action_kind_name(rule.action)).c_str(),
-                static_cast<unsigned long long>(rule.matches));
-  }
-  std::printf("attack shed    %.1f%%\n", 100.0 * result.attack_shed_rate());
-  std::printf("legit          answered %llu  servfail %llu  timeout %llu\n",
-              static_cast<unsigned long long>(result.load.answered),
-              static_cast<unsigned long long>(result.load.servfails),
-              static_cast<unsigned long long>(result.load.timeouts));
-  std::printf("legit latency  p50 %.2f  p95 %.2f  p99 %.2f ms\n",
-              latency.median, latency.p95, latency.p99);
-
-  const std::string policy_csv_path =
-      flag_value(argc, argv, "--policy-csv", "");
-  if (!policy_csv_path.empty()) {
-    write_file(policy_csv_path, policy::policy_csv(e.policy_rules));
-    std::printf("policy report -> %s\n", policy_csv_path.c_str());
-  }
-  return 0;
-}
-
-/// `doxperf churn` — the resolver-churn availability campaign: scripted
-/// outages/recoveries and route flaps, answerable-rate + tail-latency time
-/// series through every transition, optional mid-run forwarder restart
-/// with snapshot warm start.
-int run_churn_cmd(int argc, char** argv) {
-  const bool smoke = flag_set(argc, argv, "--smoke");
-  engine::ChurnConfig config;
-  config.seed = static_cast<std::uint64_t>(
-      std::atoll(flag_value(argc, argv, "--seed", "42").c_str()));
-  config.load.clients = static_cast<std::size_t>(
-      flag_int(argc, argv, "--clients", smoke ? 100 : 500));
-  config.load.qps = flag_int(argc, argv, "--qps", smoke ? 300 : 1000);
-  const int seconds = flag_int(argc, argv, "--seconds", smoke ? 8 : 60);
-  config.load.duration = seconds * kSecond;
-  config.load.names =
-      static_cast<std::size_t>(flag_int(argc, argv, "--names", 200));
-  config.bucket = flag_int(argc, argv, "--bucket-ms", 1000) * kMillisecond;
-  config.engine.snapshot_dir =
-      flag_value(argc, argv, "--snapshot-dir", "");
-  config.restart_at = flag_int(argc, argv, "--restart-at", 0) * kSecond;
-  // Short TTLs keep refresh traffic flowing, so an outage is visible as
-  // latency/timeouts instead of being absorbed by a warmed cache.
-  config.engine.max_ttl = 1;
-
-  // Default transition schedule, scaled to the horizon: the primary dies
-  // and recovers (timeout-discovered), the second upstream is withdrawn
-  // and re-announced (plan-level, no timeout paid).
-  const SimTime horizon = config.load.duration;
-  config.events = {
-      {horizon / 5, 0, engine::ChurnAction::kOutage},
-      {horizon / 2, 0, engine::ChurnAction::kRecover},
-      {horizon * 3 / 5, 1, engine::ChurnAction::kWithdraw},
-      {horizon * 4 / 5, 1, engine::ChurnAction::kAnnounce},
-  };
-
-  const auto result = engine::run_churn(config);
-  const auto& e = result.engine;
-  std::printf("churn campaign: %zu clients, %.0f qps offered for %d s "
-              "(seed %llu)\n",
-              config.load.clients, config.load.qps, seconds,
-              static_cast<unsigned long long>(config.seed));
-  for (const auto& event : result.events) {
-    std::printf("  t=%5.1fs upstream-%zu %s\n",
-                static_cast<double>(event.at) / kSecond, event.upstream,
-                std::string(engine::churn_action_name(event.action))
-                    .c_str());
-  }
-  if (config.restart_at > 0) {
-    std::printf("  t=%5.1fs forwarder restart (%s; warm-loaded %llu)\n",
-                static_cast<double>(config.restart_at) / kSecond,
-                config.engine.snapshot_dir.empty() ? "cold"
-                                                   : "snapshot warm start",
-                static_cast<unsigned long long>(result.warm_loaded));
-  }
-  std::printf("\n%8s %8s %8s %9s %9s %12s %9s %9s\n", "bucket_s", "sent",
-              "answered", "servfails", "timeouts", "answer_rate", "p50_ms",
-              "p99_ms");
-  for (const auto& bucket : result.series) {
-    std::printf("%8.1f %8llu %8llu %9llu %9llu %12.4f %9.2f %9.2f\n",
-                static_cast<double>(bucket.start) / kSecond,
-                static_cast<unsigned long long>(bucket.sent),
-                static_cast<unsigned long long>(bucket.answered),
-                static_cast<unsigned long long>(bucket.servfails),
-                static_cast<unsigned long long>(bucket.timeouts),
-                bucket.answer_rate(), bucket.p50_ms, bucket.p99_ms);
-  }
-  const auto latency = result.load.latency_summary();
-  std::printf("\nclient side    answered %llu  servfail %llu  timeout "
-              "%llu\n",
-              static_cast<unsigned long long>(result.load.answered),
-              static_cast<unsigned long long>(result.load.servfails),
-              static_cast<unsigned long long>(result.load.timeouts));
-  std::printf("latency        p50 %.2f  p95 %.2f  p99 %.2f ms\n",
-              latency.median, latency.p95, latency.p99);
-  std::printf("upstream       resolves %llu  attempts %llu  failovers "
-              "%llu\n",
-              static_cast<unsigned long long>(e.upstream_resolves),
-              static_cast<unsigned long long>(e.upstream_attempts),
-              static_cast<unsigned long long>(e.failovers));
-  if (!config.engine.snapshot_dir.empty()) {
-    std::printf("snapshot tier  hit %llu / %llu lookups  warm-loaded "
-                "%llu\n",
-                static_cast<unsigned long long>(e.snapshot_hits),
-                static_cast<unsigned long long>(e.snapshot_lookups),
-                static_cast<unsigned long long>(e.snapshot_warm_loaded));
-  }
-
-  const std::string csv_path = flag_value(argc, argv, "--churn-csv", "");
-  if (!csv_path.empty()) {
-    write_file(csv_path, engine::churn_csv(result));
-    std::printf("churn series -> %s\n", csv_path.c_str());
+  const std::string series_path = flag_value(argc, argv, "--churn-csv", "");
+  if (!series_path.empty()) {
+    write_file(series_path, series_csv(result.series));
+    std::printf("churn series -> %s\n", series_path.c_str());
   }
   return 0;
 }
@@ -685,8 +619,7 @@ std::vector<AdverseProfile> adverse_profiles() {
 int run_adverse(int argc, char** argv) {
   const bool smoke = flag_set(argc, argv, "--smoke");
   runner::CampaignConfig campaign;
-  campaign.seed = static_cast<std::uint64_t>(
-      std::atoll(flag_value(argc, argv, "--seed", "42").c_str()));
+  campaign.seed = flag_num<std::uint64_t>(argc, argv, "--seed", 42);
   campaign.jobs = flag_int(argc, argv, "--jobs", 1);
   campaign.population.verified_only = true;
   campaign.population.verified_dox =
@@ -785,8 +718,7 @@ int run_adverse(int argc, char** argv) {
 /// work-stealing pool; reports the same tables plus wall-clock timing.
 int run_campaign(int argc, char** argv) {
   runner::CampaignConfig campaign;
-  campaign.seed = static_cast<std::uint64_t>(
-      std::atoll(flag_value(argc, argv, "--seed", "42").c_str()));
+  campaign.seed = flag_num<std::uint64_t>(argc, argv, "--seed", 42);
   campaign.jobs = flag_int(argc, argv, "--jobs", 1);
   campaign.population.verified_only = true;
   campaign.population.verified_dox = flag_int(argc, argv, "--resolvers", 48);
@@ -878,14 +810,9 @@ int main(int argc, char** argv) {
     return 0;
   }
   try {
-    if (argc > 1 && std::strcmp(argv[1], "engine") == 0) {
-      return run_engine(argc, argv);
-    }
-    if (argc > 1 && std::strcmp(argv[1], "abuse") == 0) {
-      return run_abuse(argc, argv);
-    }
-    if (argc > 1 && std::strcmp(argv[1], "churn") == 0) {
-      return run_churn_cmd(argc, argv);
+    const std::string mode = argc > 1 ? argv[1] : "";
+    if (mode == "engine" || mode == "abuse" || mode == "churn") {
+      return run_engine(argc, argv, mode);
     }
     if (argc > 1 && std::strcmp(argv[1], "campaign") == 0) {
       return run_campaign(argc, argv);
@@ -903,12 +830,9 @@ int main(int argc, char** argv) {
 int run(int argc, char** argv) {
 
   TestbedConfig config;
-  config.seed =
-      static_cast<std::uint64_t>(std::atoll(
-          flag_value(argc, argv, "--seed", "42").c_str()));
+  config.seed = flag_num<std::uint64_t>(argc, argv, "--seed", 42);
   config.population.verified_only = true;
-  config.population.verified_dox =
-      std::atoi(flag_value(argc, argv, "--resolvers", "48").c_str());
+  config.population.verified_dox = flag_int(argc, argv, "--resolvers", 48);
   if (flag_set(argc, argv, "--0rtt")) {
     config.population.force_supports_0rtt = true;
   }
@@ -929,11 +853,8 @@ int run(int argc, char** argv) {
   if (flag_set(argc, argv, "--web")) {
     WebStudyConfig web;
     web.protocols = protocols;
-    web.max_resolvers = std::min<int>(
-        config.population.verified_dox,
-        std::atoi(flag_value(argc, argv, "--resolvers", "48").c_str()));
-    web.loads_per_combo =
-        std::atoi(flag_value(argc, argv, "--loads", "4").c_str());
+    web.max_resolvers = config.population.verified_dox;
+    web.loads_per_combo = flag_int(argc, argv, "--loads", 4);
     web.dot_buggy_reuse = !flag_set(argc, argv, "--fix-dot");
     web.attempt_0rtt = true;
     const std::string pages = flag_value(argc, argv, "--pages", "");
@@ -954,7 +875,7 @@ int run(int argc, char** argv) {
   SingleQueryConfig sq;
   sq.protocols = protocols;
   sq.qname = flag_value(argc, argv, "--qname", "google.com");
-  sq.repetitions = std::atoi(flag_value(argc, argv, "--reps", "1").c_str());
+  sq.repetitions = flag_int(argc, argv, "--reps", 1);
   sq.use_session_resumption = !flag_set(argc, argv, "--no-resumption");
   sq.use_address_token = !flag_set(argc, argv, "--no-token");
   sq.pad_encrypted = flag_set(argc, argv, "--pad");
