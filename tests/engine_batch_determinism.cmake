@@ -7,9 +7,10 @@
 #     outcome-comparable columns must match per shard: arrivals, sent,
 #     answered, servfails, timeouts, shed, queries, and the commutative
 #     outcome digest (splitmix64(seed ^ sent_at, outcome) summed — see
-#     EngineShard::outcome_digest). Cache/wire/miss counters and event
-#     digests are excluded: delivery-time quantization may shift WHICH
-#     layer answers, never WHETHER a query is answered.
+#     EngineShard::outcome_digest). Columns are found by header name, and a
+#     missing one fails the test. Cache/miss counters and event digests are
+#     excluded: delivery-time quantization may shift WHICH layer answers,
+#     never WHETHER a query is answered.
 #  2. With batching on, the full CSV (every column, digests included) must
 #     still be bit-identical run over run — batching must not introduce
 #     any scheduling dependence.
@@ -33,11 +34,26 @@ function(run_engine shards batch_us out_csv)
   endif()
 endfunction()
 
-# Columns of the shard CSV that must be invariant to the batch window:
-# shard, arrivals, sent, answered, servfails, timeouts, shed, queries
-# (indices 0-7) and the outcome digest (index 19).
+# Columns of the shard CSV that must be invariant to the batch window,
+# selected by header name so the check follows the CSV as columns come and
+# go: the per-shard load and query counts, and the outcome digest (the
+# merged row carries only the digest).
+set(OUTCOME_COLUMNS shard arrivals sent answered servfails timeouts shed
+                    queries)
 function(reduce_outcomes path out_var)
   file(STRINGS "${path}" lines)
+  list(GET lines 0 header_line)
+  string(REPLACE "," ";" header "${header_line}")
+  set(indices "")
+  foreach(column IN LISTS OUTCOME_COLUMNS ITEMS outcomes)
+    list(FIND header "${column}" index)
+    if(index EQUAL -1)
+      message(FATAL_ERROR "${path}: no '${column}' column in the header "
+                          "'${header_line}'")
+    endif()
+    list(APPEND indices ${index})
+  endforeach()
+  list(POP_BACK indices outcomes_index)
   set(reduced "")
   foreach(line IN LISTS lines)
     string(REPLACE "," ";" fields "${line}")
@@ -45,11 +61,12 @@ function(reduce_outcomes path out_var)
     if(first STREQUAL "shard")
       continue()
     endif()
-    list(GET fields 19 outcomes)
+    list(GET fields ${outcomes_index} outcomes)
     if(first STREQUAL "merged")
       string(APPEND reduced "merged outcomes=${outcomes}\n")
     else()
-      list(SUBLIST fields 0 8 head)
+      list(GET fields ${indices} head)
+      string(REPLACE ";" "," head "${head}")
       string(APPEND reduced "${head} outcomes=${outcomes}\n")
     endif()
   endforeach()
