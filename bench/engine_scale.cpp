@@ -18,8 +18,8 @@
 //   * the cached L1 fast path still performs zero heap allocations per
 //     query with the shared L2 attached.
 //
-// A second sweep re-runs the scenario with the raw-wire cache enabled at
-// delivery-batch windows of 0/50/200 us and pins the answered totals and
+// A second sweep re-runs the scenario at delivery-batch windows of
+// 0/50/200 us and pins the answered totals and
 // summed per-query outcome digests across windows: batching may reshape the
 // event schedule but must not change any query's outcome.
 //
@@ -169,7 +169,7 @@ struct ScaleRow {
   std::uint64_t queries = 0;
   std::uint64_t answered = 0;
   std::uint64_t l2_hits = 0;
-  std::uint64_t wire_hits = 0;
+  std::uint64_t l1_hits = 0;
   std::uint64_t lock_misses = 0;
   std::uint64_t digest = 0;
   std::uint64_t outcome_digest = 0;
@@ -196,7 +196,7 @@ ScaleRow run_once(const engine::ShardedConfig& config) {
   row.queries = result.engine.queries;
   row.answered = result.load.answered;
   row.l2_hits = result.engine.l2_hits;
-  row.wire_hits = result.engine.wire_hits;
+  row.l1_hits = result.engine.cache_hits;
   row.lock_misses = result.l2.lock_misses;
   row.digest = result.merged_digest;
   row.outcome_digest = result.outcome_digest;
@@ -268,8 +268,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(row.lock_misses));
   }
 
-  // Batch-window sweep: the same scenario with the wire cache on, across
-  // delivery-batching windows. Batching only reshapes the event schedule —
+  // Batch-window sweep: the same scenario across delivery-batching
+  // windows. Batching only reshapes the event schedule —
   // it must not change any individual query's outcome — so for every shard
   // count the answered total and the commutative per-query outcome digest
   // are pinned across windows.
@@ -290,20 +290,19 @@ int main(int argc, char** argv) {
       engine::ShardedConfig config = base;
       config.shards = n;
       config.batch_window = static_cast<SimTime>(w) * kMicrosecond;
-      config.engine.wire_cache_capacity = 4096;
       batch_rows.push_back({n, w, run_once(config)});
     }
   }
 
-  std::printf("\nbatch sweep (wire cache on, %zu-entry):\n", std::size_t{4096});
+  std::printf("\nbatch sweep:\n");
   std::printf("%7s %9s %14s %12s %10s %10s  %s\n", "shards", "batch us",
-              "critical qps", "wall qps", "wire hits", "answered",
+              "critical qps", "wall qps", "L1 hits", "answered",
               "outcome digest");
   for (const BatchRow& b : batch_rows) {
     std::printf("%7u %9llu %14.0f %12.0f %10llu %10llu  %016llx\n", b.shards,
                 static_cast<unsigned long long>(b.window_us),
                 b.row.effective_qps, b.row.wall_qps,
-                static_cast<unsigned long long>(b.row.wire_hits),
+                static_cast<unsigned long long>(b.row.l1_hits),
                 static_cast<unsigned long long>(b.row.answered),
                 static_cast<unsigned long long>(b.row.outcome_digest));
   }
@@ -396,8 +395,7 @@ int main(int argc, char** argv) {
       reporter.metric(bench, "critical_path_qps", b.row.effective_qps);
       reporter.metric(bench, "wall_qps", b.row.wall_qps);
       reporter.metric(bench, "answered", static_cast<double>(b.row.answered));
-      reporter.metric(bench, "wire_hits",
-                      static_cast<double>(b.row.wire_hits));
+      reporter.metric(bench, "l1_hits", static_cast<double>(b.row.l1_hits));
       reporter.metric(bench, "p99_ms", b.row.p99_ms);
     }
     reporter.metric("invariants", "cached_allocs_with_l2", allocs);

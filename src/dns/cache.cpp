@@ -5,13 +5,8 @@
 namespace doxlab::dns {
 
 namespace {
-/// Negative entries (no records) are cached for 60 simulated seconds.
-constexpr std::uint32_t kNegativeTtlSeconds = 60;
-
 /// Approximate wire footprint of a record set: uncompressed owner name +
-/// the 10 fixed RR header bytes + rdata, per record. Matches what
-/// SharedPacketCache::encode_rrset would produce, so L1 and L2 byte
-/// accounting are comparable.
+/// the 10 fixed RR header bytes + rdata, per record.
 std::size_t records_wire_bytes(const std::vector<ResourceRecord>& records) {
   std::size_t bytes = 0;
   for (const ResourceRecord& rr : records) {
@@ -37,14 +32,14 @@ void Cache::insert(const DnsName& name, RRType type,
   ++inserts_;
   bytes_ += entry.wire_bytes;
 
-  auto it = entries_.find(KeyView{name, type});
+  auto it = entries_.find(RecordKeyView{name, type});
   if (it != entries_.end()) {
     bytes_ -= it->second.entry.wire_bytes;
     it->second.entry = std::move(entry);
     touch(it->second);
     return;
   }
-  lru_.push_front(Key{name, type});
+  lru_.push_front(RecordKey{name, type});
   entries_.emplace(lru_.front(), Node{std::move(entry), lru_.begin()});
   enforce_capacity();
 }
@@ -81,7 +76,7 @@ void Cache::clear() {
 
 std::optional<EntryRef> Cache::lookup_ref(const DnsName& name, RRType type,
                                           SimTime now) const {
-  auto it = entries_.find(KeyView{name, type});
+  auto it = entries_.find(RecordKeyView{name, type});
   if (it == entries_.end() || expired(it->second.entry, now)) {
     ++misses_;
     return std::nullopt;
@@ -98,7 +93,7 @@ std::optional<EntryRef> Cache::lookup_ref(const DnsName& name, RRType type,
 std::optional<EntryRef> Cache::lookup_stale_ref(const DnsName& name,
                                                 RRType type, SimTime now,
                                                 SimTime max_stale) const {
-  auto it = entries_.find(KeyView{name, type});
+  auto it = entries_.find(RecordKeyView{name, type});
   if (it == entries_.end()) {
     ++misses_;
     return std::nullopt;

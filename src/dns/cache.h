@@ -18,11 +18,11 @@
 #include <cstdint>
 #include <list>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "dns/cache_tier.h"
 #include "dns/message.h"
+#include "dns/record_key.h"
 #include "util/types.h"
 
 namespace doxlab::dns {
@@ -112,47 +112,12 @@ class Cache {
   TierStats tier_stats() const;
 
  private:
-  struct Key {
-    DnsName name;
-    RRType type = RRType::kA;
-    bool operator==(const Key&) const = default;
-  };
-  /// Borrowed key for heterogeneous find(): no DnsName copy per lookup.
-  struct KeyView {
-    const DnsName& name;
-    RRType type;
-  };
-  struct KeyHash {
-    using is_transparent = void;
-    static std::size_t mix(const DnsName& name, RRType type) noexcept {
-      return std::hash<DnsName>()(name) ^
-             (static_cast<std::size_t>(type) * 0x9E3779B97F4A7C15ull);
-    }
-    std::size_t operator()(const Key& k) const noexcept {
-      return mix(k.name, k.type);
-    }
-    std::size_t operator()(const KeyView& k) const noexcept {
-      return mix(k.name, k.type);
-    }
-  };
-  struct KeyEq {
-    using is_transparent = void;
-    bool operator()(const Key& a, const Key& b) const noexcept {
-      return a.type == b.type && a.name == b.name;
-    }
-    bool operator()(const KeyView& a, const Key& b) const noexcept {
-      return a.type == b.type && a.name == b.name;
-    }
-    bool operator()(const Key& a, const KeyView& b) const noexcept {
-      return a.type == b.type && a.name == b.name;
-    }
-  };
   struct Node {
     CacheEntry entry;
     /// Position in lru_ (front = most recently used).
-    std::list<Key>::iterator lru;
+    std::list<RecordKey>::iterator lru;
   };
-  using Map = std::unordered_map<Key, Node, KeyHash, KeyEq>;
+  using Map = RecordMap<Node>;
 
   bool expired(const CacheEntry& entry, SimTime now) const;
   /// Moves a node to the front of the LRU list.
@@ -161,7 +126,7 @@ class Cache {
   void enforce_capacity();
 
   Map entries_;
-  mutable std::list<Key> lru_;
+  mutable std::list<RecordKey> lru_;
   std::size_t capacity_ = 0;
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;

@@ -1,6 +1,7 @@
-// Shared semantics for the cache hierarchy: per-shard L1 (`dns::Cache`),
-// shared L2 (`dns::SharedPacketCache`), the raw-wire front (`dns::WireCache`)
-// and the persistent snapshot tier (`dns::SnapshotTier`) all age, expire and
+// Shared semantics for the cache hierarchy: the record cache (`dns::Cache`,
+// used by resolvers and the proxy), the engine's per-shard image L1
+// (`dns::WireCache`), the shared L2 (`dns::SharedPacketCache`) and the
+// persistent snapshot tier (`dns::SnapshotTier`) all age, expire and
 // serve-stale by the *same* rules, expressed once here:
 //
 //   * An entry's age is whole simulated seconds since insertion, never
@@ -15,7 +16,7 @@
 //
 // Every tier also exposes the same observability surface — a `TierStats`
 // snapshot plus its live entry count — captured by the `CacheTier` concept
-// so the engine can report l1/l2/wire/snapshot occupancy uniformly.
+// so the engine can report l1/l2/snapshot occupancy uniformly.
 #pragma once
 
 #include <concepts>
@@ -34,6 +35,10 @@ constexpr std::uint32_t tier_age_s(SimTime inserted_at, SimTime now) {
              ? 0u
              : static_cast<std::uint32_t>((now - inserted_at) / kSecond);
 }
+
+/// Lifetime of a negative entry (an answer with no records) in the tiers
+/// that cache them: the record cache and the engine's image L1.
+inline constexpr std::uint32_t kNegativeTtlSeconds = 60;
 
 /// TTL decay shared by every tier: subtract the age, clamp at 0.
 constexpr std::uint32_t tier_decay_ttl(std::uint32_t ttl,
@@ -61,7 +66,7 @@ constexpr bool tier_stale_within(SimTime inserted_at, std::uint32_t ttl_s,
 }
 
 /// Uniform per-tier counters. `bytes` is the approximate payload footprint
-/// of live entries (wire images / RR names + rdata), maintained
+/// of live entries (response images / RR names + rdata), maintained
 /// incrementally so reading it is free.
 struct TierStats {
   std::uint64_t lookups = 0;

@@ -146,6 +146,13 @@ void write_record(ByteWriter& w, NameCompressor& nc,
   w.bytes(rr.rdata);
 }
 
+/// RR types whose RDATA is a single domain name, which may be compressed
+/// against the message.
+bool rdata_is_name(RRType type) {
+  return type == RRType::kCNAME || type == RRType::kNS ||
+         type == RRType::kPTR;
+}
+
 bool read_record_into(ByteReader& r, ResourceRecord& rr) {
   if (!read_name_into(r, rr.name)) return false;
   auto type = r.u16();
@@ -159,8 +166,7 @@ bool read_record_into(ByteReader& r, ResourceRecord& rr) {
 
   // Name-bearing RDATA may be compressed against the message; decode and
   // re-encode it uncompressed so the record stands alone.
-  if (rr.type == RRType::kCNAME || rr.type == RRType::kNS ||
-      rr.type == RRType::kPTR) {
+  if (rdata_is_name(rr.type)) {
     const std::size_t end = r.position() + *rdlen;
     DnsName target;
     if (!read_name_into(r, target) || r.position() > end) return false;
@@ -178,6 +184,21 @@ bool read_record_into(ByteReader& r, ResourceRecord& rr) {
   if (!rdata) return false;
   rr.rdata.assign(rdata->begin(), rdata->end());
   return true;
+}
+
+/// read_record_into's checks without the copies (see scan_message).
+bool skip_record(ByteReader& r) {
+  if (!skip_name(r)) return false;
+  auto type = r.u16();
+  auto fixed = r.bytes(6);  // class + ttl
+  auto rdlen = r.u16();
+  if (!type || !fixed || !rdlen) return false;
+  if (rdata_is_name(static_cast<RRType>(*type))) {
+    const std::size_t end = r.position() + *rdlen;
+    if (!skip_name(r) || r.position() > end) return false;
+    return r.seek(end);
+  }
+  return r.bytes(*rdlen).has_value();
 }
 
 }  // namespace
@@ -296,6 +317,37 @@ std::optional<Message> Message::decode(std::span<const std::uint8_t> wire) {
   Message m;
   if (!decode_into(wire, m)) return std::nullopt;
   return m;
+}
+
+bool scan_message(std::span<const std::uint8_t> wire, MessageHead& out) {
+  ByteReader r(wire);
+  auto id = r.u16();
+  auto flags = r.u16();
+  auto qd = r.u16();
+  auto an = r.u16();
+  auto ns = r.u16();
+  auto ar = r.u16();
+  if (!id || !flags || !qd || !an || !ns || !ar) return false;
+  out.id = *id;
+  out.flags = *flags;
+  out.qdcount = *qd;
+  for (std::uint16_t i = 0; i < *qd; ++i) {
+    if (!(i == 0 ? read_name_into(r, out.question.name) : skip_name(r))) {
+      return false;
+    }
+    auto type = r.u16();
+    auto klass = r.u16();
+    if (!type || !klass) return false;
+    if (i == 0) {
+      out.question.type = static_cast<RRType>(*type);
+      out.question.klass = static_cast<RRClass>(*klass);
+    }
+  }
+  const std::uint32_t records = std::uint32_t{*an} + *ns + *ar;
+  for (std::uint32_t i = 0; i < records; ++i) {
+    if (!skip_record(r)) return false;
+  }
+  return true;
 }
 
 Message make_query(std::uint16_t id, const DnsName& name, RRType type,

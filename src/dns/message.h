@@ -129,6 +129,25 @@ struct Message {
   void encode_to(ByteWriter& w) const;
 };
 
+/// What the hot paths read of a message, from one validating pass.
+struct MessageHead {
+  std::uint16_t id = 0;
+  std::uint16_t flags = 0;    ///< the header flags word, RCODE included
+  std::uint16_t qdcount = 0;
+  Question question;          ///< the first question; unset if qdcount == 0
+
+  bool qr() const { return (flags & 0x8000) != 0; }
+  bool tc() const { return (flags & 0x0200) != 0; }
+  RCode rcode() const { return static_cast<RCode>(flags & 0x0F); }
+};
+
+/// Validating scan: accepts exactly the inputs Message::decode_into accepts,
+/// but materializes only the id, the flags and the first question (its name
+/// into `out.question.name`'s retained storage). Every other name and
+/// record is walked and checked, not copied. `out` is unspecified on
+/// failure.
+bool scan_message(std::span<const std::uint8_t> wire, MessageHead& out);
+
 /// Builds a standard recursive query for (name, type) with EDNS0 and an
 /// 8-byte client COOKIE — the same shape dnsperf sends in the paper's
 /// measurements.

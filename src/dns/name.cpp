@@ -1,5 +1,6 @@
 #include "dns/name.h"
 
+#include <span>
 #include <stdexcept>
 
 #include "util/strings.h"
@@ -144,9 +145,15 @@ void NameCompressor::write(ByteWriter& writer, const DnsName& name) {
   writer.u8(0);
 }
 
-bool read_name_into(ByteReader& reader, DnsName& out) {
-  std::string& wire = out.wire_;
-  wire.clear();
+namespace {
+
+/// Walks one possibly-compressed name, handing each label's raw bytes to
+/// `on_label`. read_name_into and skip_name both go through here, so the
+/// materializing read and the validating skip accept exactly the same
+/// inputs.
+template <typename OnLabel>
+bool walk_name(ByteReader& reader, OnLabel&& on_label) {
+  std::size_t length = 0;  // flat label bytes so far
   int pointer_hops = 0;
   std::optional<std::size_t> resume_at;  // position after the first pointer
 
@@ -171,13 +178,28 @@ bool read_name_into(ByteReader& reader, DnsName& out) {
     if (*len == 0) break;
     auto label = reader.bytes(*len);
     if (!label) return false;
-    if (wire.size() + 1 + label->size() + 1 > 255) return false;
-    wire.push_back(static_cast<char>(*len));
-    for (std::uint8_t c : *label) wire.push_back(lower(static_cast<char>(c)));
+    if (length + 1 + label->size() + 1 > 255) return false;
+    length += 1 + label->size();
+    on_label(*label);
   }
 
   if (resume_at) reader.seek(*resume_at);
   return true;
+}
+
+}  // namespace
+
+bool read_name_into(ByteReader& reader, DnsName& out) {
+  std::string& wire = out.wire_;
+  wire.clear();
+  return walk_name(reader, [&wire](std::span<const std::uint8_t> label) {
+    wire.push_back(static_cast<char>(label.size()));
+    for (std::uint8_t c : label) wire.push_back(lower(static_cast<char>(c)));
+  });
+}
+
+bool skip_name(ByteReader& reader) {
+  return walk_name(reader, [](std::span<const std::uint8_t>) {});
 }
 
 std::optional<DnsName> read_name(ByteReader& reader) {

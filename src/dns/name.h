@@ -21,6 +21,10 @@ class DnsName;
 /// false on truncation, pointer loops, or forward pointers.
 bool read_name_into(ByteReader& reader, DnsName& out);
 
+/// Steps over a name exactly as read_name_into would read it — same
+/// pointer, length and truncation checks — without materializing it.
+bool skip_name(ByteReader& reader);
+
 /// A fully-qualified domain name. Labels are stored lower-cased and
 /// flattened into one length-prefixed string — the RFC 1035 wire encoding
 /// without the terminating zero octet ("www.google.com" is stored as

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "dns/name.h"
-#include "util/bytes.h"
-
 namespace doxlab::dns {
 
 SharedPacketCache::SharedPacketCache(std::size_t capacity,
@@ -30,7 +27,7 @@ bool SharedPacketCache::lookup(std::uint32_t shard, const DnsName& name,
     ++lane.misses;
     return false;
   }
-  const auto it = entries_.find(KeyView{name, type});
+  const auto it = entries_.find(RecordKeyView{name, type});
   if (it == entries_.end()) {
     ++lane.misses;
     return false;
@@ -43,10 +40,10 @@ bool SharedPacketCache::lookup(std::uint32_t shard, const DnsName& name,
     ++lane.misses;
     return false;
   }
-  // Copying the buffer handle bumps the slab's atomic refcount (the encode
-  // path share()d it); the bytes stay valid on this shard's thread even
-  // after a later sweep erases the entry.
-  out.wire = entry.wire;
+  // Copying the image bumps the slab's atomic refcount (images are share()d
+  // when built); the bytes stay valid on this shard's thread even after a
+  // later sweep erases the entry.
+  out.image = entry.image;
   out.ttl_s = entry.ttl_s;
   out.age_s = tier_age_s(entry.inserted_at, now);
   out.stale = !fresh;
@@ -56,21 +53,29 @@ bool SharedPacketCache::lookup(std::uint32_t shard, const DnsName& name,
 }
 
 void SharedPacketCache::insert(std::uint32_t shard, const DnsName& name,
+                               RRType type, ResponseImage image,
+                               SimTime now) {
+  // Would expire instantly, or is negative: not worth a lane slot.
+  if (image.ttl_count() == 0 || image.min_ttl() == 0) return;
+  Lane& lane = lanes_[shard];
+  Pending pending;
+  pending.key = RecordKey{name, type};
+  pending.entry.ttl_s = image.min_ttl();
+  pending.entry.image = std::move(image);
+  pending.entry.inserted_at = now;
+  lane.pending.push_back(std::move(pending));
+  ++lane.deferred_inserts;
+}
+
+void SharedPacketCache::insert(std::uint32_t shard, const DnsName& name,
                                RRType type,
                                std::span<const ResourceRecord> records,
                                SimTime now) {
   if (records.empty()) return;
-  Lane& lane = lanes_[shard];
-  std::uint32_t min_ttl = records.front().ttl;
-  for (const ResourceRecord& rr : records) min_ttl = std::min(min_ttl, rr.ttl);
-  if (min_ttl == 0) return;  // would expire instantly; not worth a lane slot
-  Pending pending;
-  pending.key = Key{name, type};
-  pending.entry.wire = encode_rrset(records);
-  pending.entry.inserted_at = now;
-  pending.entry.ttl_s = min_ttl;
-  lane.pending.push_back(std::move(pending));
-  ++lane.deferred_inserts;
+  insert(shard, name, type,
+         ResponseImage::answer_to(Question{name, type, RRClass::kIN},
+                                  records),
+         now);
 }
 
 void SharedPacketCache::sweep(SimTime now) {
@@ -82,8 +87,8 @@ void SharedPacketCache::sweep(SimTime now) {
       ++applied_inserts_;
       const auto it = entries_.find(pending.key);
       if (it != entries_.end()) {
-        bytes_ -= it->second.wire.size();
-        bytes_ += pending.entry.wire.size();
+        bytes_ -= it->second.image.footprint();
+        bytes_ += pending.entry.image.footprint();
         it->second = std::move(pending.entry);
         ++replaced_;
         continue;
@@ -92,7 +97,7 @@ void SharedPacketCache::sweep(SimTime now) {
         ++rejected_capacity_;
         continue;
       }
-      bytes_ += pending.entry.wire.size();
+      bytes_ += pending.entry.image.footprint();
       entries_.emplace(std::move(pending.key), std::move(pending.entry));
     }
     lane.pending.clear();
@@ -107,7 +112,7 @@ void SharedPacketCache::sweep(SimTime now) {
          !tier_stale_within(entry.inserted_at, entry.ttl_s, now,
                             retain_stale_));
     if (reap) {
-      bytes_ -= entry.wire.size();
+      bytes_ -= entry.image.footprint();
       it = entries_.erase(it);
       ++expired_evicted_;
     } else {
@@ -148,58 +153,6 @@ TierStats SharedPacketCache::tier_stats() const {
   t.entries = s.size;
   t.bytes = s.bytes;
   return t;
-}
-
-util::Buffer SharedPacketCache::encode_rrset(
-    std::span<const ResourceRecord> records) {
-  std::size_t bytes = 2;
-  for (const ResourceRecord& rr : records) {
-    bytes += rr.name.wire_length() + 2 + 2 + 4 + 2 + rr.rdata.size();
-  }
-  ByteWriter writer(util::Buffer::allocate(bytes));
-  writer.u16(static_cast<std::uint16_t>(records.size()));
-  for (const ResourceRecord& rr : records) {
-    // Uncompressed wire name: flat labels + terminating zero. Record names
-    // matter — a CNAME chain's records carry different owner names.
-    writer.bytes(rr.name.wire_labels());
-    writer.u8(0);
-    writer.u16(static_cast<std::uint16_t>(rr.type));
-    writer.u16(rr.klass_or_udpsize);
-    writer.u32(rr.ttl);
-    writer.u16(static_cast<std::uint16_t>(rr.rdata.size()));
-    writer.bytes(std::span<const std::uint8_t>(rr.rdata));
-  }
-  util::Buffer wire = writer.take_buffer();
-  // Opt into atomic refcounting *before* the buffer crosses the lane/table
-  // synchronization edge — after that, any shard may copy the handle.
-  wire.share();
-  return wire;
-}
-
-bool SharedPacketCache::decode_rrset(std::span<const std::uint8_t> wire,
-                                     std::vector<ResourceRecord>& out) {
-  out.clear();
-  ByteReader reader(wire);
-  const auto count = reader.u16();
-  if (!count) return false;
-  out.reserve(*count);
-  for (std::uint16_t i = 0; i < *count; ++i) {
-    ResourceRecord rr;
-    if (!read_name_into(reader, rr.name)) return false;
-    const auto type = reader.u16();
-    const auto klass = reader.u16();
-    const auto ttl = reader.u32();
-    const auto rdlen = reader.u16();
-    if (!type || !klass || !ttl || !rdlen) return false;
-    const auto rdata = reader.bytes(*rdlen);
-    if (!rdata) return false;
-    rr.type = static_cast<RRType>(*type);
-    rr.klass_or_udpsize = *klass;
-    rr.ttl = *ttl;
-    rr.rdata.assign(rdata->begin(), rdata->end());
-    out.push_back(std::move(rr));
-  }
-  return reader.at_end();
 }
 
 }  // namespace doxlab::dns

@@ -1,6 +1,6 @@
 // Shared L2 packet cache for the sharded forwarder engine.
 //
-// Every shard keeps its own L1 `dns::Cache` (see src/engine); this class is
+// Every shard keeps its own L1 `dns::WireCache` (see src/engine); this class is
 // the level below it — one table shared by all shards so an answer resolved
 // on shard 3 serves shard 5's next miss. The concurrency design borrows the
 // dnsdist packet-cache tricks and adapts them to the discrete-event setting:
@@ -25,31 +25,31 @@
 // how the OS interleaved the shard threads. The contended-read fallback
 // exists for safety and is exercised by unit tests, not by the engine.
 //
-// Entries store the answer RRset encoded into a single pooled util::Buffer
-// that has been share()d (atomic refcount): a hit hands the reading shard a
-// refcounted handle to bytes another shard's thread produced, and whichever
-// thread drops the last reference recycles the slab into its own pool.
+// Entries store the answer's `ResponseImage`, whose slab has been share()d
+// (atomic refcount): a hit hands the reading shard a refcounted handle to
+// bytes another shard's thread produced, and whichever thread drops the
+// last reference recycles the slab into its own pool.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
 #include <shared_mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "dns/cache_tier.h"
 #include "dns/message.h"
-#include "util/buffer.h"
+#include "dns/record_key.h"
+#include "dns/response_image.h"
 #include "util/types.h"
 
 namespace doxlab::dns {
 
-/// An L2 hit: a shared handle to the encoded RRset plus the TTL bookkeeping
-/// the caller needs to materialize an answer (decode, then subtract age_s
-/// from each record TTL, exactly like an L1 EntryRef hit).
+/// An L2 hit: a shared handle to the answer image plus the TTL bookkeeping
+/// the caller needs to patch it (decay every TTL by age_s, exactly like an
+/// L1 hit).
 struct PacketCacheHit {
-  util::Buffer wire;         ///< shared encoded RRset (see encode_rrset)
+  ResponseImage image;       ///< shared, immutable
   std::uint32_t ttl_s = 0;   ///< minimum record TTL at insert time
   std::uint32_t age_s = 0;   ///< whole seconds since insertion
   /// Past its TTL but inside the caller's stale window: the caller stamps
@@ -83,9 +83,14 @@ class SharedPacketCache {
   bool lookup(std::uint32_t shard, const DnsName& name, RRType type,
               SimTime now, PacketCacheHit& out, SimTime max_stale = 0);
 
-  /// Encodes `records` into a shared buffer and parks it on shard `shard`'s
-  /// lane; the table itself is untouched until the next sweep(). Empty
-  /// record sets are not cached (negative answers stay an L1 concern).
+  /// Parks `image` on shard `shard`'s lane; the table itself is untouched
+  /// until the next sweep(). Images without records or with a zero minimum
+  /// TTL are not cached (negative answers stay an L1 concern).
+  void insert(std::uint32_t shard, const DnsName& name, RRType type,
+              ResponseImage image, SimTime now);
+
+  /// Same, for a record set: builds the forwarder's answer image for
+  /// (name, type, IN) carrying `records`.
   void insert(std::uint32_t shard, const DnsName& name, RRType type,
               std::span<const ResourceRecord> records, SimTime now);
 
@@ -114,7 +119,7 @@ class SharedPacketCache {
     std::uint64_t expired_evicted = 0;   ///< entries reaped by sweeps
     std::uint64_t sweeps = 0;
     std::size_t size = 0;            ///< live entries right now
-    std::uint64_t bytes = 0;         ///< live encoded-RRset bytes
+    std::uint64_t bytes = 0;         ///< live image bytes
   };
   Stats stats() const;
 
@@ -136,60 +141,15 @@ class SharedPacketCache {
     return std::shared_lock<std::shared_mutex>(mu_);
   }
 
-  /// Encodes an RRset into one pooled buffer: u16 record count, then per
-  /// record its uncompressed wire name, u16 type, u16 class, u32 ttl,
-  /// u16 rdlen, rdata. The buffer is already share()d.
-  static util::Buffer encode_rrset(std::span<const ResourceRecord> records);
-
-  /// Decodes encode_rrset() output into `out` (cleared first, storage
-  /// reused). Returns false on malformed bytes.
-  static bool decode_rrset(std::span<const std::uint8_t> wire,
-                           std::vector<ResourceRecord>& out);
-
  private:
-  struct Key {
-    DnsName name;
-    RRType type = RRType::kA;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyView {
-    const DnsName& name;
-    RRType type;
-  };
-  struct KeyHash {
-    using is_transparent = void;
-    static std::size_t mix(const DnsName& name, RRType type) noexcept {
-      return std::hash<DnsName>()(name) ^
-             (static_cast<std::size_t>(type) * 0x9E3779B97F4A7C15ull);
-    }
-    std::size_t operator()(const Key& k) const noexcept {
-      return mix(k.name, k.type);
-    }
-    std::size_t operator()(const KeyView& k) const noexcept {
-      return mix(k.name, k.type);
-    }
-  };
-  struct KeyEq {
-    using is_transparent = void;
-    bool operator()(const Key& a, const Key& b) const noexcept {
-      return a.type == b.type && a.name == b.name;
-    }
-    bool operator()(const KeyView& a, const Key& b) const noexcept {
-      return a.type == b.type && a.name == b.name;
-    }
-    bool operator()(const Key& a, const KeyView& b) const noexcept {
-      return a.type == b.type && a.name == b.name;
-    }
-  };
-
   struct Entry {
-    util::Buffer wire;
+    ResponseImage image;
     SimTime inserted_at = 0;
     std::uint32_t ttl_s = 0;
   };
 
   struct Pending {
-    Key key;
+    RecordKey key;
     Entry entry;
   };
 
@@ -208,7 +168,7 @@ class SharedPacketCache {
     return !tier_fresh(entry.inserted_at, entry.ttl_s, now);
   }
 
-  using Map = std::unordered_map<Key, Entry, KeyHash, KeyEq>;
+  using Map = RecordMap<Entry>;
 
   /// Guards entries_ and the sweep counters: shared for lookups, exclusive
   /// for the barrier-time sweep/stats.

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "dns/name.h"
-#include "dns/packet_cache.h"
 #include "util/bytes.h"
 
 namespace doxlab::dns {
@@ -15,10 +14,10 @@ namespace doxlab::dns {
 namespace {
 
 /// Log header: version-stamped magic. Bump the digit on format changes.
-constexpr char kMagic[8] = {'D', 'O', 'X', 'S', 'N', 'A', 'P', '1'};
+constexpr char kMagic[8] = {'D', 'O', 'X', 'S', 'N', 'A', 'P', '2'};
 
 /// Anything claiming a larger payload than this is a torn length field, not
-/// a record (a full RRset wire image is a few hundred bytes).
+/// a record (a response image is a few hundred bytes).
 constexpr std::uint32_t kMaxPayload = 1u << 22;
 
 std::uint32_t fnv1a32(std::span<const std::uint8_t> data) {
@@ -46,19 +45,19 @@ SnapshotTier::~SnapshotTier() {
 
 std::vector<std::uint8_t> SnapshotTier::encode_payload(
     const DnsName& name, RRType type, SimTime inserted_at,
-    std::uint32_t ttl_s, std::span<const std::uint8_t> rrset) {
-  ByteWriter writer(2 + 8 + 4 + name.wire_length() + rrset.size());
+    std::uint32_t ttl_s, std::span<const std::uint8_t> wire) {
+  ByteWriter writer(2 + 8 + 4 + name.wire_length() + wire.size());
   writer.u16(static_cast<std::uint16_t>(type));
   writer.u64(static_cast<std::uint64_t>(inserted_at));
   writer.u32(ttl_s);
   writer.bytes(name.wire_labels());
   writer.u8(0);
-  writer.bytes(rrset);
+  writer.bytes(wire);
   return writer.take();
 }
 
 bool SnapshotTier::decode_payload(std::span<const std::uint8_t> payload,
-                                  Key& key, Entry& entry) {
+                                  RecordKey& key, Entry& entry) {
   ByteReader reader(payload);
   const auto type = reader.u16();
   const auto inserted_at = reader.u64();
@@ -68,10 +67,10 @@ bool SnapshotTier::decode_payload(std::span<const std::uint8_t> payload,
   key.type = static_cast<RRType>(*type);
   entry.inserted_at = static_cast<SimTime>(*inserted_at);
   entry.ttl_s = *ttl_s;
-  const auto rrset = reader.bytes(reader.remaining());
-  if (!rrset || rrset->empty()) return false;
-  entry.rrset.assign(rrset->begin(), rrset->end());
-  return true;
+  const auto wire = reader.bytes(reader.remaining());
+  if (!wire) return false;
+  entry.image = ResponseImage::adopt(*wire);
+  return !entry.image.empty();
 }
 
 void SnapshotTier::replay() {
@@ -130,7 +129,7 @@ void SnapshotTier::replay() {
         ++replay_stats_.torn_dropped;
         break;
       }
-      Key key;
+      RecordKey key;
       Entry entry;
       if (!decode_payload(*payload, key, entry)) {
         ++replay_stats_.skipped_bad;
@@ -153,18 +152,18 @@ void SnapshotTier::replay() {
   log_ = std::fopen(config_.path.c_str(), "ab");
 }
 
-void SnapshotTier::apply(Key key, Entry entry) {
+void SnapshotTier::apply(RecordKey key, Entry entry) {
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     live_bytes_ -= it->second.frame_bytes;
-    payload_bytes_ -= it->second.rrset.size();
+    payload_bytes_ -= it->second.image.footprint();
     live_bytes_ += entry.frame_bytes;
-    payload_bytes_ += entry.rrset.size();
+    payload_bytes_ += entry.image.footprint();
     it->second = std::move(entry);
     return;
   }
   live_bytes_ += entry.frame_bytes;
-  payload_bytes_ += entry.rrset.size();
+  payload_bytes_ += entry.image.footprint();
   entries_.emplace(std::move(key), std::move(entry));
 }
 
@@ -195,11 +194,11 @@ bool SnapshotTier::append_frame(std::span<const std::uint8_t> payload) {
 bool SnapshotTier::lookup(const DnsName& name, RRType type, SimTime now,
                           SnapshotHit& out) {
   ++lookups_;
-  auto it = entries_.find(KeyView{name, type});
+  auto it = entries_.find(RecordKeyView{name, type});
   if (it == entries_.end()) return false;
   Entry& entry = it->second;
   if (tier_fresh(entry.inserted_at, entry.ttl_s, now)) {
-    out.rrset = &entry.rrset;
+    out.image = &entry.image;
     out.ttl_s = entry.ttl_s;
     out.age_s = tier_age_s(entry.inserted_at, now);
     out.stale = false;
@@ -208,7 +207,7 @@ bool SnapshotTier::lookup(const DnsName& name, RRType type, SimTime now,
   }
   if (tier_stale_within(entry.inserted_at, entry.ttl_s, now,
                         config_.max_stale)) {
-    out.rrset = &entry.rrset;
+    out.image = &entry.image;
     out.ttl_s = entry.ttl_s;
     out.age_s = tier_age_s(entry.inserted_at, now);
     out.stale = true;
@@ -219,31 +218,24 @@ bool SnapshotTier::lookup(const DnsName& name, RRType type, SimTime now,
   // Past the stale window: dead weight in the index; the log's copy is
   // reclaimed by the next compaction.
   live_bytes_ -= entry.frame_bytes;
-  payload_bytes_ -= entry.rrset.size();
+  payload_bytes_ -= entry.image.footprint();
   entries_.erase(it);
   ++evictions_;
   return false;
 }
 
 void SnapshotTier::insert(const DnsName& name, RRType type,
-                          std::span<const ResourceRecord> records,
-                          SimTime now) {
-  if (records.empty()) return;
-  std::uint32_t min_ttl = records.front().ttl;
-  for (const ResourceRecord& rr : records) {
-    min_ttl = std::min(min_ttl, rr.ttl);
-  }
-  if (min_ttl == 0) return;
-  const util::Buffer wire = SharedPacketCache::encode_rrset(records);
+                          const ResponseImage& image, SimTime now) {
+  if (image.ttl_count() == 0 || image.min_ttl() == 0) return;
   Entry entry;
-  entry.rrset.assign(wire.data(), wire.data() + wire.size());
+  entry.image = image;
   entry.inserted_at = now;
-  entry.ttl_s = min_ttl;
+  entry.ttl_s = image.min_ttl();
   const std::vector<std::uint8_t> payload =
-      encode_payload(name, type, now, min_ttl, entry.rrset);
+      encode_payload(name, type, now, entry.ttl_s, image.wire());
   if (!append_frame(payload)) return;
   entry.frame_bytes = static_cast<std::uint32_t>(8 + payload.size());
-  apply(Key{name, type}, std::move(entry));
+  apply(RecordKey{name, type}, std::move(entry));
   ++inserts_;
   maybe_compact();
 }
@@ -268,7 +260,8 @@ void SnapshotTier::compact() {
   std::uint64_t written = sizeof(kMagic);
   for (const auto& [key, entry] : entries_) {
     const std::vector<std::uint8_t> payload = encode_payload(
-        key.name, key.type, entry.inserted_at, entry.ttl_s, entry.rrset);
+        key.name, key.type, entry.inserted_at, entry.ttl_s,
+        entry.image.wire());
     const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
     const std::uint32_t crc = fnv1a32(payload);
     const std::uint8_t header[8] = {
@@ -315,7 +308,7 @@ void SnapshotTier::compact() {
 
 void SnapshotTier::for_each(const EntryVisitor& visit) const {
   for (const auto& [key, entry] : entries_) {
-    visit(key.name, key.type, entry.inserted_at, entry.ttl_s, entry.rrset);
+    visit(key.name, key.type, entry.inserted_at, entry.image);
   }
 }
 

@@ -6,11 +6,13 @@
 // underneath them), reduced to what a DNS RRset store actually needs:
 //
 //   * One flat file per engine shard. Writes are appends — an insert
-//     serializes the RRset wire image (SharedPacketCache::encode_rrset
-//     format, so L2 promotion costs no re-encode) with its *absolute*
-//     insertion stamp and minimum TTL, and appends one framed record:
-//     `[u32 payload_len][u32 fnv1a32(payload)][payload]` after the 8-byte
-//     `DOXSNAP1` magic. Later records for a key supersede earlier ones.
+//     serializes the answer's response image (dns/response_image.h: the
+//     same bytes the L1 and L2 hold, so promotion costs no re-encode) with
+//     its *absolute* insertion stamp and minimum TTL, and appends one
+//     framed record: `[u32 payload_len][u32 fnv1a32(payload)][payload]`
+//     after the 8-byte `DOXSNAP2` magic. Later records for a key supersede
+//     earlier ones. A log with another magic (`DOXSNAP1` included) is a
+//     foreign file: the tier starts a fresh log.
 //   * Replay (construction) walks the frames and stops cleanly at the first
 //     torn or corrupt one: a truncated tail — the crash case — costs at
 //     most the records after the tear, never the file. A frame whose
@@ -25,7 +27,7 @@
 //     `<path>.tmp` and renamed over the log — the same
 //     write-new-then-rename discipline as an LMDB copy-compact.
 //
-// Single-threaded by design, like the WireCache: each engine owns its own
+// Single-threaded by design, like the engine's L1: each engine owns its own
 // snapshot file (`shard-<index>.snap`), so no locking anywhere.
 #pragma once
 
@@ -34,11 +36,12 @@
 #include <functional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dns/cache_tier.h"
 #include "dns/message.h"
+#include "dns/record_key.h"
+#include "dns/response_image.h"
 #include "util/types.h"
 
 namespace doxlab::dns {
@@ -52,12 +55,11 @@ struct SnapshotConfig {
   std::size_t compact_min_bytes = 1 << 20;
 };
 
-/// A snapshot hit. `rrset` points into the tier's index and stays valid
-/// until the next insert()/lookup()/compact(); decode it with
-/// SharedPacketCache::decode_rrset and decay TTLs by `age_s` (fresh) or
-/// stamp the caller's stale TTL (`stale` set).
+/// A snapshot hit. `image` points into the tier's index and stays valid
+/// until the next insert()/lookup()/compact(); patch it with TTLs decayed
+/// by `age_s` (fresh) or the caller's stale TTL (`stale` set).
 struct SnapshotHit {
-  const std::vector<std::uint8_t>* rrset = nullptr;
+  const ResponseImage* image = nullptr;
   std::uint32_t ttl_s = 0;
   std::uint32_t age_s = 0;
   bool stale = false;
@@ -79,10 +81,11 @@ class SnapshotTier {
   bool lookup(const DnsName& name, RRType type, SimTime now,
               SnapshotHit& out);
 
-  /// Appends (superseding any previous record for the key). Empty record
-  /// sets and zero minimum TTLs are not persisted, mirroring the L2.
-  void insert(const DnsName& name, RRType type,
-              std::span<const ResourceRecord> records, SimTime now);
+  /// Appends (superseding any previous record for the key). Images without
+  /// records or with a zero minimum TTL are not persisted, mirroring the
+  /// L2.
+  void insert(const DnsName& name, RRType type, const ResponseImage& image,
+              SimTime now);
 
   /// Flushes buffered appends to the OS. Called by the destructor; exposed
   /// so a campaign can checkpoint mid-run.
@@ -94,9 +97,9 @@ class SnapshotTier {
 
   /// Visits every live index entry — the warm-start protocol: the engine
   /// promotes fresh entries into L1/L2 at construction.
-  using EntryVisitor = std::function<void(
-      const DnsName& name, RRType type, SimTime inserted_at,
-      std::uint32_t ttl_s, const std::vector<std::uint8_t>& rrset)>;
+  using EntryVisitor =
+      std::function<void(const DnsName& name, RRType type,
+                         SimTime inserted_at, const ResponseImage& image)>;
   void for_each(const EntryVisitor& visit) const;
 
   /// What construction found on disk.
@@ -117,48 +120,13 @@ class SnapshotTier {
   const std::string& path() const { return config_.path; }
 
  private:
-  struct Key {
-    DnsName name;
-    RRType type = RRType::kA;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyView {
-    const DnsName& name;
-    RRType type;
-  };
-  struct KeyHash {
-    using is_transparent = void;
-    static std::size_t mix(const DnsName& name, RRType type) noexcept {
-      return std::hash<DnsName>()(name) ^
-             (static_cast<std::size_t>(type) * 0x9E3779B97F4A7C15ull);
-    }
-    std::size_t operator()(const Key& k) const noexcept {
-      return mix(k.name, k.type);
-    }
-    std::size_t operator()(const KeyView& k) const noexcept {
-      return mix(k.name, k.type);
-    }
-  };
-  struct KeyEq {
-    using is_transparent = void;
-    bool operator()(const Key& a, const Key& b) const noexcept {
-      return a.type == b.type && a.name == b.name;
-    }
-    bool operator()(const KeyView& a, const Key& b) const noexcept {
-      return a.type == b.type && a.name == b.name;
-    }
-    bool operator()(const Key& a, const KeyView& b) const noexcept {
-      return a.type == b.type && a.name == b.name;
-    }
-  };
-
   struct Entry {
-    std::vector<std::uint8_t> rrset;  ///< encode_rrset wire image
+    ResponseImage image;
     SimTime inserted_at = 0;
     std::uint32_t ttl_s = 0;
     std::uint32_t frame_bytes = 0;    ///< on-disk frame size incl. header
   };
-  using Map = std::unordered_map<Key, Entry, KeyHash, KeyEq>;
+  using Map = RecordMap<Entry>;
 
   /// Serializes one record payload (no frame header).
   static std::vector<std::uint8_t> encode_payload(const DnsName& name,
@@ -166,14 +134,14 @@ class SnapshotTier {
                                                   SimTime inserted_at,
                                                   std::uint32_t ttl_s,
                                                   std::span<const std::uint8_t>
-                                                      rrset);
+                                                      wire);
   /// Parses a payload back; returns false on malformed bytes.
-  static bool decode_payload(std::span<const std::uint8_t> payload, Key& key,
-                             Entry& entry);
+  static bool decode_payload(std::span<const std::uint8_t> payload,
+                             RecordKey& key, Entry& entry);
 
   void replay();
   bool append_frame(std::span<const std::uint8_t> payload);
-  void apply(Key key, Entry entry);
+  void apply(RecordKey key, Entry entry);
   void maybe_compact();
 
   SnapshotConfig config_;
@@ -181,7 +149,7 @@ class SnapshotTier {
   std::FILE* log_ = nullptr;
   std::uint64_t log_bytes_ = 0;
   std::uint64_t live_bytes_ = 0;  ///< frame bytes of live index entries
-  std::uint64_t payload_bytes_ = 0;  ///< rrset bytes of live index entries
+  std::uint64_t payload_bytes_ = 0;  ///< image bytes of live index entries
   std::uint64_t compactions_ = 0;
   ReplayStats replay_stats_;
   mutable std::uint64_t lookups_ = 0;

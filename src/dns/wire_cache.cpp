@@ -1,312 +1,69 @@
 #include "dns/wire_cache.h"
 
-#include <cstring>
-#include <limits>
-
 namespace doxlab::dns {
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-inline std::uint8_t fold(std::uint8_t b) {
-  return (b >= 'A' && b <= 'Z') ? static_cast<std::uint8_t>(b + 32) : b;
-}
-
-inline std::uint32_t read_be32(const std::uint8_t* p) {
-  return (std::uint32_t(p[0]) << 24) | (std::uint32_t(p[1]) << 16) |
-         (std::uint32_t(p[2]) << 8) | std::uint32_t(p[3]);
-}
-
-inline void write_be32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v >> 24);
-  p[1] = static_cast<std::uint8_t>(v >> 16);
-  p[2] = static_cast<std::uint8_t>(v >> 8);
-  p[3] = static_cast<std::uint8_t>(v);
-}
-
-inline std::uint16_t read_be16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>((std::uint16_t(p[0]) << 8) | p[1]);
-}
-
-/// Advances `pos` past a wire-format name (labels, root octet, or a
-/// compression pointer, which ends the name). Returns false on truncation
-/// or a reserved label type.
-bool skip_name(std::span<const std::uint8_t> wire, std::size_t& pos) {
-  while (pos < wire.size()) {
-    const std::uint8_t len = wire[pos];
-    if (len == 0) {
-      ++pos;
-      return true;
-    }
-    if ((len & 0xC0) == 0xC0) {
-      if (pos + 2 > wire.size()) return false;
-      pos += 2;
-      return true;
-    }
-    if ((len & 0xC0) != 0) return false;
-    pos += 1 + len;
+void WireCache::insert(const DnsName& name, RRType type, ResponseImage image,
+                       SimTime now) {
+  const std::uint32_t ttl_s =
+      image.ttl_count() == 0 ? kNegativeTtlSeconds : image.min_ttl();
+  ++inserts_;
+  bytes_ += image.footprint();
+  auto it = entries_.find(RecordKeyView{name, type});
+  if (it != entries_.end()) {
+    Node& node = it->second;
+    bytes_ -= node.image.footprint();
+    node.image = std::move(image);
+    node.inserted_at = now;
+    node.ttl_s = ttl_s;
+    touch(node);
+    return;
   }
-  return false;
-}
-
-}  // namespace
-
-bool WireCache::scan_query(std::span<const std::uint8_t> query,
-                           FoldRegions& regions) {
-  // Offsets are stored as u16, so the image itself must fit; real DNS/UDP
-  // payloads always do.
-  if (query.size() < 12 || query.size() > 0xFFFF) return false;
-  if ((query[2] & 0x80) != 0) return false;  // QR set: not a query
-  const std::uint16_t qdcount = read_be16(query.data() + 4);
-  if (qdcount == 0) return false;
-  std::size_t pos = 12;
-  for (std::uint16_t q = 0; q < qdcount; ++q) {
-    while (true) {
-      if (pos >= query.size()) return false;
-      const std::uint8_t len = query[pos];
-      if (len == 0) {
-        ++pos;
-        break;
-      }
-      // Compressed or reserved label types in a *question* name are rare
-      // enough to leave to the decode path rather than normalize here.
-      if ((len & 0xC0) != 0) return false;
-      if (pos + 1 + len > query.size()) return false;
-      if (regions.count >= regions.spans.size()) return false;
-      regions.spans[regions.count++] = {
-          static_cast<std::uint16_t>(pos + 1),
-          static_cast<std::uint16_t>(pos + 1 + len)};
-      pos += 1 + len;
-    }
-    pos += 4;  // qtype + qclass
-    if (pos > query.size()) return false;
-  }
-  return true;
-}
-
-std::uint64_t WireCache::hash_normalized(std::span<const std::uint8_t> query,
-                                         const FoldRegions& regions) {
-  std::uint64_t h = kFnvOffset;
-  const auto mix = [&h](std::uint8_t b) {
-    h ^= b;
-    h *= kFnvPrime;
-  };
-  // The transaction ID hashes as zero.
-  mix(0);
-  mix(0);
-  std::size_t pos = 2;
-  for (std::size_t r = 0; r < regions.count; ++r) {
-    const auto [begin, end] = regions.spans[r];
-    for (; pos < begin; ++pos) mix(query[pos]);
-    for (; pos < end; ++pos) mix(fold(query[pos]));
-  }
-  for (; pos < query.size(); ++pos) mix(query[pos]);
-  return h;
-}
-
-void WireCache::normalize(std::span<const std::uint8_t> query,
-                          const FoldRegions& regions,
-                          std::vector<std::uint8_t>& out) {
-  out.assign(query.begin(), query.end());
-  out[0] = 0;
-  out[1] = 0;
-  for (std::size_t r = 0; r < regions.count; ++r) {
-    const auto [begin, end] = regions.spans[r];
-    for (std::size_t i = begin; i < end; ++i) out[i] = fold(out[i]);
+  lru_.push_front(RecordKey{name, type});
+  entries_.emplace(lru_.front(),
+                   Node{std::move(image), now, ttl_s, lru_.begin()});
+  if (capacity_ == 0) return;
+  while (entries_.size() > capacity_) {
+    auto victim = entries_.find(lru_.back());
+    bytes_ -= victim->second.image.footprint();
+    entries_.erase(victim);
+    lru_.pop_back();
+    ++evictions_;
   }
 }
 
-bool WireCache::equal_normalized(std::span<const std::uint8_t> query,
-                                 const FoldRegions& regions,
-                                 std::span<const std::uint8_t> stored) {
-  if (query.size() != stored.size()) return false;
-  // Stored images have a zeroed ID by construction; skip the incoming one.
-  std::size_t pos = 2;
-  for (std::size_t r = 0; r < regions.count; ++r) {
-    const auto [begin, end] = regions.spans[r];
-    if (std::memcmp(query.data() + pos, stored.data() + pos, begin - pos) !=
-        0) {
-      return false;
-    }
-    for (pos = begin; pos < end; ++pos) {
-      if (fold(query[pos]) != stored[pos]) return false;
-    }
+std::optional<WireCacheHit> WireCache::lookup(const DnsName& name,
+                                              RRType type, SimTime now,
+                                              SimTime max_stale) {
+  ++lookups_;
+  auto it = entries_.find(RecordKeyView{name, type});
+  if (it == entries_.end()) return std::nullopt;
+  const Node& node = it->second;
+  if (tier_fresh(node.inserted_at, node.ttl_s, now)) {
+    ++hits_;
+    touch(node);
+    return WireCacheHit{&node.image, tier_age_s(node.inserted_at, now),
+                        false};
   }
-  return std::memcmp(query.data() + pos, stored.data() + pos,
-                     query.size() - pos) == 0;
-}
-
-bool WireCache::scan_ttl_offsets(std::span<const std::uint8_t> response,
-                                 std::vector<std::uint16_t>& offsets,
-                                 std::uint32_t& min_ttl,
-                                 std::uint16_t& answer_count) {
-  if (response.size() < 12 || response.size() > 0xFFFF) return false;
-  const std::uint16_t qdcount = read_be16(response.data() + 4);
-  answer_count = read_be16(response.data() + 6);
-  const std::uint16_t nscount = read_be16(response.data() + 8);
-  const std::uint16_t arcount = read_be16(response.data() + 10);
-  std::size_t pos = 12;
-  for (std::uint16_t q = 0; q < qdcount; ++q) {
-    if (!skip_name(response, pos)) return false;
-    pos += 4;
-    if (pos > response.size()) return false;
+  if (max_stale <= 0 ||
+      !tier_stale_within(node.inserted_at, node.ttl_s, now, max_stale)) {
+    return std::nullopt;
   }
-  const std::uint32_t records =
-      std::uint32_t(answer_count) + nscount + arcount;
-  for (std::uint32_t r = 0; r < records; ++r) {
-    if (!skip_name(response, pos)) return false;
-    if (pos + 10 > response.size()) return false;
-    const std::uint16_t type = read_be16(response.data() + pos);
-    const std::size_t ttl_offset = pos + 4;
-    const std::uint32_t ttl = read_be32(response.data() + ttl_offset);
-    const std::uint16_t rdlen = read_be16(response.data() + pos + 8);
-    pos += 10 + rdlen;
-    if (pos > response.size()) return false;
-    // OPT (RRType 41) reuses the TTL field for flags — never patch it.
-    if (type != static_cast<std::uint16_t>(RRType::kOPT)) {
-      offsets.push_back(static_cast<std::uint16_t>(ttl_offset));
-      min_ttl = std::min(min_ttl, ttl);
-    }
-  }
-  return pos == response.size();
-}
-
-bool WireCache::parse_question(std::span<const std::uint8_t> query,
-                               Question& out) {
-  if (query.size() < 12) return false;
-  ByteReader reader(query);
-  if (!reader.seek(12)) return false;
-  if (!read_name_into(reader, out.name)) return false;
-  const auto type = reader.u16();
-  const auto klass = reader.u16();
-  if (!type || !klass) return false;
-  out.type = static_cast<RRType>(*type);
-  out.klass = static_cast<RRClass>(*klass);
-  return true;
-}
-
-bool WireCache::probe(std::span<const std::uint8_t> query, SimTime now,
-                      Hit& hit) {
-  ++stats_.probes;
-  FoldRegions regions;
-  if (!scan_query(query, regions)) return false;
-  const std::uint64_t key = hash_normalized(query, regions);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return false;
-  if (!equal_normalized(query, regions, it->second.query)) {
-    ++stats_.collisions;
-    return false;
-  }
-  const Entry& entry = it->second;
-  if (tier_fresh(entry.inserted_at, entry.min_ttl_s, now)) {
-    hit = Hit{key, /*stale=*/false, tier_age_s(entry.inserted_at, now)};
-    ++stats_.hits;
-    return true;
-  }
-  if (config_.serve_stale &&
-      tier_stale_within(entry.inserted_at, entry.min_ttl_s, now,
-                        config_.max_stale)) {
-    hit = Hit{key, /*stale=*/true, tier_age_s(entry.inserted_at, now)};
-    ++stats_.stale_hits;
-    return true;
-  }
-  bytes_ -= entry_bytes(entry);
-  entries_.erase(it);
-  ++stats_.expired_evictions;
-  return false;
-}
-
-util::Buffer WireCache::materialize(const Hit& hit,
-                                    std::span<const std::uint8_t> query) {
-  auto it = entries_.find(hit.key);
-  Entry& entry = it->second;
-  const std::size_t n = entry.response.size();
-  util::Buffer out = util::Buffer::allocate(n);
-  std::memcpy(out.append(n), entry.response.data(), n);
-  std::uint8_t* bytes = out.data();
-  bytes[0] = query[0];
-  bytes[1] = query[1];
-  if (hit.stale) {
-    for (const std::uint16_t offset : entry.ttl_offsets) {
-      write_be32(bytes + offset, config_.stale_ttl);
-    }
-    // A stale image is served at most once; the caller's background
-    // refresh re-fills the slot with fresh bytes.
-    bytes_ -= entry_bytes(entry);
-    entries_.erase(it);
-    ++stats_.expired_evictions;
-  } else if (hit.age_s > 0) {
-    for (const std::uint16_t offset : entry.ttl_offsets) {
-      const std::uint32_t ttl = read_be32(bytes + offset);
-      write_be32(bytes + offset, tier_decay_ttl(ttl, hit.age_s));
-    }
-  }
-  return out;
-}
-
-bool WireCache::insert(std::span<const std::uint8_t> query,
-                       std::span<const std::uint8_t> response, SimTime now) {
-  if (config_.capacity == 0) {
-    ++stats_.rejected;
-    return false;
-  }
-  FoldRegions regions;
-  if (!scan_query(query, regions)) {
-    ++stats_.rejected;
-    return false;
-  }
-  std::vector<std::uint16_t> offsets;
-  std::uint32_t min_ttl = std::numeric_limits<std::uint32_t>::max();
-  std::uint16_t answer_count = 0;
-  if (!scan_ttl_offsets(response, offsets, min_ttl, answer_count) ||
-      answer_count == 0 || offsets.empty() || min_ttl == 0 ||
-      min_ttl == std::numeric_limits<std::uint32_t>::max()) {
-    // Negative and zero-TTL answers stay a Message-path concern.
-    ++stats_.rejected;
-    return false;
-  }
-  const std::uint64_t key = hash_normalized(query, regions);
-  if (!entries_.contains(key) && entries_.size() >= config_.capacity) {
-    // Full: reap everything past its serve window, then re-check the bound.
-    const SimTime grace = config_.serve_stale ? config_.max_stale : 0;
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (now - deadline(it->second) >= grace) {
-        bytes_ -= entry_bytes(it->second);
-        it = entries_.erase(it);
-        ++stats_.expired_evictions;
-      } else {
-        ++it;
-      }
-    }
-    if (entries_.size() >= config_.capacity) {
-      ++stats_.rejected;
-      return false;
-    }
-  }
-  Entry& entry = entries_[key];
-  bytes_ -= entry_bytes(entry);  // replacement: retire the old image's bytes
-  normalize(query, regions, entry.query);
-  entry.response = util::Buffer::copy_of(response);
-  entry.ttl_offsets = std::move(offsets);
-  entry.min_ttl_s = min_ttl;
-  entry.inserted_at = now;
-  bytes_ += entry_bytes(entry);
-  ++stats_.inserts;
-  return true;
+  ++hits_;
+  ++stale_hits_;
+  touch(node);
+  return WireCacheHit{&node.image, 0, true};
 }
 
 TierStats WireCache::tier_stats() const {
-  TierStats t;
-  t.lookups = stats_.probes;
-  t.hits = stats_.hits + stats_.stale_hits;
-  t.stale_hits = stats_.stale_hits;
-  t.inserts = stats_.inserts;
-  t.evictions = stats_.expired_evictions;
-  t.entries = entries_.size();
-  t.bytes = bytes_;
-  return t;
+  TierStats s;
+  s.lookups = lookups_;
+  s.hits = hits_;
+  s.stale_hits = stale_hits_;
+  s.inserts = inserts_;
+  s.evictions = evictions_;
+  s.entries = entries_.size();
+  s.bytes = bytes_;
+  return s;
 }
 
 }  // namespace doxlab::dns

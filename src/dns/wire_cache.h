@@ -1,175 +1,89 @@
-// Raw-wire packet cache: answers repeat queries by patching bytes, not by
-// re-encoding messages.
+// The forwarder engine's L1: a bounded LRU cache of response images.
 //
-// The forwarder's cached path still pays a full Message decode (labels,
-// records, EDNS options) and a full encode per hit. Production resolvers
-// skip both: dnsdist's packet cache keys on a hash of the *raw query bytes*
-// and answers a hit by splicing the client's transaction ID (and aged TTLs)
-// into a stored copy of the raw response. This class is that trick for the
-// doxlab engine:
+// Each entry is a `ResponseImage` (dns/response_image.h) keyed on the
+// parsed (qname, qtype). A hit hands back the image and the entry's age;
+// the engine answers with one copy and a patch of the query's ID, its
+// qclass and the TTLs — no Message decode or encode on the way.
 //
-//   * The key is a 64-bit FNV-1a over the query image with two
-//     normalizations applied on the fly (no copy, no DnsName
-//     materialization): the 2-byte ID reads as zero, and qname label bytes
-//     read case-folded — "WWW.Example.COM" and "www.example.com" with
-//     different IDs are the same key. Everything else (flags, qtype, EDNS
-//     options) is hashed verbatim, so queries that legitimately demand
-//     different answers get different keys. The normalized image is stored
-//     with the entry and compared on lookup, so hash collisions degrade to
-//     misses, never to wrong answers.
-//   * The value is the full encoded response slab plus the byte offsets of
-//     every non-OPT record TTL (scanned once at insert — compression
-//     pointers make the offsets non-trivial, so they are found by walking
-//     the wire, not recomputed per hit).
-//   * A hit copies the slab into a pooled buffer (zero heap allocations at
-//     steady state), patches the ID at offset 0, and decrements each TTL by
-//     the entry's whole-second age, clamping at 0 — the same decay the
-//     Message-path cached answer applies.
-//   * Expiry is an explicit check against the slab's absolute deadline
-//     (insert time + minimum TTL). An expired slab is never served as if
-//     fresh: it is evicted, and — only when the RFC 8767 serve-stale policy
-//     flag allows it — served one last time with every TTL stamped to the
-//     configured stale TTL while the caller triggers a refresh.
+// The cache makes the same decisions the record cache (`dns::Cache`) makes,
+// so moving the engine from records to images moves no hit, miss, stale
+// hit or eviction:
 //
-// Single-threaded by design: each engine shard owns its own WireCache (it
-// fronts the shard's L1), so no locking. Cross-shard sharing stays the
-// SharedPacketCache's job.
+//   * insert replaces an existing key in place and touches it; a new key
+//     goes to the LRU front and evicts from the back beyond `capacity`;
+//   * an entry's lifetime is its image's minimum TTL, or
+//     kNegativeTtlSeconds for an answer with no records;
+//   * lookups touch fresh and stale hits, never evict, and follow the
+//     shared tier rules (dns/cache_tier.h) for expiry and the stale window.
+//
+// Single-threaded: each engine shard owns one.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <span>
-#include <unordered_map>
-#include <vector>
+#include <list>
+#include <optional>
 
 #include "dns/cache_tier.h"
-#include "dns/message.h"
-#include "util/buffer.h"
+#include "dns/record_key.h"
+#include "dns/response_image.h"
 #include "util/types.h"
 
 namespace doxlab::dns {
 
-struct WireCacheConfig {
-  /// Entry bound; inserts beyond it are rejected after an expired-entry
-  /// purge (the L1 behind this cache keeps recency, mirroring the L2's
-  /// reject-at-capacity stance). 0 disables insertion entirely.
-  std::size_t capacity = 4096;
-  /// RFC 8767: an expired slab may be served once, stale-TTL-stamped,
-  /// within `max_stale` of its deadline. Off: expiry is a plain miss.
-  bool serve_stale = false;
-  SimTime max_stale = 0;
-  /// TTL (seconds) stamped into every record of a stale answer.
-  std::uint32_t stale_ttl = 30;
+/// A hit: the stored image (valid until the next insert) and its age.
+struct WireCacheHit {
+  const ResponseImage* image = nullptr;
+  /// Whole seconds since insertion (0 for stale hits — stamp the stale TTL).
+  std::uint32_t age_s = 0;
+  bool stale = false;
 };
 
 class WireCache {
  public:
-  explicit WireCache(WireCacheConfig config) : config_(config) {}
+  /// `capacity` bounds the entry count (0 = unbounded).
+  explicit WireCache(std::size_t capacity = 0) : capacity_(capacity) {}
 
   WireCache(const WireCache&) = delete;
   WireCache& operator=(const WireCache&) = delete;
 
-  /// A probe hit: everything materialize() needs, valid until the next
-  /// insert()/materialize() call.
-  struct Hit {
-    std::uint64_t key = 0;
-    bool stale = false;          ///< past deadline, inside the stale window
-    std::uint32_t age_s = 0;     ///< whole seconds since insertion
-  };
+  /// Stores (replacing) the image for (name, type), stamped `now`.
+  void insert(const DnsName& name, RRType type, ResponseImage image,
+              SimTime now);
 
-  /// Probes for `query` without building the answer (so the policy chain
-  /// can run before any bytes move). Expired entries outside the stale
-  /// window are evicted here and report a miss. Returns false for queries
-  /// the fast path cannot serve (malformed header, QR set, compressed or
-  /// over-deep question names) — the caller falls back to the decode path.
-  bool probe(std::span<const std::uint8_t> query, SimTime now, Hit& hit);
+  /// A fresh entry, or — when `max_stale > 0` — an expired one less than
+  /// `max_stale` past its expiry (RFC 8767). Hits are touched; misses leave
+  /// the entry in place.
+  std::optional<WireCacheHit> lookup(const DnsName& name, RRType type,
+                                     SimTime now, SimTime max_stale = 0);
 
-  /// Builds the patched response for a probe hit: pooled copy of the slab,
-  /// the query's ID spliced in at offset 0, and every recorded TTL
-  /// decremented by age (clamped at 0) — or stamped `stale_ttl` for a stale
-  /// hit, which also evicts the entry (a stale image is served at most
-  /// once; the refreshed answer re-fills the cache).
-  util::Buffer materialize(const Hit& hit,
-                           std::span<const std::uint8_t> query);
-
-  /// Stores `response` under the normalized image of `query`. Rejects
-  /// responses with no answer records, a zero minimum TTL, malformed
-  /// bytes, TTLs past offset 65535, or when the cache is full even after
-  /// purging expired entries. Returns true when the entry was stored.
-  bool insert(std::span<const std::uint8_t> query,
-              std::span<const std::uint8_t> response, SimTime now);
-
-  struct Stats {
-    std::uint64_t probes = 0;
-    std::uint64_t hits = 0;          ///< fresh hits
-    std::uint64_t stale_hits = 0;    ///< stale-window hits (served once)
-    std::uint64_t collisions = 0;    ///< same hash, different query image
-    std::uint64_t inserts = 0;
-    std::uint64_t rejected = 0;      ///< uncacheable or capacity-bound
-    std::uint64_t expired_evictions = 0;
-  };
-  const Stats& stats() const { return stats_; }
   std::size_t size() const { return entries_.size(); }
+  std::size_t capacity() const { return capacity_; }
+  /// Entries evicted by the capacity bound.
+  std::uint64_t evictions() const { return evictions_; }
 
-  /// Uniform tier observability (see dns/cache_tier.h).
+  /// Uniform tier observability (see dns/cache_tier.h); `bytes` counts
+  /// image slab bytes.
   TierStats tier_stats() const;
 
-  /// Parses the first question straight out of a query image into `out`,
-  /// reusing its storage — the lazily-materialized view the policy chain
-  /// (and the stale-refresh path) sees on wire hits, without a full
-  /// Message decode. Returns false on malformed bytes.
-  static bool parse_question(std::span<const std::uint8_t> query,
-                             Question& out);
-
-  /// Walks a response image recording the byte offset and value of every
-  /// non-OPT record TTL across all sections. `min_ttl` is the smallest TTL
-  /// seen (unchanged when no record carries one); `answer_count` is the
-  /// header ANCOUNT. Exposed for the fidelity tests.
-  static bool scan_ttl_offsets(std::span<const std::uint8_t> response,
-                               std::vector<std::uint16_t>& offsets,
-                               std::uint32_t& min_ttl,
-                               std::uint16_t& answer_count);
-
  private:
-  /// Byte spans of qname label characters inside the question section —
-  /// the case-fold regions of the key. Bounded so the scan stays O(1)
-  /// space; queries with more labels fall back to the decode path.
-  struct FoldRegions {
-    std::array<std::pair<std::uint16_t, std::uint16_t>, 32> spans;
-    std::size_t count = 0;
-  };
-
-  struct Entry {
-    std::vector<std::uint8_t> query;        ///< normalized query image
-    util::Buffer response;                  ///< response wire as first sent
-    std::vector<std::uint16_t> ttl_offsets;
-    std::uint32_t min_ttl_s = 0;
+  struct Node {
+    ResponseImage image;
     SimTime inserted_at = 0;
+    std::uint32_t ttl_s = 0;
+    /// Position in lru_ (front = most recently used).
+    std::list<RecordKey>::iterator lru;
   };
 
-  /// Validates the fast-path shape (QR clear, QDCOUNT >= 1, uncompressed
-  /// question names) and collects the fold regions.
-  static bool scan_query(std::span<const std::uint8_t> query,
-                         FoldRegions& regions);
-  static std::uint64_t hash_normalized(std::span<const std::uint8_t> query,
-                                       const FoldRegions& regions);
-  static void normalize(std::span<const std::uint8_t> query,
-                        const FoldRegions& regions,
-                        std::vector<std::uint8_t>& out);
-  static bool equal_normalized(std::span<const std::uint8_t> query,
-                               const FoldRegions& regions,
-                               std::span<const std::uint8_t> stored);
+  void touch(const Node& node) { lru_.splice(lru_.begin(), lru_, node.lru); }
 
-  SimTime deadline(const Entry& entry) const {
-    return tier_expiry(entry.inserted_at, entry.min_ttl_s);
-  }
-  static std::size_t entry_bytes(const Entry& entry) {
-    return entry.query.size() + entry.response.size();
-  }
-
-  WireCacheConfig config_;
-  std::unordered_map<std::uint64_t, Entry> entries_;
-  Stats stats_;
+  RecordMap<Node> entries_;
+  std::list<RecordKey> lru_;
+  std::size_t capacity_ = 0;
+  std::uint64_t lookups_ = 0;
+  std::uint64_t hits_ = 0;
+  std::uint64_t stale_hits_ = 0;
+  std::uint64_t inserts_ = 0;
+  std::uint64_t evictions_ = 0;
   std::uint64_t bytes_ = 0;
 };
 

@@ -12,7 +12,7 @@ ForwarderEngine::ForwarderEngine(sim::Simulator& sim,
                                  const dox::TransportDeps& upstream_deps,
                                  std::vector<UpstreamConfig> upstreams,
                                  EngineConfig config)
-    : sim_(sim), config_(std::move(config)) {
+    : sim_(sim), config_(std::move(config)), l1_(config_.cache_capacity) {
   // Group upstreams into named pools, order of first appearance. With every
   // upstream in one pool (the default) this is exactly the pre-policy
   // engine: one pool walking all upstreams.
@@ -49,15 +49,6 @@ ForwarderEngine::ForwarderEngine(sim::Simulator& sim,
   // resolve to indices here, so an unknown name fails construction.
   chain_ = policy::RuleChain(config_.policy, pool_names_);
 
-  cache_.set_capacity(config_.cache_capacity);
-  if (config_.wire_cache_capacity > 0) {
-    dns::WireCacheConfig wire_config;
-    wire_config.capacity = config_.wire_cache_capacity;
-    wire_config.serve_stale = config_.serve_stale;
-    wire_config.max_stale = config_.max_stale;
-    wire_config.stale_ttl = config_.stale_ttl;
-    wire_cache_ = std::make_unique<dns::WireCache>(wire_config);
-  }
   if (!config_.snapshot_dir.empty()) {
     dns::SnapshotConfig snap_config;
     snap_config.path = config_.snapshot_dir + "/shard-" +
@@ -88,11 +79,9 @@ std::vector<dns::ResourceRecord> ForwarderEngine::clamp_ttls(
   return records;
 }
 
-void ForwarderEngine::send_response(const Waiter& waiter,
-                                    const dns::Question& question,
-                                    dns::RCode rcode, bool tc) {
+dns::Message& ForwarderEngine::stage_response(const dns::Question& question,
+                                              dns::RCode rcode, bool tc) {
   dns::Message& response = scratch_response_;
-  response.id = waiter.stub_id;
   response.qr = true;
   response.tc = tc;
   response.ra = true;
@@ -103,6 +92,14 @@ void ForwarderEngine::send_response(const Waiter& waiter,
   response.questions[0] = question;
   response.authorities.clear();
   response.additionals.clear();
+  return response;
+}
+
+void ForwarderEngine::send_response(const Waiter& waiter,
+                                    const dns::Question& question,
+                                    dns::RCode rcode, bool tc) {
+  dns::Message& response = stage_response(question, rcode, tc);
+  response.id = waiter.stub_id;
   ship(waiter.from, response.encode_buffer());
   latency_ms_.push_back(to_ms(sim_.now() - waiter.arrived));
 }
@@ -116,26 +113,19 @@ void ForwarderEngine::ship(const net::Endpoint& to, util::Buffer wire) {
   listener_->send_to(to, std::move(wire));
 }
 
-void ForwarderEngine::answer(const Waiter& waiter,
-                             const dns::Question& question,
-                             std::vector<dns::ResourceRecord> records) {
-  scratch_response_.answers = std::move(records);
-  send_response(waiter, question, dns::RCode::kNoError);
+void ForwarderEngine::answer_image(const Waiter& waiter,
+                                   const dns::ResponseImage& image,
+                                   dns::RRClass qclass, dns::TtlRewrite ttl) {
+  ship(waiter.from, image.answer(waiter.stub_id, qclass, ttl));
+  latency_ms_.push_back(to_ms(sim_.now() - waiter.arrived));
 }
 
-void ForwarderEngine::answer_cached(const Waiter& waiter,
-                                    const dns::Question& question,
-                                    const dns::EntryRef& found) {
-  std::vector<dns::ResourceRecord>& answers = scratch_response_.answers;
-  answers = *found.records;
-  if (found.stale) {
-    for (auto& rr : answers) rr.ttl = config_.stale_ttl;
-  } else if (found.age_s > 0) {
-    for (auto& rr : answers) {
-      rr.ttl = dns::tier_decay_ttl(rr.ttl, found.age_s);
-    }
+void ForwarderEngine::promote(const dns::DnsName& name, dns::RRType type,
+                              const dns::ResponseImage& image, bool to_l2) {
+  if (config_.cache_enabled) l1_.insert(name, type, image, sim_.now());
+  if (to_l2 && config_.l2 != nullptr) {
+    config_.l2->insert(config_.shard_index, name, type, image, sim_.now());
   }
-  send_response(waiter, question, dns::RCode::kNoError);
 }
 
 void ForwarderEngine::answer_servfail(const Waiter& waiter,
@@ -145,26 +135,26 @@ void ForwarderEngine::answer_servfail(const Waiter& waiter,
   send_response(waiter, question, dns::RCode::kServFail);
 }
 
-void ForwarderEngine::answer_stale_with_refresh(const Waiter& waiter,
-                                                const dns::Question& question,
-                                                std::uint32_t pool_index) {
+void ForwarderEngine::answer_stale_with_refresh(
+    const Waiter& waiter, const dns::Question& question,
+    const dns::ResponseImage& image, std::uint32_t pool_index) {
   ++stale_hits_;
-  send_response(waiter, question, dns::RCode::kNoError);
+  answer_image(waiter, image, question.klass,
+               dns::TtlRewrite::stamp(config_.stale_ttl));
   // Exactly one background refresh per key: a refresh (or a coalesced
   // resolve) already in flight absorbs this hit, so a burst of stale-served
   // queries never turns into a resolve-per-query storm.
-  const KeyView key_view{question.name, question.type};
+  const dns::RecordKeyView key_view{question.name, question.type};
   if (inflight_.find(key_view) == inflight_.end()) {
     ++stale_refreshes_;
     auto [it, inserted] =
-        inflight_.try_emplace(Key{question.name, question.type});
+        inflight_.try_emplace(dns::RecordKey{question.name, question.type});
     start_resolve(it->first, question, pool_index);
   }
 }
 
 bool ForwarderEngine::try_answer_l2(const Waiter& waiter,
                                     const dns::Question& question,
-                                    std::span<const std::uint8_t> query,
                                     std::uint32_t pool_index) {
   ++l2_lookups_;
   dns::PacketCacheHit hit;
@@ -174,92 +164,56 @@ bool ForwarderEngine::try_answer_l2(const Waiter& waiter,
                           sim_.now(), hit, max_stale)) {
     return false;
   }
-  // Decode the shared bytes into the retained scratch answers, then decay
-  // TTLs so the client sees the remaining lifetime.
-  std::vector<dns::ResourceRecord>& answers = scratch_response_.answers;
-  if (!dns::SharedPacketCache::decode_rrset(hit.wire, answers)) return false;
   ++l2_hits_;
   if (hit.stale) {
     // Stale bytes are never promoted — the single refresh this triggers
     // re-promotes the fresh answer into L1 (and the L2/snapshot) instead.
-    for (auto& rr : answers) rr.ttl = config_.stale_ttl;
-    answer_stale_with_refresh(waiter, question, pool_index);
+    answer_stale_with_refresh(waiter, question, hit.image, pool_index);
     return true;
   }
-  if (hit.age_s > 0) {
-    for (auto& rr : answers) rr.ttl = dns::tier_decay_ttl(rr.ttl, hit.age_s);
-  }
-  // Promote into the local L1 (already-decayed TTLs keep expiry honest), so
-  // this shard's next query for the key stays on the zero-copy L1 path.
-  if (config_.cache_enabled) {
-    cache_.insert(question.name, question.type, answers, sim_.now());
-  }
-  send_response(waiter, question, dns::RCode::kNoError);
-  if (wire_cache_ != nullptr) wire_fill(query, question);
+  // Promote into the local L1 with TTLs decayed to the remaining lifetime
+  // (keeping expiry honest), so this shard's next query for the key is an
+  // L1 hit.
+  const dns::ResponseImage promoted = hit.image.decayed(hit.age_s);
+  promote(question.name, question.type, promoted, /*to_l2=*/false);
+  answer_image(waiter, promoted, question.klass, dns::TtlRewrite::decay(0));
   return true;
 }
 
 bool ForwarderEngine::try_answer_snapshot(const Waiter& waiter,
                                           const dns::Question& question,
-                                          std::span<const std::uint8_t> query,
                                           std::uint32_t pool_index) {
   ++snapshot_lookups_;
   dns::SnapshotHit hit;
   if (!snapshot_->lookup(question.name, question.type, sim_.now(), hit)) {
     return false;
   }
-  std::vector<dns::ResourceRecord>& answers = scratch_response_.answers;
-  if (!dns::SharedPacketCache::decode_rrset(*hit.rrset, answers)) {
-    return false;
-  }
   ++snapshot_hits_;
   if (hit.stale) {
-    for (auto& rr : answers) rr.ttl = config_.stale_ttl;
-    answer_stale_with_refresh(waiter, question, pool_index);
+    answer_stale_with_refresh(waiter, question, *hit.image, pool_index);
     return true;
-  }
-  if (hit.age_s > 0) {
-    for (auto& rr : answers) rr.ttl = dns::tier_decay_ttl(rr.ttl, hit.age_s);
   }
   // Promote up the hierarchy: into this shard's L1 and (deferred) the
   // shared L2, so siblings skip their own disk consultation for the key.
-  if (config_.cache_enabled) {
-    cache_.insert(question.name, question.type, answers, sim_.now());
-  }
-  if (config_.l2 != nullptr) {
-    config_.l2->insert(config_.shard_index, question.name, question.type,
-                       answers, sim_.now());
-  }
-  send_response(waiter, question, dns::RCode::kNoError);
-  if (wire_cache_ != nullptr) wire_fill(query, question);
+  const dns::ResponseImage promoted = hit.image->decayed(hit.age_s);
+  promote(question.name, question.type, promoted, /*to_l2=*/true);
+  answer_image(waiter, promoted, question.klass, dns::TtlRewrite::decay(0));
   return true;
 }
 
 void ForwarderEngine::warm_start_from_snapshot() {
   // Replayed entries carry absolute stamps from the previous process; a
-  // fresh-or-stale subset of them is promoted so the first epoch after a
-  // restart behaves like the steady state before it. TTLs are decayed to
-  // their remaining lifetime at insert, keeping every tier's expiry instant
-  // identical to the original one.
-  std::vector<dns::ResourceRecord> records;
+  // fresh subset of them is promoted so the first epoch after a restart
+  // behaves like the steady state before it. TTLs are decayed to their
+  // remaining lifetime, keeping every tier's expiry instant identical to
+  // the original one.
   snapshot_->for_each([&](const dns::DnsName& name, dns::RRType type,
-                          SimTime inserted_at, std::uint32_t /*ttl_s*/,
-                          const std::vector<std::uint8_t>& rrset) {
-    if (!dns::SharedPacketCache::decode_rrset(rrset, records)) return;
+                          SimTime inserted_at,
+                          const dns::ResponseImage& image) {
     const std::uint32_t age_s = dns::tier_age_s(inserted_at, sim_.now());
-    std::uint32_t min_remaining = UINT32_MAX;
-    for (auto& rr : records) {
-      rr.ttl = dns::tier_decay_ttl(rr.ttl, age_s);
-      min_remaining = std::min(min_remaining, rr.ttl);
-    }
-    if (min_remaining == 0) return;  // expired: lookup() may still serve stale
-    if (config_.cache_enabled) {
-      cache_.insert(name, type, records, sim_.now());
-    }
-    if (config_.l2 != nullptr) {
-      config_.l2->insert(config_.shard_index, name, type, records,
-                         sim_.now());
-    }
+    // Expired: lookup() may still serve it stale.
+    if (dns::tier_decay_ttl(image.min_ttl(), age_s) == 0) return;
+    promote(name, type, image.decayed(age_s), /*to_l2=*/true);
     ++warm_loaded_;
   });
 }
@@ -307,92 +261,16 @@ void ForwarderEngine::on_stub_batch(std::span<net::Datagram> batch) {
   if (!response_flush_.empty()) listener_->send_batch(response_flush_);
 }
 
-bool ForwarderEngine::try_answer_wire(const net::Endpoint& from,
-                                      const util::Buffer& payload) {
-  ++wire_lookups_;
-  dns::WireCache::Hit hit;
-  if (!wire_cache_->probe(payload, sim_.now(), hit)) return false;
-
-  // A hit implies a prior fill, and fills only happen for queries that
-  // passed the full decode — this exact image is safe to answer raw. The
-  // question is materialized lazily: only policy and the stale-refresh
-  // path need it, so the hot hit with an empty chain never parses a name.
-  const bool need_question = !chain_.empty() || hit.stale;
-  if (need_question &&
-      !dns::WireCache::parse_question(payload, scratch_wire_question_)) {
-    return false;  // cannot happen for a filled entry; decode path decides
-  }
-
-  const std::span<const std::uint8_t> query = payload.view();
-  const Waiter waiter{
-      from,
-      static_cast<std::uint16_t>((std::uint16_t(query[0]) << 8) | query[1]),
-      sim_.now()};
-  ++queries_;
-  if (first_query_at_ < 0) first_query_at_ = sim_.now();
-  last_query_at_ = sim_.now();
-
-  std::uint32_t pool_index = 0;
-  if (!chain_.empty()) {
-    const policy::Verdict verdict = chain_.evaluate(
-        policy::QueryInfo{from.address, scratch_wire_question_.name,
-                          scratch_wire_question_.type, sim_.now()});
-    if (apply_policy_verdict(verdict, waiter, scratch_wire_question_)) {
-      return true;
-    }
-    pool_index = verdict.pool;
-    if (pool_index != 0) ++policy_routed_;
-  }
-
-  ++wire_hits_;
-  ship(waiter.from, wire_cache_->materialize(hit, query));
-  latency_ms_.push_back(to_ms(sim_.now() - waiter.arrived));
-  if (hit.stale) {
-    // RFC 8767, mirroring the L1 stale path: the stale image just went out
-    // (and was evicted by materialize); refresh in the background.
-    ++stale_hits_;
-    const KeyView key_view{scratch_wire_question_.name,
-                           scratch_wire_question_.type};
-    if (inflight_.find(key_view) == inflight_.end()) {
-      ++stale_refreshes_;
-      auto [it, inserted] = inflight_.try_emplace(
-          Key{scratch_wire_question_.name, scratch_wire_question_.type});
-      start_resolve(it->first, scratch_wire_question_, pool_index);
-    }
-  }
-  return true;
-}
-
-void ForwarderEngine::wire_fill(std::span<const std::uint8_t> query,
-                                const dns::Question& question) {
-  // The scratch response still holds the answer that was just shipped;
-  // re-encoding it here costs one extra encode per *fill* (first hit of a
-  // key per TTL window), never per steady-state query.
-  if (!wire_cache_->insert(query, scratch_response_.encode_buffer(),
-                           sim_.now())) {
-    return;
-  }
-  if (config_.l2 != nullptr) {
-    // Offer the freshly-hot records to the shared L2 so sibling shards can
-    // serve them after the next epoch sweep.
-    config_.l2->insert(config_.shard_index, question.name, question.type,
-                       scratch_response_.answers, sim_.now());
-  }
-}
-
 void ForwarderEngine::on_stub_query(const net::Endpoint& from,
                                     util::Buffer payload) {
-  // Raw-wire fast path: a repeat query is answered by patching bytes in a
-  // cached response image, skipping decode/encode entirely.
-  if (wire_cache_ != nullptr && try_answer_wire(from, payload)) return;
-  // Decode into the reusable scratch message: label/rdata storage is
-  // retained across queries, so the steady-state path allocates nothing.
-  if (!dns::Message::decode_into(payload, scratch_query_)) return;
-  const dns::Message& query = scratch_query_;
-  if (query.qr || query.questions.empty()) return;
-  const dns::Question& question = query.questions.front();
-  const KeyView key_view{question.name, question.type};
-  const Waiter waiter{from, query.id, sim_.now()};
+  // One validating pass into reusable scratch: the id, the flags and the
+  // question are all a query needs, and the scan accepts exactly what a
+  // full decode would, so the steady-state path allocates nothing.
+  if (!dns::scan_message(payload, scratch_head_)) return;
+  if (scratch_head_.qr() || scratch_head_.qdcount == 0) return;
+  const dns::Question& question = scratch_head_.question;
+  const dns::RecordKeyView key_view{question.name, question.type};
+  const Waiter waiter{from, scratch_head_.id, sim_.now()};
 
   ++queries_;
   if (first_query_at_ < 0) first_query_at_ = sim_.now();
@@ -411,33 +289,17 @@ void ForwarderEngine::on_stub_query(const net::Endpoint& from,
   }
 
   if (config_.cache_enabled) {
-    if (config_.serve_stale) {
-      if (auto found = cache_.lookup_stale_ref(question.name, question.type,
-                                               sim_.now(),
-                                               config_.max_stale)) {
-        if (!found->stale) {
-          ++cache_hits_;
-          answer_cached(waiter, question, *found);
-          if (wire_cache_ != nullptr) wire_fill(payload, question);
-          return;
-        }
-        // RFC 8767: answer stale immediately, refresh in the background.
-        ++stale_hits_;
-        answer_cached(waiter, question, *found);
-        if (inflight_.find(key_view) == inflight_.end()) {
-          ++stale_refreshes_;
-          // Refresh entry with no waiters.
-          auto [it, inserted] =
-              inflight_.try_emplace(Key{question.name, question.type});
-          start_resolve(it->first, question, pool_index);
-        }
+    const SimTime max_stale = config_.serve_stale ? config_.max_stale : 0;
+    if (auto hit = l1_.lookup(question.name, question.type, sim_.now(),
+                              max_stale)) {
+      if (!hit->stale) {
+        ++cache_hits_;
+        answer_image(waiter, *hit->image, question.klass,
+                     dns::TtlRewrite::decay(hit->age_s));
         return;
       }
-    } else if (auto found = cache_.lookup_ref(question.name, question.type,
-                                              sim_.now())) {
-      ++cache_hits_;
-      answer_cached(waiter, question, *found);
-      if (wire_cache_ != nullptr) wire_fill(payload, question);
+      // RFC 8767: answer stale immediately, refresh in the background.
+      answer_stale_with_refresh(waiter, question, *hit->image, pool_index);
       return;
     }
   }
@@ -445,12 +307,11 @@ void ForwarderEngine::on_stub_query(const net::Endpoint& from,
   // L1 had neither a fresh nor a stale entry: walk down the hierarchy —
   // shared L2, then the persistent snapshot — before paying (or joining)
   // an upstream resolve.
-  if (config_.l2 != nullptr &&
-      try_answer_l2(waiter, question, payload, pool_index)) {
+  if (config_.l2 != nullptr && try_answer_l2(waiter, question, pool_index)) {
     return;
   }
   if (snapshot_ != nullptr &&
-      try_answer_snapshot(waiter, question, payload, pool_index)) {
+      try_answer_snapshot(waiter, question, pool_index)) {
     return;
   }
 
@@ -473,12 +334,12 @@ void ForwarderEngine::on_stub_query(const net::Endpoint& from,
     return;
   }
   auto [it, inserted] =
-      inflight_.try_emplace(Key{question.name, question.type});
+      inflight_.try_emplace(dns::RecordKey{question.name, question.type});
   it->second.waiters.push_back(waiter);
   start_resolve(it->first, question, pool_index);
 }
 
-void ForwarderEngine::start_resolve(const Key& key,
+void ForwarderEngine::start_resolve(const dns::RecordKey& key,
                                     const dns::Question& question,
                                     std::uint32_t pool_index) {
   ++upstream_resolves_;
@@ -488,7 +349,7 @@ void ForwarderEngine::start_resolve(const Key& key,
       });
 }
 
-void ForwarderEngine::on_upstream_result(const Key& key,
+void ForwarderEngine::on_upstream_result(const dns::RecordKey& key,
                                          const dns::Question& question,
                                          dox::QueryResult result) {
   auto it = inflight_.find(key);
@@ -508,13 +369,13 @@ void ForwarderEngine::deliver(std::vector<Waiter> waiters,
     // RFC 8767: a resolution failure is the canonical serve-stale trigger —
     // prefer stale data over SERVFAIL while it lasts.
     if (config_.cache_enabled && config_.serve_stale) {
-      if (auto found = cache_.lookup_stale(question.name, question.type,
-                                           sim_.now(), config_.max_stale,
-                                           config_.stale_ttl);
-          found && found->stale) {
+      if (auto hit = l1_.lookup(question.name, question.type, sim_.now(),
+                                config_.max_stale);
+          hit && hit->stale) {
         stale_hits_ += waiters.size();
         for (const Waiter& waiter : waiters) {
-          answer(waiter, question, found->records);
+          answer_image(waiter, *hit->image, question.klass,
+                       dns::TtlRewrite::stamp(config_.stale_ttl));
         }
         return;
       }
@@ -523,24 +384,26 @@ void ForwarderEngine::deliver(std::vector<Waiter> waiters,
     return;
   }
 
-  std::vector<dns::ResourceRecord> records =
-      clamp_ttls(result.response.answers);
+  // One image per resolve: it fills every tier and answers every waiter.
+  scratch_response_.answers = clamp_ttls(std::move(result.response.answers));
+  const dns::ResponseImage image = dns::ResponseImage::of(
+      stage_response(question, dns::RCode::kNoError));
   if (config_.cache_enabled) {
-    cache_.insert(question.name, question.type, records, sim_.now());
+    l1_.insert(question.name, question.type, image, sim_.now());
   }
   if (config_.l2 != nullptr) {
     // Deferred insert: parks on this shard's lane; visible to every shard
     // after the next epoch-barrier sweep.
     config_.l2->insert(config_.shard_index, question.name, question.type,
-                       records, sim_.now());
+                       image, sim_.now());
   }
   if (snapshot_ != nullptr) {
     // Persist with the absolute stamp: a restarted engine replays this and
     // serves the remaining lifetime, not a reset TTL.
-    snapshot_->insert(question.name, question.type, records, sim_.now());
+    snapshot_->insert(question.name, question.type, image, sim_.now());
   }
   for (const Waiter& waiter : waiters) {
-    answer(waiter, question, records);
+    answer_image(waiter, image, question.klass, dns::TtlRewrite::decay(0));
   }
 }
 
@@ -549,8 +412,6 @@ EngineStats ForwarderEngine::stats() const {
   s.queries = queries_;
   s.cache_hits = cache_hits_;
   s.stale_hits = stale_hits_;
-  s.wire_hits = wire_hits_;
-  s.wire_lookups = wire_lookups_;
   s.misses = misses_;
   s.coalesced = coalesced_;
   s.l2_hits = l2_hits_;
@@ -558,18 +419,12 @@ EngineStats ForwarderEngine::stats() const {
   s.upstream_resolves = upstream_resolves_;
   s.stale_refreshes = stale_refreshes_;
   s.servfails_sent = servfails_sent_;
-  s.cache_evictions = cache_.evictions();
-  const dns::TierStats l1 = cache_.tier_stats();
+  s.cache_evictions = l1_.evictions();
+  const dns::TierStats l1 = l1_.tier_stats();
   s.l1_lookups = l1.lookups;
   s.l1_evictions = l1.evictions;
   s.l1_entries = l1.entries;
   s.l1_bytes = l1.bytes;
-  if (wire_cache_ != nullptr) {
-    const dns::TierStats wire = wire_cache_->tier_stats();
-    s.wire_evictions = wire.evictions;
-    s.wire_entries = wire.entries;
-    s.wire_bytes = wire.bytes;
-  }
   if (snapshot_ != nullptr) {
     const dns::TierStats snap = snapshot_->tier_stats();
     s.snapshot_hits = snapshot_hits_;
@@ -602,8 +457,6 @@ void EngineStats::add(const EngineStats& other) {
   queries += other.queries;
   cache_hits += other.cache_hits;
   stale_hits += other.stale_hits;
-  wire_hits += other.wire_hits;
-  wire_lookups += other.wire_lookups;
   misses += other.misses;
   coalesced += other.coalesced;
   l2_hits += other.l2_hits;
@@ -621,9 +474,6 @@ void EngineStats::add(const EngineStats& other) {
   l2_evictions += other.l2_evictions;
   l2_entries += other.l2_entries;
   l2_bytes += other.l2_bytes;
-  wire_evictions += other.wire_evictions;
-  wire_entries += other.wire_entries;
-  wire_bytes += other.wire_bytes;
   snapshot_hits += other.snapshot_hits;
   snapshot_lookups += other.snapshot_lookups;
   snapshot_evictions += other.snapshot_evictions;

@@ -8,10 +8,13 @@
 //   * in-flight query coalescing — identical (qname, qtype) queries from
 //     different clients share one upstream resolve; the answer fans back
 //     out to every waiter with its own transaction id;
-//   * a bounded shared cache (dns::Cache + LRU capacity) with RFC 8767
-//     serve-stale: an expired entry is answered immediately with a clamped
-//     TTL while a background refresh re-resolves it, and a resolution
-//     failure falls back to stale data before SERVFAIL;
+//   * a bounded L1 of response images (dns::WireCache, LRU capacity) with
+//     RFC 8767 serve-stale: an expired entry is answered immediately with a
+//     clamped TTL while a background refresh re-resolves it, and a
+//     resolution failure falls back to stale data before SERVFAIL. Every
+//     tier below it (shared L2, snapshot) stores the same images, so a
+//     cached answer from any tier is one copy plus an ID/qclass/TTL patch;
+//     queries are read by a validating scan, never fully decoded;
 //   * cross-protocol upstream fallback with health tracking, via
 //     `UpstreamPool` (DoQ -> DoT -> DoUDP, Happy-Eyeballs-style);
 //   * a compiled policy chain (src/policy) evaluated on every query BEFORE
@@ -25,11 +28,10 @@
 
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
-#include "dns/cache.h"
 #include "dns/packet_cache.h"
+#include "dns/record_key.h"
 #include "dns/snapshot_tier.h"
 #include "dns/wire_cache.h"
 #include "engine/upstream_pool.h"
@@ -44,15 +46,8 @@ struct EngineConfig {
   /// Share one upstream resolve among identical concurrent queries.
   bool coalesce = true;
   bool cache_enabled = true;
-  /// Cache capacity bound (entries); 0 = unbounded.
+  /// L1 capacity bound (entries); 0 = unbounded.
   std::size_t cache_capacity = 4096;
-  /// Raw-wire packet cache in front of the L1 (entries; 0 disables — the
-  /// default, so existing pinned outputs are untouched). Hits answer by
-  /// patching ID/TTLs into a cached response image with no Message
-  /// decode/encode; misses fall through to the normal path, which fills it
-  /// from L1/L2 hits. Serve-stale behaviour follows the engine's
-  /// serve_stale/max_stale/stale_ttl knobs.
-  std::size_t wire_cache_capacity = 0;
   /// RFC 8767 serve-stale: answer expired entries immediately and refresh
   /// in the background.
   bool serve_stale = true;
@@ -97,8 +92,6 @@ struct EngineStats {
   std::uint64_t queries = 0;         ///< well-formed stub queries received
   std::uint64_t cache_hits = 0;      ///< answered fresh from the L1 cache
   std::uint64_t stale_hits = 0;      ///< answered stale (RFC 8767; any source)
-  std::uint64_t wire_hits = 0;       ///< answered from the raw-wire cache
-  std::uint64_t wire_lookups = 0;    ///< queries that probed the wire cache
   std::uint64_t misses = 0;          ///< needed an upstream resolve
   std::uint64_t coalesced = 0;       ///< joined an in-flight resolve
   std::uint64_t l2_hits = 0;         ///< answered from the shared L2 cache
@@ -111,7 +104,7 @@ struct EngineStats {
   std::uint64_t cache_evictions = 0; ///< LRU evictions in the shared cache
 
   // Per-tier occupancy/traffic surface (dns/cache_tier.h): l1_* mirrors the
-  // engine's own dns::Cache, wire_* its WireCache, snapshot_* its
+  // engine's own image L1 (l1_bytes counts image bytes), snapshot_* its
   // SnapshotTier. The shared L2's occupancy (l2_entries/l2_bytes/
   // l2_evictions) is stamped once by the sharded runner on the *merged*
   // stats — per-shard rows carry only the shard's own l2_hits/l2_lookups,
@@ -124,9 +117,6 @@ struct EngineStats {
   std::uint64_t l2_evictions = 0;
   std::uint64_t l2_entries = 0;
   std::uint64_t l2_bytes = 0;
-  std::uint64_t wire_evictions = 0;
-  std::uint64_t wire_entries = 0;
-  std::uint64_t wire_bytes = 0;
   std::uint64_t snapshot_hits = 0;      ///< answered from the snapshot tier
   std::uint64_t snapshot_lookups = 0;   ///< L2-missing queries that probed it
   std::uint64_t snapshot_evictions = 0;
@@ -209,11 +199,10 @@ class ForwarderEngine {
   std::size_t pool_count() const { return pools_.size(); }
   UpstreamPool& pool(std::size_t index = 0) { return *pools_[index]; }
   const std::vector<std::string>& pool_names() const { return pool_names_; }
-  const dns::Cache& cache() const { return cache_; }
+  /// The L1: response images by (qname, qtype).
+  const dns::WireCache& cache() const { return l1_; }
 
   EngineStats stats() const;
-  /// The raw-wire cache, or null when wire_cache_capacity is 0 (tests).
-  const dns::WireCache* wire_cache() const { return wire_cache_.get(); }
   /// The persistent snapshot tier, or null when snapshot_dir is empty.
   const dns::SnapshotTier* snapshot() const { return snapshot_.get(); }
   /// Entries promoted from the snapshot into L1/L2 at construction.
@@ -227,44 +216,6 @@ class ForwarderEngine {
   double observed_qps() const;
 
  private:
-  struct Key {
-    dns::DnsName name;
-    dns::RRType type = dns::RRType::kA;
-    bool operator==(const Key&) const = default;
-  };
-  /// Borrowed key so the steady-state paths never copy a DnsName just to
-  /// probe the in-flight table.
-  struct KeyView {
-    const dns::DnsName& name;
-    dns::RRType type;
-  };
-  struct KeyHash {
-    using is_transparent = void;
-    static std::size_t mix(const dns::DnsName& name,
-                           dns::RRType type) noexcept {
-      return std::hash<dns::DnsName>()(name) ^
-             (static_cast<std::size_t>(type) * 0x9E3779B97F4A7C15ull);
-    }
-    std::size_t operator()(const Key& k) const noexcept {
-      return mix(k.name, k.type);
-    }
-    std::size_t operator()(const KeyView& k) const noexcept {
-      return mix(k.name, k.type);
-    }
-  };
-  struct KeyEq {
-    using is_transparent = void;
-    bool operator()(const Key& a, const Key& b) const noexcept {
-      return a.type == b.type && a.name == b.name;
-    }
-    bool operator()(const KeyView& a, const Key& b) const noexcept {
-      return a.type == b.type && a.name == b.name;
-    }
-    bool operator()(const Key& a, const KeyView& b) const noexcept {
-      return a.type == b.type && a.name == b.name;
-    }
-  };
-
   struct Waiter {
     net::Endpoint from;
     std::uint16_t stub_id = 0;
@@ -280,15 +231,6 @@ class ForwarderEngine {
   /// event while staging responses, then flushes them with one batched
   /// send. Per-query behaviour is identical to per-datagram delivery.
   void on_stub_batch(std::span<net::Datagram> batch);
-  /// The raw-wire fast path: probe the wire cache before any decode, run
-  /// policy over a lazily-parsed question view, and answer by ID/TTL
-  /// patching. Returns true when the query was consumed.
-  bool try_answer_wire(const net::Endpoint& from,
-                       const util::Buffer& payload);
-  /// Fills the wire cache from the just-answered scratch response (L1/L2
-  /// hit paths) and offers the records to the shared L2.
-  void wire_fill(std::span<const std::uint8_t> query,
-                 const dns::Question& question);
   /// Ships an encoded response: immediately, or staged onto the batch
   /// flush when inside on_stub_batch.
   void ship(const net::Endpoint& to, util::Buffer wire);
@@ -297,51 +239,55 @@ class ForwarderEngine {
   bool apply_policy_verdict(const policy::Verdict& verdict,
                             const Waiter& waiter,
                             const dns::Question& question);
-  void answer(const Waiter& waiter, const dns::Question& question,
-              std::vector<dns::ResourceRecord> records);
-  /// Allocation-lean answer straight from a cache hit: records are copied
-  /// into the reusable scratch response (capacity is retained across
-  /// queries) with TTLs decayed/clamped in place.
-  void answer_cached(const Waiter& waiter, const dns::Question& question,
-                     const dns::EntryRef& found);
-  /// Probes the shared L2 after an L1 miss. On a fresh hit, decodes the
-  /// shared buffer into the scratch response, decays TTLs, promotes the
-  /// records into the local L1, fills the wire cache, answers, and returns
-  /// true. With l2_serve_stale, a stale hit answers with the stale TTL
-  /// stamped and triggers exactly one background refresh (no promotion —
-  /// the refresh re-promotes fresh data).
+  /// Answers from a cached image: one copy, then the waiter's ID, `qclass`
+  /// and the TTL rewrite patched in.
+  void answer_image(const Waiter& waiter, const dns::ResponseImage& image,
+                    dns::RRClass qclass, dns::TtlRewrite ttl);
+  /// Stores an image whose TTLs are already decayed to their remaining
+  /// lifetime, stamped now: into the L1 and, with `to_l2`, the shared L2.
+  void promote(const dns::DnsName& name, dns::RRType type,
+               const dns::ResponseImage& image, bool to_l2);
+  /// Probes the shared L2 after an L1 miss. A fresh hit is answered by
+  /// patch and promoted into the L1 with decayed TTLs. With
+  /// l2_serve_stale, a stale hit answers with the stale TTL stamped and
+  /// triggers exactly one background refresh (no promotion — the refresh
+  /// re-promotes fresh data).
   bool try_answer_l2(const Waiter& waiter, const dns::Question& question,
-                     std::span<const std::uint8_t> query,
                      std::uint32_t pool_index);
-  /// Probes the persistent snapshot tier after an L2 miss; same promotion
-  /// and stale-refresh contract as try_answer_l2.
+  /// Probes the persistent snapshot tier after an L2 miss; same contract
+  /// as try_answer_l2, and a fresh hit is promoted into the L2 as well.
   bool try_answer_snapshot(const Waiter& waiter,
                            const dns::Question& question,
-                           std::span<const std::uint8_t> query,
                            std::uint32_t pool_index);
-  /// Answers a stale tier hit (records already in the scratch response,
-  /// stale TTL stamped) and starts the hierarchy's single background
-  /// refresh unless one is already in flight.
+  /// Answers a stale tier hit with the stale TTL stamped and starts the
+  /// hierarchy's single background refresh unless one is already in
+  /// flight.
   void answer_stale_with_refresh(const Waiter& waiter,
                                  const dns::Question& question,
+                                 const dns::ResponseImage& image,
                                  std::uint32_t pool_index);
   /// Warm-start protocol: promotes every still-fresh snapshot entry into
   /// the L1 (TTLs decayed to their remaining lifetime) and offers it to the
   /// shared L2. Runs once, at construction, when snapshot_dir is set.
   void warm_start_from_snapshot();
   void answer_servfail(const Waiter& waiter, const dns::Question& question);
-  /// Stamps header flags on the scratch response and ships it as one pooled
-  /// buffer. `tc` sets the truncation bit (policy kTruncate).
+  /// Stamps header flags and the question on the scratch response (its
+  /// answers are the caller's) and returns it.
+  dns::Message& stage_response(const dns::Question& question,
+                               dns::RCode rcode, bool tc = false);
+  /// Ships the staged scratch response as one pooled buffer — SERVFAIL and
+  /// policy answers. `tc` sets the truncation bit (policy kTruncate).
   void send_response(const Waiter& waiter, const dns::Question& question,
                      dns::RCode rcode, bool tc = false);
   /// Starts an upstream resolve for `key` on pool `pool_index` (the
   /// coalescing point).
-  void start_resolve(const Key& key, const dns::Question& question,
+  void start_resolve(const dns::RecordKey& key, const dns::Question& question,
                      std::uint32_t pool_index);
-  void on_upstream_result(const Key& key, const dns::Question& question,
+  void on_upstream_result(const dns::RecordKey& key,
+                          const dns::Question& question,
                           dox::QueryResult result);
-  /// Caches a successful result and fans it out (or stale/SERVFAIL on
-  /// failure) to `waiters`.
+  /// Encodes a successful result into one image, stores it in every tier
+  /// and answers `waiters` from it (or stale/SERVFAIL on failure).
   void deliver(std::vector<Waiter> waiters, const dns::Question& question,
                dox::QueryResult result);
   std::vector<dns::ResourceRecord> clamp_ttls(
@@ -356,20 +302,16 @@ class ForwarderEngine {
   std::vector<std::string> pool_names_;
   /// Compiled policy chain; empty means every query is allowed.
   policy::RuleChain chain_;
-  dns::Cache cache_;
-  /// Raw-wire cache ahead of the decode step; null when disabled.
-  std::unique_ptr<dns::WireCache> wire_cache_;
+  dns::WireCache l1_;
   /// Persistent snapshot tier; null when snapshot_dir is empty.
   std::unique_ptr<dns::SnapshotTier> snapshot_;
-  std::unordered_map<Key, InFlight, KeyHash, KeyEq> inflight_;
-  /// Reusable decode/encode scratch: the cached-answer hot path re-decodes
-  /// into and re-encodes from these, so their string/vector storage reaches
-  /// a high-water mark and steady-state queries allocate nothing.
-  dns::Message scratch_query_;
+  dns::RecordMap<InFlight> inflight_;
+  /// Reusable scratch: every query scans into `scratch_head_` and SERVFAIL,
+  /// policy and image builds stage in `scratch_response_`, so their
+  /// string/vector storage reaches a high-water mark and steady-state
+  /// queries allocate nothing.
+  dns::MessageHead scratch_head_;
   dns::Message scratch_response_;
-  /// Lazily-parsed question view for wire-cache hits (policy + stale
-  /// refresh); storage reused across queries.
-  dns::Question scratch_wire_question_;
   /// True while on_stub_batch is draining a burst: responses stage onto
   /// `response_flush_` instead of going out one send at a time.
   bool batching_ = false;
@@ -378,8 +320,6 @@ class ForwarderEngine {
   std::uint64_t queries_ = 0;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t stale_hits_ = 0;
-  std::uint64_t wire_hits_ = 0;
-  std::uint64_t wire_lookups_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t coalesced_ = 0;
   std::uint64_t l2_hits_ = 0;

@@ -388,11 +388,11 @@ void EngineShard::finish(PendingQuery& pending) {
 }
 
 void EngineShard::on_response(util::Buffer payload) {
-  if (!dns::Message::decode_into(payload, response_) || !response_.qr) return;
+  if (!dns::scan_message(payload, response_) || !response_.qr()) return;
   PendingQuery& pending = pending_[response_.id];
   if (!pending.live) return;  // late answer after timeout
   pending.timeout.cancel();
-  if (response_.rcode == dns::RCode::kServFail) {
+  if (response_.rcode() == dns::RCode::kServFail) {
     ++report_.servfails;
     book_terminal(pending.sent_at, kOutcomeServfail, 0.0);
   } else {
@@ -406,11 +406,11 @@ void EngineShard::on_response(util::Buffer payload) {
 
 void EngineShard::on_attack_response(std::size_t attack,
                                      const util::Buffer& payload) {
-  if (!dns::Message::decode_into(payload, response_) || !response_.qr) return;
+  if (!dns::scan_message(payload, response_) || !response_.qr()) return;
   AttackReport& report = attack_reports_[attack];
-  if (response_.tc) {
+  if (response_.tc()) {
     ++report.truncated;
-  } else if (response_.rcode == dns::RCode::kRefused) {
+  } else if (response_.rcode() == dns::RCode::kRefused) {
     ++report.refused;
   } else {
     ++report.answered;

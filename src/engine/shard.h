@@ -18,7 +18,8 @@
 //
 // Off the heap allocator: each name's query image is encoded once, on first
 // use, and a send copies it into a pooled buffer and patches the id; answers
-// decode into one scratch message; in-flight queries live in a flat table
+// are read by one validating scan (id, flags, question) into one scratch
+// head, never fully decoded; in-flight queries live in a flat table
 // indexed by transaction id. Arrivals stream through an arrival cursor: the
 // shard holds its slice and keeps exactly one arrival event queued, under
 // sequence numbers reserved where the whole slice used to be scheduled (see
@@ -379,7 +380,7 @@ class EngineShard {
   net::Endpoint target_;
   /// Query images by name index, each built on first use (empty until then).
   std::vector<std::vector<std::uint8_t>> images_;
-  dns::Message response_;  ///< decode scratch for answers
+  dns::MessageHead response_;  ///< scan scratch for answers
   std::uint16_t next_id_ = 1;
   /// In-flight queries indexed by transaction id (65536 slots).
   std::vector<PendingQuery> pending_;

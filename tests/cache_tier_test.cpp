@@ -1,6 +1,6 @@
 // Cross-tier semantics tests for the unified cache hierarchy
-// (dns/cache_tier.h): every tier — L1 Cache, shared L2 packet cache,
-// raw-wire cache, persistent snapshot tier — must age an entry against the
+// (dns/cache_tier.h): every tier — record Cache, the engine's image L1,
+// shared L2 packet cache, persistent snapshot tier — must age an entry against the
 // same absolute clock, so the same RRset inserted everywhere at t0 reports
 // the same remaining TTL from any tier at any later instant. Plus the
 // shared helper edge cases (expiry boundary, stale window) and the TierStats
@@ -14,6 +14,7 @@
 #include "dns/cache_tier.h"
 #include "dns/message.h"
 #include "dns/packet_cache.h"
+#include "dns/response_image.h"
 #include "dns/snapshot_tier.h"
 #include "dns/wire_cache.h"
 
@@ -23,6 +24,13 @@ namespace {
 std::vector<ResourceRecord> a_records(const DnsName& name,
                                       std::uint32_t ttl) {
   return {make_a(name, ttl, 0x0A000001)};
+}
+
+/// The forwarder's answer image for (name, A) carrying `records`.
+ResponseImage image_of(const DnsName& name,
+                       const std::vector<ResourceRecord>& records) {
+  return ResponseImage::answer_to(Question{name, RRType::kA, RRClass::kIN},
+                                  records);
 }
 
 std::string temp_path(const std::string& file) {
@@ -87,18 +95,14 @@ TEST(CacheTierCross, SameRemainingTtlFromEveryTier) {
   EXPECT_FALSE(l2_hit.stale);
   EXPECT_EQ(l2_hit.ttl_s - l2_hit.age_s, remaining);
 
-  // Raw-wire cache: materialized answers carry the decayed TTL in-band.
-  WireCache wire({});
-  const Message query = make_query(0x42, name, RRType::kA);
-  Message response = make_response(query);
-  response.answers = records;
-  ASSERT_TRUE(wire.insert(query.encode(), response.encode(), t0));
-  WireCache::Hit wire_hit;
-  const Message probe_query = make_query(0x43, name, RRType::kA);
-  const auto probe_wire = probe_query.encode();
-  ASSERT_TRUE(wire.probe(probe_wire, later, wire_hit));
-  EXPECT_FALSE(wire_hit.stale);
-  const util::Buffer patched = wire.materialize(wire_hit, probe_wire);
+  // Image L1: patched answers carry the decayed TTL in-band.
+  WireCache wire;
+  wire.insert(name, RRType::kA, image_of(name, records), t0);
+  const auto wire_hit = wire.lookup(name, RRType::kA, later);
+  ASSERT_TRUE(wire_hit.has_value());
+  EXPECT_FALSE(wire_hit->stale);
+  const util::Buffer patched = wire_hit->image->answer(
+      0x43, RRClass::kIN, TtlRewrite::decay(wire_hit->age_s));
   const auto materialized = Message::decode(patched);
   ASSERT_TRUE(materialized.has_value());
   ASSERT_EQ(materialized->answers.size(), 1u);
@@ -109,7 +113,7 @@ TEST(CacheTierCross, SameRemainingTtlFromEveryTier) {
   snap_config.path = temp_path("xtier.snap");
   std::remove(snap_config.path.c_str());
   SnapshotTier snapshot(snap_config);
-  snapshot.insert(name, RRType::kA, records, t0);
+  snapshot.insert(name, RRType::kA, image_of(name, records), t0);
   SnapshotHit snap_hit;
   ASSERT_TRUE(snapshot.lookup(name, RRType::kA, later, snap_hit));
   EXPECT_FALSE(snap_hit.stale);
@@ -140,9 +144,13 @@ TEST(CacheTierCross, SameExpiryInstantEverywhere) {
   snap_config.path = temp_path("expiry.snap");
   std::remove(snap_config.path.c_str());
   SnapshotTier snapshot(snap_config);
-  snapshot.insert(name, RRType::kA, records, t0);
+  snapshot.insert(name, RRType::kA, image_of(name, records), t0);
+  WireCache images;
+  images.insert(name, RRType::kA, image_of(name, records), t0);
 
   EXPECT_TRUE(l1.lookup(name, RRType::kA, expiry - 1).has_value());
+  EXPECT_TRUE(images.lookup(name, RRType::kA, expiry - 1).has_value());
+  EXPECT_FALSE(images.lookup(name, RRType::kA, expiry).has_value());
   EXPECT_FALSE(l1.lookup(name, RRType::kA, expiry).has_value());
   PacketCacheHit l2_hit;
   EXPECT_TRUE(l2.lookup(0, name, RRType::kA, expiry - 1, l2_hit));
@@ -217,7 +225,7 @@ TEST(CacheTierStats, CountersAreCoherent) {
   snap_config.path = temp_path("stats.snap");
   std::remove(snap_config.path.c_str());
   SnapshotTier snapshot(snap_config);
-  snapshot.insert(name, RRType::kA, a_records(name, 60), t0);
+  snapshot.insert(name, RRType::kA, image_of(name, a_records(name, 60)), t0);
   SnapshotHit snap_hit;
   (void)snapshot.lookup(name, RRType::kA, t0 + kSecond, snap_hit);
   const TierStats snap_stats = snapshot.tier_stats();

@@ -23,7 +23,7 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 function(run_engine shards batch_us out_csv)
   execute_process(COMMAND "${DOXPERF_BIN}" engine --shards=${shards}
                           --clients=5000 --qps=3000 --seconds=2
-                          --wire-cache=4096 --batch-us=${batch_us}
+                          --batch-us=${batch_us}
                           --shard-csv=${out_csv}
                   WORKING_DIRECTORY "${WORK_DIR}"
                   RESULT_VARIABLE rc

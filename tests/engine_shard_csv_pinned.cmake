@@ -32,4 +32,4 @@ endfunction()
 check_pin(shards1 "${EXPECTED_SHARDS1}" --shards=1)
 check_pin(shards4 "${EXPECTED_SHARDS4}" --shards=4)
 check_pin(shards4_batch "${EXPECTED_SHARDS4_BATCH}" --shards=4
-          --batch-us=200 --wire-cache=4096)
+          --batch-us=200)

@@ -496,12 +496,10 @@ class WireCacheEngineFixture : public EngineFixture {
 };
 
 TEST_F(WireCacheEngineFixture, WireCacheServesRepeatsByPatchingBytes) {
-  EngineConfig config = engine_config();
-  config.wire_cache_capacity = 1024;
-  auto engine = make_engine(config);
+  auto engine = make_engine(engine_config());
 
-  // First query resolves upstream; the second is an L1 hit whose encoded
-  // answer fills the wire cache; the third never touches Message at all.
+  // The first query resolves upstream and fills the image L1; the repeats
+  // are answered by copying that image and patching the ID.
   const auto first = raw_query("hot.example", 0x0101);
   const auto second = raw_query("hot.example", 0x0202);
   const auto third = raw_query("hot.example", 0x0303);
@@ -511,15 +509,14 @@ TEST_F(WireCacheEngineFixture, WireCacheServesRepeatsByPatchingBytes) {
 
   const EngineStats stats = engine->stats();
   EXPECT_EQ(stats.queries, 3u);
-  EXPECT_EQ(stats.wire_lookups, 3u);
-  EXPECT_EQ(stats.wire_hits, 1u);
-  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.cache_hits, 2u);
+  EXPECT_EQ(stats.l1_lookups, 3u);
   EXPECT_EQ(stats.upstream_resolves, 1u);
-  ASSERT_NE(engine->wire_cache(), nullptr);
-  EXPECT_EQ(engine->wire_cache()->size(), 1u);
-  EXPECT_EQ(engine->wire_cache()->stats().hits, 1u);
+  EXPECT_EQ(engine->cache().size(), 1u);
+  EXPECT_EQ(engine->cache().tier_stats().hits, 2u);
+  EXPECT_GT(stats.l1_bytes, third.size());
 
-  // The patched answer is the L1 answer byte for byte — only the two ID
+  // Each patched answer is the others byte for byte — only the two ID
   // bytes differ (same whole simulated second, so no TTL decay yet).
   ASSERT_EQ(third.size(), second.size());
   EXPECT_EQ(third[0], 0x03);
@@ -529,28 +526,25 @@ TEST_F(WireCacheEngineFixture, WireCacheServesRepeatsByPatchingBytes) {
 }
 
 TEST_F(WireCacheEngineFixture, WireCacheFoldsQnameCase) {
-  EngineConfig config = engine_config();
-  config.wire_cache_capacity = 1024;
-  auto engine = make_engine(config);
-  raw_query("case.example", 1);
-  raw_query("case.example", 2);  // fills the wire cache
+  auto engine = make_engine(engine_config());
+  raw_query("case.example", 1);  // fills the L1
   const auto shouty = raw_query("CASE.Example", 3);
   ASSERT_FALSE(shouty.empty());
-  EXPECT_EQ(engine->stats().wire_hits, 1u);
+  EXPECT_EQ(engine->stats().cache_hits, 1u);
+  EXPECT_EQ(engine->stats().upstream_resolves, 1u);
   const auto decoded = dns::Message::decode(shouty);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->id, 3);
+  EXPECT_EQ(decoded->questions[0].name.to_string(), "case.example");
   ASSERT_FALSE(decoded->answers.empty());
 }
 
 TEST_F(WireCacheEngineFixture, WireCacheServesStaleAndTriggersRefresh) {
   EngineConfig config = engine_config();
-  config.wire_cache_capacity = 1024;
   config.max_ttl = 1;  // 1 s entries: stale quickly
   config.stale_ttl = 30;
   auto engine = make_engine(config);
-  raw_query("stale.example", 1);
-  raw_query("stale.example", 2);  // fills the wire cache (1 s lifetime)
+  raw_query("stale.example", 1);  // fills the L1 (1 s lifetime)
   sim_.run_until(sim_.now() + 5 * kSecond);
 
   const auto stale = raw_query("stale.example", 3);
@@ -560,21 +554,28 @@ TEST_F(WireCacheEngineFixture, WireCacheServesStaleAndTriggersRefresh) {
   ASSERT_FALSE(decoded->answers.empty());
   EXPECT_EQ(decoded->answers[0].ttl, 30u);  // stale-stamped on the wire
 
-  const EngineStats stats = engine->stats();
-  EXPECT_EQ(stats.wire_hits, 1u);
-  EXPECT_EQ(stats.stale_hits, 1u);        // wire-stale counts as stale
+  EngineStats stats = engine->stats();
+  EXPECT_EQ(stats.stale_hits, 1u);
   EXPECT_EQ(stats.stale_refreshes, 1u);   // background refresh started
   EXPECT_EQ(stats.upstream_resolves, 2u);
-  // A stale image serves once: the entry is gone until the next fill.
-  EXPECT_EQ(engine->wire_cache()->size(), 0u);
+
+  // The refresh landed within the wait: the next answer is fresh again.
+  const auto fresh = raw_query("stale.example", 4);
+  const auto refreshed = dns::Message::decode(fresh);
+  ASSERT_TRUE(refreshed.has_value());
+  ASSERT_FALSE(refreshed->answers.empty());
+  EXPECT_EQ(refreshed->answers[0].ttl, 1u);
+  stats = engine->stats();
+  EXPECT_EQ(stats.stale_hits, 1u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.upstream_resolves, 2u);
 }
 
 TEST_F(WireCacheEngineFixture, PolicyChainRunsOnWireHits) {
   // A refill-free rate limiter (rate 0, burst 2) admits exactly two
-  // queries, so the third — which probes the wire cache successfully — must
-  // still be REFUSED by the chain: the fast path cannot bypass policy.
+  // queries, so the third — whose answer sits in the L1 — must still be
+  // REFUSED by the chain: a cached answer cannot bypass policy.
   EngineConfig config = engine_config();
-  config.wire_cache_capacity = 1024;
   {
     policy::RuleConfig rule;
     rule.name = "budget";
@@ -586,7 +587,7 @@ TEST_F(WireCacheEngineFixture, PolicyChainRunsOnWireHits) {
   }
   auto engine = make_engine(config);
   raw_query("hot.example", 1);
-  raw_query("hot.example", 2);  // fills the wire cache
+  raw_query("hot.example", 2);  // an L1 hit
   const auto refused = raw_query("hot.example", 3);
   ASSERT_FALSE(refused.empty());
   const auto decoded = dns::Message::decode(refused);
@@ -597,20 +598,43 @@ TEST_F(WireCacheEngineFixture, PolicyChainRunsOnWireHits) {
   const EngineStats stats = engine->stats();
   EXPECT_EQ(stats.policy_evaluations, 3u);
   EXPECT_EQ(stats.policy_refused, 1u);
-  EXPECT_EQ(stats.wire_lookups, 3u);
-  EXPECT_EQ(stats.wire_hits, 0u);  // consumed by policy, not served
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.l1_lookups, 2u);  // consumed by policy, never probed
 }
 
-TEST(EngineStatsTest, AddMergesWireCounters) {
+TEST_F(WireCacheEngineFixture, IgnoresResponsesAndMalformedQueries) {
+  auto engine = make_engine(engine_config());
+  raw_query("hot.example", 1);
+  auto socket = udp_.bind_ephemeral();
+  std::uint64_t answers = 0;
+  socket->on_datagram([&](const Endpoint&, util::Buffer) { ++answers; });
+  const Endpoint target{client_host_.address(), 53};
+  auto wire = dns::make_query(2, dns::DnsName::parse("hot.example"),
+                              dns::RRType::kA)
+                  .encode();
+  auto response = wire;
+  response[2] |= 0x80;  // QR set: a response, not a query
+  socket->send_to(target, response);
+  socket->send_to(target, std::vector<std::uint8_t>(wire.begin(),
+                                                    wire.end() - 3));
+  sim_.run_until(sim_.now() + 200 * kMillisecond);
+  EXPECT_EQ(answers, 0u);
+  EXPECT_EQ(engine->stats().queries, 1u);
+}
+
+TEST(EngineStatsTest, AddMergesTierCounters) {
   EngineStats a;
-  a.wire_hits = 3;
-  a.wire_lookups = 10;
+  a.l1_lookups = 10;
+  a.l1_bytes = 300;
+  a.snapshot_hits = 3;
   EngineStats b;
-  b.wire_hits = 4;
-  b.wire_lookups = 11;
+  b.l1_lookups = 11;
+  b.l1_bytes = 200;
+  b.snapshot_hits = 4;
   a.add(b);
-  EXPECT_EQ(a.wire_hits, 7u);
-  EXPECT_EQ(a.wire_lookups, 21u);
+  EXPECT_EQ(a.l1_lookups, 21u);
+  EXPECT_EQ(a.l1_bytes, 500u);
+  EXPECT_EQ(a.snapshot_hits, 7u);
 }
 
 }  // namespace

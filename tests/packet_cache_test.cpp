@@ -1,6 +1,6 @@
 // Unit tests for the shared L2 packet cache (dns/packet_cache.h): deferred
 // lane inserts, the epoch sweep merge, the try-lock miss fallback, TTL
-// expiry, the capacity bound, and the RRset wire codec.
+// expiry, the capacity bound, and the answer images it stores.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -66,9 +66,11 @@ TEST(SharedPacketCache, HitAgesAndDecodes) {
   EXPECT_EQ(hit.ttl_s, 60u);  // minimum record TTL
   EXPECT_EQ(hit.age_s, 10u);
 
-  std::vector<ResourceRecord> decoded;
-  ASSERT_TRUE(SharedPacketCache::decode_rrset(hit.wire.view(), decoded));
-  EXPECT_EQ(decoded, records);
+  // The entry is the forwarder's answer image for (name, A, IN).
+  const auto decoded = Message::decode(hit.image.wire());
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->questions[0].name, name);
+  EXPECT_EQ(decoded->answers, records);
 }
 
 TEST(SharedPacketCache, EncodeDecodeRoundtripsCnameChain) {
@@ -76,20 +78,24 @@ TEST(SharedPacketCache, EncodeDecodeRoundtripsCnameChain) {
   const std::vector<ResourceRecord> records = {
       cname("www.example.com", "cdn.example.net"),
       make_a(DnsName::parse("cdn.example.net"), 30, 0x0A000003)};
-  util::Buffer wire = SharedPacketCache::encode_rrset(records);
-  EXPECT_TRUE(wire.is_shared());  // ready to cross a shard boundary
+  const ResponseImage image = ResponseImage::answer_to(
+      Question{records[0].name, RRType::kA, RRClass::kIN}, records);
+  EXPECT_EQ(image.ttl_count(), 2u);
+  EXPECT_EQ(image.min_ttl(), 30u);
 
-  std::vector<ResourceRecord> decoded;
-  ASSERT_TRUE(SharedPacketCache::decode_rrset(wire.view(), decoded));
-  EXPECT_EQ(decoded, records);
+  const auto decoded = Message::decode(image.wire());
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->answers, records);
 }
 
 TEST(SharedPacketCache, DecodeRejectsTruncatedWire) {
-  util::Buffer wire = SharedPacketCache::encode_rrset(std::vector<ResourceRecord>{
-      make_a(DnsName::parse("x.example.com"), 60, 1)});
-  std::vector<ResourceRecord> decoded;
-  EXPECT_FALSE(SharedPacketCache::decode_rrset(
-      wire.view().subspan(0, wire.size() - 3), decoded));
+  const DnsName name = DnsName::parse("x.example.com");
+  const ResourceRecord record = make_a(name, 60, 1);
+  const ResponseImage image = ResponseImage::answer_to(
+      Question{name, RRType::kA, RRClass::kIN}, {&record, 1});
+  const auto wire = image.wire();
+  EXPECT_FALSE(ResponseImage::adopt(wire).empty());
+  EXPECT_TRUE(ResponseImage::adopt(wire.first(wire.size() - 3)).empty());
 }
 
 TEST(SharedPacketCache, ExpiredEntryMissesThenSweepReaps) {

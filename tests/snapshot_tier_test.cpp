@@ -3,7 +3,7 @@
 // crash-recovery fuzz (any prefix of a valid log must replay to a clean
 // prefix of the inserted entries and accept appends afterwards),
 // supersede-on-rewrite, compaction, absolute expiry, and foreign-file
-// rejection.
+// rejection (the previous DOXSNAP1 format included).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,7 +13,7 @@
 
 #include "dns/cache_tier.h"
 #include "dns/message.h"
-#include "dns/packet_cache.h"
+#include "dns/response_image.h"
 #include "dns/snapshot_tier.h"
 
 namespace doxlab::dns {
@@ -25,9 +25,18 @@ std::string temp_path(const std::string& file) {
   return path;
 }
 
-std::vector<ResourceRecord> a_records(const DnsName& name, std::uint32_t ttl,
-                                      std::uint32_t ipv4) {
-  return {make_a(name, ttl, ipv4)};
+/// The forwarder's answer image for (name, A) with one A record.
+ResponseImage a_records(const DnsName& name, std::uint32_t ttl,
+                        std::uint32_t ipv4) {
+  const ResourceRecord record = make_a(name, ttl, ipv4);
+  return ResponseImage::answer_to(Question{name, RRType::kA, RRClass::kIN},
+                                  {&record, 1});
+}
+
+/// The answer records of a hit's image.
+std::vector<ResourceRecord> hit_records(const SnapshotHit& hit) {
+  const auto decoded = Message::decode(hit.image->wire());
+  return decoded ? decoded->answers : std::vector<ResourceRecord>{};
 }
 
 DnsName numbered(int i) {
@@ -85,8 +94,7 @@ TEST(SnapshotTier, RoundTripAcrossReopen) {
     EXPECT_EQ(hit.ttl_s, 300u);
     EXPECT_EQ(hit.age_s, 1u);
     EXPECT_FALSE(hit.stale);
-    std::vector<ResourceRecord> records;
-    ASSERT_TRUE(SharedPacketCache::decode_rrset(*hit.rrset, records));
+    const std::vector<ResourceRecord> records = hit_records(hit);
     ASSERT_EQ(records.size(), 1u);
     EXPECT_EQ(records[0].rdata[3], static_cast<std::uint8_t>(i));
   }
@@ -166,8 +174,7 @@ TEST(SnapshotTier, RewriteSupersedesInsteadOfDuplicating) {
   SnapshotHit hit;
   ASSERT_TRUE(reopened.lookup(name, RRType::kA, 3 * kSecond, hit));
   EXPECT_EQ(hit.ttl_s, 90u);  // the later write won
-  std::vector<ResourceRecord> records;
-  ASSERT_TRUE(SharedPacketCache::decode_rrset(*hit.rrset, records));
+  const std::vector<ResourceRecord> records = hit_records(hit);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].rdata[3], 2);
 }
@@ -198,8 +205,7 @@ TEST(SnapshotTier, CompactionShrinksLogAndSurvivesReopen) {
   EXPECT_EQ(reopened.size(), 1u);
   SnapshotHit hit;
   ASSERT_TRUE(reopened.lookup(name, RRType::kA, 2 * kSecond, hit));
-  std::vector<ResourceRecord> records;
-  ASSERT_TRUE(SharedPacketCache::decode_rrset(*hit.rrset, records));
+  const std::vector<ResourceRecord> records = hit_records(hit);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].rdata[3], 199);  // last rewrite survived
 }
@@ -246,6 +252,20 @@ TEST(SnapshotTier, ForeignFileStartsFresh) {
   tier.flush();
   SnapshotTier reopened({.path = path});
   EXPECT_EQ(reopened.size(), 1u);
+}
+
+TEST(SnapshotTier, PreviousFormatStartsFresh) {
+  // A log written before frames carried response images: same framing,
+  // older magic. It is a foreign file, so the tier starts a fresh log.
+  const std::string path = temp_path("v1.snap");
+  write_file(path, {'D', 'O', 'X', 'S', 'N', 'A', 'P', '1', 0, 0, 0, 1, 0, 0,
+                    0, 0, 7});
+  SnapshotTier tier({.path = path});
+  EXPECT_EQ(tier.size(), 0u);
+  EXPECT_EQ(tier.replay_stats().torn_dropped, 1u);
+  const std::vector<std::uint8_t> fresh = read_file(path);
+  ASSERT_EQ(fresh.size(), 8u);
+  EXPECT_EQ(fresh[7], '2');
 }
 
 TEST(SnapshotTier, EmptyPathIsInert) {

@@ -204,9 +204,11 @@ TEST(TieredEngine, StaleSnapshotHitServesOnceRefreshesOnce) {
     // (but inside the stale window) by the time the engine starts.
     std::filesystem::create_directories(dir);
     dns::SnapshotTier tier({.path = dir + "/shard-0.snap"});
+    const dns::ResourceRecord record = make_a(name, 1, 0x7F000002);
     tier.insert(name, dns::RRType::kA,
-                std::vector<dns::ResourceRecord>{make_a(name, 1,
-                                                        0x7F000002)},
+                dns::ResponseImage::answer_to(
+                    dns::Question{name, dns::RRType::kA, dns::RRClass::kIN},
+                    {&record, 1}),
                 0);
     tier.flush();
   }

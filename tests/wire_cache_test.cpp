@@ -1,15 +1,18 @@
-// Fidelity tests for the raw-wire packet cache: a materialized hit must be
-// byte-identical to freshly encoding the same response with the client's
-// transaction ID and the decayed TTLs — across mixed-case qnames, EDNS
-// options, multi-record answers and compression — plus the key-normalization,
-// expiry/serve-stale, and capacity rules the engine fast path relies on.
+// Tests for the engine's image L1 and the response images it stores: a hit
+// patched out of an image must be byte-identical to freshly encoding the
+// same response with the client's ID, class and decayed TTLs — across
+// mixed-case qnames, multi-record answers and compression — and the L1
+// must make exactly the hit/miss/stale/eviction decisions dns::Cache makes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "dns/cache.h"
 #include "dns/message.h"
+#include "dns/response_image.h"
 #include "dns/wire_cache.h"
+#include "util/rng.h"
 
 namespace doxlab::dns {
 namespace {
@@ -35,10 +38,10 @@ Message rich_response(const Message& query) {
   return response;
 }
 
-/// What the wire cache must produce for a hit of age `age_s`: the stored
-/// response re-encoded with the new ID and every record TTL decremented
-/// (clamped at 0), OPT excluded. The codec is deterministic, so comparing
-/// encodings compares layouts byte for byte.
+/// What a hit of age `age_s` must produce: the stored response re-encoded
+/// with the new ID and every record TTL decremented (clamped at 0), OPT
+/// excluded. The codec is deterministic, so comparing encodings compares
+/// layouts byte for byte.
 std::vector<std::uint8_t> expect_patched(Message response, std::uint16_t id,
                                          std::uint32_t age_s) {
   response.id = id;
@@ -52,41 +55,48 @@ std::vector<std::uint8_t> expect_patched(Message response, std::uint16_t id,
   return response.encode();
 }
 
+/// An image of one A record for `name` with `ttl`.
+ResponseImage a_image(const std::string& name, std::uint32_t ttl) {
+  const DnsName qname = DnsName::parse(name);
+  const ResourceRecord record = make_a(qname, ttl, 0x7F000001);
+  return ResponseImage::answer_to(Question{qname, RRType::kA, RRClass::kIN},
+                                  {&record, 1});
+}
+
 TEST(WireCacheTest, HitPatchesOnlyTheId) {
-  WireCache cache({});
+  WireCache cache;
   const Message query = query_for(0x1111, "www.example.com");
   const Message response = rich_response(query);
-  ASSERT_TRUE(cache.insert(query.encode(), response.encode(), 0));
+  cache.insert(query.questions[0].name, RRType::kA,
+               ResponseImage::of(response), 0);
 
-  const Message same = query_for(0x2222, "www.example.com");
-  const auto wire = same.encode();
-  WireCache::Hit hit;
-  ASSERT_TRUE(cache.probe(wire, 0, hit));
-  EXPECT_FALSE(hit.stale);
-  EXPECT_EQ(hit.age_s, 0u);
-
-  const util::Buffer patched = cache.materialize(hit, wire);
-  const auto expected = expect_patched(response, 0x2222, 0);
-  EXPECT_TRUE(std::ranges::equal(patched.view(), expected));
+  const auto hit = cache.lookup(query.questions[0].name, RRType::kA, 0);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_FALSE(hit->stale);
+  EXPECT_EQ(hit->age_s, 0u);
+  const util::Buffer patched =
+      hit->image->answer(0x2222, RRClass::kIN, TtlRewrite::decay(0));
+  EXPECT_TRUE(
+      std::ranges::equal(patched.view(), expect_patched(response, 0x2222, 0)));
 }
 
 TEST(WireCacheTest, AgedHitDecrementsEveryNonOptTtl) {
-  WireCache cache({});
+  WireCache cache;
   const Message query = query_for(7, "www.example.com");
   const Message response = rich_response(query);
-  ASSERT_TRUE(cache.insert(query.encode(), response.encode(), 0));
+  cache.insert(query.questions[0].name, RRType::kA,
+               ResponseImage::of(response), 0);
 
   // min TTL is 60 s, so 59 s in the entry is still fresh and every record
   // (300/60/60/3600) must have aged by exactly 59 — except the OPT, whose
   // TTL field carries flags, never a lifetime.
-  const Message later = query_for(0xBEEF, "www.example.com");
-  const auto wire = later.encode();
-  WireCache::Hit hit;
-  ASSERT_TRUE(cache.probe(wire, 59 * kSecond, hit));
-  EXPECT_FALSE(hit.stale);
-  EXPECT_EQ(hit.age_s, 59u);
-
-  const util::Buffer patched = cache.materialize(hit, wire);
+  const auto hit =
+      cache.lookup(query.questions[0].name, RRType::kA, 59 * kSecond);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_FALSE(hit->stale);
+  EXPECT_EQ(hit->age_s, 59u);
+  const util::Buffer patched =
+      hit->image->answer(0xBEEF, RRClass::kIN, TtlRewrite::decay(59));
   EXPECT_TRUE(
       std::ranges::equal(patched.view(), expect_patched(response, 0xBEEF, 59)));
 
@@ -100,173 +110,228 @@ TEST(WireCacheTest, AgedHitDecrementsEveryNonOptTtl) {
 }
 
 TEST(WireCacheTest, QnameCaseFoldsIntoTheSameKey) {
-  WireCache cache({});
+  WireCache cache;
   const Message query = query_for(1, "www.example.com");
-  ASSERT_TRUE(
-      cache.insert(query.encode(), rich_response(query).encode(), 0));
+  cache.insert(query.questions[0].name, RRType::kA,
+               ResponseImage::of(rich_response(query)), 0);
 
-  const Message shouty = query_for(2, "WWW.ExAmPlE.CoM");
-  const auto wire = shouty.encode();
-  WireCache::Hit hit;
-  ASSERT_TRUE(cache.probe(wire, 0, hit));
+  // The key is the scanned question, whose name reads lower-cased.
+  const auto wire = query_for(2, "WWW.ExAmPlE.CoM").encode();
+  MessageHead head;
+  ASSERT_TRUE(scan_message(wire, head));
+  const auto hit = cache.lookup(head.question.name, head.question.type, 0);
+  ASSERT_TRUE(hit.has_value());
   // The patched answer carries the stored response bytes — including the
-  // original lower-case qname — with only the ID swapped.
-  const util::Buffer patched = cache.materialize(hit, wire);
-  const auto decoded = Message::decode(patched.view());
+  // lower-case qname — with only the ID swapped.
+  const auto decoded = Message::decode(
+      hit->image->answer(head.id, head.question.klass, TtlRewrite::decay(0))
+          .view());
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->id, 2);
   EXPECT_EQ(decoded->questions[0].name.to_string(), "www.example.com");
 }
 
 TEST(WireCacheTest, DifferentQtypeIsADifferentKey) {
-  WireCache cache({});
+  WireCache cache;
   const Message query = query_for(1, "www.example.com", RRType::kA);
-  ASSERT_TRUE(
-      cache.insert(query.encode(), rich_response(query).encode(), 0));
-
-  const auto aaaa = query_for(1, "www.example.com", RRType::kAAAA).encode();
-  WireCache::Hit hit;
-  EXPECT_FALSE(cache.probe(aaaa, 0, hit));
-}
-
-TEST(WireCacheTest, ExpiredEntryEvictsOnProbe) {
-  WireCache cache({});  // serve_stale off
-  const Message query = query_for(1, "a.example");
-  Message response = make_response(query);
-  response.answers.push_back(
-      make_a(query.questions[0].name, 5, 0x7F000001));
-  ASSERT_TRUE(cache.insert(query.encode(), response.encode(), 0));
-  EXPECT_EQ(cache.size(), 1u);
-
-  const auto wire = query_for(2, "a.example").encode();
-  WireCache::Hit hit;
-  EXPECT_FALSE(cache.probe(wire, 5 * kSecond, hit));  // at the deadline
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().expired_evictions, 1u);
-}
-
-TEST(WireCacheTest, ServeStaleStampsTtlAndServesOnce) {
-  WireCacheConfig config;
-  config.serve_stale = true;
-  config.max_stale = 60 * kSecond;
-  config.stale_ttl = 7;
-  WireCache cache(config);
-  const Message query = query_for(1, "a.example");
-  Message response = make_response(query);
-  response.answers.push_back(
-      make_a(query.questions[0].name, 5, 0x7F000001));
-  response.answers.push_back(
-      make_a(query.questions[0].name, 9, 0x7F000002));
-  response.additionals.push_back(make_opt(1232));
-  ASSERT_TRUE(cache.insert(query.encode(), response.encode(), 0));
-
-  const auto wire = query_for(3, "a.example").encode();
-  WireCache::Hit hit;
-  ASSERT_TRUE(cache.probe(wire, 30 * kSecond, hit));
-  EXPECT_TRUE(hit.stale);
-
-  const util::Buffer patched = cache.materialize(hit, wire);
-  const auto decoded = Message::decode(patched.view());
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->id, 3);
-  EXPECT_EQ(decoded->answers[0].ttl, 7u);  // stamped, not decremented
-  EXPECT_EQ(decoded->answers[1].ttl, 7u);
-  EXPECT_EQ(decoded->additionals[0].ttl, 0u);  // OPT flags untouched
-
-  // A stale image is served at most once: materialize evicted it.
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.probe(wire, 30 * kSecond, hit));
-  EXPECT_EQ(cache.stats().stale_hits, 1u);
-
-  // Past the stale window it is gone even before materialize.
-  ASSERT_TRUE(cache.insert(query.encode(), response.encode(), 0));
-  EXPECT_FALSE(cache.probe(wire, (5 + 61) * kSecond, hit));
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(WireCacheTest, RejectsUncacheableResponses) {
-  WireCache cache({});
-  const Message query = query_for(1, "a.example");
-  // No answer records.
-  EXPECT_FALSE(cache.insert(query.encode(),
-                            make_response(query).encode(), 0));
-  // Zero minimum TTL: would expire before any probe could hit.
-  Message zero = make_response(query);
-  zero.answers.push_back(make_a(query.questions[0].name, 0, 1));
-  EXPECT_FALSE(cache.insert(query.encode(), zero.encode(), 0));
-  // Malformed response bytes.
-  Message ok = make_response(query);
-  ok.answers.push_back(make_a(query.questions[0].name, 60, 1));
-  auto bytes = ok.encode();
-  bytes.resize(bytes.size() - 3);
-  EXPECT_FALSE(cache.insert(query.encode(), bytes, 0));
-  EXPECT_EQ(cache.stats().rejected, 3u);
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(WireCacheTest, CapacityBoundPurgesExpiredBeforeRejecting) {
-  WireCacheConfig config;
-  config.capacity = 1;
-  WireCache cache(config);
-  const Message first = query_for(1, "a.example");
-  Message response_a = make_response(first);
-  response_a.answers.push_back(make_a(first.questions[0].name, 5, 1));
-  ASSERT_TRUE(cache.insert(first.encode(), response_a.encode(), 0));
-
-  const Message second = query_for(1, "b.example");
-  Message response_b = make_response(second);
-  response_b.answers.push_back(make_a(second.questions[0].name, 5, 2));
-  // Full, and the resident entry is still fresh: reject.
-  EXPECT_FALSE(cache.insert(second.encode(), response_b.encode(), 0));
-  // Once the resident entry has expired, the insert purges it and lands.
-  EXPECT_TRUE(
-      cache.insert(second.encode(), response_b.encode(), 6 * kSecond));
-  EXPECT_EQ(cache.size(), 1u);
+  cache.insert(query.questions[0].name, RRType::kA,
+               ResponseImage::of(rich_response(query)), 0);
+  EXPECT_FALSE(
+      cache.lookup(query.questions[0].name, RRType::kAAAA, 0).has_value());
 }
 
 TEST(WireCacheTest, RefusesQueriesTheFastPathCannotKey) {
-  WireCache cache({});
-  WireCache::Hit hit;
-  // Truncated header.
+  // The L1 is keyed by the scanned question: a truncated header never
+  // scans, and a message with QR set scans as a response, which the engine
+  // drops before any lookup.
+  MessageHead head;
   const std::vector<std::uint8_t> stub = {0, 1, 2};
-  EXPECT_FALSE(cache.probe(stub, 0, hit));
-  // QR set: a response, not a query.
+  EXPECT_FALSE(scan_message(stub, head));
   auto wire = query_for(1, "a.example").encode();
   wire[2] |= 0x80;
-  EXPECT_FALSE(cache.probe(wire, 0, hit));
-  EXPECT_FALSE(cache.insert(wire, wire, 0));
+  ASSERT_TRUE(scan_message(wire, head));
+  EXPECT_TRUE(head.qr());
 }
 
 TEST(WireCacheTest, ParseQuestionMatchesFullDecode) {
   const Message query = query_for(9, "WwW.Example.COM", RRType::kAAAA);
   const auto wire = query.encode();
-  Question question;
-  ASSERT_TRUE(WireCache::parse_question(wire, question));
-  EXPECT_EQ(question, query.questions[0]);
-  EXPECT_FALSE(WireCache::parse_question(
-      std::span(wire).first(11), question));
+  MessageHead head;
+  ASSERT_TRUE(scan_message(wire, head));
+  EXPECT_EQ(head.question, query.questions[0]);
+  EXPECT_EQ(head.id, 9);
+  EXPECT_FALSE(head.qr());
+  EXPECT_FALSE(scan_message(std::span(wire).first(11), head));
 }
 
 TEST(WireCacheTest, ScanTtlOffsetsFindsEveryRecord) {
-  const Message query = query_for(1, "www.example.com");
-  const Message response = rich_response(query);
-  const auto wire = response.encode();
-  std::vector<std::uint16_t> offsets;
-  std::uint32_t min_ttl = 0xFFFFFFFF;
-  std::uint16_t answers = 0;
-  ASSERT_TRUE(WireCache::scan_ttl_offsets(wire, offsets, min_ttl, answers));
-  EXPECT_EQ(answers, 3u);
-  ASSERT_EQ(offsets.size(), 4u);  // 3 answers + 1 authority; OPT excluded
-  EXPECT_EQ(min_ttl, 60u);
-  // Each recorded offset must point at the record's actual TTL field.
-  std::vector<std::uint32_t> ttls;
-  for (std::uint16_t offset : offsets) {
-    ttls.push_back(static_cast<std::uint32_t>(wire[offset]) << 24 |
-                   static_cast<std::uint32_t>(wire[offset + 1]) << 16 |
-                   static_cast<std::uint32_t>(wire[offset + 2]) << 8 |
-                   wire[offset + 3]);
+  const Message response = rich_response(query_for(1, "www.example.com"));
+  const ResponseImage image = ResponseImage::of(response);
+  EXPECT_EQ(image.ttl_count(), 4u);  // 3 answers + 1 authority; OPT excluded
+  EXPECT_EQ(image.min_ttl(), 60u);
+  // Stamping rewrites exactly those four TTL fields.
+  Message expected = response;
+  expected.id = 5;
+  for (auto* section : {&expected.answers, &expected.authorities}) {
+    for (ResourceRecord& rr : *section) rr.ttl = 17;
   }
-  EXPECT_EQ(ttls, (std::vector<std::uint32_t>{300, 60, 60, 3600}));
+  EXPECT_TRUE(std::ranges::equal(
+      image.answer(5, RRClass::kIN, TtlRewrite::stamp(17)).view(),
+      expected.encode()));
+}
+
+TEST(WireCacheTest, ClassIsPatchedFromTheQuery) {
+  const Message query = query_for(1, "www.example.com");
+  Message response = rich_response(query);
+  const ResponseImage image = ResponseImage::of(response);
+  response.id = 3;
+  response.questions[0].klass = RRClass::kANY;
+  EXPECT_TRUE(std::ranges::equal(
+      image.answer(3, RRClass::kANY, TtlRewrite::decay(0)).view(),
+      response.encode()));
+}
+
+TEST(WireCacheTest, StaleHitStampsTtlAndKeepsTheEntry) {
+  WireCache cache;
+  const DnsName name = DnsName::parse("a.example");
+  cache.insert(name, RRType::kA, a_image("a.example", 5), 0);
+
+  EXPECT_FALSE(cache.lookup(name, RRType::kA, 5 * kSecond).has_value());
+  for (int i = 0; i < 2; ++i) {
+    // Inside the stale window the entry serves stale — as often as asked,
+    // exactly like dns::Cache: refreshing is the caller's job.
+    const auto hit =
+        cache.lookup(name, RRType::kA, 30 * kSecond, 60 * kSecond);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_TRUE(hit->stale);
+    const auto decoded = Message::decode(
+        hit->image->answer(3, RRClass::kIN, TtlRewrite::stamp(7)).view());
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->answers[0].ttl, 7u);
+  }
+  EXPECT_EQ(cache.size(), 1u);
+  // At exactly the end of the window it is a miss, still not evicted.
+  EXPECT_FALSE(
+      cache.lookup(name, RRType::kA, 65 * kSecond, 60 * kSecond).has_value());
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.tier_stats().stale_hits, 2u);
+}
+
+TEST(WireCacheTest, NegativeEntryLivesSixtySeconds) {
+  WireCache cache;
+  const DnsName name = DnsName::parse("nx.example");
+  cache.insert(name, RRType::kA,
+               ResponseImage::answer_to(
+                   Question{name, RRType::kA, RRClass::kIN}, {}),
+               0);
+  EXPECT_TRUE(cache.lookup(name, RRType::kA, 59 * kSecond).has_value());
+  EXPECT_FALSE(cache.lookup(name, RRType::kA, 60 * kSecond).has_value());
+}
+
+TEST(WireCacheTest, LruEvictsLeastRecentlyUsedAtCapacity) {
+  WireCache cache(2);
+  const DnsName a = DnsName::parse("a.example");
+  const DnsName b = DnsName::parse("b.example");
+  const DnsName c = DnsName::parse("c.example");
+  cache.insert(a, RRType::kA, a_image("a.example", 300), 0);
+  cache.insert(b, RRType::kA, a_image("b.example", 300), 0);
+  ASSERT_TRUE(cache.lookup(a, RRType::kA, 0).has_value());  // touch a
+  cache.insert(c, RRType::kA, a_image("c.example", 300), 0);  // evicts b
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_FALSE(cache.lookup(b, RRType::kA, 0).has_value());
+  // Replacing a touches it, so c is now the eviction victim.
+  cache.insert(a, RRType::kA, a_image("a.example", 300), 0);
+  cache.insert(b, RRType::kA, a_image("b.example", 300), 0);
+  EXPECT_TRUE(cache.lookup(a, RRType::kA, 0).has_value());
+  EXPECT_FALSE(cache.lookup(c, RRType::kA, 0).has_value());
+}
+
+/// The L1 and dns::Cache driven by the same random operation stream must
+/// agree on every hit, miss, stale hit, age, eviction and size — the
+/// contract that keeps the engine's event streams unchanged.
+TEST(WireCacheTest, MatchesRecordCacheDecisions) {
+  constexpr std::size_t kCapacity = 8;
+  constexpr SimTime kMaxStale = 20 * kSecond;
+  Cache records;
+  records.set_capacity(kCapacity);
+  WireCache images(kCapacity);
+  Rng rng(2024);
+  SimTime now = 0;
+  for (int op = 0; op < 20000; ++op) {
+    now += static_cast<SimTime>(rng.uniform_int(0, 3000)) * kMillisecond;
+    const std::string text = "n" + std::to_string(rng.uniform_int(0, 15)) +
+                             ".example";
+    const DnsName name = DnsName::parse(text);
+    const RRType type = rng.uniform_int(0, 3) == 0 ? RRType::kAAAA
+                                                   : RRType::kA;
+    if (rng.uniform_int(0, 2) == 0) {
+      std::vector<ResourceRecord> rrs;
+      const int count = static_cast<int>(rng.uniform_int(0, 2));
+      for (int i = 0; i < count; ++i) {
+        rrs.push_back(make_a(name,
+                             static_cast<std::uint32_t>(
+                                 rng.uniform_int(0, 30)),
+                             static_cast<std::uint32_t>(i)));
+      }
+      images.insert(name, type,
+                    ResponseImage::answer_to(
+                        Question{name, type, RRClass::kIN}, rrs),
+                    now);
+      records.insert(name, type, std::move(rrs), now);
+    } else {
+      const SimTime max_stale = rng.uniform_int(0, 1) == 0 ? 0 : kMaxStale;
+      const auto expected =
+          max_stale == 0 ? records.lookup_ref(name, type, now)
+                         : records.lookup_stale_ref(name, type, now,
+                                                    max_stale);
+      const auto actual = images.lookup(name, type, now, max_stale);
+      ASSERT_EQ(expected.has_value(), actual.has_value()) << "op " << op;
+      if (expected) {
+        EXPECT_EQ(expected->stale, actual->stale) << "op " << op;
+        EXPECT_EQ(expected->age_s, actual->age_s) << "op " << op;
+      }
+    }
+    ASSERT_EQ(records.size(), images.size()) << "op " << op;
+  }
+  const TierStats a = records.tier_stats();
+  const TierStats b = images.tier_stats();
+  EXPECT_EQ(a.lookups, b.lookups);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.stale_hits, b.stale_hits);
+  EXPECT_EQ(a.inserts, b.inserts);
+  EXPECT_EQ(records.evictions(), images.evictions());
+  EXPECT_GT(images.evictions(), 0u);
+  EXPECT_GT(b.stale_hits, 0u);
+}
+
+TEST(ResponseImageTest, AdoptZeroesTheIdAndRejectsMalformedBytes) {
+  Message response = rich_response(query_for(0x4242, "www.example.com"));
+  const auto wire = response.encode();
+  const ResponseImage image = ResponseImage::adopt(wire);
+  ASSERT_FALSE(image.empty());
+  EXPECT_EQ(image.wire()[0], 0);
+  EXPECT_EQ(image.wire()[1], 0);
+  EXPECT_TRUE(std::ranges::equal(image.wire().subspan(2),
+                                 std::span(wire).subspan(2)));
+  // Truncated, or not exactly one question.
+  EXPECT_TRUE(
+      ResponseImage::adopt(std::span(wire).first(wire.size() - 3)).empty());
+  response.questions.push_back(response.questions[0]);
+  EXPECT_TRUE(ResponseImage::adopt(response.encode()).empty());
+}
+
+TEST(ResponseImageTest, DecayedBuildsANewImage) {
+  const ResponseImage image = a_image("a.example", 300);
+  const ResponseImage older = image.decayed(100);
+  EXPECT_EQ(older.min_ttl(), 200u);
+  EXPECT_EQ(image.min_ttl(), 300u);  // the original is never patched
+  const auto decoded = Message::decode(
+      older.answer(1, RRClass::kIN, TtlRewrite::decay(0)).view());
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->answers[0].ttl, 200u);
+  EXPECT_TRUE(older.wire().data() != image.wire().data());
+  EXPECT_TRUE(image.decayed(0).wire().data() == image.wire().data());
 }
 
 }  // namespace

@@ -38,6 +38,9 @@ trap 'rm -rf "$snapdir"' EXIT
       --qps=2000 --seconds=2 --snapshot-dir="$snapdir" --l2-stale >/dev/null
 "$root/build-sanitize/tools/doxperf" churn --smoke --shards=2 \
       --restart-at=4 --snapshot-dir="$snapdir/churn" >/dev/null
+# Scan-vs-decode parity fuzz (fixed iterations) under ASan/UBSan: the
+# validating scan reads every stub query and every answer the swarm gets.
+"$root/build-sanitize/tests/scan_fuzz_test" --gtest_brief=1
 # A hot single-shard run at the benchmark's rate: the arrival cursor, the
 # swarm's flat id table and its pooled query images under ASan/UBSan.
 "$root/build-sanitize/tools/doxperf" engine --shards=1 --qps=50000 \
@@ -69,7 +72,7 @@ done
 "$root/build-tsan/tools/doxperf" engine --shards=4 --clients=5000 \
       --qps=3000 --seconds=2 >/dev/null
 "$root/build-tsan/tools/doxperf" engine --shards=4 --clients=5000 \
-      --qps=3000 --seconds=2 --batch-us=200 --wire-cache=4096 >/dev/null
+      --qps=3000 --seconds=2 --batch-us=200 >/dev/null
 # Finite-rate bottleneck on every shard host: exercises the link-layer
 # queue/loss path under the race detector.
 "$root/build-tsan/tools/doxperf" engine --shards=4 --clients=5000 \

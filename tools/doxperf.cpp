@@ -77,8 +77,6 @@ packet cache:
   --l2-capacity=N    shared packet-cache entries, 0 disables (default 65536)
   --batch-us=N       coalesce UDP datagrams per host within an N-us window
                      into one batch event, 0 = per-datagram (default 0)
-  --wire-cache=N     raw-wire packet-cache entries fronting the L1, 0
-                     disables (default 0)
   --bottleneck-mbps=N     finite-rate ingress link on each shard host, 0
                      disables (default 0)
   --bottleneck-queue-kb=N tail-drop queue depth for that link (default 64)
@@ -201,10 +199,9 @@ int flag_int(int argc, char** argv, const char* name, int fallback) {
 std::string shard_csv(const engine::ShardedResult& result) {
   std::string out =
       "shard,arrivals,sent,answered,servfails,timeouts,shed,queries,"
-      "cache_hits,stale_hits,misses,coalesced,wire_hits,wire_lookups,"
-      "l2_hits,l2_lookups,upstream_resolves,link_packets,link_drops,"
-      "link_queue_peak,l1_lookups,l1_evictions,l1_entries,l1_bytes,"
-      "wire_evictions,wire_entries,wire_bytes,snapshot_hits,"
+      "cache_hits,stale_hits,misses,coalesced,l2_hits,l2_lookups,"
+      "upstream_resolves,link_packets,link_drops,link_queue_peak,"
+      "l1_lookups,l1_evictions,l1_entries,l1_bytes,snapshot_hits,"
       "snapshot_lookups,snapshot_entries,snapshot_bytes,events,digest,"
       "outcomes\n";
   char line[1024];
@@ -213,7 +210,7 @@ std::string shard_csv(const engine::ShardedResult& result) {
         line, sizeof(line),
         "%u,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
         "%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
-        "%llu,%llu,%llu,%llu,%llu,%llu,%016llx,%016llx\n",
+        "%llu,%016llx,%016llx\n",
         shard.index, static_cast<unsigned long long>(shard.arrivals),
         static_cast<unsigned long long>(shard.load.sent),
         static_cast<unsigned long long>(shard.load.answered),
@@ -225,8 +222,6 @@ std::string shard_csv(const engine::ShardedResult& result) {
         static_cast<unsigned long long>(shard.engine.stale_hits),
         static_cast<unsigned long long>(shard.engine.misses),
         static_cast<unsigned long long>(shard.engine.coalesced),
-        static_cast<unsigned long long>(shard.engine.wire_hits),
-        static_cast<unsigned long long>(shard.engine.wire_lookups),
         static_cast<unsigned long long>(shard.engine.l2_hits),
         static_cast<unsigned long long>(shard.engine.l2_lookups),
         static_cast<unsigned long long>(shard.engine.upstream_resolves),
@@ -237,9 +232,6 @@ std::string shard_csv(const engine::ShardedResult& result) {
         static_cast<unsigned long long>(shard.engine.l1_evictions),
         static_cast<unsigned long long>(shard.engine.l1_entries),
         static_cast<unsigned long long>(shard.engine.l1_bytes),
-        static_cast<unsigned long long>(shard.engine.wire_evictions),
-        static_cast<unsigned long long>(shard.engine.wire_entries),
-        static_cast<unsigned long long>(shard.engine.wire_bytes),
         static_cast<unsigned long long>(shard.engine.snapshot_hits),
         static_cast<unsigned long long>(shard.engine.snapshot_lookups),
         static_cast<unsigned long long>(shard.engine.snapshot_entries),
@@ -250,7 +242,7 @@ std::string shard_csv(const engine::ShardedResult& result) {
     out += line;
   }
   std::snprintf(line, sizeof(line),
-                "merged,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,%016llx,%016llx\n",
+                "merged,,,,,,,,,,,,,,,,,,,,,,,,,,,%016llx,%016llx\n",
                 static_cast<unsigned long long>(result.merged_digest),
                 static_cast<unsigned long long>(result.outcome_digest));
   out += line;
@@ -315,8 +307,6 @@ engine::ShardedConfig engine_config(int argc, char** argv,
       flag_int(argc, argv, "--batch-us", 0) * kMicrosecond;
   config.engine.coalesce = !flag_set(argc, argv, "--no-coalesce");
   config.engine.serve_stale = !flag_set(argc, argv, "--no-stale");
-  config.engine.wire_cache_capacity =
-      flag_num<std::size_t>(argc, argv, "--wire-cache", 0);
   config.engine.snapshot_dir = flag_value(argc, argv, "--snapshot-dir", "");
   config.engine.l2_serve_stale = flag_set(argc, argv, "--l2-stale");
   // Short TTLs keep refresh traffic flowing past the initial warmup, so an
@@ -375,13 +365,12 @@ void print_engine_report(const char* title,
               static_cast<unsigned long long>(config.duration / kSecond),
               static_cast<unsigned long long>(config.seed));
   std::printf("  epoch %llu ms, %llu epochs, L2 capacity %zu, coalescing "
-              "%s, serve-stale %s, batch window %llu us, wire cache %zu\n",
+              "%s, serve-stale %s, batch window %llu us\n",
               static_cast<unsigned long long>(config.epoch / kMillisecond),
               static_cast<unsigned long long>(result.epochs),
               config.l2_capacity, config.engine.coalesce ? "on" : "off",
               config.engine.serve_stale ? "on" : "off",
-              static_cast<unsigned long long>(config.batch_window),
-              config.engine.wire_cache_capacity);
+              static_cast<unsigned long long>(config.batch_window));
   for (const auto& event : config.churn) {
     std::printf("  t=%5.1fs upstream-%zu %s\n",
                 static_cast<double>(event.at) / kSecond, event.upstream,
@@ -427,9 +416,6 @@ void print_engine_report(const char* title,
               static_cast<unsigned long long>(e.stale_hits),
               static_cast<unsigned long long>(e.misses),
               static_cast<unsigned long long>(e.cache_evictions));
-  std::printf("wire cache     hit %llu / %llu lookups\n",
-              static_cast<unsigned long long>(e.wire_hits),
-              static_cast<unsigned long long>(e.wire_lookups));
   std::printf("L2 cache       hit %llu / %llu lookups  deferred %llu  "
               "applied %llu  lock-miss %llu  size %zu\n",
               static_cast<unsigned long long>(result.l2.hits),
