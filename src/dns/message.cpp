@@ -189,16 +189,17 @@ bool read_record_into(ByteReader& r, ResourceRecord& rr) {
 /// read_record_into's checks without the copies (see scan_message).
 bool skip_record(ByteReader& r) {
   if (!skip_name(r)) return false;
-  auto type = r.u16();
-  auto fixed = r.bytes(6);  // class + ttl
-  auto rdlen = r.u16();
-  if (!type || !fixed || !rdlen) return false;
-  if (rdata_is_name(static_cast<RRType>(*type))) {
-    const std::size_t end = r.position() + *rdlen;
+  const auto fixed = r.bytes(10);  // type, class, ttl, rdlength
+  if (!fixed) return false;
+  const std::uint8_t* f = fixed->data();
+  const auto type = static_cast<RRType>((f[0] << 8) | f[1]);
+  const std::size_t rdlen = (std::size_t{f[8]} << 8) | f[9];
+  if (rdata_is_name(type)) {
+    const std::size_t end = r.position() + rdlen;
     if (!skip_name(r) || r.position() > end) return false;
     return r.seek(end);
   }
-  return r.bytes(*rdlen).has_value();
+  return r.bytes(rdlen).has_value();
 }
 
 }  // namespace
@@ -320,30 +321,29 @@ std::optional<Message> Message::decode(std::span<const std::uint8_t> wire) {
 }
 
 bool scan_message(std::span<const std::uint8_t> wire, MessageHead& out) {
+  if (wire.size() < 12) return false;
+  const auto be16 = [&wire](std::size_t at) {
+    return static_cast<std::uint16_t>((wire[at] << 8) | wire[at + 1]);
+  };
+  out.id = be16(0);
+  out.flags = be16(2);
+  out.qdcount = be16(4);
+  const std::uint32_t records =
+      std::uint32_t{be16(6)} + be16(8) + be16(10);
   ByteReader r(wire);
-  auto id = r.u16();
-  auto flags = r.u16();
-  auto qd = r.u16();
-  auto an = r.u16();
-  auto ns = r.u16();
-  auto ar = r.u16();
-  if (!id || !flags || !qd || !an || !ns || !ar) return false;
-  out.id = *id;
-  out.flags = *flags;
-  out.qdcount = *qd;
-  for (std::uint16_t i = 0; i < *qd; ++i) {
+  (void)r.seek(12);
+  for (std::uint16_t i = 0; i < out.qdcount; ++i) {
     if (!(i == 0 ? read_name_into(r, out.question.name) : skip_name(r))) {
       return false;
     }
-    auto type = r.u16();
-    auto klass = r.u16();
-    if (!type || !klass) return false;
+    const auto fixed = r.bytes(4);  // type, class
+    if (!fixed) return false;
     if (i == 0) {
-      out.question.type = static_cast<RRType>(*type);
-      out.question.klass = static_cast<RRClass>(*klass);
+      const std::uint8_t* f = fixed->data();
+      out.question.type = static_cast<RRType>((f[0] << 8) | f[1]);
+      out.question.klass = static_cast<RRClass>((f[2] << 8) | f[3]);
     }
   }
-  const std::uint32_t records = std::uint32_t{*an} + *ns + *ar;
   for (std::uint32_t i = 0; i < records; ++i) {
     if (!skip_record(r)) return false;
   }

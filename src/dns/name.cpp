@@ -150,41 +150,43 @@ namespace {
 /// Walks one possibly-compressed name, handing each label's raw bytes to
 /// `on_label`. read_name_into and skip_name both go through here, so the
 /// materializing read and the validating skip accept exactly the same
-/// inputs.
+/// inputs. The walk indexes the reader's input directly: names are the
+/// hot part of every message scan.
 template <typename OnLabel>
 bool walk_name(ByteReader& reader, OnLabel&& on_label) {
+  constexpr std::size_t kNoPointer = static_cast<std::size_t>(-1);
+  const std::span<const std::uint8_t> wire = reader.data();
+  std::size_t pos = reader.position();
   std::size_t length = 0;  // flat label bytes so far
   int pointer_hops = 0;
-  std::optional<std::size_t> resume_at;  // position after the first pointer
+  std::size_t resume_at = kNoPointer;  // position after the first pointer
 
   while (true) {
-    auto len = reader.u8();
-    if (!len) return false;
-    if ((*len & 0xC0) == 0xC0) {
+    if (pos >= wire.size()) return false;
+    const std::uint8_t len = wire[pos++];
+    if ((len & 0xC0) == 0xC0) {
       // Compression pointer: 14-bit absolute offset.
-      auto low = reader.u8();
-      if (!low) return false;
+      if (pos >= wire.size()) return false;
       const std::size_t target =
-          (static_cast<std::size_t>(*len & 0x3F) << 8) | *low;
-      if (!resume_at) resume_at = reader.position();
+          (static_cast<std::size_t>(len & 0x3F) << 8) | wire[pos++];
+      if (resume_at == kNoPointer) resume_at = pos;
       // Require strictly backward pointers; combined with the hop limit this
       // rules out loops.
-      if (target >= reader.position() - 2) return false;
+      if (target >= pos - 2) return false;
       if (++pointer_hops > 32) return false;
-      if (!reader.seek(target)) return false;
+      pos = target;
       continue;
     }
-    if ((*len & 0xC0) != 0) return false;  // reserved tags 01/10
-    if (*len == 0) break;
-    auto label = reader.bytes(*len);
-    if (!label) return false;
-    if (length + 1 + label->size() + 1 > 255) return false;
-    length += 1 + label->size();
-    on_label(*label);
+    if ((len & 0xC0) != 0) return false;  // reserved tags 01/10
+    if (len == 0) break;
+    if (wire.size() - pos < len) return false;
+    if (length + 1 + len + 1 > 255) return false;
+    length += 1 + len;
+    on_label(wire.subspan(pos, len));
+    pos += len;
   }
 
-  if (resume_at) reader.seek(*resume_at);
-  return true;
+  return reader.seek(resume_at == kNoPointer ? pos : resume_at);
 }
 
 }  // namespace
@@ -194,7 +196,9 @@ bool read_name_into(ByteReader& reader, DnsName& out) {
   wire.clear();
   return walk_name(reader, [&wire](std::span<const std::uint8_t> label) {
     wire.push_back(static_cast<char>(label.size()));
-    for (std::uint8_t c : label) wire.push_back(lower(static_cast<char>(c)));
+    const std::size_t start = wire.size();
+    wire.append(reinterpret_cast<const char*>(label.data()), label.size());
+    for (std::size_t i = start; i < wire.size(); ++i) wire[i] = lower(wire[i]);
   });
 }
 

@@ -114,6 +114,8 @@ class ByteReader {
 
   std::size_t remaining() const { return data_.size() - pos_; }
   std::size_t position() const { return pos_; }
+  /// The whole input, for parsers that index it directly (DNS names).
+  std::span<const std::uint8_t> data() const { return data_; }
   bool at_end() const { return pos_ == data_.size(); }
 
   /// Moves the cursor to an absolute offset (for DNS compression pointers).
