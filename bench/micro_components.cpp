@@ -533,10 +533,10 @@ BytePathSample measure_dot_frame_pooled(int trials) {
   });
 }
 
-/// The Message-path cached answer the engine used to give, componentized:
-/// decode the query into scratch, rebuild the response in scratch (id echo
-/// + record copies), re-encode into a pooled buffer. Kept as the reference
-/// the image hit is measured against, with the same fixture on both sides.
+/// A Message-path cached answer, componentized: decode the query into
+/// scratch, rebuild the response in scratch (id echo + record copies),
+/// re-encode into a pooled buffer. The reference the image hit is measured
+/// against, with the same fixture on both sides.
 BytePathSample measure_message_cached(int trials) {
   DoudpMessages m;
   const std::vector<std::uint8_t> query_wire = m.query.encode();

@@ -1,7 +1,5 @@
 #include "dns/packet_cache.h"
 
-#include <algorithm>
-
 namespace doxlab::dns {
 
 SharedPacketCache::SharedPacketCache(std::size_t capacity,

@@ -1,9 +1,10 @@
 // Shared L2 packet cache for the sharded forwarder engine.
 //
-// Every shard keeps its own L1 `dns::WireCache` (see src/engine); this class is
-// the level below it — one table shared by all shards so an answer resolved
-// on shard 3 serves shard 5's next miss. The concurrency design borrows the
-// dnsdist packet-cache tricks and adapts them to the discrete-event setting:
+// Every shard keeps its own L1 `dns::WireCache` (see src/engine); this class
+// is the level below it — one table shared by all shards so an answer
+// resolved on shard 3 serves shard 5's next miss. The concurrency design
+// borrows the dnsdist packet-cache tricks and adapts them to the
+// discrete-event setting:
 //
 //   * The bucket array is reserve()d once at construction and never rehashes,
 //     so lookups never pay a growth stall.

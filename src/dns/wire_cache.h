@@ -6,8 +6,8 @@
 // qclass and the TTLs — no Message decode or encode on the way.
 //
 // The cache makes the same decisions the record cache (`dns::Cache`) makes,
-// so moving the engine from records to images moves no hit, miss, stale
-// hit or eviction:
+// so hits, misses, stale hits and evictions fall on the same queries as
+// they would with records:
 //
 //   * insert replaces an existing key in place and touches it; a new key
 //     goes to the LRU front and evicts from the back beyond `capacity`;

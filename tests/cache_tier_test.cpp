@@ -1,10 +1,10 @@
 // Cross-tier semantics tests for the unified cache hierarchy
 // (dns/cache_tier.h): every tier — record Cache, the engine's image L1,
-// shared L2 packet cache, persistent snapshot tier — must age an entry against the
-// same absolute clock, so the same RRset inserted everywhere at t0 reports
-// the same remaining TTL from any tier at any later instant. Plus the
-// shared helper edge cases (expiry boundary, stale window) and the TierStats
-// surface each tier exposes.
+// shared L2 packet cache, persistent snapshot tier — must age an entry
+// against the same absolute clock, so the same RRset inserted everywhere
+// at t0 reports the same remaining TTL from any tier at any later instant.
+// Plus the shared helper edge cases (expiry boundary, stale window) and the
+// TierStats surface each tier exposes.
 #include <gtest/gtest.h>
 
 #include <string>
