@@ -52,7 +52,7 @@ void print_run(const char* label, const ShardedConfig& config,
       static_cast<unsigned long long>(e.upstream_attempts),
       static_cast<unsigned long long>(e.failovers),
       static_cast<unsigned long long>(e.stale_refreshes),
-      static_cast<unsigned long long>(e.cache_evictions));
+      static_cast<unsigned long long>(e.l1_evictions));
 }
 
 }  // namespace

@@ -30,23 +30,14 @@ bool SharedPacketCache::lookup(std::uint32_t shard, const DnsName& name,
     ++lane.misses;
     return false;
   }
-  const Entry& entry = it->second;
-  const bool fresh = !expired(entry, now);
-  if (!fresh && (max_stale <= 0 ||
-                 !tier_stale_within(entry.inserted_at, entry.ttl_s, now,
-                                    max_stale))) {
+  const std::optional<TierHit> hit = classify(it->second, now, max_stale);
+  if (!hit) {
     ++lane.misses;
     return false;
   }
-  // Copying the image bumps the slab's atomic refcount (images are share()d
-  // when built); the bytes stay valid on this shard's thread even after a
-  // later sweep erases the entry.
-  out.image = entry.image;
-  out.ttl_s = entry.ttl_s;
-  out.age_s = tier_age_s(entry.inserted_at, now);
-  out.stale = !fresh;
+  out = *hit;
   ++lane.hits;
-  if (!fresh) ++lane.stale_hits;
+  if (hit->stale) ++lane.stale_hits;
   return true;
 }
 
@@ -56,12 +47,8 @@ void SharedPacketCache::insert(std::uint32_t shard, const DnsName& name,
   // Would expire instantly, or is negative: not worth a lane slot.
   if (image.ttl_count() == 0 || image.min_ttl() == 0) return;
   Lane& lane = lanes_[shard];
-  Pending pending;
-  pending.key = RecordKey{name, type};
-  pending.entry.ttl_s = image.min_ttl();
-  pending.entry.image = std::move(image);
-  pending.entry.inserted_at = now;
-  lane.pending.push_back(std::move(pending));
+  lane.pending.push_back(
+      Pending{RecordKey{name, type}, TierEntry::of(std::move(image), now)});
   ++lane.deferred_inserts;
 }
 
@@ -101,16 +88,10 @@ void SharedPacketCache::sweep(SimTime now) {
     lane.pending.clear();
   }
   for (auto it = entries_.begin(); it != entries_.end();) {
-    const Entry& entry = it->second;
     // With a stale-retention window, an expired entry stays sweepable for
     // `retain_stale_` past its expiry so lookup() can serve it stale.
-    const bool reap =
-        expired(entry, now) &&
-        (retain_stale_ <= 0 ||
-         !tier_stale_within(entry.inserted_at, entry.ttl_s, now,
-                            retain_stale_));
-    if (reap) {
-      bytes_ -= entry.image.footprint();
+    if (!classify(it->second, now, retain_stale_)) {
+      bytes_ -= it->second.image.footprint();
       it = entries_.erase(it);
       ++expired_evicted_;
     } else {
@@ -138,19 +119,6 @@ SharedPacketCache::Stats SharedPacketCache::stats() const {
   s.size = entries_.size();
   s.bytes = bytes_;
   return s;
-}
-
-TierStats SharedPacketCache::tier_stats() const {
-  const Stats s = stats();
-  TierStats t;
-  t.lookups = s.hits + s.misses;
-  t.hits = s.hits;
-  t.stale_hits = s.stale_hits;
-  t.inserts = s.applied_inserts;
-  t.evictions = s.expired_evicted;
-  t.entries = s.size;
-  t.bytes = s.bytes;
-  return t;
 }
 
 }  // namespace doxlab::dns

@@ -26,10 +26,12 @@
 // how the OS interleaved the shard threads. The contended-read fallback
 // exists for safety and is exercised by unit tests, not by the engine.
 //
-// Entries store the answer's `ResponseImage`, whose slab has been share()d
-// (atomic refcount): a hit hands the reading shard a refcounted handle to
-// bytes another shard's thread produced, and whichever thread drops the
-// last reference recycles the slab into its own pool.
+// Entries are `TierEntry`s (dns/cache_tier.h) whose image slab has been
+// share()d (atomic refcount). A hit points the reading shard at bytes
+// another shard's thread produced, valid until the next sweep (a barrier);
+// a shard that keeps the image, by promoting it into its L1, takes a
+// refcounted handle, and whichever thread drops the last reference
+// recycles the slab into its own pool.
 #pragma once
 
 #include <cstdint>
@@ -46,17 +48,9 @@
 
 namespace doxlab::dns {
 
-/// An L2 hit: a shared handle to the answer image plus the TTL bookkeeping
-/// the caller needs to patch it (decay every TTL by age_s, exactly like an
-/// L1 hit).
-struct PacketCacheHit {
-  ResponseImage image;       ///< shared, immutable
-  std::uint32_t ttl_s = 0;   ///< minimum record TTL at insert time
-  std::uint32_t age_s = 0;   ///< whole seconds since insertion
-  /// Past its TTL but inside the caller's stale window: the caller stamps
-  /// its stale TTL and owes the hierarchy exactly one background refresh.
-  bool stale = false;
-};
+/// An L2 hit. The image pointer is valid until the next sweep(), which
+/// runs only at epoch barriers.
+using PacketCacheHit = TierHit;
 
 /// Sharded-reader packet cache. Thread contract: lookup()/insert() may be
 /// called concurrently from different shard threads (each shard passes its
@@ -73,8 +67,9 @@ class SharedPacketCache {
   SharedPacketCache& operator=(const SharedPacketCache&) = delete;
 
   /// Hot-path read from shard `shard`. Returns true and fills `out` on a
-  /// fresh hit — or, when `max_stale > 0`, on an RFC 8767 stale hit
-  /// (`out.stale` set) for entries expired less than `max_stale` ago.
+  /// hit by `classify` (dns/cache_tier.h): fresh, or — when `max_stale > 0`
+  /// — an RFC 8767 stale hit (`out.stale` set) for entries expired less
+  /// than `max_stale` ago.
   /// Readers lock shared, so they only contend with the exclusive sweep
   /// (impossible mid-epoch, see header), never with each other; a contended
   /// or expired/absent entry reports false, and expired entries are left
@@ -124,10 +119,6 @@ class SharedPacketCache {
   };
   Stats stats() const;
 
-  /// Uniform tier observability (see dns/cache_tier.h). Same barrier
-  /// contract as stats().
-  TierStats tier_stats() const;
-
   std::size_t size() const { return entries_.size(); }
   std::size_t capacity() const { return capacity_; }
 
@@ -143,15 +134,9 @@ class SharedPacketCache {
   }
 
  private:
-  struct Entry {
-    ResponseImage image;
-    SimTime inserted_at = 0;
-    std::uint32_t ttl_s = 0;
-  };
-
   struct Pending {
     RecordKey key;
-    Entry entry;
+    TierEntry entry;
   };
 
   /// Per-shard insert lane + read counters. Padded to its own cache line so
@@ -165,11 +150,7 @@ class SharedPacketCache {
     std::uint64_t deferred_inserts = 0;
   };
 
-  static bool expired(const Entry& entry, SimTime now) {
-    return !tier_fresh(entry.inserted_at, entry.ttl_s, now);
-  }
-
-  using Map = RecordMap<Entry>;
+  using Map = RecordMap<TierEntry>;
 
   /// Guards entries_ and the sweep counters: shared for lookups, exclusive
   /// for the barrier-time sweep/stats.
@@ -185,7 +166,5 @@ class SharedPacketCache {
   std::uint64_t sweeps_ = 0;
   std::uint64_t bytes_ = 0;
 };
-
-static_assert(CacheTier<SharedPacketCache>);
 
 }  // namespace doxlab::dns

@@ -20,6 +20,9 @@ constexpr char kMagic[8] = {'D', 'O', 'X', 'S', 'N', 'A', 'P', '2'};
 /// a record (a response image is a few hundred bytes).
 constexpr std::uint32_t kMaxPayload = 1u << 22;
 
+/// Payload bytes before the owner name: qtype, stamp and TTL.
+constexpr std::size_t kPayloadFixed = 2 + 8 + 4;
+
 std::uint32_t fnv1a32(std::span<const std::uint8_t> data) {
   std::uint32_t h = 2166136261u;
   for (const std::uint8_t b : data) {
@@ -27,6 +30,29 @@ std::uint32_t fnv1a32(std::span<const std::uint8_t> data) {
     h *= 16777619u;
   }
   return h;
+}
+
+/// On-disk size of the frame that holds `entry` for `name`.
+std::uint64_t frame_bytes(const DnsName& name, const TierEntry& entry) {
+  return 8 + kPayloadFixed + name.wire_length() + entry.image.wire().size();
+}
+
+/// Writes one frame: `[u32 len][u32 fnv1a32(payload)][payload]`.
+bool write_frame(std::FILE* out, std::span<const std::uint8_t> payload) {
+  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
+  const std::uint32_t crc = fnv1a32(payload);
+  const std::uint8_t header[8] = {
+      static_cast<std::uint8_t>(len >> 24),
+      static_cast<std::uint8_t>(len >> 16),
+      static_cast<std::uint8_t>(len >> 8),
+      static_cast<std::uint8_t>(len),
+      static_cast<std::uint8_t>(crc >> 24),
+      static_cast<std::uint8_t>(crc >> 16),
+      static_cast<std::uint8_t>(crc >> 8),
+      static_cast<std::uint8_t>(crc)};
+  return std::fwrite(header, 1, sizeof(header), out) == sizeof(header) &&
+         std::fwrite(payload.data(), 1, payload.size(), out) ==
+             payload.size();
 }
 
 }  // namespace
@@ -44,12 +70,12 @@ SnapshotTier::~SnapshotTier() {
 }
 
 std::vector<std::uint8_t> SnapshotTier::encode_payload(
-    const DnsName& name, RRType type, SimTime inserted_at,
-    std::uint32_t ttl_s, std::span<const std::uint8_t> wire) {
-  ByteWriter writer(2 + 8 + 4 + name.wire_length() + wire.size());
+    const DnsName& name, RRType type, const TierEntry& entry) {
+  const std::span<const std::uint8_t> wire = entry.image.wire();
+  ByteWriter writer(kPayloadFixed + name.wire_length() + wire.size());
   writer.u16(static_cast<std::uint16_t>(type));
-  writer.u64(static_cast<std::uint64_t>(inserted_at));
-  writer.u32(ttl_s);
+  writer.u64(static_cast<std::uint64_t>(entry.inserted_at));
+  writer.u32(entry.ttl_s);
   writer.bytes(name.wire_labels());
   writer.u8(0);
   writer.bytes(wire);
@@ -57,7 +83,7 @@ std::vector<std::uint8_t> SnapshotTier::encode_payload(
 }
 
 bool SnapshotTier::decode_payload(std::span<const std::uint8_t> payload,
-                                  RecordKey& key, Entry& entry) {
+                                  RecordKey& key, TierEntry& entry) {
   ByteReader reader(payload);
   const auto type = reader.u16();
   const auto inserted_at = reader.u64();
@@ -65,12 +91,13 @@ bool SnapshotTier::decode_payload(std::span<const std::uint8_t> payload,
   if (!type || !inserted_at || !ttl_s) return false;
   if (!read_name_into(reader, key.name)) return false;
   key.type = static_cast<RRType>(*type);
-  entry.inserted_at = static_cast<SimTime>(*inserted_at);
-  entry.ttl_s = *ttl_s;
   const auto wire = reader.bytes(reader.remaining());
   if (!wire) return false;
-  entry.image = ResponseImage::adopt(*wire);
-  return !entry.image.empty();
+  entry = TierEntry::of(ResponseImage::adopt(*wire),
+                        static_cast<SimTime>(*inserted_at));
+  // The stored TTL is redundant with the image; a frame where they differ
+  // would serve TTL-0 answers as fresh.
+  return !entry.image.empty() && entry.ttl_s == *ttl_s;
 }
 
 void SnapshotTier::replay() {
@@ -130,13 +157,12 @@ void SnapshotTier::replay() {
         break;
       }
       RecordKey key;
-      Entry entry;
+      TierEntry entry;
       if (!decode_payload(*payload, key, entry)) {
         ++replay_stats_.skipped_bad;
         good_end = reader.position();
         continue;
       }
-      entry.frame_bytes = static_cast<std::uint32_t>(8 + *len);
       if (entries_.find(key) != entries_.end()) ++replay_stats_.superseded;
       apply(std::move(key), std::move(entry));
       ++replay_stats_.frames_replayed;
@@ -152,73 +178,38 @@ void SnapshotTier::replay() {
   log_ = std::fopen(config_.path.c_str(), "ab");
 }
 
-void SnapshotTier::apply(RecordKey key, Entry entry) {
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    live_bytes_ -= it->second.frame_bytes;
-    payload_bytes_ -= it->second.image.footprint();
-    live_bytes_ += entry.frame_bytes;
-    payload_bytes_ += entry.image.footprint();
-    it->second = std::move(entry);
-    return;
-  }
-  live_bytes_ += entry.frame_bytes;
+void SnapshotTier::apply(RecordKey key, TierEntry entry) {
+  live_bytes_ += frame_bytes(key.name, entry);
   payload_bytes_ += entry.image.footprint();
-  entries_.emplace(std::move(key), std::move(entry));
+  auto [it, inserted] = entries_.try_emplace(std::move(key));
+  if (!inserted) {
+    live_bytes_ -= frame_bytes(it->first.name, it->second);
+    payload_bytes_ -= it->second.image.footprint();
+  }
+  it->second = std::move(entry);
 }
 
 bool SnapshotTier::append_frame(std::span<const std::uint8_t> payload) {
-  if (log_ == nullptr) return false;
-  std::uint8_t header[8];
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t crc = fnv1a32(payload);
-  header[0] = static_cast<std::uint8_t>(len >> 24);
-  header[1] = static_cast<std::uint8_t>(len >> 16);
-  header[2] = static_cast<std::uint8_t>(len >> 8);
-  header[3] = static_cast<std::uint8_t>(len);
-  header[4] = static_cast<std::uint8_t>(crc >> 24);
-  header[5] = static_cast<std::uint8_t>(crc >> 16);
-  header[6] = static_cast<std::uint8_t>(crc >> 8);
-  header[7] = static_cast<std::uint8_t>(crc);
-  if (std::fwrite(header, 1, sizeof(header), log_) != sizeof(header)) {
-    return false;
-  }
-  if (std::fwrite(payload.data(), 1, payload.size(), log_) !=
-      payload.size()) {
-    return false;
-  }
-  log_bytes_ += sizeof(header) + payload.size();
+  if (log_ == nullptr || !write_frame(log_, payload)) return false;
+  log_bytes_ += 8 + payload.size();
   return true;
 }
 
 bool SnapshotTier::lookup(const DnsName& name, RRType type, SimTime now,
-                          SnapshotHit& out) {
+                          TierHit& out, SimTime max_stale) {
   ++lookups_;
   auto it = entries_.find(RecordKeyView{name, type});
   if (it == entries_.end()) return false;
-  Entry& entry = it->second;
-  if (tier_fresh(entry.inserted_at, entry.ttl_s, now)) {
-    out.image = &entry.image;
-    out.ttl_s = entry.ttl_s;
-    out.age_s = tier_age_s(entry.inserted_at, now);
-    out.stale = false;
+  if (const auto hit = classify(it->second, now, max_stale)) {
+    out = *hit;
     ++hits_;
-    return true;
-  }
-  if (tier_stale_within(entry.inserted_at, entry.ttl_s, now,
-                        config_.max_stale)) {
-    out.image = &entry.image;
-    out.ttl_s = entry.ttl_s;
-    out.age_s = tier_age_s(entry.inserted_at, now);
-    out.stale = true;
-    ++hits_;
-    ++stale_hits_;
+    if (hit->stale) ++stale_hits_;
     return true;
   }
   // Past the stale window: dead weight in the index; the log's copy is
   // reclaimed by the next compaction.
-  live_bytes_ -= entry.frame_bytes;
-  payload_bytes_ -= entry.image.footprint();
+  live_bytes_ -= frame_bytes(it->first.name, it->second);
+  payload_bytes_ -= it->second.image.footprint();
   entries_.erase(it);
   ++evictions_;
   return false;
@@ -227,14 +218,8 @@ bool SnapshotTier::lookup(const DnsName& name, RRType type, SimTime now,
 void SnapshotTier::insert(const DnsName& name, RRType type,
                           const ResponseImage& image, SimTime now) {
   if (image.ttl_count() == 0 || image.min_ttl() == 0) return;
-  Entry entry;
-  entry.image = image;
-  entry.inserted_at = now;
-  entry.ttl_s = image.min_ttl();
-  const std::vector<std::uint8_t> payload =
-      encode_payload(name, type, now, entry.ttl_s, image.wire());
-  if (!append_frame(payload)) return;
-  entry.frame_bytes = static_cast<std::uint32_t>(8 + payload.size());
+  TierEntry entry = TierEntry::of(image, now);
+  if (!append_frame(encode_payload(name, type, entry))) return;
   apply(RecordKey{name, type}, std::move(entry));
   ++inserts_;
   maybe_compact();
@@ -259,27 +244,13 @@ void SnapshotTier::compact() {
   bool ok = true;
   std::uint64_t written = sizeof(kMagic);
   for (const auto& [key, entry] : entries_) {
-    const std::vector<std::uint8_t> payload = encode_payload(
-        key.name, key.type, entry.inserted_at, entry.ttl_s,
-        entry.image.wire());
-    const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-    const std::uint32_t crc = fnv1a32(payload);
-    const std::uint8_t header[8] = {
-        static_cast<std::uint8_t>(len >> 24),
-        static_cast<std::uint8_t>(len >> 16),
-        static_cast<std::uint8_t>(len >> 8),
-        static_cast<std::uint8_t>(len),
-        static_cast<std::uint8_t>(crc >> 24),
-        static_cast<std::uint8_t>(crc >> 16),
-        static_cast<std::uint8_t>(crc >> 8),
-        static_cast<std::uint8_t>(crc)};
-    if (std::fwrite(header, 1, sizeof(header), out) != sizeof(header) ||
-        std::fwrite(payload.data(), 1, payload.size(), out) !=
-            payload.size()) {
+    const std::vector<std::uint8_t> payload =
+        encode_payload(key.name, key.type, entry);
+    if (!write_frame(out, payload)) {
       ok = false;
       break;
     }
-    written += sizeof(header) + payload.size();
+    written += 8 + payload.size();
   }
   std::fflush(out);
   std::fclose(out);
@@ -308,7 +279,7 @@ void SnapshotTier::compact() {
 
 void SnapshotTier::for_each(const EntryVisitor& visit) const {
   for (const auto& [key, entry] : entries_) {
-    visit(key.name, key.type, entry.inserted_at, entry.image);
+    visit(key.name, key.type, entry);
   }
 }
 

@@ -16,12 +16,13 @@
 //   * Replay (construction) walks the frames and stops cleanly at the first
 //     torn or corrupt one: a truncated tail — the crash case — costs at
 //     most the records after the tear, never the file. A frame whose
-//     checksum matches but whose payload fails to parse is skipped, not
-//     fatal.
-//   * Expiry is judged against the absolute stamps at *lookup* time with
-//     the shared tier rules (dns/cache_tier.h): a fresh entry decays by its
-//     age, an entry inside `max_stale` serves stale, anything older is
-//     dropped from the index (and reclaimed by the next compaction).
+//     checksum matches but whose payload fails to parse, or whose stored
+//     TTL is not the lifetime its image implies, is skipped, not fatal.
+//   * Expiry is judged against the absolute stamps at *lookup* time by
+//     `classify` (dns/cache_tier.h) with the caller's `max_stale`: a fresh
+//     entry decays by its age, an entry inside the stale window serves
+//     stale, anything older is dropped from the index (and reclaimed by the
+//     next compaction).
 //   * Compaction: when the log grows past `compact_min_bytes` AND to more
 //     than twice the live payload, the live entries are rewritten to
 //     `<path>.tmp` and renamed over the log — the same
@@ -49,20 +50,8 @@ namespace doxlab::dns {
 struct SnapshotConfig {
   /// Log file path. The file is created if absent, replayed if present.
   std::string path;
-  /// RFC 8767 window honored by lookup(); 0 = expired entries are misses.
-  SimTime max_stale = 0;
   /// Compaction trigger floor: never compact a log smaller than this.
   std::size_t compact_min_bytes = 1 << 20;
-};
-
-/// A snapshot hit. `image` points into the tier's index and stays valid
-/// until the next insert()/lookup()/compact(); patch it with TTLs decayed
-/// by `age_s` (fresh) or the caller's stale TTL (`stale` set).
-struct SnapshotHit {
-  const ResponseImage* image = nullptr;
-  std::uint32_t ttl_s = 0;
-  std::uint32_t age_s = 0;
-  bool stale = false;
 };
 
 class SnapshotTier {
@@ -75,11 +64,12 @@ class SnapshotTier {
   SnapshotTier(const SnapshotTier&) = delete;
   SnapshotTier& operator=(const SnapshotTier&) = delete;
 
-  /// Serves a fresh or stale entry per the shared tier rules. Entries past
-  /// the stale window are evicted from the index here (the log reclaims
-  /// the bytes at compaction).
-  bool lookup(const DnsName& name, RRType type, SimTime now,
-              SnapshotHit& out);
+  /// Serves a fresh entry, or — when `max_stale > 0` — a stale one, by
+  /// `classify`. The hit is valid until the next insert(), lookup() or
+  /// compact(). Entries past the stale window are evicted from the index
+  /// here (the log reclaims the bytes at compaction).
+  bool lookup(const DnsName& name, RRType type, SimTime now, TierHit& out,
+              SimTime max_stale = 0);
 
   /// Appends (superseding any previous record for the key). Images without
   /// records or with a zero minimum TTL are not persisted, mirroring the
@@ -97,9 +87,8 @@ class SnapshotTier {
 
   /// Visits every live index entry — the warm-start protocol: the engine
   /// promotes fresh entries into L1/L2 at construction.
-  using EntryVisitor =
-      std::function<void(const DnsName& name, RRType type,
-                         SimTime inserted_at, const ResponseImage& image)>;
+  using EntryVisitor = std::function<void(const DnsName& name, RRType type,
+                                          const TierEntry& entry)>;
   void for_each(const EntryVisitor& visit) const;
 
   /// What construction found on disk.
@@ -107,7 +96,8 @@ class SnapshotTier {
     std::uint64_t frames_replayed = 0;  ///< well-formed frames applied
     std::uint64_t superseded = 0;       ///< frames overwritten by later ones
     std::uint64_t torn_dropped = 0;     ///< truncated/corrupt tail frames
-    std::uint64_t skipped_bad = 0;      ///< checksum-ok but unparseable
+    std::uint64_t skipped_bad = 0;      ///< checksum-ok but unparseable,
+                                        ///< or TTL not the image's
     std::uint64_t bytes_read = 0;
   };
   const ReplayStats& replay_stats() const { return replay_stats_; }
@@ -120,28 +110,20 @@ class SnapshotTier {
   const std::string& path() const { return config_.path; }
 
  private:
-  struct Entry {
-    ResponseImage image;
-    SimTime inserted_at = 0;
-    std::uint32_t ttl_s = 0;
-    std::uint32_t frame_bytes = 0;    ///< on-disk frame size incl. header
-  };
-  using Map = RecordMap<Entry>;
+  using Map = RecordMap<TierEntry>;
 
   /// Serializes one record payload (no frame header).
   static std::vector<std::uint8_t> encode_payload(const DnsName& name,
                                                   RRType type,
-                                                  SimTime inserted_at,
-                                                  std::uint32_t ttl_s,
-                                                  std::span<const std::uint8_t>
-                                                      wire);
-  /// Parses a payload back; returns false on malformed bytes.
+                                                  const TierEntry& entry);
+  /// Parses a payload back; returns false on malformed bytes or a stored
+  /// TTL other than the lifetime the image implies.
   static bool decode_payload(std::span<const std::uint8_t> payload,
-                             RecordKey& key, Entry& entry);
+                             RecordKey& key, TierEntry& entry);
 
   void replay();
   bool append_frame(std::span<const std::uint8_t> payload);
-  void apply(RecordKey key, Entry entry);
+  void apply(RecordKey key, TierEntry entry);
   void maybe_compact();
 
   SnapshotConfig config_;
@@ -152,13 +134,11 @@ class SnapshotTier {
   std::uint64_t payload_bytes_ = 0;  ///< image bytes of live index entries
   std::uint64_t compactions_ = 0;
   ReplayStats replay_stats_;
-  mutable std::uint64_t lookups_ = 0;
-  mutable std::uint64_t hits_ = 0;
-  mutable std::uint64_t stale_hits_ = 0;
+  std::uint64_t lookups_ = 0;
+  std::uint64_t hits_ = 0;
+  std::uint64_t stale_hits_ = 0;
   std::uint64_t inserts_ = 0;
   std::uint64_t evictions_ = 0;
 };
-
-static_assert(CacheTier<SnapshotTier>);
 
 }  // namespace doxlab::dns

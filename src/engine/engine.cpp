@@ -53,7 +53,6 @@ ForwarderEngine::ForwarderEngine(sim::Simulator& sim,
     dns::SnapshotConfig snap_config;
     snap_config.path = config_.snapshot_dir + "/shard-" +
                        std::to_string(config_.shard_index) + ".snap";
-    snap_config.max_stale = config_.serve_stale ? config_.max_stale : 0;
     snapshot_ = std::make_unique<dns::SnapshotTier>(std::move(snap_config));
     warm_start_from_snapshot();
   }
@@ -101,7 +100,6 @@ void ForwarderEngine::send_response(const Waiter& waiter,
   dns::Message& response = stage_response(question, rcode, tc);
   response.id = waiter.stub_id;
   ship(waiter.from, response.encode_buffer());
-  latency_ms_.push_back(to_ms(sim_.now() - waiter.arrived));
 }
 
 void ForwarderEngine::ship(const net::Endpoint& to, util::Buffer wire) {
@@ -117,7 +115,6 @@ void ForwarderEngine::answer_image(const Waiter& waiter,
                                    const dns::ResponseImage& image,
                                    dns::RRClass qclass, dns::TtlRewrite ttl) {
   ship(waiter.from, image.answer(waiter.stub_id, qclass, ttl));
-  latency_ms_.push_back(to_ms(sim_.now() - waiter.arrived));
 }
 
 void ForwarderEngine::promote(const dns::DnsName& name, dns::RRType type,
@@ -153,52 +150,22 @@ void ForwarderEngine::answer_stale_with_refresh(
   }
 }
 
-bool ForwarderEngine::try_answer_l2(const Waiter& waiter,
-                                    const dns::Question& question,
-                                    std::uint32_t pool_index) {
-  ++l2_lookups_;
-  dns::PacketCacheHit hit;
-  const SimTime max_stale =
-      config_.l2_serve_stale && config_.serve_stale ? config_.max_stale : 0;
-  if (!config_.l2->lookup(config_.shard_index, question.name, question.type,
-                          sim_.now(), hit, max_stale)) {
-    return false;
-  }
-  ++l2_hits_;
+void ForwarderEngine::answer_tier_hit(const Waiter& waiter,
+                                      const dns::Question& question,
+                                      const dns::TierHit& hit,
+                                      std::uint32_t pool_index, bool to_l2) {
   if (hit.stale) {
     // Stale bytes are never promoted — the single refresh this triggers
     // re-promotes the fresh answer into L1 (and the L2/snapshot) instead.
-    answer_stale_with_refresh(waiter, question, hit.image, pool_index);
-    return true;
-  }
-  // Promote into the local L1 with TTLs decayed to the remaining lifetime
-  // (keeping expiry honest), so this shard's next query for the key is an
-  // L1 hit.
-  const dns::ResponseImage promoted = hit.image.decayed(hit.age_s);
-  promote(question.name, question.type, promoted, /*to_l2=*/false);
-  answer_image(waiter, promoted, question.klass, dns::TtlRewrite::decay(0));
-  return true;
-}
-
-bool ForwarderEngine::try_answer_snapshot(const Waiter& waiter,
-                                          const dns::Question& question,
-                                          std::uint32_t pool_index) {
-  ++snapshot_lookups_;
-  dns::SnapshotHit hit;
-  if (!snapshot_->lookup(question.name, question.type, sim_.now(), hit)) {
-    return false;
-  }
-  ++snapshot_hits_;
-  if (hit.stale) {
     answer_stale_with_refresh(waiter, question, *hit.image, pool_index);
-    return true;
+    return;
   }
-  // Promote up the hierarchy: into this shard's L1 and (deferred) the
-  // shared L2, so siblings skip their own disk consultation for the key.
+  // Promote up the hierarchy with TTLs decayed to the remaining lifetime
+  // (keeping expiry honest), so this shard's next query for the key is an
+  // L1 hit — and, for a snapshot hit, siblings skip their own disk lookup.
   const dns::ResponseImage promoted = hit.image->decayed(hit.age_s);
-  promote(question.name, question.type, promoted, /*to_l2=*/true);
+  promote(question.name, question.type, promoted, to_l2);
   answer_image(waiter, promoted, question.klass, dns::TtlRewrite::decay(0));
-  return true;
 }
 
 void ForwarderEngine::warm_start_from_snapshot() {
@@ -208,12 +175,11 @@ void ForwarderEngine::warm_start_from_snapshot() {
   // remaining lifetime, keeping every tier's expiry instant identical to
   // the original one.
   snapshot_->for_each([&](const dns::DnsName& name, dns::RRType type,
-                          SimTime inserted_at,
-                          const dns::ResponseImage& image) {
-    const std::uint32_t age_s = dns::tier_age_s(inserted_at, sim_.now());
+                          const dns::TierEntry& entry) {
     // Expired: lookup() may still serve it stale.
-    if (dns::tier_decay_ttl(image.min_ttl(), age_s) == 0) return;
-    promote(name, type, image.decayed(age_s), /*to_l2=*/true);
+    const auto hit = dns::classify(entry, sim_.now(), /*max_stale=*/0);
+    if (!hit) return;
+    promote(name, type, entry.image.decayed(hit->age_s), /*to_l2=*/true);
     ++warm_loaded_;
   });
 }
@@ -270,11 +236,9 @@ void ForwarderEngine::on_stub_query(const net::Endpoint& from,
   if (scratch_head_.qr() || scratch_head_.qdcount == 0) return;
   const dns::Question& question = scratch_head_.question;
   const dns::RecordKeyView key_view{question.name, question.type};
-  const Waiter waiter{from, scratch_head_.id, sim_.now()};
+  const Waiter waiter{from, scratch_head_.id};
 
   ++queries_;
-  if (first_query_at_ < 0) first_query_at_ = sim_.now();
-  last_query_at_ = sim_.now();
 
   // Policy runs BEFORE cache and coalescing: abusive traffic must not touch
   // (and thus never pollutes or probes) any downstream mechanism. An empty
@@ -288,8 +252,8 @@ void ForwarderEngine::on_stub_query(const net::Endpoint& from,
     if (pool_index != 0) ++policy_routed_;
   }
 
+  const SimTime max_stale = config_.serve_stale ? config_.max_stale : 0;
   if (config_.cache_enabled) {
-    const SimTime max_stale = config_.serve_stale ? config_.max_stale : 0;
     if (auto hit = l1_.lookup(question.name, question.type, sim_.now(),
                               max_stale)) {
       if (!hit->stale) {
@@ -306,13 +270,26 @@ void ForwarderEngine::on_stub_query(const net::Endpoint& from,
 
   // L1 had neither a fresh nor a stale entry: walk down the hierarchy —
   // shared L2, then the persistent snapshot — before paying (or joining)
-  // an upstream resolve.
-  if (config_.l2 != nullptr && try_answer_l2(waiter, question, pool_index)) {
-    return;
+  // an upstream resolve. The L2 serves stale only with l2_serve_stale.
+  dns::TierHit hit;
+  if (config_.l2 != nullptr) {
+    ++l2_lookups_;
+    if (config_.l2->lookup(config_.shard_index, question.name, question.type,
+                           sim_.now(), hit,
+                           config_.l2_serve_stale ? max_stale : 0)) {
+      ++l2_hits_;
+      answer_tier_hit(waiter, question, hit, pool_index, /*to_l2=*/false);
+      return;
+    }
   }
-  if (snapshot_ != nullptr &&
-      try_answer_snapshot(waiter, question, pool_index)) {
-    return;
+  if (snapshot_ != nullptr) {
+    ++snapshot_lookups_;
+    if (snapshot_->lookup(question.name, question.type, sim_.now(), hit,
+                          max_stale)) {
+      ++snapshot_hits_;
+      answer_tier_hit(waiter, question, hit, pool_index, /*to_l2=*/true);
+      return;
+    }
   }
 
   if (config_.coalesce) {
@@ -419,7 +396,6 @@ EngineStats ForwarderEngine::stats() const {
   s.upstream_resolves = upstream_resolves_;
   s.stale_refreshes = stale_refreshes_;
   s.servfails_sent = servfails_sent_;
-  s.cache_evictions = l1_.evictions();
   const dns::TierStats l1 = l1_.tier_stats();
   s.l1_lookups = l1.lookups;
   s.l1_evictions = l1.evictions;
@@ -466,7 +442,6 @@ void EngineStats::add(const EngineStats& other) {
   failovers += other.failovers;
   stale_refreshes += other.stale_refreshes;
   servfails_sent += other.servfails_sent;
-  cache_evictions += other.cache_evictions;
   l1_lookups += other.l1_lookups;
   l1_evictions += other.l1_evictions;
   l1_entries += other.l1_entries;
@@ -507,13 +482,6 @@ void EngineStats::add(const EngineStats& other) {
     policy_rules.insert(policy_rules.end(), other.policy_rules.begin(),
                         other.policy_rules.end());
   }
-}
-
-double ForwarderEngine::observed_qps() const {
-  if (queries_ < 2 || last_query_at_ <= first_query_at_) return 0.0;
-  return static_cast<double>(queries_) /
-         (static_cast<double>(last_query_at_ - first_query_at_) /
-          static_cast<double>(kSecond));
 }
 
 }  // namespace doxlab::engine

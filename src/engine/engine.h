@@ -21,9 +21,8 @@
 //     cache and coalescing — drop/refuse/truncate abusive traffic, route
 //     qname suffixes to named upstream pools — so attack floods are shed
 //     ahead of every expensive mechanism;
-//   * a stats surface: qps, coalesce rate, hit/stale/miss split, SERVFAILs,
-//     per-upstream health, per-policy-rule hit counters, and client-visible
-//     latency samples for percentile reporting through src/stats.
+//   * a stats surface: coalesce rate, hit/stale/miss split, SERVFAILs,
+//     per-upstream health and per-policy-rule hit counters.
 #pragma once
 
 #include <memory>
@@ -101,7 +100,6 @@ struct EngineStats {
   std::uint64_t failovers = 0;       ///< attempts beyond a query's first
   std::uint64_t stale_refreshes = 0; ///< background refreshes triggered
   std::uint64_t servfails_sent = 0;  ///< mirrors proxy::DnsProxy's counter
-  std::uint64_t cache_evictions = 0; ///< LRU evictions in the shared cache
 
   // Per-tier occupancy/traffic surface (dns/cache_tier.h): l1_* mirrors the
   // engine's own image L1 (l1_bytes counts image bytes), snapshot_* its
@@ -110,8 +108,7 @@ struct EngineStats {
   // stats — per-shard rows carry only the shard's own l2_hits/l2_lookups,
   // so add() can sum every field without multi-counting the shared tier.
   std::uint64_t l1_lookups = 0;
-  std::uint64_t l1_evictions = 0;   ///< capacity + expiry (cache_evictions
-                                    ///< stays capacity-only for compat)
+  std::uint64_t l1_evictions = 0;   ///< LRU evictions at the L1 capacity
   std::uint64_t l1_entries = 0;
   std::uint64_t l1_bytes = 0;
   std::uint64_t l2_evictions = 0;
@@ -207,19 +204,11 @@ class ForwarderEngine {
   const dns::SnapshotTier* snapshot() const { return snapshot_.get(); }
   /// Entries promoted from the snapshot into L1/L2 at construction.
   std::uint64_t snapshot_warm_loaded() const { return warm_loaded_; }
-  /// Client-visible latency samples in ms (arrival -> answer), for
-  /// percentile reporting. Cache hits contribute 0.
-  const std::vector<double>& latency_samples_ms() const {
-    return latency_ms_;
-  }
-  /// Sustained query rate over the window between first and last query.
-  double observed_qps() const;
 
  private:
   struct Waiter {
     net::Endpoint from;
     std::uint16_t stub_id = 0;
-    SimTime arrived = 0;
   };
   struct InFlight {
     std::vector<Waiter> waiters;  ///< empty for a pure background refresh
@@ -247,18 +236,14 @@ class ForwarderEngine {
   /// lifetime, stamped now: into the L1 and, with `to_l2`, the shared L2.
   void promote(const dns::DnsName& name, dns::RRType type,
                const dns::ResponseImage& image, bool to_l2);
-  /// Probes the shared L2 after an L1 miss. A fresh hit is answered by
-  /// patch and promoted into the L1 with decayed TTLs. With
-  /// l2_serve_stale, a stale hit answers with the stale TTL stamped and
-  /// triggers exactly one background refresh (no promotion — the refresh
-  /// re-promotes fresh data).
-  bool try_answer_l2(const Waiter& waiter, const dns::Question& question,
-                     std::uint32_t pool_index);
-  /// Probes the persistent snapshot tier after an L2 miss; same contract
-  /// as try_answer_l2, and a fresh hit is promoted into the L2 as well.
-  bool try_answer_snapshot(const Waiter& waiter,
-                           const dns::Question& question,
-                           std::uint32_t pool_index);
+  /// Answers a hit from a tier below the L1 (shared L2 or snapshot). A
+  /// fresh hit is promoted with decayed TTLs into the L1 and, with
+  /// `to_l2`, the shared L2, then answered by patch. A stale one answers
+  /// with the stale TTL stamped and triggers exactly one background
+  /// refresh (no promotion — the refresh re-promotes fresh data).
+  void answer_tier_hit(const Waiter& waiter, const dns::Question& question,
+                       const dns::TierHit& hit, std::uint32_t pool_index,
+                       bool to_l2);
   /// Answers a stale tier hit with the stale TTL stamped and starts the
   /// hierarchy's single background refresh unless one is already in
   /// flight.
@@ -335,9 +320,6 @@ class ForwarderEngine {
   std::uint64_t policy_truncated_ = 0;
   std::uint64_t policy_routed_ = 0;
   util::ErrorCounters policy_errors_;
-  std::vector<double> latency_ms_;
-  SimTime first_query_at_ = -1;
-  SimTime last_query_at_ = -1;
 };
 
 }  // namespace doxlab::engine

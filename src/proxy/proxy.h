@@ -48,9 +48,6 @@ class DnsProxy {
   /// of DNS Proxy are reset" step of the methodology.
   void reset_sessions();
 
-  /// Clears the local cache (no-op when disabled).
-  void clear_cache() { cache_.clear(); }
-
   const ProxyConfig& config() const { return config_; }
   std::uint64_t queries_forwarded() const { return forwarded_; }
   std::uint64_t cache_hits() const { return cache_hits_; }

@@ -88,7 +88,6 @@ class DoxResolver {
 
   const ResolverProfile& profile() const { return profile_; }
   net::Host& host() { return *host_; }
-  dns::Cache& cache() { return cache_; }
 
   /// Counters (per protocol) for tests and the scan module.
   std::uint64_t queries_served(dox::DnsProtocol protocol) const {

@@ -3,10 +3,11 @@
 // shared L2 packet cache, persistent snapshot tier — must age an entry
 // against the same absolute clock, so the same RRset inserted everywhere
 // at t0 reports the same remaining TTL from any tier at any later instant.
-// Plus the shared helper edge cases (expiry boundary, stale window) and the
-// TierStats surface each tier exposes.
+// Plus the `classify` table (expiry boundary, stale window, clock before
+// the insert) and the counters the engine reads from each tier.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,24 +38,45 @@ std::string temp_path(const std::string& file) {
   return ::testing::TempDir() + file;
 }
 
-// The concept is the refactor's contract: every tier satisfies it.
-static_assert(CacheTier<Cache>);
-static_assert(CacheTier<SharedPacketCache>);
-static_assert(CacheTier<WireCache>);
-static_assert(CacheTier<SnapshotTier>);
-
+/// The classify table: an entry stored at 5 s with a 30 s lifetime, probed
+/// around its expiry instant and the end of its stale window. The record
+/// cache's entry type must classify identically.
 TEST(CacheTierHelpers, ExpiryBoundary) {
-  const SimTime t0 = 5 * kSecond;
-  const std::uint32_t ttl = 30;
-  const SimTime expiry = tier_expiry(t0, ttl);
-  EXPECT_EQ(expiry, t0 + 30 * kSecond);
-  EXPECT_TRUE(tier_fresh(t0, ttl, expiry - 1));
-  EXPECT_FALSE(tier_fresh(t0, ttl, expiry));  // expiry instant is expired
-  // Stale window: [expiry, expiry + max_stale).
-  EXPECT_FALSE(tier_stale_within(t0, ttl, expiry - 1, kSecond));  // fresh
-  EXPECT_TRUE(tier_stale_within(t0, ttl, expiry, kSecond));
-  EXPECT_TRUE(tier_stale_within(t0, ttl, expiry + kSecond - 1, kSecond));
-  EXPECT_FALSE(tier_stale_within(t0, ttl, expiry + kSecond, kSecond));
+  const TierEntry entry{ResponseImage{}, 5 * kSecond, 30};
+  const CacheEntry records{{}, 5 * kSecond, 30};
+  const SimTime expiry = 35 * kSecond;
+  const SimTime window = 10 * kSecond;
+  struct Row {
+    SimTime now;
+    SimTime max_stale;
+    bool hit;
+    bool stale;
+    std::uint32_t age_s;
+  };
+  const Row rows[] = {
+      {expiry - 1, 0, true, false, 29},
+      {expiry - 1, window, true, false, 29},
+      {expiry, window, true, true, 30},  // the expiry instant is expired
+      {expiry, 0, false, false, 0},
+      {expiry + window - 1, window, true, true, 39},
+      {expiry + window, window, false, false, 0},
+      {4 * kSecond, 0, true, false, 0},  // clock before the insert
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(testing::Message() << "now " << row.now << " max_stale "
+                                    << row.max_stale);
+    const std::optional<TierHit> hit = classify(entry, row.now, row.max_stale);
+    ASSERT_EQ(hit.has_value(), row.hit);
+    const std::optional<TierHit> record_hit =
+        classify(records, row.now, row.max_stale);
+    ASSERT_EQ(record_hit.has_value(), row.hit);
+    if (!row.hit) continue;
+    EXPECT_EQ(hit->stale, row.stale);
+    EXPECT_EQ(hit->age_s, row.age_s);
+    EXPECT_EQ(hit->image, &entry.image);
+    EXPECT_EQ(record_hit->stale, row.stale);
+    EXPECT_EQ(record_hit->age_s, row.age_s);
+  }
 }
 
 TEST(CacheTierHelpers, AgeAndDecayClamp) {
@@ -93,7 +115,7 @@ TEST(CacheTierCross, SameRemainingTtlFromEveryTier) {
   PacketCacheHit l2_hit;
   ASSERT_TRUE(l2.lookup(0, name, RRType::kA, later, l2_hit));
   EXPECT_FALSE(l2_hit.stale);
-  EXPECT_EQ(l2_hit.ttl_s - l2_hit.age_s, remaining);
+  EXPECT_EQ(l2_hit.image->min_ttl() - l2_hit.age_s, remaining);
 
   // Image L1: patched answers carry the decayed TTL in-band.
   WireCache wire;
@@ -114,17 +136,17 @@ TEST(CacheTierCross, SameRemainingTtlFromEveryTier) {
   std::remove(snap_config.path.c_str());
   SnapshotTier snapshot(snap_config);
   snapshot.insert(name, RRType::kA, image_of(name, records), t0);
-  SnapshotHit snap_hit;
+  TierHit snap_hit;
   ASSERT_TRUE(snapshot.lookup(name, RRType::kA, later, snap_hit));
   EXPECT_FALSE(snap_hit.stale);
-  EXPECT_EQ(snap_hit.ttl_s - snap_hit.age_s, remaining);
+  EXPECT_EQ(snap_hit.image->min_ttl() - snap_hit.age_s, remaining);
 
   // And the persisted copy survives a restart with the same arithmetic.
   snapshot.flush();
   SnapshotTier reopened(snap_config);
-  SnapshotHit reopened_hit;
+  TierHit reopened_hit;
   ASSERT_TRUE(reopened.lookup(name, RRType::kA, later, reopened_hit));
-  EXPECT_EQ(reopened_hit.ttl_s - reopened_hit.age_s, remaining);
+  EXPECT_EQ(reopened_hit.image->min_ttl() - reopened_hit.age_s, remaining);
 }
 
 /// All tiers agree the entry is dead at the same instant too.
@@ -132,7 +154,7 @@ TEST(CacheTierCross, SameExpiryInstantEverywhere) {
   const DnsName name = DnsName::parse("expire.example.com");
   const std::uint32_t ttl = 10;
   const SimTime t0 = 2 * kSecond;
-  const SimTime expiry = tier_expiry(t0, ttl);
+  const SimTime expiry = t0 + ttl * kSecond;
   const auto records = a_records(name, ttl);
 
   Cache l1;
@@ -155,7 +177,7 @@ TEST(CacheTierCross, SameExpiryInstantEverywhere) {
   PacketCacheHit l2_hit;
   EXPECT_TRUE(l2.lookup(0, name, RRType::kA, expiry - 1, l2_hit));
   EXPECT_FALSE(l2.lookup(0, name, RRType::kA, expiry, l2_hit));
-  SnapshotHit snap_hit;
+  TierHit snap_hit;
   EXPECT_TRUE(snapshot.lookup(name, RRType::kA, expiry - 1, snap_hit));
   EXPECT_FALSE(snapshot.lookup(name, RRType::kA, expiry, snap_hit));
 }
@@ -167,7 +189,7 @@ TEST(CacheTierL2, StaleLookupAndRetention) {
   l2.insert(0, name, RRType::kA, a_records(name, 1), t0);
   l2.sweep(t0);
 
-  const SimTime expired_at = tier_expiry(t0, 1);
+  const SimTime expired_at = t0 + kSecond;
   PacketCacheHit hit;
   // Default lookup: expired is a miss.
   EXPECT_FALSE(l2.lookup(0, name, RRType::kA, expired_at + kSecond, hit));
@@ -175,7 +197,7 @@ TEST(CacheTierL2, StaleLookupAndRetention) {
   ASSERT_TRUE(l2.lookup(0, name, RRType::kA, expired_at + kSecond, hit,
                         /*max_stale=*/10 * kSecond));
   EXPECT_TRUE(hit.stale);
-  EXPECT_EQ(hit.ttl_s, 1u);
+  EXPECT_EQ(hit.image->min_ttl(), 1u);
   EXPECT_GE(l2.stats().stale_hits, 1u);
 
   // Without retention a barrier sweep reaps the expired entry...
@@ -199,8 +221,8 @@ TEST(CacheTierStats, CountersAreCoherent) {
   const DnsName name = DnsName::parse("stats.example.com");
   const SimTime t0 = kSecond;
 
-  Cache l1;
-  l1.insert(name, RRType::kA, a_records(name, 60), t0);
+  WireCache l1;
+  l1.insert(name, RRType::kA, image_of(name, a_records(name, 60)), t0);
   (void)l1.lookup(name, RRType::kA, t0 + kSecond);                  // hit
   (void)l1.lookup(DnsName::parse("absent.example"), RRType::kA, t0);  // miss
   const TierStats l1_stats = l1.tier_stats();
@@ -215,10 +237,10 @@ TEST(CacheTierStats, CountersAreCoherent) {
   l2.sweep(t0);
   PacketCacheHit hit;
   (void)l2.lookup(0, name, RRType::kA, t0 + kSecond, hit);
-  const TierStats l2_stats = l2.tier_stats();
-  EXPECT_EQ(l2_stats.inserts, 1u);
+  const SharedPacketCache::Stats l2_stats = l2.stats();
+  EXPECT_EQ(l2_stats.applied_inserts, 1u);
   EXPECT_EQ(l2_stats.hits, 1u);
-  EXPECT_EQ(l2_stats.entries, 1u);
+  EXPECT_EQ(l2_stats.size, 1u);
   EXPECT_GT(l2_stats.bytes, 0u);
 
   SnapshotConfig snap_config;
@@ -226,7 +248,7 @@ TEST(CacheTierStats, CountersAreCoherent) {
   std::remove(snap_config.path.c_str());
   SnapshotTier snapshot(snap_config);
   snapshot.insert(name, RRType::kA, image_of(name, a_records(name, 60)), t0);
-  SnapshotHit snap_hit;
+  TierHit snap_hit;
   (void)snapshot.lookup(name, RRType::kA, t0 + kSecond, snap_hit);
   const TierStats snap_stats = snapshot.tier_stats();
   EXPECT_EQ(snap_stats.inserts, 1u);

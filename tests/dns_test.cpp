@@ -361,7 +361,6 @@ TEST(Cache, HitWithinTtl) {
   ASSERT_TRUE(hit.has_value());
   ASSERT_EQ(hit->size(), 1u);
   EXPECT_EQ((*hit)[0].ttl, 200u);  // decayed
-  EXPECT_EQ(cache.hits(), 1u);
 }
 
 TEST(Cache, ExpiryAtTtlBoundary) {
@@ -381,20 +380,10 @@ TEST(Cache, LookupRefBorrowsRecordsWithoutTtlDecay) {
 
   auto ref = cache.lookup_ref(name, RRType::kA, 100 * kSecond);
   ASSERT_TRUE(ref.has_value());
-  EXPECT_FALSE(ref->stale);
   EXPECT_EQ(ref->age_s, 100u);
   ASSERT_EQ(ref->records->size(), 1u);
   EXPECT_EQ((*ref->records)[0].ttl, 300u);  // undecayed — borrowed storage
-
-  // Expired + within max_stale: the stale ref leaves TTL clamping to the
-  // caller as well.
-  auto stale = cache.lookup_stale_ref(name, RRType::kA, 301 * kSecond,
-                                      /*max_stale=*/10 * kSecond);
-  ASSERT_TRUE(stale.has_value());
-  EXPECT_TRUE(stale->stale);
-  auto gone = cache.lookup_stale_ref(name, RRType::kA, 312 * kSecond,
-                                     /*max_stale=*/10 * kSecond);
-  EXPECT_FALSE(gone.has_value());
+  EXPECT_FALSE(cache.lookup_ref(name, RRType::kA, 300 * kSecond));
 }
 
 TEST(Cache, TypeAndNameAreKeyed) {
@@ -414,16 +403,6 @@ TEST(Cache, NegativeEntriesExpireAfter60s) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_TRUE(hit->empty());
   EXPECT_FALSE(cache.lookup(name, RRType::kA, 61 * kSecond).has_value());
-}
-
-TEST(Cache, EvictExpired) {
-  Cache cache;
-  cache.insert(DnsName::parse("a.com"), RRType::kA,
-               {make_a(DnsName::parse("a.com"), 10, 1)}, 0);
-  cache.insert(DnsName::parse("b.com"), RRType::kA,
-               {make_a(DnsName::parse("b.com"), 1000, 1)}, 0);
-  EXPECT_EQ(cache.evict_expired(500 * kSecond), 1u);
-  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(Cache, InsertReplaces) {
@@ -456,21 +435,6 @@ TEST(Cache, NegativeEntryExpiresExactlyAtNegativeTtlBoundary) {
   cache.insert(name, RRType::kA, {}, 0);
   EXPECT_TRUE(cache.lookup(name, RRType::kA, 60 * kSecond - 1).has_value());
   EXPECT_FALSE(cache.lookup(name, RRType::kA, 60 * kSecond).has_value());
-}
-
-TEST(Cache, EvictExpiredReturnsZeroWhenNothingExpired) {
-  Cache cache;
-  DnsName name = DnsName::parse("a.com");
-  cache.insert(name, RRType::kA, {make_a(name, 100, 1)}, 0);
-  EXPECT_EQ(cache.evict_expired(50 * kSecond), 0u);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(Cache, EvictExpiredDropsNegativeEntriesToo) {
-  Cache cache;
-  cache.insert(DnsName::parse("neg.example"), RRType::kA, {}, 0);
-  EXPECT_EQ(cache.evict_expired(61 * kSecond), 1u);
-  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(Cache, UnboundedByDefaultNeverEvicts) {
@@ -529,29 +493,6 @@ TEST(Cache, ReplacingInsertDoesNotGrowLruState) {
   }
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.evictions(), 0u);
-}
-
-TEST(Cache, StaleLookupServesExpiredEntryWithClampedTtl) {
-  Cache cache;
-  DnsName name = DnsName::parse("stale.com");
-  cache.insert(name, RRType::kA, {make_a(name, 10, 1)}, 0);
-  // Fresh: decayed TTL, not stale.
-  auto fresh = cache.lookup_stale(name, RRType::kA, 4 * kSecond,
-                                  /*max_stale=*/kMinute, /*stale_ttl=*/30);
-  ASSERT_TRUE(fresh.has_value());
-  EXPECT_FALSE(fresh->stale);
-  EXPECT_EQ(fresh->records[0].ttl, 6u);
-  // Expired but within the stale window: clamped TTL, stale flag set.
-  auto stale = cache.lookup_stale(name, RRType::kA, 30 * kSecond, kMinute,
-                                  30);
-  ASSERT_TRUE(stale.has_value());
-  EXPECT_TRUE(stale->stale);
-  EXPECT_EQ(stale->records[0].ttl, 30u);
-  // Beyond the stale window: gone.
-  EXPECT_FALSE(cache
-                   .lookup_stale(name, RRType::kA, 10 * kSecond + kMinute,
-                                 kMinute, 30)
-                   .has_value());
 }
 
 }  // namespace

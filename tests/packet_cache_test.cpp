@@ -42,7 +42,7 @@ TEST(SharedPacketCache, DeferredInsertInvisibleUntilSweep) {
   cache.sweep(0);
   // Visible to every shard after the merge, not just the inserter.
   EXPECT_TRUE(cache.lookup(1, name, RRType::kA, 0, hit));
-  EXPECT_EQ(hit.ttl_s, 60u);
+  EXPECT_EQ(hit.image->min_ttl(), 60u);
   EXPECT_EQ(hit.age_s, 0u);
 
   stats = cache.stats();
@@ -63,11 +63,11 @@ TEST(SharedPacketCache, HitAgesAndDecodes) {
 
   PacketCacheHit hit;
   ASSERT_TRUE(cache.lookup(0, name, RRType::kA, 10 * kSecond, hit));
-  EXPECT_EQ(hit.ttl_s, 60u);  // minimum record TTL
+  EXPECT_EQ(hit.image->min_ttl(), 60u);  // minimum record TTL
   EXPECT_EQ(hit.age_s, 10u);
 
   // The entry is the forwarder's answer image for (name, A, IN).
-  const auto decoded = Message::decode(hit.image.wire());
+  const auto decoded = Message::decode(hit.image->wire());
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->questions[0].name, name);
   EXPECT_EQ(decoded->answers, records);
@@ -135,7 +135,7 @@ TEST(SharedPacketCache, CapacityRejectsNewKeysButReplacesExisting) {
   EXPECT_EQ(cache.stats().replaced, 1u);
   PacketCacheHit hit;
   ASSERT_TRUE(cache.lookup(0, a, RRType::kA, kSecond, hit));
-  EXPECT_EQ(hit.ttl_s, 120u);
+  EXPECT_EQ(hit.image->min_ttl(), 120u);
 }
 
 TEST(SharedPacketCache, LaterShardLaneWinsTheMerge) {
@@ -149,7 +149,7 @@ TEST(SharedPacketCache, LaterShardLaneWinsTheMerge) {
 
   PacketCacheHit hit;
   ASSERT_TRUE(cache.lookup(0, name, RRType::kA, 0, hit));
-  EXPECT_EQ(hit.ttl_s, 20u);
+  EXPECT_EQ(hit.image->min_ttl(), 20u);
   EXPECT_EQ(cache.stats().replaced, 1u);
   EXPECT_EQ(cache.size(), 1u);
 }
@@ -242,7 +242,12 @@ TEST(SharedPacketCache, ConcurrentShardReadersAndLaneWriters) {
                          make_a(name, 60, shard * 1000 + i)},
                      0);
         PacketCacheHit hit;
-        if (cache.lookup(shard, hot, RRType::kA, 0, hit)) ++hits[shard];
+        if (cache.lookup(shard, hot, RRType::kA, 0, hit)) {
+          // Keep the image, as the engine's promotion does: a refcounted
+          // handle to the shared slab, taken on this thread.
+          const ResponseImage kept = *hit.image;
+          ++hits[shard];
+        }
       }
     });
   }

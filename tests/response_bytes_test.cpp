@@ -320,7 +320,7 @@ TEST(ResponseBytes, LruEvictionOrderAtCapacity) {
     EXPECT_EQ(world.engine->stats().cache_hits, hits) << "step " << id;
     ++id;
   }
-  EXPECT_EQ(world.engine->stats().cache_evictions, 3u);
+  EXPECT_EQ(world.engine->stats().l1_evictions, 3u);
 }
 
 }  // namespace

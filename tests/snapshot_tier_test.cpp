@@ -2,8 +2,9 @@
 // (dns/snapshot_tier.h): round-trip replay, the truncate-at-every-byte
 // crash-recovery fuzz (any prefix of a valid log must replay to a clean
 // prefix of the inserted entries and accept appends afterwards),
-// supersede-on-rewrite, compaction, absolute expiry, and foreign-file
-// rejection (the previous DOXSNAP1 format included).
+// supersede-on-rewrite, compaction, absolute expiry, foreign-file
+// rejection (the previous DOXSNAP1 format included), and frames whose
+// stored TTL disagrees with their image.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,6 +16,7 @@
 #include "dns/message.h"
 #include "dns/response_image.h"
 #include "dns/snapshot_tier.h"
+#include "util/bytes.h"
 
 namespace doxlab::dns {
 namespace {
@@ -34,7 +36,7 @@ ResponseImage a_records(const DnsName& name, std::uint32_t ttl,
 }
 
 /// The answer records of a hit's image.
-std::vector<ResourceRecord> hit_records(const SnapshotHit& hit) {
+std::vector<ResourceRecord> hit_records(const TierHit& hit) {
   const auto decoded = Message::decode(hit.image->wire());
   return decoded ? decoded->answers : std::vector<ResourceRecord>{};
 }
@@ -87,11 +89,11 @@ TEST(SnapshotTier, RoundTripAcrossReopen) {
   EXPECT_EQ(reopened.replay_stats().torn_dropped, 0u);
   EXPECT_EQ(reopened.replay_stats().skipped_bad, 0u);
   for (int i = 0; i < 10; ++i) {
-    SnapshotHit hit;
+    TierHit hit;
     ASSERT_TRUE(
         reopened.lookup(numbered(i), RRType::kA, 2 * kSecond, hit))
         << "name" << i;
-    EXPECT_EQ(hit.ttl_s, 300u);
+    EXPECT_EQ(hit.image->min_ttl(), 300u);
     EXPECT_EQ(hit.age_s, 1u);
     EXPECT_FALSE(hit.stale);
     const std::vector<ResourceRecord> records = hit_records(hit);
@@ -130,7 +132,7 @@ TEST(SnapshotTier, TruncateAtEveryByteReplaysAPrefix) {
       // Exactly the first `replayed` names are present: recovery is a
       // prefix, never a subset with holes.
       for (int i = 0; i < kRecords; ++i) {
-        SnapshotHit hit;
+        TierHit hit;
         const bool found =
             tier.lookup(numbered(i), RRType::kA, 2 * kSecond, hit);
         EXPECT_EQ(found, static_cast<std::size_t>(i) < replayed)
@@ -144,7 +146,7 @@ TEST(SnapshotTier, TruncateAtEveryByteReplaysAPrefix) {
     }
     SnapshotTier reopened({.path = fuzz});
     EXPECT_EQ(reopened.size(), replayed + 1) << "cut=" << cut;
-    SnapshotHit hit;
+    TierHit hit;
     EXPECT_TRUE(
         reopened.lookup(numbered(1000), RRType::kA, 3 * kSecond, hit))
         << "cut=" << cut;
@@ -171,9 +173,9 @@ TEST(SnapshotTier, RewriteSupersedesInsteadOfDuplicating) {
   EXPECT_EQ(reopened.size(), 1u);
   EXPECT_EQ(reopened.replay_stats().frames_replayed, 2u);
   EXPECT_EQ(reopened.replay_stats().superseded, 1u);
-  SnapshotHit hit;
+  TierHit hit;
   ASSERT_TRUE(reopened.lookup(name, RRType::kA, 3 * kSecond, hit));
-  EXPECT_EQ(hit.ttl_s, 90u);  // the later write won
+  EXPECT_EQ(hit.image->min_ttl(), 90u);  // the later write won
   const std::vector<ResourceRecord> records = hit_records(hit);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].rdata[3], 2);
@@ -203,7 +205,7 @@ TEST(SnapshotTier, CompactionShrinksLogAndSurvivesReopen) {
 
   SnapshotTier reopened(config);
   EXPECT_EQ(reopened.size(), 1u);
-  SnapshotHit hit;
+  TierHit hit;
   ASSERT_TRUE(reopened.lookup(name, RRType::kA, 2 * kSecond, hit));
   const std::vector<ResourceRecord> records = hit_records(hit);
   ASSERT_EQ(records.size(), 1u);
@@ -222,22 +224,66 @@ TEST(SnapshotTier, AbsoluteExpiryJudgedAtLookup) {
   // lookup, not replay), the lookup misses and evicts it.
   SnapshotTier tier({.path = path});
   EXPECT_EQ(tier.size(), 1u);
-  SnapshotHit hit;
+  TierHit hit;
   EXPECT_FALSE(tier.lookup(name, RRType::kA, 30 * kSecond, hit));
   EXPECT_EQ(tier.size(), 0u);
   EXPECT_EQ(tier.tier_stats().evictions, 1u);
 
   // Same stamps with a stale window: an RFC 8767 stale hit instead.
-  SnapshotConfig stale_config;
-  stale_config.path = path;
-  stale_config.max_stale = 60 * kSecond;
-  SnapshotTier stale_tier(stale_config);
+  SnapshotTier stale_tier({.path = path});
   // The eviction above only touched the in-memory index; the log frame is
   // still there for a fresh replay.
   ASSERT_EQ(stale_tier.size(), 1u);
-  ASSERT_TRUE(stale_tier.lookup(name, RRType::kA, 30 * kSecond, hit));
+  ASSERT_TRUE(stale_tier.lookup(name, RRType::kA, 30 * kSecond, hit,
+                                /*max_stale=*/60 * kSecond));
   EXPECT_TRUE(hit.stale);
   EXPECT_EQ(stale_tier.tier_stats().stale_hits, 1u);
+}
+
+/// Appends a checksum-valid frame for (name, A) stamped `inserted_at` that
+/// claims `ttl_s`, whatever `image` carries.
+void append_frame(std::vector<std::uint8_t>& log, const DnsName& name,
+                  SimTime inserted_at, std::uint32_t ttl_s,
+                  const ResponseImage& image) {
+  ByteWriter payload;
+  payload.u16(static_cast<std::uint16_t>(RRType::kA));
+  payload.u64(static_cast<std::uint64_t>(inserted_at));
+  payload.u32(ttl_s);
+  payload.bytes(name.wire_labels());
+  payload.u8(0);
+  payload.bytes(image.wire());
+  const std::vector<std::uint8_t> bytes = payload.take();
+  std::uint32_t crc = 2166136261u;  // FNV-1a 32, the frame checksum
+  for (const std::uint8_t b : bytes) crc = (crc ^ b) * 16777619u;
+  ByteWriter frame;
+  frame.u32(static_cast<std::uint32_t>(bytes.size()));
+  frame.u32(crc);
+  frame.bytes(bytes);
+  const std::vector<std::uint8_t> framed = frame.take();
+  log.insert(log.end(), framed.begin(), framed.end());
+}
+
+TEST(SnapshotTier, ReplayRejectsAStoredTtlTheImageDoesNotCarry) {
+  // Frames are checksummed, not trusted: one claiming 3600 s over a 60 s
+  // record would otherwise answer with TTL 0 as a fresh hit for an hour.
+  const std::string path = temp_path("forged.snap");
+  const DnsName forged = DnsName::parse("forged.snap.example");
+  const DnsName honest = DnsName::parse("honest.snap.example");
+  std::vector<std::uint8_t> log = {'D', 'O', 'X', 'S', 'N', 'A', 'P', '2'};
+  append_frame(log, forged, 0, 3600, a_records(forged, 60, 1));
+  append_frame(log, honest, 0, 60, a_records(honest, 60, 2));
+  write_file(path, log);
+
+  SnapshotTier tier({.path = path});
+  EXPECT_EQ(tier.replay_stats().frames_replayed, 1u);
+  EXPECT_EQ(tier.replay_stats().skipped_bad, 1u);
+  EXPECT_EQ(tier.size(), 1u);
+  TierHit hit;
+  EXPECT_FALSE(tier.lookup(forged, RRType::kA, 120 * kSecond, hit));
+  EXPECT_FALSE(tier.lookup(forged, RRType::kA, 1800 * kSecond, hit));
+  ASSERT_TRUE(tier.lookup(honest, RRType::kA, 30 * kSecond, hit));
+  EXPECT_FALSE(hit.stale);
+  EXPECT_EQ(hit.age_s, 30u);
 }
 
 TEST(SnapshotTier, ForeignFileStartsFresh) {
@@ -272,7 +318,7 @@ TEST(SnapshotTier, EmptyPathIsInert) {
   SnapshotTier tier(SnapshotConfig{});
   const DnsName name = DnsName::parse("inert.snap.example");
   tier.insert(name, RRType::kA, a_records(name, 60, 1), kSecond);
-  SnapshotHit hit;
+  TierHit hit;
   EXPECT_FALSE(tier.lookup(name, RRType::kA, kSecond, hit));
   EXPECT_EQ(tier.size(), 0u);
 }

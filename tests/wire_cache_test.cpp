@@ -2,10 +2,16 @@
 // patched out of an image must be byte-identical to freshly encoding the
 // same response with the client's ID, class and decayed TTLs — across
 // mixed-case qnames, multi-record answers and compression — and the L1
-// must make exactly the hit/miss/stale/eviction decisions dns::Cache makes.
+// and dns::Cache must make exactly the hit/miss/stale/eviction decisions of
+// a reference LRU.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <list>
+#include <map>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "dns/cache.h"
@@ -247,15 +253,85 @@ TEST(WireCacheTest, LruEvictsLeastRecentlyUsedAtCapacity) {
   EXPECT_FALSE(cache.lookup(c, RRType::kA, 0).has_value());
 }
 
-/// The L1 and dns::Cache driven by the same random operation stream must
-/// agree on every hit, miss, stale hit, age, eviction and size — the
-/// contract that keeps the engine's event streams unchanged.
+/// The reference both LRU caches must match, written the obvious way: a
+/// map from (name, type) to when the entry was stored and how long it
+/// lives, plus a recency list with the most recent key first.
+class ReferenceLru {
+ public:
+  using Key = std::pair<std::string, RRType>;
+  struct Hit {
+    std::uint32_t age_s;
+    bool stale;
+  };
+
+  explicit ReferenceLru(std::size_t capacity) : capacity_(capacity) {}
+
+  void insert(const Key& key, std::uint32_t ttl_s, SimTime now) {
+    ++inserts;
+    if (!entries_.contains(key) && entries_.size() == capacity_) {
+      entries_.erase(recency_.back());
+      recency_.pop_back();
+      ++evictions;
+    }
+    entries_[key] = Stamp{now, ttl_s};
+    touch(key);
+  }
+
+  /// A hit is fresh before the expiry instant and stale for `max_stale`
+  /// after it; hits are touched, misses are not.
+  std::optional<Hit> lookup(const Key& key, SimTime now, SimTime max_stale) {
+    ++lookups;
+    const auto it = entries_.find(key);
+    if (it == entries_.end()) return std::nullopt;
+    const SimTime expiry =
+        it->second.inserted_at + SimTime{it->second.ttl_s} * kSecond;
+    const bool stale = now >= expiry;
+    if (stale && now >= expiry + max_stale) return std::nullopt;
+    ++hits;
+    if (stale) ++stale_hits;
+    touch(key);
+    return Hit{static_cast<std::uint32_t>(
+                   (now - it->second.inserted_at) / kSecond),
+               stale};
+  }
+
+  std::size_t size() const { return entries_.size(); }
+
+  std::uint64_t lookups = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t stale_hits = 0;
+  std::uint64_t inserts = 0;
+  std::uint64_t evictions = 0;
+
+ private:
+  struct Stamp {
+    SimTime inserted_at;
+    std::uint32_t ttl_s;
+  };
+
+  void touch(const Key& key) {
+    recency_.remove(key);
+    recency_.push_front(key);
+  }
+
+  std::size_t capacity_;
+  std::map<Key, Stamp> entries_;
+  std::list<Key> recency_;
+};
+
+/// The image L1 driven by a random operation stream must make every hit,
+/// miss, stale hit, age and eviction decision the reference makes — the
+/// contract that keeps the engine's event streams unchanged. The record
+/// cache, which serves no stale, replays the stream's fresh lookups
+/// against a second reference.
 TEST(WireCacheTest, MatchesRecordCacheDecisions) {
   constexpr std::size_t kCapacity = 8;
   constexpr SimTime kMaxStale = 20 * kSecond;
+  WireCache images(kCapacity);
+  ReferenceLru image_model(kCapacity);
   Cache records;
   records.set_capacity(kCapacity);
-  WireCache images(kCapacity);
+  ReferenceLru record_model(kCapacity);
   Rng rng(2024);
   SimTime now = 0;
   for (int op = 0; op < 20000; ++op) {
@@ -265,44 +341,57 @@ TEST(WireCacheTest, MatchesRecordCacheDecisions) {
     const DnsName name = DnsName::parse(text);
     const RRType type = rng.uniform_int(0, 3) == 0 ? RRType::kAAAA
                                                    : RRType::kA;
+    const ReferenceLru::Key key{text, type};
     if (rng.uniform_int(0, 2) == 0) {
       std::vector<ResourceRecord> rrs;
+      std::uint32_t ttl_s = kNegativeTtlSeconds;
       const int count = static_cast<int>(rng.uniform_int(0, 2));
       for (int i = 0; i < count; ++i) {
         rrs.push_back(make_a(name,
                              static_cast<std::uint32_t>(
                                  rng.uniform_int(0, 30)),
                              static_cast<std::uint32_t>(i)));
+        ttl_s = i == 0 ? rrs.back().ttl : std::min(ttl_s, rrs.back().ttl);
       }
       images.insert(name, type,
                     ResponseImage::answer_to(
                         Question{name, type, RRClass::kIN}, rrs),
                     now);
+      image_model.insert(key, ttl_s, now);
       records.insert(name, type, std::move(rrs), now);
+      record_model.insert(key, ttl_s, now);
     } else {
       const SimTime max_stale = rng.uniform_int(0, 1) == 0 ? 0 : kMaxStale;
-      const auto expected =
-          max_stale == 0 ? records.lookup_ref(name, type, now)
-                         : records.lookup_stale_ref(name, type, now,
-                                                    max_stale);
+      const auto expected = image_model.lookup(key, now, max_stale);
       const auto actual = images.lookup(name, type, now, max_stale);
       ASSERT_EQ(expected.has_value(), actual.has_value()) << "op " << op;
       if (expected) {
         EXPECT_EQ(expected->stale, actual->stale) << "op " << op;
         EXPECT_EQ(expected->age_s, actual->age_s) << "op " << op;
       }
+      if (max_stale == 0) {
+        const auto expected_record = record_model.lookup(key, now, 0);
+        const auto actual_record = records.lookup_ref(name, type, now);
+        ASSERT_EQ(expected_record.has_value(), actual_record.has_value())
+            << "op " << op;
+        if (expected_record) {
+          EXPECT_EQ(expected_record->age_s, actual_record->age_s)
+              << "op " << op;
+        }
+      }
     }
-    ASSERT_EQ(records.size(), images.size()) << "op " << op;
+    ASSERT_EQ(image_model.size(), images.size()) << "op " << op;
+    ASSERT_EQ(record_model.size(), records.size()) << "op " << op;
   }
-  const TierStats a = records.tier_stats();
-  const TierStats b = images.tier_stats();
-  EXPECT_EQ(a.lookups, b.lookups);
-  EXPECT_EQ(a.hits, b.hits);
-  EXPECT_EQ(a.stale_hits, b.stale_hits);
-  EXPECT_EQ(a.inserts, b.inserts);
-  EXPECT_EQ(records.evictions(), images.evictions());
+  const TierStats stats = images.tier_stats();
+  EXPECT_EQ(stats.lookups, image_model.lookups);
+  EXPECT_EQ(stats.hits, image_model.hits);
+  EXPECT_EQ(stats.stale_hits, image_model.stale_hits);
+  EXPECT_EQ(stats.inserts, image_model.inserts);
+  EXPECT_EQ(images.evictions(), image_model.evictions);
+  EXPECT_EQ(records.evictions(), record_model.evictions);
   EXPECT_GT(images.evictions(), 0u);
-  EXPECT_GT(b.stale_hits, 0u);
+  EXPECT_GT(stats.stale_hits, 0u);
 }
 
 TEST(ResponseImageTest, AdoptZeroesTheIdAndRejectsMalformedBytes) {

@@ -415,7 +415,7 @@ void print_engine_report(const char* title,
               static_cast<unsigned long long>(e.cache_hits),
               static_cast<unsigned long long>(e.stale_hits),
               static_cast<unsigned long long>(e.misses),
-              static_cast<unsigned long long>(e.cache_evictions));
+              static_cast<unsigned long long>(e.l1_evictions));
   std::printf("L2 cache       hit %llu / %llu lookups  deferred %llu  "
               "applied %llu  lock-miss %llu  size %zu\n",
               static_cast<unsigned long long>(result.l2.hits),
