@@ -31,7 +31,8 @@
 // measured in the same run, so host frequency drift cancels) falls below
 // 3.0x, the load varies across N, reruns diverge, the cached path
 // allocates, or one hot run_sharded call allocates more than 0.1 times per
-// arrival (the CI gate).
+// arrival (the CI gate). It also prints, ungated, the heap allocations per
+// L1 miss over one call shaped like doxbench's engine-miss-n1.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -157,6 +158,42 @@ double measure_call_allocs_per_arrival(const engine::ShardedConfig& base) {
   if (result.total_arrivals == 0) return -1.0;
   return static_cast<double>(allocs) /
          static_cast<double>(result.total_arrivals);
+}
+
+/// Heap allocations over one whole run_sharded call shaped like doxbench's
+/// engine-miss-n1: one shard on one thread, 5k qps for 3 s over 100k Zipf
+/// names into the default 4096-entry L1, so about 40% of the arrivals
+/// miss, insert into a full L1 and resolve upstream. The count covers the
+/// whole call, world build included, and repeats run to run within a few
+/// allocations.
+struct MissAllocs {
+  std::uint64_t allocs = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t arrivals = 0;
+  double per_miss() const {
+    return misses == 0 ? -1.0 : static_cast<double>(allocs) / misses;
+  }
+  double per_arrival() const {
+    return arrivals == 0 ? -1.0 : static_cast<double>(allocs) / arrivals;
+  }
+};
+
+MissAllocs measure_miss_call_allocs(std::uint64_t seed) {
+  engine::ShardedConfig config;
+  config.seed = seed;
+  config.shards = 1;
+  config.threads = 1;
+  config.clients = 1'000'000;
+  config.qps = 5000;
+  config.duration = 3 * kSecond;
+  config.names = 100'000;
+  const std::uint64_t allocs0 = g_heap_allocs.load();
+  const auto result = engine::run_sharded(config);
+  MissAllocs m;
+  m.allocs = g_heap_allocs.load() - allocs0;
+  m.misses = result.engine.misses;
+  m.arrivals = result.total_arrivals;
+  return m;
 }
 
 struct ScaleRow {
@@ -314,6 +351,12 @@ int main(int argc, char** argv) {
   std::printf("heap allocations per arrival, one hot run_sharded call: "
               "%.4f\n",
               call_allocs);
+  const MissAllocs miss = measure_miss_call_allocs(base.seed);
+  std::printf("heap allocations per miss, one engine-miss-n1-shaped call: "
+              "%.1f (%llu allocations / %llu misses; %.1f per arrival)\n",
+              miss.per_miss(), static_cast<unsigned long long>(miss.allocs),
+              static_cast<unsigned long long>(miss.misses),
+              miss.per_arrival());
 
   bool ok = true;
   bool batch_invariant = true;
@@ -400,6 +443,10 @@ int main(int argc, char** argv) {
     }
     reporter.metric("invariants", "cached_allocs_with_l2", allocs);
     reporter.metric("invariants", "call_allocs_per_arrival", call_allocs);
+    reporter.metric("miss_call", "allocs", static_cast<double>(miss.allocs));
+    reporter.metric("miss_call", "misses", static_cast<double>(miss.misses));
+    reporter.metric("miss_call", "allocs_per_miss", miss.per_miss());
+    reporter.metric("miss_call", "allocs_per_arrival", miss.per_arrival());
     reporter.metric("invariants", "rerun_digest_match",
                     deterministic ? 1.0 : 0.0);
     reporter.metric("invariants", "batch_outcome_match",

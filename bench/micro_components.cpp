@@ -9,7 +9,8 @@
 // baseline. The byte-path suite does the same for the pooled zero-copy
 // send/receive path (util::Buffer + in-place framing + scratch decode) vs
 // the seed's copy chain, writing BENCH_byte_path.json; it also counts heap
-// allocations per forwarded cached query through the full forwarder engine.
+// allocations per forwarded cached query through the full forwarder engine
+// and per insert of a new key into a full image L1.
 // The long-connection probe times 10k distinct-name queries over one DoQ
 // and one DoT transport and compares the last 1000 with the first 1000, so
 // per-query cost that grows with a connection's age shows up as a ratio
@@ -579,6 +580,43 @@ BytePathSample measure_image_cached(int trials) {
   });
 }
 
+/// Heap allocations per insert of a new key into an image L1 at the
+/// engine's default capacity (4096), every insert evicting: the new key
+/// takes over the evicted entry's node and key storage. The names all have
+/// one length and are parsed up front; every insert stores the same shared
+/// image, so copying it only bumps a refcount.
+double measure_l1_insert_allocs(int inserts) {
+  constexpr std::size_t kCapacity = 4096;
+  const std::size_t total = kCapacity + static_cast<std::size_t>(inserts);
+  std::vector<dns::DnsName> names;
+  names.reserve(total);
+  for (std::size_t i = 0; i < total; ++i) {
+    char label[16];
+    std::snprintf(label, sizeof(label), "n%08zu", i);
+    names.push_back(dns::DnsName::parse(std::string(label) + ".example.com"));
+  }
+  const dns::ResponseImage image = dns::ResponseImage::answer_to(
+      dns::Question{names[0], dns::RRType::kA, dns::RRClass::kIN},
+      std::vector<dns::ResourceRecord>{dns::make_a(names[0], 300, 1)});
+  dns::WireCache cache(kCapacity);
+  for (std::size_t i = 0; i < kCapacity; ++i) {
+    cache.insert(names[i], dns::RRType::kA, image, 0);
+  }
+  const std::uint64_t allocs0 = g_heap_allocs.load();
+  for (std::size_t i = kCapacity; i < names.size(); ++i) {
+    cache.insert(names[i], dns::RRType::kA, image, kSecond);
+  }
+  const std::uint64_t allocs = g_heap_allocs.load() - allocs0;
+  if (cache.size() != kCapacity ||
+      cache.evictions() != static_cast<std::uint64_t>(inserts)) {
+    std::fprintf(stderr, "l1 insert probe: %zu entries, %llu evictions\n",
+                 cache.size(),
+                 static_cast<unsigned long long>(cache.evictions()));
+    return -1.0;
+  }
+  return static_cast<double>(allocs) / inserts;
+}
+
 /// One client host and one loss-free upstream resolver 10 ms away.
 struct UpstreamWorld {
   UpstreamWorld()
@@ -746,6 +784,7 @@ struct BytePathResults {
   BytePathSample frame_new, frame_legacy;
   BytePathSample image_cached, message_cached;
   double engine_allocs_per_query = 0;
+  double l1_insert_allocs = 0;
 };
 
 void keep_best(BytePathSample& best, const BytePathSample& sample) {
@@ -771,6 +810,7 @@ BytePathResults run_byte_path_suite(int trials) {
     keep_best(r.message_cached, measure_message_cached(trials));
   }
   r.engine_allocs_per_query = measure_engine_cached_allocs(/*queries=*/1000);
+  r.l1_insert_allocs = measure_l1_insert_allocs(/*inserts=*/8192);
   return r;
 }
 
@@ -804,6 +844,8 @@ void report_byte_path(const BytePathResults& r, bench::JsonReporter& json) {
               image_cached_qps);
   std::printf("engine cached-query heap allocations/query: %.4f\n",
               r.engine_allocs_per_query);
+  std::printf("image L1 insert at capacity heap allocations/insert: %.4f\n",
+              r.l1_insert_allocs);
 
   json.metric("byte_path_roundtrip", "ns_per_op", r.roundtrip_new.ns_per_op);
   json.metric("byte_path_roundtrip", "ns_per_op_legacy",
@@ -827,6 +869,8 @@ void report_byte_path(const BytePathResults& r, bench::JsonReporter& json) {
               r.image_cached.allocs_per_op);
   json.metric("byte_path_engine", "heap_allocs_per_cached_query",
               r.engine_allocs_per_query);
+  json.metric("byte_path_l1_insert", "heap_allocs_per_insert",
+              r.l1_insert_allocs);
 }
 
 }  // namespace
@@ -907,6 +951,13 @@ int main(int argc, char** argv) {
                    "SMOKE FAIL: image hit speedup %.2fx < 2.0x floor over "
                    "the Message cached path\n",
                    image_speedup);
+      ok = false;
+    }
+    if (b.l1_insert_allocs < 0 || b.l1_insert_allocs > 0.01) {
+      std::fprintf(stderr,
+                   "SMOKE FAIL: image L1 insert at capacity allocates (%.4f "
+                   "heap allocations per insert; gate 0.01)\n",
+                   b.l1_insert_allocs);
       ok = false;
     }
     if (b.image_cached.allocs_per_op > 0.01) {
