@@ -21,23 +21,23 @@ bool SharedPacketCache::lookup(std::uint32_t shard, const DnsName& name,
   if (!lock.owns_lock()) {
     // Contended read: never wait. Count it and report a miss — the caller
     // falls through to its normal resolve path.
-    ++lane.lock_misses;
-    ++lane.misses;
+    ++lane.counters.lock_misses;
+    ++lane.counters.misses;
     return false;
   }
   const auto it = entries_.find(RecordKeyView{name, type});
   if (it == entries_.end()) {
-    ++lane.misses;
+    ++lane.counters.misses;
     return false;
   }
   const std::optional<TierHit> hit = classify(it->second, now, max_stale);
   if (!hit) {
-    ++lane.misses;
+    ++lane.counters.misses;
     return false;
   }
   out = *hit;
-  ++lane.hits;
-  if (hit->stale) ++lane.stale_hits;
+  ++lane.counters.hits;
+  if (hit->stale) ++lane.counters.stale_hits;
   return true;
 }
 
@@ -49,7 +49,7 @@ void SharedPacketCache::insert(std::uint32_t shard, const DnsName& name,
   Lane& lane = lanes_[shard];
   lane.pending.push_back(
       Pending{RecordKey{name, type}, TierEntry::of(std::move(image), now)});
-  ++lane.deferred_inserts;
+  ++lane.counters.deferred_inserts;
 }
 
 void SharedPacketCache::insert(std::uint32_t shard, const DnsName& name,
@@ -69,20 +69,20 @@ void SharedPacketCache::sweep(SimTime now) {
   // are a function of what each shard deferred, never of thread timing.
   for (Lane& lane : lanes_) {
     for (Pending& pending : lane.pending) {
-      ++applied_inserts_;
+      ++counters_.applied_inserts;
       const auto it = entries_.find(pending.key);
       if (it != entries_.end()) {
-        bytes_ -= it->second.image.footprint();
-        bytes_ += pending.entry.image.footprint();
+        counters_.bytes -= it->second.image.footprint();
+        counters_.bytes += pending.entry.image.footprint();
         it->second = std::move(pending.entry);
-        ++replaced_;
+        ++counters_.replaced;
         continue;
       }
       if (capacity_ != 0 && entries_.size() >= capacity_) {
-        ++rejected_capacity_;
+        ++counters_.rejected_capacity;
         continue;
       }
-      bytes_ += pending.entry.image.footprint();
+      counters_.bytes += pending.entry.image.footprint();
       entries_.emplace(std::move(pending.key), std::move(pending.entry));
     }
     lane.pending.clear();
@@ -91,33 +91,23 @@ void SharedPacketCache::sweep(SimTime now) {
     // With a stale-retention window, an expired entry stays sweepable for
     // `retain_stale_` past its expiry so lookup() can serve it stale.
     if (!classify(it->second, now, retain_stale_)) {
-      bytes_ -= it->second.image.footprint();
+      counters_.bytes -= it->second.image.footprint();
       it = entries_.erase(it);
-      ++expired_evicted_;
+      ++counters_.expired_evicted;
     } else {
       ++it;
     }
   }
-  ++sweeps_;
+  ++counters_.sweeps;
 }
 
 SharedPacketCache::Stats SharedPacketCache::stats() const {
   std::lock_guard<std::shared_mutex> lock(mu_);
-  Stats s;
+  Stats s = counters_;
   for (const Lane& lane : lanes_) {
-    s.hits += lane.hits;
-    s.stale_hits += lane.stale_hits;
-    s.misses += lane.misses;
-    s.lock_misses += lane.lock_misses;
-    s.deferred_inserts += lane.deferred_inserts;
+    stats::merge(s, lane.counters, stats::Across::kShards);
   }
-  s.applied_inserts = applied_inserts_;
-  s.replaced = replaced_;
-  s.rejected_capacity = rejected_capacity_;
-  s.expired_evicted = expired_evicted_;
-  s.sweeps = sweeps_;
   s.size = entries_.size();
-  s.bytes = bytes_;
   return s;
 }
 

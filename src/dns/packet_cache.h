@@ -44,6 +44,7 @@
 #include "dns/message.h"
 #include "dns/record_key.h"
 #include "dns/response_image.h"
+#include "stats/metrics.h"
 #include "util/types.h"
 
 namespace doxlab::dns {
@@ -51,6 +52,21 @@ namespace doxlab::dns {
 /// An L2 hit. The image pointer is valid until the next sweep(), which
 /// runs only at epoch barriers.
 using PacketCacheHit = TierHit;
+
+/// SharedPacketCache::Stats' counters.
+#define DOXLAB_L2_METRICS(X)                                                \
+  X(hits, kSum)                                                             \
+  X(stale_hits, kSum)        /* subset of hits past expiry */               \
+  X(misses, kSum)            /* includes lock_misses and expired */         \
+  X(lock_misses, kSum)       /* try_lock_shared-vs-exclusive fallbacks */   \
+  X(deferred_inserts, kSum)  /* insert() calls parked on lanes */           \
+  X(applied_inserts, kSum)   /* lane entries merged by sweep */             \
+  X(replaced, kSum)          /* merges that overwrote a key */              \
+  X(rejected_capacity, kSum) /* merges dropped at the bound */              \
+  X(expired_evicted, kSum)   /* entries reaped by sweeps */                 \
+  X(sweeps, kSum)                                                           \
+  X(size, kGauge)            /* live entries right now */                   \
+  X(bytes, kGauge)           /* live image bytes */
 
 /// Sharded-reader packet cache. Thread contract: lookup()/insert() may be
 /// called concurrently from different shard threads (each shard passes its
@@ -102,21 +118,10 @@ class SharedPacketCache {
   /// serves stale from the L2.
   void set_stale_retention(SimTime keep) { retain_stale_ = keep; }
 
-  /// Aggregated counters (lane counters summed in shard order).
   struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t stale_hits = 0;    ///< subset of hits past expiry
-    std::uint64_t misses = 0;        ///< includes lock_misses and expired
-    std::uint64_t lock_misses = 0;   ///< try_lock_shared-vs-exclusive fallbacks
-    std::uint64_t deferred_inserts = 0;  ///< insert() calls parked on lanes
-    std::uint64_t applied_inserts = 0;   ///< lane entries merged by sweep
-    std::uint64_t replaced = 0;          ///< merges that overwrote a key
-    std::uint64_t rejected_capacity = 0; ///< merges dropped at the bound
-    std::uint64_t expired_evicted = 0;   ///< entries reaped by sweeps
-    std::uint64_t sweeps = 0;
-    std::size_t size = 0;            ///< live entries right now
-    std::uint64_t bytes = 0;         ///< live image bytes
+    DOXLAB_METRICS(Stats, DOXLAB_L2_METRICS)
   };
+  /// The table's counters plus every lane's, merged in shard order.
   Stats stats() const;
 
   std::size_t size() const { return entries_.size(); }
@@ -139,15 +144,11 @@ class SharedPacketCache {
     TierEntry entry;
   };
 
-  /// Per-shard insert lane + read counters. Padded to its own cache line so
-  /// shard threads bumping counters never false-share.
+  /// Per-shard insert lane + read counters. Padded to its own cache lines
+  /// so shard threads bumping counters never false-share.
   struct alignas(64) Lane {
     std::vector<Pending> pending;
-    std::uint64_t hits = 0;
-    std::uint64_t stale_hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t lock_misses = 0;
-    std::uint64_t deferred_inserts = 0;
+    Stats counters;  ///< the lookup and deferred-insert counters
   };
 
   using Map = RecordMap<TierEntry>;
@@ -159,12 +160,8 @@ class SharedPacketCache {
   std::size_t capacity_;
   SimTime retain_stale_ = 0;
   std::vector<Lane> lanes_;
-  std::uint64_t applied_inserts_ = 0;
-  std::uint64_t replaced_ = 0;
-  std::uint64_t rejected_capacity_ = 0;
-  std::uint64_t expired_evicted_ = 0;
-  std::uint64_t sweeps_ = 0;
-  std::uint64_t bytes_ = 0;
+  /// The sweep counters and the live image bytes.
+  Stats counters_;
 };
 
 }  // namespace doxlab::dns

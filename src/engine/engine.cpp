@@ -68,13 +68,8 @@ ForwarderEngine::ForwarderEngine(sim::Simulator& sim,
 
 std::vector<dns::ResourceRecord> ForwarderEngine::clamp_ttls(
     std::vector<dns::ResourceRecord> records) const {
-  if (config_.min_ttl == 0 && config_.max_ttl == 0) return records;
-  for (auto& rr : records) {
-    if (config_.max_ttl != 0 && rr.ttl > config_.max_ttl) {
-      rr.ttl = config_.max_ttl;
-    }
-    if (rr.ttl < config_.min_ttl) rr.ttl = config_.min_ttl;
-  }
+  if (config_.max_ttl == 0) return records;
+  for (auto& rr : records) rr.ttl = std::min(rr.ttl, config_.max_ttl);
   return records;
 }
 
@@ -127,7 +122,7 @@ void ForwarderEngine::promote(const dns::DnsName& name, dns::RRType type,
 
 void ForwarderEngine::answer_servfail(const Waiter& waiter,
                                       const dns::Question& question) {
-  ++servfails_sent_;
+  ++counters_.servfails_sent;
   scratch_response_.answers.clear();
   send_response(waiter, question, dns::RCode::kServFail);
 }
@@ -135,15 +130,15 @@ void ForwarderEngine::answer_servfail(const Waiter& waiter,
 void ForwarderEngine::answer_stale_with_refresh(
     const Waiter& waiter, const dns::Question& question,
     const dns::ResponseImage& image, std::uint32_t pool_index) {
-  ++stale_hits_;
+  ++counters_.stale_hits;
   answer_image(waiter, image, question.klass,
-               dns::TtlRewrite::stamp(config_.stale_ttl));
+               dns::TtlRewrite::stamp(kStaleTtl));
   // Exactly one background refresh per key: a refresh (or a coalesced
   // resolve) already in flight absorbs this hit, so a burst of stale-served
   // queries never turns into a resolve-per-query storm.
   const dns::RecordKeyView key_view{question.name, question.type};
   if (inflight_.find(key_view) == inflight_.end()) {
-    ++stale_refreshes_;
+    ++counters_.stale_refreshes;
     auto [it, inserted] =
         inflight_.try_emplace(dns::RecordKey{question.name, question.type});
     start_resolve(it->first, question, pool_index);
@@ -180,7 +175,7 @@ void ForwarderEngine::warm_start_from_snapshot() {
     const auto hit = dns::classify(entry, sim_.now(), /*max_stale=*/0);
     if (!hit) return;
     promote(name, type, entry.image.decayed(hit->age_s), /*to_l2=*/true);
-    ++warm_loaded_;
+    ++counters_.snapshot_warm_loaded;
   });
 }
 
@@ -194,20 +189,20 @@ bool ForwarderEngine::apply_policy_verdict(const policy::Verdict& verdict,
     case policy::ActionKind::kDrop:
       // Silent drop: no response at all. The client experiences a timeout,
       // so the taxonomy books it as a deliberate teardown (kCancelled).
-      ++policy_dropped_;
-      policy_errors_.record(util::ErrorClass::kCancelled);
+      ++counters_.policy_dropped;
+      counters_.policy_errors.record(util::ErrorClass::kCancelled);
       return true;
     case policy::ActionKind::kRefuse:
-      ++policy_refused_;
-      policy_errors_.record(util::ErrorClass::kRcode);
+      ++counters_.policy_refused;
+      counters_.policy_errors.record(util::ErrorClass::kRcode);
       scratch_response_.answers.clear();
       send_response(waiter, question, verdict.rcode);
       return true;
     case policy::ActionKind::kTruncate:
       // TC=1, empty answer: a real stub would retry over TCP — in this
       // testbed it is the "slow-path the abuser" action.
-      ++policy_truncated_;
-      policy_errors_.record(util::ErrorClass::kTruncated);
+      ++counters_.policy_truncated;
+      counters_.policy_errors.record(util::ErrorClass::kTruncated);
       scratch_response_.answers.clear();
       send_response(waiter, question, dns::RCode::kNoError, /*tc=*/true);
       return true;
@@ -232,13 +227,16 @@ void ForwarderEngine::on_stub_query(const net::Endpoint& from,
   // One validating pass into reusable scratch: the id, the flags and the
   // question are all a query needs, and the scan accepts exactly what a
   // full decode would, so the steady-state path allocates nothing.
-  if (!dns::scan_message(payload, scratch_head_)) return;
-  if (scratch_head_.qr() || scratch_head_.qdcount == 0) return;
+  if (!dns::scan_message(payload, scratch_head_) || scratch_head_.qr() ||
+      scratch_head_.qdcount == 0) {
+    ++counters_.malformed;
+    return;
+  }
   const dns::Question& question = scratch_head_.question;
   const dns::RecordKeyView key_view{question.name, question.type};
   const Waiter waiter{from, scratch_head_.id};
 
-  ++queries_;
+  ++counters_.queries;
 
   // Policy runs BEFORE cache and coalescing: abusive traffic must not touch
   // (and thus never pollutes or probes) any downstream mechanism. An empty
@@ -249,15 +247,15 @@ void ForwarderEngine::on_stub_query(const net::Endpoint& from,
         from.address, question.name, question.type, sim_.now()});
     if (apply_policy_verdict(verdict, waiter, question)) return;
     pool_index = verdict.pool;
-    if (pool_index != 0) ++policy_routed_;
+    if (pool_index != 0) ++counters_.policy_routed;
   }
 
-  const SimTime max_stale = config_.serve_stale ? config_.max_stale : 0;
+  const SimTime max_stale = config_.serve_stale ? kMaxStale : 0;
   if (config_.cache_enabled) {
     if (auto hit = l1_.lookup(question.name, question.type, sim_.now(),
                               max_stale)) {
       if (!hit->stale) {
-        ++cache_hits_;
+        ++counters_.cache_hits;
         answer_image(waiter, *hit->image, question.klass,
                      dns::TtlRewrite::decay(hit->age_s));
         return;
@@ -273,20 +271,20 @@ void ForwarderEngine::on_stub_query(const net::Endpoint& from,
   // an upstream resolve. The L2 serves stale only with l2_serve_stale.
   dns::TierHit hit;
   if (config_.l2 != nullptr) {
-    ++l2_lookups_;
+    ++counters_.l2_lookups;
     if (config_.l2->lookup(config_.shard_index, question.name, question.type,
                            sim_.now(), hit,
                            config_.l2_serve_stale ? max_stale : 0)) {
-      ++l2_hits_;
+      ++counters_.l2_hits;
       answer_tier_hit(waiter, question, hit, pool_index, /*to_l2=*/false);
       return;
     }
   }
   if (snapshot_ != nullptr) {
-    ++snapshot_lookups_;
+    ++counters_.snapshot_lookups;
     if (snapshot_->lookup(question.name, question.type, sim_.now(), hit,
                           max_stale)) {
-      ++snapshot_hits_;
+      ++counters_.snapshot_hits;
       answer_tier_hit(waiter, question, hit, pool_index, /*to_l2=*/true);
       return;
     }
@@ -295,15 +293,15 @@ void ForwarderEngine::on_stub_query(const net::Endpoint& from,
   if (config_.coalesce) {
     auto it = inflight_.find(key_view);
     if (it != inflight_.end()) {
-      ++coalesced_;
+      ++counters_.coalesced;
       it->second.waiters.push_back(waiter);
       return;
     }
   }
-  ++misses_;
+  ++counters_.misses;
   if (!config_.coalesce) {
     // Every query pays its own upstream resolve (the ablation baseline).
-    ++upstream_resolves_;
+    ++counters_.upstream_resolves;
     pools_[pool_index]->resolve(
         question, [this, waiter, question](dox::QueryResult result) {
           deliver({waiter}, question, std::move(result));
@@ -319,7 +317,7 @@ void ForwarderEngine::on_stub_query(const net::Endpoint& from,
 void ForwarderEngine::start_resolve(const dns::RecordKey& key,
                                     const dns::Question& question,
                                     std::uint32_t pool_index) {
-  ++upstream_resolves_;
+  ++counters_.upstream_resolves;
   pools_[pool_index]->resolve(
       question, [this, key, question](dox::QueryResult result) {
         on_upstream_result(key, question, std::move(result));
@@ -347,12 +345,12 @@ void ForwarderEngine::deliver(std::vector<Waiter> waiters,
     // prefer stale data over SERVFAIL while it lasts.
     if (config_.cache_enabled && config_.serve_stale) {
       if (auto hit = l1_.lookup(question.name, question.type, sim_.now(),
-                                config_.max_stale);
+                                kMaxStale);
           hit && hit->stale) {
-        stale_hits_ += waiters.size();
+        counters_.stale_hits += waiters.size();
         for (const Waiter& waiter : waiters) {
           answer_image(waiter, *hit->image, question.klass,
-                       dns::TtlRewrite::stamp(config_.stale_ttl));
+                       dns::TtlRewrite::stamp(kStaleTtl));
         }
         return;
       }
@@ -385,17 +383,7 @@ void ForwarderEngine::deliver(std::vector<Waiter> waiters,
 }
 
 EngineStats ForwarderEngine::stats() const {
-  EngineStats s;
-  s.queries = queries_;
-  s.cache_hits = cache_hits_;
-  s.stale_hits = stale_hits_;
-  s.misses = misses_;
-  s.coalesced = coalesced_;
-  s.l2_hits = l2_hits_;
-  s.l2_lookups = l2_lookups_;
-  s.upstream_resolves = upstream_resolves_;
-  s.stale_refreshes = stale_refreshes_;
-  s.servfails_sent = servfails_sent_;
+  EngineStats s = counters_;
   const dns::TierStats l1 = l1_.tier_stats();
   s.l1_lookups = l1.lookups;
   s.l1_evictions = l1.evictions;
@@ -403,12 +391,9 @@ EngineStats ForwarderEngine::stats() const {
   s.l1_bytes = l1.bytes;
   if (snapshot_ != nullptr) {
     const dns::TierStats snap = snapshot_->tier_stats();
-    s.snapshot_hits = snapshot_hits_;
-    s.snapshot_lookups = snapshot_lookups_;
     s.snapshot_evictions = snap.evictions;
     s.snapshot_entries = snap.entries;
     s.snapshot_bytes = snap.bytes;
-    s.snapshot_warm_loaded = warm_loaded_;
   }
   for (const auto& pool : pools_) {
     s.upstream_attempts += pool->attempts_issued();
@@ -420,54 +405,16 @@ EngineStats ForwarderEngine::stats() const {
                        std::make_move_iterator(health.end()));
   }
   s.policy_evaluations = chain_.evaluations();
-  s.policy_dropped = policy_dropped_;
-  s.policy_refused = policy_refused_;
-  s.policy_truncated = policy_truncated_;
-  s.policy_routed = policy_routed_;
-  s.policy_errors = policy_errors_;
   s.policy_rules = chain_.stats();
   return s;
 }
 
-void EngineStats::add(const EngineStats& other) {
-  queries += other.queries;
-  cache_hits += other.cache_hits;
-  stale_hits += other.stale_hits;
-  misses += other.misses;
-  coalesced += other.coalesced;
-  l2_hits += other.l2_hits;
-  l2_lookups += other.l2_lookups;
-  upstream_resolves += other.upstream_resolves;
-  upstream_attempts += other.upstream_attempts;
-  failovers += other.failovers;
-  stale_refreshes += other.stale_refreshes;
-  servfails_sent += other.servfails_sent;
-  l1_lookups += other.l1_lookups;
-  l1_evictions += other.l1_evictions;
-  l1_entries += other.l1_entries;
-  l1_bytes += other.l1_bytes;
-  l2_evictions += other.l2_evictions;
-  l2_entries += other.l2_entries;
-  l2_bytes += other.l2_bytes;
-  snapshot_hits += other.snapshot_hits;
-  snapshot_lookups += other.snapshot_lookups;
-  snapshot_evictions += other.snapshot_evictions;
-  snapshot_entries += other.snapshot_entries;
-  snapshot_bytes += other.snapshot_bytes;
-  snapshot_warm_loaded += other.snapshot_warm_loaded;
+void EngineStats::add(const EngineStats& other, stats::Across across) {
+  stats::merge(*this, other, across);
   upstream_errors.add(other.upstream_errors);
   upstreams.insert(upstreams.end(), other.upstreams.begin(),
                    other.upstreams.end());
-  policy_evaluations += other.policy_evaluations;
-  policy_dropped += other.policy_dropped;
-  policy_refused += other.policy_refused;
-  policy_truncated += other.policy_truncated;
-  policy_routed += other.policy_routed;
   policy_errors.add(other.policy_errors);
-  link_packets += other.link_packets;
-  link_drops += other.link_drops;
-  link_burst_losses += other.link_burst_losses;
-  link_queue_peak = std::max(link_queue_peak, other.link_queue_peak);
   bool aligned = policy_rules.size() == other.policy_rules.size();
   for (std::size_t i = 0; aligned && i < policy_rules.size(); ++i) {
     aligned = policy_rules[i].name == other.policy_rules[i].name &&

@@ -36,8 +36,14 @@
 #include "engine/upstream_pool.h"
 #include "net/udp.h"
 #include "policy/policy.h"
+#include "stats/metrics.h"
 
 namespace doxlab::engine {
+
+/// How long past expiry a serve-stale entry may still be answered.
+inline constexpr SimTime kMaxStale = 10 * kMinute;
+/// TTL (seconds) stamped on stale answers (RFC 8767 §4 recommends <= 30).
+inline constexpr std::uint32_t kStaleTtl = 30;
 
 struct EngineConfig {
   /// Local port the stub listener binds.
@@ -47,16 +53,13 @@ struct EngineConfig {
   bool cache_enabled = true;
   /// L1 capacity bound (entries); 0 = unbounded.
   std::size_t cache_capacity = 4096;
-  /// RFC 8767 serve-stale: answer expired entries immediately and refresh
-  /// in the background.
+  /// RFC 8767 serve-stale: answer expired entries immediately (for up to
+  /// kMaxStale past expiry, with kStaleTtl stamped) and refresh in the
+  /// background.
   bool serve_stale = true;
-  /// How long past expiry an entry may still be served.
-  SimTime max_stale = 10 * kMinute;
-  /// TTL (seconds) stamped on stale answers (RFC 8767 §4 recommends <= 30).
-  std::uint32_t stale_ttl = 30;
-  /// Clamp record TTLs on cache insert (seconds; 0 = no clamp). A low
-  /// `max_ttl` forces refresh traffic — the serve-stale ablation knob.
-  std::uint32_t min_ttl = 0;
+  /// Clamp record TTLs on cache insert to at most this (seconds; 0 = no
+  /// clamp). A low `max_ttl` forces refresh traffic — the serve-stale
+  /// ablation knob.
   std::uint32_t max_ttl = 0;
   /// Upstream pool behaviour (timeouts, health thresholds, selection);
   /// shared by every named pool.
@@ -70,9 +73,9 @@ struct EngineConfig {
   dns::SharedPacketCache* l2 = nullptr;
   /// Serve RFC 8767 stale answers straight from the shared L2 (default off
   /// so every pinned engine digest stays byte-identical): a stale L2 hit is
-  /// answered with `stale_ttl` stamped and owes exactly one background
+  /// answered with kStaleTtl stamped and owes exactly one background
   /// refresh, which re-promotes the fresh answer into the L1. The sharded
-  /// runner must also extend the L2's sweep retention to `max_stale`.
+  /// runner must also extend the L2's sweep retention to kMaxStale.
   bool l2_serve_stale = false;
   /// This engine's shard index — selects its L2 insert lane and labels its
   /// rows in per-shard reports.
@@ -86,64 +89,61 @@ struct EngineConfig {
   std::string snapshot_dir;
 };
 
-/// Counters + health snapshot (cheap to copy; taken at any time).
+/// Counters + health snapshot (cheap to copy; taken at any time). The
+/// gauges are tier occupancy sampled when stats() is taken.
+#define DOXLAB_ENGINE_METRICS(X)                                            \
+  X(queries, kSum)            /* well-formed stub queries received */       \
+  X(malformed, kSum)          /* stub datagrams dropped unanswered: failed  \
+                                 scan, QR set, or no question */            \
+  X(cache_hits, kSum)         /* answered fresh from the L1 cache */        \
+  X(stale_hits, kSum)         /* answered stale (RFC 8767; any source) */   \
+  X(misses, kSum)             /* needed an upstream resolve */              \
+  X(coalesced, kSum)          /* joined an in-flight resolve */             \
+  X(l2_hits, kSum)            /* answered from the shared L2 cache */       \
+  X(l2_lookups, kSum)         /* L1-missing queries that probed L2 */       \
+  X(upstream_resolves, kSum)  /* pool resolves started */                   \
+  X(upstream_attempts, kSum)  /* transport attempts (incl. retries) */      \
+  X(failovers, kSum)          /* attempts beyond a query's first */         \
+  X(stale_refreshes, kSum)    /* background refreshes triggered */          \
+  X(servfails_sent, kSum)     /* mirrors proxy::DnsProxy's counter */       \
+  /* Per-tier surface (dns/cache_tier.h): l1_* is the engine's own image    \
+     L1 (l1_bytes counts image bytes), snapshot_* its SnapshotTier. The     \
+     shared L2's counters are the sharded runner's (ShardedResult::l2). */  \
+  X(l1_lookups, kSum)                                                       \
+  X(l1_evictions, kSum)       /* LRU evictions at the L1 capacity */        \
+  X(l1_entries, kGauge)                                                     \
+  X(l1_bytes, kGauge)                                                       \
+  X(snapshot_hits, kSum)      /* answered from the snapshot tier */         \
+  X(snapshot_lookups, kSum)   /* L2-missing queries that probed it */       \
+  X(snapshot_evictions, kSum)                                               \
+  X(snapshot_entries, kGauge)                                               \
+  X(snapshot_bytes, kGauge)                                                 \
+  X(snapshot_warm_loaded, kSum)  /* entries promoted at startup */          \
+  /* Policy pipeline surface. */                                            \
+  X(policy_evaluations, kSum) /* queries through the chain */               \
+  X(policy_dropped, kSum)     /* kDrop: discarded silently */               \
+  X(policy_refused, kSum)     /* kRefuse: answered with RCODE */            \
+  X(policy_truncated, kSum)   /* kTruncate: TC=1 answers */                 \
+  X(policy_routed, kSum)      /* kRoutePool to a non-default pool */        \
+  /* Link-level path pressure (net::Link totals for the world's fabric;     \
+     zero when no link models are configured). */                           \
+  X(link_packets, kSum)       /* packets that traversed a link */           \
+  X(link_drops, kSum)         /* tail-drops at full link queues */          \
+  X(link_burst_losses, kSum)  /* Gilbert-Elliott erasures */                \
+  X(link_queue_peak, kMax)    /* max backlog bytes on any link */
 struct EngineStats {
-  std::uint64_t queries = 0;         ///< well-formed stub queries received
-  std::uint64_t cache_hits = 0;      ///< answered fresh from the L1 cache
-  std::uint64_t stale_hits = 0;      ///< answered stale (RFC 8767; any source)
-  std::uint64_t misses = 0;          ///< needed an upstream resolve
-  std::uint64_t coalesced = 0;       ///< joined an in-flight resolve
-  std::uint64_t l2_hits = 0;         ///< answered from the shared L2 cache
-  std::uint64_t l2_lookups = 0;      ///< L1-missing queries that probed L2
-  std::uint64_t upstream_resolves = 0;  ///< pool resolves started
-  std::uint64_t upstream_attempts = 0;  ///< transport attempts (incl. retries)
-  std::uint64_t failovers = 0;       ///< attempts beyond a query's first
-  std::uint64_t stale_refreshes = 0; ///< background refreshes triggered
-  std::uint64_t servfails_sent = 0;  ///< mirrors proxy::DnsProxy's counter
+  DOXLAB_METRICS(EngineStats, DOXLAB_ENGINE_METRICS)
 
-  // Per-tier occupancy/traffic surface (dns/cache_tier.h): l1_* mirrors the
-  // engine's own image L1 (l1_bytes counts image bytes), snapshot_* its
-  // SnapshotTier. The shared L2's occupancy (l2_entries/l2_bytes/
-  // l2_evictions) is stamped once by the sharded runner on the *merged*
-  // stats — per-shard rows carry only the shard's own l2_hits/l2_lookups,
-  // so add() can sum every field without multi-counting the shared tier.
-  std::uint64_t l1_lookups = 0;
-  std::uint64_t l1_evictions = 0;   ///< LRU evictions at the L1 capacity
-  std::uint64_t l1_entries = 0;
-  std::uint64_t l1_bytes = 0;
-  std::uint64_t l2_evictions = 0;
-  std::uint64_t l2_entries = 0;
-  std::uint64_t l2_bytes = 0;
-  std::uint64_t snapshot_hits = 0;      ///< answered from the snapshot tier
-  std::uint64_t snapshot_lookups = 0;   ///< L2-missing queries that probed it
-  std::uint64_t snapshot_evictions = 0;
-  std::uint64_t snapshot_entries = 0;
-  std::uint64_t snapshot_bytes = 0;
-  std::uint64_t snapshot_warm_loaded = 0;  ///< entries promoted at startup
   /// Failed upstream attempts, tallied per util::ErrorClass (timeouts,
   /// resets, REFUSED answers, ...), aggregated across named pools.
   util::ErrorCounters upstream_errors;
   std::vector<UpstreamHealth> upstreams;
-
-  // Policy pipeline surface.
-  std::uint64_t policy_evaluations = 0;  ///< queries through the chain
-  std::uint64_t policy_dropped = 0;      ///< kDrop: discarded silently
-  std::uint64_t policy_refused = 0;      ///< kRefuse: answered with RCODE
-  std::uint64_t policy_truncated = 0;    ///< kTruncate: TC=1 answers
-  std::uint64_t policy_routed = 0;       ///< kRoutePool to a non-default pool
   /// Policy verdicts keyed into the PR-4 failure taxonomy: refusals count
   /// as kRcode, truncations as kTruncated, silent drops as kCancelled (the
   /// engine deliberately tore the query down; the client sees a timeout).
   util::ErrorCounters policy_errors;
   /// Per-rule hit counters in chain order (`doxperf --policy-csv`).
   std::vector<policy::RuleStats> policy_rules;
-
-  // Link-level path pressure (net::Link totals for the world's fabric;
-  // zero when no link models are configured).
-  std::uint64_t link_packets = 0;      ///< packets that traversed a link
-  std::uint64_t link_drops = 0;        ///< tail-drops at full link queues
-  std::uint64_t link_burst_losses = 0; ///< Gilbert-Elliott erasures
-  std::uint64_t link_queue_peak = 0;   ///< max backlog bytes on any link
 
   /// Fraction of evaluated queries the chain refused/dropped/truncated.
   double policy_shed_rate() const {
@@ -155,11 +155,12 @@ struct EngineStats {
                      static_cast<double>(policy_evaluations);
   }
 
-  /// Accumulates `other` into this — the sharded engine's merge. Counters
-  /// sum; upstream health rows append (each shard has its own pool);
-  /// per-rule policy counters sum elementwise when the chains line up
-  /// (identical config per shard) and append otherwise.
-  void add(const EngineStats& other);
+  /// Merges `other` into this: sibling shards, or a restart's later world
+  /// onto the earlier one. Counters follow their table rule; upstream
+  /// health rows append (each shard has its own pool); per-rule policy
+  /// counters sum elementwise when the chains line up (identical config
+  /// per shard) and append otherwise.
+  void add(const EngineStats& other, stats::Across across);
 
   /// Fraction of cache-missing queries that coalesced onto an existing
   /// in-flight resolve.
@@ -202,8 +203,6 @@ class ForwarderEngine {
   EngineStats stats() const;
   /// The persistent snapshot tier, or null when snapshot_dir is empty.
   const dns::SnapshotTier* snapshot() const { return snapshot_.get(); }
-  /// Entries promoted from the snapshot into L1/L2 at construction.
-  std::uint64_t snapshot_warm_loaded() const { return warm_loaded_; }
 
  private:
   struct Waiter {
@@ -302,24 +301,9 @@ class ForwarderEngine {
   bool batching_ = false;
   std::vector<net::OutboundDatagram> response_flush_;
 
-  std::uint64_t queries_ = 0;
-  std::uint64_t cache_hits_ = 0;
-  std::uint64_t stale_hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t coalesced_ = 0;
-  std::uint64_t l2_hits_ = 0;
-  std::uint64_t l2_lookups_ = 0;
-  std::uint64_t snapshot_hits_ = 0;
-  std::uint64_t snapshot_lookups_ = 0;
-  std::uint64_t warm_loaded_ = 0;
-  std::uint64_t upstream_resolves_ = 0;
-  std::uint64_t stale_refreshes_ = 0;
-  std::uint64_t servfails_sent_ = 0;
-  std::uint64_t policy_dropped_ = 0;
-  std::uint64_t policy_refused_ = 0;
-  std::uint64_t policy_truncated_ = 0;
-  std::uint64_t policy_routed_ = 0;
-  util::ErrorCounters policy_errors_;
+  /// The counters the engine counts itself; stats() adds the sampled
+  /// tier, pool and chain views.
+  EngineStats counters_;
 };
 
 }  // namespace doxlab::engine

@@ -334,7 +334,7 @@ void EngineShard::send_query(std::uint32_t client, std::uint32_t name_index) {
   PendingQuery& pending = pending_[id];
   pending.live = true;
   pending.sent_at = sim_.now();
-  pending.timeout = sim_.schedule(config_.client_timeout, [this, id] {
+  pending.timeout = sim_.schedule(kClientTimeout, [this, id] {
     PendingQuery& expired = pending_[id];
     if (!expired.live) return;
     book_terminal(expired.sent_at, kOutcomeTimeout, 0.0);

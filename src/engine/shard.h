@@ -44,6 +44,7 @@
 #include "engine/engine.h"
 #include "net/network.h"
 #include "resolver/resolver.h"
+#include "stats/metrics.h"
 #include "stats/stats.h"
 #include "tcp/tcp.h"
 
@@ -67,6 +68,9 @@ static_assert(sizeof(Arrival) == 16, "Arrival must stay 16 bytes");
 
 /// Marks an attack entry's `name` field; legit name indices stay below it.
 inline constexpr std::uint32_t kAttackTag = 0x80000000u;
+
+/// How long a swarm client waits for an answer before booking a timeout.
+inline constexpr SimTime kClientTimeout = 8 * kSecond;
 
 /// Abuse-traffic families (the attack mixes behind `doxperf abuse`).
 enum class AttackKind : std::uint8_t {
@@ -105,12 +109,14 @@ struct AttackConfig {
 
 /// What came back to one attack's sockets. Spoofed sources outside the
 /// shard's prefixes never answer, so those counters stay at `sent` only.
+#define DOXLAB_ATTACK_METRICS(X)                                            \
+  X(sent, kSum)                                                             \
+  X(answered, kSum)   /* non-error responses */                             \
+  X(refused, kSum)    /* REFUSED (the policy shed) */                       \
+  X(truncated, kSum)  /* TC=1 (policy slow-pathed the abuser) */
 struct AttackReport {
   AttackKind kind = AttackKind::kRandomSubdomain;
-  std::uint64_t sent = 0;
-  std::uint64_t answered = 0;   ///< non-error responses
-  std::uint64_t refused = 0;    ///< REFUSED (the policy shed)
-  std::uint64_t truncated = 0;  ///< TC=1 (policy slow-pathed the abuser)
+  DOXLAB_METRICS(AttackReport, DOXLAB_ATTACK_METRICS)
 };
 
 /// Resolver-churn transitions. kOutage/kRecover take the upstream host down
@@ -134,16 +140,24 @@ struct ChurnEvent {
 
 /// The legit client-visible counters of a run (attack traffic is counted
 /// in AttackReport).
+#define DOXLAB_LOAD_METRICS(X)                                              \
+  X(sent, kSum)                                                             \
+  X(answered, kSum)   /* non-SERVFAIL responses */                          \
+  X(servfails, kSum)  /* client-visible SERVFAILs */                        \
+  X(timeouts, kSum)   /* gave up waiting */                                 \
+  /* Arrivals dropped before sending (the swarm's 16-bit transaction-id     \
+     space was exhausted); sent + shed == arrivals offered. */              \
+  X(shed, kSum)
 struct LoadReport {
-  std::uint64_t sent = 0;
-  std::uint64_t answered = 0;   ///< non-SERVFAIL responses
-  std::uint64_t servfails = 0;  ///< client-visible SERVFAILs
-  std::uint64_t timeouts = 0;   ///< gave up waiting
-  /// Arrivals dropped before sending (the swarm's 16-bit transaction-id
-  /// space was exhausted); sent + shed == arrivals offered.
-  std::uint64_t shed = 0;
+  DOXLAB_METRICS(LoadReport, DOXLAB_LOAD_METRICS)
   std::vector<double> latency_ms;  ///< answered queries only
 
+  /// Merges `other` into this by the table's rules; latencies append.
+  void add(const LoadReport& other, stats::Across across) {
+    stats::merge(*this, other, across);
+    latency_ms.insert(latency_ms.end(), other.latency_ms.begin(),
+                      other.latency_ms.end());
+  }
   /// Every *sent* query reached a terminal outcome (shed never went out).
   bool complete() const { return answered + servfails + timeouts == sent; }
   stats::Summary latency_summary() const {
@@ -154,11 +168,13 @@ struct LoadReport {
 /// One send-time bucket of the legit series: the queries sent in
 /// [start, start + width) by terminal outcome, with the answered ones'
 /// latencies.
+#define DOXLAB_SERIES_METRICS(X)                                            \
+  X(answered, kSum)                                                         \
+  X(servfails, kSum)                                                        \
+  X(timeouts, kSum)
 struct SeriesBucket {
   SimTime start = 0;
-  std::uint64_t answered = 0;
-  std::uint64_t servfails = 0;
-  std::uint64_t timeouts = 0;
+  DOXLAB_METRICS(SeriesBucket, DOXLAB_SERIES_METRICS)
   std::vector<double> latency_ms;
 
   std::uint64_t sent() const { return answered + servfails + timeouts; }
@@ -181,8 +197,6 @@ struct ShardedConfig {
   /// Arrival window [0, duration); attack entries fall inside it too.
   SimTime duration = 10 * kSecond;
   std::size_t names = 500;
-  double zipf_exponent = 1.0;
-  SimTime client_timeout = 8 * kSecond;
   /// Client source addressing: client i sends from
   /// `client_base + splitmix64(seed, i) % client_span`. Each shard routes
   /// the narrowest prefix covering the whole span back to its swarm

@@ -44,18 +44,10 @@ double thread_cpu_ms() {
 /// Width of the engine-stat windows compared around a restart.
 constexpr SimTime kRestartWindow = kSecond;
 
-bool finite_rate(double qps) { return std::isfinite(qps) && qps >= 0.0; }
+/// The Zipf exponent of the legit name draw.
+constexpr double kZipfExponent = 1.0;
 
-/// Adds `from` onto `into`, latencies appended in order.
-void merge_load(LoadReport& into, const LoadReport& from) {
-  into.sent += from.sent;
-  into.answered += from.answered;
-  into.servfails += from.servfails;
-  into.timeouts += from.timeouts;
-  into.shed += from.shed;
-  into.latency_ms.insert(into.latency_ms.end(), from.latency_ms.begin(),
-                         from.latency_ms.end());
-}
+bool finite_rate(double qps) { return std::isfinite(qps) && qps >= 0.0; }
 
 /// Every config the runner cannot run is rejected here, naming the field,
 /// before any schedule or world is built.
@@ -115,7 +107,7 @@ std::vector<Arrival> generate_schedule(const ShardedConfig& config,
   name_cdf.reserve(config.names);
   double total = 0.0;
   for (std::size_t rank = 1; rank <= config.names; ++rank) {
-    total += 1.0 / std::pow(static_cast<double>(rank), config.zipf_exponent);
+    total += 1.0 / std::pow(static_cast<double>(rank), kZipfExponent);
     name_cdf.push_back(total);
   }
 
@@ -204,7 +196,7 @@ void run_world(const ShardedConfig& config, const Segment& segment,
   if (config.engine.l2_serve_stale && config.engine.serve_stale) {
     // Stale serving needs expired entries to survive the barrier sweeps for
     // the whole stale window.
-    l2.set_stale_retention(config.engine.max_stale);
+    l2.set_stale_retention(kMaxStale);
   }
 
   std::vector<std::unique_ptr<EngineShard>> shards;
@@ -220,7 +212,7 @@ void run_world(const ShardedConfig& config, const Segment& segment,
 
   // Arrival window plus settle slack: client timeout and a full pool
   // fallback walk for the stragglers.
-  const SimTime end = segment.stop + config.client_timeout + 15 * kSecond;
+  const SimTime end = segment.stop + kClientTimeout + 15 * kSecond;
   const SimTime epoch = std::max<SimTime>(1, config.epoch);
   SimTime deadline = segment.start;
   while (deadline < end) {
@@ -259,8 +251,10 @@ void run_world(const ShardedConfig& config, const Segment& segment,
     ++result.epochs;
   }
 
-  // Each shard's report moves into its outcome on the first world; a
-  // restart's rebuilt worlds add onto it.
+  // Each shard's outcome takes this world under the restart rule: the
+  // first world's counters land on zeros, and a rebuilt world's events add
+  // to them while its gauges replace the torn-down world's. The first
+  // world's load report moves rather than copies its samples.
   const bool first = segment.start == 0;
   for (std::uint32_t i = 0; i < n; ++i) {
     EngineShard& shard = *shards[i];
@@ -269,27 +263,24 @@ void run_world(const ShardedConfig& config, const Segment& segment,
     outcome.events += shard.events_executed();
     outcome.outcome_digest += shard.outcome_digest();
     outcome.busy_ms += busy_ms[i];
+    outcome.engine.add(shard.engine_stats(), stats::Across::kRestart);
     if (first) {
-      outcome.engine = shard.engine_stats();
       outcome.load = shard.take_report();
       outcome.stream_digest = shard.stream_digest();
     } else {
-      outcome.engine.add(shard.engine_stats());
-      merge_load(outcome.load, shard.report());
+      outcome.load.add(shard.report(), stats::Across::kRestart);
       outcome.stream_digest = (outcome.stream_digest * 0x100000001B3ull) ^
                               shard.stream_digest();
     }
 
+    // Attack and series counters are all events, so one running total
+    // over shards and worlds is exact.
     for (std::size_t k = 0; k < result.attacks.size(); ++k) {
-      const AttackReport& from = shard.attack_reports()[k];
-      AttackReport& into = result.attacks[k];
-      into.sent += from.sent;
-      into.answered += from.answered;
-      into.refused += from.refused;
-      into.truncated += from.truncated;
+      stats::merge(result.attacks[k], shard.attack_reports()[k],
+                   stats::Across::kShards);
     }
     for (std::size_t p = 0; p < probe_out.size(); ++p) {
-      probe_out[p]->add(shard.probes()[p]);
+      probe_out[p]->add(shard.probes()[p], stats::Across::kShards);
     }
     const std::vector<SeriesBucket>& series = shard.series();
     if (result.series.size() < series.size()) {
@@ -298,9 +289,7 @@ void run_world(const ShardedConfig& config, const Segment& segment,
     for (std::size_t b = 0; b < series.size(); ++b) {
       SeriesBucket& into = result.series[b];
       into.start = series[b].start;
-      into.answered += series[b].answered;
-      into.servfails += series[b].servfails;
-      into.timeouts += series[b].timeouts;
+      stats::merge(into, series[b], stats::Across::kShards);
       into.latency_ms.insert(into.latency_ms.end(),
                              series[b].latency_ms.begin(),
                              series[b].latency_ms.end());
@@ -308,7 +297,7 @@ void run_world(const ShardedConfig& config, const Segment& segment,
   }
   // Every shard applies every event; count each one once.
   result.events_executed += shards[0]->churn_applied();
-  result.l2 = l2.stats();
+  stats::merge(result.l2, l2.stats(), stats::Across::kRestart);
 }
 
 }  // namespace
@@ -371,18 +360,12 @@ ShardedResult run_sharded(const ShardedConfig& config) {
   }
   result.load.latency_ms.reserve(samples);
   for (const ShardOutcome& outcome : result.shards) {
-    result.engine.add(outcome.engine);
-    merge_load(result.load, outcome.load);
+    result.engine.add(outcome.engine, stats::Across::kShards);
+    result.load.add(outcome.load, stats::Across::kShards);
     result.merged_digest =
         (result.merged_digest * 0x100000001B3ull) ^ outcome.stream_digest;
     result.outcome_digest += outcome.outcome_digest;
   }
-  // The shared tier's occupancy is stamped once onto the merged stats (the
-  // per-shard rows carry only each shard's own hit/lookup counters), so the
-  // merge never multi-counts one table.
-  result.engine.l2_evictions = result.l2.expired_evicted;
-  result.engine.l2_entries = result.l2.size;
-  result.engine.l2_bytes = result.l2.bytes;
   result.wall_ms = ms_since(wall_start);
   return result;
 }

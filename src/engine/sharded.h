@@ -43,7 +43,8 @@
 
 namespace doxlab::engine {
 
-/// Per-shard outcome, summed over both worlds of a restart run. Everything
+/// Per-shard outcome, merged over both worlds of a restart run (events
+/// summed, gauges from the world alive at the end). Everything
 /// except `busy_ms` is deterministic for a fixed (seed, shard count) —
 /// busy_ms is measured CPU time and is kept out of the pinned CSV columns.
 struct ShardOutcome {
@@ -66,7 +67,8 @@ struct ShardedResult {
   EngineStats engine;
   /// Per-shard load reports summed; latencies concatenated in shard order.
   LoadReport load;
-  /// The L2 of the last set of worlds (the one alive at the end).
+  /// The shared L2's counters: events summed over both worlds of a
+  /// restart, size and bytes from the world alive at the end.
   dns::SharedPacketCache::Stats l2;
   std::uint64_t epochs = 0;
   /// Legit schedule entries (attack entries are counted in `attacks`).

@@ -200,7 +200,7 @@ TEST(ResponseBytes, FreshHitsAtEveryAgeAndAStaleHit) {
                aged(records, 299));
   world.run_to(cached_at + 310 * kSecond);
   expect_bytes(world, 5, world.ask(5, "www.diff.example"),
-               with_ttl(records, World::config().stale_ttl));
+               with_ttl(records, kStaleTtl));
 
   const EngineStats stats = world.engine->stats();
   EXPECT_EQ(stats.cache_hits, 3u);
@@ -265,7 +265,7 @@ TEST(ResponseBytes, L2PromotionAndFailureAnsweredStale) {
   world.run_to(world.sim.now() + 60 * kSecond);
   // The failed resolve answers its waiter from the stale L1 entry.
   expect_bytes(world, 1, waiting,
-               with_ttl(seeded, World::config().stale_ttl));
+               with_ttl(seeded, kStaleTtl));
   const EngineStats stats = world.engine->stats();
   EXPECT_EQ(stats.servfails_sent, 0u);
   EXPECT_EQ(stats.stale_hits, 1u);

@@ -1,14 +1,21 @@
 // Tests for the sharded forwarder engine (engine/shard.h, engine/sharded.h),
 // the one engine harness: the offered load must be invariant under the
 // shard count, repeated runs must be bit-identical (event-stream digests),
-// the merged result must equal the sum of its shards, the shared L2 must
-// actually carry answers across shards, and the schedule's attack mixes,
-// churn events, restart and series must hold at any shard count.
+// the merged result must equal the sum of its shards (every metric table
+// merging each field by its rule, a restart's gauges from the live world
+// only), the shared L2 must actually carry answers across shards, and the
+// schedule's attack mixes, churn events, restart and series must hold at
+// any shard count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "engine/sharded.h"
 #include "policy/policy.h"
@@ -414,27 +421,109 @@ TEST(ChurnCampaign, RestartWarmStartsFromSnapshot) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(EngineStats, AddSumsCounters) {
-  EngineStats a;
-  a.queries = 10;
-  a.cache_hits = 4;
-  a.l2_hits = 2;
-  a.l2_lookups = 3;
-  a.coalesced = 1;
-  EngineStats b;
-  b.queries = 5;
-  b.cache_hits = 1;
-  b.l2_hits = 1;
-  b.l2_lookups = 2;
-  b.servfails_sent = 2;
+TEST(ShardedEngine, RestartMergeCountsEachWorldOnce) {
+  ShardedConfig config = small_config();
+  config.shards = 2;
+  config.duration = 4 * kSecond;
+  config.names = 200;
+  config.restart_at = 2 * kSecond;
+  const ShardedResult result = run_sharded(config);
 
-  a.add(b);
-  EXPECT_EQ(a.queries, 15u);
-  EXPECT_EQ(a.cache_hits, 5u);
-  EXPECT_EQ(a.l2_hits, 3u);
-  EXPECT_EQ(a.l2_lookups, 5u);
-  EXPECT_EQ(a.coalesced, 1u);
-  EXPECT_EQ(a.servfails_sent, 2u);
+  // Occupancy is the live world's: a shard's L1 never holds more names
+  // than there are.
+  std::uint64_t l2_hits = 0, l2_lookups = 0;
+  for (const ShardOutcome& shard : result.shards) {
+    EXPECT_LE(shard.engine.l1_entries, config.names);
+    EXPECT_GT(shard.engine.l1_entries, 0u);
+    l2_hits += shard.engine.l2_hits;
+    l2_lookups += shard.engine.l2_lookups;
+  }
+  // The L2's own counters span both worlds, like the engines' view of it.
+  EXPECT_GT(result.l2.hits, 0u);
+  EXPECT_EQ(result.l2.hits, l2_hits);
+  EXPECT_EQ(result.l2.hits + result.l2.misses, l2_lookups);
+  EXPECT_EQ(result.l2.deferred_inserts, result.l2.applied_inserts);
+}
+
+/// Merges `from` into `into` the way the runner merges T.
+template <typename T>
+void merge_like_runner(T& into, const T& from, stats::Across across) {
+  if constexpr (requires { into.add(from, across); }) {
+    into.add(from, across);
+  } else {
+    stats::merge(into, from, across);
+  }
+}
+
+/// Checks T's table: every u64 of T is a row (T's other members take
+/// `other_bytes`), names are unique, each row's rule is the expected one
+/// (`non_sum` lists every row that is not kSum), and a merge across shards
+/// and across a restart combines every field by that rule.
+template <typename T>
+void check_table(
+    std::size_t other_bytes,
+    const std::vector<std::pair<std::string_view, stats::Merge>>& non_sum) {
+  EXPECT_EQ(sizeof(T),
+            T::metrics().size() * sizeof(std::uint64_t) + other_bytes);
+  for (const auto& [name, rule] : non_sum) {
+    EXPECT_NE(stats::find<T>(name), nullptr) << name;
+  }
+  std::set<std::string_view> names;
+  T low;
+  T high;
+  std::uint64_t i = 0;
+  for (const stats::Metric<T>& metric : T::metrics()) {
+    EXPECT_TRUE(names.insert(metric.name).second) << metric.name;
+    stats::Merge expected = stats::Merge::kSum;
+    for (const auto& [name, rule] : non_sum) {
+      if (name == metric.name) expected = rule;
+    }
+    EXPECT_EQ(metric.rule, expected) << metric.name;
+    low.*metric.field = 10 + 3 * i;
+    high.*metric.field = 1000 + 7 * i;
+    ++i;
+  }
+  for (const stats::Across across :
+       {stats::Across::kShards, stats::Across::kRestart}) {
+    for (const bool low_first : {true, false}) {
+      const T& a = low_first ? low : high;
+      const T& b = low_first ? high : low;
+      T into = a;
+      merge_like_runner(into, b, across);
+      for (const stats::Metric<T>& metric : T::metrics()) {
+        const std::uint64_t x = a.*metric.field;
+        const std::uint64_t y = b.*metric.field;
+        std::uint64_t want = x + y;
+        if (metric.rule == stats::Merge::kMax) want = std::max(x, y);
+        if (metric.rule == stats::Merge::kGauge &&
+            across == stats::Across::kRestart) {
+          want = y;
+        }
+        EXPECT_EQ(into.*metric.field, want)
+            << metric.name << (across == stats::Across::kShards
+                                   ? " across shards"
+                                   : " across a restart");
+      }
+    }
+  }
+}
+
+TEST(MetricTables, EveryFieldMergesByItsRule) {
+  using stats::Merge;
+  check_table<EngineStats>(2 * sizeof(util::ErrorCounters) +
+                               sizeof(std::vector<UpstreamHealth>) +
+                               sizeof(std::vector<policy::RuleStats>),
+                           {{"l1_entries", Merge::kGauge},
+                            {"l1_bytes", Merge::kGauge},
+                            {"snapshot_entries", Merge::kGauge},
+                            {"snapshot_bytes", Merge::kGauge},
+                            {"link_queue_peak", Merge::kMax}});
+  check_table<LoadReport>(sizeof(std::vector<double>), {});
+  check_table<dns::SharedPacketCache::Stats>(
+      0, {{"size", Merge::kGauge}, {"bytes", Merge::kGauge}});
+  check_table<AttackReport>(alignof(std::uint64_t), {});  // kind, padded
+  check_table<SeriesBucket>(sizeof(SimTime) + sizeof(std::vector<double>),
+                            {});
 }
 
 TEST(ScaleRateLimits, SlicesCoarseBudgetsExactlyAcrossShards) {

@@ -175,7 +175,7 @@ TEST(TieredEngine, StaleL2HitServesOnceRefreshesOnceRepromotes) {
   // The immediate answer is the seeded stale rdata with the stale TTL
   // stamped — the refresh has not been waited on.
   EXPECT_EQ(dns::rdata_as_a(stale->answers[0]), 0x7F000001u);
-  EXPECT_EQ(stale->answers[0].ttl, config.stale_ttl);
+  EXPECT_EQ(stale->answers[0].ttl, kStaleTtl);
   const EngineStats after_stale = world.engine->stats();
   EXPECT_EQ(after_stale.l2_hits, 1u);
   EXPECT_EQ(after_stale.stale_hits, 1u);
@@ -226,7 +226,7 @@ TEST(TieredEngine, StaleSnapshotHitServesOnceRefreshesOnce) {
   ASSERT_TRUE(stale.has_value());
   ASSERT_EQ(stale->answers.size(), 1u);
   EXPECT_EQ(dns::rdata_as_a(stale->answers[0]), 0x7F000002u);
-  EXPECT_EQ(stale->answers[0].ttl, config.stale_ttl);
+  EXPECT_EQ(stale->answers[0].ttl, kStaleTtl);
   const EngineStats after_stale = world.engine->stats();
   EXPECT_EQ(after_stale.snapshot_hits, 1u);
   EXPECT_EQ(after_stale.stale_hits, 1u);

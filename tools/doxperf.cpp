@@ -13,12 +13,14 @@
 //   doxperf --0rtt --pad --csv=out.csv
 //   doxperf engine --clients=2000 --qps=3000  # forwarder-engine load run
 //   doxperf campaign --jobs=8 --reps=4        # parallel measurement sweep
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/sharded.h"
@@ -28,6 +30,7 @@
 #include "measure/web_study.h"
 #include "net/geo.h"
 #include "runner/campaign.h"
+#include "stats/metrics.h"
 #include "stats/stats.h"
 #include "util/strings.h"
 
@@ -193,59 +196,51 @@ int flag_int(int argc, char** argv, const char* name, int fallback) {
   return flag_num<int>(argc, argv, name, fallback);
 }
 
+/// The shard CSV's metric columns in order: LoadReport's, then
+/// EngineStats'.
+constexpr std::string_view kShardCsvMetrics[] = {
+    "sent", "answered", "servfails", "timeouts", "shed", "queries",
+    "cache_hits", "stale_hits", "misses", "coalesced", "l2_hits",
+    "l2_lookups", "upstream_resolves", "link_packets", "link_drops",
+    "link_queue_peak", "l1_lookups", "l1_evictions", "l1_entries",
+    "l1_bytes", "snapshot_hits", "snapshot_lookups", "snapshot_entries",
+    "snapshot_bytes"};
+static_assert(std::ranges::all_of(kShardCsvMetrics, [](std::string_view n) {
+  return stats::find<engine::LoadReport>(n) != nullptr ||
+         stats::find<engine::EngineStats>(n) != nullptr;
+}));
+
 /// Per-shard stats rows. Only simulation-derived (deterministic) columns —
 /// no wall-clock timing — so two runs with the same seed and shard count
 /// produce bit-identical files (the engine_shards_determinism ctest).
 std::string shard_csv(const engine::ShardedResult& result) {
-  std::string out =
-      "shard,arrivals,sent,answered,servfails,timeouts,shed,queries,"
-      "cache_hits,stale_hits,misses,coalesced,l2_hits,l2_lookups,"
-      "upstream_resolves,link_packets,link_drops,link_queue_peak,"
-      "l1_lookups,l1_evictions,l1_entries,l1_bytes,snapshot_hits,"
-      "snapshot_lookups,snapshot_entries,snapshot_bytes,events,digest,"
-      "outcomes\n";
-  char line[1024];
-  for (const auto& shard : result.shards) {
-    std::snprintf(
-        line, sizeof(line),
-        "%u,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
-        "%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
-        "%llu,%016llx,%016llx\n",
-        shard.index, static_cast<unsigned long long>(shard.arrivals),
-        static_cast<unsigned long long>(shard.load.sent),
-        static_cast<unsigned long long>(shard.load.answered),
-        static_cast<unsigned long long>(shard.load.servfails),
-        static_cast<unsigned long long>(shard.load.timeouts),
-        static_cast<unsigned long long>(shard.load.shed),
-        static_cast<unsigned long long>(shard.engine.queries),
-        static_cast<unsigned long long>(shard.engine.cache_hits),
-        static_cast<unsigned long long>(shard.engine.stale_hits),
-        static_cast<unsigned long long>(shard.engine.misses),
-        static_cast<unsigned long long>(shard.engine.coalesced),
-        static_cast<unsigned long long>(shard.engine.l2_hits),
-        static_cast<unsigned long long>(shard.engine.l2_lookups),
-        static_cast<unsigned long long>(shard.engine.upstream_resolves),
-        static_cast<unsigned long long>(shard.engine.link_packets),
-        static_cast<unsigned long long>(shard.engine.link_drops),
-        static_cast<unsigned long long>(shard.engine.link_queue_peak),
-        static_cast<unsigned long long>(shard.engine.l1_lookups),
-        static_cast<unsigned long long>(shard.engine.l1_evictions),
-        static_cast<unsigned long long>(shard.engine.l1_entries),
-        static_cast<unsigned long long>(shard.engine.l1_bytes),
-        static_cast<unsigned long long>(shard.engine.snapshot_hits),
-        static_cast<unsigned long long>(shard.engine.snapshot_lookups),
-        static_cast<unsigned long long>(shard.engine.snapshot_entries),
-        static_cast<unsigned long long>(shard.engine.snapshot_bytes),
-        static_cast<unsigned long long>(shard.events),
-        static_cast<unsigned long long>(shard.stream_digest),
-        static_cast<unsigned long long>(shard.outcome_digest));
-    out += line;
+  const auto digests = [](std::uint64_t stream, std::uint64_t outcomes) {
+    char hex[40];
+    std::snprintf(hex, sizeof(hex), "%016llx,%016llx\n",
+                  static_cast<unsigned long long>(stream),
+                  static_cast<unsigned long long>(outcomes));
+    return std::string(hex);
+  };
+  std::string out = "shard,arrivals";
+  for (std::string_view name : kShardCsvMetrics) {
+    out += ',';
+    out += name;
   }
-  std::snprintf(line, sizeof(line),
-                "merged,,,,,,,,,,,,,,,,,,,,,,,,,,,%016llx,%016llx\n",
-                static_cast<unsigned long long>(result.merged_digest),
-                static_cast<unsigned long long>(result.outcome_digest));
-  out += line;
+  out += ",events,digest,outcomes\n";
+  for (const auto& shard : result.shards) {
+    out += std::to_string(shard.index) + ',' + std::to_string(shard.arrivals);
+    for (std::string_view name : kShardCsvMetrics) {
+      const auto load_field = stats::find<engine::LoadReport>(name);
+      const auto engine_field = stats::find<engine::EngineStats>(name);
+      out += ',' + std::to_string(load_field ? shard.load.*load_field
+                                             : shard.engine.*engine_field);
+    }
+    out += ',' + std::to_string(shard.events) + ',' +
+           digests(shard.stream_digest, shard.outcome_digest);
+  }
+  // The merged row leaves every counter column empty.
+  out += "merged" + std::string(std::size(kShardCsvMetrics) + 3, ',') +
+         digests(result.merged_digest, result.outcome_digest);
   return out;
 }
 
@@ -417,14 +412,14 @@ void print_engine_report(const char* title,
               static_cast<unsigned long long>(e.misses),
               static_cast<unsigned long long>(e.l1_evictions));
   std::printf("L2 cache       hit %llu / %llu lookups  deferred %llu  "
-              "applied %llu  lock-miss %llu  size %zu\n",
+              "applied %llu  lock-miss %llu  size %llu\n",
               static_cast<unsigned long long>(result.l2.hits),
               static_cast<unsigned long long>(result.l2.hits +
                                               result.l2.misses),
               static_cast<unsigned long long>(result.l2.deferred_inserts),
               static_cast<unsigned long long>(result.l2.applied_inserts),
               static_cast<unsigned long long>(result.l2.lock_misses),
-              result.l2.size);
+              static_cast<unsigned long long>(result.l2.size));
   if (!config.engine.snapshot_dir.empty()) {
     std::printf("snapshot tier  hit %llu / %llu lookups  warm-loaded %llu  "
                 "entries %llu (%llu bytes)\n",
