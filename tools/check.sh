@@ -1,9 +1,10 @@
 #!/bin/sh
 # Tier-1 gate: build + run the full test suite three times — the regular
-# RelWithDebInfo build (plus the sharded-engine scaling smoke), an
-# ASan+UBSan instrumented build (-DDOXLAB_SANITIZE=ON), and a TSan build
-# (-DDOXLAB_TSAN=ON) that re-runs the cross-thread tests and a sharded
-# engine smoke under the race detector. All must be green.
+# RelWithDebInfo build (plus the sharded-engine scaling smoke and the
+# benchmark's smoke pass), an ASan+UBSan instrumented build
+# (-DDOXLAB_SANITIZE=ON), and a TSan build (-DDOXLAB_TSAN=ON) that re-runs
+# the cross-thread tests and a sharded engine smoke under the race
+# detector. All must be green.
 #
 # Usage: tools/check.sh [jobs]   (from the repository root)
 set -eu
@@ -22,6 +23,9 @@ echo "== tiered cache / warm-restart smoke =="
 echo "== adverse-path smoke (fairness + RFC 9002 recovery) =="
 "$root/build/bench/adverse_path" --smoke
 "$root/build/tools/doxperf" adverse --smoke >/dev/null
+echo "== benchmark smoke (doxbench, built into ${root}/.bench_build) =="
+# doxbench builds its own copy of the library and reads the engine's stats.
+python3 "$root/doxbench/run.py" --smoke
 
 echo "== sanitizer build (${root}/build-sanitize, ASan+UBSan) =="
 cmake -B "$root/build-sanitize" -S "$root" -DDOXLAB_SANITIZE=ON >/dev/null
