@@ -629,5 +629,20 @@ TEST_F(WireCacheEngineFixture, IgnoresResponsesAndMalformedQueries) {
   EXPECT_EQ(engine->stats().malformed, 3u);
 }
 
+TEST(EngineStatsTest, AddMergesTierCounters) {
+  EngineStats a;
+  a.l1_lookups = 10;
+  a.l1_bytes = 300;
+  a.snapshot_hits = 3;
+  EngineStats b;
+  b.l1_lookups = 11;
+  b.l1_bytes = 200;
+  b.snapshot_hits = 4;
+  a.add(b, stats::Across::kShards);
+  EXPECT_EQ(a.l1_lookups, 21u);
+  EXPECT_EQ(a.l1_bytes, 500u);
+  EXPECT_EQ(a.snapshot_hits, 7u);
+}
+
 }  // namespace
 }  // namespace doxlab::engine

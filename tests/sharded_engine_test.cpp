@@ -421,6 +421,29 @@ TEST(ChurnCampaign, RestartWarmStartsFromSnapshot) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(EngineStats, AddSumsCounters) {
+  EngineStats a;
+  a.queries = 10;
+  a.cache_hits = 4;
+  a.l2_hits = 2;
+  a.l2_lookups = 3;
+  a.coalesced = 1;
+  EngineStats b;
+  b.queries = 5;
+  b.cache_hits = 1;
+  b.l2_hits = 1;
+  b.l2_lookups = 2;
+  b.servfails_sent = 2;
+
+  a.add(b, stats::Across::kShards);
+  EXPECT_EQ(a.queries, 15u);
+  EXPECT_EQ(a.cache_hits, 5u);
+  EXPECT_EQ(a.l2_hits, 3u);
+  EXPECT_EQ(a.l2_lookups, 5u);
+  EXPECT_EQ(a.coalesced, 1u);
+  EXPECT_EQ(a.servfails_sent, 2u);
+}
+
 TEST(ShardedEngine, RestartMergeCountsEachWorldOnce) {
   ShardedConfig config = small_config();
   config.shards = 2;
