@@ -6,310 +6,76 @@
 // pays the HTTP layer's bytes (control-stream SETTINGS, HEADERS with QPACK)
 // but, unlike DoH-over-H2, no TCP and no extra TLS round trip — which is
 // why the paper expects DoH3 to close most of the DoH-DoQ gap.
-#include "dox/transport_base.h"
+#include "dox/quic_transport.h"
 #include "h3/connection.h"
-#include "quic/connection.h"
 
 namespace doxlab::dox {
 
 namespace {
 
-class Doh3Transport final : public TransportBase {
+struct Doh3Framing {
+  std::unique_ptr<h3::H3Connection> h3;
+  DohStreams streams;
+};
+
+class Doh3Transport final : public QuicTransport<Doh3Framing> {
  public:
   Doh3Transport(const TransportDeps& deps, const TransportOptions& options)
-      : TransportBase(DnsProtocol::kDoH3, deps, options) {}
+      : QuicTransport(DnsProtocol::kDoH3, deps, options, {"h3"}) {}
 
   ~Doh3Transport() override { reset_sessions(); }
 
-  void resolve(const dns::Question& question, ResultHandler handler) override {
-    auto pending = make_pending(question, std::move(handler));
-    if (!state_ || state_->conn->closed()) {
-      open_connection(pending);
-      return;
-    }
-    state_->in_flight.push_back(pending);
-    if (state_->conn->handshake_complete()) {
-      send_request(state_, pending);
-    } else {
-      state_->queued.push_back(pending);
-    }
-  }
-
-  void reset_sessions() override {
-    if (state_) {
-      if (!state_->conn->closed()) state_->conn->close();
-      stats_.total_c2r = state_->conn->bytes_sent();
-      stats_.total_r2c = state_->conn->bytes_received();
-    }
-    state_.reset();
-  }
-
-  WireStats wire_stats() const override {
-    WireStats stats = stats_;
-    if (state_) {
-      stats.total_c2r = state_->conn->bytes_sent();
-      stats.total_r2c = state_->conn->bytes_received();
-    }
-    return stats;
-  }
-
  private:
-  struct ConnState {
-    std::shared_ptr<quic::QuicConnection> conn;
-    std::unique_ptr<h3::H3Connection> h3;
-    std::unique_ptr<net::UdpSocket> socket;
-    std::map<std::uint64_t, PendingPtr> by_stream;
-    std::map<std::uint64_t, std::vector<std::uint8_t>> bodies;
-    std::vector<PendingPtr> in_flight;
-    std::vector<PendingPtr> queued;
-  };
-  using StatePtr = std::shared_ptr<ConnState>;
-
-  std::string cache_key() const {
-    return server_key(options_.resolver, DnsProtocol::kDoH3);
-  }
-
-  std::string authority() const {
-    return "resolver-" + options_.resolver.address.to_string();
-  }
-
-  void open_connection(const PendingPtr& first) {
-    auto state = std::make_shared<ConnState>();
-    state_ = state;
-    first->result.new_session = true;
-    mark(first, QueryPhase::kConnect);
-    stats_ = WireStats{};
-
-    const DoqServerInfo* known =
-        deps_.doq_cache ? deps_.doq_cache->find(cache_key()) : nullptr;
-
-    quic::QuicConfig config;
-    config.alpn = {"h3"};
-    config.sni = authority();
-    config.enable_0rtt = options_.attempt_0rtt;
-    config.enable_cc = options_.quic_enable_cc;
-    if (known && known->version) config.version = *known->version;
-
-    state->socket = deps_.udp->bind_ephemeral();
-
-    // Weak ConnState captures: the state owns both the QUIC connection and
-    // the H3 session, so shared captures in their callbacks would form
-    // reference cycles that leak the whole connection (sanitizer-visible).
-    std::weak_ptr<ConnState> weak_state = state;
-    quic::QuicConnection::Callbacks callbacks;
-    callbacks.send_datagram = [this, weak_state, guard = alive_guard()](
-                                  util::Buffer bytes) {
-      if (guard.expired()) return;
-      auto state = weak_state.lock();
-      if (!state) return;
-      state->socket->send_to(options_.resolver, std::move(bytes));
-    };
-    callbacks.on_handshake_complete =
-        [this, weak_state, guard = alive_guard()](
-            const quic::QuicHandshakeInfo& info) {
-          if (guard.expired()) return;
-          auto state = weak_state.lock();
-          if (!state) return;
-          on_established(state, info);
-        };
-    callbacks.on_stream_data = [this, weak_state, guard = alive_guard()](
-                                   std::uint64_t id,
-                                   std::span<const std::uint8_t> d,
-                                   bool fin) {
-      if (guard.expired()) return;
-      auto state = weak_state.lock();
-      if (!state) return;
-      state->h3->on_stream_data(id, d, fin);
-    };
-    callbacks.on_new_ticket = [this, guard = alive_guard()](
-                                  const tls::SessionTicket& ticket) {
-      if (guard.expired()) return;
-      if (deps_.tickets) deps_.tickets->put(cache_key(), ticket);
-    };
-    callbacks.on_new_token = [this, guard = alive_guard()](
-                                 const quic::AddressToken& token) {
-      if (guard.expired()) return;
-      if (deps_.doq_cache) deps_.doq_cache->entry(cache_key()).token = token;
-    };
-    callbacks.on_closed = [this, weak_state, guard = alive_guard()](
-                              const util::Error& error) {
-      if (guard.expired()) return;
-      auto state = weak_state.lock();
-      if (!state) return;
-      if (!error.ok()) {
-        auto in_flight = std::move(state->in_flight);
-        state->in_flight.clear();
-        state->queued.clear();
-        for (auto& pending : in_flight) {
-          finish_error(pending, error);
-        }
-      }
-    };
-    state->conn = quic::QuicConnection::make_client(sim(), config,
-                                                    std::move(callbacks));
-    state->socket->on_datagram(
-        [conn = state->conn](const net::Endpoint&,
-                             util::Buffer payload) {
-          conn->on_datagram(payload);
-        });
-
-    h3::H3Connection::Callbacks h3_callbacks;
-    h3_callbacks.on_headers = [this, weak_state, guard = alive_guard()](
-                                  std::uint64_t stream_id,
-                                  const std::vector<h2::Header>& headers,
-                                  bool end_stream) {
-      if (guard.expired()) return;
-      auto state = weak_state.lock();
-      if (!state) return;
-      on_response_headers(state, stream_id, headers, end_stream);
-    };
-    h3_callbacks.on_data = [this, weak_state, guard = alive_guard()](
+  /// The control stream opens before the first request, so with 0-RTT
+  /// both ride the first flight.
+  bool start(const ConnPtr& conn, const DoqServerInfo*) override {
+    std::weak_ptr<Conn> weak = conn;
+    h3::H3Connection::Callbacks callbacks;
+    callbacks.on_headers = [this, weak, guard = alive_guard()](
                                std::uint64_t stream_id,
-                               std::span<const std::uint8_t> data,
+                               const std::vector<h2::Header>& headers,
                                bool end_stream) {
       if (guard.expired()) return;
-      auto state = weak_state.lock();
-      if (!state) return;
-      on_response_data(state, stream_id, data, end_stream);
+      if (auto conn = weak.lock()) {
+        on_doh_headers(conn->streams, conn->in_flight, stream_id, headers,
+                       end_stream);
+      }
     };
-    h3_callbacks.on_error = [this, weak_state, guard = alive_guard()](
-                                const util::Error& error) {
+    callbacks.on_data = [this, weak, guard = alive_guard()](
+                            std::uint64_t stream_id,
+                            std::span<const std::uint8_t> data,
+                            bool end_stream) {
       if (guard.expired()) return;
-      auto state = weak_state.lock();
-      if (!state) return;
-      auto in_flight = std::move(state->in_flight);
-      state->in_flight.clear();
-      for (auto& pending : in_flight) {
-        finish_error(pending, error);
+      if (auto conn = weak.lock()) {
+        on_doh_data(conn->streams, conn->in_flight, stream_id, data,
+                    end_stream);
       }
     };
-    state->h3 = std::make_unique<h3::H3Connection>(state->conn,
-                                                   /*is_client=*/true,
-                                                   std::move(h3_callbacks));
-
-    state->in_flight.push_back(first);
-
-    std::optional<tls::SessionTicket> ticket;
-    if (options_.use_session_resumption && deps_.tickets) {
-      ticket = deps_.tickets->get(cache_key(), sim().now());
-    }
-    std::optional<quic::AddressToken> token;
-    if (options_.use_address_token && known && known->token) {
-      token = known->token;
-    }
-
-    // The control stream + first request can ride 0-RTT when the ticket
-    // allows it; otherwise the QUIC connection queues the streams until the
-    // handshake completes.
-    const bool can_0rtt =
-        options_.attempt_0rtt && ticket && ticket->allow_early_data;
-    state->h3->start();
-    if (can_0rtt) {
-      send_request(state, first);
-      first->result.used_0rtt = true;
-    } else {
-      state->queued.push_back(first);
-    }
-    state->conn->connect(ticket, token);
+    callbacks.on_error = [this, weak, guard = alive_guard()](
+                             const util::Error& error) {
+      if (guard.expired()) return;
+      if (auto conn = weak.lock()) fail_connection(conn, error);
+    };
+    conn->h3 = std::make_unique<h3::H3Connection>(
+        conn->quic, /*is_client=*/true, std::move(callbacks));
+    conn->h3->start();
+    return true;
   }
 
-  void on_established(const StatePtr& state,
-                      const quic::QuicHandshakeInfo& info) {
-    stats_.handshake_c2r = state->conn->bytes_sent();
-    stats_.handshake_r2c = state->conn->bytes_received();
-    if (deps_.doq_cache) {
-      auto& entry = deps_.doq_cache->entry(cache_key());
-      entry.version = info.version;
-      entry.alpn = info.alpn;
-    }
-    for (auto& p : state->in_flight) {
-      if (p->result.new_session) {
-        mark(p, QueryPhase::kSecure);
-        p->result.quic_version = info.version;
-        p->result.alpn = info.alpn;
-        p->result.session_resumed = info.resumed;
-        p->result.used_0rtt = info.early_data_accepted;
-        p->result.tls_version = tls::TlsVersion::kTls13;
-      }
-    }
-    auto queued = std::move(state->queued);
-    state->queued.clear();
-    for (auto& pending : queued) {
-      if (!pending->done) send_request(state, pending);
-    }
-  }
-
-  void send_request(const StatePtr& state, const PendingPtr& pending) {
+  void send_request(const ConnPtr& conn, const PendingPtr& pending) override {
     dns::Message query = build_query(pending, /*encrypted=*/true);
     auto body = query.encode();
-    std::vector<h2::Header> headers = {
-        {":method", "POST"},
-        {":scheme", "https"},
-        {":authority", authority()},
-        {":path", "/dns-query"},
-        {"accept", "application/dns-message"},
-        {"content-type", "application/dns-message"},
-        {"content-length", std::to_string(body.size())},
-        {"user-agent", "doxlab-dnsperf/1.0"},
-    };
+    const std::vector<h2::Header> headers =
+        doh_request_headers(server_name(), body.size());
     const std::uint64_t stream_id =
-        state->h3->send_request(headers, std::move(body));
-    state->by_stream[stream_id] = pending;
-    mark(pending, QueryPhase::kRequestSent);
-    if (!pending->result.quic_version && state->conn->info()) {
-      const auto& info = *state->conn->info();
-      pending->result.quic_version = info.version;
-      pending->result.alpn = info.alpn;
-      pending->result.session_resumed = info.resumed;
-      pending->result.tls_version = tls::TlsVersion::kTls13;
-    }
+        conn->h3->send_request(headers, std::move(body));
+    conn->streams.by_stream[stream_id] = pending;
   }
 
-  void on_response_headers(const StatePtr& state, std::uint64_t stream_id,
-                           const std::vector<h2::Header>& headers,
-                           bool end_stream) {
-    auto it = state->by_stream.find(stream_id);
-    if (it == state->by_stream.end()) return;
-    for (const auto& h : headers) {
-      if (h.name == ":status" && h.value != "200") {
-        auto pending = it->second;
-        state->by_stream.erase(it);
-        std::erase(state->in_flight, pending);
-        finish_error(pending, util::Error::protocol("HTTP status " + h.value));
-        return;
-      }
-    }
-    if (end_stream) {
-      auto pending = it->second;
-      state->by_stream.erase(it);
-      std::erase(state->in_flight, pending);
-      finish_error(pending, util::Error::truncated("empty DoH3 response"));
-    }
+  void on_stream_data(const ConnPtr& conn, std::uint64_t stream_id,
+                      std::span<const std::uint8_t> data, bool fin) override {
+    conn->h3->on_stream_data(stream_id, data, fin);
   }
-
-  void on_response_data(const StatePtr& state, std::uint64_t stream_id,
-                        std::span<const std::uint8_t> data, bool end_stream) {
-    auto it = state->by_stream.find(stream_id);
-    if (it == state->by_stream.end()) return;
-    auto& body = state->bodies[stream_id];
-    body.insert(body.end(), data.begin(), data.end());
-    if (!end_stream) return;
-
-    auto pending = it->second;
-    state->by_stream.erase(it);
-    std::erase(state->in_flight, pending);
-    auto message = dns::Message::decode(body);
-    state->bodies.erase(stream_id);
-    if (!message || !matches(*message, *pending)) {
-      finish_error(pending,
-                   util::Error::protocol("malformed DoH3 response body"));
-      return;
-    }
-    finish_success(pending, std::move(*message));
-  }
-
-  StatePtr state_;
-  WireStats stats_;
 };
 
 }  // namespace

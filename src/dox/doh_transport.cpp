@@ -4,332 +4,83 @@
 // preface/SETTINGS/HEADERS overhead is what makes DoH queries and responses
 // the largest of all five protocols in the paper's Table 1, and the
 // TCP+TLS handshake (2 RTT) is why its handshake time is ~2x DoQ's.
-#include "dox/transport_base.h"
+#include "dox/tls_transport.h"
 #include "h2/connection.h"
-#include "tls/session.h"
 
 namespace doxlab::dox {
 
 namespace {
 
-class DohTransport final : public TransportBase {
+struct DohFraming {
+  std::unique_ptr<h2::H2Connection> h2;
+  DohStreams streams;
+};
+
+class DohTransport final : public TlsTransport<DohFraming> {
  public:
   DohTransport(const TransportDeps& deps, const TransportOptions& options)
-      : TransportBase(DnsProtocol::kDoH, deps, options) {}
+      : TlsTransport(DnsProtocol::kDoH, deps, options, "h2",
+                     /*open_when_busy=*/false) {}
 
   ~DohTransport() override { reset_sessions(); }
 
-  void resolve(const dns::Question& question, ResultHandler handler) override {
-    auto pending = make_pending(question, std::move(handler));
-    if (!state_ || state_->closed) {
-      open_connection(pending);
-      return;
-    }
-    state_->in_flight.push_back(pending);
-    if (state_->established) {
-      send_request(pending);
-    } else {
-      state_->queued.push_back(pending);
-    }
-  }
-
-  void reset_sessions() override {
-    if (state_ && !state_->closed) {
-      state_->h2->send_goaway();
-      state_->tls->send_close_notify();
-      state_->conn->close();
-      state_->closed = true;
-      // The FIN exchange completes asynchronously; on_closed (which
-      // records final byte totals) still needs the state alive.
-      closing_.push_back(state_);
-    }
-    state_.reset();
-  }
-
-  WireStats wire_stats() const override {
-    WireStats stats = stats_;
-    if (auto state = last_.lock(); state && !state->closed) {
-      stats.total_c2r = state->conn->bytes_sent();
-      stats.total_r2c = state->conn->bytes_received();
-    }
-    return stats;
-  }
-
  private:
-  struct ConnState {
-    std::shared_ptr<tcp::TcpConnection> conn;
-    std::unique_ptr<tls::TlsSession> tls;
-    std::unique_ptr<h2::H2Connection> h2;
-    std::map<std::uint32_t, PendingPtr> by_stream;
-    std::map<std::uint32_t, std::vector<std::uint8_t>> bodies;
-    std::vector<PendingPtr> in_flight;
-    std::vector<PendingPtr> queued;
-    bool established = false;
-    bool closed = false;
-    bool tls_started = false;
-    std::vector<std::uint8_t> early_buffer;
-    std::optional<tls::HandshakeInfo> info;
-  };
-
-  std::string ticket_key() const {
-    return server_key(options_.resolver, DnsProtocol::kDoH);
-  }
-
-  std::string authority() const {
-    return "resolver-" + options_.resolver.address.to_string();
-  }
-
-  void open_connection(const PendingPtr& first) {
-    auto state = std::make_shared<ConnState>();
-    state_ = state;
-    last_ = state;
-    first->result.new_session = true;
-    mark(first, QueryPhase::kConnect);
-    stats_ = WireStats{};
-
-    tcp::TcpOptions tcp_options;
-    tcp_options.congestion_algorithm = options_.tcp_congestion;
-    state->conn = deps_.tcp->connect(options_.resolver, tcp_options);
-
-    tls::TlsConfig tls_config;
-    tls_config.alpn = {"h2"};
-    tls_config.sni = authority();
-    tls_config.enable_0rtt = options_.attempt_0rtt;
-
-    // Weak ConnState captures throughout: the state owns the TLS session,
-    // the H2 session, and the TCP connection, so shared captures in any of
-    // their callbacks would leak the whole connection as a cycle.
-    std::weak_ptr<ConnState> weak_state = state;
-    tls::TlsSession::Callbacks tls_callbacks;
-    tls_callbacks.now = [this] { return sim().now(); };
-    tls_callbacks.send_transport = [weak_state](util::Buffer bytes) {
-      auto state = weak_state.lock();
-      if (!state) return;
-      if (!state->closed) state->conn->send(std::move(bytes));
+  /// The H2 preface goes out before the first request, so with 0-RTT both
+  /// ride the first flight.
+  void start(const ConnPtr& conn) override {
+    std::weak_ptr<Conn> weak = conn;
+    h2::H2Connection::Callbacks callbacks;
+    callbacks.send_transport = [weak](util::Buffer bytes) {
+      if (auto conn = weak.lock()) conn->write(std::move(bytes));
     };
-    tls_callbacks.on_handshake_complete =
-        [this, weak_state, guard = alive_guard()](
-            const tls::HandshakeInfo& info) {
-          if (guard.expired()) return;
-          auto state = weak_state.lock();
-          if (!state) return;
-          on_established(state, info);
-        };
-    tls_callbacks.on_application_data =
-        [weak_state](std::span<const std::uint8_t> data) {
-          auto state = weak_state.lock();
-          if (!state) return;
-          state->h2->on_transport_data(data);
-        };
-    tls_callbacks.on_new_ticket = [this, guard = alive_guard()](
-                                      const tls::SessionTicket& ticket) {
-      if (guard.expired()) return;
-      if (deps_.tickets) deps_.tickets->put(ticket_key(), ticket);
-    };
-    tls_callbacks.on_error = [this, weak_state, guard = alive_guard()](
-                                 const util::Error& error) {
-      if (guard.expired()) return;
-      auto state = weak_state.lock();
-      if (!state) return;
-      fail_connection(state, error);
-    };
-    state->tls = std::make_unique<tls::TlsSession>(tls_config,
-                                                   std::move(tls_callbacks));
-
-    h2::H2Connection::Callbacks h2_callbacks;
-    // Until the TLS client has started, H2 output accumulates so it can be
-    // offered as 0-RTT early data in the first flight.
-    h2_callbacks.send_transport = [weak_state](util::Buffer bytes) {
-      auto state = weak_state.lock();
-      if (!state) return;
-      if (!state->tls_started) {
-        state->early_buffer.insert(state->early_buffer.end(), bytes.data(),
-                                   bytes.data() + bytes.size());
-        return;
-      }
-      state->tls->send_application_data(std::move(bytes));
-    };
-    h2_callbacks.on_headers = [this, weak_state, guard = alive_guard()](
-                                  std::uint32_t stream_id,
-                                  const std::vector<h2::Header>& hs,
-                                  bool end_stream) {
-      if (guard.expired()) return;
-      auto state = weak_state.lock();
-      if (!state) return;
-      on_response_headers(state, stream_id, hs, end_stream);
-    };
-    h2_callbacks.on_data = [this, weak_state, guard = alive_guard()](
+    callbacks.on_headers = [this, weak, guard = alive_guard()](
                                std::uint32_t stream_id,
-                               std::span<const std::uint8_t> data,
+                               const std::vector<h2::Header>& headers,
                                bool end_stream) {
       if (guard.expired()) return;
-      auto state = weak_state.lock();
-      if (!state) return;
-      on_response_data(state, stream_id, data, end_stream);
-    };
-    h2_callbacks.on_error = [this, weak_state, guard = alive_guard()](
-                                const util::Error& error) {
-      if (guard.expired()) return;
-      auto state = weak_state.lock();
-      if (!state) return;
-      fail_connection(state, error);
-    };
-    state->h2 = std::make_unique<h2::H2Connection>(/*is_client=*/true,
-                                                   std::move(h2_callbacks));
-
-    state->conn->on_data([weak_state](std::span<const std::uint8_t> data) {
-      auto state = weak_state.lock();
-      if (!state) return;
-      state->tls->on_transport_data(data);
-    });
-    state->conn->on_closed([this, weak_state,
-                            guard = alive_guard()](const util::Error& error) {
-      if (guard.expired()) return;
-      auto state = weak_state.lock();
-      if (!state) return;
-      stats_.total_c2r = state->conn->bytes_sent();
-      stats_.total_r2c = state->conn->bytes_received();
-      state->closed = true;
-      if (!error.ok()) fail_connection(state, error);
-      std::erase(closing_, state);
-    });
-
-    state->in_flight.push_back(first);
-    state->queued.push_back(first);
-
-    std::optional<tls::SessionTicket> ticket;
-    if (options_.use_session_resumption && deps_.tickets) {
-      ticket = deps_.tickets->get(ticket_key(), sim().now());
-    }
-    // Generate the H2 preface (and, when 0-RTT is possible, the first
-    // request) before starting TLS so those bytes ride the first flight as
-    // early data; otherwise TlsSession queues them until the handshake is
-    // done.
-    state->h2->start();
-    if (options_.attempt_0rtt && ticket && ticket->allow_early_data) {
-      auto pending = state->queued.front();
-      state->queued.clear();
-      send_request(pending);
-      pending->result.used_0rtt = true;
-    }
-    state->tls_started = true;
-    state->tls->start(ticket, std::move(state->early_buffer));
-    state->early_buffer.clear();
-  }
-
-  void on_established(const std::shared_ptr<ConnState>& state,
-                      const tls::HandshakeInfo& info) {
-    state->established = true;
-    state->info = info;
-    stats_.handshake_c2r = state->conn->bytes_sent();
-    stats_.handshake_r2c = state->conn->bytes_received();
-    for (auto& p : state->in_flight) {
-      if (p->result.new_session) {
-        mark(p, QueryPhase::kSecure);
-        p->result.tls_version = info.version;
-        p->result.session_resumed = info.resumed;
-        p->result.used_0rtt = info.early_data_accepted;
-        p->result.alpn = info.alpn;
+      if (auto conn = weak.lock()) {
+        on_doh_headers(conn->streams, conn->in_flight, stream_id, headers,
+                       end_stream);
       }
-    }
-    auto queued = std::move(state->queued);
-    state->queued.clear();
-    for (auto& pending : queued) {
-      if (!pending->done) send_request(pending);
-    }
+    };
+    callbacks.on_data = [this, weak, guard = alive_guard()](
+                            std::uint32_t stream_id,
+                            std::span<const std::uint8_t> data,
+                            bool end_stream) {
+      if (guard.expired()) return;
+      if (auto conn = weak.lock()) {
+        on_doh_data(conn->streams, conn->in_flight, stream_id, data,
+                    end_stream);
+      }
+    };
+    callbacks.on_error = [this, weak, guard = alive_guard()](
+                             const util::Error& error) {
+      if (guard.expired()) return;
+      if (auto conn = weak.lock()) fail_connection(conn, error);
+    };
+    conn->h2 = std::make_unique<h2::H2Connection>(/*is_client=*/true,
+                                                  std::move(callbacks));
+    conn->h2->start();
   }
 
-  void send_request(const PendingPtr& pending) {
+  void send_request(const ConnPtr& conn, const PendingPtr& pending) override {
     dns::Message query = build_query(pending, /*encrypted=*/true);
     // One slab end to end: the H2 DATA frame header and TLS record header
     // are prepended into the body's headroom in place.
     util::Buffer body = query.encode_buffer(kDohHeadroom);
-    std::vector<h2::Header> headers = {
-        {":method", "POST"},
-        {":scheme", "https"},
-        {":authority", authority()},
-        {":path", "/dns-query"},
-        {"accept", "application/dns-message"},
-        {"content-type", "application/dns-message"},
-        {"content-length", std::to_string(body.size())},
-        {"user-agent", "doxlab-dnsperf/1.0"},
-    };
+    const std::vector<h2::Header> headers =
+        doh_request_headers(server_name(), body.size());
     const std::uint32_t stream_id =
-        state_->h2->send_request(headers, std::move(body));
-    state_->by_stream[stream_id] = pending;
-    mark(pending, QueryPhase::kRequestSent);
-    if (!pending->result.tls_version && state_->info) {
-      pending->result.tls_version = state_->info->version;
-      pending->result.session_resumed = state_->info->resumed;
-      pending->result.alpn = state_->info->alpn;
-    }
+        conn->h2->send_request(headers, std::move(body));
+    conn->streams.by_stream[stream_id] = pending;
   }
 
-  void on_response_headers(const std::shared_ptr<ConnState>& state,
-                           std::uint32_t stream_id,
-                           const std::vector<h2::Header>& headers,
-                           bool end_stream) {
-    auto it = state->by_stream.find(stream_id);
-    if (it == state->by_stream.end()) return;
-    for (const auto& h : headers) {
-      if (h.name == ":status" && h.value != "200") {
-        auto pending = it->second;
-        state->by_stream.erase(it);
-        remove_in_flight(state, pending);
-        finish_error(pending, util::Error::protocol("HTTP status " + h.value));
-        return;
-      }
-    }
-    if (end_stream) {
-      auto pending = it->second;
-      state->by_stream.erase(it);
-      remove_in_flight(state, pending);
-      finish_error(pending, util::Error::truncated("empty DoH response"));
-    }
+  void on_stream(const ConnPtr& conn,
+                 std::span<const std::uint8_t> data) override {
+    conn->h2->on_transport_data(data);
   }
 
-  void on_response_data(const std::shared_ptr<ConnState>& state,
-                        std::uint32_t stream_id,
-                        std::span<const std::uint8_t> data, bool end_stream) {
-    auto it = state->by_stream.find(stream_id);
-    if (it == state->by_stream.end()) return;
-    auto& body = state->bodies[stream_id];
-    body.insert(body.end(), data.begin(), data.end());
-    if (!end_stream) return;
-
-    auto pending = it->second;
-    state->by_stream.erase(it);
-    remove_in_flight(state, pending);
-    auto message = dns::Message::decode(body);
-    state->bodies.erase(stream_id);
-    if (!message || !matches(*message, *pending)) {
-      finish_error(pending,
-                   util::Error::protocol("malformed DoH response body"));
-      return;
-    }
-    finish_success(pending, std::move(*message));
-  }
-
-  void remove_in_flight(const std::shared_ptr<ConnState>& state,
-                        const PendingPtr& pending) {
-    std::erase(state->in_flight, pending);
-  }
-
-  void fail_connection(const std::shared_ptr<ConnState>& state,
-                       const util::Error& error) {
-    auto in_flight = std::move(state->in_flight);
-    state->in_flight.clear();
-    state->queued.clear();
-    state->by_stream.clear();
-    state->closed = true;
-    for (auto& pending : in_flight) finish_error(pending, error);
-  }
-
-  std::shared_ptr<ConnState> state_;
-  /// Owns reset connections until their close handshake finishes.
-  std::vector<std::shared_ptr<ConnState>> closing_;
-  std::weak_ptr<ConnState> last_;
-  WireStats stats_;
+  void closing(const ConnPtr& conn) override { conn->h2->send_goaway(); }
 };
 
 }  // namespace

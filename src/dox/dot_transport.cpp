@@ -8,254 +8,55 @@
 // the existing one, so almost 60% of DoT page loads repeated the full
 // transport+TLS handshake (the paper's authors fixed this upstream; both
 // behaviours are modelled).
-#include "dox/transport_base.h"
-#include "tls/session.h"
+#include "dox/tls_transport.h"
 
 namespace doxlab::dox {
 
 namespace {
 
-class DotTransport final : public TransportBase {
+struct DotFraming {
+  StreamMessageReader reader;
+};
+
+class DotTransport final : public TlsTransport<DotFraming> {
  public:
   DotTransport(const TransportDeps& deps, const TransportOptions& options)
-      : TransportBase(DnsProtocol::kDoT, deps, options) {}
+      : TlsTransport(DnsProtocol::kDoT, deps, options, "dot",
+                     options.dot_buggy_reuse) {}
 
   ~DotTransport() override { reset_sessions(); }
 
-  void resolve(const dns::Question& question, ResultHandler handler) override {
-    auto pending = make_pending(question, std::move(handler));
-
-    // Pick a connection. Correct behaviour: reuse the (single) connection,
-    // pipelining if necessary. Buggy dnsproxy behaviour: only reuse a
-    // connection that is idle; otherwise open another one.
-    for (auto& state : connections_) {
-      if (state->closed) continue;
-      if (options_.dot_buggy_reuse && !state->in_flight.empty()) continue;
-      attach(state, pending);
-      return;
-    }
-    open_connection(pending);
-  }
-
-  void reset_sessions() override {
-    // Mark states closed but keep owning them: the FIN exchange completes
-    // asynchronously and on_closed (which records final byte totals and
-    // erases the state) still needs the state alive.
-    for (auto& state : connections_) {
-      if (state->closed) continue;
-      state->tls->send_close_notify();
-      state->conn->close();
-      state->closed = true;
-    }
-  }
-
-  WireStats wire_stats() const override {
-    WireStats stats = stats_;
-    if (auto state = last_.lock()) {
-      stats.total_c2r = state->conn->bytes_sent();
-      stats.total_r2c = state->conn->bytes_received();
-    }
-    return stats;
-  }
-
  private:
-  struct ConnState {
-    std::shared_ptr<tcp::TcpConnection> conn;
-    std::unique_ptr<tls::TlsSession> tls;
-    StreamMessageReader reader;
-    std::vector<PendingPtr> in_flight;
-    std::vector<PendingPtr> queued;  // waiting for handshake
-    bool established = false;
-    bool closed = false;
-    std::optional<tls::HandshakeInfo> info;
-  };
-  using StatePtr = std::shared_ptr<ConnState>;
-
-  std::string ticket_key() const {
-    return server_key(options_.resolver, DnsProtocol::kDoT);
-  }
-
-  void attach(const StatePtr& state, const PendingPtr& pending) {
-    state->in_flight.push_back(pending);
-    if (state->established) {
-      send_query(state, pending);
-    } else {
-      state->queued.push_back(pending);
-    }
-  }
-
-  void open_connection(const PendingPtr& first) {
-    auto state = std::make_shared<ConnState>();
-    first->result.new_session = true;
-    mark(first, QueryPhase::kConnect);
-    stats_ = WireStats{};
-    last_ = state;
-
-    tcp::TcpOptions tcp_options;
-    tcp_options.congestion_algorithm = options_.tcp_congestion;
-    state->conn = deps_.tcp->connect(options_.resolver, tcp_options);
-
-    tls::TlsConfig tls_config;
-    tls_config.alpn = {"dot"};
-    tls_config.sni = "resolver-" + options_.resolver.address.to_string();
-    tls_config.enable_0rtt = options_.attempt_0rtt;
-
-    // The state owns the TLS session and the TCP connection; their
-    // callbacks must capture it weakly or the trio leaks as a reference
-    // cycle (sanitizer-visible).
-    std::weak_ptr<ConnState> weak_state = state;
-    tls::TlsSession::Callbacks callbacks;
-    callbacks.now = [this] { return sim().now(); };
-    callbacks.send_transport = [weak_state](util::Buffer bytes) {
-      auto state = weak_state.lock();
-      if (!state) return;
-      if (!state->closed) state->conn->send(std::move(bytes));
-    };
-    callbacks.on_handshake_complete =
-        [this, weak_state, guard = alive_guard()](
-            const tls::HandshakeInfo& info) {
-          if (guard.expired()) return;
-          auto state = weak_state.lock();
-          if (!state) return;
-          on_established(state, info);
-        };
-    callbacks.on_application_data =
-        [this, weak_state, guard = alive_guard()](
-            std::span<const std::uint8_t> data) {
-          if (guard.expired()) return;
-          auto state = weak_state.lock();
-          if (!state) return;
-          on_dns_stream(state, data);
-        };
-    callbacks.on_new_ticket = [this, guard = alive_guard()](
-                                  const tls::SessionTicket& ticket) {
-      if (guard.expired()) return;
-      if (deps_.tickets) deps_.tickets->put(ticket_key(), ticket);
-    };
-    callbacks.on_error = [this, weak_state, guard = alive_guard()](
-                             const util::Error& error) {
-      if (guard.expired()) return;
-      auto state = weak_state.lock();
-      if (!state) return;
-      fail_connection(state, error);
-    };
-    state->tls =
-        std::make_unique<tls::TlsSession>(tls_config, std::move(callbacks));
-
-    state->conn->on_data([weak_state](std::span<const std::uint8_t> data) {
-      auto state = weak_state.lock();
-      if (!state) return;
-      state->tls->on_transport_data(data);
-    });
-    state->conn->on_closed([this, weak_state,
-                            guard = alive_guard()](const util::Error& error) {
-      if (guard.expired()) return;
-      auto state = weak_state.lock();
-      if (!state) return;
-      stats_.total_c2r = state->conn->bytes_sent();
-      stats_.total_r2c = state->conn->bytes_received();
-      last_.reset();
-      state->closed = true;
-      if (!error.ok()) fail_connection(state, error);
-      std::erase(connections_, state);
-    });
-
-    state->in_flight.push_back(first);
-    state->queued.push_back(first);
-    connections_.push_back(state);
-
-    // Resumption ticket + optional 0-RTT with the query as early data.
-    std::optional<tls::SessionTicket> ticket;
-    if (options_.use_session_resumption && deps_.tickets) {
-      ticket = deps_.tickets->get(ticket_key(), sim().now());
-    }
-    std::vector<std::uint8_t> early_data;
-    if (options_.attempt_0rtt && ticket && ticket->allow_early_data) {
-      dns::Message query = build_query(first, /*encrypted=*/true);
-      early_data = length_prefixed(query.encode());
-      mark(first, QueryPhase::kRequestSent);
-      state->queued.clear();  // riding 0-RTT instead
-      first->result.used_0rtt = true;
-    }
-    state->tls->start(ticket, std::move(early_data));
-  }
-
-  void on_established(const StatePtr& state, const tls::HandshakeInfo& info) {
-    state->established = true;
-    state->info = info;
-    stats_.handshake_c2r = state->conn->bytes_sent();
-    stats_.handshake_r2c = state->conn->bytes_received();
-    for (auto& p : state->in_flight) {
-      if (p->result.new_session) {
-        mark(p, QueryPhase::kSecure);
-        p->result.tls_version = info.version;
-        p->result.session_resumed = info.resumed;
-        p->result.used_0rtt = info.early_data_accepted;
-        p->result.alpn = info.alpn;
-      }
-    }
-    auto queued = std::move(state->queued);
-    state->queued.clear();
-    for (auto& pending : queued) {
-      if (!pending->done) send_query(state, pending);
-    }
-  }
-
-  void send_query(const StatePtr& state, const PendingPtr& pending) {
+  void send_request(const ConnPtr& conn, const PendingPtr& pending) override {
     dns::Message query = build_query(pending, /*encrypted=*/true);
     // One slab end to end: the message encodes once, then the length
     // prefix and TLS record header are prepended into its headroom.
-    state->tls->send_application_data(
-        length_prefixed(query.encode_buffer(kDotHeadroom)));
-    mark(pending, QueryPhase::kRequestSent);
-    // Carry protocol facts even on reused sessions.
-    if (!pending->result.tls_version && state->info) {
-      pending->result.tls_version = state->info->version;
-      pending->result.session_resumed = state->info->resumed;
-      pending->result.alpn = state->info->alpn;
-    }
+    conn->write(length_prefixed(query.encode_buffer(kDotHeadroom)));
   }
 
-  void on_dns_stream(const StatePtr& state,
-                     std::span<const std::uint8_t> data) {
-    auto payloads = state->reader.feed(data);
-    if (state->reader.failed()) {
-      fail_connection(state,
+  void on_stream(const ConnPtr& conn,
+                 std::span<const std::uint8_t> data) override {
+    auto payloads = conn->reader.feed(data);
+    if (conn->reader.failed()) {
+      fail_connection(conn,
                       util::Error::protocol("garbage DNS message framing"));
-      state->conn->abort();
+      conn->tcp->abort();
       return;
     }
     for (auto& payload : payloads) {
       auto message = dns::Message::decode(payload);
       if (!message) continue;
-      for (auto it = state->in_flight.begin(); it != state->in_flight.end();
+      for (auto it = conn->in_flight.begin(); it != conn->in_flight.end();
            ++it) {
         if (matches(*message, **it)) {
           auto pending = *it;
-          state->in_flight.erase(it);
-          if (!pending->result.tls_version && state->info) {
-            pending->result.tls_version = state->info->version;
-            pending->result.session_resumed = state->info->resumed;
-            pending->result.alpn = state->info->alpn;
-          }
+          conn->in_flight.erase(it);
           finish_success(pending, std::move(*message));
           break;
         }
       }
     }
   }
-
-  void fail_connection(const StatePtr& state, const util::Error& error) {
-    auto in_flight = std::move(state->in_flight);
-    state->in_flight.clear();
-    state->queued.clear();
-    state->closed = true;
-    for (auto& pending : in_flight) finish_error(pending, error);
-  }
-
-  std::vector<StatePtr> connections_;
-  std::weak_ptr<ConnState> last_;
-  WireStats stats_;
 };
 
 }  // namespace

@@ -61,48 +61,63 @@ std::unique_ptr<DnsTransport> make_transport(DnsProtocol protocol,
   throw std::invalid_argument("unknown protocol");
 }
 
-std::vector<std::uint8_t> length_prefixed(const std::vector<std::uint8_t>& m) {
-  std::vector<std::uint8_t> out;
-  out.reserve(m.size() + 2);
-  out.push_back(static_cast<std::uint8_t>(m.size() >> 8));
-  out.push_back(static_cast<std::uint8_t>(m.size() & 0xFF));
-  out.insert(out.end(), m.begin(), m.end());
-  return out;
+namespace {
+
+/// Takes the query off a finished request stream and its connection.
+PendingPtr take_stream(DohStreams& streams, std::vector<PendingPtr>& in_flight,
+                       std::map<std::uint64_t, PendingPtr>::iterator it) {
+  PendingPtr pending = std::move(it->second);
+  streams.by_stream.erase(it);
+  std::erase(in_flight, pending);
+  return pending;
 }
 
-util::Buffer length_prefixed(util::Buffer m) {
-  const std::size_t len = m.size();
-  std::uint8_t* prefix = m.prepend(2);
-  prefix[0] = static_cast<std::uint8_t>(len >> 8);
-  prefix[1] = static_cast<std::uint8_t>(len & 0xFF);
-  return m;
-}
+}  // namespace
 
-std::vector<std::vector<std::uint8_t>> StreamMessageReader::feed(
-    std::span<const std::uint8_t> data) {
-  std::vector<std::vector<std::uint8_t>> out;
-  if (failed_) return out;
-  buffer_.insert(buffer_.end(), data.begin(), data.end());
-  while (buffer_.size() >= 2) {
-    const std::size_t len = (std::size_t(buffer_[0]) << 8) | buffer_[1];
-    // A prefix announcing less than a DNS header is not a DNS stream:
-    // poison the reader rather than resynchronising on garbage.
-    if (len < kMinMessageBytes) {
-      failed_ = true;
-      buffer_.clear();
-      return out;
+void TransportBase::on_doh_headers(DohStreams& streams,
+                                   std::vector<PendingPtr>& in_flight,
+                                   std::uint64_t stream_id,
+                                   const std::vector<h2::Header>& headers,
+                                   bool end_stream) {
+  auto it = streams.by_stream.find(stream_id);
+  if (it == streams.by_stream.end()) return;
+  for (const auto& h : headers) {
+    if (h.name == ":status" && h.value != "200") {
+      finish_error(take_stream(streams, in_flight, it),
+                   util::Error::protocol("HTTP status " + h.value));
+      return;
     }
-    if (buffer_.size() < 2 + len) break;
-    out.emplace_back(buffer_.begin() + 2, buffer_.begin() + 2 + len);
-    buffer_.erase(buffer_.begin(), buffer_.begin() + 2 + len);
   }
-  // The extraction loop drains every complete message, so leftover bytes
-  // are at most one partial message; anything larger is a framing bug.
-  if (buffer_.size() > kMaxBufferedBytes) {
-    failed_ = true;
-    buffer_.clear();
+  if (end_stream) {
+    finish_error(take_stream(streams, in_flight, it),
+                 util::Error::truncated("empty " +
+                                        std::string(protocol_name(protocol_)) +
+                                        " response"));
   }
-  return out;
+}
+
+void TransportBase::on_doh_data(DohStreams& streams,
+                                std::vector<PendingPtr>& in_flight,
+                                std::uint64_t stream_id,
+                                std::span<const std::uint8_t> data,
+                                bool end_stream) {
+  auto it = streams.by_stream.find(stream_id);
+  if (it == streams.by_stream.end()) return;
+  auto& body = streams.bodies[stream_id];
+  body.insert(body.end(), data.begin(), data.end());
+  if (!end_stream) return;
+
+  PendingPtr pending = take_stream(streams, in_flight, it);
+  auto message = dns::Message::decode(body);
+  streams.bodies.erase(stream_id);
+  if (!message || !matches(*message, *pending)) {
+    finish_error(pending, util::Error::protocol(
+                              "malformed " +
+                              std::string(protocol_name(protocol_)) +
+                              " response body"));
+    return;
+  }
+  finish_success(pending, std::move(*message));
 }
 
 }  // namespace doxlab::dox

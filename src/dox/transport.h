@@ -60,10 +60,6 @@ struct TransportOptions {
   /// 128-byte blocks (servers pad responses to 468). Off by default — the
   /// paper's measured sizes show no padding in the 2022 population.
   bool pad_encrypted = false;
-  /// Advertised EDNS0 UDP payload size.
-  std::uint16_t udp_payload_size = 1232;
-  /// DoUDP: retry over TCP when the response comes back truncated (TC).
-  bool tcp_fallback_on_truncation = true;
   /// Give up on any query after this long.
   SimTime query_timeout = 15 * kSecond;
   /// TCP congestion control for DoTCP/DoT/DoH connections. The default is
@@ -97,8 +93,10 @@ class DnsTransport {
 };
 
 /// Creates a transport for `protocol`. The deps pointers required by that
-/// protocol must be non-null (udp for DoUDP/DoQ, tcp for the TCP family;
-/// tickets/doq_cache whenever resumption state should persist).
+/// protocol must be non-null (udp for DoUDP/DoQ/DoH3, tcp for the TCP
+/// family; tickets/doq_cache whenever resumption state should persist). A
+/// DoUDP transport retries a truncated (TC) response over TCP when `tcp` is
+/// set, and returns the truncated response when it is not.
 std::unique_ptr<DnsTransport> make_transport(DnsProtocol protocol,
                                              const TransportDeps& deps,
                                              const TransportOptions& options);

@@ -1,15 +1,39 @@
-// Shared machinery for the five transport implementations (internal header).
+// Shared machinery for the six transport implementations (internal header).
 #pragma once
 
+#include <map>
 #include <memory>
+#include <optional>
+#include <span>
+#include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
+#include "dox/framing.h"
 #include "dox/transport.h"
 #include "util/buffer.h"
 #include "util/logging.h"
 
 namespace doxlab::dox {
+
+/// One resolve() call in flight.
+struct PendingQuery {
+  dns::Question question;
+  DnsTransport::ResultHandler handler;
+  QueryResult result;
+  std::uint16_t dns_id = 0;
+  sim::Timer timeout;
+  bool done = false;
+};
+using PendingPtr = std::shared_ptr<PendingQuery>;
+
+/// DoH (RFC 8484) over HTTP/2 or HTTP/3, per connection: the query each
+/// request stream carries and the response body received so far.
+struct DohStreams {
+  std::map<std::uint64_t, PendingPtr> by_stream;
+  std::map<std::uint64_t, std::vector<std::uint8_t>> bodies;
+};
 
 /// Common bookkeeping: pending-query lifecycle, ids, timeouts.
 class TransportBase : public DnsTransport {
@@ -20,16 +44,6 @@ class TransportBase : public DnsTransport {
   TransportBase(DnsProtocol protocol, TransportDeps deps,
                 TransportOptions options)
       : protocol_(protocol), deps_(deps), options_(std::move(options)) {}
-
-  struct PendingQuery {
-    dns::Question question;
-    ResultHandler handler;
-    QueryResult result;
-    std::uint16_t dns_id = 0;
-    sim::Timer timeout;
-    bool done = false;
-  };
-  using PendingPtr = std::shared_ptr<PendingQuery>;
 
   sim::Simulator& sim() { return *deps_.sim; }
 
@@ -86,13 +100,13 @@ class TransportBase : public DnsTransport {
     if (handler) handler(std::move(pending->result));
   }
 
-  /// Builds the wire query for a pending entry, applying the configured
-  /// EDNS0 UDP size and (on encrypted transports) RFC 8467 padding.
+  /// Builds the wire query for a pending entry, advertising the default
+  /// 1232-byte EDNS0 UDP payload size and, on encrypted transports when
+  /// configured, applying RFC 8467 padding.
   dns::Message build_query(const PendingPtr& pending,
                            bool encrypted_channel) const {
-    dns::Message query =
-        dns::make_query(pending->dns_id, pending->question.name,
-                        pending->question.type, options_.udp_payload_size);
+    dns::Message query = dns::make_query(
+        pending->dns_id, pending->question.name, pending->question.type);
     if (encrypted_channel && options_.pad_encrypted) {
       dns::pad_to_block(query, 128);
     }
@@ -107,6 +121,31 @@ class TransportBase : public DnsTransport {
            *message.question() == pending.question;
   }
 
+  /// The resolver's TLS SNI and HTTP authority.
+  std::string server_name() const {
+    return "resolver-" + options_.resolver.address.to_string();
+  }
+
+  /// The stored ticket for `key` when resumption is on.
+  std::optional<tls::SessionTicket> session_ticket(const std::string& key) {
+    if (!options_.use_session_resumption || deps_.tickets == nullptr) {
+      return std::nullopt;
+    }
+    return deps_.tickets->get(key, sim().now());
+  }
+
+  /// DoH response HEADERS: a non-200 status, or a response that ends
+  /// without a body, fails the query.
+  void on_doh_headers(DohStreams& streams, std::vector<PendingPtr>& in_flight,
+                      std::uint64_t stream_id,
+                      const std::vector<h2::Header>& headers,
+                      bool end_stream);
+
+  /// DoH response DATA: reassembles the body, then decodes and matches it.
+  void on_doh_data(DohStreams& streams, std::vector<PendingPtr>& in_flight,
+                   std::uint64_t stream_id,
+                   std::span<const std::uint8_t> data, bool end_stream);
+
   /// Destruction guard: connection/session callbacks outlive the transport
   /// (they sit inside TCP/QUIC objects that tear down asynchronously), so
   /// every callback capturing `this` must also capture
@@ -120,53 +159,6 @@ class TransportBase : public DnsTransport {
 
  private:
   std::shared_ptr<const bool> alive_ = std::make_shared<bool>(true);
-};
-
-/// Adds a 2-byte length prefix (DNS over stream transports, RFC 1035 §4.2.2).
-std::vector<std::uint8_t> length_prefixed(const std::vector<std::uint8_t>& m);
-
-/// In-place variant: the prefix goes into `m`'s headroom (encode messages
-/// with at least 2 bytes of headroom to stay copy-free).
-util::Buffer length_prefixed(util::Buffer m);
-
-/// Headroom for a DoT query buffer: 2-byte length prefix + 5-byte TLS
-/// record header, both prepended in place on the way down the stack.
-inline constexpr std::size_t kDotHeadroom = 2 + 5;
-
-/// Headroom for a DoH body buffer: 9-byte H2 frame header + 5-byte TLS
-/// record header.
-inline constexpr std::size_t kDohHeadroom = 9 + 5;
-
-/// Incremental parser for length-prefixed DNS messages on a byte stream.
-/// Bounded: the reassembly buffer never exceeds one maximum message
-/// (65535 + 2 prefix bytes), and a garbage prefix — a length too short to
-/// hold a DNS header — poisons the reader instead of growing the buffer.
-/// Callers check failed() after feed() and surface kProtocolError.
-class StreamMessageReader {
- public:
-  /// Largest DNS message a 2-byte prefix can announce.
-  static constexpr std::size_t kMaxMessageBytes = 65535;
-  /// Hard cap on buffered bytes (one full message + its prefix).
-  static constexpr std::size_t kMaxBufferedBytes = kMaxMessageBytes + 2;
-  /// A length prefix below the fixed DNS header size is garbage.
-  static constexpr std::size_t kMinMessageBytes = 12;
-
-  /// Appends stream bytes; returns every complete DNS message payload.
-  /// After a malformed prefix the reader is poisoned: it returns nothing
-  /// and failed() is true until reset().
-  std::vector<std::vector<std::uint8_t>> feed(
-      std::span<const std::uint8_t> data);
-
-  bool failed() const { return failed_; }
-
-  void reset() {
-    buffer_.clear();
-    failed_ = false;
-  }
-
- private:
-  std::vector<std::uint8_t> buffer_;
-  bool failed_ = false;
 };
 
 }  // namespace doxlab::dox

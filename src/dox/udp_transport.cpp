@@ -90,8 +90,7 @@ class UdpTransport final : public TransportBase {
     if (!matches(*message, *pending)) return;
     pending_.erase(it);
 
-    if (message->tc && options_.tcp_fallback_on_truncation &&
-        deps_.tcp != nullptr) {
+    if (message->tc && deps_.tcp != nullptr) {
       // RFC 1035 §4.2.2: a truncated UDP response is retried over TCP.
       pending->result.tc_fallback = true;
       if (!tcp_fallback_) {

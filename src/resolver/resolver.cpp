@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <span>
 
+#include "dox/framing.h"
 #include "util/logging.h"
 
 namespace doxlab::resolver {
@@ -17,34 +18,6 @@ std::uint64_t fnv1a(std::string_view s) {
     h *= 0x100000001B3ull;
   }
   return h;
-}
-
-/// Strips/applies the DoQ length prefix depending on the draft ALPN.
-bool alpn_uses_length_prefix(std::string_view alpn) {
-  if (alpn == "doq") return true;
-  if (alpn.substr(0, 5) == "doq-i") {
-    return std::atoi(std::string(alpn.substr(5)).c_str()) >= 3;
-  }
-  return false;
-}
-
-std::vector<std::uint8_t> with_length_prefix(
-    const std::vector<std::uint8_t>& m) {
-  std::vector<std::uint8_t> out;
-  out.reserve(m.size() + 2);
-  out.push_back(static_cast<std::uint8_t>(m.size() >> 8));
-  out.push_back(static_cast<std::uint8_t>(m.size() & 0xFF));
-  out.insert(out.end(), m.begin(), m.end());
-  return out;
-}
-
-/// In-place variant: the prefix lands in the buffer's headroom.
-util::Buffer with_length_prefix(util::Buffer m) {
-  const std::size_t len = m.size();
-  std::uint8_t* prefix = m.prepend(2);
-  prefix[0] = static_cast<std::uint8_t>(len >> 8);
-  prefix[1] = static_cast<std::uint8_t>(len & 0xFF);
-  return m;
 }
 
 /// Parses "txtNNNN....": synthetic TXT payload size from the leftmost label
@@ -90,23 +63,6 @@ bool wants_padding(const dns::Message& query) {
   return false;
 }
 
-/// Incremental 2-byte-length framing parser (server side).
-struct LengthReader {
-  std::vector<std::uint8_t> buffer;
-  std::vector<std::vector<std::uint8_t>> feed(
-      std::span<const std::uint8_t> data) {
-    buffer.insert(buffer.end(), data.begin(), data.end());
-    std::vector<std::vector<std::uint8_t>> out;
-    while (buffer.size() >= 2) {
-      const std::size_t len = (std::size_t(buffer[0]) << 8) | buffer[1];
-      if (buffer.size() < 2 + len) break;
-      out.emplace_back(buffer.begin() + 2, buffer.begin() + 2 + len);
-      buffer.erase(buffer.begin(), buffer.begin() + 2 + len);
-    }
-    return out;
-  }
-};
-
 }  // namespace
 
 std::uint32_t authoritative_ipv4(const dns::DnsName& name) {
@@ -117,16 +73,12 @@ std::uint32_t authoritative_ipv4(const dns::DnsName& name) {
 
 // --------------------------------------------------------- connection state
 
-struct DoxResolver::DotConn {
+/// One accepted DoT or DoH connection: TLS over TCP, then the RFC 1035
+/// framing (DoT) or an H2 session (DoH) on the decrypted stream.
+struct DoxResolver::TlsConn {
   std::shared_ptr<tcp::TcpConnection> tcp;
   std::unique_ptr<tls::TlsSession> tls;
-  LengthReader reader;
-  bool closed = false;
-};
-
-struct DoxResolver::DohConn {
-  std::shared_ptr<tcp::TcpConnection> tcp;
-  std::unique_ptr<tls::TlsSession> tls;
+  dox::StreamMessageReader reader;
   std::unique_ptr<h2::H2Connection> h2;
   std::map<std::uint32_t, std::vector<std::uint8_t>> bodies;
   bool closed = false;
@@ -150,8 +102,8 @@ DoxResolver::~DoxResolver() = default;
 void DoxResolver::open_listeners() {
   if (profile_.supports_doudp) serve_doudp();
   if (profile_.supports_dotcp) serve_dotcp();
-  if (profile_.supports_dot) serve_dot();
-  if (profile_.supports_doh) serve_doh();
+  if (profile_.supports_dot) serve_tls(dox::DnsProtocol::kDoT);
+  if (profile_.supports_doh) serve_tls(dox::DnsProtocol::kDoH);
   if (profile_.supports_doq) serve_doq();
   if (profile_.supports_doh3) serve_doh3();
 }
@@ -305,10 +257,16 @@ void DoxResolver::serve_dotcp() {
     conn->on_remote_fin([weak_conn] {
       if (auto conn = weak_conn.lock()) conn->close();
     });
-    auto reader = std::make_shared<LengthReader>();
+    auto reader = std::make_shared<dox::StreamMessageReader>();
     conn->on_data([this, weak_conn,
                    reader](std::span<const std::uint8_t> data) {
-      for (auto& payload : reader->feed(data)) {
+      auto payloads = reader->feed(data);
+      if (reader->failed()) {
+        // Garbage framing: drop the stream rather than resynchronise.
+        if (auto conn = weak_conn.lock()) conn->abort();
+        return;
+      }
+      for (auto& payload : payloads) {
         auto query = dns::Message::decode(payload);
         if (!query) continue;
         handle_query(dox::DnsProtocol::kDoTcp, *query,
@@ -317,7 +275,7 @@ void DoxResolver::serve_dotcp() {
                        // together with the SYN-ACK (0.5-RTT data).
                        auto conn = weak_conn.lock();
                        if (conn && conn->state() != tcp::TcpState::kClosed) {
-                         conn->send(with_length_prefix(
+                         conn->send(dox::length_prefixed(
                              response.encode_buffer(/*headroom=*/2)));
                        }
                      });
@@ -326,21 +284,26 @@ void DoxResolver::serve_dotcp() {
   });
 }
 
-// --------------------------------------------------------------------- DoT
+// -------------------------------------------------------------- DoT / DoH
 
-void DoxResolver::serve_dot() {
-  auto& listener = tcp_->listen(853);
-  listener.on_accept([this](const std::shared_ptr<tcp::TcpConnection>& conn) {
-    // The DotConn owns the TLS session and (a reference to) the TCP
-    // connection, so every callback stored inside either must capture the
-    // state weakly or the whole trio leaks as a reference cycle.
+void DoxResolver::serve_tls(dox::DnsProtocol protocol) {
+  auto& listener = tcp_->listen(dox::default_port(protocol));
+  listener.on_accept([this, protocol](
+                         const std::shared_ptr<tcp::TcpConnection>& conn) {
+    // The TlsConn owns the TLS session, the H2 session and (a reference to)
+    // the TCP connection, so every callback stored inside any of them must
+    // capture the state weakly or the whole stack leaks as a reference
+    // cycle.
     std::weak_ptr<tcp::TcpConnection> weak_conn = conn;
     conn->on_remote_fin([weak_conn] {
       if (auto conn = weak_conn.lock()) conn->close();
     });
-    auto state = std::make_shared<DotConn>();
-    std::weak_ptr<DotConn> weak_state = state;
+    auto state = std::make_shared<TlsConn>();
+    std::weak_ptr<TlsConn> weak_state = state;
     state->tcp = conn;
+    if (protocol == dox::DnsProtocol::kDoH) {
+      state->h2 = make_doh_session(weak_state);
+    }
 
     tls::TlsSession::Callbacks callbacks;
     callbacks.now = [this] { return network_.simulator().now(); };
@@ -353,25 +316,17 @@ void DoxResolver::serve_dot() {
                                         std::span<const std::uint8_t> data) {
       auto state = weak_state.lock();
       if (!state) return;
-      for (auto& payload : state->reader.feed(data)) {
-        auto query = dns::Message::decode(payload);
-        if (!query) continue;
-        handle_query(dox::DnsProtocol::kDoT, *query,
-                     [weak_state](dns::Message response) {
-                       auto state = weak_state.lock();
-                       if (state && !state->closed) {
-                         state->tls->send_application_data(
-                             with_length_prefix(response.encode_buffer(
-                                 2 + tls::kRecordHeaderBytes)));
-                       }
-                     });
+      if (state->h2) {
+        state->h2->on_transport_data(data);
+      } else {
+        on_dot_stream(state, data);
       }
     };
     callbacks.on_error = [weak_state](const util::Error&) {
       if (auto state = weak_state.lock()) state->closed = true;
     };
-    state->tls = std::make_unique<tls::TlsSession>(server_tls_config("dot"),
-                                                   std::move(callbacks));
+    state->tls = std::make_unique<tls::TlsSession>(
+        server_tls_config(state->h2 ? "h2" : "dot"), std::move(callbacks));
     conn->on_data([weak_state](std::span<const std::uint8_t> data) {
       auto state = weak_state.lock();
       if (!state) return;
@@ -381,107 +336,78 @@ void DoxResolver::serve_dot() {
       auto state = weak_state.lock();
       if (!state) return;
       state->closed = true;
-      std::erase(dot_conns_, state);
+      std::erase(tls_conns_, state);
     });
-    dot_conns_.push_back(state);
+    tls_conns_.push_back(state);
   });
 }
 
-// --------------------------------------------------------------------- DoH
+void DoxResolver::on_dot_stream(const std::shared_ptr<TlsConn>& state,
+                                std::span<const std::uint8_t> data) {
+  auto payloads = state->reader.feed(data);
+  if (state->reader.failed()) {
+    // Garbage framing: drop the stream rather than resynchronise.
+    state->tcp->abort();
+    return;
+  }
+  std::weak_ptr<TlsConn> weak_state = state;
+  for (auto& payload : payloads) {
+    auto query = dns::Message::decode(payload);
+    if (!query) continue;
+    handle_query(dox::DnsProtocol::kDoT, *query,
+                 [weak_state](dns::Message response) {
+                   auto state = weak_state.lock();
+                   if (state && !state->closed) {
+                     state->tls->send_application_data(dox::length_prefixed(
+                         response.encode_buffer(dox::kDotHeadroom)));
+                   }
+                 });
+  }
+}
 
-void DoxResolver::serve_doh() {
-  auto& listener = tcp_->listen(443);
-  listener.on_accept([this](const std::shared_ptr<tcp::TcpConnection>& conn) {
-    // Same cycle-avoidance as serve_dot: the DohConn owns the TLS and H2
-    // sessions plus a TCP reference, so their stored callbacks capture it
-    // weakly.
-    std::weak_ptr<tcp::TcpConnection> weak_conn = conn;
-    conn->on_remote_fin([weak_conn] {
-      if (auto conn = weak_conn.lock()) conn->close();
-    });
-    auto state = std::make_shared<DohConn>();
-    std::weak_ptr<DohConn> weak_state = state;
-    state->tcp = conn;
-
-    h2::H2Connection::Callbacks h2_callbacks;
-    h2_callbacks.send_transport = [weak_state](util::Buffer bytes) {
-      auto state = weak_state.lock();
-      if (!state) return;
-      if (!state->closed) state->tls->send_application_data(std::move(bytes));
-    };
-    h2_callbacks.on_headers = [](std::uint32_t id, const std::vector<h2::Header>& h,
-                                 bool end) {
-      DOXLAB_DEBUG("DoH server headers stream=" << id << " n=" << h.size()
-                                                << " end=" << end);
-    };
-    h2_callbacks.on_error = [](const util::Error& error) {
-      DOXLAB_DEBUG("DoH server h2 error: " << error);
-    };
-    h2_callbacks.on_data = [this, weak_state](
-                               std::uint32_t stream_id,
-                               std::span<const std::uint8_t> data,
-                               bool end_stream) {
-      auto state = weak_state.lock();
-      if (!state) return;
-      auto& body = state->bodies[stream_id];
-      body.insert(body.end(), data.begin(), data.end());
-      DOXLAB_DEBUG("DoH server data stream=" << stream_id << " total="
-                                             << body.size() << " end="
-                                             << end_stream);
-      if (!end_stream) return;
-      auto query = dns::Message::decode(body);
-      state->bodies.erase(stream_id);
-      if (!query) return;
-      handle_query(
-          dox::DnsProtocol::kDoH, *query,
-          [weak_state, stream_id](dns::Message response) {
-            auto state = weak_state.lock();
-            if (!state || state->closed) return;
-            util::Buffer body = response.encode_buffer(
-                h2::kFrameHeaderBytes + tls::kRecordHeaderBytes);
-            std::vector<h2::Header> headers = {
-                {":status", "200"},
-                {"content-type", "application/dns-message"},
-                {"content-length", std::to_string(body.size())},
-                {"cache-control", "no-cache"},
-            };
-            state->h2->send_response(stream_id, headers, std::move(body));
-          });
-    };
-    state->h2 = std::make_unique<h2::H2Connection>(/*is_client=*/false,
-                                                   std::move(h2_callbacks));
-
-    tls::TlsSession::Callbacks tls_callbacks;
-    tls_callbacks.now = [this] { return network_.simulator().now(); };
-    tls_callbacks.send_transport = [weak_state](util::Buffer bytes) {
-      auto state = weak_state.lock();
-      if (!state) return;
-      if (!state->closed) state->tcp->send(std::move(bytes));
-    };
-    tls_callbacks.on_application_data =
-        [weak_state](std::span<const std::uint8_t> data) {
+std::unique_ptr<h2::H2Connection> DoxResolver::make_doh_session(
+    const std::weak_ptr<TlsConn>& weak_state) {
+  h2::H2Connection::Callbacks callbacks;
+  callbacks.send_transport = [weak_state](util::Buffer bytes) {
+    auto state = weak_state.lock();
+    if (!state) return;
+    if (!state->closed) state->tls->send_application_data(std::move(bytes));
+  };
+  callbacks.on_headers = [](std::uint32_t id, const std::vector<h2::Header>& h,
+                            bool end) {
+    DOXLAB_DEBUG("DoH server headers stream=" << id << " n=" << h.size()
+                                              << " end=" << end);
+  };
+  callbacks.on_error = [](const util::Error& error) {
+    DOXLAB_DEBUG("DoH server h2 error: " << error);
+  };
+  callbacks.on_data = [this, weak_state](std::uint32_t stream_id,
+                                         std::span<const std::uint8_t> data,
+                                         bool end_stream) {
+    auto state = weak_state.lock();
+    if (!state) return;
+    auto& body = state->bodies[stream_id];
+    body.insert(body.end(), data.begin(), data.end());
+    DOXLAB_DEBUG("DoH server data stream=" << stream_id << " total="
+                                           << body.size() << " end="
+                                           << end_stream);
+    if (!end_stream) return;
+    auto query = dns::Message::decode(body);
+    state->bodies.erase(stream_id);
+    if (!query) return;
+    handle_query(
+        dox::DnsProtocol::kDoH, *query,
+        [weak_state, stream_id](dns::Message response) {
           auto state = weak_state.lock();
-          if (!state) return;
-          state->h2->on_transport_data(data);
-        };
-    tls_callbacks.on_error = [weak_state](const util::Error&) {
-      if (auto state = weak_state.lock()) state->closed = true;
-    };
-    state->tls = std::make_unique<tls::TlsSession>(server_tls_config("h2"),
-                                                   std::move(tls_callbacks));
-    conn->on_data([weak_state](std::span<const std::uint8_t> data) {
-      auto state = weak_state.lock();
-      if (!state) return;
-      state->tls->on_transport_data(data);
-    });
-    conn->on_closed([this, weak_state](const util::Error&) {
-      auto state = weak_state.lock();
-      if (!state) return;
-      state->closed = true;
-      std::erase(doh_conns_, state);
-    });
-    doh_conns_.push_back(state);
-  });
+          if (!state || state->closed) return;
+          util::Buffer body = response.encode_buffer(dox::kDohHeadroom);
+          const std::vector<h2::Header> headers =
+              dox::doh_response_headers(body.size());
+          state->h2->send_response(stream_id, headers, std::move(body));
+        });
+  };
+  return std::make_unique<h2::H2Connection>(/*is_client=*/false,
+                                            std::move(callbacks));
 }
 
 // --------------------------------------------------------------------- DoQ
@@ -494,7 +420,7 @@ void DoxResolver::serve_doq() {
         network_.simulator(), *udp_, port, server_quic_config());
     server->on_accept([this](const std::shared_ptr<quic::QuicConnection>& conn,
                              const net::Endpoint&) {
-      const bool prefix = alpn_uses_length_prefix(profile_.doq_alpn);
+      const bool prefix = dox::alpn_uses_length_prefix(profile_.doq_alpn);
       auto buffers =
           std::make_shared<std::map<std::uint64_t,
                                     std::vector<std::uint8_t>>>();
@@ -509,13 +435,9 @@ void DoxResolver::serve_doq() {
         auto& buffer = (*buffers)[stream_id];
         buffer.insert(buffer.end(), data.begin(), data.end());
         if (!fin) return;
-        std::span<const std::uint8_t> payload(buffer);
-        if (prefix) {
-          if (payload.size() < 2) return;
-          const std::size_t len = (std::size_t(payload[0]) << 8) | payload[1];
-          payload = payload.subspan(2, std::min(len, payload.size() - 2));
-        }
-        auto query = dns::Message::decode(payload);
+        const auto payload = dox::doq_stream_message(buffer, prefix);
+        if (!payload) return;
+        auto query = dns::Message::decode(*payload);
         buffers->erase(stream_id);
         if (!query) return;
         handle_query(dox::DnsProtocol::kDoQ, *query,
@@ -523,7 +445,7 @@ void DoxResolver::serve_doq() {
                        auto conn = weak_conn.lock();
                        if (!conn || conn->closed()) return;
                        auto wire = response.encode();
-                       if (prefix) wire = with_length_prefix(wire);
+                       if (prefix) wire = dox::length_prefixed(wire);
                        conn->send_stream(stream_id, std::move(wire), true);
                      });
       });
@@ -573,12 +495,8 @@ void DoxResolver::serve_doh3() {
             auto h3 = weak_h3.lock();
             if (!conn || conn->closed() || !h3 || !*h3) return;
             auto body = response.encode();
-            std::vector<h2::Header> headers = {
-                {":status", "200"},
-                {"content-type", "application/dns-message"},
-                {"content-length", std::to_string(body.size())},
-                {"cache-control", "no-cache"},
-            };
+            const std::vector<h2::Header> headers =
+                dox::doh_response_headers(body.size());
             (*h3)->send_response(stream_id, headers, std::move(body));
           });
     };

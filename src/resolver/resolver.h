@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -95,8 +96,7 @@ class DoxResolver {
   }
 
  private:
-  struct DotConn;
-  struct DohConn;
+  struct TlsConn;
 
   void open_listeners();
   tls::TlsConfig server_tls_config(const std::string& alpn) const;
@@ -109,8 +109,13 @@ class DoxResolver {
 
   void serve_doudp();
   void serve_dotcp();
-  void serve_dot();
-  void serve_doh();
+  /// DoT and DoH: one TLS accept path; `protocol` picks the port, the
+  /// ALPN and what reads the decrypted stream.
+  void serve_tls(dox::DnsProtocol protocol);
+  void on_dot_stream(const std::shared_ptr<TlsConn>& state,
+                     std::span<const std::uint8_t> data);
+  std::unique_ptr<h2::H2Connection> make_doh_session(
+      const std::weak_ptr<TlsConn>& weak_state);
   void serve_doq();
   void serve_doh3();
 
@@ -124,8 +129,7 @@ class DoxResolver {
 
   std::unique_ptr<net::UdpSocket> udp53_;
   std::vector<std::unique_ptr<quic::QuicServer>> quic_servers_;
-  std::vector<std::shared_ptr<DotConn>> dot_conns_;
-  std::vector<std::shared_ptr<DohConn>> doh_conns_;
+  std::vector<std::shared_ptr<TlsConn>> tls_conns_;
   /// Server-side H3 sessions (boxed so the accept handler can create the
   /// session after wiring callbacks that reference it weakly).
   std::vector<std::shared_ptr<std::unique_ptr<h3::H3Connection>>>

@@ -4,6 +4,7 @@
 // byte-count shapes behind the paper's Table 1.
 #include <gtest/gtest.h>
 
+#include "dox/framing.h"
 #include "dox/transport.h"
 #include "h2/connection.h"
 #include "net/network.h"
@@ -121,6 +122,11 @@ class DoxFixture : public ::testing::Test {
 class AllProtocols : public DoxFixture,
                      public ::testing::WithParamInterface<DnsProtocol> {};
 
+std::string protocol_param_name(
+    const ::testing::TestParamInfo<DnsProtocol>& info) {
+  return std::string(protocol_name(info.param));
+}
+
 TEST_P(AllProtocols, ResolvesARecord) {
   start_resolver(default_profile());
   auto transport = make_transport(GetParam(), deps(), options_for(GetParam()));
@@ -161,9 +167,7 @@ TEST_P(AllProtocols, UnsupportedNameTypeYieldsEmptyAnswer) {
 
 INSTANTIATE_TEST_SUITE_P(Protocols, AllProtocols,
                          ::testing::ValuesIn(kAllProtocols),
-                         [](const auto& info) {
-                           return std::string(protocol_name(info.param));
-                         });
+                         protocol_param_name);
 
 // --------------------------------------------------------- handshake timing
 
@@ -200,28 +204,33 @@ TEST_F(DoxFixture, ResolveTimesSimilarAcrossProtocolsOnWarmCache) {
   }
 }
 
-TEST_F(DoxFixture, DoqZeroRttWhenResolverSupportsIt) {
+// One 0-RTT path per substrate: the query (for DoH, the H2 preface and the
+// request) rides the first flight as early data once a ticket allows it.
+class EarlyData : public AllProtocols {};
+
+TEST_P(EarlyData, ZeroRttWhenResolverSupportsIt) {
   auto profile = default_profile();
   profile.supports_0rtt = true;
   start_resolver(profile);
-  QueryResult r = warmed_query(DnsProtocol::kDoQ);
-  ASSERT_TRUE(r.ok());
+  QueryResult r = warmed_query(GetParam());
+  ASSERT_TRUE(r.ok()) << r.error();
   EXPECT_TRUE(r.used_0rtt);
-  // Query + response complete in ~1 RTT total: 0-RTT makes DoQ match DoUDP.
-  EXPECT_NEAR(to_ms(r.total_time()), 20.0, 10.0);
+  if (GetParam() == DnsProtocol::kDoQ) {
+    // Query + response complete in ~1 RTT total: 0-RTT makes DoQ match
+    // DoUDP.
+    EXPECT_NEAR(to_ms(r.total_time()), 20.0, 10.0);
+  } else {
+    // TCP handshake (1 RTT) + 0-RTT query/response (1 RTT) = ~2 RTT total,
+    // one less than a resumed session's 3.
+    EXPECT_NEAR(to_ms(r.total_time()), 40.0, 12.0);
+  }
 }
 
-TEST_F(DoxFixture, DotZeroRttWhenResolverSupportsIt) {
-  auto profile = default_profile();
-  profile.supports_0rtt = true;
-  start_resolver(profile);
-  QueryResult r = warmed_query(DnsProtocol::kDoT);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r.used_0rtt);
-  // TCP handshake (1 RTT) + 0-RTT query/response (1 RTT) = ~2 RTT total,
-  // one less than resumed DoT's 3.
-  EXPECT_NEAR(to_ms(r.total_time()), 40.0, 12.0);
-}
+INSTANTIATE_TEST_SUITE_P(Protocols, EarlyData,
+                         ::testing::Values(DnsProtocol::kDoT,
+                                           DnsProtocol::kDoH,
+                                           DnsProtocol::kDoQ),
+                         protocol_param_name);
 
 TEST_F(DoxFixture, ResumptionDisabledForcesFullHandshake) {
   start_resolver(default_profile());
@@ -347,6 +356,108 @@ TEST_F(DoxFixture, DotBuggyReuseOpensSecondConnectionWhileInFlight) {
   EXPECT_GT(results[1].handshake_time(), 0);
 }
 
+// ------------------------------------------------------------ session layer
+
+// A query issued while the session is still handshaking waits in the queue
+// and is sent once the session is up; it reports the same session facts as
+// the query that opened the session.
+class Sessions : public AllProtocols {};
+
+TEST_P(Sessions, QueuedQueryReportsSessionFacts) {
+  auto profile = default_profile();
+  profile.supports_doh3 = true;
+  start_resolver(profile);
+  auto transport = make_transport(GetParam(), deps(), options_for(GetParam()));
+  std::vector<QueryResult> results;
+  for (const char* name : {"a.example", "b.example"}) {
+    transport->resolve(dns::Question{dns::DnsName::parse(name),
+                                     dns::RRType::kA, dns::RRClass::kIN},
+                       [&](QueryResult r) { results.push_back(std::move(r)); });
+  }
+  sim_.run_until(sim_.now() + 30 * kSecond);
+  ASSERT_EQ(results.size(), 2u);
+  const bool quic = GetParam() == DnsProtocol::kDoQ ||
+                    GetParam() == DnsProtocol::kDoH3;
+  int opened = 0;
+  for (const QueryResult& r : results) {
+    ASSERT_TRUE(r.ok()) << r.error();
+    opened += r.new_session ? 1 : 0;
+    EXPECT_EQ(r.tls_version, tls::TlsVersion::kTls13);
+    EXPECT_FALSE(r.alpn.empty());
+    EXPECT_EQ(r.quic_version.has_value(), quic);
+  }
+  EXPECT_EQ(opened, 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, Sessions,
+                         ::testing::Values(DnsProtocol::kDoT,
+                                           DnsProtocol::kDoH,
+                                           DnsProtocol::kDoQ,
+                                           DnsProtocol::kDoH3),
+                         protocol_param_name);
+
+// wire_stats() read after reset_sessions() but before the close handshake
+// has run: the totals never fall below the handshake split, and the close
+// only adds bytes.
+class Connections : public AllProtocols {};
+
+TEST_P(Connections, WireStatsBetweenResetAndClose) {
+  auto profile = default_profile();
+  profile.supports_doh3 = true;
+  start_resolver(profile);
+  auto transport = make_transport(GetParam(), deps(), options_for(GetParam()));
+  ASSERT_TRUE(query(*transport, "google.com").ok());
+  transport->reset_sessions();
+  const WireStats closing = transport->wire_stats();
+  EXPECT_GT(closing.handshake_c2r, 0u);
+  EXPECT_GE(closing.total_c2r, closing.handshake_c2r);
+  EXPECT_GE(closing.total_r2c, closing.handshake_r2c);
+  EXPECT_GT(closing.query_c2r(), 0u);
+  EXPECT_GT(closing.response_r2c(), 0u);
+  sim_.run_until(sim_.now() + kSecond);
+  const WireStats closed = transport->wire_stats();
+  EXPECT_EQ(closed.handshake_c2r, closing.handshake_c2r);
+  EXPECT_EQ(closed.handshake_r2c, closing.handshake_r2c);
+  EXPECT_GE(closed.total_c2r, closing.total_c2r);
+  EXPECT_GE(closed.total_r2c, closing.total_r2c);
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, Connections,
+                         ::testing::Values(DnsProtocol::kDoTcp,
+                                           DnsProtocol::kDoT,
+                                           DnsProtocol::kDoH,
+                                           DnsProtocol::kDoQ,
+                                           DnsProtocol::kDoH3),
+                         protocol_param_name);
+
+// The resolver's stream listeners read RFC 1035 framing with the clients'
+// bounded reader: a length prefix too short to hold a DNS header aborts the
+// connection, and the valid query behind it is never answered.
+TEST_F(DoxFixture, DoTcpListenerAbortsOnGarbageLengthPrefix) {
+  start_resolver(default_profile());
+  auto conn = tcp_.connect(
+      Endpoint{resolver_->profile().address, default_port(DnsProtocol::kDoTcp)},
+      tcp::TcpOptions{});
+  std::optional<util::Error> closed;
+  bool answered = false;
+  conn->on_connected([&] {
+    std::vector<std::uint8_t> bytes = {0x00, 0x04, 0xDE, 0xAD, 0xBE, 0xEF};
+    const std::vector<std::uint8_t> query = length_prefixed(
+        dns::make_query(0x1234, dns::DnsName::parse("google.com"),
+                        dns::RRType::kA)
+            .encode());
+    bytes.insert(bytes.end(), query.begin(), query.end());
+    conn->send(std::move(bytes));
+  });
+  conn->on_data([&](std::span<const std::uint8_t>) { answered = true; });
+  conn->on_closed([&](const util::Error& error) { closed = error; });
+  sim_.run_until(sim_.now() + 10 * kSecond);
+  ASSERT_TRUE(closed.has_value());
+  EXPECT_EQ(closed->cls, util::ErrorClass::kConnReset);
+  EXPECT_FALSE(answered);
+  EXPECT_EQ(resolver_->queries_served(DnsProtocol::kDoTcp), 0u);
+}
+
 // ------------------------------------------------------------------- DoUDP
 
 TEST_F(DoxFixture, DoUdpRetransmitsAfterFiveSeconds) {
@@ -443,9 +554,12 @@ TEST_F(DoxFixture, TruncatedUdpResponseFallsBackToTcp) {
 
 TEST_F(DoxFixture, TruncationFallbackDisabledReturnsTcResponse) {
   start_resolver(default_profile());
-  TransportOptions opts = options_for(DnsProtocol::kDoUdp);
-  opts.tcp_fallback_on_truncation = false;
-  auto transport = make_transport(DnsProtocol::kDoUdp, deps(), opts);
+  // Without a TCP stack there is no fallback leg (the browser's stub
+  // resolver is built this way): the truncated answer is the result.
+  TransportDeps udp_only = deps();
+  udp_only.tcp = nullptr;
+  auto transport = make_transport(DnsProtocol::kDoUdp, udp_only,
+                                  options_for(DnsProtocol::kDoUdp));
   std::optional<QueryResult> result;
   transport->resolve(dns::Question{dns::DnsName::parse("txt2000.example"),
                                    dns::RRType::kTXT, dns::RRClass::kIN},

@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "dns/message.h"
+#include "dox/framing.h"
 #include "h2/hpack.h"
 #include "net/network.h"
 #include "net/udp.h"
@@ -155,6 +156,109 @@ TEST(DnsProperty, PaddingAlwaysAlignsAndDecodes) {
     EXPECT_EQ(m.encode().size() % block, 0u) << "block " << block;
     EXPECT_TRUE(dns::Message::decode(m.encode()).has_value());
   }
+}
+
+// ----------------------------------------------------- DNS stream framing
+
+// The RFC 1035 stream reader that the clients and the resolver's listeners
+// share reads outside bytes: how the stream is cut never changes what it
+// yields, a prefix too short for a DNS header poisons it, and it never holds
+// more than one message.
+
+std::vector<std::uint8_t> framed_stream(
+    const std::vector<std::vector<std::uint8_t>>& messages) {
+  std::vector<std::uint8_t> stream;
+  for (const auto& m : messages) {
+    const auto framed = dox::length_prefixed(m);
+    stream.insert(stream.end(), framed.begin(), framed.end());
+  }
+  return stream;
+}
+
+TEST(FramingProperty, ReassemblyIgnoresSegmentBoundaries) {
+  Rng rng(1005);
+  std::vector<std::vector<std::uint8_t>> messages;
+  for (int i = 0; i < 3; ++i) messages.push_back(random_message(rng).encode());
+  const std::vector<std::uint8_t> stream = framed_stream(messages);
+  const std::span<const std::uint8_t> bytes(stream);
+  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+    dox::StreamMessageReader reader;
+    auto got = reader.feed(bytes.first(cut));
+    auto rest = reader.feed(bytes.subspan(cut));
+    got.insert(got.end(), rest.begin(), rest.end());
+    ASSERT_FALSE(reader.failed()) << "cut at " << cut;
+    ASSERT_EQ(got, messages) << "cut at " << cut;
+  }
+  dox::StreamMessageReader reader;
+  std::vector<std::vector<std::uint8_t>> got;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (auto& m : reader.feed(bytes.subspan(i, 1))) {
+      got.push_back(std::move(m));
+    }
+  }
+  EXPECT_EQ(got, messages);
+}
+
+TEST(FramingProperty, PrefixBelowDnsHeaderPoisonsReader) {
+  Rng rng(1006);
+  for (std::size_t len = 0;
+       len < dox::StreamMessageReader::kMinMessageBytes; ++len) {
+    const std::vector<std::uint8_t> good = random_message(rng).encode();
+    // A valid message, the garbage prefix and its bytes, a valid message.
+    std::vector<std::uint8_t> garbage = {0x00,
+                                         static_cast<std::uint8_t>(len)};
+    garbage.insert(garbage.end(), len, 0xAB);
+    std::vector<std::uint8_t> stream = framed_stream({good});
+    stream.insert(stream.end(), garbage.begin(), garbage.end());
+    const std::vector<std::uint8_t> tail = framed_stream({good});
+    stream.insert(stream.end(), tail.begin(), tail.end());
+
+    dox::StreamMessageReader whole;
+    EXPECT_EQ(whole.feed(stream).size(), 1u) << "prefix " << len;
+    EXPECT_TRUE(whole.failed()) << "prefix " << len;
+    EXPECT_TRUE(whole.feed(tail).empty()) << "prefix " << len;
+
+    dox::StreamMessageReader bytewise;
+    std::size_t yielded = 0;
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      yielded += bytewise.feed(std::span(stream).subspan(i, 1)).size();
+    }
+    EXPECT_EQ(yielded, 1u) << "prefix " << len;
+    EXPECT_TRUE(bytewise.failed()) << "prefix " << len;
+    EXPECT_EQ(bytewise.buffered(), 0u) << "prefix " << len;
+  }
+}
+
+TEST(FramingProperty, BufferNeverExceedsOneMessage) {
+  Rng rng(1007);
+  std::vector<std::vector<std::uint8_t>> messages;
+  for (int i = 0; i < 24; ++i) {
+    // Any length a prefix can announce, including the 65535-byte maximum.
+    const std::size_t len =
+        i % 8 == 0 ? dox::StreamMessageReader::kMaxMessageBytes
+                   : static_cast<std::size_t>(rng.uniform_int(
+                         dox::StreamMessageReader::kMinMessageBytes,
+                         dox::StreamMessageReader::kMaxMessageBytes));
+    std::vector<std::uint8_t> m(len);
+    for (auto& b : m) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    messages.push_back(std::move(m));
+  }
+  const std::vector<std::uint8_t> stream = framed_stream(messages);
+  dox::StreamMessageReader reader;
+  std::vector<std::vector<std::uint8_t>> got;
+  for (std::size_t at = 0; at < stream.size();) {
+    const std::size_t chunk = std::min<std::size_t>(
+        static_cast<std::size_t>(rng.uniform_int(1, 140000)),
+        stream.size() - at);
+    for (auto& m : reader.feed(std::span(stream).subspan(at, chunk))) {
+      got.push_back(std::move(m));
+    }
+    at += chunk;
+    ASSERT_FALSE(reader.failed());
+    ASSERT_LE(reader.buffered(), dox::StreamMessageReader::kMaxBufferedBytes);
+  }
+  EXPECT_EQ(reader.buffered(), 0u);
+  EXPECT_EQ(got, messages);
 }
 
 // ------------------------------------------------------------- QUIC codec
