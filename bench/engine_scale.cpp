@@ -8,7 +8,8 @@
 //     the wall time an N-core machine would see, measured exactly even on
 //     a single-core CI container (each shard's epoch slice is timed
 //     individually), so the scaling claim is hardware-independent.
-//   * wall qps on this host, for reference.
+//   * wall qps on this host, for reference, and the wall's phases
+//     (schedule, build, epochs, barrier idle, teardown, merge).
 //   * speedup vs N=1 on the critical-path metric.
 // and proves three invariants:
 //   * the offered load is identical for every N (same arrivals, same
@@ -203,6 +204,13 @@ struct ScaleRow {
   double critical_path_ms = 0.0;
   double busy_sum_ms = 0.0;
   double sweep_ms = 0.0;
+  /// The wall and its phases (ShardedResult: they sum to the wall).
+  double wall_ms = 0.0;
+  double schedule_ms = 0.0;
+  double build_ms = 0.0;
+  double epochs_ms = 0.0;
+  double teardown_ms = 0.0;
+  double merge_ms = 0.0;
   std::uint64_t queries = 0;
   std::uint64_t answered = 0;
   std::uint64_t l2_hits = 0;
@@ -230,6 +238,12 @@ ScaleRow run_once(const engine::ShardedConfig& config) {
   row.wall_qps = result.wall_qps();
   row.critical_path_ms = result.critical_path_ms;
   row.sweep_ms = result.sweep_ms;
+  row.wall_ms = result.wall_ms;
+  row.schedule_ms = result.schedule_ms;
+  row.build_ms = result.build_ms;
+  row.epochs_ms = result.epochs_ms;
+  row.teardown_ms = result.teardown_ms;
+  row.merge_ms = result.merge_ms;
   row.queries = result.engine.queries;
   row.answered = result.load.answered;
   row.l2_hits = result.engine.l2_hits;
@@ -303,6 +317,16 @@ int main(int argc, char** argv) {
                 row.effective_qps / rows.front().effective_qps,
                 static_cast<unsigned long long>(row.l2_hits), row.p99_ms,
                 static_cast<unsigned long long>(row.lock_misses));
+  }
+
+  std::printf("\n%7s %9s %9s %9s %9s %9s %9s %9s\n", "shards", "wall ms",
+              "schedule", "build", "epochs", "barrier", "teardown",
+              "merge");
+  for (const ScaleRow& row : rows) {
+    std::printf("%7u %9.1f %9.1f %9.1f %9.1f %9.1f %9.1f %9.1f\n",
+                row.shards, row.wall_ms, row.schedule_ms, row.build_ms,
+                row.epochs_ms, row.epochs_ms - row.critical_path_ms,
+                row.teardown_ms, row.merge_ms);
   }
 
   // Batch-window sweep: the same scenario across delivery-batching
@@ -426,6 +450,12 @@ int main(int argc, char** argv) {
       reporter.metric(bench, "critical_path_ms", row.critical_path_ms);
       reporter.metric(bench, "shard_busy_sum_ms", row.busy_sum_ms);
       reporter.metric(bench, "sweep_ms", row.sweep_ms);
+      reporter.metric(bench, "wall_ms", row.wall_ms);
+      reporter.metric(bench, "schedule_ms", row.schedule_ms);
+      reporter.metric(bench, "build_ms", row.build_ms);
+      reporter.metric(bench, "epochs_ms", row.epochs_ms);
+      reporter.metric(bench, "teardown_ms", row.teardown_ms);
+      reporter.metric(bench, "merge_ms", row.merge_ms);
       reporter.metric(bench, "queries", static_cast<double>(row.queries));
       reporter.metric(bench, "l2_hits", static_cast<double>(row.l2_hits));
       reporter.metric(bench, "l2_lock_misses",

@@ -3,8 +3,8 @@
 // stub-client swarm) that runs on one thread at a time.
 //
 // The coordinator (engine/sharded.h) hashes stub clients onto shards by
-// source address and hands each shard its slice of one global arrival
-// schedule. Everything inside a shard is derived from (seed, shard index)
+// source address and hands each shard its slice of the one arrival schedule
+// (engine/schedule.h). Everything inside a shard is derived from (seed, shard index)
 // only — never from the shard *count* or from wall-clock — so a shard's
 // event stream is bit-identical run to run; the simulator's
 // event_stream_digest() pins exactly that in the determinism tests.
@@ -50,8 +50,8 @@
 
 namespace doxlab::engine {
 
-/// One entry of the global arrival schedule, generated once by the
-/// coordinator from the seed — identical for every shard count. A legit
+/// One entry of the arrival schedule, drawn by the coordinator from the
+/// seed — identical for every shard count (engine/schedule.h). A legit
 /// entry means client `client` asks for name index `name` at `at`. An
 /// attack entry has kAttackTag set in `name` (the low bits index
 /// ShardedConfig::attacks) and carries its spoofed source address in

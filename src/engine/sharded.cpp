@@ -5,10 +5,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
-#include "util/rng.h"
+#include "engine/schedule.h"
 #include "util/thread_pool.h"
 
 namespace doxlab::engine {
@@ -16,11 +17,6 @@ namespace doxlab::engine {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
 
 /// CPU time consumed by the CALLING thread, in milliseconds. Shard busy
 /// time is charged in thread CPU time, not wall time: when the host has
@@ -43,9 +39,6 @@ double thread_cpu_ms() {
 
 /// Width of the engine-stat windows compared around a restart.
 constexpr SimTime kRestartWindow = kSecond;
-
-/// The Zipf exponent of the legit name draw.
-constexpr double kZipfExponent = 1.0;
 
 bool finite_rate(double qps) { return std::isfinite(qps) && qps >= 0.0; }
 
@@ -92,121 +85,64 @@ void validate(const ShardedConfig& config) {
   if (config.series_bucket < 0) reject("series_bucket must be >= 0");
 }
 
-/// The global arrival schedule, generated in one pass so the offered load
-/// is a function of the seed alone — never of the shard count that will
-/// replay it. Legit arrivals come first from Rng(seed): a Poisson process,
-/// a uniform client choice and a Zipf name draw; their count goes to
-/// `legit`. Each attack then draws its Poisson arrivals and spoofed sources
-/// on its own lane and is merged in by time (legit entries first on ties),
-/// so silencing an attack leaves the legit entries exactly as they were.
-std::vector<Arrival> generate_schedule(const ShardedConfig& config,
-                                       std::uint64_t& legit) {
-  Rng rng(config.seed);
+/// Tiles the wall clock with the run's phases: each lap charges the time
+/// since the previous lap to one phase, so the phases sum to the wall.
+class PhaseClock {
+ public:
+  explicit PhaseClock(ShardedResult& result) : result_(result) {}
 
-  std::vector<double> name_cdf;
-  name_cdf.reserve(config.names);
-  double total = 0.0;
-  for (std::size_t rank = 1; rank <= config.names; ++rank) {
-    total += 1.0 / std::pow(static_cast<double>(rank), kZipfExponent);
-    name_cdf.push_back(total);
+  void lap(double ShardedResult::*phase) {
+    const Clock::time_point now = Clock::now();
+    result_.*phase += ms(now - last_);
+    last_ = now;
+  }
+  /// Ends the wall at the last lap.
+  void close() { result_.wall_ms = ms(last_ - start_); }
+
+ private:
+  static double ms(Clock::duration elapsed) {
+    return std::chrono::duration<double, std::milli>(elapsed).count();
   }
 
-  std::vector<Arrival> schedule;
-  schedule.reserve(static_cast<std::size_t>(
-      config.qps * (static_cast<double>(config.duration) / kSecond) * 1.1));
-  const double mean_gap_us =
-      static_cast<double>(kSecond) / std::max(config.qps, 1e-9);
-  SimTime at = 0;
-  while (true) {
-    at += std::max<SimTime>(
-        1, static_cast<SimTime>(rng.exponential(mean_gap_us)));
-    if (at >= config.duration) break;
-    Arrival arrival;
-    arrival.at = at;
-    arrival.client = static_cast<std::uint32_t>(rng.uniform_int(
-        0, static_cast<std::int64_t>(config.clients) - 1));
-    const double u = rng.uniform_real(0.0, name_cdf.back());
-    const auto it = std::upper_bound(name_cdf.begin(), name_cdf.end(), u);
-    arrival.name = static_cast<std::uint32_t>(
-        std::min<std::size_t>(it - name_cdf.begin(), config.names - 1));
-    schedule.push_back(arrival);
-  }
-  legit = schedule.size();
+  ShardedResult& result_;
+  Clock::time_point start_ = Clock::now();
+  Clock::time_point last_ = start_;
+};
 
-  for (std::size_t k = 0; k < config.attacks.size(); ++k) {
-    const AttackConfig& attack = config.attacks[k];
-    if (attack.qps <= 0.0) continue;
-    Rng lane(splitmix64(config.seed, (std::uint64_t{1} << 32) + k));
-    const double gap_us = static_cast<double>(kSecond) / attack.qps;
-    const std::size_t legit_end = schedule.size();
-    SimTime attack_at = attack.start;
-    while (true) {
-      attack_at += std::max<SimTime>(
-          1, static_cast<SimTime>(lane.exponential(gap_us)));
-      if (attack_at >= config.duration) break;
-      Arrival entry;
-      entry.at = attack_at;
-      entry.client = attack.source_base.value() +
-                     static_cast<std::uint32_t>(lane.uniform_int(
-                         0, static_cast<std::int64_t>(attack.source_count) -
-                                1));
-      entry.name = kAttackTag | static_cast<std::uint32_t>(k);
-      schedule.push_back(entry);
-    }
-    std::inplace_merge(
-        schedule.begin(),
-        schedule.begin() + static_cast<std::ptrdiff_t>(legit_end),
-        schedule.end(),
-        [](const Arrival& a, const Arrival& b) { return a.at < b.at; });
-  }
-  return schedule;
-}
-
-/// The schedule split by owning shard, in schedule order. The global
-/// schedule is freed once sliced; with one shard it becomes the only slice.
-std::vector<std::vector<Arrival>> slice_schedule(const ShardedConfig& config,
-                                                 std::uint32_t n,
-                                                 std::uint64_t& legit) {
-  std::vector<Arrival> schedule = generate_schedule(config, legit);
-  std::vector<std::vector<Arrival>> slices(n);
-  if (n == 1) {
-    slices[0] = std::move(schedule);
-    return slices;
-  }
-  for (auto& slice : slices) slice.reserve(schedule.size() / n + 16);
-  for (const Arrival& arrival : schedule) {
-    const net::IpAddress source = (arrival.name & kAttackTag)
-                                      ? net::IpAddress(arrival.client)
-                                      : client_source(config, arrival.client);
-    slices[shard_of(config, source)].push_back(arrival);
-  }
-  return slices;
-}
-
-/// Builds one set of shard worlds for `segment`, runs the epoch loop to the
-/// end of its settle window, and folds every shard into `result` (the
-/// engine counters at `segment.probes[p]` into `*probe_out[p]`).
+/// Draws `segment`'s arrivals, builds one set of shard worlds for it, runs
+/// the epoch loop to the end of its settle window, folds every shard into
+/// `result` (the engine counters at `segment.probes[p]` into
+/// `*probe_out[p]`) and tears the worlds down. Every phase runs on `pool`
+/// where it can, and each is charged to `clock`.
 void run_world(const ShardedConfig& config, const Segment& segment,
-               std::vector<std::vector<Arrival>> slices,
                const std::vector<EngineStats*>& probe_out,
+               util::ThreadPool& pool, PhaseClock& clock,
                ShardedResult& result) {
-  const auto n = static_cast<std::uint32_t>(slices.size());
-  dns::SharedPacketCache l2(config.l2_capacity, n);
-  dns::SharedPacketCache* l2_ptr = config.l2_capacity > 0 ? &l2 : nullptr;
+  const std::uint32_t n = config.shards;
+  std::uint64_t legit = 0;
+  std::vector<std::vector<Arrival>> slices =
+      draw_schedule(config, segment.start, segment.stop, pool, legit);
+  result.total_arrivals += legit;
+  clock.lap(&ShardedResult::schedule_ms);
+
+  auto l2 = std::make_unique<dns::SharedPacketCache>(config.l2_capacity, n);
+  dns::SharedPacketCache* l2_ptr =
+      config.l2_capacity > 0 ? l2.get() : nullptr;
   if (config.engine.l2_serve_stale && config.engine.serve_stale) {
     // Stale serving needs expired entries to survive the barrier sweeps for
     // the whole stale window.
-    l2.set_stale_retention(kMaxStale);
+    l2->set_stale_retention(kMaxStale);
   }
+  // Each world touches only its own state and the L2's per-shard insert
+  // lane, so the shards build side by side.
+  std::vector<std::unique_ptr<EngineShard>> shards(n);
+  pool.parallel_for(n, [&](std::size_t i) {
+    shards[i] = std::make_unique<EngineShard>(
+        config, static_cast<std::uint32_t>(i), std::move(slices[i]), l2_ptr,
+        segment);
+  });
+  clock.lap(&ShardedResult::build_ms);
 
-  std::vector<std::unique_ptr<EngineShard>> shards;
-  shards.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    shards.push_back(std::make_unique<EngineShard>(
-        config, i, std::move(slices[i]), l2_ptr, segment));
-  }
-
-  util::ThreadPool pool(config.threads);
   std::vector<double> busy_ms(n, 0.0);
   std::vector<double> epoch_busy_ms(n, 0.0);
 
@@ -250,6 +186,7 @@ void run_world(const ShardedConfig& config, const Segment& segment,
     result.critical_path_ms += slowest + swept;
     ++result.epochs;
   }
+  clock.lap(&ShardedResult::epochs_ms);
 
   // Each shard's outcome takes this world under the restart rule: the
   // first world's counters land on zeros, and a rebuilt world's events add
@@ -297,7 +234,12 @@ void run_world(const ShardedConfig& config, const Segment& segment,
   }
   // Every shard applies every event; count each one once.
   result.events_executed += shards[0]->churn_applied();
-  stats::merge(result.l2, l2.stats(), stats::Across::kRestart);
+  stats::merge(result.l2, l2->stats(), stats::Across::kRestart);
+  clock.lap(&ShardedResult::merge_ms);
+
+  pool.parallel_for(n, [&](std::size_t i) { shards[i].reset(); });
+  l2.reset();
+  clock.lap(&ShardedResult::teardown_ms);
 }
 
 }  // namespace
@@ -316,42 +258,36 @@ double ShardedResult::attack_shed_rate() const {
 ShardedResult run_sharded(const ShardedConfig& config) {
   validate(config);
   const std::uint32_t n = config.shards;
-  const auto wall_start = Clock::now();
 
   ShardedResult result;
-  std::vector<std::vector<Arrival>> slices =
-      slice_schedule(config, n, result.total_arrivals);
-
+  PhaseClock clock(result);
   result.shards.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) result.shards[i].index = i;
   for (const AttackConfig& attack : config.attacks) {
     result.attacks.push_back(AttackReport{attack.kind});
   }
 
-  if (config.restart_at == 0) {
-    run_world(config, Segment{0, config.duration, {}}, std::move(slices), {},
-              result);
-  } else {
-    // The two-world restart: the first worlds take the arrivals before
-    // `restart_at` and drain; the rebuilt ones take the rest.
-    const SimTime restart = config.restart_at;
-    std::vector<std::vector<Arrival>> later(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      auto cut = std::lower_bound(
-          slices[i].begin(), slices[i].end(), restart,
-          [](const Arrival& a, SimTime t) { return a.at < t; });
-      later[i].assign(cut, slices[i].end());
-      slices[i].erase(cut, slices[i].end());
+  {
+    // One pool serves the whole run, both worlds of a restart included.
+    util::ThreadPool pool(config.threads);
+    if (config.restart_at == 0) {
+      run_world(config, Segment{0, config.duration, {}}, {}, pool, clock,
+                result);
+    } else {
+      // The two-world restart: the first worlds take the arrivals before
+      // `restart_at` and drain; the rebuilt ones take the rest.
+      const SimTime restart = config.restart_at;
+      const SimTime window = kRestartWindow;
+      run_world(config,
+                Segment{0, restart,
+                        {std::max<SimTime>(0, restart - window), restart}},
+                {&result.pre_window_start, &result.pre_restart}, pool, clock,
+                result);
+      run_world(config, Segment{restart, config.duration, {restart + window}},
+                {&result.post_first_epoch}, pool, clock, result);
     }
-    const SimTime window = kRestartWindow;
-    run_world(config,
-              Segment{0, restart,
-                      {std::max<SimTime>(0, restart - window), restart}},
-              std::move(slices),
-              {&result.pre_window_start, &result.pre_restart}, result);
-    run_world(config, Segment{restart, config.duration, {restart + window}},
-              std::move(later), {&result.post_first_epoch}, result);
   }
+  clock.lap(&ShardedResult::teardown_ms);  // the pool's workers joined
 
   // The merged samples are the one copy, reserved up front.
   std::size_t samples = 0;
@@ -366,7 +302,8 @@ ShardedResult run_sharded(const ShardedConfig& config) {
         (result.merged_digest * 0x100000001B3ull) ^ outcome.stream_digest;
     result.outcome_digest += outcome.outcome_digest;
   }
-  result.wall_ms = ms_since(wall_start);
+  clock.lap(&ShardedResult::merge_ms);
+  clock.close();
   return result;
 }
 

@@ -1,15 +1,18 @@
 // The sharded engine coordinator: the one engine harness, one scenario
 // spread across all cores.
 //
-// `run_sharded` generates ONE global arrival schedule from the seed (a
-// Poisson process of uniformly chosen clients asking Zipf-popular names,
-// plus each configured attack mix on its own RNG lane, merged by time),
-// assigns every simulated client a source address, hashes sources onto
-// shards (splitmix64 — see engine/shard.h), and builds one EngineShard world
-// per shard. The offered load is therefore *identical for every shard
-// count*: changing --shards only repartitions the same arrivals.
+// `run_sharded` draws ONE arrival schedule from the seed (a Poisson process
+// of uniformly chosen clients asking Zipf-popular names, plus each
+// configured attack mix on its own lane, merged by time — engine/schedule.h)
+// straight into per-shard slices: every simulated client has a source
+// address, and sources hash onto shards (splitmix64 — see engine/shard.h).
+// One EngineShard world per shard takes its slice. The offered load is
+// therefore *identical for every shard count*: changing --shards only
+// repartitions the same arrivals.
 //
-// Execution is epoch-barriered on a util::ThreadPool:
+// One util::ThreadPool serves the whole run: it draws the schedule's
+// chunks, builds and tears down the worlds, and drives the epochs, which
+// are barriered:
 //
 //   epoch k:  every shard runs its simulator to k * epoch   (parallel)
 //   barrier:  SharedPacketCache::sweep merges the shards' deferred
@@ -34,7 +37,9 @@
 // core: `wall_ms` is real elapsed time, while `critical_path_ms` charges
 // each epoch its *slowest shard* plus the serial sweep — the wall time an
 // N-core machine would see. bench/engine_scale gates on the critical-path
-// metric so the near-linear-scaling check is hardware-independent.
+// metric so the near-linear-scaling check is hardware-independent. The
+// wall is split into contiguous phases (schedule, build, epochs, teardown,
+// merge) that sum to it.
 #pragma once
 
 #include <vector>
@@ -83,6 +88,14 @@ struct ShardedResult {
   double wall_ms = 0.0;           ///< real elapsed time (this machine)
   double critical_path_ms = 0.0;  ///< sum over epochs of slowest shard
   double sweep_ms = 0.0;          ///< serial L2 sweep time (inside critical)
+  /// The wall's phases, summed over both worlds of a restart. They tile
+  /// the wall, so they sum to `wall_ms`; barrier idle is `epochs_ms` minus
+  /// `critical_path_ms`.
+  double schedule_ms = 0.0;  ///< pool start, arrival draws and slicing
+  double build_ms = 0.0;     ///< L2 and shard worlds built
+  double epochs_ms = 0.0;    ///< the epoch loop, sweeps included
+  double teardown_ms = 0.0;  ///< worlds, L2 and pool torn down
+  double merge_ms = 0.0;     ///< shard outcomes folded into this result
 
   /// Per-attack counters summed over shards, in ShardedConfig::attacks
   /// order.

@@ -9,16 +9,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "engine/schedule.h"
 #include "engine/sharded.h"
 #include "policy/policy.h"
+#include "util/thread_pool.h"
 
 namespace doxlab::engine {
 namespace {
@@ -44,7 +48,7 @@ TEST(ShardedEngine, LoadInvariantAcrossShardCounts) {
   config.shards = 4;
   const ShardedResult four = run_sharded(config);
 
-  // Resharding only repartitions the one global schedule.
+  // Resharding only repartitions the one schedule.
   EXPECT_EQ(one.total_arrivals, four.total_arrivals);
   EXPECT_EQ(one.load.sent, four.load.sent);
   EXPECT_EQ(one.load.answered, four.load.answered);
@@ -54,21 +58,50 @@ TEST(ShardedEngine, LoadInvariantAcrossShardCounts) {
 }
 
 TEST(ShardedEngine, RunToRunBitIdentical) {
+  // Run to run, and whatever the thread count that draws the schedule,
+  // builds the worlds and drives the epochs.
   ShardedConfig config = small_config();
   config.shards = 4;
   const ShardedResult first = run_sharded(config);
-  const ShardedResult second = run_sharded(config);
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    config.threads = threads;
+    const ShardedResult second = run_sharded(config);
 
-  EXPECT_EQ(first.merged_digest, second.merged_digest);
-  ASSERT_EQ(first.shards.size(), second.shards.size());
-  for (std::size_t i = 0; i < first.shards.size(); ++i) {
-    EXPECT_EQ(first.shards[i].stream_digest, second.shards[i].stream_digest);
-    EXPECT_EQ(first.shards[i].events, second.shards[i].events);
-    EXPECT_EQ(first.shards[i].arrivals, second.shards[i].arrivals);
+    EXPECT_EQ(first.merged_digest, second.merged_digest);
+    ASSERT_EQ(first.shards.size(), second.shards.size());
+    for (std::size_t i = 0; i < first.shards.size(); ++i) {
+      EXPECT_EQ(first.shards[i].stream_digest,
+                second.shards[i].stream_digest);
+      EXPECT_EQ(first.shards[i].outcome_digest,
+                second.shards[i].outcome_digest);
+      EXPECT_EQ(first.shards[i].events, second.shards[i].events);
+      EXPECT_EQ(first.shards[i].arrivals, second.shards[i].arrivals);
+    }
+    EXPECT_EQ(first.engine.cache_hits, second.engine.cache_hits);
+    EXPECT_EQ(first.engine.l2_hits, second.engine.l2_hits);
+    EXPECT_EQ(first.load.latency_ms, second.load.latency_ms);
   }
-  EXPECT_EQ(first.engine.cache_hits, second.engine.cache_hits);
-  EXPECT_EQ(first.engine.l2_hits, second.engine.l2_hits);
-  EXPECT_EQ(first.load.latency_ms, second.load.latency_ms);
+}
+
+TEST(ShardedEngine, PhasesTileTheWall) {
+  // Both worlds of a restart charge the same five phases.
+  ShardedConfig config = small_config();
+  config.shards = 4;
+  config.restart_at = kSecond + 130 * kMillisecond;
+  const ShardedResult result = run_sharded(config);
+  const double phases[] = {result.schedule_ms, result.build_ms,
+                           result.epochs_ms, result.teardown_ms,
+                           result.merge_ms};
+  double sum = 0.0;
+  for (const double phase : phases) {
+    EXPECT_GE(phase, 0.0);
+    sum += phase;
+  }
+  EXPECT_GT(result.epochs_ms, 0.0);
+  // Contiguous laps: the sum is the wall up to the rounding of five adds.
+  EXPECT_LE(sum, result.wall_ms * (1.0 + 1e-12));
+  EXPECT_GE(sum, result.wall_ms * (1.0 - 1e-12));
 }
 
 TEST(ShardedEngine, MergedResultEqualsSumOfShards) {
@@ -173,10 +206,10 @@ TEST(ShardedEngine, RejectsInvalidConfigNamingTheField) {
   };
   const ShardedConfig base = small_config();
   ShardedConfig config = base;
-  config.names = 0;  // an empty Zipf CDF
+  config.names = 0;  // an empty name table
   expect_rejected(config, "names");
   config = base;
-  config.clients = 0;  // uniform_int(0, -1)
+  config.clients = 0;  // no client to draw
   expect_rejected(config, "clients");
   config.clients = (std::size_t{1} << 32) + 1;  // wraps Arrival::client
   expect_rejected(config, "clients");
@@ -198,7 +231,7 @@ TEST(ShardedEngine, RejectsInvalidConfigNamingTheField) {
   expect_rejected(config, "restart_at");
 }
 
-// The global schedule is the one load generator: legit arrivals, client
+// The schedule is the one load generator: legit arrivals, client
 // addressing and the attack mixes all come from it.
 
 TEST(LoadGenerator, DeterministicFromSeed) {
@@ -253,13 +286,15 @@ TEST(LoadGenerator, AbuseScenarioShedsAttacksWithoutPerturbingLegitLoad) {
     config.shards = shards;
     config.clients = 100;
     config.qps = 400;
-    config.duration = 5 * kSecond;
+    // Neither the window's end nor the attacks' start is a chunk edge.
+    config.duration = 5 * kSecond + 130 * kMillisecond;
     config.names = 50;
-    config.attacks = abuse_attacks(400, 200, 150, kSecond);
+    config.attacks =
+        abuse_attacks(400, 200, 150, kSecond + 110 * kMillisecond + 7);
     config.engine.policy = abuse_chain(100);
 
     // Baseline: the same world with the attacks silenced. The attack
-    // entries come from their own RNG lanes, so the legit entries are the
+    // entries come from their own lanes, so the legit entries are the
     // same entry for entry (same arrivals, same sends); the tail must stay
     // within the 10% band the bench gates on.
     ShardedConfig baseline = config;
@@ -323,6 +358,158 @@ TEST(LoadGenerator, AllQueriesAccountedFor) {
   EXPECT_EQ(result.load.servfails, 0u);
   EXPECT_EQ(result.load.timeouts, 0u);
   EXPECT_EQ(result.load.sent, result.engine.queries);
+}
+
+// The schedule itself (engine/schedule.h), drawn without running worlds.
+
+/// Every shard's slice of [from, to), drawn on a pool of `threads`.
+std::vector<std::vector<Arrival>> draw(const ShardedConfig& config,
+                                       SimTime from, SimTime to,
+                                       int threads = 2) {
+  util::ThreadPool pool(threads);
+  std::uint64_t legit = 0;
+  std::vector<std::vector<Arrival>> slices =
+      draw_schedule(config, from, to, pool, legit);
+  std::uint64_t counted = 0;
+  for (const auto& slice : slices) {
+    counted += static_cast<std::uint64_t>(
+        std::count_if(slice.begin(), slice.end(),
+                      [](const Arrival& a) { return !(a.name & kAttackTag); }));
+  }
+  EXPECT_EQ(legit, counted);
+  return slices;
+}
+
+using Entry = std::tuple<SimTime, std::uint32_t, std::uint32_t>;
+
+/// A slice's entries as comparable tuples, optionally legit ones only.
+std::vector<Entry> entries(const std::vector<Arrival>& slice,
+                           bool legit_only = false) {
+  std::vector<Entry> out;
+  for (const Arrival& a : slice) {
+    if (legit_only && (a.name & kAttackTag)) continue;
+    out.emplace_back(a.at, a.client, a.name);
+  }
+  return out;
+}
+
+TEST(Schedule, DrawsTheConfiguredProcess) {
+  // Arrival counts within 4 sigma of qps x duration (no bias from storing
+  // whole microseconds, even at 1 us mean gaps), a Zipf-1 rank-1 share of
+  // 1/H_200 and clients uniform by chi-square.
+  double harmonic = 0.0;
+  for (int rank = 1; rank <= 200; ++rank) harmonic += 1.0 / rank;
+  struct Case {
+    double qps;
+    SimTime duration;
+  };
+  for (const Case c : {Case{3'000, 10 * kSecond}, Case{50'000, 2 * kSecond},
+                       Case{1'000'000, kSecond / 2}}) {
+    SCOPED_TRACE("qps " + std::to_string(c.qps));
+    ShardedConfig config;
+    config.qps = c.qps;
+    config.duration = c.duration;
+    config.names = 200;
+    config.clients = 100;
+    const std::vector<Arrival> arrivals = draw(config, 0, c.duration)[0];
+    const double n = static_cast<double>(arrivals.size());
+    const double expected = c.qps * static_cast<double>(c.duration) / kSecond;
+    EXPECT_NEAR(n, expected, 4.0 * std::sqrt(expected));
+    ASSERT_FALSE(arrivals.empty());
+    EXPECT_TRUE(std::is_sorted(
+        arrivals.begin(), arrivals.end(),
+        [](const Arrival& a, const Arrival& b) { return a.at < b.at; }));
+    EXPECT_GE(arrivals.front().at, 0);
+    EXPECT_LT(arrivals.back().at, c.duration);
+
+    std::vector<double> per_client(config.clients, 0.0);
+    double top = 0.0;
+    for (const Arrival& a : arrivals) {
+      ASSERT_LT(a.client, config.clients);
+      ASSERT_LT(a.name, config.names);
+      per_client[a.client] += 1.0;
+      if (a.name == 0) top += 1.0;
+    }
+    const double p = 1.0 / harmonic;  // ~0.170
+    EXPECT_NEAR(top / n, p, 4.0 * std::sqrt(p * (1.0 - p) / n));
+    const double each = n / static_cast<double>(config.clients);
+    double chi2 = 0.0;
+    for (const double count : per_client) {
+      chi2 += (count - each) * (count - each) / each;
+    }
+    const double dof = static_cast<double>(config.clients - 1);
+    EXPECT_LT(chi2, dof + 4.0 * std::sqrt(2.0 * dof));
+  }
+}
+
+TEST(Schedule, OneStreamWhateverTheCutShardsAndThreads) {
+  ShardedConfig config;
+  config.shards = 4;
+  config.clients = 5000;
+  config.qps = 3000;
+  config.names = 50;
+  // Neither the window's end, the attacks' start nor the cut is a chunk
+  // edge.
+  config.duration = 2 * kSecond + 130 * kMillisecond + 17;
+  config.attacks = abuse_attacks(900, 600, 300, 610 * kMillisecond + 3);
+  const SimTime cut = kSecond + 370 * kMillisecond + 11;
+  const std::vector<std::vector<Arrival>> slices =
+      draw(config, 0, config.duration, 4);
+
+  // Neither the thread count nor a cut moves an entry.
+  const auto one_thread = draw(config, 0, config.duration, 1);
+  const auto before = draw(config, 0, cut);
+  const auto after = draw(config, cut, config.duration);
+  for (std::uint32_t s = 0; s < config.shards; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    EXPECT_FALSE(slices[s].empty());
+    EXPECT_EQ(entries(one_thread[s]), entries(slices[s]));
+    std::vector<Entry> joined = entries(before[s]);
+    for (const Entry& e : entries(after[s])) joined.push_back(e);
+    EXPECT_EQ(joined, entries(slices[s]));
+  }
+
+  // The shard count only partitions one stream, which is in time order
+  // with legit entries first, then attacks in config order, on ties.
+  ShardedConfig one = config;
+  one.shards = 1;
+  const std::vector<Arrival> stream = draw(one, 0, one.duration)[0];
+  const auto lane = [](const Arrival& a) {
+    return (a.name & kAttackTag) ? 1 + (a.name & ~kAttackTag) : 0u;
+  };
+  std::vector<std::vector<Entry>> split(config.shards);
+  std::vector<std::uint64_t> per_lane(1 + config.attacks.size(), 0);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const Arrival& a = stream[i];
+    const net::IpAddress source = (a.name & kAttackTag)
+                                      ? net::IpAddress(a.client)
+                                      : client_source(config, a.client);
+    split[shard_of(config, source)].emplace_back(a.at, a.client, a.name);
+    ++per_lane[lane(a)];
+    if (lane(a) > 0) {
+      EXPECT_GE(a.at, config.attacks[lane(a) - 1].start);
+    }
+    if (i > 0) {
+      ASSERT_LE(stream[i - 1].at, a.at);
+      if (stream[i - 1].at == a.at) {
+        EXPECT_LE(lane(stream[i - 1]), lane(a));
+      }
+    }
+  }
+  for (const std::uint64_t count : per_lane) EXPECT_GT(count, 0u);
+  for (std::uint32_t s = 0; s < config.shards; ++s) {
+    EXPECT_EQ(split[s], entries(slices[s])) << "shard " << s;
+  }
+
+  // Silencing the attacks leaves every legit entry as it was.
+  ShardedConfig quiet = config;
+  for (AttackConfig& attack : quiet.attacks) attack.qps = 0.0;
+  const auto quiet_slices = draw(quiet, 0, quiet.duration);
+  for (std::uint32_t s = 0; s < config.shards; ++s) {
+    EXPECT_EQ(entries(slices[s], /*legit_only=*/true),
+              entries(quiet_slices[s]))
+        << "shard " << s;
+  }
 }
 
 /// Four shards under the four kinds of churn, with a 1 s series.
@@ -449,18 +636,31 @@ TEST(ShardedEngine, RestartMergeCountsEachWorldOnce) {
   config.shards = 2;
   config.duration = 4 * kSecond;
   config.names = 200;
-  config.restart_at = 2 * kSecond;
+  config.restart_at = 2 * kSecond + 130 * kMillisecond;  // mid-chunk
   const ShardedResult result = run_sharded(config);
+
+  // The ledger closes across the cut: each arrival ran in one world.
+  EXPECT_EQ(result.load.sent + result.load.shed, result.total_arrivals);
+  EXPECT_TRUE(result.load.complete());
+  const ShardedResult whole = [config]() mutable {
+    config.restart_at = 0;
+    return run_sharded(config);
+  }();
+  EXPECT_EQ(result.total_arrivals, whole.total_arrivals);
 
   // Occupancy is the live world's: a shard's L1 never holds more names
   // than there are.
-  std::uint64_t l2_hits = 0, l2_lookups = 0;
-  for (const ShardOutcome& shard : result.shards) {
+  std::uint64_t l2_hits = 0, l2_lookups = 0, arrivals = 0;
+  for (std::size_t i = 0; i < result.shards.size(); ++i) {
+    const ShardOutcome& shard = result.shards[i];
+    arrivals += shard.arrivals;
+    EXPECT_EQ(shard.arrivals, whole.shards[i].arrivals);
     EXPECT_LE(shard.engine.l1_entries, config.names);
     EXPECT_GT(shard.engine.l1_entries, 0u);
     l2_hits += shard.engine.l2_hits;
     l2_lookups += shard.engine.l2_lookups;
   }
+  EXPECT_EQ(arrivals, result.total_arrivals);
   // The L2's own counters span both worlds, like the engines' view of it.
   EXPECT_GT(result.l2.hits, 0u);
   EXPECT_EQ(result.l2.hits, l2_hits);

@@ -389,9 +389,13 @@ void print_engine_report(const char* title,
                   ? 0.0
                   : static_cast<double>(e.queries) /
                         (static_cast<double>(config.duration) / kSecond));
-  std::printf("timing         wall %.1f ms  critical path %.1f ms  sweeps "
-              "%.2f ms\n",
-              result.wall_ms, result.critical_path_ms, result.sweep_ms);
+  std::printf("timing         wall %.1f ms = schedule %.1f + build %.1f + "
+              "epochs %.1f + teardown %.1f + merge %.1f ms; critical path "
+              "%.1f ms (sweeps %.2f ms), barrier idle %.1f ms\n",
+              result.wall_ms, result.schedule_ms, result.build_ms,
+              result.epochs_ms, result.teardown_ms, result.merge_ms,
+              result.critical_path_ms, result.sweep_ms,
+              result.epochs_ms - result.critical_path_ms);
   std::printf("queries        %llu processed, %llu arrivals, %llu sim "
               "events\n",
               static_cast<unsigned long long>(e.queries),
