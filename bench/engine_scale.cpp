@@ -11,6 +11,8 @@
 //   * wall qps on this host, for reference, and the wall's phases
 //     (schedule, build, epochs, barrier idle, teardown, merge).
 //   * speedup vs N=1 on the critical-path metric.
+//   * peak RSS: each row runs in a forked child, so the high-water is the
+//     row's own.
 // and proves three invariants:
 //   * the offered load is identical for every N (same arrivals, same
 //     queries processed — resharding only repartitions the schedule);
@@ -31,13 +33,20 @@
 // within-run speedup (serialized shard work / critical path — both sides
 // measured in the same run, so host frequency drift cancels) falls below
 // 3.0x, the load varies across N, reruns diverge, the cached path
-// allocates, or one hot run_sharded call allocates more than 0.1 times per
-// arrival (the CI gate). It also prints, ungated, the heap allocations per
-// L1 miss over one call shaped like doxbench's engine-miss-n1.
+// allocates, one hot run_sharded call allocates more than 0.1 times per
+// arrival, or the peak RSS of a hot call grows by more than 0.6 MB per
+// simulated second of arrivals (the CI gates). It also prints, ungated,
+// the heap allocations per L1 miss over one call shaped like doxbench's
+// engine-miss-n1.
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 #include "bench_util.h"
@@ -197,6 +206,90 @@ MissAllocs measure_miss_call_allocs(std::uint64_t seed) {
   return m;
 }
 
+/// This process's peak resident set so far, in MB.
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
+/// Runs `work` in a forked child and returns its result, so that the
+/// child's peak RSS, read inside `work`, covers that work and nothing the
+/// bench ran before. The bench holds no threads between calls, so the
+/// child starts with one. Exits the bench if the child fails.
+template <typename Work>
+auto in_child(Work work) -> decltype(work()) {
+  using Result = decltype(work());
+  static_assert(std::is_trivially_copyable_v<Result>);
+  int fds[2];
+  if (pipe(fds) != 0) {
+    std::perror("pipe");
+    std::exit(1);
+  }
+  std::fflush(stdout);
+  const pid_t pid = fork();
+  if (pid < 0) {
+    std::perror("fork");
+    std::exit(1);
+  }
+  if (pid == 0) {
+    close(fds[0]);
+    const Result result = work();
+    const bool sent =
+        write(fds[1], &result, sizeof result) ==
+        static_cast<ssize_t>(sizeof result);
+    std::fflush(stdout);
+    _exit(sent ? 0 : 1);
+  }
+  close(fds[1]);
+  Result result{};
+  const ssize_t got = read(fds[0], &result, sizeof result);
+  close(fds[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  if (got != static_cast<ssize_t>(sizeof result) || !WIFEXITED(status) ||
+      WEXITSTATUS(status) != 0) {
+    std::fprintf(stderr, "FAIL: a forked measurement did not finish\n");
+    std::exit(1);
+  }
+  return result;
+}
+
+/// Peak RSS of a short and then a long hot call at one shard, 50k qps and
+/// default TTLs, in one process: what memory grows by per simulated second
+/// of arrivals once the world is built. One pool thread keeps both calls'
+/// allocations in the same allocator arenas, so what one call leaves
+/// cached there is not counted as growth.
+struct RssGrowth {
+  double short_mb = 0.0;
+  double long_mb = 0.0;
+  static constexpr int kShortSeconds = 3;
+  static constexpr int kLongSeconds = 10;
+  double per_second() const {
+    return (long_mb - short_mb) / (kLongSeconds - kShortSeconds);
+  }
+};
+
+RssGrowth measure_rss_growth(std::uint64_t seed) {
+  return in_child([seed] {
+    engine::ShardedConfig config;
+    config.seed = seed;
+    config.shards = 1;
+    config.threads = 1;
+    config.clients = 1'000'000;
+    config.qps = 50000;
+    config.names = 200;
+    RssGrowth growth;
+    config.duration = RssGrowth::kShortSeconds * kSecond;
+    engine::run_sharded(config);
+    growth.short_mb = peak_rss_mb();
+    config.duration = RssGrowth::kLongSeconds * kSecond;
+    engine::run_sharded(config);
+    growth.long_mb = peak_rss_mb();
+    return growth;
+  });
+}
+
 struct ScaleRow {
   std::uint32_t shards = 0;
   double effective_qps = 0.0;
@@ -219,6 +312,8 @@ struct ScaleRow {
   std::uint64_t digest = 0;
   std::uint64_t outcome_digest = 0;
   double p99_ms = 0.0;
+  double peak_rss_mb = 0.0;  ///< the row's process, all its reps
+  bool deterministic = true;  ///< every rep matched the first
 
   /// Within-run speedup: how much shorter the critical path is than
   /// serializing the same run's shard work. Numerator and denominator come
@@ -260,19 +355,26 @@ ScaleRow run_once(const engine::ShardedConfig& config) {
 /// Best-of-N to shed scheduler and frequency noise (same idiom as
 /// micro_components): the simulated results are bit-identical across reps —
 /// which doubles as the run-to-run determinism check — so only the timing
-/// differs, and the fastest rep is the least-perturbed measurement.
-ScaleRow run_best(const engine::ShardedConfig& config, int reps,
-                  bool* deterministic) {
-  ScaleRow best = run_once(config);
-  for (int rep = 1; rep < reps; ++rep) {
-    const ScaleRow row = run_once(config);
-    if (row.digest != best.digest || row.queries != best.queries ||
-        row.l2_hits != best.l2_hits) {
-      *deterministic = false;
+/// differs, and the fastest rep is the least-perturbed measurement. The
+/// reps run in one forked child, whose peak RSS the row records.
+ScaleRow run_best(const engine::ShardedConfig& config, int reps) {
+  return in_child([&config, reps] {
+    ScaleRow best = run_once(config);
+    for (int rep = 1; rep < reps; ++rep) {
+      const ScaleRow row = run_once(config);
+      if (row.digest != best.digest || row.queries != best.queries ||
+          row.l2_hits != best.l2_hits) {
+        best.deterministic = false;
+      }
+      if (row.critical_path_ms < best.critical_path_ms) {
+        const bool deterministic = best.deterministic;
+        best = row;
+        best.deterministic = deterministic;
+      }
     }
-    if (row.critical_path_ms < best.critical_path_ms) best = row;
-  }
-  return best;
+    best.peak_rss_mb = peak_rss_mb();
+    return best;
+  });
 }
 
 }  // namespace
@@ -298,6 +400,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(base.duration / kSecond),
               static_cast<unsigned long long>(base.seed));
 
+  // First, while the bench holds nothing else: memory against run length.
+  const RssGrowth growth = measure_rss_growth(base.seed);
+
   const std::vector<std::uint32_t> counts = {1, 2, 4, 8};
   const int reps = 3;
   bool deterministic = true;
@@ -305,18 +410,20 @@ int main(int argc, char** argv) {
   for (std::uint32_t n : counts) {
     engine::ShardedConfig config = base;
     config.shards = n;
-    rows.push_back(run_best(config, reps, &deterministic));
+    rows.push_back(run_best(config, reps));
+    deterministic = deterministic && rows.back().deterministic;
   }
 
-  std::printf("\n%7s %14s %12s %10s %9s %10s %8s %10s\n", "shards",
+  std::printf("\n%7s %14s %12s %10s %9s %10s %8s %10s %8s\n", "shards",
               "critical qps", "wall qps", "vs serial", "vs N=1", "l2 hits",
-              "p99 ms", "lock-miss");
+              "p99 ms", "lock-miss", "rss MB");
   for (const ScaleRow& row : rows) {
-    std::printf("%7u %14.0f %12.0f %9.2fx %8.2fx %10llu %8.2f %10llu\n",
+    std::printf("%7u %14.0f %12.0f %9.2fx %8.2fx %10llu %8.2f %10llu %8.1f\n",
                 row.shards, row.effective_qps, row.wall_qps, row.vs_serial(),
                 row.effective_qps / rows.front().effective_qps,
                 static_cast<unsigned long long>(row.l2_hits), row.p99_ms,
-                static_cast<unsigned long long>(row.lock_misses));
+                static_cast<unsigned long long>(row.lock_misses),
+                row.peak_rss_mb);
   }
 
   std::printf("\n%7s %9s %9s %9s %9s %9s %9s %9s\n", "shards", "wall ms",
@@ -381,6 +488,10 @@ int main(int argc, char** argv) {
               miss.per_miss(), static_cast<unsigned long long>(miss.allocs),
               static_cast<unsigned long long>(miss.misses),
               miss.per_arrival());
+  std::printf("peak RSS of a hot one-shard call: %.1f MB after %d s of "
+              "arrivals, %.1f MB after %d s: %.3f MB per simulated second\n",
+              growth.short_mb, RssGrowth::kShortSeconds, growth.long_mb,
+              RssGrowth::kLongSeconds, growth.per_second());
 
   bool ok = true;
   bool batch_invariant = true;
@@ -437,6 +548,15 @@ int main(int argc, char** argv) {
                  call_allocs);
     ok = false;
   }
+  // 8 bytes per answered query (the latency samples) is 0.4 MB/s at 50k
+  // qps; everything else must be bounded by the window, not the run.
+  if (growth.per_second() > 0.6) {
+    std::fprintf(stderr,
+                 "FAIL: peak RSS grows %.3f MB per simulated second of "
+                 "arrivals (gate 0.6)\n",
+                 growth.per_second());
+    ok = false;
+  }
 
   if (json) {
     bench::JsonReporter reporter;
@@ -461,6 +581,7 @@ int main(int argc, char** argv) {
       reporter.metric(bench, "l2_lock_misses",
                       static_cast<double>(row.lock_misses));
       reporter.metric(bench, "p99_ms", row.p99_ms);
+      reporter.metric(bench, "peak_rss_mb", row.peak_rss_mb);
     }
     for (const BatchRow& b : batch_rows) {
       const std::string bench = "batch_N" + std::to_string(b.shards) + "_w" +
@@ -473,6 +594,9 @@ int main(int argc, char** argv) {
     }
     reporter.metric("invariants", "cached_allocs_with_l2", allocs);
     reporter.metric("invariants", "call_allocs_per_arrival", call_allocs);
+    reporter.metric("rss_growth", "short_call_peak_rss_mb", growth.short_mb);
+    reporter.metric("rss_growth", "long_call_peak_rss_mb", growth.long_mb);
+    reporter.metric("rss_growth", "mb_per_sim_second", growth.per_second());
     reporter.metric("miss_call", "allocs", static_cast<double>(miss.allocs));
     reporter.metric("miss_call", "misses", static_cast<double>(miss.misses));
     reporter.metric("miss_call", "allocs_per_miss", miss.per_miss());

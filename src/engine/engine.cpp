@@ -412,8 +412,26 @@ EngineStats ForwarderEngine::stats() const {
 void EngineStats::add(const EngineStats& other, stats::Across across) {
   stats::merge(*this, other, across);
   upstream_errors.add(other.upstream_errors);
-  upstreams.insert(upstreams.end(), other.upstreams.begin(),
-                   other.upstreams.end());
+  // A restart rebuilds the same pools: one row per upstream, whose events
+  // add and whose health is the live world's. Sibling shards' rows append.
+  const bool same_pools =
+      across == stats::Across::kRestart &&
+      std::equal(upstreams.begin(), upstreams.end(), other.upstreams.begin(),
+                 other.upstreams.end(),
+                 [](const UpstreamHealth& a, const UpstreamHealth& b) {
+                   return a.name == b.name;
+                 });
+  if (same_pools) {
+    for (std::size_t i = 0; i < upstreams.size(); ++i) {
+      UpstreamHealth row = other.upstreams[i];
+      row.attempts += upstreams[i].attempts;
+      row.failures += upstreams[i].failures;
+      upstreams[i] = std::move(row);
+    }
+  } else {
+    upstreams.insert(upstreams.end(), other.upstreams.begin(),
+                     other.upstreams.end());
+  }
   policy_errors.add(other.policy_errors);
   bool aligned = policy_rules.size() == other.policy_rules.size();
   for (std::size_t i = 0; aligned && i < policy_rules.size(); ++i) {

@@ -157,9 +157,11 @@ struct EngineStats {
 
   /// Merges `other` into this: sibling shards, or a restart's later world
   /// onto the earlier one. Counters follow their table rule; upstream
-  /// health rows append (each shard has its own pool); per-rule policy
-  /// counters sum elementwise when the chains line up (identical config
-  /// per shard) and append otherwise.
+  /// health rows append across shards (each shard has its own pool) and
+  /// merge row by row across a restart (attempts and failures add, the
+  /// health is the later world's); per-rule policy counters sum
+  /// elementwise when the chains line up (identical config per shard) and
+  /// append otherwise.
   void add(const EngineStats& other, stats::Across across);
 
   /// Fraction of cache-missing queries that coalesced onto an existing

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -24,13 +23,6 @@ double unit(std::uint64_t bits) {
 std::uint32_t below(std::uint64_t bits, std::uint64_t n) {
   return static_cast<std::uint32_t>(((bits >> 32) * n) >> 32);
 }
-
-/// One column of the name table: a draw landing in column i keeps i when
-/// its low 32 bits fall below `keep`, and takes `alias` otherwise.
-struct AliasColumn {
-  std::uint32_t keep = 0;
-  std::uint32_t alias = 0;
-};
 
 /// Vose's alias table over the name ranks, rank r weighted 1/r (Zipf-1).
 std::vector<AliasColumn> zipf_alias_table(std::size_t names) {
@@ -150,64 +142,86 @@ std::uint32_t owner(const ShardedConfig& config, const Arrival& entry) {
                               : client_source(config, entry.client));
 }
 
+/// Visits the entries of chunk `c` stored in [from, to), in schedule
+/// order, with their owning shard.
+template <typename Visit>
+void each_entry(const ShardedConfig& config,
+                const std::vector<AliasColumn>& names, SimTime from,
+                SimTime to, std::uint64_t c, Visit&& visit) {
+  draw_chunk(config, names, c, [&](const Arrival& entry) {
+    if (entry.at >= from && entry.at < to) visit(entry, owner(config, entry));
+  });
+}
+
 }  // namespace
 
-std::vector<std::vector<Arrival>> draw_schedule(const ShardedConfig& config,
-                                                SimTime from, SimTime to,
-                                                util::ThreadPool& pool,
-                                                std::uint64_t& legit) {
+Schedule::Schedule(const ShardedConfig& config, SimTime from, SimTime to,
+                   util::ThreadPool& pool)
+    : config_(config),
+      from_(from),
+      to_(std::min(to, config.duration)),
+      entries_(config.shards, 0),
+      legit_(config.shards, 0) {
+  if (from_ >= to_) return;
+  first_ = static_cast<std::uint64_t>(from_ / kScheduleChunk);
+  chunks_ = static_cast<std::size_t>((to_ - 1) / kScheduleChunk + 1) - first_;
+  if (config.qps > 0.0) names_ = zipf_alias_table(config.names);
+
+  // Each chunk's entries per shard, then its legit entries per shard. Rows
+  // are counted locally: neighbouring chunks' rows share cache lines.
   const std::uint32_t n = config.shards;
-  std::vector<std::vector<Arrival>> slices(n);
-  legit = 0;
-  to = std::min(to, config.duration);
-  if (from >= to) return slices;
-  const auto first = static_cast<std::uint64_t>(from / kScheduleChunk);
-  const auto chunks =
-      static_cast<std::size_t>((to - 1) / kScheduleChunk + 1) - first;
-  const std::vector<AliasColumn> names =
-      config.qps > 0.0 ? zipf_alias_table(config.names)
-                       : std::vector<AliasColumn>{};
-
-  // Visits chunk i's entries inside the window with their owning shard.
-  const auto each_entry = [&](std::size_t i, auto&& visit) {
-    draw_chunk(config, names, first + i, [&](const Arrival& entry) {
-      if (entry.at >= from && entry.at < to) visit(entry, owner(config, entry));
-    });
-  };
-
-  // Pass 1: each chunk's share per shard, and its legit count in column n.
-  // Rows are counted locally: neighbouring chunks' rows share cache lines.
-  const std::size_t width = n + 1;
-  std::vector<std::uint64_t> counts(chunks * width);
-  pool.parallel_for(chunks, [&](std::size_t i) {
+  const std::size_t width = 2 * std::size_t{n};
+  std::vector<std::uint64_t> counts(chunks_ * width);
+  pool.parallel_for(chunks_, [&](std::size_t i) {
     std::vector<std::uint64_t> row(width, 0);
-    each_entry(i, [&](const Arrival& entry, std::uint32_t shard) {
-      ++row[shard];
-      if (!(entry.name & kAttackTag)) ++row[n];
-    });
+    each_entry(config_, names_, from_, to_, first_ + i,
+               [&](const Arrival& entry, std::uint32_t shard) {
+                 ++row[shard];
+                 if (!(entry.name & kAttackTag)) ++row[n + shard];
+               });
     std::copy(row.begin(), row.end(), counts.begin() + i * width);
   });
-
-  // Every shard's runs follow each other in chunk order: the counts become
-  // each run's first slot, and each slice gets its exact size.
-  for (std::uint32_t s = 0; s < n; ++s) {
-    std::uint64_t size = 0;
-    for (std::size_t i = 0; i < chunks; ++i) {
-      size += std::exchange(counts[i * width + s], size);
+  for (std::size_t i = 0; i < chunks_; ++i) {
+    for (std::uint32_t s = 0; s < n; ++s) {
+      entries_[s] += counts[i * width + s];
+      legit_[s] += counts[i * width + n + s];
     }
-    slices[s].resize(size);
   }
-  for (std::size_t i = 0; i < chunks; ++i) legit += counts[i * width + n];
+}
 
-  // Pass 2: the same draws again, each entry written to its slot.
-  pool.parallel_for(chunks, [&](std::size_t i) {
-    const auto row = counts.begin() + static_cast<std::ptrdiff_t>(i * width);
-    std::vector<std::uint64_t> slot(row, row + n);
-    each_entry(i, [&](const Arrival& entry, std::uint32_t shard) {
-      slices[shard][slot[shard]++] = entry;
-    });
+std::uint64_t Schedule::legit() const {
+  std::uint64_t total = 0;
+  for (const std::uint64_t count : legit_) total += count;
+  return total;
+}
+
+SimTime Schedule::horizon() const {
+  if (drawn_ == chunks_) return kSimTimeNever;
+  return static_cast<SimTime>(first_ + drawn_) * kScheduleChunk;
+}
+
+void Schedule::fill(util::ThreadPool& pool,
+                    std::span<std::vector<Arrival>> runs) {
+  const std::uint32_t n = config_.shards;
+  const std::size_t batch = runs.size() / n;
+  const std::uint64_t first = first_ + drawn_;
+  pool.parallel_for(batch, [&](std::size_t j) {
+    // Appended through local handles: neighbouring chunks' runs share
+    // cache lines, and every append writes its run's end.
+    std::vector<std::vector<Arrival>> local(n);
+    for (std::uint32_t s = 0; s < n; ++s) {
+      local[s] = std::move(runs[s * batch + j]);
+      local[s].clear();
+    }
+    each_entry(config_, names_, from_, to_, first + j,
+               [&](const Arrival& entry, std::uint32_t shard) {
+                 local[shard].push_back(entry);
+               });
+    for (std::uint32_t s = 0; s < n; ++s) {
+      runs[s * batch + j] = std::move(local[s]);
+    }
   });
-  return slices;
+  drawn_ += batch;
 }
 
 }  // namespace doxlab::engine

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
+#include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "dns/message.h"
+#include "engine/schedule.h"
 #include "util/rng.h"
 
 namespace doxlab::engine {
@@ -22,6 +26,15 @@ constexpr std::uint64_t kAttackQueryLane = 0xA7AC0000ull;
 
 /// One slot per 16-bit transaction id; id 0 is never handed out.
 constexpr std::size_t kIdSlots = std::size_t{1} << 16;
+
+/// A Deadline holds 48 bits of sequence number.
+constexpr std::uint64_t kDeadlineSeqLimit = std::uint64_t{1} << 48;
+
+/// Fails the run loudly where the arrival cursor or the deadline FIFO would
+/// otherwise fire an event out of place, which nothing else would notice.
+void require(bool holds, const char* what) {
+  if (!holds) throw std::logic_error(std::string("engine shard: ") + what);
+}
 
 /// Routes the narrowest prefix covering [base, base + count - 1] to `via`.
 /// Exact host addresses win over prefix routes in Network::route_host, so
@@ -71,38 +84,46 @@ std::uint32_t shard_of(const ShardedConfig& config, net::IpAddress source) {
       splitmix64(config.seed ^ 0xC11E47ull, source.value()) % config.shards);
 }
 
-std::vector<std::uint8_t> swarm_query_image(std::uint32_t name) {
-  return dns::make_query(0,
-                         dns::DnsName::parse("name" + std::to_string(name) +
-                                             ".load.example"),
-                         dns::RRType::kA)
-      .encode();
-}
-
-util::Buffer swarm_query(std::span<const std::uint8_t> image,
-                         std::uint16_t id) {
-  util::Buffer query = util::Buffer::copy_of(image);
-  query.data()[0] = static_cast<std::uint8_t>(id >> 8);
-  query.data()[1] = static_cast<std::uint8_t>(id & 0xFF);
-  return query;
+util::Buffer swarm_query(std::uint32_t name, std::uint16_t id) {
+  // After the id: RD, one question, one additional (the OPT record).
+  static constexpr std::uint8_t kFlagsAndCounts[] = {0x01, 0, 0, 1, 0, 0,
+                                                     0,    0, 0, 1};
+  // The rest of the question after the first label, then the OPT record:
+  // root owner, type OPT, 1232-byte payload, TTL 0, and the 8-byte client
+  // cookie as its one option (dns::make_query's defaults).
+  static constexpr std::uint8_t kTail[] = {
+      4, 'l', 'o', 'a', 'd', 7, 'e', 'x', 'a', 'm', 'p', 'l', 'e', 0,
+      0, 1, 0, 1,  // A, IN
+      0, 0, 41, 0x04, 0xD0, 0, 0, 0, 0, 0, 12,
+      0, dns::kEdnsCookieOption, 0, 8,
+      0xde, 0xad, 0xbe, 0xef, 0x13, 0x37, 0x42, 0x77};
+  // Composed on the stack, then copied into the pooled buffer whole:
+  // "name" and up to 10 digits make the longest first label.
+  std::uint8_t wire[12 + 1 + 14 + sizeof kTail];
+  wire[0] = static_cast<std::uint8_t>(id >> 8);
+  wire[1] = static_cast<std::uint8_t>(id);
+  std::memcpy(wire + 2, kFlagsAndCounts, sizeof kFlagsAndCounts);
+  char* label = reinterpret_cast<char*>(wire + 13);
+  std::memcpy(label, "name", 4);
+  char* end = std::to_chars(label + 4, label + 14, name).ptr;
+  wire[12] = static_cast<std::uint8_t>(end - label);
+  std::memcpy(end, kTail, sizeof kTail);
+  const auto size = static_cast<std::size_t>(
+      reinterpret_cast<std::uint8_t*>(end) + sizeof kTail - wire);
+  return util::Buffer::copy_of({wire, size});
 }
 
 EngineShard::EngineShard(const ShardedConfig& config, std::uint32_t index,
-                         std::vector<Arrival> arrivals,
+                         const Schedule& schedule,
                          dns::SharedPacketCache* l2, const Segment& segment)
     : config_(config),
       index_(index),
-      arrivals_(std::move(arrivals)),
-      legit_arrivals_(arrivals_.size()),
+      legit_arrivals_(schedule.legit(index)),
+      horizon_(schedule.horizon()),
       stop_(segment.stop) {
   // A restarted world starts at the restart instant, so warm start and TTL
   // decay see the true clock; on an empty queue this only moves the clock.
   sim_.run_until(segment.start);
-  if (!config.attacks.empty()) {
-    legit_arrivals_ = static_cast<std::size_t>(
-        std::count_if(arrivals_.begin(), arrivals_.end(),
-                      [](const Arrival& a) { return !(a.name & kAttackTag); }));
-  }
   network_ = std::make_unique<net::Network>(
       sim_, Rng(splitmix64(config.seed, kNetworkLane + index)));
   network_->set_loss_rate(0.0);
@@ -170,9 +191,8 @@ EngineShard::EngineShard(const ShardedConfig& config, std::uint32_t index,
                                               engine_config);
   target_ = net::Endpoint{host_->address(), engine_config.listen_port};
 
-  images_.resize(config.names);
   // Only a shard with arrivals sends queries and so receives answers; the
-  // 2 MB id table would dominate the set-up of an empty one.
+  // 1 MB id table would dominate the set-up of an empty one.
   if (legit_arrivals_ > 0) pending_.resize(kIdSlots);
   report_.latency_ms.reserve(legit_arrivals_);
 
@@ -197,11 +217,44 @@ EngineShard::EngineShard(const ShardedConfig& config, std::uint32_t index,
   }
   schedule_segment_events(segment);
 
-  // The arrival cursor: the sequence numbers eager scheduling would have
-  // used are reserved here, where the whole slice used to be queued, and
-  // each arrival queues its successor under its own number.
-  arrival_seq_ = sim_.reserve_sequence(arrivals_.size());
+  // The arrival cursor: the shard's whole block of sequence numbers is
+  // reserved here, where eager scheduling would have queued every entry,
+  // so entry k fires under the number the pinned streams were recorded
+  // with, arrival_seq_ + k. The entries themselves come with the fills
+  // (extend), and each arrival queues its successor.
+  arrival_seq_ = sim_.reserve_sequence(schedule.entries(index));
+}
+
+void EngineShard::lend_runs(std::span<std::vector<Arrival>> runs) {
+  for (std::vector<Arrival>& run : runs) {
+    if (spare_runs_.empty()) continue;
+    run = std::move(spare_runs_.back());
+    spare_runs_.pop_back();
+    run.clear();
+  }
+}
+
+void EngineShard::extend(std::span<std::vector<Arrival>> runs,
+                         SimTime horizon) {
+  // The runs before the cursor's were recycled; only their shells remain.
+  runs_.erase(runs_.begin(),
+              runs_.begin() + static_cast<std::ptrdiff_t>(run_));
+  run_ = 0;
+  const bool waiting = runs_.empty();
+  for (std::vector<Arrival>& run : runs) {
+    require(run.empty() || run.front().at >= horizon_,
+            "a fill would reorder the shard's entries");
+    runs_.push_back(std::move(run));
+  }
+  horizon_ = horizon;
+  report_.window_chunks_peak =
+      std::max<std::uint64_t>(report_.window_chunks_peak, runs_.size());
+  if (!waiting) return;
   schedule_arrival();
+  // The queue orders by (time, sequence number): an entry after every
+  // event popped so far fires exactly where eager scheduling put it.
+  require(run_ == runs_.size() || runs_[run_][entry_].at > ran_to_,
+          "an arrival was queued after the loop popped past it");
 }
 
 void EngineShard::build_attack_world(std::vector<UpstreamConfig>& upstreams) {
@@ -261,16 +314,27 @@ void EngineShard::apply_churn(const ChurnEvent& event) {
   }
 }
 
-void EngineShard::run_until(SimTime deadline) { sim_.run_until(deadline); }
+void EngineShard::run_until(SimTime deadline) {
+  // Past the horizon, an undrawn entry could be due before the deadline.
+  require(deadline < horizon_, "an epoch ran past the last drawn entry");
+  sim_.run_until(deadline);
+  ran_to_ = deadline;
+}
 
 void EngineShard::schedule_arrival() {
-  if (next_arrival_ == arrivals_.size()) return;
-  sim_.at(arrivals_[next_arrival_].at, arrival_seq_ + next_arrival_,
+  while (run_ < runs_.size() && entry_ == runs_[run_].size()) {
+    spare_runs_.push_back(std::move(runs_[run_]));
+    ++run_;
+    entry_ = 0;
+  }
+  if (run_ == runs_.size()) return;  // the next fill queues it
+  sim_.at(runs_[run_][entry_].at, arrival_seq_ + next_arrival_,
           [this] { on_arrival(); });
 }
 
 void EngineShard::on_arrival() {
-  const Arrival arrival = arrivals_[next_arrival_++];
+  const Arrival arrival = runs_[run_][entry_++];
+  ++next_arrival_;
   schedule_arrival();
   if (arrival.name & kAttackTag) {
     send_attack(arrival);
@@ -315,7 +379,7 @@ void EngineShard::send_query(std::uint32_t client, std::uint32_t name_index) {
   // short-lived queries, a still-pending id is skipped (deterministically)
   // rather than clobbered.
   std::uint16_t id = next_id_;
-  while (pending_[id].live) {
+  while (pending_[id].live()) {
     if (++id == 0) id = 1;
     if (id == next_id_) {
       // 65535 in flight: shed this arrival. Counted so the load report
@@ -328,24 +392,59 @@ void EngineShard::send_query(std::uint32_t client, std::uint32_t name_index) {
   next_id_ = static_cast<std::uint16_t>(id + 1);
   if (next_id_ == 0) next_id_ = 1;
 
-  std::vector<std::uint8_t>& image = images_[name_index];
-  if (image.empty()) image = swarm_query_image(name_index);
-
-  PendingQuery& pending = pending_[id];
-  pending.live = true;
-  pending.sent_at = sim_.now();
-  pending.timeout = sim_.schedule(kClientTimeout, [this, id] {
-    PendingQuery& expired = pending_[id];
-    if (!expired.live) return;
-    book_terminal(expired.sent_at, kOutcomeTimeout, 0.0);
-    finish(expired);
-    ++report_.timeouts;
-  });
+  // The timeout's number is reserved at send, so at its instant it ties
+  // with answers and other events by send order.
+  const std::uint64_t seq = sim_.reserve_sequence(1);
+  require(seq < kDeadlineSeqLimit, "sequence numbers overflow the FIFO");
+  pending_[id] = PendingQuery{sim_.now(), seq};
+  push_deadline(seq, id);
   ++in_flight_;
 
   ++report_.sent;
   swarm_->send_to_from(target_, client_source(config_, client),
-                       swarm_query(image, id));
+                       swarm_query(name_index, id));
+}
+
+void EngineShard::push_deadline(std::uint64_t seq, std::uint16_t id) {
+  if (fifo_size_ == deadlines_.size()) {
+    // Full: unroll the ring into one twice the size.
+    std::vector<Deadline> grown(std::max<std::size_t>(1024, 2 * fifo_size_));
+    for (std::size_t i = 0; i < fifo_size_; ++i) {
+      grown[i] = deadlines_[(fifo_head_ + i) & (deadlines_.size() - 1)];
+    }
+    deadlines_ = std::move(grown);
+    fifo_head_ = 0;
+  }
+  deadlines_[(fifo_head_ + fifo_size_++) & (deadlines_.size() - 1)] =
+      Deadline{seq, id};
+  report_.deadline_fifo_peak =
+      std::max<std::uint64_t>(report_.deadline_fifo_peak, fifo_size_);
+  if (fifo_size_ == 1) arm_deadline();
+}
+
+void EngineShard::arm_deadline() {
+  const std::size_t mask = deadlines_.size() - 1;
+  while (fifo_size_ > 0) {
+    const Deadline head = deadlines_[fifo_head_];
+    const PendingQuery& pending = pending_[head.id];
+    if (pending.timeout_seq == head.seq) {
+      // Its deadline is at or after every event popped so far (the earlier
+      // heads' deadlines came first), so it fires where its own timer would.
+      deadline_timer_ = sim_.at(pending.sent_at + kClientTimeout, head.seq,
+                                [this] { on_deadline(); });
+      return;
+    }
+    fifo_head_ = (fifo_head_ + 1) & mask;
+    --fifo_size_;
+  }
+}
+
+void EngineShard::on_deadline() {
+  PendingQuery& expired = pending_[deadlines_[fifo_head_].id];
+  book_terminal(expired.sent_at, kOutcomeTimeout, 0.0);
+  finish(expired);
+  ++report_.timeouts;
+  arm_deadline();
 }
 
 void EngineShard::send_attack(const Arrival& arrival) {
@@ -383,15 +482,18 @@ void EngineShard::send_attack(const Arrival& arrival) {
 }
 
 void EngineShard::finish(PendingQuery& pending) {
-  pending.live = false;
+  pending.timeout_seq = 0;
   --in_flight_;
 }
 
 void EngineShard::on_response(util::Buffer payload) {
   if (!dns::scan_message(payload, response_) || !response_.qr()) return;
   PendingQuery& pending = pending_[response_.id];
-  if (!pending.live) return;  // late answer after timeout
-  pending.timeout.cancel();
+  if (!pending.live()) return;  // late answer after timeout
+  // Answering the armed head disarms its timer: a stale one must never
+  // fire, since every executed event moves the stream digest.
+  const bool head = deadlines_[fifo_head_].seq == pending.timeout_seq;
+  if (head) deadline_timer_.cancel();
   if (response_.rcode() == dns::RCode::kServFail) {
     ++report_.servfails;
     book_terminal(pending.sent_at, kOutcomeServfail, 0.0);
@@ -402,6 +504,7 @@ void EngineShard::on_response(util::Buffer payload) {
     book_terminal(pending.sent_at, kOutcomeAnswered, latency);
   }
   finish(pending);
+  if (head) arm_deadline();
 }
 
 void EngineShard::on_attack_response(std::size_t attack,

@@ -3,11 +3,12 @@
 // stub-client swarm) that runs on one thread at a time.
 //
 // The coordinator (engine/sharded.h) hashes stub clients onto shards by
-// source address and hands each shard its slice of the one arrival schedule
-// (engine/schedule.h). Everything inside a shard is derived from (seed, shard index)
-// only — never from the shard *count* or from wall-clock — so a shard's
-// event stream is bit-identical run to run; the simulator's
-// event_stream_digest() pins exactly that in the determinism tests.
+// source address and streams each shard its share of the one arrival
+// schedule (engine/schedule.h). Everything inside a shard is derived from
+// (seed, shard index) only — never from the shard *count* or from
+// wall-clock — so a shard's event stream is bit-identical run to run; the
+// simulator's event_stream_digest() pins exactly that in the determinism
+// tests.
 //
 // The swarm client does not open one ephemeral socket per client (the UDP
 // stack has ~16k ephemeral ports; the sharded scenario drives millions of
@@ -16,14 +17,17 @@
 // the client prefix and demux by DNS transaction id, so per-client state is
 // zero bytes — client count scales to millions for free.
 //
-// Off the heap allocator: each name's query image is encoded once, on first
-// use, and a send copies it into a pooled buffer and patches the id; answers
-// are read by one validating scan (id, flags, question) into one scratch
-// head, never fully decoded; in-flight queries live in a flat table
-// indexed by transaction id. Arrivals stream through an arrival cursor: the
-// shard holds its slice and keeps exactly one arrival event queued, under
-// sequence numbers reserved where the whole slice used to be scheduled (see
-// sim/simulator.h), so the event stream is the one eager scheduling gives.
+// Off the heap allocator: each query is composed straight into a pooled
+// buffer; answers are read by one validating scan (id, flags, question)
+// into one scratch head, never fully decoded; in-flight queries live in a
+// flat table indexed by transaction id, and their timeouts in a FIFO of
+// deadlines under one armed timer. Arrivals stream through an arrival
+// cursor: the shard's arrival window holds the runs the coordinator has
+// drawn so far, and the cursor keeps exactly one arrival event queued,
+// under sequence numbers reserved at construction for all of the shard's
+// entries (see sim/simulator.h), so the event stream is the one eager
+// scheduling gives. The swarm's state is bounded by the window, not the
+// run (DESIGN 10.1); only the latency samples grow with it.
 //
 // Attack entries, churn events, restart probes and the send-time series
 // only exist when the config asks for them; without them the world and its
@@ -36,6 +40,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "dns/message.h"
@@ -61,9 +66,8 @@ struct Arrival {
   std::uint32_t client = 0;
   std::uint32_t name = 0;
 };
-// Each shard holds its slice of the schedule for the whole run: at 500k
-// arrivals, a larger entry pushes the hot single-shard run's peak RSS
-// toward its benchmark bound.
+// A shard's arrival window holds a few chunks' runs of these, and every
+// fill writes them: keep them small.
 static_assert(sizeof(Arrival) == 16, "Arrival must stay 16 bytes");
 
 /// Marks an attack entry's `name` field; legit name indices stay below it.
@@ -147,16 +151,26 @@ struct ChurnEvent {
   X(timeouts, kSum)   /* gave up waiting */                                 \
   /* Arrivals dropped before sending (the swarm's 16-bit transaction-id     \
      space was exhausted); sent + shed == arrivals offered. */              \
-  X(shed, kSum)
+  X(shed, kSum)                                                             \
+  /* High waters of the swarm's bounded state (DESIGN 10.1): schedule       \
+     chunks in the arrival window, entries in the deadline FIFO. */         \
+  X(window_chunks_peak, kMax)                                               \
+  X(deadline_fifo_peak, kMax)
 struct LoadReport {
   DOXLAB_METRICS(LoadReport, DOXLAB_LOAD_METRICS)
   std::vector<double> latency_ms;  ///< answered queries only
 
-  /// Merges `other` into this by the table's rules; latencies append.
-  void add(const LoadReport& other, stats::Across across) {
+  /// Merges `other`'s counters into this by the table's rules and moves its
+  /// samples over: taken whole when this has room for none, appended
+  /// otherwise. `other` keeps its counters and is left with no samples.
+  void add(LoadReport&& other, stats::Across across) {
     stats::merge(*this, other, across);
-    latency_ms.insert(latency_ms.end(), other.latency_ms.begin(),
-                      other.latency_ms.end());
+    std::vector<double> samples = std::exchange(other.latency_ms, {});
+    if (latency_ms.capacity() == 0) {
+      latency_ms = std::move(samples);
+    } else {
+      latency_ms.insert(latency_ms.end(), samples.begin(), samples.end());
+    }
   }
   /// Every *sent* query reached a terminal outcome (shed never went out).
   bool complete() const { return answered + servfails + timeouts == sent; }
@@ -256,13 +270,11 @@ net::IpAddress client_source(const ShardedConfig& config, std::uint32_t index);
 std::uint32_t shard_of(const ShardedConfig& config, net::IpAddress source);
 
 /// The swarm's query for name index `name` ("name<name>.load.example", type
-/// A, EDNS0 with a client cookie) under transaction id 0: byte-identical to
-/// dns::make_query(0, name, kA).encode().
-std::vector<std::uint8_t> swarm_query_image(std::uint32_t name);
+/// A, EDNS0 with a client cookie) under transaction id `id`, composed in a
+/// pooled buffer: byte-identical to dns::make_query(id, name, kA).encode().
+util::Buffer swarm_query(std::uint32_t name, std::uint16_t id);
 
-/// Copies a query `image` into a pooled buffer and patches in `id`.
-util::Buffer swarm_query(std::span<const std::uint8_t> image,
-                         std::uint16_t id);
+class Schedule;
 
 /// The part of a run one set of shard worlds covers: the clock starts at
 /// `start`, the arrivals fall in [start, stop), and the engine counters are
@@ -275,20 +287,31 @@ struct Segment {
 
 class EngineShard {
  public:
-  /// Builds the shard's world for `segment` and takes ownership of its
-  /// `arrivals` slice, which must be sorted by time (the coordinator's
-  /// schedule is). `l2` may be null (no shared cache). The ShardedConfig
-  /// must outlive the shard.
+  /// Builds the shard's world for `segment`, whose arrivals are
+  /// `schedule`'s (only its counts are read here: the entries come by
+  /// `extend`). `l2` may be null (no shared cache). The ShardedConfig must
+  /// outlive the shard.
   EngineShard(const ShardedConfig& config, std::uint32_t index,
-              std::vector<Arrival> arrivals, dns::SharedPacketCache* l2,
+              const Schedule& schedule, dns::SharedPacketCache* l2,
               const Segment& segment);
 
   EngineShard(const EngineShard&) = delete;
   EngineShard& operator=(const EngineShard&) = delete;
 
+  /// Hands out one cleared run per element of `runs` for the next fill,
+  /// recycled from runs the cursor has walked where there are any.
+  void lend_runs(std::span<std::vector<Arrival>> runs);
+  /// Appends filled `runs` (this shard's entries of the next chunks, in
+  /// order) to the arrival window; every entry stored before `horizon` has
+  /// now been drawn. Queues the cursor's next entry if it was waiting.
+  /// Throws std::logic_error if the runs would reorder the shard's entries
+  /// or queue one after the loop could have popped past it.
+  void extend(std::span<std::vector<Arrival>> runs, SimTime horizon);
+
   /// Advances this shard's simulated clock to `deadline` (one epoch's
-  /// worth). Must not run concurrently with itself; the coordinator calls
-  /// it from at most one pool worker at a time.
+  /// worth), which must fall before the window's horizon (std::logic_error
+  /// otherwise). Must not run concurrently with itself; the coordinator
+  /// calls it from at most one pool worker at a time.
   void run_until(SimTime deadline);
 
   std::uint32_t index() const { return index_; }
@@ -301,7 +324,6 @@ class EngineShard {
     stats.link_queue_peak = links.queued_bytes_max;
     return stats;
   }
-  const LoadReport& report() const { return report_; }
   std::uint64_t events_executed() const { return sim_.events_executed(); }
   /// True once this shard is past its arrival window with no client query
   /// awaiting an answer: everything left in the event queue is engine
@@ -319,10 +341,10 @@ class EngineShard {
   /// batch-determinism ctest compares it across --batch-us settings, where
   /// the event-stream digest necessarily differs.
   std::uint64_t outcome_digest() const { return outcome_digest_; }
-  /// Legit schedule entries in this shard's slice.
+  /// Legit schedule entries this shard owns in its segment.
   std::size_t arrivals_scheduled() const { return legit_arrivals_; }
   /// Moves the load report out (the coordinator's merge, once the run is
-  /// over); report() is empty afterwards.
+  /// over).
   LoadReport take_report() { return std::move(report_); }
   /// Per-attack counters, in ShardedConfig::attacks order.
   const std::vector<AttackReport>& attack_reports() const {
@@ -336,11 +358,26 @@ class EngineShard {
   const std::vector<SeriesBucket>& series() const { return series_; }
 
  private:
+  /// An in-flight query's slot in the id table.
   struct PendingQuery {
     SimTime sent_at = 0;
-    sim::Timer timeout;
-    bool live = false;
+    /// The sequence number reserved for its timeout when it was sent; 0
+    /// while the slot is free (a query's number follows the arrival block
+    /// reserved at construction, so it is never 0).
+    std::uint64_t timeout_seq = 0;
+
+    bool live() const { return timeout_seq != 0; }
   };
+  // A shard with arrivals holds 65536 of them: keep them small.
+  static_assert(sizeof(PendingQuery) == 16, "PendingQuery must stay 16 B");
+  /// One entry of the deadline FIFO: a sent query, in send order. It is
+  /// dead once the slot `id` no longer holds `seq` (answered, or the id
+  /// taken by a later query).
+  struct Deadline {
+    std::uint64_t seq : 48;
+    std::uint64_t id : 16;
+  };
+  static_assert(sizeof(Deadline) == 8, "Deadline must stay 8 B");
 
   enum OutcomeClass : std::uint64_t {
     kOutcomeAnswered = 1,
@@ -360,7 +397,9 @@ class EngineShard {
   void schedule_segment_events(const Segment& segment);
   void apply_churn(const ChurnEvent& event);
 
-  /// Queues arrivals_[next_arrival_] under its reserved sequence number.
+  /// Queues the window's next entry under its reserved sequence number,
+  /// recycling the runs walked to their end; queues nothing while the
+  /// window is empty.
   void schedule_arrival();
   void on_arrival();
   void send_query(std::uint32_t client, std::uint32_t name_index);
@@ -370,12 +409,34 @@ class EngineShard {
   /// Frees a terminal query's id slot.
   void finish(PendingQuery& pending);
 
+  /// Appends a sent query to the deadline FIFO, arming the timer on it if
+  /// the FIFO was empty.
+  void push_deadline(std::uint64_t seq, std::uint16_t id);
+  /// Drops the dead entries at the FIFO's head and arms the timer on the
+  /// first live one, at its query's (deadline, reserved sequence number).
+  void arm_deadline();
+  /// The armed head timed out.
+  void on_deadline();
+
   const ShardedConfig& config_;
   std::uint32_t index_;
-  std::vector<Arrival> arrivals_;
   std::size_t legit_arrivals_ = 0;
-  std::size_t next_arrival_ = 0;
-  /// First of arrivals_.size() sequence numbers reserved at construction.
+  /// The arrival window: runs_[run_..] are the drawn runs not yet walked,
+  /// one per chunk, and entry_ is the cursor's place in runs_[run_].
+  std::vector<std::vector<Arrival>> runs_;
+  std::size_t run_ = 0;
+  std::size_t entry_ = 0;
+  /// Walked runs, cleared by the next fill and written again.
+  std::vector<std::vector<Arrival>> spare_runs_;
+  /// Every entry stored before this time is in the window.
+  SimTime horizon_ = 0;
+  /// The last epoch deadline run: no event after it has been popped.
+  SimTime ran_to_ = -1;
+  /// Schedule entries passed to the simulator so far (entry k fires under
+  /// arrival_seq_ + k).
+  std::uint64_t next_arrival_ = 0;
+  /// First of the shard's schedule.entries() sequence numbers, reserved at
+  /// construction.
   std::uint64_t arrival_seq_ = 0;
   /// End of this segment's arrival window (the drain check).
   SimTime stop_ = 0;
@@ -392,13 +453,19 @@ class EngineShard {
   /// Swarm client state: one socket for every client on this shard.
   std::unique_ptr<net::UdpSocket> swarm_;
   net::Endpoint target_;
-  /// Query images by name index, each built on first use (empty until then).
-  std::vector<std::vector<std::uint8_t>> images_;
   dns::MessageHead response_;  ///< scan scratch for answers
   std::uint16_t next_id_ = 1;
   /// In-flight queries indexed by transaction id (65536 slots).
   std::vector<PendingQuery> pending_;
   std::size_t in_flight_ = 0;
+  /// The deadline FIFO: a ring over deadlines_ (its size a power of two)
+  /// of fifo_size_ entries from fifo_head_. Every timeout has the same
+  /// length, so send order is deadline order; while the FIFO is not empty
+  /// its head is live and `deadline_timer_` is armed on it.
+  std::vector<Deadline> deadlines_;
+  std::size_t fifo_head_ = 0;
+  std::size_t fifo_size_ = 0;
+  sim::Timer deadline_timer_;
   std::uint64_t outcome_digest_ = 0;
   LoadReport report_;
 

@@ -7,7 +7,9 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <span>
 #include <string>
+#include <utility>
 
 #include "engine/schedule.h"
 #include "util/thread_pool.h"
@@ -109,20 +111,19 @@ class PhaseClock {
   Clock::time_point last_ = start_;
 };
 
-/// Draws `segment`'s arrivals, builds one set of shard worlds for it, runs
-/// the epoch loop to the end of its settle window, folds every shard into
-/// `result` (the engine counters at `segment.probes[p]` into
-/// `*probe_out[p]`) and tears the worlds down. Every phase runs on `pool`
-/// where it can, and each is charged to `clock`.
+/// Counts `segment`'s arrivals, builds one set of shard worlds for it, runs
+/// the epoch loop to the end of its settle window, drawing the arrivals
+/// batch by batch ahead of the epochs, folds every shard into `result` (the
+/// engine counters at `segment.probes[p]` into `*probe_out[p]`) and tears
+/// the worlds down. Every phase runs on `pool` where it can, and each is
+/// charged to `clock`.
 void run_world(const ShardedConfig& config, const Segment& segment,
                const std::vector<EngineStats*>& probe_out,
                util::ThreadPool& pool, PhaseClock& clock,
                ShardedResult& result) {
   const std::uint32_t n = config.shards;
-  std::uint64_t legit = 0;
-  std::vector<std::vector<Arrival>> slices =
-      draw_schedule(config, segment.start, segment.stop, pool, legit);
-  result.total_arrivals += legit;
+  Schedule schedule(config, segment.start, segment.stop, pool);
+  result.total_arrivals += schedule.legit();
   clock.lap(&ShardedResult::schedule_ms);
 
   auto l2 = std::make_unique<dns::SharedPacketCache>(config.l2_capacity, n);
@@ -138,10 +139,26 @@ void run_world(const ShardedConfig& config, const Segment& segment,
   std::vector<std::unique_ptr<EngineShard>> shards(n);
   pool.parallel_for(n, [&](std::size_t i) {
     shards[i] = std::make_unique<EngineShard>(
-        config, static_cast<std::uint32_t>(i), std::move(slices[i]), l2_ptr,
-        segment);
+        config, static_cast<std::uint32_t>(i), schedule, l2_ptr, segment);
   });
   clock.lap(&ShardedResult::build_ms);
+
+  // One fill draws a chunk per pool thread: shard s's run of chunk j is
+  // runs[s * batch + j], lent by the shard's window and handed back filled.
+  std::vector<std::vector<Arrival>> runs;
+  const auto fill = [&] {
+    const std::size_t batch =
+        std::min(pool.thread_count(), schedule.chunks_left());
+    runs.resize(batch * n);
+    const auto of = [&](std::uint32_t s) {
+      return std::span(runs).subspan(s * batch, batch);
+    };
+    for (std::uint32_t s = 0; s < n; ++s) shards[s]->lend_runs(of(s));
+    schedule.fill(pool, runs);
+    for (std::uint32_t s = 0; s < n; ++s) {
+      shards[s]->extend(of(s), schedule.horizon());
+    }
+  };
 
   std::vector<double> busy_ms(n, 0.0);
   std::vector<double> epoch_busy_ms(n, 0.0);
@@ -164,6 +181,12 @@ void run_world(const ShardedConfig& config, const Segment& segment,
       }
     }
     deadline = all_drained ? end : std::min(end, deadline + epoch);
+    // No shard may run an epoch past its last drawn entry.
+    if (schedule.horizon() <= deadline) {
+      clock.lap(&ShardedResult::epochs_ms);
+      while (schedule.horizon() <= deadline) fill();
+      clock.lap(&ShardedResult::schedule_ms);
+    }
     // Parallel phase: every shard runs to the epoch boundary. Each worker
     // writes only its own busy slot — no sharing, no synchronization needed
     // beyond the pool's own completion barrier.
@@ -190,8 +213,7 @@ void run_world(const ShardedConfig& config, const Segment& segment,
 
   // Each shard's outcome takes this world under the restart rule: the
   // first world's counters land on zeros, and a rebuilt world's events add
-  // to them while its gauges replace the torn-down world's. The first
-  // world's load report moves rather than copies its samples.
+  // to them while its gauges replace the torn-down world's. Samples move.
   const bool first = segment.start == 0;
   for (std::uint32_t i = 0; i < n; ++i) {
     EngineShard& shard = *shards[i];
@@ -201,14 +223,11 @@ void run_world(const ShardedConfig& config, const Segment& segment,
     outcome.outcome_digest += shard.outcome_digest();
     outcome.busy_ms += busy_ms[i];
     outcome.engine.add(shard.engine_stats(), stats::Across::kRestart);
-    if (first) {
-      outcome.load = shard.take_report();
-      outcome.stream_digest = shard.stream_digest();
-    } else {
-      outcome.load.add(shard.report(), stats::Across::kRestart);
-      outcome.stream_digest = (outcome.stream_digest * 0x100000001B3ull) ^
-                              shard.stream_digest();
-    }
+    outcome.load.add(shard.take_report(), stats::Across::kRestart);
+    outcome.stream_digest =
+        first ? shard.stream_digest()
+              : (outcome.stream_digest * 0x100000001B3ull) ^
+                    shard.stream_digest();
 
     // Attack and series counters are all events, so one running total
     // over shards and worlds is exact.
@@ -289,15 +308,16 @@ ShardedResult run_sharded(const ShardedConfig& config) {
   }
   clock.lap(&ShardedResult::teardown_ms);  // the pool's workers joined
 
-  // The merged samples are the one copy, reserved up front.
+  // The merged samples are the one copy: every shard's move over, freed
+  // as they go, into room reserved up front (one shard's are taken whole).
   std::size_t samples = 0;
   for (const ShardOutcome& outcome : result.shards) {
     samples += outcome.load.latency_ms.size();
   }
-  result.load.latency_ms.reserve(samples);
-  for (const ShardOutcome& outcome : result.shards) {
+  if (n > 1) result.load.latency_ms.reserve(samples);
+  for (ShardOutcome& outcome : result.shards) {
     result.engine.add(outcome.engine, stats::Across::kShards);
-    result.load.add(outcome.load, stats::Across::kShards);
+    result.load.add(std::move(outcome.load), stats::Across::kShards);
     result.merged_digest =
         (result.merged_digest * 0x100000001B3ull) ^ outcome.stream_digest;
     result.outcome_digest += outcome.outcome_digest;

@@ -4,11 +4,12 @@
 // `run_sharded` draws ONE arrival schedule from the seed (a Poisson process
 // of uniformly chosen clients asking Zipf-popular names, plus each
 // configured attack mix on its own lane, merged by time — engine/schedule.h)
-// straight into per-shard slices: every simulated client has a source
+// straight into per-shard runs: every simulated client has a source
 // address, and sources hash onto shards (splitmix64 — see engine/shard.h).
-// One EngineShard world per shard takes its slice. The offered load is
-// therefore *identical for every shard count*: changing --shards only
-// repartitions the same arrivals.
+// One EngineShard world per shard walks its runs, drawn batch by batch
+// just ahead of the epochs that need them. The offered load is therefore
+// *identical for every shard count*: changing --shards only repartitions
+// the same arrivals.
 //
 // One util::ThreadPool serves the whole run: it draws the schedule's
 // chunks, builds and tears down the worlds, and drives the epochs, which
@@ -55,6 +56,7 @@ namespace doxlab::engine {
 struct ShardOutcome {
   std::uint32_t index = 0;
   EngineStats engine;
+  /// The shard's counters; its samples went to ShardedResult::load.
   LoadReport load;
   std::uint64_t arrivals = 0;      ///< legit schedule entries assigned here
   std::uint64_t events = 0;        ///< simulator events executed
@@ -71,6 +73,8 @@ struct ShardedResult {
   /// Per-shard EngineStats merged via EngineStats::add, in shard order.
   EngineStats engine;
   /// Per-shard load reports summed; latencies concatenated in shard order.
+  /// They are the one copy: each shard's `load.latency_ms` is moved here
+  /// and left empty.
   LoadReport load;
   /// The shared L2's counters: events summed over both worlds of a
   /// restart, size and bytes from the world alive at the end.
@@ -91,7 +95,7 @@ struct ShardedResult {
   /// The wall's phases, summed over both worlds of a restart. They tile
   /// the wall, so they sum to `wall_ms`; barrier idle is `epochs_ms` minus
   /// `critical_path_ms`.
-  double schedule_ms = 0.0;  ///< pool start, arrival draws and slicing
+  double schedule_ms = 0.0;  ///< pool start, counting pass and every fill
   double build_ms = 0.0;     ///< L2 and shard worlds built
   double epochs_ms = 0.0;    ///< the epoch loop, sweeps included
   double teardown_ms = 0.0;  ///< worlds, L2 and pool torn down

@@ -130,6 +130,39 @@ TEST(ShardedEngine, MergedResultEqualsSumOfShards) {
   // The merged report reconciles with the offered load.
   EXPECT_EQ(result.load.sent + result.load.shed, result.total_arrivals);
   EXPECT_EQ(result.load.latency_ms.size(), result.load.answered);
+  // The merged samples are the one copy: every shard's moved over.
+  for (const ShardOutcome& shard : result.shards) {
+    EXPECT_TRUE(shard.load.latency_ms.empty()) << "shard " << shard.index;
+  }
+}
+
+TEST(LoadReport, AddMovesSamplesOverInOrder) {
+  // The runner's merges: shards into room reserved up front, in shard
+  // order; a first world onto an empty outcome, taken whole.
+  const std::vector<std::vector<double>> samples = {{1, 2}, {3}, {4, 5, 6}};
+  std::vector<LoadReport> shards(samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    shards[i].answered = samples[i].size();
+    shards[i].latency_ms = samples[i];
+  }
+  LoadReport merged;
+  merged.latency_ms.reserve(6);
+  for (LoadReport& shard : shards) {
+    merged.add(std::move(shard), stats::Across::kShards);
+  }
+  EXPECT_EQ(merged.latency_ms, (std::vector<double>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(merged.answered, 6u);
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    EXPECT_EQ(shards[i].answered, samples[i].size());  // counters stay
+    EXPECT_EQ(shards[i].latency_ms.capacity(), 0u);    // storage went too
+  }
+
+  LoadReport world;
+  world.latency_ms = {7, 8};
+  const double* storage = world.latency_ms.data();
+  LoadReport outcome;
+  outcome.add(std::move(world), stats::Across::kRestart);
+  EXPECT_EQ(outcome.latency_ms.data(), storage);
 }
 
 TEST(ShardedEngine, WideClientSpanStillRoutesReplies) {
@@ -176,15 +209,14 @@ TEST(ShardedEngine, ShardOfIsStableAndInRange) {
 }
 
 TEST(SwarmClient, QueryImageMatchesMakeQuery) {
-  // The swarm sends a stored image with the id patched in; it must be the
-  // exact bytes the per-query Message encode produced.
-  for (const std::uint32_t name : {0u, 7u, 199u, 99999u}) {
-    const std::vector<std::uint8_t> image = swarm_query_image(name);
+  // The swarm composes each query in a pooled buffer; it must be the exact
+  // bytes the per-query Message encode produced.
+  for (const std::uint32_t name : {0u, 7u, 199u, 99999u, 0xFFFFFFFFu}) {
     const dns::DnsName parsed = dns::DnsName::parse(
         "name" + std::to_string(name) + ".load.example");
     for (const std::uint16_t id : {std::uint16_t{1}, std::uint16_t{0x1234},
                                    std::uint16_t{0xFFFF}}) {
-      const util::Buffer query = swarm_query(image, id);
+      const util::Buffer query = swarm_query(name, id);
       EXPECT_EQ(std::vector<std::uint8_t>(query.data(),
                                           query.data() + query.size()),
                 dns::make_query(id, parsed, dns::RRType::kA).encode())
@@ -362,21 +394,45 @@ TEST(LoadGenerator, AllQueriesAccountedFor) {
 
 // The schedule itself (engine/schedule.h), drawn without running worlds.
 
-/// Every shard's slice of [from, to), drawn on a pool of `threads`.
+/// Every shard's entries in [from, to), streamed on a pool of `threads`
+/// `batch` chunks per fill into runs reused from fill to fill, as the
+/// runner draws them. Each shard's entries must match its counts.
 std::vector<std::vector<Arrival>> draw(const ShardedConfig& config,
                                        SimTime from, SimTime to,
-                                       int threads = 2) {
+                                       int threads = 2,
+                                       std::size_t batch = 2) {
   util::ThreadPool pool(threads);
-  std::uint64_t legit = 0;
-  std::vector<std::vector<Arrival>> slices =
-      draw_schedule(config, from, to, pool, legit);
-  std::uint64_t counted = 0;
-  for (const auto& slice : slices) {
-    counted += static_cast<std::uint64_t>(
-        std::count_if(slice.begin(), slice.end(),
-                      [](const Arrival& a) { return !(a.name & kAttackTag); }));
+  Schedule schedule(config, from, to, pool);
+  const std::uint32_t n = config.shards;
+  std::vector<std::vector<Arrival>> slices(n);
+  std::vector<std::vector<Arrival>> runs;
+  SimTime horizon = schedule.horizon();
+  while (horizon != kSimTimeNever) {
+    const std::size_t chunks = std::min(batch, schedule.chunks_left());
+    runs.resize(chunks * n);
+    schedule.fill(pool, runs);
+    for (std::uint32_t s = 0; s < n; ++s) {
+      for (std::size_t j = 0; j < chunks; ++j) {
+        for (const Arrival& a : runs[s * chunks + j]) {
+          // Every entry of a fill lies past the horizon before it.
+          EXPECT_GE(a.at, horizon);
+          slices[s].push_back(a);
+        }
+      }
+    }
+    EXPECT_GT(schedule.horizon(), horizon);
+    horizon = schedule.horizon();
   }
-  EXPECT_EQ(legit, counted);
+  std::uint64_t legit = 0;
+  for (std::uint32_t s = 0; s < n; ++s) {
+    const auto counted = static_cast<std::uint64_t>(std::count_if(
+        slices[s].begin(), slices[s].end(),
+        [](const Arrival& a) { return !(a.name & kAttackTag); }));
+    EXPECT_EQ(schedule.entries(s), slices[s].size()) << "shard " << s;
+    EXPECT_EQ(schedule.legit(s), counted) << "shard " << s;
+    legit += counted;
+  }
+  EXPECT_EQ(schedule.legit(), legit);
   return slices;
 }
 
@@ -509,6 +565,33 @@ TEST(Schedule, OneStreamWhateverTheCutShardsAndThreads) {
     EXPECT_EQ(entries(slices[s], /*legit_only=*/true),
               entries(quiet_slices[s]))
         << "shard " << s;
+  }
+}
+
+TEST(Schedule, BatchSizeAndThreadCountMoveNoEntry) {
+  // A fill draws any number of chunks on any pool: the entries, their
+  // order and each shard's counts are the same, from a mid-chunk start.
+  ShardedConfig config;
+  config.shards = 3;
+  config.clients = 5000;
+  config.qps = 4000;
+  config.names = 50;
+  config.duration = 3 * kSecond + 70 * kMillisecond;
+  config.attacks = abuse_attacks(500, 300, 200, 380 * kMillisecond + 5);
+  const SimTime from = 130 * kMillisecond + 9;
+  const auto reference = draw(config, from, config.duration, 1, 1);
+  for (const int threads : {1, 4}) {
+    for (const std::size_t batch : {std::size_t{2}, std::size_t{5},
+                                    std::size_t{100}}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + ", batch " +
+                   std::to_string(batch));
+      const auto slices = draw(config, from, config.duration, threads, batch);
+      for (std::uint32_t s = 0; s < config.shards; ++s) {
+        EXPECT_FALSE(slices[s].empty());
+        EXPECT_EQ(entries(slices[s]), entries(reference[s]))
+            << "shard " << s;
+      }
+    }
   }
 }
 
@@ -661,11 +744,81 @@ TEST(ShardedEngine, RestartMergeCountsEachWorldOnce) {
     l2_lookups += shard.engine.l2_lookups;
   }
   EXPECT_EQ(arrivals, result.total_arrivals);
+  // Each shard lists its pool once, each row holding both worlds'
+  // attempts.
+  for (const ShardOutcome& shard : result.shards) {
+    SCOPED_TRACE("shard " + std::to_string(shard.index));
+    ASSERT_EQ(shard.engine.upstreams.size(), config.upstream_one_way.size());
+    std::uint64_t attempts = 0;
+    for (const UpstreamHealth& row : shard.engine.upstreams) {
+      attempts += row.attempts;
+    }
+    EXPECT_EQ(attempts, shard.engine.upstream_attempts);
+    EXPECT_GT(attempts, 0u);
+  }
+  // The merged samples are the one copy here too.
+  EXPECT_EQ(result.load.latency_ms.size(), result.load.answered);
+  for (const ShardOutcome& shard : result.shards) {
+    EXPECT_TRUE(shard.load.latency_ms.empty());
+  }
   // The L2's own counters span both worlds, like the engines' view of it.
   EXPECT_GT(result.l2.hits, 0u);
   EXPECT_EQ(result.l2.hits, l2_hits);
   EXPECT_EQ(result.l2.hits + result.l2.misses, l2_lookups);
   EXPECT_EQ(result.l2.deferred_inserts, result.l2.applied_inserts);
+}
+
+TEST(ShardedEngine, BoundedStateStaysWithinItsDeclaredBounds) {
+  // Whatever the run's length, a shard's arrival window holds at most
+  // batch + 1 chunks (the default epoch is shorter than a chunk) and its
+  // deadline FIFO at most the legit entries of one client timeout: here
+  // over 10 s, with a mid-chunk restart, attacks that start mid-chunk, and
+  // dropped queries that time out.
+  for (const std::uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ShardedConfig config;
+    config.shards = shards;
+    config.threads = 2;  // two chunks per fill
+    config.clients = 2000;
+    config.qps = 2000;
+    config.duration = 10 * kSecond;
+    config.names = 100;
+    config.engine.max_ttl = 1;
+    config.restart_at = 4 * kSecond + 130 * kMillisecond;
+    config.attacks =
+        abuse_attacks(300, 200, 100, kSecond + 110 * kMillisecond + 7);
+    // Every client in one /24 over its rate limit: the chain drops some
+    // legit queries, and each stalls the FIFO's head until it times out
+    // while the answered ones pile up behind it.
+    config.client_span = 256;
+    config.engine.policy = abuse_chain(1000);
+    const ShardedResult result = run_sharded(config);
+    EXPECT_EQ(result.load.sent + result.load.shed, result.total_arrivals);
+    EXPECT_GT(result.load.timeouts, 0u);
+
+    const std::uint64_t batch = 2;
+    const auto slices = draw(config, 0, config.duration);
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      SCOPED_TRACE("shard " + std::to_string(s));
+      // The most legit entries stored in any closed kClientTimeout window.
+      std::vector<SimTime> sends;
+      for (const Arrival& a : slices[s]) {
+        if (!(a.name & kAttackTag)) sends.push_back(a.at);
+      }
+      std::uint64_t fifo_bound = 0;
+      for (std::size_t lo = 0, hi = 0; lo < sends.size(); ++lo) {
+        while (hi < sends.size() && sends[hi] <= sends[lo] + kClientTimeout) {
+          ++hi;
+        }
+        fifo_bound = std::max<std::uint64_t>(fifo_bound, hi - lo);
+      }
+      const LoadReport& load = result.shards[s].load;
+      EXPECT_GT(load.deadline_fifo_peak, 0u);
+      EXPECT_LE(load.deadline_fifo_peak, fifo_bound);
+      EXPECT_GT(load.window_chunks_peak, 0u);
+      EXPECT_LE(load.window_chunks_peak, batch + 1);
+    }
+  }
 }
 
 /// Merges `from` into `into` the way the runner merges T.
@@ -741,7 +894,9 @@ TEST(MetricTables, EveryFieldMergesByItsRule) {
                             {"snapshot_entries", Merge::kGauge},
                             {"snapshot_bytes", Merge::kGauge},
                             {"link_queue_peak", Merge::kMax}});
-  check_table<LoadReport>(sizeof(std::vector<double>), {});
+  check_table<LoadReport>(sizeof(std::vector<double>),
+                          {{"window_chunks_peak", Merge::kMax},
+                           {"deadline_fifo_peak", Merge::kMax}});
   check_table<dns::SharedPacketCache::Stats>(
       0, {{"size", Merge::kGauge}, {"bytes", Merge::kGauge}});
   check_table<AttackReport>(alignof(std::uint64_t), {});  // kind, padded

@@ -45,10 +45,11 @@ trap 'rm -rf "$snapdir"' EXIT
 # Scan-vs-decode parity fuzz (fixed iterations) under ASan/UBSan: the
 # validating scan reads every stub query and every answer the swarm gets.
 "$root/build-sanitize/tests/scan_fuzz_test" --gtest_brief=1
-# A hot single-shard run at the benchmark's rate: the arrival cursor, the
-# swarm's flat id table and its pooled query images under ASan/UBSan.
-"$root/build-sanitize/tools/doxperf" engine --shards=1 --qps=50000 \
-      --seconds=1 >/dev/null
+# A hot four-shard run at the benchmark's rate with a restart: streamed
+# schedule fills, recycled arrival runs, the deadline FIFO, composed
+# queries and both worlds' merges under ASan/UBSan.
+"$root/build-sanitize/tools/doxperf" engine --shards=4 --qps=50000 \
+      --seconds=3 --restart-at=2 >/dev/null
 
 echo "== race-detector build (${root}/build-tsan, TSan) =="
 cmake -B "$root/build-tsan" -S "$root" -DDOXLAB_TSAN=ON >/dev/null
