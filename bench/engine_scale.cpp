@@ -257,9 +257,9 @@ auto in_child(Work work) -> decltype(work()) {
 
 /// Peak RSS of a short and then a long hot call at one shard, 50k qps and
 /// default TTLs, in one process: what memory grows by per simulated second
-/// of arrivals once the world is built. One pool thread keeps both calls'
-/// allocations in the same allocator arenas, so what one call leaves
-/// cached there is not counted as growth.
+/// of arrivals once the world is built. One thread (the caller, no pool
+/// workers) keeps both calls' allocations in the same allocator arena, so
+/// what one call leaves cached there is not counted as growth.
 struct RssGrowth {
   double short_mb = 0.0;
   double long_mb = 0.0;

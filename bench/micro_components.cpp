@@ -202,8 +202,8 @@ void event_loop_cancel_drain(benchmark::State& state, Sim& sim) {
     for (int i = 0; i < 1000; ++i) {
       timers.push_back(sim.schedule(i, [&sink] { ++sink; }));
     }
-    // Disarm 75% — the retransmission-timers-cancelled-by-ACKs pattern
-    // that exercises lazy-cancel compaction.
+    // Disarm 75% — the retransmission-timers-cancelled-by-ACKs pattern:
+    // each cancel takes its entry out of the heap at once.
     for (int i = 0; i < 1000; ++i) {
       if (i % 4 != 0) timers[i].cancel();
     }
@@ -287,7 +287,8 @@ SimCoreSample measure_fire(Sim& sim, int trials, int batch) {
   return sample;
 }
 
-/// Schedule, cancel 75%, drain — the lazy-cancel + compaction path.
+/// Schedule, cancel 75%, drain — the eager-cancel path (each cancel
+/// removes its heap entry).
 template <typename Sim, typename TimerT>
 SimCoreSample measure_cancel(Sim& sim, int trials, int batch) {
   long long sink = 0;

@@ -238,7 +238,9 @@ struct ShardedConfig {
   /// count/order (and the stream digest) but never per-query outcomes —
   /// that is what `outcome_digest` pins.
   SimTime batch_window = 0;
-  /// Worker threads driving the shards (<= 0: one per hardware thread).
+  /// Threads driving the shards, the caller included (<= 0: one per
+  /// hardware thread). At 1 the caller runs every task and no thread
+  /// starts.
   int threads = 0;
   /// Optional finite-rate bottleneck link on each shard host's ingress
   /// (all stub queries and upstream answers drain through it). Exercises

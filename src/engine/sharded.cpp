@@ -143,12 +143,13 @@ void run_world(const ShardedConfig& config, const Segment& segment,
   });
   clock.lap(&ShardedResult::build_ms);
 
-  // One fill draws a chunk per pool thread: shard s's run of chunk j is
-  // runs[s * batch + j], lent by the shard's window and handed back filled.
+  // One fill draws a chunk per thread, the caller included: shard s's run
+  // of chunk j is runs[s * batch + j], lent by the shard's window and
+  // handed back filled.
   std::vector<std::vector<Arrival>> runs;
   const auto fill = [&] {
     const std::size_t batch =
-        std::min(pool.thread_count(), schedule.chunks_left());
+        std::min(pool.thread_count() + 1, schedule.chunks_left());
     runs.resize(batch * n);
     const auto of = [&](std::uint32_t s) {
       return std::span(runs).subspan(s * batch, batch);
@@ -288,7 +289,7 @@ ShardedResult run_sharded(const ShardedConfig& config) {
 
   {
     // One pool serves the whole run, both worlds of a restart included.
-    util::ThreadPool pool(config.threads);
+    util::ThreadPool pool(util::ThreadPool::workers_for(config.threads));
     if (config.restart_at == 0) {
       run_world(config, Segment{0, config.duration, {}}, {}, pool, clock,
                 result);

@@ -12,31 +12,44 @@ namespace {
 constexpr SimTime kLoopbackOneWay = 50;  // 50 us
 }  // namespace
 
+Host::Handlers* Host::handlers_for(int protocol) {
+  for (Handlers& row : handlers_) {
+    if (row.protocol == protocol) return &row;
+  }
+  return nullptr;
+}
+
+Host::Handlers& Host::handlers_row(int protocol) {
+  if (Handlers* row = handlers_for(protocol)) return *row;
+  Handlers& row = handlers_.emplace_back();
+  row.protocol = protocol;
+  return row;
+}
+
 void Host::set_protocol_handler(int protocol, PacketHandler handler) {
-  handlers_[protocol] = std::move(handler);
+  handlers_row(protocol).packet = std::move(handler);
 }
 
 void Host::set_protocol_batch_handler(int protocol, BatchHandler handler) {
-  batch_handlers_[protocol] = std::move(handler);
+  handlers_row(protocol).batch = std::move(handler);
 }
 
 void Host::deliver(Packet packet) {
-  auto it = handlers_.find(packet.protocol);
-  if (it == handlers_.end() || !it->second) {
+  Handlers* row = handlers_for(packet.protocol);
+  if (row == nullptr || !row->packet) {
     DOXLAB_DEBUG("host " << name_ << " has no handler for protocol "
                          << packet.protocol);
     return;
   }
-  it->second(std::move(packet));
+  row->packet(std::move(packet));
 }
 
 void Host::deliver_batch(PacketBatch& batch) {
   // A staged slot holds one protocol (only UDP batches today), so the first
   // packet speaks for the burst.
-  const int protocol = batch.front().protocol;
-  auto it = batch_handlers_.find(protocol);
-  if (it != batch_handlers_.end() && it->second) {
-    it->second(batch);
+  Handlers* row = handlers_for(batch.front().protocol);
+  if (row != nullptr && row->batch) {
+    row->batch(batch);
     return;
   }
   for (Packet& packet : batch) deliver(std::move(packet));
@@ -48,25 +61,22 @@ Network::Network(sim::Simulator& simulator, Rng rng, LatencyModel latency)
 Host& Network::add_host(std::string name, IpAddress address,
                         GeoPoint location, Continent continent,
                         SimTime access_delay) {
-  auto [it, inserted] = hosts_.try_emplace(
-      address, std::unique_ptr<Host>(new Host(*this, std::move(name), address,
-                                              location, continent,
-                                              access_delay)));
-  if (!inserted) {
+  if (find_host(address) != nullptr) {
     throw std::invalid_argument("duplicate host address " +
                                 address.to_string());
   }
-  return *it->second;
+  Host& host = *hosts_.emplace_back(std::unique_ptr<Host>(new Host(
+      *this, std::move(name), address, location, continent, access_delay)));
+  host_index_.insert(address.value(), &host);
+  return host;
 }
 
 Host* Network::find_host(IpAddress address) {
-  auto it = hosts_.find(address);
-  return it == hosts_.end() ? nullptr : it->second.get();
+  return host_index_.find(address.value());
 }
 
 const Host* Network::find_host(IpAddress address) const {
-  auto it = hosts_.find(address);
-  return it == hosts_.end() ? nullptr : it->second.get();
+  return host_index_.find(address.value());
 }
 
 void Network::add_prefix_route(IpAddress network, int prefix_len,
@@ -74,14 +84,14 @@ void Network::add_prefix_route(IpAddress network, int prefix_len,
   if (prefix_len < 0 || prefix_len > 32) {
     throw std::invalid_argument("prefix length out of range");
   }
-  if (find_host(via) == nullptr) {
+  Host* target = find_host(via);
+  if (target == nullptr) {
     throw std::invalid_argument("prefix route target is not a host: " +
                                 via.to_string());
   }
   const std::uint32_t mask =
       prefix_len == 0 ? 0 : ~std::uint32_t{0} << (32 - prefix_len);
-  prefix_routes_.push_back(
-      PrefixRoute{network.value() & mask, mask, via});
+  prefix_routes_.push_back(PrefixRoute{network.value() & mask, mask, target});
   // Longest prefix first, so the linear scan returns the most specific.
   std::stable_sort(prefix_routes_.begin(), prefix_routes_.end(),
                    [](const PrefixRoute& a, const PrefixRoute& b) {
@@ -92,9 +102,7 @@ void Network::add_prefix_route(IpAddress network, int prefix_len,
 Host* Network::route_host(IpAddress address) {
   if (Host* exact = find_host(address)) return exact;
   for (const PrefixRoute& route : prefix_routes_) {
-    if ((address.value() & route.mask) == route.network) {
-      return find_host(route.via);
-    }
+    if ((address.value() & route.mask) == route.network) return route.via;
   }
   return nullptr;
 }
@@ -270,16 +278,13 @@ void Network::send(Packet packet) {
     return;
   }
 
-  const IpAddress dst_addr = packet.dst.address;
-  simulator_.schedule(delay, [this, dst_addr,
-                              p = std::move(packet)]() mutable {
-    Host* target = route_host(dst_addr);
-    if (target == nullptr || !target->up()) {
+  simulator_.schedule(delay, [this, dst, p = std::move(packet)]() mutable {
+    if (!dst->up()) {
       ++counters_.packets_unroutable;
       return;
     }
     ++counters_.packets_delivered;
-    target->deliver(std::move(p));
+    dst->deliver(std::move(p));
   });
 }
 
@@ -292,23 +297,22 @@ void Network::stage_batch(Host& target, SimTime bucket, Packet packet) {
   }
   it->second.push_back(std::move(packet));
   if (inserted) {
-    simulator_.at(bucket, [this, via = target.address(), bucket] {
-      flush_batch(via, bucket);
+    simulator_.at(bucket, [this, &target, bucket] {
+      flush_batch(target, bucket);
     });
   }
 }
 
-void Network::flush_batch(IpAddress via, SimTime bucket) {
-  auto it = staged_.find(BatchKey{via.value(), bucket});
+void Network::flush_batch(Host& target, SimTime bucket) {
+  auto it = staged_.find(BatchKey{target.address().value(), bucket});
   if (it == staged_.end()) return;
   PacketBatch batch = std::move(it->second);
   staged_.erase(it);
-  Host* target = find_host(via);
-  if (target == nullptr || !target->up()) {
+  if (!target.up()) {
     counters_.packets_unroutable += batch.size();
   } else {
     counters_.packets_delivered += batch.size();
-    target->deliver_batch(batch);
+    target.deliver_batch(batch);
   }
   batch.clear();
   batch_pool_.push_back(std::move(batch));

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "net/address.h"
+#include "net/flat_index.h"
 #include "net/geo.h"
 #include "net/latency.h"
 #include "net/link.h"
@@ -96,6 +97,18 @@ class Host {
         continent_(continent),
         access_delay_(access_delay) {}
 
+  /// One protocol's handlers; either may be empty.
+  struct Handlers {
+    int protocol = 0;
+    PacketHandler packet;
+    BatchHandler batch;
+  };
+
+  /// The row for `protocol`, or nullptr.
+  Handlers* handlers_for(int protocol);
+  /// The row for `protocol`, appended if missing.
+  Handlers& handlers_row(int protocol);
+
   void deliver(Packet packet);
   void deliver_batch(PacketBatch& batch);
 
@@ -106,8 +119,8 @@ class Host {
   Continent continent_;
   SimTime access_delay_;
   bool up_ = true;
-  std::unordered_map<int, PacketHandler> handlers_;
-  std::unordered_map<int, BatchHandler> batch_handlers_;
+  /// One row per registered protocol (UDP and TCP), scanned linearly.
+  std::vector<Handlers> handlers_;
 };
 
 /// Aggregate traffic counters, exposed for tests and the scan module.
@@ -152,9 +165,10 @@ class Network {
   /// matches.
   Host* route_host(IpAddress address);
 
-  /// Sends a packet. Routability is evaluated at delivery time (in batch
-  /// mode the routed host is pinned at send time; liveness is still checked
-  /// at the flush).
+  /// Sends a packet. Both ends are routed once, here, in either delivery
+  /// mode: the packet goes to the host its destination routed to at send
+  /// time, and only that host's liveness is checked when it arrives (a
+  /// packet to a down host is dropped and counted unroutable).
   void send(Packet packet);
 
   /// Burst mode: 0 (the default) keeps classic one-event-per-packet
@@ -255,7 +269,7 @@ class Network {
   };
 
   void stage_batch(Host& target, SimTime bucket, Packet packet);
-  void flush_batch(IpAddress via, SimTime bucket);
+  void flush_batch(Host& target, SimTime bucket);
 
   /// Directed (src, dst) key — unlike pair_key, order matters (each
   /// direction of a path has its own queue and loss chain).
@@ -276,10 +290,12 @@ class Network {
   struct PrefixRoute {
     std::uint32_t network = 0;
     std::uint32_t mask = 0;
-    IpAddress via;
+    Host* via = nullptr;
   };
 
-  std::unordered_map<IpAddress, std::unique_ptr<Host>> hosts_;
+  /// Every host, in creation order; `host_index_` finds one by address.
+  std::vector<std::unique_ptr<Host>> hosts_;
+  FlatIndex<Host> host_index_;
   /// Sorted longest-prefix-first; scanned linearly (a handful of routes).
   std::vector<PrefixRoute> prefix_routes_;
   std::unordered_map<std::uint64_t, SimTime> path_overrides_;

@@ -68,12 +68,12 @@ UdpStack::UdpStack(Host& host) : host_(&host) {
 }
 
 std::unique_ptr<UdpSocket> UdpStack::bind(std::uint16_t port) {
-  if (sockets_.contains(port)) {
+  if (sockets_.find(port) != nullptr) {
     throw std::invalid_argument("UDP port already bound: " +
                                 std::to_string(port));
   }
   auto socket = std::unique_ptr<UdpSocket>(new UdpSocket(*this, port));
-  sockets_[port] = socket.get();
+  sockets_.insert(port, socket.get());
   return socket;
 }
 
@@ -83,7 +83,7 @@ std::unique_ptr<UdpSocket> UdpStack::bind_ephemeral() {
     std::uint16_t candidate = next_ephemeral_;
     next_ephemeral_ =
         (next_ephemeral_ >= 65535) ? 49152 : std::uint16_t(next_ephemeral_ + 1);
-    if (!sockets_.contains(candidate)) return bind(candidate);
+    if (sockets_.find(candidate) == nullptr) return bind(candidate);
   }
   throw std::runtime_error("ephemeral UDP port space exhausted");
 }
@@ -91,9 +91,9 @@ std::unique_ptr<UdpSocket> UdpStack::bind_ephemeral() {
 void UdpStack::unbind(std::uint16_t port) { sockets_.erase(port); }
 
 void UdpStack::on_packet(Packet packet) {
-  auto it = sockets_.find(packet.dst.port);
-  if (it == sockets_.end()) return;  // No listener: silently dropped.
-  it->second->receive(packet.src, std::move(packet.payload));
+  UdpSocket* socket = sockets_.find(packet.dst.port);
+  if (socket == nullptr) return;  // No listener: silently dropped.
+  socket->receive(packet.src, std::move(packet.payload));
 }
 
 void UdpStack::on_packet_batch(PacketBatch& batch) {
@@ -104,8 +104,9 @@ void UdpStack::on_packet_batch(PacketBatch& batch) {
     const std::uint16_t port = batch[i].dst.port;
     std::size_t j = i + 1;
     while (j < batch.size() && batch[j].dst.port == port) ++j;
-    auto it = sockets_.find(port);
-    if (it != sockets_.end()) it->second->receive_run(batch, i, j);
+    if (UdpSocket* socket = sockets_.find(port)) {
+      socket->receive_run(batch, i, j);
+    }
     i = j;
   }
 }

@@ -10,9 +10,9 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "net/flat_index.h"
 #include "net/network.h"
 
 namespace doxlab::net {
@@ -131,7 +131,7 @@ class UdpStack {
 
   Host* host_;
   std::uint16_t next_ephemeral_ = 49152;
-  std::unordered_map<std::uint16_t, UdpSocket*> sockets_;
+  FlatIndex<UdpSocket> sockets_;  ///< bound sockets by port
 };
 
 }  // namespace doxlab::net

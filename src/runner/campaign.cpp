@@ -78,7 +78,7 @@ std::vector<measure::SingleQueryRecord> run_single_query_campaign(
   const std::vector<CellSpec> cells = enumerate_cells(campaign, study);
   std::vector<std::vector<measure::SingleQueryRecord>> shards(cells.size());
 
-  util::ThreadPool pool(campaign.jobs);
+  util::ThreadPool pool(util::ThreadPool::workers_for(campaign.jobs));
   pool.parallel_for(cells.size(), [&](std::size_t index) {
     const CellSpec& cell = cells[index];
     measure::Testbed testbed(cell_testbed_config(campaign, index));
@@ -108,7 +108,7 @@ std::vector<measure::WebRecord> run_web_campaign(
   const std::vector<CellSpec> cells = enumerate_cells(campaign, study);
   std::vector<std::vector<measure::WebRecord>> shards(cells.size());
 
-  util::ThreadPool pool(campaign.jobs);
+  util::ThreadPool pool(util::ThreadPool::workers_for(campaign.jobs));
   pool.parallel_for(cells.size(), [&](std::size_t index) {
     const CellSpec& cell = cells[index];
     measure::Testbed testbed(cell_testbed_config(campaign, index));

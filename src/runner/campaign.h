@@ -30,7 +30,8 @@ std::uint64_t derive_run_seed(std::uint64_t campaign_seed,
 
 struct CampaignConfig {
   std::uint64_t seed = 42;
-  /// Worker threads (<= 0: one per hardware thread). Never affects output.
+  /// Threads running cells, the caller included (<= 0: one per hardware
+  /// thread); at 1 no thread starts. Never affects output.
   int jobs = 1;
   scan::PopulationConfig population = {.verified_only = true};
   double loss_rate = 0.002;

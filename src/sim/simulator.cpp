@@ -5,38 +5,12 @@ namespace doxlab::sim {
 namespace detail {
 
 bool SimCore::cancel(std::uint32_t idx, std::uint32_t gen) {
-  if (idx >= slots.size()) return false;
-  Slot& s = slots[idx];
-  if (!s.in_use || s.gen != gen || s.cancelled) return false;
-  s.cancelled = true;
-  // Release the closure immediately: cancelled entries stay queued until
-  // popped or compacted, and closures can hold large object graphs alive.
-  s.fn.reset();
-  --live;
-  ++dead;
-  maybe_compact();
+  if (!armed(idx, gen)) return false;
+  remove_at(heap_pos[idx]);
+  // Release the closure now, not at its scheduled time: closures can hold
+  // large object graphs alive.
+  release(idx);
   return true;
-}
-
-bool SimCore::armed(std::uint32_t idx, std::uint32_t gen) const {
-  return idx < slots.size() && slots[idx].in_use && slots[idx].gen == gen &&
-         !slots[idx].cancelled;
-}
-
-void SimCore::maybe_compact() {
-  if (heap.size() < kCompactionMinEntries || dead * 2 <= heap.size()) return;
-  auto keep = heap.begin();
-  for (const QueueEntry& entry : heap) {
-    if (slots[entry.slot].cancelled) {
-      release(entry.slot);
-    } else {
-      *keep++ = entry;
-    }
-  }
-  heap.erase(keep, heap.end());
-  std::make_heap(heap.begin(), heap.end(), Later{});
-  dead = 0;
-  ++compactions;
 }
 
 }  // namespace detail

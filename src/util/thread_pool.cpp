@@ -13,18 +13,21 @@ struct ThreadPool::Batch {
   std::exception_ptr first_error;
 };
 
-ThreadPool::ThreadPool(int threads) {
-  std::size_t n = threads > 0 ? static_cast<std::size_t>(threads)
-                              : std::thread::hardware_concurrency();
-  if (n == 0) n = 1;
-  queues_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+ThreadPool::ThreadPool(std::size_t workers) {
+  queues_.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
     queues_.push_back(std::make_unique<WorkerQueue>());
   }
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  workers_.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
+}
+
+std::size_t ThreadPool::workers_for(int threads) {
+  if (threads > 0) return static_cast<std::size_t>(threads) - 1;
+  const unsigned hardware = std::thread::hardware_concurrency();
+  return hardware > 1 ? hardware - 1 : 0;
 }
 
 ThreadPool::~ThreadPool() {
@@ -39,6 +42,18 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
+  if (workers_.empty()) {
+    std::exception_ptr first_error;
+    for (std::size_t i = 0; i < count; ++i) {
+      try {
+        fn(i);
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+    if (first_error) std::rethrow_exception(first_error);
+    return;
+  }
 
   Batch batch;
   batch.remaining.store(count, std::memory_order_relaxed);

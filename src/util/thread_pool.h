@@ -24,13 +24,21 @@ namespace doxlab::util {
 
 class ThreadPool {
  public:
-  /// Spawns `threads` workers; <= 0 means one per hardware thread.
-  explicit ThreadPool(int threads = 0);
+  /// Spawns `workers` worker threads. The caller of parallel_for runs tasks
+  /// too, so a pool runs on workers + 1 threads; with 0 workers it starts
+  /// no thread and parallel_for runs every task inline, in index order.
+  explicit ThreadPool(std::size_t workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// Workers for a run on `threads` threads in all, the caller being the
+  /// last of them: threads - 1, where `threads` <= 0 means one per
+  /// hardware thread.
+  static std::size_t workers_for(int threads);
+
+  /// Worker threads, not counting the caller.
   std::size_t thread_count() const { return workers_.size(); }
 
   /// Runs fn(0) .. fn(count-1) across the pool and waits for all of them.

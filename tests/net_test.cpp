@@ -3,14 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "net/address.h"
+#include "net/flat_index.h"
 #include "net/geo.h"
 #include "net/latency.h"
 #include "net/link.h"
 #include "net/network.h"
 #include "net/udp.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace doxlab::net {
 namespace {
@@ -383,6 +389,167 @@ TEST_F(NetworkFixture, RebindAfterCloseWorks) {
   }
   auto s2 = stack_a.bind(5353);  // destructor unbinds
   EXPECT_EQ(s2->port(), 5353);
+}
+
+TEST_F(NetworkFixture, UnbindAndRebindTrackBoundCount) {
+  // Sockets come and go through the port index: every unbind frees its
+  // port for a rebind, and the count follows. A datagram reaches the
+  // socket bound at delivery.
+  UdpStack stack_b(b_);
+  UdpStack stack_a(a_);
+  auto client = stack_a.bind_ephemeral();
+  std::vector<std::unique_ptr<UdpSocket>> sockets;
+  for (std::uint16_t port = 5000; port < 5040; ++port) {
+    sockets.push_back(stack_b.bind(port));
+  }
+  EXPECT_EQ(stack_b.bound_count(), 40u);
+  for (std::size_t i = 0; i < sockets.size(); i += 2) sockets[i].reset();
+  EXPECT_EQ(stack_b.bound_count(), 20u);
+  for (std::size_t i = 1; i < sockets.size(); i += 2) {
+    EXPECT_THROW(stack_b.bind(sockets[i]->port()), std::invalid_argument);
+  }
+  EXPECT_EQ(stack_b.bound_count(), 20u);
+  for (std::size_t i = 0; i < sockets.size(); i += 2) {
+    sockets[i] = stack_b.bind(static_cast<std::uint16_t>(5000 + i));
+  }
+  EXPECT_EQ(stack_b.bound_count(), 40u);
+
+  int received = 0;
+  sockets[6]->on_datagram([&](const Endpoint&, util::Buffer) { ++received; });
+  client->send_to(Endpoint{b_.address(), 5006}, {1});
+  sim_.run();
+  EXPECT_EQ(received, 1);
+  sockets.clear();
+  EXPECT_EQ(stack_b.bound_count(), 0u);
+  client->send_to(Endpoint{b_.address(), 5006}, {1});
+  sim_.run();
+  EXPECT_EQ(received, 1);
+}
+
+TEST_F(NetworkFixture, PrefixRoutedHostDownInFlightIsUnroutable) {
+  // The destination is routed once, at send; the packet then dies at
+  // delivery if the routed host went down while it was in flight.
+  network_.add_prefix_route(IpAddress::from_octets(10, 77, 0, 0), 16,
+                            b_.address());
+  UdpStack stack_a(a_);
+  UdpStack stack_b(b_);
+  auto server = stack_b.bind(53);
+  auto client = stack_a.bind_ephemeral();
+  int received = 0;
+  server->on_datagram([&](const Endpoint&, util::Buffer) { ++received; });
+
+  const Endpoint routed{IpAddress::from_octets(10, 77, 3, 4), 53};
+  client->send_to(routed, {1});
+  sim_.run();
+  EXPECT_EQ(received, 1);
+
+  client->send_to(routed, {2});
+  b_.set_up(false);
+  sim_.run();
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(network_.counters().packets_unroutable, 1u);
+  EXPECT_EQ(network_.counters().packets_delivered, 1u);
+}
+
+TEST(FlatIndex, MatchesUnorderedMapUnderRandomOps) {
+  // Seeded inserts, finds and erases against std::unordered_map, from an
+  // empty index through several doublings and back. Keys come from a
+  // small pool, so probe runs form, grow and wrap around the table.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    std::vector<std::uint32_t> pool;
+    for (int i = 0; i < 300; ++i) {
+      pool.push_back(static_cast<std::uint32_t>(
+          rng.uniform_int(0, std::int64_t{0xFFFFFFFF})));
+    }
+    std::vector<int> values(pool.size());
+    FlatIndex<int> index;
+    std::unordered_map<std::uint32_t, int*> reference;
+    for (int op = 0; op < 20000; ++op) {
+      // Grow for the first half, then shrink.
+      const std::size_t k = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1));
+      const std::uint32_t key = pool[k];
+      const bool grow = op < 10000;
+      switch (rng.uniform_int(0, 3)) {
+        case 0:
+        case 1: {
+          if (!grow && rng.chance(0.7)) break;
+          const bool fresh = reference.emplace(key, &values[k]).second;
+          EXPECT_EQ(index.insert(key, &values[k]), fresh);
+          break;
+        }
+        case 2: {
+          if (grow && rng.chance(0.7)) break;
+          EXPECT_EQ(index.erase(key), reference.erase(key) == 1);
+          break;
+        }
+        default:
+          break;
+      }
+      auto it = reference.find(key);
+      EXPECT_EQ(index.find(key), it == reference.end() ? nullptr : it->second);
+      ASSERT_EQ(index.size(), reference.size());
+      EXPECT_GE(index.capacity(), 2 * index.size());
+    }
+    for (std::size_t k = 0; k < pool.size(); ++k) {
+      auto it = reference.find(pool[k]);
+      EXPECT_EQ(index.find(pool[k]),
+                it == reference.end() ? nullptr : it->second);
+    }
+  }
+}
+
+TEST(FlatIndex, EraseRepairsCollidingRuns) {
+  // At 64 slots, two keys homed at slot 62, two at slot 0 and one at slot
+  // 1 form one probe run that wraps around the table's end: 62, 63, 0, 1,
+  // 2. Erasing any one of them must leave every other findable. That takes
+  // the slot repair, which moves a later entry back into the hole unless
+  // its home lies cyclically between the two (the run's second key homed
+  // at 0 sits at its home once the first moves back).
+  constexpr std::size_t kCapacity = 64;
+  const auto keys_homed_at = [](std::size_t home, std::size_t count,
+                                std::uint32_t from) {
+    std::vector<std::uint32_t> keys;
+    for (std::uint32_t key = from; keys.size() < count; ++key) {
+      if (FlatIndex<int>::home(key, kCapacity) == home) keys.push_back(key);
+    }
+    return keys;
+  };
+  std::vector<std::uint32_t> keys = keys_homed_at(62, 2, 1);
+  for (const std::uint32_t key : keys_homed_at(0, 2, 1)) keys.push_back(key);
+  keys.push_back(keys_homed_at(1, 1, 1).front());
+  // Fillers homed well away from the run.
+  std::vector<std::uint32_t> fillers;
+  for (std::uint32_t key = 1u << 20; fillers.size() < 12; ++key) {
+    const std::size_t h = FlatIndex<int>::home(key, kCapacity);
+    if (h >= 10 && h <= 50) fillers.push_back(key);
+  }
+
+  for (std::size_t victim = 0; victim < keys.size(); ++victim) {
+    SCOPED_TRACE("victim " + std::to_string(victim));
+    FlatIndex<int> index;
+    int filler = 0;
+    std::vector<int> values(keys.size());
+    // 12 fillers and the run's 5 keys size the table at 64 slots.
+    for (const std::uint32_t key : fillers) {
+      ASSERT_TRUE(index.insert(key, &filler));
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_TRUE(index.insert(keys[i], &values[i]));
+    }
+    ASSERT_EQ(index.capacity(), kCapacity);
+    ASSERT_TRUE(index.erase(keys[victim]));
+    EXPECT_FALSE(index.erase(keys[victim]));
+    EXPECT_EQ(index.find(keys[victim]), nullptr);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (i != victim) {
+        EXPECT_EQ(index.find(keys[i]), &values[i]) << "key " << i;
+      }
+    }
+    EXPECT_EQ(index.size(), fillers.size() + keys.size() - 1);
+  }
 }
 
 // ------------------------------------------------------------- link models

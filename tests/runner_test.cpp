@@ -92,6 +92,28 @@ TEST(ThreadPool, ZeroCountIsNoop) {
   pool.parallel_for(0, [](std::size_t) { FAIL() << "must not be called"; });
 }
 
+TEST(ThreadPool, ZeroWorkersRunEveryTaskInlineInIndexOrder) {
+  // A run on one thread: no worker starts, the caller runs every task in
+  // index order, and the first exception still comes after all of them.
+  EXPECT_EQ(util::ThreadPool::workers_for(1), 0u);
+  EXPECT_EQ(util::ThreadPool::workers_for(4), 3u);
+  util::ThreadPool pool(0);
+  EXPECT_EQ(pool.thread_count(), 0u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  EXPECT_THROW(pool.parallel_for(8,
+                                 [&](std::size_t i) {
+                                   EXPECT_EQ(std::this_thread::get_id(),
+                                             caller);
+                                   order.push_back(i);
+                                   if (i == 2 || i == 5) {
+                                     throw std::runtime_error("task");
+                                   }
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
 TEST(CampaignSeed, DerivedSeedsAreDistinct) {
   std::set<std::uint64_t> seen;
   for (std::uint64_t i = 0; i < 10000; ++i) {

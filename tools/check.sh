@@ -1,7 +1,7 @@
 #!/bin/sh
 # Tier-1 gate: build + run the full test suite three times — the regular
-# RelWithDebInfo build (plus the sharded-engine scaling smoke and the
-# benchmark's smoke pass), an ASan+UBSan instrumented build
+# RelWithDebInfo build (plus the hot-path, sharded-engine scaling and
+# benchmark smoke passes), an ASan+UBSan instrumented build
 # (-DDOXLAB_SANITIZE=ON), and a TSan build (-DDOXLAB_TSAN=ON) that re-runs
 # the cross-thread tests and a sharded engine smoke under the race
 # detector. All must be green.
@@ -16,6 +16,8 @@ echo "== regular build (${root}/build) =="
 cmake -B "$root/build" -S "$root" >/dev/null
 cmake --build "$root/build" -j "$jobs"
 ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
+echo "== hot-path smoke (simulator, byte path, long connections) =="
+"$root/build/bench/micro_components" --smoke
 echo "== sharded engine scaling smoke =="
 "$root/build/bench/engine_scale" --smoke
 echo "== tiered cache / warm-restart smoke =="

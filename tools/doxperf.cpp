@@ -62,7 +62,8 @@ const char* kUsage = R"(doxperf — DNS-over-X measurement testbed CLI
 
 campaign subcommand — the same studies sharded over a thread pool
 (doxperf campaign ...). Output is bit-identical for any --jobs value:
-  --jobs=N           worker threads (default 1; 0 = all hardware threads)
+  --jobs=N           threads running cells, this one included (default 1 =
+                     no extra thread; 0 = one per hardware thread)
   plus the study flags above (--web, --protocols, --resolvers, --reps, ...)
 
 engine subcommand — the forwarder-engine load run (doxperf engine ...): one
@@ -75,7 +76,8 @@ packet cache:
   --seconds=N        arrival window length (default 10)
   --names=N          distinct query names, Zipf-popular (default 200)
   --seed=N           scenario seed (default 42)
-  --threads=N        pool worker threads (default 0 = hardware threads)
+  --threads=N        threads running shards, this one included (default
+                     0 = one per hardware thread; 1 = no extra thread)
   --epoch-ms=N       epoch barrier interval for L2 sweeps (default 100)
   --l2-capacity=N    shared packet-cache entries, 0 disables (default 65536)
   --batch-us=N       coalesce UDP datagrams per host within an N-us window
@@ -101,7 +103,8 @@ adverse subcommand — the adverse-path study (doxperf adverse ...): the
 single-query sweep repeated per link profile (baseline / burstloss /
 bufferbloat / handover / lte) with real congestion control (TCP NewReno,
 QUIC RFC 9002) on every transport. Bit-identical for any --jobs value:
-  --jobs=N           worker threads (default 1; 0 = all hardware threads)
+  --jobs=N           threads running cells, this one included (default 1 =
+                     no extra thread; 0 = one per hardware thread)
   --resolvers=N      verified resolvers (default 12)
   --reps=N           repetitions per combination (default 3)
   --profiles=LIST    comma list of the profiles above (default: all five)
