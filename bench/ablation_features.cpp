@@ -6,7 +6,7 @@
 //   2. 0-RTT on — the paper's future-work projection: DoQ approaches DoUDP.
 //   3. Address-validation token off + Retry-requiring resolvers — +1 RTT.
 //   4. dnsproxy DoT reuse bug on/off — Fig. 3's DoT tail.
-//   5. TFO + RFC 9210 connection reuse for DoTCP — what DoTCP could do.
+//   5. TCP Fast Open for DoTCP — what DoTCP could do with resolver support.
 //   6. Amplification stall rate as a function of certificate-chain size.
 //
 // Usage: ablation_features [--resolvers=N]
@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
   }
 
   // ---------------------------------------------------------------- 5.
-  bench::banner("Ablation 5 — DoTCP with TFO + RFC 9210 reuse (handshake)");
+  bench::banner("Ablation 5 — DoTCP with TCP Fast Open (total time, ms)");
   {
     auto observed = run_single(base, SingleQueryConfig{});
     // TFO world: resolvers accept fast-open and clients hold cookies.

@@ -27,25 +27,17 @@ int main(int argc, char** argv) {
   sq_config.repetitions =
       bench::flag_int(argc, argv, "--reps", full ? 4 : 1);
 
-  std::vector<SingleQueryRecord> records;
+  runner::CampaignConfig campaign;
+  campaign.jobs = bench::flag_int(argc, argv, "--jobs", -1);
+  campaign.population.verified_only = true;
+  campaign.population.verified_dox = resolvers;
+  const auto records =
+      campaign.jobs >= 0
+          ? runner::run_campaign<SingleQueryStudy>(campaign, sq_config)
+          : runner::run_sweep<SingleQueryStudy>(campaign, sq_config);
   std::vector<std::string> vp_names;
-  if (bench::flag_int(argc, argv, "--jobs", -1) >= 0) {
-    runner::CampaignConfig campaign;
-    campaign.jobs = bench::flag_int(argc, argv, "--jobs", 1);
-    campaign.population.verified_only = true;
-    campaign.population.verified_dox = resolvers;
-    records = runner::run_single_query_campaign(campaign, sq_config);
-    for (const net::City& city : net::vantage_point_cities()) {
-      vp_names.push_back(city.name);
-    }
-  } else {
-    TestbedConfig config;
-    config.population.verified_only = true;
-    config.population.verified_dox = resolvers;
-    Testbed testbed(config);
-    SingleQueryStudy study(testbed, sq_config);
-    records = study.run();
-    for (auto& vp : testbed.vantage_points()) vp_names.push_back(vp->name);
+  for (const net::City& city : net::vantage_point_cities()) {
+    vp_names.push_back(city.name);
   }
 
   bench::banner("Fig. 2 — handshake and resolve times (measured)");

@@ -24,21 +24,13 @@ int main(int argc, char** argv) {
       bench::flag_int(argc, argv, "--resolvers", full ? 0 : 12);
   web_config.loads_per_combo = bench::flag_int(argc, argv, "--loads", 4);
 
-  std::vector<WebRecord> records;
-  if (bench::flag_int(argc, argv, "--jobs", -1) >= 0) {
-    runner::CampaignConfig campaign;
-    campaign.jobs = bench::flag_int(argc, argv, "--jobs", 1);
-    campaign.population.verified_only = true;
-    campaign.population.verified_dox = full ? 313 : 60;
-    records = runner::run_web_campaign(campaign, web_config);
-  } else {
-    TestbedConfig config;
-    config.population.verified_only = true;
-    config.population.verified_dox = full ? 313 : 60;
-    Testbed testbed(config);
-    WebStudy study(testbed, web_config);
-    records = study.run();
-  }
+  runner::CampaignConfig campaign;
+  campaign.jobs = bench::flag_int(argc, argv, "--jobs", -1);
+  campaign.population.verified_only = true;
+  campaign.population.verified_dox = full ? 313 : 60;
+  const auto records =
+      campaign.jobs >= 0 ? runner::run_campaign<WebStudy>(campaign, web_config)
+                         : runner::run_sweep<WebStudy>(campaign, web_config);
 
   bench::banner("Fig. 3 — relative FCP/PLT differences vs DoUDP (measured)");
   std::printf("%s", render_fig3(fig3_relative(records)).c_str());

@@ -30,25 +30,16 @@ int main(int argc, char** argv) {
   web_config.protocols = {dox::DnsProtocol::kDoUdp, dox::DnsProtocol::kDoH,
                           dox::DnsProtocol::kDoQ};
 
-  std::vector<WebRecord> records;
+  runner::CampaignConfig campaign;
+  campaign.jobs = bench::flag_int(argc, argv, "--jobs", -1);
+  campaign.population.verified_only = true;
+  campaign.population.verified_dox = full ? 313 : 60;
+  const auto records =
+      campaign.jobs >= 0 ? runner::run_campaign<WebStudy>(campaign, web_config)
+                         : runner::run_sweep<WebStudy>(campaign, web_config);
   std::vector<std::string> vp_names;
-  if (bench::flag_int(argc, argv, "--jobs", -1) >= 0) {
-    runner::CampaignConfig campaign;
-    campaign.jobs = bench::flag_int(argc, argv, "--jobs", 1);
-    campaign.population.verified_only = true;
-    campaign.population.verified_dox = full ? 313 : 60;
-    records = runner::run_web_campaign(campaign, web_config);
-    for (const net::City& city : net::vantage_point_cities()) {
-      vp_names.push_back(city.name);
-    }
-  } else {
-    TestbedConfig config;
-    config.population.verified_only = true;
-    config.population.verified_dox = full ? 313 : 60;
-    Testbed testbed(config);
-    WebStudy study(testbed, web_config);
-    records = study.run();
-    for (auto& vp : testbed.vantage_points()) vp_names.push_back(vp->name);
+  for (const net::City& city : net::vantage_point_cities()) {
+    vp_names.push_back(city.name);
   }
 
   bench::banner("Fig. 4 — PLT vs the DoQ baseline per VP x page (measured)");

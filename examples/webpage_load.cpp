@@ -54,7 +54,7 @@ int main() {
       proxy_config.upstream_protocol = protocol;
       proxy_config.upstream =
           net::Endpoint{profile.address, dox::default_port(protocol)};
-      proxy::DnsProxy proxy(sim, udp, deps, proxy_config);
+      proxy::DnsProxy proxy(udp, deps, proxy_config);
 
       web::BrowserConfig browser_config;
       browser_config.stub_resolver = net::Endpoint{client.address(), 53};

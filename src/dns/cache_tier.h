@@ -1,6 +1,6 @@
 // One entry, one hit and one freshness rule for the whole cache hierarchy:
-// the record cache (`dns::Cache`, used by resolvers and the proxy), the
-// engine's per-shard image L1 (`dns::WireCache`), the shared L2
+// the record cache (`dns::Cache`, used by the resolvers), the engine's
+// per-shard image L1 (`dns::WireCache`), the shared L2
 // (`dns::SharedPacketCache`) and the persistent snapshot tier
 // (`dns::SnapshotTier`) all age, expire and serve-stale through
 // `classify`, expressed once here:

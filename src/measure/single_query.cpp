@@ -1,109 +1,85 @@
 #include "measure/single_query.h"
 
-#include <algorithm>
-
 #include "dox/transport.h"
-#include "measure/sampling.h"
 
 namespace doxlab::measure {
 
-std::vector<SingleQueryRecord> SingleQueryStudy::run() {
+SingleQueryStudy::SingleQueryStudy(Testbed& testbed, SingleQueryConfig config)
+    : testbed_(testbed),
+      config_(std::move(config)),
+      question_{dns::DnsName::parse(config_.qname), dns::RRType::kA,
+                dns::RRClass::kIN} {}
+
+std::vector<Cell> SingleQueryStudy::cells() const {
+  return testbed_.cells(config_.repetitions, config_.max_resolvers,
+                        config_.protocols);
+}
+
+void SingleQueryStudy::measure(const Cell& cell,
+                               std::vector<SingleQueryRecord>& out) {
   auto& sim = testbed_.simulator();
-  auto& population = testbed_.population();
-  std::vector<SingleQueryRecord> records;
-  config_.repetitions = std::max(config_.repetitions, 0);
-  config_.max_resolvers = std::max(config_.max_resolvers, 0);
+  auto& vp = *testbed_.vantage_points()[static_cast<std::size_t>(cell.vp)];
 
-  const dns::Question question{dns::DnsName::parse(config_.qname),
-                               dns::RRType::kA, dns::RRClass::kIN};
+  dox::TransportOptions options;
+  options.resolver = testbed_.resolver_endpoint(cell.resolver, cell.protocol);
+  options.use_session_resumption = config_.use_session_resumption;
+  options.use_address_token = config_.use_address_token;
+  options.tcp_use_tfo = config_.tcp_use_tfo;
+  options.pad_encrypted = config_.pad_encrypted;
+  options.tcp_congestion = config_.tcp_congestion;
+  options.quic_enable_cc = config_.quic_enable_cc;
 
-  std::vector<std::size_t> resolver_set =
-      sample_resolvers(population.verified, config_.max_resolvers);
+  SingleQueryRecord record;
+  record.vp = cell.vp;
+  record.resolver = static_cast<int>(cell.resolver);
+  record.protocol = cell.protocol;
+  record.rep = cell.rep;
 
-  records.reserve(resolver_set.size() *
-                  testbed_.vantage_points().size() *
-                  config_.protocols.size() *
-                  static_cast<std::size_t>(config_.repetitions));
-
-  for (int rep = 0; rep < config_.repetitions; ++rep) {
-    for (std::size_t vp_index = 0;
-         vp_index < testbed_.vantage_points().size(); ++vp_index) {
-      if (config_.only_vp >= 0 &&
-          static_cast<int>(vp_index) != config_.only_vp) {
-        continue;
-      }
-      auto& vp = *testbed_.vantage_points()[vp_index];
-      for (std::size_t r = 0; r < resolver_set.size(); ++r) {
-        const std::size_t resolver_index = resolver_set[r];
-        if (config_.only_resolver >= 0 &&
-            static_cast<int>(resolver_index) != config_.only_resolver) {
-          continue;
-        }
-        for (dox::DnsProtocol protocol : config_.protocols) {
-          dox::TransportOptions options;
-          options.resolver =
-              testbed_.resolver_endpoint(resolver_index, protocol);
-          options.use_session_resumption = config_.use_session_resumption;
-          options.attempt_0rtt = config_.attempt_0rtt;
-          options.use_address_token = config_.use_address_token;
-          options.tcp_use_tfo = config_.tcp_use_tfo;
-          options.pad_encrypted = config_.pad_encrypted;
-          options.tcp_fresh_connection_per_query =
-              !config_.tcp_reuse_connections;
-          options.tcp_congestion = config_.tcp_congestion;
-          options.quic_enable_cc = config_.quic_enable_cc;
-
-          SingleQueryRecord record;
-          record.vp = static_cast<int>(vp_index);
-          record.resolver = static_cast<int>(resolver_index);
-          record.protocol = protocol;
-          record.rep = config_.rep_base + rep;
-
-          // Cache-warming query on a fresh session.
-          {
-            auto warm = dox::make_transport(protocol, vp.deps(sim), options);
-            bool done = false;
-            warm->resolve(question, [&](dox::QueryResult) { done = true; });
-            testbed_.run_until_flag(done);
-            // Drain in-flight post-handshake frames (NewSessionTicket,
-            // NEW_TOKEN) before closing — the ticket/token are the whole
-            // point of the warming query.
-            sim.run_until(sim.now() + 300 * kMillisecond);
-            warm->reset_sessions();
-            sim.run_until(sim.now() + 200 * kMillisecond);
-          }
-
-          // Measured query, reusing ticket/token/version knowledge.
-          auto transport =
-              dox::make_transport(protocol, vp.deps(sim), options);
-          bool done = false;
-          transport->resolve(question, [&](dox::QueryResult result) {
-            record.success = result.ok();
-            record.error_class = result.error_class();
-            record.handshake_time = result.handshake_time();
-            record.resolve_time = result.resolve_time();
-            record.total_time = result.total_time();
-            record.tls_version = result.tls_version;
-            record.quic_version = result.quic_version;
-            record.alpn = result.alpn;
-            record.session_resumed = result.session_resumed;
-            record.used_0rtt = result.used_0rtt;
-            record.udp_retransmissions = result.udp_retransmissions;
-            done = true;
-          });
-          testbed_.run_until_flag(done);
-          // Drain the server's post-handshake frames first (they count
-          // towards the response phase, as in the paper's size accounting),
-          // then tear down and let the FIN/CLOSE exchange finish.
-          sim.run_until(sim.now() + 300 * kMillisecond);
-          transport->reset_sessions();
-          sim.run_until(sim.now() + 2 * kSecond);
-          record.bytes = transport->wire_stats();
-          records.push_back(record);
-        }
-      }
-    }
+  // Cache-warming query on a fresh session.
+  {
+    auto warm = dox::make_transport(cell.protocol, vp.deps(sim), options);
+    bool done = false;
+    warm->resolve(question_, [&](dox::QueryResult) { done = true; });
+    testbed_.run_until_flag(done);
+    // Drain in-flight post-handshake frames (NewSessionTicket, NEW_TOKEN)
+    // before closing — the ticket/token are the whole point of the warming
+    // query.
+    sim.run_until(sim.now() + 300 * kMillisecond);
+    warm->reset_sessions();
+    sim.run_until(sim.now() + 200 * kMillisecond);
   }
+
+  // Measured query, reusing ticket/token/version knowledge.
+  auto transport = dox::make_transport(cell.protocol, vp.deps(sim), options);
+  bool done = false;
+  transport->resolve(question_, [&](dox::QueryResult result) {
+    record.success = result.ok();
+    record.error_class = result.error_class();
+    record.handshake_time = result.handshake_time();
+    record.resolve_time = result.resolve_time();
+    record.total_time = result.total_time();
+    record.tls_version = result.tls_version;
+    record.quic_version = result.quic_version;
+    record.alpn = result.alpn;
+    record.session_resumed = result.session_resumed;
+    record.used_0rtt = result.used_0rtt;
+    record.udp_retransmissions = result.udp_retransmissions;
+    done = true;
+  });
+  testbed_.run_until_flag(done);
+  // Drain the server's post-handshake frames first (they count towards the
+  // response phase, as in the paper's size accounting), then tear down and
+  // let the FIN/CLOSE exchange finish.
+  sim.run_until(sim.now() + 300 * kMillisecond);
+  transport->reset_sessions();
+  sim.run_until(sim.now() + 2 * kSecond);
+  record.bytes = transport->wire_stats();
+  out.push_back(record);
+}
+
+std::vector<SingleQueryRecord> SingleQueryStudy::run() {
+  std::vector<SingleQueryRecord> records;
+  for (const Cell& cell : cells()) measure(cell, records);
   return records;
 }
 

@@ -24,26 +24,18 @@ struct SingleQueryConfig {
   /// Cap resolvers per run (0 = all verified). Subsampling keeps the
   /// continent mix because verified resolvers interleave continents.
   int max_resolvers = 0;
-  /// Methodology switches (the ablation bench flips these).
+  /// Methodology switches (the ablation bench flips these). 0-RTT is
+  /// attempted whenever a ticket allows it, and DoTCP opens a fresh
+  /// connection per query (the observed behaviour).
   bool use_session_resumption = true;
-  bool attempt_0rtt = true;
   bool use_address_token = true;
   bool tcp_use_tfo = false;
   /// RFC 8467 padding on encrypted transports.
   bool pad_encrypted = false;
-  /// RFC 9210-style connection reuse for DoTCP (off: the observed
-  /// fresh-connection-per-query behaviour).
-  bool tcp_reuse_connections = false;
   /// Real congestion control (adverse-path studies): NewReno/CUBIC on TCP
   /// transports and RFC 9002 CC on QUIC. Defaults keep the pinned baseline.
   cc::CcAlgorithm tcp_congestion = cc::CcAlgorithm::kLegacySlowStart;
   bool quic_enable_cc = false;
-  /// Sharding filters used by the campaign runner: restrict the sweep to a
-  /// single vantage point / resolver population index (-1 = no filter) and
-  /// offset the `rep` recorded so merged shards reproduce a serial sweep.
-  int only_vp = -1;
-  int only_resolver = -1;
-  int rep_base = 0;
 };
 
 struct SingleQueryRecord {
@@ -68,17 +60,26 @@ struct SingleQueryRecord {
 
 class SingleQueryStudy {
  public:
-  SingleQueryStudy(Testbed& testbed, SingleQueryConfig config)
-      : testbed_(testbed), config_(std::move(config)) {}
+  using Config = SingleQueryConfig;
+  using Record = SingleQueryRecord;
 
-  /// Runs the full schedule; returns one record per *successful-warming*
-  /// measurement (failed measurements appear with success=false, matching
-  /// the paper's per-protocol sample-count variation).
+  SingleQueryStudy(Testbed& testbed, SingleQueryConfig config);
+
+  /// The study's matrix on this testbed, in the order run() measures it.
+  std::vector<Cell> cells() const;
+
+  /// Measures one cell: a cache-warming query on a fresh session, then the
+  /// measured query. Appends one record; a failed measurement appears with
+  /// success=false, matching the paper's per-protocol sample counts.
+  void measure(const Cell& cell, std::vector<SingleQueryRecord>& out);
+
+  /// Measures every cell, in order, on this testbed.
   std::vector<SingleQueryRecord> run();
 
  private:
   Testbed& testbed_;
   SingleQueryConfig config_;
+  dns::Question question_;
 };
 
 }  // namespace doxlab::measure

@@ -37,6 +37,32 @@ Testbed::Testbed(TestbedConfig config)
   }
 }
 
+std::vector<Cell> Testbed::cells(
+    int repetitions, int max_resolvers,
+    const std::vector<dox::DnsProtocol>& protocols) const {
+  const std::vector<std::size_t>& verified = population_.verified;
+  std::vector<std::size_t> resolvers = verified;
+  if (max_resolvers > 0 && static_cast<int>(verified.size()) > max_resolvers) {
+    const double stride = static_cast<double>(verified.size()) / max_resolvers;
+    resolvers.clear();
+    for (int i = 0; i < max_resolvers; ++i) {
+      resolvers.push_back(verified[static_cast<std::size_t>(i * stride)]);
+    }
+  }
+
+  std::vector<Cell> cells;
+  for (int rep = 0; rep < repetitions; ++rep) {
+    for (int vp = 0; vp < static_cast<int>(vantage_points_.size()); ++vp) {
+      for (std::size_t resolver : resolvers) {
+        for (dox::DnsProtocol protocol : protocols) {
+          cells.push_back(Cell{rep, vp, resolver, protocol});
+        }
+      }
+    }
+  }
+  return cells;
+}
+
 net::Endpoint Testbed::resolver_endpoint(std::size_t resolver_index,
                                          dox::DnsProtocol protocol) const {
   return net::Endpoint{

@@ -46,6 +46,17 @@ struct VantagePoint {
   }
 };
 
+/// One cell of a study's matrix: the unit that both the one-testbed sweep
+/// (`run()` on either study) and the campaign runner measure.
+struct Cell {
+  int rep = 0;
+  int vp = 0;                ///< index into Testbed::vantage_points()
+  std::size_t resolver = 0;  ///< index into the population's resolvers
+  dox::DnsProtocol protocol = dox::DnsProtocol::kDoUdp;
+
+  bool operator==(const Cell&) const = default;
+};
+
 struct TestbedConfig {
   std::uint64_t seed = 42;
   /// When set, the resolver population is built from its own seed instead
@@ -78,6 +89,13 @@ class Testbed {
   }
   Rng& rng() { return rng_; }
   const TestbedConfig& config() const { return config_; }
+
+  /// A study's cells in rep -> vantage point -> resolver -> protocol order.
+  /// The resolvers are the verified set, capped at `max_resolvers` (0 = no
+  /// cap) by stride-sampling, which keeps the continent interleaving of the
+  /// verified list.
+  std::vector<Cell> cells(int repetitions, int max_resolvers,
+                          const std::vector<dox::DnsProtocol>& protocols) const;
 
   /// Resolver endpoint for a protocol.
   net::Endpoint resolver_endpoint(std::size_t resolver_index,

@@ -27,15 +27,9 @@ struct WebStudyConfig {
   int max_resolvers = 24;
   /// Reproduce dnsproxy's DoT connection-handling bug (paper behaviour).
   bool dot_buggy_reuse = true;
-  /// Methodology switches.
-  bool use_session_resumption = true;
+  /// Attempt 0-RTT when a ticket allows it. The proxy always offers session
+  /// resumption.
   bool attempt_0rtt = true;
-  /// Sharding filters used by the campaign runner: restrict the sweep to a
-  /// single vantage point / resolver population index (-1 = no filter) and
-  /// offset the `rep` recorded so merged shards reproduce a serial sweep.
-  int only_vp = -1;
-  int only_resolver = -1;
-  int rep_base = 0;
 };
 
 struct WebRecord {
@@ -54,14 +48,27 @@ struct WebRecord {
 
 class WebStudy {
  public:
-  WebStudy(Testbed& testbed, WebStudyConfig config)
-      : testbed_(testbed), config_(std::move(config)) {}
+  using Config = WebStudyConfig;
+  using Record = WebRecord;
 
+  /// Throws std::invalid_argument for an unknown page name.
+  WebStudy(Testbed& testbed, WebStudyConfig config);
+
+  /// The study's matrix on this testbed, in the order run() measures it.
+  std::vector<Cell> cells() const;
+
+  /// Measures one cell through a fresh proxy: per page, a cache-warming
+  /// navigation, then `loads_per_combo` cold loads. Appends one record per
+  /// load.
+  void measure(const Cell& cell, std::vector<WebRecord>& out);
+
+  /// Measures every cell, in order, on this testbed.
   std::vector<WebRecord> run();
 
  private:
   Testbed& testbed_;
   WebStudyConfig config_;
+  std::vector<const web::WebPage*> pages_;
 };
 
 }  // namespace doxlab::measure

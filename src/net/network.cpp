@@ -114,11 +114,17 @@ std::uint64_t Network::pair_key(IpAddress a, IpAddress b) {
 }
 
 void Network::set_path_override(IpAddress a, IpAddress b, SimTime one_way) {
-  path_overrides_[pair_key(a, b)] = one_way;
+  pair_overrides_[pair_key(a, b)].one_way = one_way;
 }
 
 void Network::set_loss_override(IpAddress a, IpAddress b, double loss) {
-  loss_overrides_[pair_key(a, b)] = loss;
+  pair_overrides_[pair_key(a, b)].loss = loss;
+}
+
+const Network::PairOverride* Network::find_override(IpAddress a,
+                                                    IpAddress b) const {
+  auto it = pair_overrides_.find(pair_key(a, b));
+  return it == pair_overrides_.end() ? nullptr : &it->second;
 }
 
 int Network::add_link(LinkConfig config) {
@@ -213,13 +219,12 @@ std::optional<SimTime> Network::traverse_links(const Host& src,
 
 SimTime Network::base_one_way(const Host& a, const Host& b) const {
   if (a.address() == b.address()) return kLoopbackOneWay;
-  return keyed_one_way(pair_key(a.address(), b.address()), a, b);
+  return pair_one_way(find_override(a.address(), b.address()), a, b);
 }
 
-SimTime Network::keyed_one_way(std::uint64_t key, const Host& a,
-                               const Host& b) const {
-  auto it = path_overrides_.find(key);
-  if (it != path_overrides_.end()) return it->second;
+SimTime Network::pair_one_way(const PairOverride* pair, const Host& a,
+                              const Host& b) const {
+  if (pair != nullptr && pair->one_way) return *pair->one_way;
   return latency_.base_one_way(a.location(), b.location(), a.access_delay(),
                                b.access_delay());
 }
@@ -239,24 +244,22 @@ void Network::send(Packet packet) {
     return;
   }
 
-  // Hash the (src, dst) pair once; the key feeds both the loss override and
-  // the path override lookups. Loopback — same machine after routing, which
-  // covers a host fronting a whole client prefix — needs neither.
+  // One lookup finds both the pair's loss and path overrides. Loopback —
+  // same machine after routing, which covers a host fronting a whole client
+  // prefix — needs neither.
   const bool loopback = src == dst;
-  const std::uint64_t key =
-      loopback ? 0 : pair_key(packet.src.address, packet.dst.address);
+  const PairOverride* pair =
+      loopback ? nullptr
+               : find_override(packet.src.address, packet.dst.address);
 
   double loss = loopback ? 0.0 : loss_rate_;
-  if (!loopback) {
-    auto lit = loss_overrides_.find(key);
-    if (lit != loss_overrides_.end()) loss = lit->second;
-  }
+  if (pair != nullptr && pair->loss) loss = *pair->loss;
   if (rng_.chance(loss)) {
     ++counters_.packets_lost;
     return;
   }
 
-  SimTime delay = loopback ? kLoopbackOneWay : keyed_one_way(key, *src, *dst);
+  SimTime delay = loopback ? kLoopbackOneWay : pair_one_way(pair, *src, *dst);
   if (!loopback) delay += latency_.jitter(rng_);
 
   // Link models (finite-rate queues, burst loss, handover steps) sit after

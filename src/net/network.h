@@ -248,10 +248,17 @@ class Network {
  private:
   static std::uint64_t pair_key(IpAddress a, IpAddress b);
 
-  /// Non-loopback one-way delay with the pair key already computed — `send`
-  /// hashes the pair once for both the loss and path override lookups.
-  SimTime keyed_one_way(std::uint64_t key, const Host& a,
-                        const Host& b) const;
+  /// What set_path_override and set_loss_override pinned for a host pair.
+  struct PairOverride {
+    std::optional<SimTime> one_way;
+    std::optional<double> loss;
+  };
+  /// The pair's overrides, or null when it has none.
+  const PairOverride* find_override(IpAddress a, IpAddress b) const;
+
+  /// Non-loopback one-way delay, given the pair's overrides (or null).
+  SimTime pair_one_way(const PairOverride* pair, const Host& a,
+                       const Host& b) const;
 
   /// One pending batch slot: (routed host, delivery grid time).
   struct BatchKey {
@@ -298,8 +305,7 @@ class Network {
   FlatIndex<Host> host_index_;
   /// Sorted longest-prefix-first; scanned linearly (a handful of routes).
   std::vector<PrefixRoute> prefix_routes_;
-  std::unordered_map<std::uint64_t, SimTime> path_overrides_;
-  std::unordered_map<std::uint64_t, double> loss_overrides_;
+  std::unordered_map<std::uint64_t, PairOverride> pair_overrides_;
 
   // Link layer. `links_` owns every Link; the maps bind them to directed
   // pairs and host aggregates. `default_link_` is the lazy per-pair

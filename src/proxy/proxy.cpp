@@ -4,10 +4,10 @@
 
 namespace doxlab::proxy {
 
-DnsProxy::DnsProxy(sim::Simulator& sim, net::UdpStack& stub_udp,
+DnsProxy::DnsProxy(net::UdpStack& stub_udp,
                    const dox::TransportDeps& upstream_deps,
                    ProxyConfig config)
-    : sim_(sim), config_(std::move(config)) {
+    : config_(std::move(config)) {
   dox::TransportOptions options = config_.transport_options;
   options.resolver = config_.upstream;
   transport_ = dox::make_transport(config_.upstream_protocol, upstream_deps,
@@ -28,17 +28,6 @@ void DnsProxy::on_stub_query(const net::Endpoint& from,
   const dns::Question question = query->questions.front();
   const std::uint16_t stub_id = query->id;
 
-  if (config_.cache_enabled) {
-    if (auto cached = cache_.lookup(question.name, question.type,
-                                    sim_.now())) {
-      ++cache_hits_;
-      dns::Message response = dns::make_response(*query);
-      response.answers = std::move(*cached);
-      listener_->send_to(from, response.encode());
-      return;
-    }
-  }
-
   ++forwarded_;
   transport_->resolve(
       question, [this, from, stub_id, question](dox::QueryResult result) {
@@ -56,10 +45,6 @@ void DnsProxy::on_stub_query(const net::Endpoint& from,
           servfail.questions = {question};
           listener_->send_to(from, servfail.encode());
           return;
-        }
-        if (config_.cache_enabled) {
-          cache_.insert(question.name, question.type, result.response.answers,
-                        sim_.now());
         }
         dns::Message response = result.response;
         response.id = stub_id;  // restore the stub's transaction id

@@ -3,8 +3,8 @@
 // Chromium is configured with a localhost DoUDP resolver; this proxy
 // receives those stub queries and forwards them to the upstream DoX
 // resolver over the protocol under test. Per the paper:
-//   * the proxy's local cache is disabled (every browser query reaches the
-//     upstream resolver),
+//   * the proxy has no local cache (every browser query reaches the
+//     upstream resolver, as the paper's dnsproxy ran with its cache off),
 //   * sessions are reset between the cache-warming navigation and the
 //     measured navigation (tickets/tokens survive; connections do not),
 //   * DoT suffers the connection-handling bug (new connection while a
@@ -12,9 +12,7 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 
-#include "dns/cache.h"
 #include "dox/transport.h"
 #include "net/udp.h"
 
@@ -27,8 +25,6 @@ struct ProxyConfig {
   net::Endpoint upstream;
   /// Local port the stub listener binds (Chromium points at this).
   std::uint16_t listen_port = 53;
-  /// Local answer cache — disabled in the study.
-  bool cache_enabled = false;
   /// Options passed to the upstream transport (session resumption, the DoT
   /// reuse bug, 0-RTT, ...).
   dox::TransportOptions transport_options;
@@ -38,8 +34,8 @@ class DnsProxy {
  public:
   /// Binds the stub listener on `stub_udp` (the client machine's stack) and
   /// creates the upstream transport from `deps`.
-  DnsProxy(sim::Simulator& sim, net::UdpStack& stub_udp,
-           const dox::TransportDeps& upstream_deps, ProxyConfig config);
+  DnsProxy(net::UdpStack& stub_udp, const dox::TransportDeps& upstream_deps,
+           ProxyConfig config);
 
   DnsProxy(const DnsProxy&) = delete;
   DnsProxy& operator=(const DnsProxy&) = delete;
@@ -50,7 +46,6 @@ class DnsProxy {
 
   const ProxyConfig& config() const { return config_; }
   std::uint64_t queries_forwarded() const { return forwarded_; }
-  std::uint64_t cache_hits() const { return cache_hits_; }
   /// Upstream failures answered with SERVFAIL — the web study's failure
   /// rate.
   std::uint64_t servfails_sent() const { return servfails_sent_; }
@@ -64,13 +59,10 @@ class DnsProxy {
   void on_stub_query(const net::Endpoint& from,
                      util::Buffer payload);
 
-  sim::Simulator& sim_;
   ProxyConfig config_;
   std::unique_ptr<net::UdpSocket> listener_;
   std::unique_ptr<dox::DnsTransport> transport_;
-  dns::Cache cache_;
   std::uint64_t forwarded_ = 0;
-  std::uint64_t cache_hits_ = 0;
   std::uint64_t servfails_sent_ = 0;
 };
 

@@ -2,16 +2,19 @@
 //
 // The paper's measurement campaign — 6 vantage points x hundreds of
 // resolvers x 5 protocols x many repetitions — is thousands of independent
-// simulations. The campaign runner shards that matrix into one task per
-// (repetition, vantage point, resolver, protocol) cell, runs each cell in
-// its own Testbed/Simulator on a work-stealing thread pool, and merges the
-// per-cell records back in schedule order.
+// simulations. A study's matrix is a list of cells (measure::Cell), walked
+// by Testbed::cells; there are two runners over it:
+//   * run_sweep measures every cell in order on one testbed, as a study's
+//     own run() does;
+//   * run_campaign measures cell i on its own testbed i, on a work-stealing
+//     thread pool, and merges the per-cell records back in cell order.
 //
-// Determinism contract: the output is a pure function of the campaign seed
-// and config — never of `jobs`. Each cell's testbed is seeded with
-// SplitMix64(campaign seed, cell index), and every cell pins its resolver
+// Determinism contract: run_campaign's output is a pure function of the
+// campaign seed and config — never of `jobs`. Cell i's testbed is seeded
+// with SplitMix64(campaign seed, i), and every cell pins its resolver
 // population to the campaign seed so all cells measure the identical
-// population while their jitter/loss streams differ.
+// population while their jitter/loss streams differ. The two runners seed
+// differently, so their records differ.
 #pragma once
 
 #include <cstdint>
@@ -40,16 +43,35 @@ struct CampaignConfig {
   std::optional<net::LinkConfig> access_link;
 };
 
-/// Runs the single-query study sharded across the pool. `study`'s
-/// repetitions/protocols/max_resolvers define the matrix; its sharding
-/// filter fields (only_vp/only_resolver/rep_base) are managed per cell and
-/// any caller-set values are ignored.
-std::vector<measure::SingleQueryRecord> run_single_query_campaign(
-    const CampaignConfig& campaign, const measure::SingleQueryConfig& study);
+/// Measures every cell of a study (measure::SingleQueryStudy or
+/// measure::WebStudy) on its own testbed, on `campaign.jobs` threads.
+template <typename Study>
+std::vector<typename Study::Record> run_campaign(
+    const CampaignConfig& campaign, const typename Study::Config& study);
 
-/// Web-study counterpart: pages and loads-per-combo stay inside each cell
-/// (they share the cell's proxy warm-up, as in the serial study).
-std::vector<measure::WebRecord> run_web_campaign(
-    const CampaignConfig& campaign, const measure::WebStudyConfig& study);
+/// Measures every cell of a study in order on one testbed seeded with
+/// `campaign.seed`, whose population comes from that testbed's own stream.
+/// Runs on the calling thread; `campaign.jobs` is unused.
+template <typename Study>
+std::vector<typename Study::Record> run_sweep(
+    const CampaignConfig& campaign, const typename Study::Config& study) {
+  measure::Testbed testbed({.seed = campaign.seed,
+                            .population_seed = std::nullopt,
+                            .population = campaign.population,
+                            .loss_rate = campaign.loss_rate,
+                            .access_link = campaign.access_link});
+  return Study(testbed, study).run();
+}
+
+/// The campaign of each study, by name.
+inline std::vector<measure::SingleQueryRecord> run_single_query_campaign(
+    const CampaignConfig& campaign, const measure::SingleQueryConfig& study) {
+  return run_campaign<measure::SingleQueryStudy>(campaign, study);
+}
+
+inline std::vector<measure::WebRecord> run_web_campaign(
+    const CampaignConfig& campaign, const measure::WebStudyConfig& study) {
+  return run_campaign<measure::WebStudy>(campaign, study);
+}
 
 }  // namespace doxlab::runner

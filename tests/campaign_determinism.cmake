@@ -1,6 +1,7 @@
 # Parallel campaign determinism: the --jobs=N runner must produce a CSV
-# bit-identical to the serial run. Buffers are recycled through thread-local
-# pools, so any cross-thread state leak would show up here first.
+# bit-identical to the --jobs=1 run. Buffers are recycled through
+# thread-local pools, so any cross-thread state leak would show up here
+# first.
 #
 # Invoked by ctest as:
 #   cmake -DDOXPERF_BIN=... -DWORK_DIR=... -P this_file

@@ -99,7 +99,7 @@ TEST_F(IntegrationFixture, DotBugVisibleAsSecondConnectionOnWire) {
     config.upstream = Endpoint{resolver_->profile().address, 853};
     config.listen_port = buggy ? 5301 : 5302;
     config.transport_options.dot_buggy_reuse = buggy;
-    proxy::DnsProxy proxy(sim_, udp_, deps(), config);
+    proxy::DnsProxy proxy(udp_, deps(), config);
 
     int syns_to_853 = 0;
     network_.set_tap([&](const net::Packet& p) {
@@ -146,7 +146,7 @@ TEST_P(AllPagesLoad, CompletesWithConsistentMetrics) {
   config.upstream_protocol = GetParam().protocol;
   config.upstream = Endpoint{resolver_->profile().address,
                              dox::default_port(GetParam().protocol)};
-  proxy::DnsProxy proxy(sim_, udp_, deps(), config);
+  proxy::DnsProxy proxy(udp_, deps(), config);
 
   web::BrowserConfig browser_config;
   browser_config.stub_resolver = Endpoint{client_host_.address(), 53};
@@ -263,7 +263,7 @@ TEST_F(IntegrationFixture, RepeatedWebLoadsReleasePorts) {
   proxy::ProxyConfig config;
   config.upstream_protocol = dox::DnsProtocol::kDoQ;
   config.upstream = Endpoint{resolver_->profile().address, 853};
-  proxy::DnsProxy proxy(sim_, udp_, deps(), config);
+  proxy::DnsProxy proxy(udp_, deps(), config);
   web::BrowserConfig browser_config;
   browser_config.stub_resolver = Endpoint{client_host_.address(), 53};
   auto rtt = [](const dns::DnsName&) { return from_ms(15); };

@@ -70,6 +70,34 @@ TEST_F(MeasureFixture, TestbedHasSixVantagePointsAcrossContinents) {
   EXPECT_EQ(continents.size(), 6u);
 }
 
+TEST_F(MeasureFixture, CellsWalkRepThenVantagePointThenResolverThenProtocol) {
+  SingleQueryConfig config;
+  config.repetitions = 2;
+  config.max_resolvers = 2;
+  config.protocols = {dox::DnsProtocol::kDoUdp, dox::DnsProtocol::kDoQ};
+  const std::vector<Cell> cells = SingleQueryStudy(testbed(), config).cells();
+  ASSERT_EQ(cells.size(), 2u * 6u * 2u * 2u);
+
+  // Two resolvers stride-sampled from the verified list: its first and the
+  // one halfway along.
+  const auto& verified = testbed().population().verified;
+  const std::size_t first = verified[0];
+  const std::size_t half = verified[verified.size() / 2];
+  EXPECT_EQ(cells[0], (Cell{0, 0, first, dox::DnsProtocol::kDoUdp}));
+  EXPECT_EQ(cells[1], (Cell{0, 0, first, dox::DnsProtocol::kDoQ}));
+  EXPECT_EQ(cells[2], (Cell{0, 0, half, dox::DnsProtocol::kDoUdp}));
+  EXPECT_EQ(cells[4], (Cell{0, 1, first, dox::DnsProtocol::kDoUdp}));
+  EXPECT_EQ(cells[24], (Cell{1, 0, first, dox::DnsProtocol::kDoUdp}));
+  EXPECT_EQ(cells.back(), (Cell{1, 5, half, dox::DnsProtocol::kDoQ}));
+
+  // The web study walks the same matrix.
+  WebStudyConfig web;
+  web.repetitions = config.repetitions;
+  web.max_resolvers = config.max_resolvers;
+  web.protocols = config.protocols;
+  EXPECT_EQ(WebStudy(testbed(), web).cells(), cells);
+}
+
 TEST_F(MeasureFixture, StudyProducesRecordsForAllCombinations) {
   const auto& records = single_query_records();
   // 6 VPs x (scaled verified set) x 5 protocols x 1 rep. The builder

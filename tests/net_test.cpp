@@ -321,6 +321,41 @@ TEST_F(NetworkFixture, FullLossDropsEverything) {
   EXPECT_EQ(network_.counters().packets_lost, 50u);
 }
 
+TEST_F(NetworkFixture, PairKeepsPathAndLossOverridesInEitherOrder) {
+  // A pair's path and loss overrides live in one entry: setting one keeps
+  // the other, whichever is set first and whichever way round the second
+  // call names the pair.
+  Host& c = network_.add_host("c", IpAddress::from_octets(10, 0, 0, 3),
+                              {48.85, 2.35}, Continent::kEurope);
+  network_.set_loss_rate(1.0);
+  network_.set_path_override(a_.address(), b_.address(), from_ms(10));
+  network_.set_loss_override(b_.address(), a_.address(), 0.0);
+  network_.set_loss_override(a_.address(), c.address(), 0.0);
+  network_.set_path_override(c.address(), a_.address(), from_ms(20));
+
+  EXPECT_EQ(network_.base_one_way(a_, b_), from_ms(10));
+  EXPECT_EQ(network_.base_one_way(b_, a_), from_ms(10));
+  EXPECT_EQ(network_.base_one_way(a_, c), from_ms(20));
+  EXPECT_EQ(network_.base_one_way(c, a_), from_ms(20));
+
+  // Both lossless overrides beat the fabric's full loss in both
+  // directions; the b-c pair has none and loses its packet.
+  UdpStack stack_a(a_);
+  UdpStack stack_b(b_);
+  UdpStack stack_c(c);
+  auto from_a = stack_a.bind_ephemeral();
+  auto from_b = stack_b.bind_ephemeral();
+  auto from_c = stack_c.bind_ephemeral();
+  from_a->send_to(Endpoint{b_.address(), 53}, {0});
+  from_b->send_to(Endpoint{a_.address(), 53}, {0});
+  from_a->send_to(Endpoint{c.address(), 53}, {0});
+  from_c->send_to(Endpoint{a_.address(), 53}, {0});
+  from_b->send_to(Endpoint{c.address(), 53}, {0});
+  sim_.run();
+  EXPECT_EQ(network_.counters().packets_delivered, 4u);
+  EXPECT_EQ(network_.counters().packets_lost, 1u);
+}
+
 TEST_F(NetworkFixture, DownHostDropsAtDelivery) {
   UdpStack stack_a(a_);
   UdpStack stack_b(b_);

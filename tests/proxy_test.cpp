@@ -87,7 +87,7 @@ class ProxyAllProtocols
       public ::testing::WithParamInterface<dox::DnsProtocol> {};
 
 TEST_P(ProxyAllProtocols, ForwardsAndRewritesId) {
-  DnsProxy proxy(sim_, udp_, deps(), proxy_config(GetParam()));
+  DnsProxy proxy(udp_, deps(), proxy_config(GetParam()));
   auto response = stub_query("example.com", 0x1234);
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->id, 0x1234);  // stub id restored
@@ -120,7 +120,7 @@ TEST_F(ProxyFixture, ForwardsOverDoh3WhenResolverSupportsIt) {
   ProxyConfig config;
   config.upstream_protocol = dox::DnsProtocol::kDoH3;
   config.upstream = Endpoint{p.address, 443};
-  DnsProxy proxy(sim_, udp_, deps(), config);
+  DnsProxy proxy(udp_, deps(), config);
   auto response = stub_query("h3.example");
   ASSERT_TRUE(response.has_value());
   ASSERT_EQ(response->answers.size(), 1u);
@@ -131,7 +131,7 @@ TEST_F(ProxyFixture, ForwardsOverDoh3WhenResolverSupportsIt) {
 TEST_F(ProxyFixture, TruncatedUpstreamAnswerArrivesCompleteViaTcpFallback) {
   // A big TXT answer truncates on the upstream UDP leg; the proxy's
   // transport falls back to TCP and the stub still gets the full record.
-  DnsProxy proxy(sim_, udp_, deps(), proxy_config(dox::DnsProtocol::kDoUdp));
+  DnsProxy proxy(udp_, deps(), proxy_config(dox::DnsProtocol::kDoUdp));
   auto socket = udp_.bind_ephemeral();
   std::optional<dns::Message> response;
   socket->on_datagram(
@@ -149,25 +149,14 @@ TEST_F(ProxyFixture, TruncatedUpstreamAnswerArrivesCompleteViaTcpFallback) {
 }
 
 TEST_F(ProxyFixture, CacheDisabledForwardsEveryQuery) {
-  DnsProxy proxy(sim_, udp_, deps(), proxy_config(dox::DnsProtocol::kDoUdp));
+  DnsProxy proxy(udp_, deps(), proxy_config(dox::DnsProtocol::kDoUdp));
   stub_query("example.com");
   stub_query("example.com");
   EXPECT_EQ(proxy.queries_forwarded(), 2u);
-  EXPECT_EQ(proxy.cache_hits(), 0u);
-}
-
-TEST_F(ProxyFixture, CacheEnabledServesSecondQueryLocally) {
-  ProxyConfig config = proxy_config(dox::DnsProtocol::kDoUdp);
-  config.cache_enabled = true;
-  DnsProxy proxy(sim_, udp_, deps(), config);
-  stub_query("example.com");
-  stub_query("example.com");
-  EXPECT_EQ(proxy.queries_forwarded(), 1u);
-  EXPECT_EQ(proxy.cache_hits(), 1u);
 }
 
 TEST_F(ProxyFixture, ResetSessionsForcesNewUpstreamHandshake) {
-  DnsProxy proxy(sim_, udp_, deps(), proxy_config(dox::DnsProtocol::kDoT));
+  DnsProxy proxy(udp_, deps(), proxy_config(dox::DnsProtocol::kDoT));
   stub_query("a.example");
   const auto stats_before = proxy.upstream_wire_stats();
   sim_.run_until(sim_.now() + 300 * kMillisecond);
@@ -185,7 +174,7 @@ TEST_F(ProxyFixture, UpstreamFailureYieldsServfail) {
   ProxyConfig config = proxy_config(dox::DnsProtocol::kDoUdp);
   config.transport_options.query_timeout = 2 * kSecond;
   config.transport_options.udp_max_attempts = 1;
-  DnsProxy proxy(sim_, udp_, deps(), config);
+  DnsProxy proxy(udp_, deps(), config);
   network_.set_loss_override(client_host_.address(),
                              resolver_->profile().address, 1.0);
   EXPECT_EQ(proxy.servfails_sent(), 0u);
@@ -196,7 +185,7 @@ TEST_F(ProxyFixture, UpstreamFailureYieldsServfail) {
 }
 
 TEST_F(ProxyFixture, MalformedStubQueryIgnored) {
-  DnsProxy proxy(sim_, udp_, deps(), proxy_config(dox::DnsProtocol::kDoUdp));
+  DnsProxy proxy(udp_, deps(), proxy_config(dox::DnsProtocol::kDoUdp));
   auto socket = udp_.bind_ephemeral();
   bool got = false;
   socket->on_datagram(
@@ -208,7 +197,7 @@ TEST_F(ProxyFixture, MalformedStubQueryIgnored) {
 }
 
 TEST_F(ProxyFixture, ConcurrentStubQueriesAllAnswered) {
-  DnsProxy proxy(sim_, udp_, deps(), proxy_config(dox::DnsProtocol::kDoQ));
+  DnsProxy proxy(udp_, deps(), proxy_config(dox::DnsProtocol::kDoQ));
   auto socket = udp_.bind_ephemeral();
   int answers = 0;
   socket->on_datagram(

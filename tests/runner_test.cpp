@@ -159,6 +159,32 @@ TEST(Campaign, SingleQuerySeedChangesOutput) {
   EXPECT_NE(measure::single_query_csv(a), measure::single_query_csv(b));
 }
 
+TEST(Campaign, RecordsFollowTheCellWalk) {
+  // One record per single-query cell, merged in the walk's order, read off
+  // a testbed that draws the campaign's population.
+  CampaignConfig campaign;
+  campaign.seed = 7;
+  campaign.population.verified_dox = 8;
+  campaign.jobs = 4;
+  const auto records =
+      run_single_query_campaign(campaign, small_query_config());
+
+  measure::TestbedConfig config;
+  config.population_seed = campaign.seed;
+  config.population = campaign.population;
+  measure::Testbed prototype(config);
+  const auto cells =
+      measure::SingleQueryStudy(prototype, small_query_config()).cells();
+  ASSERT_EQ(records.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ((measure::Cell{records[i].rep, records[i].vp,
+                             static_cast<std::size_t>(records[i].resolver),
+                             records[i].protocol}),
+              cells[i])
+        << "record " << i;
+  }
+}
+
 TEST(Campaign, WebParallelMatchesSerial) {
   CampaignConfig campaign;
   campaign.seed = 11;

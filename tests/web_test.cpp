@@ -113,7 +113,7 @@ class BrowserFixture : public ::testing::Test {
     config.upstream_protocol = protocol;
     config.upstream = Endpoint{resolver_->profile().address,
                                dox::default_port(protocol)};
-    proxy_ = std::make_unique<proxy::DnsProxy>(sim_, udp_, deps, config);
+    proxy_ = std::make_unique<proxy::DnsProxy>(udp_, deps, config);
   }
 
   Browser::OriginRttFn flat_rtt(double ms = 20.0) {

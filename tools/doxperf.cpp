@@ -60,8 +60,10 @@ const char* kUsage = R"(doxperf — DNS-over-X measurement testbed CLI
   --failure-csv=FILE write the per-protocol x error-class failure report
   --help             this text
 
-campaign subcommand — the same studies sharded over a thread pool
-(doxperf campaign ...). Output is bit-identical for any --jobs value:
+campaign subcommand — the same studies with each (repetition, vantage
+point, resolver, protocol) cell on its own testbed, sharded over a thread
+pool (doxperf campaign ...). Output is identical for any --jobs value, but
+not to the default run, which measures every cell on one testbed:
   --jobs=N           threads running cells, this one included (default 1 =
                      no extra thread; 0 = one per hardware thread)
   plus the study flags above (--web, --protocols, --resolvers, --reps, ...)
@@ -702,25 +704,28 @@ int run_adverse(int argc, char** argv) {
   return 0;
 }
 
-/// `doxperf campaign` — the measurement studies sharded across a
-/// work-stealing pool; reports the same tables plus wall-clock timing.
-int run_campaign(int argc, char** argv) {
-  runner::CampaignConfig campaign;
-  campaign.seed = flag_num<std::uint64_t>(argc, argv, "--seed", 42);
-  campaign.jobs = flag_int(argc, argv, "--jobs", 1);
-  campaign.population.verified_only = true;
-  campaign.population.verified_dox = flag_int(argc, argv, "--resolvers", 48);
+/// `doxperf` and `doxperf campaign`: one parser and one report. The modes
+/// differ only in the runner that produces the records (runner/campaign.h):
+/// by default every cell runs in order on one testbed, and `campaign` gives
+/// each cell its own testbed on --jobs threads and reports its wall time.
+int run_study(int argc, char** argv, bool campaign) {
+  runner::CampaignConfig config;
+  config.seed = flag_num<std::uint64_t>(argc, argv, "--seed", 42);
+  config.jobs = flag_int(argc, argv, "--jobs", 1);
+  config.population.verified_only = true;
+  config.population.verified_dox = flag_int(argc, argv, "--resolvers", 48);
   if (flag_set(argc, argv, "--0rtt")) {
-    campaign.population.force_supports_0rtt = true;
+    config.population.force_supports_0rtt = true;
   }
   if (flag_set(argc, argv, "--doh3")) {
-    campaign.population.force_supports_doh3 = true;
+    config.population.force_supports_doh3 = true;
   }
 
   std::vector<dox::DnsProtocol> protocols{std::begin(dox::kAllProtocols),
                                           std::end(dox::kAllProtocols)};
   const std::string protocol_list = flag_value(argc, argv, "--protocols", "");
   if (!protocol_list.empty()) protocols = parse_protocols(protocol_list);
+  const int reps = flag_int(argc, argv, "--reps", 1);
 
   std::vector<std::string> vp_names;
   for (const net::City& city : net::vantage_point_cities()) {
@@ -728,31 +733,32 @@ int run_campaign(int argc, char** argv) {
   }
   const std::string csv_path = flag_value(argc, argv, "--csv", "");
   const auto started = std::chrono::steady_clock::now();
-  const auto wall_seconds = [&started] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         started)
-        .count();
+  // The campaign runner's timing line, printed after the reports.
+  const auto report_wall_time = [&](std::size_t records) {
+    if (!campaign) return;
+    std::printf("campaign: %zu records in %.2f s (--jobs %d)\n", records,
+                std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - started)
+                    .count(),
+                config.jobs);
   };
 
   if (flag_set(argc, argv, "--web")) {
     WebStudyConfig web;
     web.protocols = protocols;
-    web.max_resolvers = std::min<int>(
-        campaign.population.verified_dox,
-        flag_int(argc, argv, "--resolvers", 48));
+    web.max_resolvers = config.population.verified_dox;
     web.loads_per_combo = flag_int(argc, argv, "--loads", 4);
-    web.repetitions = flag_int(argc, argv, "--reps", 1);
+    web.repetitions = reps;
     web.dot_buggy_reuse = !flag_set(argc, argv, "--fix-dot");
-    web.attempt_0rtt = true;
     const std::string pages = flag_value(argc, argv, "--pages", "");
     if (!pages.empty()) web.pages = split(pages, ',');
 
-    auto records = runner::run_web_campaign(campaign, web);
+    const auto records = campaign ? runner::run_campaign<WebStudy>(config, web)
+                                  : runner::run_sweep<WebStudy>(config, web);
     std::printf("%s", render_fig3(fig3_relative(records)).c_str());
     std::printf("%s",
                 render_fig4(fig4_cells(records, vp_names), vp_names).c_str());
-    std::printf("campaign: %zu records in %.2f s (--jobs %d)\n",
-                records.size(), wall_seconds(), campaign.jobs);
+    report_wall_time(records.size());
     if (!csv_path.empty()) {
       write_file(csv_path, web_csv(records));
       std::printf("raw records -> %s\n", csv_path.c_str());
@@ -763,18 +769,19 @@ int run_campaign(int argc, char** argv) {
   SingleQueryConfig sq;
   sq.protocols = protocols;
   sq.qname = flag_value(argc, argv, "--qname", "google.com");
-  sq.repetitions = flag_int(argc, argv, "--reps", 1);
+  sq.repetitions = reps;
   sq.use_session_resumption = !flag_set(argc, argv, "--no-resumption");
   sq.use_address_token = !flag_set(argc, argv, "--no-token");
   sq.pad_encrypted = flag_set(argc, argv, "--pad");
 
-  auto records = runner::run_single_query_campaign(campaign, sq);
+  const auto records =
+      campaign ? runner::run_campaign<SingleQueryStudy>(config, sq)
+               : runner::run_sweep<SingleQueryStudy>(config, sq);
   std::printf("%s\n", render_table1(table1_sizes(records), nullptr).c_str());
   std::printf("%s",
               render_fig2(fig2_handshake_resolve(records, vp_names)).c_str());
   std::printf("%s", render_mix(protocol_mix(records)).c_str());
-  std::printf("campaign: %zu records in %.2f s (--jobs %d)\n",
-              records.size(), wall_seconds(), campaign.jobs);
+  report_wall_time(records.size());
   if (!csv_path.empty()) {
     write_file(csv_path, single_query_csv(records));
     std::printf("raw records -> %s\n", csv_path.c_str());
@@ -790,8 +797,6 @@ int run_campaign(int argc, char** argv) {
 
 }  // namespace
 
-int run(int argc, char** argv);
-
 int main(int argc, char** argv) {
   if (flag_set(argc, argv, "--help") || flag_set(argc, argv, "-h")) {
     std::fputs(kUsage, stdout);
@@ -802,88 +807,10 @@ int main(int argc, char** argv) {
     if (mode == "engine" || mode == "abuse" || mode == "churn") {
       return run_engine(argc, argv, mode);
     }
-    if (argc > 1 && std::strcmp(argv[1], "campaign") == 0) {
-      return run_campaign(argc, argv);
-    }
-    if (argc > 1 && std::strcmp(argv[1], "adverse") == 0) {
-      return run_adverse(argc, argv);
-    }
-    return run(argc, argv);
+    if (mode == "adverse") return run_adverse(argc, argv);
+    return run_study(argc, argv, mode == "campaign");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "doxperf: %s\n", e.what());
     return 2;
   }
-}
-
-int run(int argc, char** argv) {
-
-  TestbedConfig config;
-  config.seed = flag_num<std::uint64_t>(argc, argv, "--seed", 42);
-  config.population.verified_only = true;
-  config.population.verified_dox = flag_int(argc, argv, "--resolvers", 48);
-  if (flag_set(argc, argv, "--0rtt")) {
-    config.population.force_supports_0rtt = true;
-  }
-  if (flag_set(argc, argv, "--doh3")) {
-    config.population.force_supports_doh3 = true;
-  }
-
-  std::vector<dox::DnsProtocol> protocols{std::begin(dox::kAllProtocols),
-                                          std::end(dox::kAllProtocols)};
-  const std::string protocol_list = flag_value(argc, argv, "--protocols", "");
-  if (!protocol_list.empty()) protocols = parse_protocols(protocol_list);
-
-  Testbed testbed(config);
-  std::vector<std::string> vp_names;
-  for (auto& vp : testbed.vantage_points()) vp_names.push_back(vp->name);
-  const std::string csv_path = flag_value(argc, argv, "--csv", "");
-
-  if (flag_set(argc, argv, "--web")) {
-    WebStudyConfig web;
-    web.protocols = protocols;
-    web.max_resolvers = config.population.verified_dox;
-    web.loads_per_combo = flag_int(argc, argv, "--loads", 4);
-    web.dot_buggy_reuse = !flag_set(argc, argv, "--fix-dot");
-    web.attempt_0rtt = true;
-    const std::string pages = flag_value(argc, argv, "--pages", "");
-    if (!pages.empty()) web.pages = split(pages, ',');
-
-    WebStudy study(testbed, web);
-    auto records = study.run();
-    std::printf("%s", render_fig3(fig3_relative(records)).c_str());
-    std::printf("%s",
-                render_fig4(fig4_cells(records, vp_names), vp_names).c_str());
-    if (!csv_path.empty()) {
-      write_file(csv_path, web_csv(records));
-      std::printf("raw records -> %s\n", csv_path.c_str());
-    }
-    return 0;
-  }
-
-  SingleQueryConfig sq;
-  sq.protocols = protocols;
-  sq.qname = flag_value(argc, argv, "--qname", "google.com");
-  sq.repetitions = flag_int(argc, argv, "--reps", 1);
-  sq.use_session_resumption = !flag_set(argc, argv, "--no-resumption");
-  sq.use_address_token = !flag_set(argc, argv, "--no-token");
-  sq.pad_encrypted = flag_set(argc, argv, "--pad");
-
-  SingleQueryStudy study(testbed, sq);
-  auto records = study.run();
-
-  std::printf("%s\n", render_table1(table1_sizes(records), nullptr).c_str());
-  std::printf("%s",
-              render_fig2(fig2_handshake_resolve(records, vp_names)).c_str());
-  std::printf("%s", render_mix(protocol_mix(records)).c_str());
-  if (!csv_path.empty()) {
-    write_file(csv_path, single_query_csv(records));
-    std::printf("raw records -> %s\n", csv_path.c_str());
-  }
-  const std::string failure_csv =
-      flag_value(argc, argv, "--failure-csv", "");
-  if (!failure_csv.empty()) {
-    write_file(failure_csv, failure_rate_csv(records));
-    std::printf("failure report -> %s\n", failure_csv.c_str());
-  }
-  return 0;
 }
