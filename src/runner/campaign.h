@@ -1,4 +1,4 @@
-// Parallel campaign executor.
+// Study runners: the one-testbed sweep and the parallel campaign executor.
 //
 // The paper's measurement campaign — 6 vantage points x hundreds of
 // resolvers x 5 protocols x many repetitions — is thousands of independent
