@@ -157,8 +157,8 @@ QuicResult run_quic_recovery(SimTime duration, std::size_t transfer_bytes) {
   net::UdpStack server_udp(server_host);
 
   quic::QuicConfig server_config;
-  server_config.alpn = {"doq"};
-  server_config.ticket_secret = 0xD0C;
+  server_config.tls.alpn = {"doq"};
+  server_config.tls.ticket_secret = 0xD0C;
   quic::QuicServer server(sim, server_udp, 853, server_config);
   std::size_t delivered = 0;
   std::vector<std::shared_ptr<quic::QuicConnection>> accepted;
@@ -171,8 +171,8 @@ QuicResult run_quic_recovery(SimTime duration, std::size_t transfer_bytes) {
   });
 
   quic::QuicConfig client_config;
-  client_config.alpn = {"doq"};
-  client_config.sni = "resolver.example";
+  client_config.tls.alpn = {"doq"};
+  client_config.tls.sni = "resolver.example";
   client_config.enable_cc = true;
   client_config.cc_trace = true;
 

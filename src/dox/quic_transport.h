@@ -103,9 +103,9 @@ class QuicTransport : public TransportBase {
         deps_.doq_cache ? deps_.doq_cache->find(key_) : nullptr;
 
     quic::QuicConfig config;
-    config.alpn = alpns_;
-    config.sni = server_name();
-    config.enable_0rtt = options_.attempt_0rtt;
+    config.tls.alpn = alpns_;
+    config.tls.sni = server_name();
+    config.tls.enable_0rtt = options_.attempt_0rtt;
     config.enable_cc = options_.quic_enable_cc;
     if (known && known->version) config.version = *known->version;
 

@@ -16,21 +16,36 @@ constexpr std::size_t kFrameOverhead = 24;
 /// RFC 9002 §6.1.1 packet reordering threshold: a packet is declared lost
 /// when one sent at least this many packet numbers later is acknowledged.
 constexpr std::uint64_t kPacketThreshold = 3;
+
+PnSpace space_of(tls::Level level) {
+  switch (level) {
+    case tls::Level::kInitial: return PnSpace::kInitial;
+    case tls::Level::kHandshake: return PnSpace::kHandshake;
+    case tls::Level::kApplication: return PnSpace::kAppData;
+  }
+  return PnSpace::kAppData;
+}
+
+/// Fixes the endpoint's role. QUIC runs TLS 1.3 only (RFC 9001 §4.2),
+/// whatever its TLS config would allow over TCP.
+QuicConfig with_role(QuicConfig config, bool is_server) {
+  config.tls.is_server = is_server;
+  config.tls.max_version = tls::TlsVersion::kTls13;
+  return config;
+}
 }  // namespace
 
 std::shared_ptr<QuicConnection> QuicConnection::make_client(
     sim::Simulator& sim, QuicConfig config, Callbacks callbacks) {
-  config.is_server = false;
-  return std::shared_ptr<QuicConnection>(
-      new QuicConnection(sim, std::move(config), std::move(callbacks)));
+  return std::shared_ptr<QuicConnection>(new QuicConnection(
+      sim, with_role(std::move(config), false), std::move(callbacks)));
 }
 
 std::shared_ptr<QuicConnection> QuicConnection::make_server(
     sim::Simulator& sim, QuicConfig config, Callbacks callbacks,
     bool address_validated) {
-  config.is_server = true;
-  auto conn = std::shared_ptr<QuicConnection>(
-      new QuicConnection(sim, std::move(config), std::move(callbacks)));
+  auto conn = std::shared_ptr<QuicConnection>(new QuicConnection(
+      sim, with_role(std::move(config), true), std::move(callbacks)));
   conn->address_validated_ = address_validated;
   return conn;
 }
@@ -40,12 +55,12 @@ QuicConnection::QuicConnection(sim::Simulator& sim, QuicConfig config,
     : sim_(sim),
       config_(std::move(config)),
       cb_(std::move(callbacks)),
-      tls_wire_(config_.tls_sizes),
+      handshake_(config_.tls, handshake_callbacks()),
       version_(config_.version),
-      local_cid_(config_.is_server ? 0x5EC0DE5EC0DE5EC0ull
-                                   : 0xC11E27C11E27C11Eull) {
+      local_cid_(is_server() ? 0x5EC0DE5EC0DE5EC0ull
+                             : 0xC11E27C11E27C11Eull) {
   cc::CcConfig cc_config;
-  cc_config.algorithm = config_.congestion_algorithm;
+  cc_config.algorithm = cc::CcAlgorithm::kNewReno;
   cc_config.mss = config_.max_datagram_size;
   cc_config.trace = config_.cc_trace;
   cc_ = cc::CongestionController(cc_config);
@@ -69,14 +84,13 @@ void QuicConnection::touch_idle_timer() {
 
 void QuicConnection::connect(std::optional<tls::SessionTicket> ticket,
                              std::optional<AddressToken> token) {
-  if (config_.is_server || connect_called_) {
+  if (is_server() || connect_called_) {
     fail(util::Error::protocol("connect() on server or already-connected endpoint"));
     return;
   }
   connect_called_ = true;
   ticket_ = std::move(ticket);
   if (token) {
-    token_ = token;
     initial_token_bytes_ = token->encode();
     pending_info_.presented_token = true;
   }
@@ -84,31 +98,28 @@ void QuicConnection::connect(std::optional<tls::SessionTicket> ticket,
 }
 
 void QuicConnection::send_client_initial() {
-  tls::ClientHello ch;
-  ch.max_version = tls::TlsVersion::kTls13;  // QUIC mandates TLS 1.3
-  ch.sni = config_.sni;
-  ch.alpn = config_.alpn;
-
-  const bool ticket_usable = ticket_ && ticket_->valid_at(sim_.now());
-  if (ticket_usable) ch.psk = *ticket_;
-  const bool early_eligible = ticket_usable && config_.enable_0rtt &&
-                              ticket_->allow_early_data &&
-                              !queued_streams_.empty();
-  ch.early_data = early_eligible;
-
-  queue_crypto(PnSpace::kInitial, tls_wire_.client_hello_message(ch));
-
-  if (early_eligible) {
-    sent_early_data_ = true;
-    for (auto& qs : queued_streams_) {
-      Stream& stream = streams_[qs.id];
-      queue_frame(PnSpace::kAppData,
-                  Frame::stream(qs.id, stream.send_offset, qs.data, qs.fin));
-      stream.send_offset += qs.data.size();
-      stream.send_fin = qs.fin;
-    }
+  if (handshake_.start(ticket_, !queued_streams_.empty())) {
+    for (const QueuedStream& qs : queued_streams_) send_0rtt(qs);
   }
   if (!processing_) flush_output();
+}
+
+void QuicConnection::send_0rtt(const QueuedStream& qs) {
+  Stream& stream = streams_[qs.id];
+  queue_frame(PnSpace::kAppData,
+              Frame::stream(qs.id, stream.send_offset, qs.data, qs.fin));
+  stream.send_offset += qs.data.size();
+  stream.send_fin = qs.fin;
+}
+
+void QuicConnection::queue_client_stream(QueuedStream qs) {
+  queued_streams_.push_back(std::move(qs));
+  // Once connect() has offered 0-RTT, each further stream is another
+  // 0-RTT packet.
+  if (handshake_.early_data_offered()) {
+    send_0rtt(queued_streams_.back());
+    if (!processing_) flush_output();
+  }
 }
 
 std::uint64_t QuicConnection::open_stream(std::vector<std::uint8_t> data,
@@ -116,18 +127,7 @@ std::uint64_t QuicConnection::open_stream(std::vector<std::uint8_t> data,
   const std::uint64_t id = next_stream_id_;
   next_stream_id_ += 4;
   if (!complete_) {
-    queued_streams_.push_back(QueuedStream{std::move(data), fin, id});
-    // If connect() already fired and 0-RTT is active, ship it immediately
-    // as another 0-RTT packet.
-    if (sent_early_data_) {
-      QueuedStream& qs = queued_streams_.back();
-      Stream& stream = streams_[qs.id];
-      queue_frame(PnSpace::kAppData,
-                  Frame::stream(qs.id, stream.send_offset, qs.data, qs.fin));
-      stream.send_offset += qs.data.size();
-      stream.send_fin = qs.fin;
-      if (!processing_) flush_output();
-    }
+    queue_client_stream(QueuedStream{std::move(data), fin, id});
     return id;
   }
   Stream& stream = streams_[id];
@@ -143,20 +143,10 @@ std::uint64_t QuicConnection::open_stream(std::vector<std::uint8_t> data,
 void QuicConnection::send_stream(std::uint64_t stream_id,
                                  std::vector<std::uint8_t> data, bool fin) {
   if (closed_) return;
-  if (!config_.is_server && !complete_) {
+  if (!is_server() && !complete_) {
     // Client before handshake completion (e.g. an HTTP/3 control stream):
-    // queue like open_stream does — the data rides 0-RTT when early data is
-    // active, or flushes with the handshake-completion flight otherwise.
-    queued_streams_.push_back(QueuedStream{std::move(data), fin, stream_id});
-    if (sent_early_data_) {
-      QueuedStream& qs = queued_streams_.back();
-      Stream& stream = streams_[qs.id];
-      queue_frame(PnSpace::kAppData,
-                  Frame::stream(qs.id, stream.send_offset, qs.data, qs.fin));
-      stream.send_offset += qs.data.size();
-      stream.send_fin = qs.fin;
-      if (!processing_) flush_output();
-    }
+    // queued like open_stream's data.
+    queue_client_stream(QueuedStream{std::move(data), fin, stream_id});
     return;
   }
   Stream& stream = streams_[stream_id];
@@ -221,7 +211,7 @@ void QuicConnection::queue_crypto(PnSpace space,
 }
 
 std::size_t QuicConnection::amplification_budget() const {
-  if (!config_.is_server || address_validated_) {
+  if (!is_server() || address_validated_) {
     return static_cast<std::size_t>(-1);
   }
   const std::uint64_t allowed = kAmplificationFactor * unvalidated_received_;
@@ -256,7 +246,7 @@ void QuicConnection::flush_output() {
       case PnSpace::kInitial: return PacketType::kInitial;
       case PnSpace::kHandshake: return PacketType::kHandshake;
       case PnSpace::kAppData:
-        return (!config_.is_server && !complete_) ? PacketType::kZeroRtt
+        return (!is_server() && !complete_) ? PacketType::kZeroRtt
                                                   : PacketType::kOneRtt;
     }
     return PacketType::kOneRtt;
@@ -337,7 +327,7 @@ void QuicConnection::flush_output() {
       packet.version = version_;
       packet.dcid = remote_cid_;
       packet.scid = local_cid_;
-      if (packet.type == PacketType::kInitial && !config_.is_server) {
+      if (packet.type == PacketType::kInitial && !is_server()) {
         packet.token = initial_token_bytes_;
       }
       packet.packet_number = next_pn_[s]++;
@@ -401,10 +391,10 @@ void QuicConnection::flush_output() {
 void QuicConnection::send_datagrams(
     std::vector<std::vector<QuicPacket>> datagrams) {
   for (auto& packets : datagrams) {
-    util::Buffer bytes = encode_datagram(packets, !config_.is_server);
+    util::Buffer bytes = encode_datagram(packets, !is_server());
     const std::size_t wire_size = bytes.size() + net::kUdpHeaderBytes;
 
-    if (config_.is_server && !address_validated_) {
+    if (is_server() && !address_validated_) {
       if (wire_size > amplification_budget()) {
         was_amplification_blocked_ = true;
         blocked_datagrams_.push_back(std::move(packets));
@@ -447,7 +437,7 @@ void QuicConnection::send_datagrams(
 void QuicConnection::on_datagram(std::span<const std::uint8_t> datagram) {
   if (closed_) return;
   bytes_received_ += datagram.size() + net::kUdpHeaderBytes;
-  if (config_.is_server && !address_validated_) {
+  if (is_server() && !address_validated_) {
     unvalidated_received_ += datagram.size() + net::kUdpHeaderBytes;
   }
   touch_idle_timer();
@@ -469,7 +459,7 @@ void QuicConnection::on_datagram(std::span<const std::uint8_t> datagram) {
   processing_ = false;
 
   // Amplification budget may have grown: release blocked flights first.
-  if (config_.is_server && !blocked_datagrams_.empty()) {
+  if (is_server() && !blocked_datagrams_.empty()) {
     auto blocked = std::move(blocked_datagrams_);
     blocked_datagrams_.clear();
     send_datagrams(std::move(blocked));
@@ -494,7 +484,7 @@ void QuicConnection::process_packet(const QuicPacket& packet) {
       break;
   }
 
-  if (config_.is_server && version_ != packet.version &&
+  if (is_server() && version_ != packet.version &&
       packet.type == PacketType::kInitial) {
     // First INITIAL pins the connection's version (QuicServer already
     // filtered unsupported ones).
@@ -502,8 +492,8 @@ void QuicConnection::process_packet(const QuicPacket& packet) {
   }
 
   // Rejected or undecidable 0-RTT is dropped without acknowledgement.
-  if (packet.type == PacketType::kZeroRtt && config_.is_server &&
-      !early_accepted_) {
+  if (packet.type == PacketType::kZeroRtt && is_server() &&
+      !handshake_.early_data_accepted()) {
     return;
   }
 
@@ -513,7 +503,7 @@ void QuicConnection::process_packet(const QuicPacket& packet) {
   }
   if (packet.ack_eliciting()) need_ack_[s] = true;
 
-  if (config_.is_server && packet.type == PacketType::kHandshake) {
+  if (is_server() && packet.type == PacketType::kHandshake) {
     // A HANDSHAKE packet proves the peer owns the address (RFC 9000 §8.1).
     address_validated_ = true;
   }
@@ -593,174 +583,100 @@ void QuicConnection::process_crypto_stream(PnSpace space) {
     }
   }
 
-  // Parse complete TLS messages: [type u8][len u24][body].
+  // Hand complete TLS messages, [type u8][len u24][body], to the handshake.
   while (crypto.assembled.size() >= 4) {
     const std::size_t body_len =
         (std::size_t(crypto.assembled[1]) << 16) |
         (std::size_t(crypto.assembled[2]) << 8) | crypto.assembled[3];
     if (crypto.assembled.size() < 4 + body_len) return;
-    std::span<const std::uint8_t> message(crypto.assembled.data(),
-                                          4 + body_len);
-    auto msg = tls_wire_.parse_handshake(message, /*encrypted=*/false);
-    if (!msg) {
-      fail(util::Error::protocol("malformed CRYPTO message"));
+    const auto type = static_cast<tls::HandshakeType>(crypto.assembled[0]);
+    if (space_of(tls::level_of(type)) != space) {
+      fail(util::Error::protocol("TLS message outside its encryption level"));
       return;
     }
-    handle_tls_message(space, *msg);
+    const bool was_complete = complete_;
+    handshake_.receive(std::span<const std::uint8_t>(crypto.assembled.data(),
+                                                     4 + body_len));
     if (closed_) return;
+    if (is_server() && complete_ && !was_complete) {
+      // After the handshake's ticket: a token for the client's next
+      // connection, so it skips address validation (RFC 9000 §8.1.3).
+      AddressToken token;
+      token.server_secret = config_.tls.ticket_secret;
+      token.client_ip = config_.peer_ip;
+      token.issued_at = sim_.now();
+      queue_frame(PnSpace::kAppData, Frame::new_token(token.encode()));
+    }
     crypto.assembled.erase(crypto.assembled.begin(),
                            crypto.assembled.begin() + 4 + body_len);
   }
 }
 
-void QuicConnection::handle_tls_message(PnSpace space,
-                                        const tls::HandshakeMessage& msg) {
-  using tls::HandshakeType;
-  if (config_.is_server) {
-    switch (msg.type) {
-      case HandshakeType::kClientHello:
-        if (!msg.client_hello) return fail(util::Error::protocol("CH without payload"));
-        if (space != PnSpace::kInitial) return fail(util::Error::protocol("CH outside Initial"));
-        server_respond_to_client_hello(*msg.client_hello);
-        break;
-      case HandshakeType::kFinished: {
-        if (complete_) break;
-        // Client Finished: handshake done; emit 1-RTT post-handshake frames.
-        complete_handshake();
-        queue_frame(PnSpace::kAppData, Frame::handshake_done());
-        if (config_.enable_session_tickets) {
-          tls::SessionTicket ticket;
-          ticket.server_secret = config_.ticket_secret;
-          ticket.ticket_id = next_ticket_id_++;
-          ticket.issued_at = sim_.now();
-          ticket.lifetime = 7 * kDay;
-          ticket.allow_early_data = config_.enable_0rtt;
-          ticket.version = tls::TlsVersion::kTls13;
-          ticket.alpn = negotiated_alpn_;
-          queue_crypto(PnSpace::kAppData,
-                       tls_wire_.new_session_ticket_message(ticket));
-        }
-        if (config_.send_new_token) {
-          AddressToken token;
-          token.server_secret = config_.ticket_secret;
-          token.client_ip = config_.peer_ip;
-          token.issued_at = sim_.now();
-          queue_frame(PnSpace::kAppData, Frame::new_token(token.encode()));
-        }
-        break;
-      }
-      default:
-        break;
-    }
-    return;
-  }
-
-  // Client side.
-  switch (msg.type) {
-    case HandshakeType::kServerHello:
-      if (!msg.server_hello) return fail(util::Error::protocol("SH without payload"));
-      resumed_ = msg.server_hello->psk_accepted;
-      break;
-    case HandshakeType::kEncryptedExtensions: {
-      if (!msg.encrypted_extensions) return fail(util::Error::protocol("EE without payload"));
-      negotiated_alpn_ = msg.encrypted_extensions->alpn;
-      early_accepted_ = msg.encrypted_extensions->early_data_accepted &&
-                        sent_early_data_;
-      if (sent_early_data_ && !early_accepted_) {
-        // 0-RTT rejected: the server never processed (nor will acknowledge)
-        // the 0-RTT packets — forget them and resend post-handshake.
-        auto& appdata = sent_[static_cast<int>(PnSpace::kAppData)];
-        for (auto& sp : appdata) {
-          bytes_in_flight_ -= std::min(bytes_in_flight_, sp.size);
-          for (auto& f : sp.retransmittable) {
-            if (f.type == FrameType::kStream) {
-              queue_frame(PnSpace::kAppData, f);
-            }
-          }
-        }
-        appdata.clear();
-      }
-      break;
-    }
-    case HandshakeType::kCertificate:
-    case HandshakeType::kCertificateVerify:
-      break;
-    case HandshakeType::kFinished: {
-      if (complete_) break;
-      // Server Finished: send our Finished and complete.
-      queue_crypto(PnSpace::kHandshake, tls_wire_.finished_message());
-      complete_handshake();
-      break;
-    }
-    case HandshakeType::kNewSessionTicket:
-      if (!msg.new_session_ticket) return fail(util::Error::protocol("NST without payload"));
-      if (cb_.on_new_ticket) cb_.on_new_ticket(msg.new_session_ticket->ticket);
-      break;
-    default:
-      break;
-  }
+tls::Handshake::Callbacks QuicConnection::handshake_callbacks() {
+  tls::Handshake::Callbacks callbacks;
+  callbacks.send = [this](tls::Level level, util::Buffer message) {
+    queue_crypto(space_of(level), {message.data(),
+                                   message.data() + message.size()});
+  };
+  callbacks.on_early_data_rejected = [this] { resend_rejected_0rtt(); };
+  callbacks.on_complete = [this] { complete_handshake(); };
+  callbacks.on_new_ticket = [this](const tls::SessionTicket& ticket) {
+    if (cb_.on_new_ticket) cb_.on_new_ticket(ticket);
+  };
+  callbacks.on_fail = [this](tls::Alert alert, const std::string& reason) {
+    on_handshake_failed(alert, reason);
+  };
+  callbacks.now = [this] { return sim_.now(); };
+  return callbacks;
 }
 
-void QuicConnection::server_respond_to_client_hello(
-    const tls::ClientHello& ch) {
-  if (!negotiated_alpn_.empty() || complete_) return;  // duplicate CH
+void QuicConnection::on_handshake_failed(tls::Alert alert,
+                                         const std::string& reason) {
+  if (alert == tls::Alert::kNoApplicationProtocol) {
+    // RFC 9001 §8.1: close at once with no_application_protocol, carried
+    // as CRYPTO_ERROR 0x100 + 120.
+    const std::uint64_t code = 0x100 + static_cast<std::uint64_t>(alert);
+    queue_frame(PnSpace::kInitial,
+                Frame::connection_close(code, "no application protocol"));
+    flush_output();
+  }
+  fail(util::Error::tls_alert(reason));
+}
 
-  // ALPN.
-  for (const auto& proto : ch.alpn) {
-    if (std::find(config_.alpn.begin(), config_.alpn.end(), proto) !=
-        config_.alpn.end()) {
-      negotiated_alpn_ = proto;
-      break;
+void QuicConnection::resend_rejected_0rtt() {
+  // The server never processed (nor will acknowledge) the 0-RTT packets:
+  // forget them and resend their stream data after the handshake.
+  auto& appdata = sent_[static_cast<int>(PnSpace::kAppData)];
+  for (auto& sp : appdata) {
+    bytes_in_flight_ -= std::min(bytes_in_flight_, sp.size);
+    for (auto& f : sp.retransmittable) {
+      if (f.type == FrameType::kStream) queue_frame(PnSpace::kAppData, f);
     }
   }
-  if (negotiated_alpn_.empty()) {
-    queue_frame(PnSpace::kInitial,
-                Frame::connection_close(0x178, "no application protocol"));
-    flush_output();
-    fail(util::Error::tls_alert("no ALPN overlap"));
-    return;
-  }
-
-  // Resumption / 0-RTT.
-  resumed_ = ch.psk && ch.psk->server_secret == config_.ticket_secret &&
-             ch.psk->valid_at(sim_.now());
-  early_accepted_ = resumed_ && ch.early_data && config_.enable_0rtt &&
-                    ch.psk->allow_early_data;
-
-  tls::ServerHello sh;
-  sh.version = tls::TlsVersion::kTls13;
-  sh.psk_accepted = resumed_;
-  queue_crypto(PnSpace::kInitial, tls_wire_.server_hello_message(sh));
-
-  tls::EncryptedExtensions ee;
-  ee.alpn = negotiated_alpn_;
-  ee.early_data_accepted = early_accepted_;
-  queue_crypto(PnSpace::kHandshake,
-               tls_wire_.encrypted_extensions_message(ee));
-  if (!resumed_) {
-    queue_crypto(PnSpace::kHandshake,
-                 tls_wire_.certificate_message(config_.certificate_chain_size));
-    queue_crypto(PnSpace::kHandshake, tls_wire_.certificate_verify_message());
-  }
-  queue_crypto(PnSpace::kHandshake, tls_wire_.finished_message());
+  appdata.clear();
 }
 
 void QuicConnection::complete_handshake() {
-  if (complete_) return;
   complete_ = true;
+  const tls::HandshakeInfo& tls = *handshake_.info();
   QuicHandshakeInfo info = pending_info_;
   info.version = version_;
-  info.alpn = negotiated_alpn_;
-  info.resumed = resumed_;
-  info.early_data_accepted = early_accepted_;
+  info.alpn = tls.alpn;
+  info.resumed = tls.resumed;
+  info.early_data_accepted = tls.early_data_accepted;
   info.amplification_stall = was_amplification_blocked_;
   info_ = info;
   // Defer the user callback until the completing flight has been flushed,
   // so byte counters observed inside it include the final handshake bytes.
   complete_callback_pending_ = true;
 
+  if (is_server()) {
+    // The server confirms the handshake to the client (RFC 9001 §4.1.2).
+    queue_frame(PnSpace::kAppData, Frame::handshake_done());
+    return;
+  }
   // Client: flush streams that did not ride 0-RTT.
-  if (!config_.is_server && !early_accepted_) {
+  if (!tls.early_data_accepted) {
     for (auto& qs : queued_streams_) {
       Stream& stream = streams_[qs.id];
       if (stream.send_offset > 0 || stream.send_fin) continue;  // 0-RTT path
@@ -837,7 +753,7 @@ void QuicConnection::retire_if_finished(std::uint64_t stream_id) {
 }
 
 void QuicConnection::handle_version_negotiation(const QuicPacket& packet) {
-  if (config_.is_server || complete_ ||
+  if (is_server() || complete_ ||
       pending_info_.used_version_negotiation) {
     return;
   }
@@ -869,12 +785,11 @@ void QuicConnection::handle_version_negotiation(const QuicPacket& packet) {
   }
   bytes_in_flight_ = 0;
   for (auto& [id, stream] : streams_) stream = Stream{};
-  sent_early_data_ = false;
   send_client_initial();
 }
 
 void QuicConnection::handle_retry(const QuicPacket& packet) {
-  if (config_.is_server || complete_ || pending_info_.used_retry) return;
+  if (is_server() || complete_ || pending_info_.used_retry) return;
   pending_info_.used_retry = true;
   initial_token_bytes_ = packet.token;
 
@@ -888,8 +803,7 @@ void QuicConnection::handle_retry(const QuicPacket& packet) {
   }
   bytes_in_flight_ = 0;
   for (auto& [id, stream] : streams_) stream = Stream{};
-  sent_early_data_ = false;  // send_client_initial re-evaluates 0-RTT
-  send_client_initial();
+  send_client_initial();  // re-evaluates 0-RTT
 }
 
 // ----------------------------------------------------------- loss recovery

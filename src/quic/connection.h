@@ -1,8 +1,9 @@
 // QUIC connection state machine (client and server endpoints).
 //
 // Implements the QUIC v1 mechanisms that drive the paper's findings:
-//   * 1-RTT combined transport+crypto handshake (CRYPTO frames carry the
-//     same TLS 1.3 messages as the TLS module),
+//   * 1-RTT combined transport+crypto handshake: the connection drives the
+//     tls::Handshake that DoT and DoH use, carrying its messages in CRYPTO
+//     frames of the packet-number space that matches each message's level,
 //   * datagram padding of INITIAL-carrying datagrams to >= 1200 bytes
 //     (clients pad all of them, servers pad ack-eliciting ones — RFC 9000
 //     §14.1), which is why DoQ's handshake bytes are ~2x DoH's in Table 1,
@@ -34,14 +35,13 @@
 #include "quic/types.h"
 #include "quic/wire.h"
 #include "sim/simulator.h"
+#include "tls/handshake.h"
 #include "tls/ticket.h"
-#include "tls/wire.h"
 #include "util/error.h"
 
 namespace doxlab::quic {
 
 struct QuicConfig {
-  bool is_server = false;
   /// Client: the version offered in the first INITIAL (learned per resolver
   /// during cache warming in the study). Server: preferred version.
   QuicVersion version = QuicVersion::kV1;
@@ -50,18 +50,13 @@ struct QuicConfig {
                                         QuicVersion::kDraft34,
                                         QuicVersion::kDraft32,
                                         QuicVersion::kDraft29};
-  /// ALPN: client offers in order of preference; server filters.
-  std::vector<std::string> alpn;
-  std::string sni;
-  std::size_t certificate_chain_size = 3000;
-  bool enable_session_tickets = true;
-  bool enable_0rtt = false;
+  /// The TLS handshake's side of the connection: endpoint role, ALPN, SNI,
+  /// certificate, tickets and 0-RTT. Its `ticket_secret` also keys this
+  /// server's address tokens. QUIC always negotiates TLS 1.3, whatever
+  /// `max_version` says (RFC 9001 §4.2).
+  tls::TlsConfig tls = {};
   /// Server: validate addresses with Retry when no token is presented.
   bool require_retry = false;
-  /// Server: hand out a NEW_TOKEN after the handshake.
-  bool send_new_token = true;
-  /// Server identity for ticket/token validation.
-  std::uint64_t ticket_secret = 0;
   SimTime idle_timeout = 60 * kSecond;
   /// RFC 9002: PTO before any RTT sample (kInitialRtt 333ms x3 ~= 1 s).
   SimTime initial_pto = 1 * kSecond;
@@ -72,13 +67,11 @@ struct QuicConfig {
   /// Server: the peer's IPv4 address (for token minting/validation);
   /// filled in by QuicServer.
   std::uint32_t peer_ip = 0;
-  tls::WireSizes tls_sizes = {};
-  /// RFC 9002 congestion control (shared src/cc module): cwnd-capped
-  /// sending, packet-threshold loss detection, recovery episodes,
-  /// persistent congestion. Off by default — the seed's PTO-only recovery
-  /// is the pinned baseline; adverse-path studies enable it.
+  /// RFC 9002 congestion control (shared src/cc module, NewReno):
+  /// cwnd-capped sending, packet-threshold loss detection, recovery
+  /// episodes, persistent congestion. Off by default — the seed's PTO-only
+  /// recovery is the pinned baseline; adverse-path studies enable it.
   bool enable_cc = false;
-  cc::CcAlgorithm congestion_algorithm = cc::CcAlgorithm::kNewReno;
   /// Record the controller's (time, cwnd, phase) trace (benches/tests).
   bool cc_trace = false;
 };
@@ -200,6 +193,11 @@ class QuicConnection : public std::enable_shared_from_this<QuicConnection> {
   };
   void queue_frame(PnSpace space, Frame frame);
   void queue_crypto(PnSpace space, std::vector<std::uint8_t> message);
+  struct QueuedStream;
+  /// Client before completion: holds a stream's data for the handshake to
+  /// release, shipping it at once as 0-RTT when early data is offered.
+  void queue_client_stream(QueuedStream qs);
+  void send_0rtt(const QueuedStream& qs);
   void flush_output();
   void send_datagrams(std::vector<std::vector<QuicPacket>> datagrams);
   std::size_t amplification_budget() const;
@@ -208,7 +206,6 @@ class QuicConnection : public std::enable_shared_from_this<QuicConnection> {
   void process_packet(const QuicPacket& packet);
   void process_frames(PnSpace space, const QuicPacket& packet);
   void process_crypto_stream(PnSpace space);
-  void handle_tls_message(PnSpace space, const tls::HandshakeMessage& msg);
   void handle_ack(PnSpace space, const Frame& ack);
   void detect_losses(PnSpace space, std::uint64_t largest_acked);
   void handle_stream_frame(const Frame& frame);
@@ -217,10 +214,13 @@ class QuicConnection : public std::enable_shared_from_this<QuicConnection> {
   void handle_retry(const QuicPacket& packet);
 
   // --- handshake logic ---
+  tls::Handshake::Callbacks handshake_callbacks();
   void send_client_initial();
-  void server_respond_to_client_hello(const tls::ClientHello& ch);
+  void on_handshake_failed(tls::Alert alert, const std::string& reason);
+  void resend_rejected_0rtt();
   void complete_handshake();
   void fail(util::Error error);
+  bool is_server() const { return config_.tls.is_server; }
 
   // --- loss recovery ---
   void notify_closed(const util::Error& error);
@@ -235,7 +235,7 @@ class QuicConnection : public std::enable_shared_from_this<QuicConnection> {
   QuicConfig config_;
   Callbacks cb_;
   std::function<void(const util::Error&)> app_on_closed_;
-  tls::TlsWire tls_wire_;
+  tls::Handshake handshake_;
 
   QuicVersion version_;
   std::uint64_t local_cid_;
@@ -247,16 +247,9 @@ class QuicConnection : public std::enable_shared_from_this<QuicConnection> {
 
   // Client handshake state.
   std::optional<tls::SessionTicket> ticket_;
-  std::optional<AddressToken> token_;
-  bool sent_early_data_ = false;
   bool connect_called_ = false;
 
-  // Server negotiation state.
   bool address_validated_ = false;
-  bool resumed_ = false;
-  bool early_accepted_ = false;
-  std::string negotiated_alpn_;
-  std::uint64_t next_ticket_id_ = 1;
 
   // Crypto streams (per space): send offset + receive reassembly.
   struct CryptoStream {

@@ -7,7 +7,7 @@ namespace doxlab::quic {
 QuicServer::QuicServer(sim::Simulator& sim, net::UdpStack& stack,
                        std::uint16_t port, QuicConfig config)
     : sim_(sim), socket_(stack.bind(port)), config_(std::move(config)) {
-  config_.is_server = true;
+  config_.tls.is_server = true;
   socket_->on_datagram(
       [this](const net::Endpoint& from, util::Buffer payload) {
         on_datagram(from, std::move(payload));
@@ -57,12 +57,12 @@ void QuicServer::on_datagram(const net::Endpoint& from,
   bool validated = false;
   if (!first.token.empty()) {
     auto token = AddressToken::decode(first.token);
-    validated = token && token->valid_for(config_.ticket_secret,
+    validated = token && token->valid_for(config_.tls.ticket_secret,
                                           from.address.value(), sim_.now());
   }
   if (config_.require_retry && !validated) {
     AddressToken token;
-    token.server_secret = config_.ticket_secret;
+    token.server_secret = config_.tls.ticket_secret;
     token.client_ip = from.address.value();
     token.issued_at = sim_.now();
     token.lifetime = 10 * kSecond;  // Retry tokens are short-lived

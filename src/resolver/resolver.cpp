@@ -120,17 +120,13 @@ tls::TlsConfig DoxResolver::server_tls_config(const std::string& alpn) const {
   return config;
 }
 
-quic::QuicConfig DoxResolver::server_quic_config() const {
+quic::QuicConfig DoxResolver::server_quic_config(
+    const std::string& alpn) const {
   quic::QuicConfig config;
-  config.is_server = true;
   config.version = profile_.quic_version;
   config.supported = {profile_.quic_version};
-  config.alpn = {profile_.doq_alpn};
-  config.certificate_chain_size = profile_.certificate_chain_size;
-  config.enable_session_tickets = profile_.session_tickets;
-  config.enable_0rtt = profile_.supports_0rtt;
+  config.tls = server_tls_config(alpn);
   config.require_retry = profile_.validate_with_retry;
-  config.ticket_secret = profile_.secret;
   return config;
 }
 
@@ -417,7 +413,8 @@ void DoxResolver::serve_doq() {
   for (std::uint16_t port : {std::uint16_t(853), std::uint16_t(784),
                              std::uint16_t(8853)}) {
     auto server = std::make_unique<quic::QuicServer>(
-        network_.simulator(), *udp_, port, server_quic_config());
+        network_.simulator(), *udp_, port,
+        server_quic_config(profile_.doq_alpn));
     server->on_accept([this](const std::shared_ptr<quic::QuicConnection>& conn,
                              const net::Endpoint&) {
       const bool prefix = dox::alpn_uses_length_prefix(profile_.doq_alpn);
@@ -458,10 +455,8 @@ void DoxResolver::serve_doq() {
 
 void DoxResolver::serve_doh3() {
   // HTTP/3 on UDP 443 (alpn "h3"); shares the QUIC substrate with DoQ.
-  quic::QuicConfig config = server_quic_config();
-  config.alpn = {"h3"};
-  auto server = std::make_unique<quic::QuicServer>(network_.simulator(),
-                                                   *udp_, 443, config);
+  auto server = std::make_unique<quic::QuicServer>(
+      network_.simulator(), *udp_, 443, server_quic_config("h3"));
   server->on_accept([this](const std::shared_ptr<quic::QuicConnection>& conn,
                            const net::Endpoint&) {
     auto h3 = std::make_shared<std::unique_ptr<h3::H3Connection>>();

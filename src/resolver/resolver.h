@@ -100,7 +100,7 @@ class DoxResolver {
 
   void open_listeners();
   tls::TlsConfig server_tls_config(const std::string& alpn) const;
-  quic::QuicConfig server_quic_config() const;
+  quic::QuicConfig server_quic_config(const std::string& alpn) const;
 
   /// Resolves `question` (cache or simulated recursion), then calls
   /// `respond` with the complete response message.

@@ -68,10 +68,10 @@ std::vector<net::IpAddress> Ipv4Scanner::verify_doq(
     auto socket = udp_.bind_ephemeral();
 
     quic::QuicConfig config;
-    config.alpn = {"doq", "doq-i11", "doq-i10", "doq-i09", "doq-i08",
-                   "doq-i07", "doq-i06", "doq-i05", "doq-i04", "doq-i03",
-                   "doq-i02", "doq-i01", "doq-i00"};
-    config.sni = "scan-" + address.to_string();
+    config.tls.alpn = {"doq", "doq-i11", "doq-i10", "doq-i09", "doq-i08",
+                       "doq-i07", "doq-i06", "doq-i05", "doq-i04", "doq-i03",
+                       "doq-i02", "doq-i01", "doq-i00"};
+    config.tls.sni = "scan-" + address.to_string();
 
     quic::QuicConnection::Callbacks callbacks;
     callbacks.send_datagram = [&socket, endpoint = net::Endpoint{address,

@@ -7,60 +7,81 @@
 namespace doxlab::tls {
 
 TlsSession::TlsSession(TlsConfig config, Callbacks callbacks)
-    : config_(std::move(config)),
-      cb_(std::move(callbacks)),
-      wire_(config_.wire_sizes),
-      state_(config_.is_server ? State::kServerWaitClientHello
-                               : State::kIdle) {}
+    : cb_(std::move(callbacks)),
+      handshake_(
+          std::move(config),
+          Handshake::Callbacks{
+              .send =
+                  [this](Level level, util::Buffer message) {
+                    send_handshake(level, std::move(message));
+                  },
+              .on_early_data_rejected =
+                  [this] {
+                    // Retransmit the early data after the handshake
+                    // (RFC 8446 appendix D.3).
+                    pending_app_data_.insert(pending_app_data_.end(),
+                                             early_data_copy_.begin(),
+                                             early_data_copy_.end());
+                  },
+              .on_complete =
+                  [this] {
+                    early_data_copy_.clear();
+                    // Queued application data must hit the wire before the
+                    // completion callback runs: data the callback sends
+                    // (e.g. an HTTP/2 request) has to stay ordered after
+                    // the queued connection preface.
+                    flush_pending();
+                    if (cb_.on_handshake_complete) {
+                      cb_.on_handshake_complete(*handshake_.info());
+                    }
+                  },
+              .on_new_ticket =
+                  [this](const SessionTicket& ticket) {
+                    if (cb_.on_new_ticket) cb_.on_new_ticket(ticket);
+                  },
+              .on_fail = [this](Alert,
+                                const std::string& reason) { fail(reason); },
+              .now = cb_.now,
+          }) {}
 
 void TlsSession::emit(util::Buffer bytes) {
   if (cb_.send_transport) cb_.send_transport(std::move(bytes));
 }
 
+void TlsSession::send_handshake(Level level, util::Buffer message) {
+  // TLS 1.2 switches to the negotiated keys with a ChangeCipherSpec record
+  // just before each side's Finished.
+  const auto type = static_cast<HandshakeType>(message.data()[0]);
+  if (handshake_.version() == TlsVersion::kTls12 &&
+      type == HandshakeType::kFinished) {
+    emit(wire_.change_cipher_spec_record());
+  }
+  emit(TlsWire::seal_handshake(std::move(message), level));
+}
+
 void TlsSession::fail(const std::string& reason) {
   if (failed_) return;
   failed_ = true;
-  state_ = State::kFailed;
   DOXLAB_DEBUG("TLS failure: " << reason);
   if (cb_.on_error) cb_.on_error(util::Error::tls_alert(reason));
 }
 
 void TlsSession::start(std::optional<SessionTicket> ticket,
                        std::vector<std::uint8_t> early_data) {
-  if (config_.is_server || state_ != State::kIdle) {
+  if (handshake_.started()) {  // a server's handshake is always started
     fail("start() on server or already-started session");
     return;
   }
-  ClientHello ch;
-  ch.max_version = config_.max_version;
-  ch.sni = config_.sni;
-  ch.alpn = config_.alpn;
-
-  const SimTime now = cb_.now ? cb_.now() : 0;
-  if (ticket && ticket->valid_at(now) &&
-      config_.max_version == TlsVersion::kTls13) {
-    ch.psk = *ticket;
-    offered_ticket_ = *ticket;
-    // 0-RTT requires a PSK whose ticket permitted early data.
-    if (config_.enable_0rtt && ticket->allow_early_data &&
-        !early_data.empty()) {
-      ch.early_data = true;
-    }
-  }
-
-  emit(wire_.client_hello_record(ch));
-  if (ch.early_data) {
-    sent_early_data_ = true;
+  if (handshake_.start(ticket, !early_data.empty())) {
     // Keep a copy: if the server rejects 0-RTT we must retransmit the data
-    // after the handshake (RFC 8446 appendix D.3).
+    // after the handshake.
     early_data_copy_ = early_data;
     emit(wire_.application_data_record(early_data));
-  } else if (!early_data.empty()) {
+  } else {
     // Not eligible for 0-RTT: treat as regular queued data.
     pending_app_data_.insert(pending_app_data_.end(), early_data.begin(),
                              early_data.end());
   }
-  state_ = State::kClientWaitServerFlight;
 }
 
 void TlsSession::send_application_data(util::Buffer data) {
@@ -68,10 +89,7 @@ void TlsSession::send_application_data(util::Buffer data) {
   // TLS 1.3 servers may send application data right after their Finished
   // (0.5-RTT data) without waiting for the client's Finished — that is how
   // a resolver answers a 0-RTT query within a single round trip.
-  const bool can_send =
-      complete_ || (config_.is_server && server_flight_sent_ &&
-                    negotiated_ == TlsVersion::kTls13);
-  if (!can_send) {
+  if (!handshake_.complete() && !handshake_.half_rtt_open()) {
     pending_app_data_.insert(pending_app_data_.end(), data.data(),
                              data.data() + data.size());
     return;
@@ -88,24 +106,6 @@ void TlsSession::flush_pending() {
   if (pending_app_data_.empty()) return;
   emit(wire_.application_data_record(pending_app_data_));
   pending_app_data_.clear();
-}
-
-void TlsSession::complete_handshake() {
-  complete_ = true;
-  state_ = State::kEstablished;
-  HandshakeInfo info;
-  info.version = negotiated_;
-  info.resumed = resumed_;
-  info.early_data_accepted = early_accepted_;
-  info.alpn = negotiated_alpn_;
-  info.round_trips = (negotiated_ == TlsVersion::kTls13) ? 1 : 2;
-  if (early_accepted_) info.round_trips = 0;
-  info_ = info;
-  // Queued application data must hit the wire before the completion
-  // callback runs: data the callback sends (e.g. an HTTP/2 request) has to
-  // stay ordered after the queued connection preface.
-  flush_pending();
-  if (cb_.on_handshake_complete) cb_.on_handshake_complete(info);
 }
 
 void TlsSession::on_transport_data(std::span<const std::uint8_t> data) {
@@ -125,208 +125,27 @@ void TlsSession::on_transport_data(std::span<const std::uint8_t> data) {
         continue;
       case RecordType::kApplicationData: {
         auto payload = TlsWire::app_payload(record->body);
-        if (config_.is_server && !complete_) {
+        if (handshake_.config().is_server && !handshake_.complete()) {
           // Early data: only legal if we accepted it in this handshake.
-          if (early_accepted_) {
+          if (handshake_.early_data_accepted()) {
             if (cb_.on_application_data) cb_.on_application_data(payload);
           }
           // Otherwise: 0-RTT rejected/ignored (client will retransmit after
           // completion) — drop silently, as real servers do.
           continue;
         }
-        if (!complete_) {
+        if (!handshake_.complete()) {
           fail("application data before handshake completion");
           return;
         }
         if (cb_.on_application_data) cb_.on_application_data(payload);
         continue;
       }
-      case RecordType::kHandshake: {
-        // Records after ServerHello carry AEAD tags in TLS 1.3; in TLS 1.2
-        // only the Finished messages are encrypted. The wire model tracks
-        // this with a per-message flag derived from current state.
-        bool encrypted = encrypted_handshake_;
-        auto msg = wire_.parse_handshake(record->body, encrypted);
-        if (!msg) {
-          // Retry with the opposite framing: handles the transition records
-          // (ServerHello itself is plaintext; what follows is encrypted).
-          msg = wire_.parse_handshake(record->body, !encrypted);
-          if (!msg) {
-            fail("malformed handshake record");
-            return;
-          }
-        }
-        if (config_.is_server) {
-          if (msg->type == HandshakeType::kClientHello) {
-            if (!msg->client_hello) {
-              fail("CH without payload");
-              return;
-            }
-            server_process_client_hello(*msg->client_hello);
-          } else if (msg->type == HandshakeType::kFinished ||
-                     msg->type == HandshakeType::kClientKeyExchange) {
-            if (msg->type == HandshakeType::kFinished) {
-              server_process_client_finished();
-            }
-            // CKE/CCS are absorbed; Finished drives completion.
-          }
-        } else {
-          client_process_flight(*msg);
-        }
+      case RecordType::kHandshake:
+        handshake_.receive(record->body);
+        if (failed_) return;
         continue;
-      }
     }
-  }
-}
-
-void TlsSession::client_process_flight(const HandshakeMessage& msg) {
-  switch (msg.type) {
-    case HandshakeType::kServerHello: {
-      if (!msg.server_hello) return fail("SH without payload");
-      saw_server_hello_ = true;
-      negotiated_ = msg.server_hello->version;
-      resumed_ = msg.server_hello->psk_accepted;
-      encrypted_handshake_ = negotiated_ == TlsVersion::kTls13;
-      break;
-    }
-    case HandshakeType::kEncryptedExtensions: {
-      if (!msg.encrypted_extensions) return fail("EE without payload");
-      negotiated_alpn_ = msg.encrypted_extensions->alpn;
-      early_accepted_ = msg.encrypted_extensions->early_data_accepted &&
-                        sent_early_data_;
-      if (sent_early_data_ && !early_accepted_) {
-        // Server rejected 0-RTT: requeue for post-handshake transmission.
-        pending_app_data_.insert(pending_app_data_.end(),
-                                 early_data_copy_.begin(),
-                                 early_data_copy_.end());
-      }
-      early_data_copy_.clear();
-      break;
-    }
-    case HandshakeType::kCertificate:
-    case HandshakeType::kCertificateVerify:
-    case HandshakeType::kServerKeyExchange:
-      break;  // byte cost only
-    case HandshakeType::kServerHelloDone: {
-      // TLS 1.2 second client flight.
-      if (negotiated_ != TlsVersion::kTls12) {
-        return fail("SHD in TLS 1.3 handshake");
-      }
-      emit(wire_.client_key_exchange_record());
-      emit(wire_.change_cipher_spec_record());
-      encrypted_handshake_ = true;
-      emit(wire_.finished_record());
-      state_ = State::kClientWaitServerFinished;
-      break;
-    }
-    case HandshakeType::kFinished: {
-      if (negotiated_ == TlsVersion::kTls13) {
-        if (!saw_server_hello_) return fail("Fin before SH");
-        saw_server_finished_ = true;
-        // Client Finished; handshake complete on our side.
-        emit(wire_.finished_record());
-        complete_handshake();
-      } else {
-        // TLS 1.2 server Finished after our CCS/Fin.
-        if (state_ != State::kClientWaitServerFinished) {
-          return fail("unexpected TLS 1.2 Finished");
-        }
-        complete_handshake();
-      }
-      break;
-    }
-    case HandshakeType::kNewSessionTicket: {
-      if (!msg.new_session_ticket) return fail("NST without payload");
-      if (cb_.on_new_ticket) cb_.on_new_ticket(msg.new_session_ticket->ticket);
-      break;
-    }
-    default:
-      break;
-  }
-}
-
-void TlsSession::server_process_client_hello(const ClientHello& ch) {
-  if (state_ != State::kServerWaitClientHello) return;  // duplicate
-  client_hello_ = ch;
-
-  // Version: lowest of the two maxima.
-  negotiated_ = (ch.max_version == TlsVersion::kTls13 &&
-                 config_.max_version == TlsVersion::kTls13)
-                    ? TlsVersion::kTls13
-                    : TlsVersion::kTls12;
-
-  // ALPN: first client protocol we also support.
-  negotiated_alpn_.clear();
-  for (const auto& proto : ch.alpn) {
-    for (const auto& mine : config_.alpn) {
-      if (proto == mine) {
-        negotiated_alpn_ = proto;
-        break;
-      }
-    }
-    if (!negotiated_alpn_.empty()) break;
-  }
-  if (!ch.alpn.empty() && negotiated_alpn_.empty()) {
-    fail("no ALPN overlap");
-    return;
-  }
-
-  const SimTime now = cb_.now ? cb_.now() : 0;
-  resumed_ = false;
-  early_accepted_ = false;
-  if (negotiated_ == TlsVersion::kTls13 && ch.psk &&
-      ch.psk->server_secret == config_.ticket_secret &&
-      ch.psk->valid_at(now)) {
-    resumed_ = true;
-    if (ch.early_data && config_.enable_0rtt && ch.psk->allow_early_data) {
-      early_accepted_ = true;
-    }
-  }
-
-  ServerHello sh;
-  sh.version = negotiated_;
-  sh.psk_accepted = resumed_;
-  emit(wire_.server_hello_record(sh));
-
-  if (negotiated_ == TlsVersion::kTls13) {
-    encrypted_handshake_ = true;
-    EncryptedExtensions ee;
-    ee.alpn = negotiated_alpn_;
-    ee.early_data_accepted = early_accepted_;
-    emit(wire_.encrypted_extensions_record(ee));
-    if (!resumed_) {
-      emit(wire_.certificate_record(config_.certificate_chain_size));
-      emit(wire_.certificate_verify_record());
-    }
-    emit(wire_.finished_record());
-    server_flight_sent_ = true;
-    state_ = State::kServerWaitClientFinished;
-  } else {
-    emit(wire_.certificate_record(config_.certificate_chain_size));
-    emit(wire_.server_key_exchange_record());
-    emit(wire_.server_hello_done_record());
-    state_ = State::kServerWaitClientFinished;
-  }
-}
-
-void TlsSession::server_process_client_finished() {
-  if (state_ != State::kServerWaitClientFinished) return;
-  if (negotiated_ == TlsVersion::kTls12) {
-    emit(wire_.change_cipher_spec_record());
-    emit(wire_.finished_record());
-  }
-  complete_handshake();
-
-  if (negotiated_ == TlsVersion::kTls13 && config_.enable_session_tickets) {
-    SessionTicket ticket;
-    ticket.server_secret = config_.ticket_secret;
-    ticket.ticket_id = next_ticket_id_++;
-    ticket.issued_at = cb_.now ? cb_.now() : 0;
-    ticket.lifetime = config_.ticket_lifetime;
-    ticket.allow_early_data = config_.enable_0rtt;
-    ticket.version = negotiated_;
-    ticket.alpn = negotiated_alpn_;
-    emit(wire_.new_session_ticket_record(ticket));
   }
 }
 

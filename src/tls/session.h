@@ -1,85 +1,49 @@
-// TLS session state machine (1.2 and 1.3) over an abstract reliable stream.
+// The TLS record layer over an abstract reliable stream.
 //
 // The session is transport-agnostic: it emits bytes through a callback
 // (wired to a TcpConnection by DoT/DoH) and is fed incoming bytes through
-// `on_transport_data`. Flights and round trips:
-//
-//   TLS 1.3 full:      CH ->  | <- SH,EE,Cert,CV,Fin | Fin ->        (1 RTT)
-//   TLS 1.3 resumed:   CH(PSK) -> | <- SH,EE,Fin | Fin ->            (1 RTT)
-//   TLS 1.3 0-RTT:     CH(PSK)+early data -> | <- ...,Fin(+answer)   (0 RTT)
-//   TLS 1.2:           CH -> | <- SH,Cert,SKE,SHD | CKE,CCS,Fin -> | <- CCS,Fin (2 RTT)
-//
-// Client application data queues until the handshake completes (or goes out
-// as 0-RTT early data). The server issues a NewSessionTicket after the
-// handshake when tickets are enabled — 7-day lifetime, as every resolver in
-// the paper's population does.
+// `on_transport_data`. The negotiation is tls::Handshake's; the session
+// seals its messages into records (with TLS 1.2's ChangeCipherSpec before
+// each 1.2 Finished) and carries the application data: it queues client
+// data until the handshake completes or sends it as 0-RTT early data, and
+// lets a TLS 1.3 server answer at 0.5 RTT.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "tls/handshake.h"
 #include "tls/ticket.h"
 #include "tls/wire.h"
 #include "util/error.h"
 
 namespace doxlab::tls {
 
-struct TlsConfig {
-  bool is_server = false;
-  /// Highest version this endpoint speaks (server may be TLS 1.2-only — the
-  /// paper observed ~1% of DoT/DoH measurements on 1.2).
-  TlsVersion max_version = TlsVersion::kTls13;
-  /// Client: offered ALPN list, first is preferred. Server: supported list.
-  std::vector<std::string> alpn;
-  /// Client: server name indication.
-  std::string sni;
-  /// Server: certificate chain size in bytes (drawn per resolver).
-  std::size_t certificate_chain_size = 3000;
-  /// Server: issue NewSessionTicket after handshake.
-  bool enable_session_tickets = true;
-  /// Server: accept early data; client: attempt it when the ticket allows.
-  bool enable_0rtt = false;
-  /// Server: ticket lifetime (RFC 8446 caps at 7 days).
-  SimTime ticket_lifetime = 7 * kDay;
-  /// Server: identity for ticket validation (stands in for the ticket key).
-  std::uint64_t ticket_secret = 0;
-  /// Wire size calibration.
-  WireSizes wire_sizes = {};
-};
-
-/// Outcome facts about a completed handshake.
-struct HandshakeInfo {
-  TlsVersion version = TlsVersion::kTls13;
-  bool resumed = false;
-  bool early_data_accepted = false;
-  std::string alpn;
-  int round_trips = 1;  // network RTTs consumed before client app data flows
-};
-
 class TlsSession {
  public:
   struct Callbacks {
     /// Record bytes to hand to the transport (never empty). The buffer is
     /// pooled and uniquely owned — the transport may ship it as-is.
-    std::function<void(util::Buffer)> send_transport;
+    std::function<void(util::Buffer)> send_transport = nullptr;
     /// Handshake completed (client: Fin sent; server: client Fin received).
-    std::function<void(const HandshakeInfo&)> on_handshake_complete;
+    std::function<void(const HandshakeInfo&)> on_handshake_complete =
+        nullptr;
     /// Decrypted application payload.
-    std::function<void(std::span<const std::uint8_t>)> on_application_data;
+    std::function<void(std::span<const std::uint8_t>)> on_application_data =
+        nullptr;
     /// Client only: a NewSessionTicket arrived.
-    std::function<void(const SessionTicket&)> on_new_ticket;
+    std::function<void(const SessionTicket&)> on_new_ticket = nullptr;
     /// Fatal alert / protocol error (always kTlsAlert); the session is dead
     /// afterwards.
-    std::function<void(const util::Error&)> on_error;
+    std::function<void(const util::Error&)> on_error = nullptr;
     /// close_notify received.
-    std::function<void()> on_close_notify;
+    std::function<void()> on_close_notify = nullptr;
     /// Clock for ticket validity (wired to the simulator).
-    std::function<SimTime()> now;
+    std::function<SimTime()> now = nullptr;
   };
 
   TlsSession(TlsConfig config, Callbacks callbacks);
@@ -105,59 +69,29 @@ class TlsSession {
   /// Sends close_notify.
   void send_close_notify();
 
-  bool handshake_complete() const { return complete_; }
+  bool handshake_complete() const { return handshake_.complete(); }
   bool failed() const { return failed_; }
-  const std::optional<HandshakeInfo>& info() const { return info_; }
+  const std::optional<HandshakeInfo>& info() const {
+    return handshake_.info();
+  }
 
   /// Client: true when start() actually put early data on the wire.
-  bool sent_early_data() const { return sent_early_data_; }
+  bool sent_early_data() const { return handshake_.early_data_offered(); }
 
  private:
-  enum class State {
-    kIdle,
-    kClientWaitServerFlight,   // TLS 1.3: expect SH..Fin; 1.2: SH..SHD
-    kClientWaitServerFinished, // TLS 1.2 only: expect CCS,Fin
-    kServerWaitClientHello,
-    kServerWaitClientFinished, // 1.3: Fin; 1.2: CKE,CCS,Fin
-    kEstablished,
-    kFailed,
-  };
-
-  void client_process_flight(const HandshakeMessage& msg);
-  void server_process_client_hello(const ClientHello& ch);
-  void server_process_client_finished();
-  void complete_handshake();
+  void send_handshake(Level level, util::Buffer message);
   void flush_pending();
   void fail(const std::string& reason);
   void emit(util::Buffer bytes);
 
-  TlsConfig config_;
   Callbacks cb_;
   TlsWire wire_;
-  State state_;
+  Handshake handshake_;
 
   std::vector<std::uint8_t> recv_buffer_;
   std::vector<std::uint8_t> pending_app_data_;
   std::vector<std::uint8_t> early_data_copy_;
-  bool complete_ = false;
   bool failed_ = false;
-  bool sent_early_data_ = false;
-  bool encrypted_handshake_ = false;  // post-ServerHello records carry tags
-  bool server_flight_sent_ = false;   // server may now send 0.5-RTT data
-
-  // Negotiation scratch.
-  TlsVersion negotiated_ = TlsVersion::kTls13;
-  bool resumed_ = false;
-  bool early_accepted_ = false;
-  std::string negotiated_alpn_;
-  std::optional<SessionTicket> offered_ticket_;
-  std::optional<ClientHello> client_hello_;  // server: stash for flight
-  std::optional<HandshakeInfo> info_;
-  std::uint64_t next_ticket_id_ = 1;
-
-  // TLS 1.3 server flight tracking on the client.
-  bool saw_server_hello_ = false;
-  bool saw_server_finished_ = false;
 };
 
 }  // namespace doxlab::tls

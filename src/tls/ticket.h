@@ -19,6 +19,10 @@ enum class TlsVersion : std::uint16_t {
   kTls13 = 0x0304,
 };
 
+/// The lifetime of every ticket a server issues: RFC 8446's 7-day maximum,
+/// which all resolvers in the paper's population use.
+inline constexpr SimTime kTicketLifetime = 7 * kDay;
+
 /// A resumption ticket as stored by the client. `server_secret` stands in
 /// for the server's session-ticket encryption key: the server accepts a
 /// ticket iff the secret matches and the ticket is within its lifetime.
@@ -26,7 +30,7 @@ struct SessionTicket {
   std::uint64_t server_secret = 0;
   std::uint64_t ticket_id = 0;
   SimTime issued_at = 0;
-  SimTime lifetime = 7 * kDay;  // RFC 8446 maximum, what all resolvers use
+  SimTime lifetime = kTicketLifetime;
   bool allow_early_data = false;
   TlsVersion version = TlsVersion::kTls13;
   std::string alpn;

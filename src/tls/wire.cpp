@@ -1,6 +1,7 @@
 #include "tls/wire.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace doxlab::tls {
 
@@ -72,28 +73,36 @@ std::optional<SessionTicket> read_ticket(ByteReader& r) {
 
 }  // namespace
 
-util::Buffer TlsWire::handshake_record(HandshakeType type,
-                                       std::span<const std::uint8_t> semantic,
-                                       std::size_t declared_body,
-                                       bool encrypted) const {
-  // One pooled slab holds the whole record: header, message, padding, tag.
+util::Buffer TlsWire::message(HandshakeType type,
+                              std::span<const std::uint8_t> semantic,
+                              std::size_t declared_body) const {
+  // One pooled slab holds the message plus the room seal_handshake needs:
+  // the record header in front, the AEAD tag behind.
   const std::size_t body = std::max(declared_body, semantic.size());
-  const std::size_t record_len =
-      4 + body + (encrypted ? kAeadTagBytes : 0);
-  ByteWriter w = ByteWriter::pooled(kRecordHeaderBytes + record_len,
-                                    /*headroom=*/0);
-  w.u8(static_cast<std::uint8_t>(RecordType::kHandshake));
-  w.u16(0x0303);  // legacy record version
-  w.u16(static_cast<std::uint16_t>(record_len));
+  ByteWriter w = ByteWriter::pooled(4 + body + kAeadTagBytes,
+                                    /*headroom=*/kRecordHeaderBytes);
   w.u8(static_cast<std::uint8_t>(type));
   write_u24(w, body);
   w.bytes(semantic);
   w.pad(body - semantic.size());
-  if (encrypted) w.pad(kAeadTagBytes);
   return w.take_buffer();
 }
 
-util::Buffer TlsWire::client_hello_record(const ClientHello& ch) const {
+util::Buffer TlsWire::seal_handshake(util::Buffer message, Level level) {
+  if (level != Level::kInitial) {
+    std::memset(message.append(kAeadTagBytes), 0, kAeadTagBytes);
+  }
+  const std::size_t record_len = message.size();
+  std::uint8_t* header = message.prepend(kRecordHeaderBytes);
+  header[0] = static_cast<std::uint8_t>(RecordType::kHandshake);
+  header[1] = 0x03;  // legacy record version
+  header[2] = 0x03;
+  header[3] = static_cast<std::uint8_t>(record_len >> 8);
+  header[4] = static_cast<std::uint8_t>(record_len & 0xFF);
+  return message;
+}
+
+util::Buffer TlsWire::client_hello(const ClientHello& ch) const {
   std::size_t semantic_size = 2 + string_size(ch.sni) + 1 + 1 + 1;
   for (const auto& proto : ch.alpn) semantic_size += string_size(proto);
   if (ch.psk) semantic_size += ticket_size(*ch.psk);
@@ -110,64 +119,57 @@ util::Buffer TlsWire::client_hello_record(const ClientHello& ch) const {
   for (const auto& proto : ch.alpn) declared += proto.size() + 2;
   if (ch.psk) declared += sizes_.psk_extension;
   if (ch.early_data) declared += sizes_.early_data_extension;
-  return handshake_record(HandshakeType::kClientHello, s.data(), declared,
-                          /*encrypted=*/false);
+  return message(HandshakeType::kClientHello, s.data(), declared);
 }
 
-util::Buffer TlsWire::server_hello_record(const ServerHello& sh) const {
+util::Buffer TlsWire::server_hello(const ServerHello& sh) const {
   ByteWriter s(3);
   s.u16(static_cast<std::uint16_t>(sh.version));
   s.u8(sh.psk_accepted ? 1 : 0);
-  return handshake_record(HandshakeType::kServerHello, s.data(),
-                          sizes_.server_hello, /*encrypted=*/false);
+  return message(HandshakeType::kServerHello, s.data(), sizes_.server_hello);
 }
 
-util::Buffer TlsWire::encrypted_extensions_record(
+util::Buffer TlsWire::encrypted_extensions(
     const EncryptedExtensions& ee) const {
   ByteWriter s(string_size(ee.alpn) + 1);
   write_string(s, ee.alpn);
   s.u8(ee.early_data_accepted ? 1 : 0);
-  return handshake_record(HandshakeType::kEncryptedExtensions, s.data(),
-                          sizes_.encrypted_extensions + ee.alpn.size(),
-                          /*encrypted=*/true);
+  return message(HandshakeType::kEncryptedExtensions, s.data(),
+                 sizes_.encrypted_extensions + ee.alpn.size());
 }
 
-util::Buffer TlsWire::certificate_record(std::size_t chain_size) const {
-  return handshake_record(HandshakeType::kCertificate, {}, chain_size,
-                          /*encrypted=*/true);
+util::Buffer TlsWire::certificate(std::size_t chain_size) const {
+  return message(HandshakeType::kCertificate, {}, chain_size);
 }
 
-util::Buffer TlsWire::certificate_verify_record() const {
-  return handshake_record(HandshakeType::kCertificateVerify, {},
-                          sizes_.certificate_verify, /*encrypted=*/true);
+util::Buffer TlsWire::certificate_verify() const {
+  return message(HandshakeType::kCertificateVerify, {},
+                 sizes_.certificate_verify);
 }
 
-util::Buffer TlsWire::finished_record() const {
-  return handshake_record(HandshakeType::kFinished, {}, sizes_.finished,
-                          /*encrypted=*/true);
+util::Buffer TlsWire::finished() const {
+  return message(HandshakeType::kFinished, {}, sizes_.finished);
 }
 
-util::Buffer TlsWire::new_session_ticket_record(
-    const SessionTicket& ticket) const {
+util::Buffer TlsWire::new_session_ticket(const SessionTicket& ticket) const {
   ByteWriter s(ticket_size(ticket));
   write_ticket(s, ticket);
-  return handshake_record(HandshakeType::kNewSessionTicket, s.data(),
-                          sizes_.new_session_ticket, /*encrypted=*/true);
+  return message(HandshakeType::kNewSessionTicket, s.data(),
+                 sizes_.new_session_ticket);
 }
 
-util::Buffer TlsWire::server_hello_done_record() const {
-  return handshake_record(HandshakeType::kServerHelloDone, {}, 4,
-                          /*encrypted=*/false);
+util::Buffer TlsWire::server_hello_done() const {
+  return message(HandshakeType::kServerHelloDone, {}, 4);
 }
 
-util::Buffer TlsWire::server_key_exchange_record() const {
-  return handshake_record(HandshakeType::kServerKeyExchange, {},
-                          sizes_.server_key_exchange, /*encrypted=*/false);
+util::Buffer TlsWire::server_key_exchange() const {
+  return message(HandshakeType::kServerKeyExchange, {},
+                 sizes_.server_key_exchange);
 }
 
-util::Buffer TlsWire::client_key_exchange_record() const {
-  return handshake_record(HandshakeType::kClientKeyExchange, {},
-                          sizes_.client_key_exchange, /*encrypted=*/false);
+util::Buffer TlsWire::client_key_exchange() const {
+  return message(HandshakeType::kClientKeyExchange, {},
+                 sizes_.client_key_exchange);
 }
 
 util::Buffer TlsWire::change_cipher_spec_record() const {
@@ -215,50 +217,6 @@ util::Buffer TlsWire::alert_record() const {
   w.u8(0);  // close_notify
   w.pad(kAeadTagBytes);
   return w.take_buffer();
-}
-
-namespace {
-/// Strips record framing: 5-byte header plus, for encrypted records, the
-/// trailing AEAD tag. Used to derive raw messages for QUIC CRYPTO frames.
-std::vector<std::uint8_t> strip_record(const util::Buffer& record,
-                                       bool encrypted) {
-  const std::size_t end =
-      record.size() - (encrypted ? kAeadTagBytes : 0);
-  return {record.data() + kRecordHeaderBytes, record.data() + end};
-}
-}  // namespace
-
-std::vector<std::uint8_t> TlsWire::client_hello_message(
-    const ClientHello& ch) const {
-  return strip_record(client_hello_record(ch), false);
-}
-
-std::vector<std::uint8_t> TlsWire::server_hello_message(
-    const ServerHello& sh) const {
-  return strip_record(server_hello_record(sh), false);
-}
-
-std::vector<std::uint8_t> TlsWire::encrypted_extensions_message(
-    const EncryptedExtensions& ee) const {
-  return strip_record(encrypted_extensions_record(ee), true);
-}
-
-std::vector<std::uint8_t> TlsWire::certificate_message(
-    std::size_t chain_size) const {
-  return strip_record(certificate_record(chain_size), true);
-}
-
-std::vector<std::uint8_t> TlsWire::certificate_verify_message() const {
-  return strip_record(certificate_verify_record(), true);
-}
-
-std::vector<std::uint8_t> TlsWire::finished_message() const {
-  return strip_record(finished_record(), true);
-}
-
-std::vector<std::uint8_t> TlsWire::new_session_ticket_message(
-    const SessionTicket& ticket) const {
-  return strip_record(new_session_ticket_record(ticket), true);
 }
 
 std::optional<TlsWire::Record> TlsWire::next_record(

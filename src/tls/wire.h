@@ -102,37 +102,73 @@ struct HandshakeMessage {
   std::size_t certificate_size = 0;  // kCertificate only
 };
 
+/// The encryption level a handshake message travels at: the QUIC
+/// packet-number space that carries it (RFC 9001 §4.1.4), and over TCP
+/// whether its record is sealed with an AEAD tag.
+enum class Level : std::uint8_t {
+  kInitial,      // in the clear
+  kHandshake,    // handshake keys
+  kApplication,  // application (1-RTT) keys
+};
+
+/// The level of each message type. ClientHello, ServerHello and TLS 1.2's
+/// key-exchange messages travel in the clear; EncryptedExtensions,
+/// Certificate, CertificateVerify and Finished under handshake keys; the
+/// NewSessionTicket under application keys. TLS 1.2 has no handshake keys:
+/// the model seals its Finished, and its Certificate, as 1.3 does.
+constexpr Level level_of(HandshakeType type) {
+  switch (type) {
+    case HandshakeType::kEncryptedExtensions:
+    case HandshakeType::kCertificate:
+    case HandshakeType::kCertificateVerify:
+    case HandshakeType::kFinished:
+      return Level::kHandshake;
+    case HandshakeType::kNewSessionTicket:
+      return Level::kApplication;
+    case HandshakeType::kClientHello:
+    case HandshakeType::kServerHello:
+    case HandshakeType::kServerKeyExchange:
+    case HandshakeType::kServerHelloDone:
+    case HandshakeType::kClientKeyExchange:
+      break;
+  }
+  return Level::kInitial;
+}
+
 /// Encodes handshake messages (semantic fields + padding to the calibrated
-/// size) and wraps them in records.
+/// size) and the records that carry them over TCP.
 class TlsWire {
  public:
   explicit TlsWire(WireSizes sizes = {}) : sizes_(sizes) {}
 
-  // --- raw handshake message encoders (no record framing; QUIC carries
-  //     these directly inside CRYPTO frames) ---
-  std::vector<std::uint8_t> client_hello_message(const ClientHello& ch) const;
-  std::vector<std::uint8_t> server_hello_message(const ServerHello& sh) const;
-  std::vector<std::uint8_t> encrypted_extensions_message(
-      const EncryptedExtensions& ee) const;
-  std::vector<std::uint8_t> certificate_message(std::size_t chain_size) const;
-  std::vector<std::uint8_t> certificate_verify_message() const;
-  std::vector<std::uint8_t> finished_message() const;
-  std::vector<std::uint8_t> new_session_ticket_message(
-      const SessionTicket& ticket) const;
+  // --- handshake messages, [type u8][length u24][body], each built once
+  //     into a pooled buffer with the room to seal it into a record in
+  //     place; QUIC carries the same bytes in CRYPTO frames ---
+  util::Buffer client_hello(const ClientHello& ch) const;
+  util::Buffer server_hello(const ServerHello& sh) const;
+  util::Buffer encrypted_extensions(const EncryptedExtensions& ee) const;
+  util::Buffer certificate(std::size_t chain_size) const;
+  util::Buffer certificate_verify() const;
+  util::Buffer finished() const;
+  util::Buffer new_session_ticket(const SessionTicket& ticket) const;
+  util::Buffer server_hello_done() const;
+  util::Buffer server_key_exchange() const;
+  util::Buffer client_key_exchange() const;
 
-  // --- handshake message encoders (return full record bytes in pooled
-  //     buffers, ready to hand to the transport without another copy) ---
-  util::Buffer client_hello_record(const ClientHello& ch) const;
-  util::Buffer server_hello_record(const ServerHello& sh) const;
-  util::Buffer encrypted_extensions_record(
-      const EncryptedExtensions& ee) const;
-  util::Buffer certificate_record(std::size_t chain_size) const;
-  util::Buffer certificate_verify_record() const;
-  util::Buffer finished_record() const;
-  util::Buffer new_session_ticket_record(const SessionTicket& ticket) const;
-  util::Buffer server_hello_done_record() const;
-  util::Buffer server_key_exchange_record() const;
-  util::Buffer client_key_exchange_record() const;
+  /// Seals a handshake message into a record in place: the 5-byte header
+  /// goes into its headroom and, past the Initial level, the AEAD tag into
+  /// its tailroom.
+  static util::Buffer seal_handshake(util::Buffer message, Level level);
+
+  util::Buffer client_hello_record(const ClientHello& ch) const {
+    return seal_handshake(client_hello(ch), Level::kInitial);
+  }
+  util::Buffer finished_record() const {
+    return seal_handshake(finished(), Level::kHandshake);
+  }
+  util::Buffer new_session_ticket_record(const SessionTicket& ticket) const {
+    return seal_handshake(new_session_ticket(ticket), Level::kApplication);
+  }
   util::Buffer change_cipher_spec_record() const;
 
   /// Application data record (encrypted: header + payload + tag).
@@ -162,8 +198,9 @@ class TlsWire {
   /// bytes; nullopt if a full record is not yet buffered.
   static std::optional<Record> next_record(std::vector<std::uint8_t>& buffer);
 
-  /// Parses a handshake record body into a message. The body may contain a
-  /// trailing AEAD tag (encrypted records); `encrypted` strips it.
+  /// Parses a handshake message. Bytes past the semantic fields are never
+  /// read, so a record body parses with or without its AEAD tag;
+  /// `encrypted` only requires the body to have room for one.
   std::optional<HandshakeMessage> parse_handshake(
       std::span<const std::uint8_t> body, bool encrypted) const;
 
@@ -172,10 +209,9 @@ class TlsWire {
       std::span<const std::uint8_t> body);
 
  private:
-  util::Buffer handshake_record(HandshakeType type,
-                                std::span<const std::uint8_t> semantic,
-                                std::size_t declared_body,
-                                bool encrypted) const;
+  util::Buffer message(HandshakeType type,
+                       std::span<const std::uint8_t> semantic,
+                       std::size_t declared_body) const;
 
   WireSizes sizes_;
 };

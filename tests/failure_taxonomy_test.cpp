@@ -232,9 +232,9 @@ TEST_F(FaultFixture, GarbageServerHelloClassifiesAsTlsAlert) {
 // application error: DoQ classifies as kQuicTransportError.
 TEST_F(FaultFixture, ServerConnectionCloseClassifiesAsQuicTransportError) {
   quic::QuicConfig config;
-  config.is_server = true;
-  config.alpn = {"doq-i02"};
-  config.ticket_secret = 0x5151;
+  config.tls.is_server = true;
+  config.tls.alpn = {"doq-i02"};
+  config.tls.ticket_secret = 0x5151;
   quic_server_ = std::make_unique<quic::QuicServer>(
       sim_, faulty_udp_, default_port(DnsProtocol::kDoQ), config);
   quic_server_->on_accept(

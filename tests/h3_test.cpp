@@ -205,9 +205,9 @@ TEST(H3Frames, RequestResponseThroughLoopbackQuic) {
   net::UdpStack udp_b(b);
 
   quic::QuicConfig server_config;
-  server_config.is_server = true;
-  server_config.alpn = {"h3"};
-  server_config.ticket_secret = 1;
+  server_config.tls.is_server = true;
+  server_config.tls.alpn = {"h3"};
+  server_config.tls.ticket_secret = 1;
   quic::QuicServer server(sim, udp_b, 443, server_config);
 
   std::unique_ptr<H3Connection> server_h3;
@@ -241,7 +241,7 @@ TEST(H3Frames, RequestResponseThroughLoopbackQuic) {
     socket->send_to(Endpoint{b.address(), 443}, std::move(bytes));
   };
   auto conn = quic::QuicConnection::make_client(
-      sim, quic::QuicConfig{.alpn = {"h3"}, .sni = "b"},
+      sim, quic::QuicConfig{.tls = {.alpn = {"h3"}, .sni = "b"}},
       std::move(conn_callbacks));
   socket->on_datagram([&](const Endpoint&, util::Buffer d) {
     conn->on_datagram(d);

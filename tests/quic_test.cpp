@@ -272,8 +272,8 @@ class BareClient {
       sent_.push_back(std::move(bytes));
     };
     QuicConfig config;
-    config.alpn = {"doq"};
-    config.sni = "resolver.example";
+    config.tls.alpn = {"doq"};
+    config.tls.sni = "resolver.example";
     conn_ = QuicConnection::make_client(sim_, config, std::move(callbacks));
     conn_->connect();
   }
@@ -375,9 +375,9 @@ class QuicFixture : public ::testing::Test {
 
   QuicConfig server_config() {
     QuicConfig c;
-    c.alpn = {"doq"};
-    c.ticket_secret = 0xD0C;
-    c.certificate_chain_size = 3000;
+    c.tls.alpn = {"doq"};
+    c.tls.ticket_secret = 0xD0C;
+    c.tls.certificate_chain_size = 3000;
     return c;
   }
 
@@ -443,8 +443,8 @@ class QuicFixture : public ::testing::Test {
 
   QuicConfig client_config() {
     QuicConfig c;
-    c.alpn = {"doq"};
-    c.sni = "resolver.example";
+    c.tls.alpn = {"doq"};
+    c.tls.sni = "resolver.example";
     return c;
   }
 
@@ -551,7 +551,7 @@ TEST_F(QuicFixture, ResumedHandshakeAvoidsAmplificationStall) {
 
 TEST_F(QuicFixture, FullHandshakeWithLargeCertStallsOnAmplification) {
   QuicConfig cfg = server_config();
-  cfg.certificate_chain_size = 5000;  // server flight far above 3x budget
+  cfg.tls.certificate_chain_size = 5000;  // server flight far above 3x budget
   start_server(cfg);
   auto conn = make_client(client_config());
   conn->connect();
@@ -566,7 +566,7 @@ TEST_F(QuicFixture, FullHandshakeWithLargeCertStallsOnAmplification) {
 
 TEST_F(QuicFixture, TokenAloneSkipsAmplificationLimit) {
   QuicConfig cfg = server_config();
-  cfg.certificate_chain_size = 5000;
+  cfg.tls.certificate_chain_size = 5000;
   start_server(cfg);
   auto [ticket, token] = warm_session();
   (void)ticket;
@@ -588,13 +588,13 @@ TEST_F(QuicFixture, TokenAloneSkipsAmplificationLimit) {
 
 TEST_F(QuicFixture, ZeroRttDeliversQueryWithFirstFlight) {
   QuicConfig scfg = server_config();
-  scfg.enable_0rtt = true;
+  scfg.tls.enable_0rtt = true;
   start_server(scfg);
   auto [ticket, token] = warm_session();
   EXPECT_TRUE(ticket.allow_early_data);
 
   QuicConfig ccfg = client_config();
-  ccfg.enable_0rtt = true;
+  ccfg.tls.enable_0rtt = true;
   auto conn = make_client(ccfg);
   const SimTime t0 = sim_.now();
   std::uint64_t id = conn->open_stream({5, 6, 7}, true);  // queued pre-connect
@@ -610,7 +610,7 @@ TEST_F(QuicFixture, ZeroRttDeliversQueryWithFirstFlight) {
 
 TEST_F(QuicFixture, ZeroRttRejectedIsRetransmitted) {
   QuicConfig issuing = server_config();
-  issuing.enable_0rtt = true;
+  issuing.tls.enable_0rtt = true;
   start_server(issuing);
   auto [ticket, token] = warm_session();
 
@@ -619,11 +619,11 @@ TEST_F(QuicFixture, ZeroRttRejectedIsRetransmitted) {
   server_.reset();
   accepted_.clear();
   QuicConfig strict = server_config();
-  strict.enable_0rtt = false;
+  strict.tls.enable_0rtt = false;
   start_server(strict);
 
   QuicConfig ccfg = client_config();
-  ccfg.enable_0rtt = true;
+  ccfg.tls.enable_0rtt = true;
   auto conn = make_client(ccfg);
   std::uint64_t id = conn->open_stream({9}, true);
   conn->connect(ticket, token);
@@ -762,8 +762,8 @@ TEST_F(QuicFixture, StreamsSurviveExtremeJitterReordering) {
   network.set_path_override(ch.address(), sh.address(), from_ms(10));
   net::UdpStack cu(ch), su(sh);
   QuicConfig scfg;
-  scfg.alpn = {"doq"};
-  scfg.ticket_secret = 0x1;
+  scfg.tls.alpn = {"doq"};
+  scfg.tls.ticket_secret = 0x1;
   QuicServer server(sim, su, 853, scfg);
   std::map<std::uint64_t, std::vector<std::uint8_t>> echoed;
   server.on_accept([&](const std::shared_ptr<QuicConnection>& conn,
@@ -791,7 +791,8 @@ TEST_F(QuicFixture, StreamsSurviveExtremeJitterReordering) {
     echoed[id].insert(echoed[id].end(), d.begin(), d.end());
   };
   auto conn = QuicConnection::make_client(
-      sim, QuicConfig{.alpn = {"doq"}, .sni = "s"}, std::move(callbacks));
+      sim, QuicConfig{.tls = {.alpn = {"doq"}, .sni = "s"}},
+      std::move(callbacks));
   socket->on_datagram([conn](const Endpoint&,
                              util::Buffer payload) {
     conn->on_datagram(payload);
@@ -833,8 +834,8 @@ TEST(QuicStreams, LongConnectionRetiresFinishedStreams) {
   net::UdpStack cu(ch), su(sh);
 
   QuicConfig scfg;
-  scfg.alpn = {"doq"};
-  scfg.ticket_secret = 0x1;
+  scfg.tls.alpn = {"doq"};
+  scfg.tls.ticket_secret = 0x1;
   QuicServer server(sim, su, 853, scfg);
   std::shared_ptr<QuicConnection> server_conn;
   std::map<std::uint64_t, int> requests;  // stream id -> FINs delivered
@@ -870,7 +871,8 @@ TEST(QuicStreams, LongConnectionRetiresFinishedStreams) {
     if (fin && ++response_fins[id] == 1) ++finished;
   };
   auto conn = QuicConnection::make_client(
-      sim, QuicConfig{.alpn = {"doq"}, .sni = "s"}, std::move(callbacks));
+      sim, QuicConfig{.tls = {.alpn = {"doq"}, .sni = "s"}},
+      std::move(callbacks));
   socket->on_datagram([conn](const Endpoint&, util::Buffer payload) {
     conn->on_datagram(payload);
   });
