@@ -504,6 +504,13 @@ void DoxResolver::serve_doh3() {
       if (!h3 || !*h3) return;
       (*h3)->on_stream_data(id, data, fin);
     });
+    // Drop the session once its connection closes, one event-loop turn
+    // later: the close may run inside the session's own call stack.
+    conn->set_on_closed([this, weak_h3](const util::Error&) {
+      network_.simulator().schedule(0, [this, weak_h3] {
+        if (auto h3 = weak_h3.lock()) std::erase(doh3_conns_, h3);
+      });
+    });
     (*h3)->start();
     doh3_conns_.push_back(std::move(h3));
   });

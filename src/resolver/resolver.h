@@ -94,6 +94,8 @@ class DoxResolver {
   std::uint64_t queries_served(dox::DnsProtocol protocol) const {
     return served_[static_cast<int>(protocol)];
   }
+  /// HTTP/3 sessions held for accepted DoH3 connections.
+  std::size_t doh3_sessions() const { return doh3_conns_.size(); }
 
  private:
   struct TlsConn;
@@ -130,8 +132,9 @@ class DoxResolver {
   std::unique_ptr<net::UdpSocket> udp53_;
   std::vector<std::unique_ptr<quic::QuicServer>> quic_servers_;
   std::vector<std::shared_ptr<TlsConn>> tls_conns_;
-  /// Server-side H3 sessions (boxed so the accept handler can create the
-  /// session after wiring callbacks that reference it weakly).
+  /// Server-side H3 sessions of open DoH3 connections (boxed so the accept
+  /// handler can create the session after wiring callbacks that reference
+  /// it weakly). A session is dropped once its connection closes.
   std::vector<std::shared_ptr<std::unique_ptr<h3::H3Connection>>>
       doh3_conns_;
 

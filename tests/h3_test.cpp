@@ -156,6 +156,22 @@ TEST_F(Doh3Fixture, MultipleQueriesShareOneConnection) {
   EXPECT_FALSE(b.new_session);
 }
 
+TEST_F(Doh3Fixture, ClosedConnectionsReleaseTheirSessions) {
+  // The resolver holds an H3 session per open DoH3 connection and drops it
+  // once the connection closes, so sessions do not grow with clients.
+  start_resolver();
+  for (int client = 0; client < 3; ++client) {
+    auto transport = dox::make_transport(dox::DnsProtocol::kDoH3, deps(),
+                                         options(dox::DnsProtocol::kDoH3));
+    ASSERT_TRUE(query(*transport, "google.com").ok());
+    EXPECT_EQ(resolver_->doh3_sessions(), 1u);
+    transport->reset_sessions();
+    sim_.run_until(sim_.now() + kSecond);
+  }
+  EXPECT_EQ(resolver_->queries_served(dox::DnsProtocol::kDoH3), 3u);
+  EXPECT_EQ(resolver_->doh3_sessions(), 0u);
+}
+
 TEST_F(Doh3Fixture, ZeroRttRequestWhenSupported) {
   start_resolver(/*supports_0rtt=*/true);
   auto r = warmed_query(dox::DnsProtocol::kDoH3);
