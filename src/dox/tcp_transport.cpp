@@ -2,9 +2,10 @@
 //
 // Default behaviour matches what the paper measured: since no resolver
 // supports edns-tcp-keepalive or TFO, every query pays a fresh 3-way
-// handshake and teardown (2 round trips per query in total). The
-// RFC 9210-recommended persistent-connection mode and TFO are available as
-// options for the ablation benches.
+// handshake and teardown (2 round trips per query in total). A connection
+// on which the server advertises edns-tcp-keepalive (RFC 7828) is kept for
+// later queries, as RFC 9210 recommends; TFO is an option for the ablation
+// benches.
 #include "dox/transport_base.h"
 
 namespace doxlab::dox {
@@ -20,19 +21,10 @@ class TcpTransport final : public TransportBase {
 
   void resolve(const dns::Question& question, ResultHandler handler) override {
     auto pending = make_pending(question, std::move(handler));
-    // Reuse the persistent connection when configured for RFC 9210 reuse OR
-    // when the server advertised edns-tcp-keepalive on it.
-    const bool reusable =
-        persistent_ && (!options_.tcp_fresh_connection_per_query ||
-                        persistent_->keepalive);
-    if (reusable && persistent_->connected) {
+    // Reuse the connection on which the server advertised
+    // edns-tcp-keepalive.
+    if (persistent_) {
       send_query(persistent_, pending);
-      return;
-    }
-    if (!options_.tcp_fresh_connection_per_query && persistent_) {
-      // Connection still handshaking: queue on it.
-      persistent_->queued.push_back(pending);
-      persistent_->in_flight.push_back(pending);
       return;
     }
     open_connection(pending);
@@ -40,7 +32,7 @@ class TcpTransport final : public TransportBase {
 
   void reset_sessions() override {
     persistent_.reset();
-    // Fresh-mode connections normally close themselves after the response,
+    // Connections without keep-alive close themselves after the response,
     // but an in-flight one must not survive a session reset. Closing
     // triggers on_closed, which erases the state from open_.
     auto open = open_;
@@ -125,7 +117,6 @@ class TcpTransport final : public TransportBase {
       std::erase(open_, state);
     });
 
-    if (!options_.tcp_fresh_connection_per_query) persistent_ = state;
     // With TFO the query rides the SYN: the SYN is deferred one event-loop
     // turn, so sending now puts the data in the fast-open payload.
     if (options_.tcp_use_tfo) flush_queued(state);
@@ -174,8 +165,7 @@ class TcpTransport final : public TransportBase {
         }
       }
     }
-    if (options_.tcp_fresh_connection_per_query && !state->keepalive &&
-        state->in_flight.empty()) {
+    if (!state->keepalive && state->in_flight.empty()) {
       // Single-shot mode: tear the connection down after the response.
       state->conn->close();
     }
@@ -203,9 +193,10 @@ class TcpTransport final : public TransportBase {
     return false;
   }
 
+  /// The connected keep-alive connection, if any.
   StatePtr persistent_;
-  /// Owns every not-yet-closed connection state (fresh-mode connections
-  /// have no other owner).
+  /// Owns every not-yet-closed connection state (connections without
+  /// keep-alive have no other owner).
   std::vector<StatePtr> open_;
   std::weak_ptr<ConnState> last_;
   WireStats stats_;

@@ -46,10 +46,6 @@ struct TransportOptions {
   /// initial timeout (the source of the paper's DoUDP tail outliers).
   SimTime udp_retry_timeout = 5 * kSecond;
   int udp_max_attempts = 3;
-  /// DoTCP: open a fresh connection per query (what every resolver-facing
-  /// client in the study effectively did, since none support
-  /// edns-tcp-keepalive/TFO). false enables RFC 9210-style reuse.
-  bool tcp_fresh_connection_per_query = true;
   /// DoTCP: attempt TCP Fast Open (ablation).
   bool tcp_use_tfo = false;
   /// DoT: reproduce the dnsproxy connection-handling bug — a new connection

@@ -46,22 +46,14 @@ bool UpstreamPool::available(const Upstream& upstream, SimTime now) const {
 }
 
 std::vector<UpstreamPool::Candidate> UpstreamPool::plan(SimTime now) const {
-  // Upstream order: available ones first (fastest-EWMA or configuration
-  // order), quarantined ones appended last so a fully-dead pool still
-  // retries everything before giving up.
+  // Upstream order: available ones first in configuration order,
+  // quarantined ones appended last so a fully-dead pool still retries
+  // everything before giving up.
   std::vector<std::size_t> order(upstreams_.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     const bool avail_a = available(upstreams_[a], now);
-                     const bool avail_b = available(upstreams_[b], now);
-                     if (avail_a != avail_b) return avail_a;
-                     if (config_.select_fastest) {
-                       return upstreams_[a].ewma_latency_ms <
-                              upstreams_[b].ewma_latency_ms;
-                     }
-                     return false;  // keep configuration order
-                   });
+  std::stable_partition(order.begin(), order.end(), [&](std::size_t i) {
+    return available(upstreams_[i], now);
+  });
   std::vector<Candidate> candidates;
   for (std::size_t upstream : order) {
     if (!upstreams_[upstream].admin_enabled) continue;

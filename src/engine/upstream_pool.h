@@ -68,9 +68,6 @@ struct PoolConfig {
   double ewma_alpha = 0.2;
   /// Give up after this many attempts across the whole pool.
   int max_attempts = 8;
-  /// Prefer the upstream with the lowest EWMA latency instead of strict
-  /// configuration order (unhealthy upstreams sort last either way).
-  bool select_fastest = false;
 };
 
 class UpstreamPool {
