@@ -42,13 +42,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <type_traits>
 #include <vector>
 
+#include "alloc_count.h"
 #include "bench_util.h"
 #include "dox/transport.h"
 #include "engine/sharded.h"
@@ -56,21 +55,6 @@
 #include "resolver/resolver.h"
 #include "stats/stats.h"
 #include "tcp/tcp.h"
-
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -133,12 +117,12 @@ double measure_cached_allocs_with_l2(int queries) {
   }
 
   const std::uint64_t before = answered;
-  const std::uint64_t allocs0 = g_heap_allocs.load();
+  const std::uint64_t allocs0 = bench::heap_allocations();
   for (int i = 0; i < queries; ++i) {
     socket->send_to(engine_ep, query_wire);
     sim.run_until(sim.now() + kMillisecond);
   }
-  const std::uint64_t allocs = g_heap_allocs.load() - allocs0;
+  const std::uint64_t allocs = bench::heap_allocations() - allocs0;
   if (answered - before != static_cast<std::uint64_t>(queries)) {
     std::fprintf(stderr, "l2 cached probe: %llu/%d queries answered\n",
                  static_cast<unsigned long long>(answered - before),
@@ -162,9 +146,9 @@ double measure_call_allocs_per_arrival(const engine::ShardedConfig& base) {
   config.qps = 50000;
   config.duration = 30 * kSecond;
   config.engine = engine::EngineConfig{};
-  const std::uint64_t allocs0 = g_heap_allocs.load();
+  const std::uint64_t allocs0 = bench::heap_allocations();
   const auto result = engine::run_sharded(config);
-  const std::uint64_t allocs = g_heap_allocs.load() - allocs0;
+  const std::uint64_t allocs = bench::heap_allocations() - allocs0;
   if (result.total_arrivals == 0) return -1.0;
   return static_cast<double>(allocs) /
          static_cast<double>(result.total_arrivals);
@@ -197,10 +181,10 @@ MissAllocs measure_miss_call_allocs(std::uint64_t seed) {
   config.qps = 5000;
   config.duration = 3 * kSecond;
   config.names = 100'000;
-  const std::uint64_t allocs0 = g_heap_allocs.load();
+  const std::uint64_t allocs0 = bench::heap_allocations();
   const auto result = engine::run_sharded(config);
   MissAllocs m;
-  m.allocs = g_heap_allocs.load() - allocs0;
+  m.allocs = bench::heap_allocations() - allocs0;
   m.misses = result.engine.misses;
   m.arrivals = result.total_arrivals;
   return m;

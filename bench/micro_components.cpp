@@ -23,17 +23,16 @@
 //                  BENCH_byte_path.json after the run
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "alloc_count.h"
 #include "bench_util.h"
 #include "dns/message.h"
 #include "dns/wire_cache.h"
@@ -50,23 +49,9 @@
 #include "tls/wire.h"
 #include "util/buffer.h"
 
-// Program-wide allocation counter: the sim-core suite reports heap
-// allocations per event, the headline metric of the slab/SBO rewrite.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
+// Heap allocations come from bench::heap_allocations (alloc_count.h): the
+// sim-core suite reports them per event, the headline metric of the
+// slab/SBO rewrite.
 namespace {
 
 using namespace doxlab;
@@ -267,7 +252,7 @@ struct SimCoreSample {
 template <typename Sim>
 SimCoreSample measure_fire(Sim& sim, int trials, int batch) {
   long long sink = 0;
-  const std::uint64_t allocs0 = g_heap_allocs.load();
+  const std::uint64_t allocs0 = bench::heap_allocations();
   const std::uint64_t sbo0 = sim::EventFn::heap_allocations();
   const auto t0 = std::chrono::steady_clock::now();
   for (int t = 0; t < trials; ++t) {
@@ -281,7 +266,7 @@ SimCoreSample measure_fire(Sim& sim, int trials, int batch) {
   sample.ns_per_op =
       std::chrono::duration<double, std::nano>(t1 - t0).count() / ops;
   sample.allocs_per_op =
-      static_cast<double>(g_heap_allocs.load() - allocs0) / ops;
+      static_cast<double>(bench::heap_allocations() - allocs0) / ops;
   sample.eventfn_heap_per_op =
       static_cast<double>(sim::EventFn::heap_allocations() - sbo0) / ops;
   return sample;
@@ -294,7 +279,7 @@ SimCoreSample measure_cancel(Sim& sim, int trials, int batch) {
   long long sink = 0;
   std::vector<TimerT> timers;
   timers.reserve(batch);
-  const std::uint64_t allocs0 = g_heap_allocs.load();
+  const std::uint64_t allocs0 = bench::heap_allocations();
   const std::uint64_t sbo0 = sim::EventFn::heap_allocations();
   const auto t0 = std::chrono::steady_clock::now();
   for (int t = 0; t < trials; ++t) {
@@ -314,7 +299,7 @@ SimCoreSample measure_cancel(Sim& sim, int trials, int batch) {
   sample.ns_per_op =
       std::chrono::duration<double, std::nano>(t1 - t0).count() / ops;
   sample.allocs_per_op =
-      static_cast<double>(g_heap_allocs.load() - allocs0) / ops;
+      static_cast<double>(bench::heap_allocations() - allocs0) / ops;
   sample.eventfn_heap_per_op =
       static_cast<double>(sim::EventFn::heap_allocations() - sbo0) / ops;
   return sample;
@@ -419,7 +404,7 @@ struct BytePathSample {
 /// Times `op` over `trials` iterations, reporting ns and allocations per op.
 template <typename Op>
 BytePathSample measure_ops(int trials, Op&& op) {
-  const std::uint64_t allocs0 = g_heap_allocs.load();
+  const std::uint64_t allocs0 = bench::heap_allocations();
   const auto t0 = std::chrono::steady_clock::now();
   for (int t = 0; t < trials; ++t) op();
   const auto t1 = std::chrono::steady_clock::now();
@@ -427,7 +412,7 @@ BytePathSample measure_ops(int trials, Op&& op) {
   sample.ns_per_op =
       std::chrono::duration<double, std::nano>(t1 - t0).count() / trials;
   sample.allocs_per_op =
-      static_cast<double>(g_heap_allocs.load() - allocs0) / trials;
+      static_cast<double>(bench::heap_allocations() - allocs0) / trials;
   return sample;
 }
 
@@ -603,11 +588,11 @@ double measure_l1_insert_allocs(int inserts) {
   for (std::size_t i = 0; i < kCapacity; ++i) {
     cache.insert(names[i], dns::RRType::kA, image, 0);
   }
-  const std::uint64_t allocs0 = g_heap_allocs.load();
+  const std::uint64_t allocs0 = bench::heap_allocations();
   for (std::size_t i = kCapacity; i < names.size(); ++i) {
     cache.insert(names[i], dns::RRType::kA, image, kSecond);
   }
-  const std::uint64_t allocs = g_heap_allocs.load() - allocs0;
+  const std::uint64_t allocs = bench::heap_allocations() - allocs0;
   if (cache.size() != kCapacity ||
       cache.evictions() != static_cast<std::uint64_t>(inserts)) {
     std::fprintf(stderr, "l1 insert probe: %zu entries, %llu evictions\n",
@@ -691,12 +676,12 @@ double measure_engine_cached_allocs(int queries) {
   }
 
   const std::uint64_t before = answered;
-  const std::uint64_t allocs0 = g_heap_allocs.load();
+  const std::uint64_t allocs0 = bench::heap_allocations();
   for (int i = 0; i < queries; ++i) {
     socket->send_to(engine_ep, query_wire);
     sim.run_until(sim.now() + kMillisecond);
   }
-  const std::uint64_t allocs = g_heap_allocs.load() - allocs0;
+  const std::uint64_t allocs = bench::heap_allocations() - allocs0;
   if (answered - before != static_cast<std::uint64_t>(queries)) {
     std::fprintf(stderr,
                  "byte-path engine probe: %llu/%d cached queries answered\n",

@@ -17,35 +17,17 @@
 // --smoke runs a reduced scenario and exits non-zero if evaluation
 // allocates, shed falls below 95%, or the under-attack legit p99 drifts
 // more than 10% from the no-attack baseline (the CI gate).
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 
+#include "alloc_count.h"
 #include "bench_util.h"
 #include "engine/sharded.h"
 #include "policy/policy.h"
 #include "stats/stats.h"
 
-// Program-wide allocation counter, the same convention as
-// micro_components: evaluation claims zero per query, so count every
-// operator new and prove it.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
+// Evaluation claims zero allocations per query: bench::heap_allocations
+// counts every operator new to prove it.
 namespace {
 
 using namespace doxlab;
@@ -71,7 +53,7 @@ EvalNumbers measure_eval(int iters) {
   EvalNumbers out;
   SimTime now = 0;
   std::uint64_t sink = 0;
-  const std::uint64_t allocs_before = g_heap_allocs.load();
+  const std::uint64_t allocs_before = bench::heap_allocations();
   auto started = std::chrono::steady_clock::now();
   for (int i = 0; i < iters; ++i) {
     // Advance the clock past the per-/24 budget so the legit query keeps
@@ -96,7 +78,7 @@ EvalNumbers measure_eval(int iters) {
                       std::chrono::steady_clock::now() - started)
                       .count() /
                   iters;
-  out.allocs_per_op = static_cast<double>(g_heap_allocs.load() -
+  out.allocs_per_op = static_cast<double>(bench::heap_allocations() -
                                           allocs_before) /
                       (2.0 * iters);
   if (sink == 0xDEAD) std::printf("unreachable %llu\n",

@@ -189,7 +189,7 @@ struct LoadReport {
 struct SeriesBucket {
   SimTime start = 0;
   DOXLAB_METRICS(SeriesBucket, DOXLAB_SERIES_METRICS)
-  std::vector<double> latency_ms;
+  std::vector<double> latency_ms = {};
 
   std::uint64_t sent() const { return answered + servfails + timeouts; }
   double answer_rate() const {

@@ -38,12 +38,12 @@ struct PopulationConfig {
   std::uint32_t base_address = 0x0A800000;  // 10.128.0.0
 
   // Ablation overrides (nullopt = the paper's observed behaviour).
-  std::optional<bool> force_supports_0rtt;
-  std::optional<bool> force_supports_tfo;
-  std::optional<bool> force_supports_keepalive;
-  std::optional<bool> force_validate_with_retry;
+  std::optional<bool> force_supports_0rtt = std::nullopt;
+  std::optional<bool> force_supports_tfo = std::nullopt;
+  std::optional<bool> force_supports_keepalive = std::nullopt;
+  std::optional<bool> force_validate_with_retry = std::nullopt;
   /// Enable DNS-over-HTTP/3 listeners across the population (future work).
-  std::optional<bool> force_supports_doh3;
+  std::optional<bool> force_supports_doh3 = std::nullopt;
 };
 
 /// The built world: resolver instances (owning their hosts/listeners).

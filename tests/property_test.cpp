@@ -387,7 +387,9 @@ TEST(QuicProperty, AckFrameCoverageMatchesRanges) {
             covered_elsewhere = true;
           }
         }
-        if (!covered_elsewhere) EXPECT_FALSE(frame.acks(range.first - 1));
+        if (!covered_elsewhere) {
+          EXPECT_FALSE(frame.acks(range.first - 1));
+        }
       }
     }
   }

@@ -1,10 +1,10 @@
 #!/bin/sh
 # Tier-1 gate: build + run the full test suite three times — the regular
-# RelWithDebInfo build (plus the hot-path, sharded-engine scaling and
-# benchmark smoke passes), an ASan+UBSan instrumented build
-# (-DDOXLAB_SANITIZE=ON), and a TSan build (-DDOXLAB_TSAN=ON) that re-runs
-# the cross-thread tests and a sharded engine smoke under the race
-# detector. All must be green.
+# RelWithDebInfo build, where any compiler warning fails the build (plus the
+# hot-path, sharded-engine scaling and benchmark smoke passes), an
+# ASan+UBSan instrumented build (-DDOXLAB_SANITIZE=ON), and a TSan build
+# (-DDOXLAB_TSAN=ON) that re-runs the cross-thread tests and a sharded
+# engine smoke under the race detector. All must be green.
 #
 # Usage: tools/check.sh [jobs]   (from the repository root)
 set -eu
@@ -13,7 +13,8 @@ jobs=${1:-$(nproc 2>/dev/null || echo 4)}
 root=$(cd "$(dirname "$0")/.." && pwd)
 
 echo "== regular build (${root}/build) =="
-cmake -B "$root/build" -S "$root" >/dev/null
+cmake -B "$root/build" -S "$root" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON \
+      >/dev/null
 cmake --build "$root/build" -j "$jobs"
 ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
 echo "== hot-path smoke (simulator, byte path, long connections) =="
