@@ -104,13 +104,17 @@ class QuicConnection : public std::enable_shared_from_this<QuicConnection> {
     std::function<void(const AddressToken&)> on_new_token;
     /// Connection ended; kNone means clean close. kTimeout for idle/PTO
     /// expiry, kQuicTransportError for a peer CONNECTION_CLOSE with an
-    /// error code, kProtocolError for malformed flights, kTlsAlert for
-    /// ALPN failure.
+    /// error code, kProtocolError for malformed flights, kTlsAlert for a
+    /// failed TLS handshake (an ALPN miss, a malformed message).
     std::function<void(const util::Error&)> on_closed;
     /// Raw datagram egress (wired to a UDP socket by the owner). The buffer
     /// is pooled and uniquely owned; sinks may ship it as-is.
     std::function<void(util::Buffer)> send_datagram;
   };
+
+  // The handshake's callbacks hold this connection's address.
+  QuicConnection(const QuicConnection&) = delete;
+  QuicConnection& operator=(const QuicConnection&) = delete;
 
   /// Client factory.
   static std::shared_ptr<QuicConnection> make_client(sim::Simulator& sim,

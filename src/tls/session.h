@@ -47,6 +47,9 @@ class TlsSession {
   };
 
   TlsSession(TlsConfig config, Callbacks callbacks);
+  // The handshake's callbacks hold this session's address.
+  TlsSession(const TlsSession&) = delete;
+  TlsSession& operator=(const TlsSession&) = delete;
 
   /// Client: begins the handshake, optionally resuming with `ticket` and
   /// sending `early_data` as 0-RTT (only if the ticket permits and config

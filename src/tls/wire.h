@@ -103,7 +103,7 @@ struct HandshakeMessage {
 };
 
 /// The encryption level a handshake message travels at: the QUIC
-/// packet-number space that carries it (RFC 9001 §4.1.4), and over TCP
+/// packet-number space that carries it (RFC 9001 §4), and over TCP
 /// whether its record is sealed with an AEAD tag.
 enum class Level : std::uint8_t {
   kInitial,      // in the clear
@@ -198,9 +198,9 @@ class TlsWire {
   /// bytes; nullopt if a full record is not yet buffered.
   static std::optional<Record> next_record(std::vector<std::uint8_t>& buffer);
 
-  /// Parses a handshake message. Bytes past the semantic fields are never
-  /// read, so a record body parses with or without its AEAD tag;
-  /// `encrypted` only requires the body to have room for one.
+  /// Parses a handshake message; `encrypted` first strips a record body's
+  /// trailing AEAD tag. Bytes past the semantic fields are never read, so a
+  /// sealed record's body also parses as it is.
   std::optional<HandshakeMessage> parse_handshake(
       std::span<const std::uint8_t> body, bool encrypted) const;
 
