@@ -615,8 +615,9 @@ void QuicConnection::process_crypto_stream(PnSpace space) {
 tls::Handshake::Callbacks QuicConnection::handshake_callbacks() {
   tls::Handshake::Callbacks callbacks;
   callbacks.send = [this](tls::Level level, util::Buffer message) {
-    queue_crypto(space_of(level), {message.data(),
-                                   message.data() + message.size()});
+    queue_crypto(space_of(level),
+                 std::vector<std::uint8_t>(message.data(),
+                                           message.data() + message.size()));
   };
   callbacks.on_early_data_rejected = [this] { resend_rejected_0rtt(); };
   callbacks.on_complete = [this] { complete_handshake(); };

@@ -23,7 +23,7 @@ class QuicServer {
       const std::shared_ptr<QuicConnection>&, const net::Endpoint& peer)>;
 
   /// Binds `port` on `stack`'s host. `config` is the per-connection server
-  /// configuration (is_server is forced).
+  /// configuration (its `tls.is_server` is forced).
   QuicServer(sim::Simulator& sim, net::UdpStack& stack, std::uint16_t port,
              QuicConfig config);
 
