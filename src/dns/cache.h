@@ -1,5 +1,4 @@
-// TTL-bounded DNS record cache, used by resolvers (and by the local proxy
-// when its cache is *enabled* — the study disables it, and tests cover both).
+// TTL-bounded DNS record cache, used by the resolvers.
 //
 // The cache is unbounded by default (the study's resolvers never evict), but
 // can be given a capacity bound: insertion beyond the bound evicts the
