@@ -35,10 +35,7 @@ TlsSession::TlsSession(TlsConfig config, Callbacks callbacks)
                       cb_.on_handshake_complete(*handshake_.info());
                     }
                   },
-              .on_new_ticket =
-                  [this](const SessionTicket& ticket) {
-                    if (cb_.on_new_ticket) cb_.on_new_ticket(ticket);
-                  },
+              .on_new_ticket = cb_.on_new_ticket,
               .on_fail = [this](Alert,
                                 const std::string& reason) { fail(reason); },
               .now = cb_.now,
