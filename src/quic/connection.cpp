@@ -659,12 +659,12 @@ void QuicConnection::resend_rejected_0rtt() {
 
 void QuicConnection::complete_handshake() {
   complete_ = true;
-  const tls::HandshakeInfo& tls = *handshake_.info();
+  const tls::HandshakeInfo& negotiated = *handshake_.info();
   QuicHandshakeInfo info = pending_info_;
   info.version = version_;
-  info.alpn = tls.alpn;
-  info.resumed = tls.resumed;
-  info.early_data_accepted = tls.early_data_accepted;
+  info.alpn = negotiated.alpn;
+  info.resumed = negotiated.resumed;
+  info.early_data_accepted = negotiated.early_data_accepted;
   info.amplification_stall = was_amplification_blocked_;
   info_ = info;
   // Defer the user callback until the completing flight has been flushed,
@@ -677,7 +677,7 @@ void QuicConnection::complete_handshake() {
     return;
   }
   // Client: flush streams that did not ride 0-RTT.
-  if (!tls.early_data_accepted) {
+  if (!negotiated.early_data_accepted) {
     for (auto& qs : queued_streams_) {
       Stream& stream = streams_[qs.id];
       if (stream.send_offset > 0 || stream.send_fin) continue;  // 0-RTT path
