@@ -19,6 +19,7 @@
 // committed BENCH_adverse.json baseline. Exits non-zero if a gate fails.
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -189,7 +190,9 @@ QuicResult run_quic_recovery(SimTime duration, std::size_t transfer_bytes) {
     conn->on_datagram(payload);
   });
   conn->connect();
-  conn->open_stream(std::vector<std::uint8_t>(transfer_bytes, 0x51), true);
+  util::Buffer transfer = util::Buffer::allocate(transfer_bytes);
+  std::memset(transfer.append(transfer_bytes), 0x51, transfer_bytes);
+  conn->open_stream(std::move(transfer), true);
   sim.run_until(duration);
 
   QuicResult result;

@@ -97,13 +97,13 @@ BENCHMARK(BM_DnsNameCompression);
 void BM_QuicDatagramRoundTrip(benchmark::State& state) {
   quic::QuicPacket packet;
   packet.type = quic::PacketType::kInitial;
-  packet.frames.push_back(
-      quic::Frame::crypto(0, std::vector<std::uint8_t>(300, 0xAB)));
+  packet.frames.push_back(quic::Frame::crypto(
+      0, util::Buffer::copy_of(std::vector<std::uint8_t>(300, 0xAB))));
   std::vector<quic::QuicPacket> packets = {packet};
+  quic::DecodedDatagram decoded;
   for (auto _ : state) {
     auto wire = quic::encode_datagram(packets, true);
-    auto decoded = quic::decode_datagram(wire);
-    benchmark::DoNotOptimize(decoded);
+    benchmark::DoNotOptimize(quic::decode_datagram(wire, decoded));
   }
 }
 BENCHMARK(BM_QuicDatagramRoundTrip);
@@ -704,6 +704,9 @@ struct CostGrowth {
   std::string_view protocol;
   double first_us = -1;  ///< mean of queries 1..1000; < 0 on failure
   double last_us = -1;   ///< mean of queries 9001..10000
+  /// Heap allocations per query over queries 9001..10000, the probe's own
+  /// name building included; < 0 on failure.
+  double allocs_per_query = -1;
   double ratio() const { return first_us > 0 ? last_us / first_us : -1; }
 };
 
@@ -718,7 +721,11 @@ CostGrowth measure_long_connection(dox::DnsProtocol protocol, int queries) {
   auto transport = dox::make_transport(protocol, world.deps(), options);
   std::vector<double> us;
   us.reserve(static_cast<std::size_t>(queries));
+  std::uint64_t window_allocs = 0;
   for (int i = 0; i < queries; ++i) {
+    if (i == queries - kLongConnWindow) {
+      window_allocs = bench::heap_allocations();
+    }
     const dns::Question question{
         dns::DnsName::parse("q" + std::to_string(i) + ".growth.example"),
         dns::RRType::kA, dns::RRClass::kIN};
@@ -748,6 +755,9 @@ CostGrowth measure_long_connection(dox::DnsProtocol protocol, int queries) {
   };
   growth.first_us = window_mean(0);
   growth.last_us = window_mean(us.size() - kLongConnWindow);
+  growth.allocs_per_query =
+      static_cast<double>(bench::heap_allocations() - window_allocs) /
+      kLongConnWindow;
   return growth;
 }
 
@@ -759,9 +769,10 @@ std::vector<CostGrowth> run_long_conn_suite() {
 void report_long_conn(const std::vector<CostGrowth>& results) {
   bench::banner("long connection: per-query cost, first vs last 1k of 10k");
   for (const CostGrowth& g : results) {
-    std::printf("%-4.*s first1k %7.1f us  last1k %7.1f us  growth %5.2fx\n",
+    std::printf("%-4.*s first1k %7.1f us  last1k %7.1f us  growth %5.2fx  "
+                "last1k %6.1f heap allocations/query\n",
                 static_cast<int>(g.protocol.size()), g.protocol.data(),
-                g.first_us, g.last_us, g.ratio());
+                g.first_us, g.last_us, g.ratio(), g.allocs_per_query);
   }
 }
 
@@ -951,6 +962,19 @@ int main(int argc, char** argv) {
                    "SMOKE FAIL: image hit allocates (%.4f heap allocations "
                    "per hit; gate 0.01)\n",
                    b.image_cached.allocs_per_op);
+      ok = false;
+    }
+    // DoQ's connection bookkeeping may cost no more allocations per query
+    // than DoT's TCP and TLS record layers: the same resolver, names and
+    // answers on both, so the DNS and resolver work cancels out.
+    const CostGrowth& doq = long_conn[0];
+    const CostGrowth& dot = long_conn[1];
+    if (doq.allocs_per_query < 0 || dot.allocs_per_query < 0 ||
+        doq.allocs_per_query > dot.allocs_per_query) {
+      std::fprintf(stderr,
+                   "SMOKE FAIL: a warm DoQ query makes %.1f heap allocations, "
+                   "more than DoT's %.1f\n",
+                   doq.allocs_per_query, dot.allocs_per_query);
       ok = false;
     }
     // Both windows come from the same run, so host speed cancels out.

@@ -27,7 +27,7 @@ std::vector<std::string> offered_alpns() {
 
 struct DoqFraming {
   struct StreamBuf {
-    std::vector<std::uint8_t> data;
+    std::vector<std::uint8_t> data;  // a response that arrives in pieces
     PendingPtr pending;
   };
   std::map<std::uint64_t, StreamBuf> streams;
@@ -58,8 +58,10 @@ class DoqTransport final : public QuicTransport<DoqFraming> {
     // RFC 9250 §4.2.1: DoQ queries use DNS message id 0.
     pending->dns_id = 0;
     dns::Message query = build_query(pending, /*encrypted=*/true);
-    auto wire = query.encode();
-    if (conn->length_prefix) wire = length_prefixed(wire);
+    // One slab end to end, as for DoT: the prefix goes into the headroom
+    // and the stream frames share the buffer.
+    util::Buffer wire = query.encode_buffer(/*headroom=*/2);
+    if (conn->length_prefix) wire = length_prefixed(std::move(wire));
     const std::uint64_t stream_id =
         conn->quic->open_stream(std::move(wire), true);
     conn->streams[stream_id].pending = pending;
@@ -69,11 +71,16 @@ class DoqTransport final : public QuicTransport<DoqFraming> {
                       std::span<const std::uint8_t> data, bool fin) override {
     auto it = conn->streams.find(stream_id);
     if (it == conn->streams.end()) return;
-    auto& stream = it->second.data;
-    stream.insert(stream.end(), data.begin(), data.end());
-    if (!fin) return;
+    auto& buffered = it->second.data;
+    if (!fin || !buffered.empty()) {
+      buffered.insert(buffered.end(), data.begin(), data.end());
+      if (!fin) return;
+    }
 
-    const std::vector<std::uint8_t> bytes = std::move(stream);
+    // A response that arrives whole is decoded from the datagram itself.
+    const std::vector<std::uint8_t> pieces = std::move(buffered);
+    const std::span<const std::uint8_t> bytes =
+        pieces.empty() ? data : std::span<const std::uint8_t>(pieces);
     const PendingPtr pending = std::move(it->second.pending);
     conn->streams.erase(it);
     std::erase(conn->in_flight, pending);

@@ -40,11 +40,12 @@ void H3Connection::start() {
   settings.varint(16);
   settings.varint(0x06);
   settings.varint(16384);
-  ByteWriter stream;
+  ByteWriter stream = ByteWriter::pooled(settings.size() + 8,
+                                         /*headroom=*/0);
   stream.u8(kControlStreamType);
   stream.bytes(encode_frame(H3FrameType::kSettings, settings.view()));
   conn_->send_stream(is_client_ ? kClientControlStream : kServerControlStream,
-                     stream.take(), /*fin=*/false);
+                     stream.take_buffer(), /*fin=*/false);
 }
 
 std::vector<std::uint8_t> H3Connection::headers_frame(
@@ -58,25 +59,30 @@ std::vector<std::uint8_t> H3Connection::headers_frame(
   return encode_frame(H3FrameType::kHeaders, block.view());
 }
 
+util::Buffer H3Connection::message_stream(
+    const std::vector<h2::Header>& headers,
+    std::span<const std::uint8_t> body) {
+  const std::vector<std::uint8_t> header_frame = headers_frame(headers);
+  ByteWriter w = ByteWriter::pooled(header_frame.size() + body.size() + 16,
+                                    /*headroom=*/0);
+  w.bytes(header_frame);
+  if (!body.empty()) {
+    w.varint(static_cast<std::uint64_t>(H3FrameType::kData));
+    w.varint(body.size());
+    w.bytes(body);
+  }
+  return w.take_buffer();
+}
+
 std::uint64_t H3Connection::send_request(
     const std::vector<h2::Header>& headers, std::vector<std::uint8_t> body) {
-  std::vector<std::uint8_t> payload = headers_frame(headers);
-  if (!body.empty()) {
-    auto data = encode_frame(H3FrameType::kData, body);
-    payload.insert(payload.end(), data.begin(), data.end());
-  }
-  return conn_->open_stream(std::move(payload), /*fin=*/true);
+  return conn_->open_stream(message_stream(headers, body), /*fin=*/true);
 }
 
 void H3Connection::send_response(std::uint64_t stream_id,
                                  const std::vector<h2::Header>& headers,
                                  std::vector<std::uint8_t> body) {
-  std::vector<std::uint8_t> payload = headers_frame(headers);
-  if (!body.empty()) {
-    auto data = encode_frame(H3FrameType::kData, body);
-    payload.insert(payload.end(), data.begin(), data.end());
-  }
-  conn_->send_stream(stream_id, std::move(payload), /*fin=*/true);
+  conn_->send_stream(stream_id, message_stream(headers, body), /*fin=*/true);
 }
 
 void H3Connection::on_stream_data(std::uint64_t stream_id,

@@ -86,6 +86,10 @@ class H3Connection {
                                          std::span<const std::uint8_t> body);
   std::vector<std::uint8_t> headers_frame(
       const std::vector<h2::Header>& headers);
+  /// A request or response stream: HEADERS, then DATA when `body` is not
+  /// empty.
+  util::Buffer message_stream(const std::vector<h2::Header>& headers,
+                              std::span<const std::uint8_t> body);
   void process_request_stream(std::uint64_t stream_id, bool fin);
   void fail(const std::string& reason);
 

@@ -26,6 +26,30 @@ PnSpace space_of(tls::Level level) {
   return PnSpace::kAppData;
 }
 
+/// Splits the first `n` payload bytes off a CRYPTO or STREAM frame as a
+/// frame of their own; both keep sharing the payload's slab.
+Frame split_front(Frame& frame, std::size_t n) {
+  util::Buffer head = frame.data;
+  head.drop_back(head.size() - n);
+  Frame piece = frame.type == FrameType::kCrypto
+                    ? Frame::crypto(frame.offset, std::move(head))
+                    : Frame::stream(frame.stream_id, frame.offset,
+                                    std::move(head), /*fin=*/false);
+  frame.data.drop_front(n);
+  frame.offset += n;
+  return piece;
+}
+
+bool retransmittable(FrameType type) {
+  return type == FrameType::kCrypto || type == FrameType::kStream ||
+         type == FrameType::kNewToken || type == FrameType::kHandshakeDone ||
+         type == FrameType::kPing;
+}
+
+bool earlier_sent(const SentPacket& a, const SentPacket& b) {
+  return a.send_order < b.send_order;
+}
+
 /// Fixes the endpoint's role. QUIC runs TLS 1.3 only (RFC 9001 §4.2),
 /// whatever its TLS config would allow over TCP.
 QuicConfig with_role(QuicConfig config, bool is_server) {
@@ -122,8 +146,7 @@ void QuicConnection::queue_client_stream(QueuedStream qs) {
   }
 }
 
-std::uint64_t QuicConnection::open_stream(std::vector<std::uint8_t> data,
-                                          bool fin) {
+std::uint64_t QuicConnection::open_stream(util::Buffer data, bool fin) {
   const std::uint64_t id = next_stream_id_;
   next_stream_id_ += 4;
   if (!complete_) {
@@ -140,8 +163,8 @@ std::uint64_t QuicConnection::open_stream(std::vector<std::uint8_t> data,
   return id;
 }
 
-void QuicConnection::send_stream(std::uint64_t stream_id,
-                                 std::vector<std::uint8_t> data, bool fin) {
+void QuicConnection::send_stream(std::uint64_t stream_id, util::Buffer data,
+                                 bool fin) {
   if (closed_) return;
   if (!is_server() && !complete_) {
     // Client before handshake completion (e.g. an HTTP/3 control stream):
@@ -198,12 +221,10 @@ void QuicConnection::notify_closed(const util::Error& error) {
 
 void QuicConnection::queue_frame(PnSpace space, Frame frame) {
   auto& pending = pending_[static_cast<int>(space)];
-  if (frame.ack_eliciting()) pending.ack_only = false;
   pending.frames.push_back(std::move(frame));
 }
 
-void QuicConnection::queue_crypto(PnSpace space,
-                                  std::vector<std::uint8_t> message) {
+void QuicConnection::queue_crypto(PnSpace space, util::Buffer message) {
   auto& crypto = crypto_[static_cast<int>(space)];
   Frame f = Frame::crypto(crypto.send_offset, std::move(message));
   crypto.send_offset += f.data.size();
@@ -229,15 +250,16 @@ void QuicConnection::flush_output() {
   // padding rule: a server coalesces INITIAL(ServerHello) with as much
   // HANDSHAKE data as fits, so the mandatory 1200-byte padding carries
   // useful bytes — which is exactly what decides whether a certificate
-  // chain squeezes under the 3x anti-amplification budget.
-  std::vector<std::vector<QuicPacket>> datagrams;
-  std::vector<QuicPacket> current;
+  // chain squeezes under the 3x anti-amplification budget. A datagram is
+  // encoded and sent as soon as it closes; tx_packets_ holds the open one.
   std::size_t current_size = 0;
+  bool sent_any = false;
   auto close_datagram = [&] {
-    if (!current.empty()) {
-      datagrams.push_back(std::move(current));
-      current.clear();
+    if (!tx_packets_.empty()) {
+      send_datagram(tx_packets_.view());
+      tx_packets_.clear();
       current_size = 0;
+      sent_any = true;
     }
   };
 
@@ -266,22 +288,26 @@ void QuicConnection::flush_output() {
   for (int s = 0; s < kNumPnSpaces; ++s) {
     auto space = static_cast<PnSpace>(s);
     auto& pending = pending_[s];
-    std::vector<Frame> frames;
+    std::vector<Frame>& frames = tx_frames_;
+    frames.clear();
     if (need_ack_[s]) {
       if (!received_pns_[s].empty()) {
-        frames.push_back(Frame::ack(received_pns_[s].descending()));
+        received_pns_[s].descending(tx_ack_ranges_[s]);
+        frames.push_back(Frame::ack(tx_ack_ranges_[s]));
       }
       need_ack_[s] = false;
     }
-    std::vector<Frame> deferred;
-    for (auto& f : pending.frames) {
+    // The pending frames move either into `frames` or, deferred, back into
+    // pending.frames in their order.
+    std::swap(pending.frames, tx_deferred_);
+    for (auto& f : tx_deferred_) {
       if (!f.ack_eliciting()) {
         frames.push_back(std::move(f));
         continue;
       }
-      if (!deferred.empty()) {
+      if (!pending.frames.empty()) {
         // Later data must stay behind the first deferral (stream order).
-        deferred.push_back(std::move(f));
+        pending.frames.push_back(std::move(f));
         continue;
       }
       const std::size_t cost = f.data.size() + f.token.size() +
@@ -295,24 +321,12 @@ void QuicConnection::flush_output() {
       const bool splittable =
           f.type == FrameType::kCrypto || f.type == FrameType::kStream;
       if (splittable && window_room > kFrameOverhead + 256) {
-        const std::size_t take = window_room - kFrameOverhead;
-        std::vector<std::uint8_t> head(
-            f.data.begin(), f.data.begin() + static_cast<long>(take));
-        Frame piece =
-            f.type == FrameType::kCrypto
-                ? Frame::crypto(f.offset, std::move(head))
-                : Frame::stream(f.stream_id, f.offset, std::move(head),
-                                /*fin=*/false);
-        f.data.erase(f.data.begin(),
-                     f.data.begin() + static_cast<long>(take));
-        f.offset += take;
-        frames.push_back(std::move(piece));
+        frames.push_back(split_front(f, window_room - kFrameOverhead));
         window_room = 0;
       }
-      deferred.push_back(std::move(f));
+      pending.frames.push_back(std::move(f));
     }
-    pending.frames = std::move(deferred);
-    pending.ack_only = pending.frames.empty();
+    tx_deferred_.clear();
     if (frames.empty()) continue;
 
     std::size_t fi = 0;
@@ -322,7 +336,7 @@ void QuicConnection::flush_output() {
         close_datagram();
         continue;
       }
-      QuicPacket packet;
+      QuicPacket& packet = tx_packets_.add();
       packet.type = packet_type(space);
       packet.version = version_;
       packet.dcid = remote_cid_;
@@ -353,30 +367,17 @@ void QuicConnection::flush_output() {
             (budget - used > kFrameOverhead) ? budget - used - kFrameOverhead
                                              : 0;
         if (!splittable || data_room < 64) break;
-        Frame piece;
-        std::vector<std::uint8_t> head(frame.data.begin(),
-                                       frame.data.begin() +
-                                           static_cast<long>(data_room));
-        if (frame.type == FrameType::kCrypto) {
-          piece = Frame::crypto(frame.offset, std::move(head));
-        } else {
-          piece = Frame::stream(frame.stream_id, frame.offset,
-                                std::move(head), /*fin=*/false);
-        }
-        frame.data.erase(frame.data.begin(),
-                         frame.data.begin() + static_cast<long>(data_room));
-        frame.offset += data_room;
-        packet.frames.push_back(std::move(piece));
+        packet.frames.push_back(split_front(frame, data_room));
         used = budget;
         break;
       }
       if (packet.frames.empty()) {
         --next_pn_[s];  // nothing went out; recycle the number
+        tx_packets_.drop_last();
         close_datagram();
         continue;
       }
       current_size += encoded_packet_size(packet);
-      current.push_back(std::move(packet));
       if (current_size + kPacketOverhead + 48 > config_.max_datagram_size) {
         close_datagram();
       }
@@ -384,57 +385,80 @@ void QuicConnection::flush_output() {
   }
   close_datagram();
 
-  if (!datagrams.empty()) send_datagrams(std::move(datagrams));
+  if (sent_any) arm_pto();
   in_flush_ = false;
 }
 
-void QuicConnection::send_datagrams(
-    std::vector<std::vector<QuicPacket>> datagrams) {
-  for (auto& packets : datagrams) {
-    util::Buffer bytes = encode_datagram(packets, !is_server());
-    const std::size_t wire_size = bytes.size() + net::kUdpHeaderBytes;
-
-    if (is_server() && !address_validated_) {
-      if (wire_size > amplification_budget()) {
-        was_amplification_blocked_ = true;
-        blocked_datagrams_.push_back(std::move(packets));
-        continue;
-      }
-      unvalidated_sent_ += wire_size;
-    }
-
-    // Register retransmittable content.
-    for (const QuicPacket& p : packets) {
-      const int s = static_cast<int>(space_of(p.type));
-      SentPacket sp;
-      sp.pn = p.packet_number;
-      sp.sent_at = sim_.now();
-      sp.ack_eliciting = p.ack_eliciting();
-      sp.size = encoded_packet_size(p);
-      for (const Frame& f : p.frames) {
-        if (f.type == FrameType::kCrypto || f.type == FrameType::kStream ||
-            f.type == FrameType::kNewToken ||
-            f.type == FrameType::kHandshakeDone ||
-            f.type == FrameType::kPing) {
-          sp.retransmittable.push_back(f);
-        }
-      }
-      if (sp.ack_eliciting) {
-        bytes_in_flight_ += sp.size;
-        sent_[s].push_back(std::move(sp));
-      }
-    }
-
-    bytes_sent_ += wire_size;
-    ++datagrams_sent_;
-    if (cb_.send_datagram) cb_.send_datagram(std::move(bytes));
+void QuicConnection::send_datagram(std::span<QuicPacket> packets) {
+  util::Buffer bytes = encode_datagram(packets, !is_server());
+  BlockedDatagram* blocked = nullptr;
+  if (is_server() && !address_validated_ &&
+      bytes.size() + net::kUdpHeaderBytes > amplification_budget()) {
+    was_amplification_blocked_ = true;
+    blocked = &blocked_datagrams_.emplace_back();
+    blocked->bytes = std::move(bytes);
   }
-  arm_pto();
+  // Register retransmittable content: the encoded packets hand their frames
+  // over.
+  for (QuicPacket& p : packets) {
+    if (!p.ack_eliciting()) continue;
+    SentPacket sp;
+    sp.pn = p.packet_number;
+    sp.size = encoded_packet_size(p);
+    sp.retransmittable = take_frame_list();
+    for (Frame& f : p.frames) {
+      if (retransmittable(f.type)) sp.retransmittable.push_back(std::move(f));
+    }
+    const int s = static_cast<int>(space_of(p.type));
+    if (blocked != nullptr) {
+      blocked->packets.emplace_back(s, std::move(sp));
+    } else {
+      track_sent(s, std::move(sp));
+    }
+  }
+  if (blocked == nullptr) transmit(std::move(bytes));
+}
+
+void QuicConnection::transmit(util::Buffer bytes) {
+  const std::size_t wire_size = bytes.size() + net::kUdpHeaderBytes;
+  if (is_server() && !address_validated_) unvalidated_sent_ += wire_size;
+  bytes_sent_ += wire_size;
+  ++datagrams_sent_;
+  if (cb_.send_datagram) cb_.send_datagram(std::move(bytes));
+}
+
+void QuicConnection::track_sent(int space, SentPacket packet) {
+  packet.sent_at = sim_.now();
+  packet.send_order = next_send_order_++;
+  bytes_in_flight_ += packet.size;
+  auto& sent = sent_[space];
+  if (sent.empty() || sent.back().pn < packet.pn) {
+    sent.push_back(std::move(packet));
+    return;
+  }
+  // A datagram the amplification limit held back goes out after later
+  // ones: keep the queue in packet-number order for the ACK walk.
+  const auto at = std::upper_bound(
+      sent.begin(), sent.end(), packet.pn,
+      [](std::uint64_t pn, const SentPacket& p) { return pn < p.pn; });
+  sent.insert(at, std::move(packet));
+}
+
+std::vector<Frame> QuicConnection::take_frame_list() {
+  if (spare_frame_lists_.empty()) return {};
+  std::vector<Frame> frames = std::move(spare_frame_lists_.back());
+  spare_frame_lists_.pop_back();
+  return frames;
+}
+
+void QuicConnection::recycle_frame_list(std::vector<Frame>& frames) {
+  frames.clear();
+  spare_frame_lists_.push_back(std::move(frames));
 }
 
 // -------------------------------------------------------------- input path
 
-void QuicConnection::on_datagram(std::span<const std::uint8_t> datagram) {
+void QuicConnection::on_datagram(const util::Buffer& datagram) {
   if (closed_) return;
   bytes_received_ += datagram.size() + net::kUdpHeaderBytes;
   if (is_server() && !address_validated_) {
@@ -442,27 +466,37 @@ void QuicConnection::on_datagram(std::span<const std::uint8_t> datagram) {
   }
   touch_idle_timer();
 
-  auto packets = decode_datagram(datagram);
-  if (!packets) {
+  if (!decode_datagram(datagram, rx_)) {
     DOXLAB_DEBUG("undecodable datagram dropped");
     return;
   }
 
   processing_ = true;
-  for (const QuicPacket& p : *packets) {
+  for (const QuicPacket& p : rx_.packets) {
     process_packet(p);
-    if (closed_) {
-      processing_ = false;
-      return;
-    }
+    if (closed_) break;
   }
   processing_ = false;
+  rx_.packets.clear();  // drops the frames' references to the datagram
+  if (closed_) return;
 
   // Amplification budget may have grown: release blocked flights first.
   if (is_server() && !blocked_datagrams_.empty()) {
     auto blocked = std::move(blocked_datagrams_);
     blocked_datagrams_.clear();
-    send_datagrams(std::move(blocked));
+    for (BlockedDatagram& d : blocked) {
+      if (!address_validated_ &&
+          d.bytes.size() + net::kUdpHeaderBytes > amplification_budget()) {
+        was_amplification_blocked_ = true;
+        blocked_datagrams_.push_back(std::move(d));
+        continue;
+      }
+      for (auto& [space, packet] : d.packets) {
+        track_sent(space, std::move(packet));
+      }
+      transmit(std::move(d.bytes));
+    }
+    arm_pto();
   }
   flush_output();
 
@@ -498,7 +532,10 @@ void QuicConnection::process_packet(const QuicPacket& packet) {
   }
 
   const int s = static_cast<int>(space_of(packet.type));
-  if (!received_pns_[s].insert(packet.packet_number)) {
+  RangeSet& received = received_pns_[s];
+  const std::uint64_t pn = expand_packet_number(
+      received.empty() ? 0 : received.largest() + 1, packet.packet_number);
+  if (!received.insert(pn)) {
     return;  // duplicate delivery (retransmitted datagram); already handled
   }
   if (packet.ack_eliciting()) need_ack_[s] = true;
@@ -573,7 +610,8 @@ void QuicConnection::process_crypto_stream(PnSpace space) {
         const std::size_t skip =
             static_cast<std::size_t>(crypto.recv_consumed - start);
         crypto.assembled.insert(crypto.assembled.end(),
-                                it->second.begin() + skip, it->second.end());
+                                it->second.data() + skip,
+                                it->second.data() + it->second.size());
         crypto.recv_consumed = end;
         it = crypto.recv_buffer.erase(it);
         progressed = true;
@@ -615,9 +653,7 @@ void QuicConnection::process_crypto_stream(PnSpace space) {
 tls::Handshake::Callbacks QuicConnection::handshake_callbacks() {
   tls::Handshake::Callbacks callbacks;
   callbacks.send = [this](tls::Level level, util::Buffer message) {
-    queue_crypto(space_of(level),
-                 std::vector<std::uint8_t>(message.data(),
-                                           message.data() + message.size()));
+    queue_crypto(space_of(level), std::move(message));
   };
   callbacks.on_early_data_rejected = [this] { resend_rejected_0rtt(); };
   callbacks.on_complete = [this] { complete_handshake(); };
@@ -651,7 +687,9 @@ void QuicConnection::resend_rejected_0rtt() {
   for (auto& sp : appdata) {
     bytes_in_flight_ -= std::min(bytes_in_flight_, sp.size);
     for (auto& f : sp.retransmittable) {
-      if (f.type == FrameType::kStream) queue_frame(PnSpace::kAppData, f);
+      if (f.type == FrameType::kStream) {
+        queue_frame(PnSpace::kAppData, std::move(f));
+      }
     }
   }
   appdata.clear();
@@ -699,48 +737,51 @@ void QuicConnection::handle_stream_frame(const Frame& frame) {
   if (frame.fin) {
     stream.fin_offset = frame.offset + frame.data.size();
   }
-  if (frame.offset + frame.data.size() > stream.recv_consumed ||
-      (frame.fin && !stream.fin_delivered && frame.data.empty())) {
+  const bool unseen =
+      frame.offset + frame.data.size() > stream.recv_consumed ||
+      (frame.fin && !stream.fin_delivered && frame.data.empty());
+  // Every held piece starts past recv_consumed, so a frame that reaches it
+  // is delivered straight from its datagram, before anything held; only a
+  // frame that arrives ahead of it is held, as a slice of its datagram.
+  const bool in_order = frame.offset <= stream.recv_consumed;
+  if (unseen && !in_order) {
     stream.recv_buffer.emplace(frame.offset,
-                               std::make_pair(frame.data, frame.fin));
+                               Stream::Piece{frame.data, frame.fin});
   }
 
-  // Deliver in order.
   delivering_stream_ = frame.stream_id;
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (auto it = stream.recv_buffer.begin();
-         it != stream.recv_buffer.end();) {
-      const std::uint64_t start = it->first;
-      const std::uint64_t end = start + it->second.first.size();
-      if (end < stream.recv_consumed ||
-          (end == stream.recv_consumed && !it->second.second)) {
-        it = stream.recv_buffer.erase(it);
-        continue;
-      }
-      if (start <= stream.recv_consumed) {
-        const std::size_t skip =
-            static_cast<std::size_t>(stream.recv_consumed - start);
-        std::span<const std::uint8_t> fresh(it->second.first.data() + skip,
-                                            it->second.first.size() - skip);
-        stream.recv_consumed = end;
-        const bool fin_now =
-            it->second.second ||
-            (stream.fin_offset && *stream.fin_offset == end);
-        if (cb_.on_stream_data && (!fresh.empty() || !stream.fin_delivered)) {
-          if (fin_now) stream.fin_delivered = true;
-          cb_.on_stream_data(frame.stream_id, fresh, fin_now);
-        }
-        it = stream.recv_buffer.erase(it);
-        progressed = true;
-      } else {
-        ++it;
-      }
-    }
+  if (unseen && in_order) {
+    deliver(frame.stream_id, stream, frame.offset, frame.data, frame.fin);
+  }
+  for (auto it = stream.recv_buffer.begin();
+       it != stream.recv_buffer.end() &&
+       deliver(frame.stream_id, stream, it->first, it->second.data,
+               it->second.fin);
+       it = stream.recv_buffer.erase(it)) {
   }
   delivering_stream_.reset();
   retire_if_finished(frame.stream_id);
+}
+
+bool QuicConnection::deliver(std::uint64_t stream_id, Stream& stream,
+                             std::uint64_t start,
+                             std::span<const std::uint8_t> data, bool fin) {
+  const std::uint64_t end = start + data.size();
+  if (end < stream.recv_consumed ||
+      (end == stream.recv_consumed && !fin)) {
+    return true;
+  }
+  if (start > stream.recv_consumed) return false;
+  const std::span<const std::uint8_t> fresh =
+      data.subspan(static_cast<std::size_t>(stream.recv_consumed - start));
+  stream.recv_consumed = end;
+  const bool fin_now =
+      fin || (stream.fin_offset && *stream.fin_offset == end);
+  if (cb_.on_stream_data && (!fresh.empty() || !stream.fin_delivered)) {
+    if (fin_now) stream.fin_delivered = true;
+    cb_.on_stream_data(stream_id, fresh, fin_now);
+  }
+  return true;
 }
 
 void QuicConnection::retire_if_finished(std::uint64_t stream_id) {
@@ -811,35 +852,17 @@ void QuicConnection::handle_retry(const QuicPacket& packet) {
 
 void QuicConnection::handle_ack(PnSpace space, const Frame& ack) {
   if (ack.ack_ranges.empty()) return;
-  const std::uint64_t largest = ack.ack_ranges.front().last;
-  auto& sent = sent_[static_cast<int>(space)];
-  bool newly_acked = false;
-  std::size_t acked_bytes = 0;
-  std::uint64_t newest_pn = 0;
-  SimTime newest_sent_at = sim_.now();
-  for (auto it = sent.begin(); it != sent.end();) {
-    if (ack.acks(it->pn)) {
-      if (it->pn == largest) update_rtt(sim_.now() - it->sent_at);
-      if (!newly_acked || it->pn >= newest_pn) {
-        newest_pn = it->pn;
-        newest_sent_at = it->sent_at;
-      }
-      acked_bytes += it->size;
-      bytes_in_flight_ -= std::min(bytes_in_flight_, it->size);
-      it = sent.erase(it);
-      newly_acked = true;
-    } else {
-      ++it;
-    }
+  const AckedPackets acked = acknowledge(
+      sent_[static_cast<int>(space)], ack.ack_ranges, spare_frame_lists_);
+  if (acked.count == 0) return;
+  if (acked.largest_sent_at) update_rtt(sim_.now() - *acked.largest_sent_at);
+  bytes_in_flight_ -= std::min(bytes_in_flight_, acked.bytes);
+  pto_backoff_ = 0;
+  if (config_.enable_cc) {
+    cc_.on_ack(acked.bytes, acked.newest_sent_at, sim_.now());
+    detect_losses(space, ack.ack_ranges.front().last);
   }
-  if (newly_acked) {
-    pto_backoff_ = 0;
-    if (config_.enable_cc) {
-      cc_.on_ack(acked_bytes, newest_sent_at, sim_.now());
-      detect_losses(space, largest);
-    }
-    arm_pto();
-  }
+  arm_pto();
 }
 
 void QuicConnection::detect_losses(PnSpace space, std::uint64_t largest_acked) {
@@ -850,19 +873,20 @@ void QuicConnection::detect_losses(PnSpace space, std::uint64_t largest_acked) {
   if (largest_acked < kPacketThreshold) return;
   const std::uint64_t lost_up_to = largest_acked - kPacketThreshold;
   auto& sent = sent_[static_cast<int>(space)];
-  for (auto it = sent.begin(); it != sent.end();) {
-    if (it->pn <= lost_up_to) {
-      ++packets_lost_;
-      bytes_in_flight_ -= std::min(bytes_in_flight_, it->size);
-      cc_.on_loss(it->sent_at, sim_.now());
-      for (auto& f : it->retransmittable) {
-        queue_frame(space, std::move(f));
-      }
-      it = sent.erase(it);
-    } else {
-      ++it;
+  const auto lost_end = std::upper_bound(
+      sent.begin(), sent.end(), lost_up_to,
+      [](std::uint64_t pn, const SentPacket& p) { return pn < p.pn; });
+  std::sort(sent.begin(), lost_end, earlier_sent);
+  for (auto it = sent.begin(); it != lost_end; ++it) {
+    ++packets_lost_;
+    bytes_in_flight_ -= std::min(bytes_in_flight_, it->size);
+    cc_.on_loss(it->sent_at, sim_.now());
+    for (auto& f : it->retransmittable) {
+      queue_frame(space, std::move(f));
     }
+    recycle_frame_list(it->retransmittable);
   }
+  sent.erase(sent.begin(), lost_end);
 }
 
 void QuicConnection::update_rtt(SimTime sample) {
@@ -922,11 +946,13 @@ void QuicConnection::on_pto() {
   for (int s = 0; s < kNumPnSpaces; ++s) {
     auto sent = std::move(sent_[s]);
     sent_[s].clear();
+    std::sort(sent.begin(), sent.end(), earlier_sent);
     for (auto& sp : sent) {
       for (auto& f : sp.retransmittable) {
         queue_frame(static_cast<PnSpace>(s), std::move(f));
         queued_any = true;
       }
+      recycle_frame_list(sp.retransmittable);
     }
   }
   bytes_in_flight_ = 0;

@@ -32,6 +32,7 @@
 #include "cc/cc.h"
 #include "net/udp.h"
 #include "quic/range_set.h"
+#include "quic/sent_packets.h"
 #include "quic/types.h"
 #include "quic/wire.h"
 #include "sim/simulator.h"
@@ -96,7 +97,8 @@ class QuicConnection : public std::enable_shared_from_this<QuicConnection> {
  public:
   struct Callbacks {
     std::function<void(const QuicHandshakeInfo&)> on_handshake_complete;
-    /// In-order stream payload; `fin` marks the peer's final byte.
+    /// In-order stream payload; `fin` marks the peer's final byte. The view
+    /// is valid for the call only.
     std::function<void(std::uint64_t stream_id,
                        std::span<const std::uint8_t> data, bool fin)>
         on_stream_data;
@@ -132,22 +134,26 @@ class QuicConnection : public std::enable_shared_from_this<QuicConnection> {
 
   /// Client: opens the next bidirectional stream and sends `data` on it.
   /// Pre-handshake data is queued (or flies as 0-RTT when eligible).
-  /// Returns the stream id (0, 4, 8, ...).
-  std::uint64_t open_stream(std::vector<std::uint8_t> data, bool fin);
+  /// Returns the stream id (0, 4, 8, ...). The connection keeps a reference
+  /// to `data` until it is acknowledged; treat the bytes as immutable.
+  std::uint64_t open_stream(util::Buffer data, bool fin);
 
-  /// Sends data on an existing stream (server responses use this).
-  void send_stream(std::uint64_t stream_id, std::vector<std::uint8_t> data,
-                   bool fin);
+  /// Sends data on an existing stream (server responses use this), on the
+  /// same terms as open_stream.
+  void send_stream(std::uint64_t stream_id, util::Buffer data, bool fin);
 
   /// Sends CONNECTION_CLOSE and tears down.
   void close(std::uint64_t error_code = 0, std::string reason = "");
 
-  /// Feeds a received datagram into the connection.
-  void on_datagram(std::span<const std::uint8_t> datagram);
+  /// Feeds a received datagram into the connection. Its frames' payloads
+  /// share the buffer's slab: in-order stream data is delivered from it, and
+  /// out-of-order pieces keep a reference until they are delivered.
+  void on_datagram(const util::Buffer& datagram);
 
   // Post-construction handler attachment (used by QuicServer accept hooks;
   // the closed handler set here is invoked *in addition* to the one passed
-  // at construction, which QuicServer uses for map cleanup).
+  // at construction, which QuicServer uses to drop the connection from its
+  // map).
   void set_on_handshake_complete(
       std::function<void(const QuicHandshakeInfo&)> fn) {
     cb_.on_handshake_complete = std::move(fn);
@@ -193,17 +199,25 @@ class QuicConnection : public std::enable_shared_from_this<QuicConnection> {
   // --- output path ---
   struct PendingSpace {
     std::vector<Frame> frames;
-    bool ack_only = true;
   };
   void queue_frame(PnSpace space, Frame frame);
-  void queue_crypto(PnSpace space, std::vector<std::uint8_t> message);
+  void queue_crypto(PnSpace space, util::Buffer message);
   struct QueuedStream;
   /// Client before completion: holds a stream's data for the handshake to
   /// release, shipping it at once as 0-RTT when early data is offered.
   void queue_client_stream(QueuedStream qs);
   void send_0rtt(const QueuedStream& qs);
   void flush_output();
-  void send_datagrams(std::vector<std::vector<QuicPacket>> datagrams);
+  /// Encodes `packets` as one datagram and sends it, or holds it back while
+  /// the amplification limit blocks it. Moves the retransmittable frames
+  /// out of `packets`.
+  void send_datagram(std::span<QuicPacket> packets);
+  /// Puts an encoded datagram on the wire and counts its bytes.
+  void transmit(util::Buffer bytes);
+  /// Records a sent ack-eliciting packet as in flight from now.
+  void track_sent(int space, SentPacket packet);
+  std::vector<Frame> take_frame_list();
+  void recycle_frame_list(std::vector<Frame>& frames);
   std::size_t amplification_budget() const;
 
   // --- input path ---
@@ -213,6 +227,12 @@ class QuicConnection : public std::enable_shared_from_this<QuicConnection> {
   void handle_ack(PnSpace space, const Frame& ack);
   void detect_losses(PnSpace space, std::uint64_t largest_acked);
   void handle_stream_frame(const Frame& frame);
+  struct Stream;
+  /// Hands the bytes of the piece at `start` past the consumed offset to
+  /// on_stream_data. False while the piece still lies ahead of that offset;
+  /// true once it is delivered or found already delivered.
+  bool deliver(std::uint64_t stream_id, Stream& stream, std::uint64_t start,
+               std::span<const std::uint8_t> data, bool fin);
   void retire_if_finished(std::uint64_t stream_id);
   void handle_version_negotiation(const QuicPacket& packet);
   void handle_retry(const QuicPacket& packet);
@@ -259,7 +279,7 @@ class QuicConnection : public std::enable_shared_from_this<QuicConnection> {
   struct CryptoStream {
     std::uint64_t send_offset = 0;
     std::uint64_t recv_consumed = 0;
-    std::map<std::uint64_t, std::vector<std::uint8_t>> recv_buffer;
+    std::map<std::uint64_t, util::Buffer> recv_buffer;  // datagram slices
     std::vector<std::uint8_t> assembled;  // contiguous, unparsed messages
   };
   CryptoStream crypto_[kNumPnSpaces];
@@ -269,8 +289,13 @@ class QuicConnection : public std::enable_shared_from_this<QuicConnection> {
     std::uint64_t send_offset = 0;
     bool send_fin = false;
     std::uint64_t recv_consumed = 0;
-    std::map<std::uint64_t, std::pair<std::vector<std::uint8_t>, bool>>
-        recv_buffer;  // offset -> (data, fin)
+    /// Pieces that arrived ahead of recv_consumed, by offset: slices of
+    /// their datagrams. In-order data never enters.
+    struct Piece {
+      util::Buffer data;
+      bool fin = false;
+    };
+    std::map<std::uint64_t, Piece> recv_buffer;
     std::optional<std::uint64_t> fin_offset;
     bool fin_delivered = false;
   };
@@ -283,7 +308,7 @@ class QuicConnection : public std::enable_shared_from_this<QuicConnection> {
   std::optional<std::uint64_t> delivering_stream_;
   std::uint64_t next_stream_id_ = 0;  // client-initiated bidi: 0,4,8,...
   struct QueuedStream {
-    std::vector<std::uint8_t> data;
+    util::Buffer data;
     bool fin;
     std::uint64_t id;
   };
@@ -294,14 +319,12 @@ class QuicConnection : public std::enable_shared_from_this<QuicConnection> {
   /// Packet numbers received per space, as the runs an ACK frame lists.
   /// Sized by the gaps in the sequence, not by the connection's lifetime.
   RangeSet received_pns_[kNumPnSpaces];
-  struct SentPacket {
-    std::uint64_t pn;
-    std::vector<Frame> retransmittable;  // frames worth recovering
-    SimTime sent_at;
-    bool ack_eliciting;
-    std::size_t size = 0;  // encoded bytes, for in-flight accounting
-  };
+  /// Ack-eliciting packets in flight, in packet-number order.
   std::deque<SentPacket> sent_[kNumPnSpaces];
+  std::uint64_t next_send_order_ = 0;
+  /// Emptied retransmittable-frame lists of acknowledged packets, reused
+  /// for the next packets sent.
+  std::vector<std::vector<Frame>> spare_frame_lists_;
   PendingSpace pending_[kNumPnSpaces];
   bool need_ack_[kNumPnSpaces] = {false, false, false};
   /// Raw token bytes echoed in INITIAL packets (from NEW_TOKEN or Retry).
@@ -315,8 +338,25 @@ class QuicConnection : public std::enable_shared_from_this<QuicConnection> {
   // Amplification accounting (server, pre-validation).
   std::uint64_t unvalidated_received_ = 0;
   std::uint64_t unvalidated_sent_ = 0;
-  std::vector<std::vector<QuicPacket>> blocked_datagrams_;
+  /// A datagram the amplification limit holds back: its bytes, and its
+  /// ack-eliciting packets (with their spaces) to track once it goes out.
+  struct BlockedDatagram {
+    util::Buffer bytes;
+    std::vector<std::pair<int, SentPacket>> packets;
+  };
+  std::vector<BlockedDatagram> blocked_datagrams_;
   bool was_amplification_blocked_ = false;
+
+  // Containers reused datagram after datagram, so that a long-lived
+  // connection's steady state builds none: the decode target, the open
+  // datagram's packets, one space's frames to send and the pending ones it
+  // defers, and each space's ACK ranges (the ACK frames' views point here
+  // until their datagram is encoded).
+  DecodedDatagram rx_;
+  PacketList tx_packets_;
+  std::vector<Frame> tx_frames_;
+  std::vector<Frame> tx_deferred_;
+  std::vector<AckRange> tx_ack_ranges_[kNumPnSpaces];
 
   // Congestion control (RFC 9002, enforcement gated by config_.enable_cc).
   cc::CongestionController cc_;

@@ -29,9 +29,13 @@ class RangeSet {
   void clear() { ranges_.clear(); }
   bool empty() const { return ranges_.empty(); }
 
-  /// The runs in descending order, as an ACK frame lists them.
-  std::vector<AckRange> descending() const {
-    return {ranges_.rbegin(), ranges_.rend()};
+  /// The largest member; the set must not be empty.
+  std::uint64_t largest() const { return ranges_.back().last; }
+
+  /// Writes the runs into `out` in descending order, as an ACK frame lists
+  /// them, reusing `out`'s storage.
+  void descending(std::vector<AckRange>& out) const {
+    out.assign(ranges_.rbegin(), ranges_.rend());
   }
 
  private:

@@ -25,19 +25,20 @@ void QuicServer::on_datagram(const net::Endpoint& from,
                              util::Buffer payload) {
   auto existing = connections_.find(from);
   if (existing != connections_.end()) {
-    existing->second->on_datagram(payload);
-    if (existing->second->closed()) connections_.erase(from);
+    // Held across the call: a close inside it erases the map's reference.
+    const std::shared_ptr<QuicConnection> conn = existing->second;
+    conn->on_datagram(payload);
     return;
   }
 
-  auto packets = decode_datagram(payload);
-  if (!packets || packets->empty()) {
+  DecodedDatagram decoded;
+  if (!decode_datagram(payload, decoded) || decoded.packets.empty()) {
     // A malformed or unknown-version probe. Real servers that cannot parse
     // the packet stay silent; version negotiation is handled below only for
     // well-formed long headers, which decode_datagram accepted.
     return;
   }
-  const QuicPacket& first = (*packets)[0];
+  const QuicPacket& first = decoded.packets[0];
   if (first.type != PacketType::kInitial) return;
 
   if (!version_supported(first.version)) {
@@ -87,12 +88,17 @@ void QuicServer::on_datagram(const net::Endpoint& from,
   callbacks.send_datagram = [this, from](util::Buffer bytes) {
     socket_->send_to(from, std::move(bytes));
   };
+  // A closed connection leaves the map at once, whatever closed it: the
+  // peer, its idle timer, PTO give-up or the application. Every caller
+  // into a connection holds a reference of its own across the call.
+  callbacks.on_closed = [this, from](const util::Error&) {
+    connections_.erase(from);
+  };
   auto conn = QuicConnection::make_server(sim_, std::move(conn_config),
                                           std::move(callbacks), validated);
   connections_[from] = conn;
   if (on_accept_) on_accept_(conn, from);
   conn->on_datagram(payload);
-  if (conn->closed()) connections_.erase(from);
 }
 
 }  // namespace doxlab::quic

@@ -29,7 +29,7 @@ class QuicServer {
 
   void on_accept(AcceptHandler handler) { on_accept_ = std::move(handler); }
 
-  /// Live connection count (diagnostics).
+  /// Open connection count (diagnostics).
   std::size_t connection_count() const { return connections_.size(); }
 
   /// Stateless Version Negotiation responses sent (the scanner counts
@@ -49,6 +49,7 @@ class QuicServer {
   std::unique_ptr<net::UdpSocket> socket_;
   QuicConfig config_;
   AcceptHandler on_accept_;
+  /// Open connections by peer; a connection leaves when it closes.
   std::unordered_map<net::Endpoint, std::shared_ptr<QuicConnection>>
       connections_;
   std::uint64_t vn_sent_ = 0;

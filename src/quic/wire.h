@@ -47,15 +47,22 @@ enum class FrameType : std::uint8_t {
 
 /// A decoded/encodable frame. Exactly the fields relevant to `type` are
 /// meaningful; the rest stay default.
+///
+/// CRYPTO and STREAM payloads are `util::Buffer` slices: a decoded frame
+/// shares the received datagram's slab, a sent frame shares the caller's
+/// buffer, and a split or a retransmittable copy costs a refcount, never a
+/// byte copy. ACK ranges are a view: a decoded frame's point into its
+/// DecodedDatagram, a sent frame's into storage its sender keeps until the
+/// datagram is encoded.
 struct Frame {
   FrameType type = FrameType::kPadding;
 
   // kAck: ranges sorted descending by packet number (RFC 9000 §19.3).
-  std::vector<AckRange> ack_ranges;
+  std::span<const AckRange> ack_ranges;
 
   // kCrypto / kStream.
   std::uint64_t offset = 0;
-  std::vector<std::uint8_t> data;
+  util::Buffer data;
 
   // kStream.
   std::uint64_t stream_id = 0;
@@ -75,10 +82,11 @@ struct Frame {
            type != FrameType::kConnectionClose;
   }
 
-  static Frame ack(std::vector<AckRange> ranges) {
+  /// `ranges` must outlive the frame's encoding.
+  static Frame ack(std::span<const AckRange> ranges) {
     Frame f;
     f.type = FrameType::kAck;
-    f.ack_ranges = std::move(ranges);
+    f.ack_ranges = ranges;
     return f;
   }
 
@@ -89,7 +97,7 @@ struct Frame {
     }
     return false;
   }
-  static Frame crypto(std::uint64_t offset, std::vector<std::uint8_t> data) {
+  static Frame crypto(std::uint64_t offset, util::Buffer data) {
     Frame f;
     f.type = FrameType::kCrypto;
     f.offset = offset;
@@ -97,7 +105,7 @@ struct Frame {
     return f;
   }
   static Frame stream(std::uint64_t id, std::uint64_t offset,
-                      std::vector<std::uint8_t> data, bool fin) {
+                      util::Buffer data, bool fin) {
     Frame f;
     f.type = FrameType::kStream;
     f.stream_id = id;
@@ -137,6 +145,8 @@ struct QuicPacket {
   QuicVersion version = QuicVersion::kV1;
   std::uint64_t dcid = 0;
   std::uint64_t scid = 0;
+  /// The full number when sending; as decoded, the 2 bytes on the wire
+  /// (expand_packet_number recovers the full number).
   std::uint64_t packet_number = 0;
   std::vector<std::uint8_t> token;  // INITIAL: address token; Retry: minted
   std::vector<QuicVersion> supported_versions;  // VN only
@@ -150,8 +160,45 @@ struct QuicPacket {
   }
 };
 
-/// Encodes one packet (including its 16-byte tag for protected types).
-std::vector<std::uint8_t> encode_packet(const QuicPacket& packet);
+/// Packets whose storage outlives them: clear() keeps every packet's
+/// vectors, so a list filled datagram after datagram (a connection's
+/// decode target and its flush scratch) stops allocating once it has grown
+/// to the largest datagram seen.
+class PacketList {
+ public:
+  /// Appends a default packet, reusing a cleared one's storage.
+  QuicPacket& add();
+  /// Drops the last packet, keeping its storage.
+  void drop_last();
+  /// Empties the list; frame payloads are released, capacity is kept.
+  void clear();
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  QuicPacket& operator[](std::size_t i) { return packets_[i]; }
+  std::span<QuicPacket> view() { return {packets_.data(), size_}; }
+  QuicPacket* begin() { return packets_.data(); }
+  QuicPacket* end() { return packets_.data() + size_; }
+
+ private:
+  std::vector<QuicPacket> packets_;
+  std::size_t size_ = 0;
+};
+
+/// The packets of one received datagram, as decode_datagram leaves them.
+/// Decoding into the same object again reuses its storage. The frames'
+/// payloads share the datagram's slab, so they stay valid after the caller
+/// drops the datagram; each ACK frame's ranges sit in a block of
+/// `ack_ranges` (one per ACK frame of the datagram) and stay valid until
+/// the next decode into this object.
+struct DecodedDatagram {
+  PacketList packets;
+  std::vector<std::vector<AckRange>> ack_ranges;
+};
+
+/// Encodes one packet (including its 16-byte tag for protected types) into
+/// an exactly-sized pooled buffer, unpadded.
+util::Buffer encode_packet(const QuicPacket& packet);
 
 /// Exact encoded size of `packet`, computed analytically without encoding.
 /// Matches `encode_packet(packet).size()` byte for byte; used by the packet
@@ -165,9 +212,15 @@ std::size_t encoded_packet_size(const QuicPacket& packet);
 util::Buffer encode_datagram(std::span<const QuicPacket> packets,
                              bool sender_is_client);
 
-/// Decodes all packets coalesced in a datagram; nullopt on malformed input.
-/// Trailing zero padding is skipped.
-std::optional<std::vector<QuicPacket>> decode_datagram(
-    std::span<const std::uint8_t> datagram);
+/// Decodes all packets coalesced in `datagram` into `out`, replacing what
+/// it held; false on malformed input. Trailing zero padding is skipped.
+bool decode_datagram(const util::Buffer& datagram, DecodedDatagram& out);
+
+/// The full packet number that the 2-byte `truncated` one on the wire
+/// stands for: the candidate nearest `expected`, which is the largest
+/// number received in the space plus one, or 0 before any (RFC 9000 §17.1
+/// and Appendix A.3).
+std::uint64_t expand_packet_number(std::uint64_t expected,
+                                   std::uint64_t truncated);
 
 }  // namespace doxlab::quic

@@ -10,6 +10,12 @@ namespace doxlab::resolver {
 
 namespace {
 
+/// The reserved .invalid TLD (RFC 2606), whose names never resolve.
+const dns::DnsName& invalid_tld() {
+  static const dns::DnsName name = dns::DnsName::parse("invalid");
+  return name;
+}
+
 /// FNV-1a over the presentation name: stable fake authoritative data.
 std::uint64_t fnv1a(std::string_view s) {
   std::uint64_t h = 0xCBF29CE484222325ull;
@@ -132,19 +138,21 @@ quic::QuicConfig DoxResolver::server_quic_config(
 
 // ----------------------------------------------------------- core resolution
 
-void DoxResolver::handle_query(dox::DnsProtocol protocol,
-                               const dns::Message& query,
+void DoxResolver::handle_query(dox::DnsProtocol protocol, dns::Message query,
                                std::function<void(dns::Message)> respond) {
   if (query.qr || query.questions.empty()) return;
   if (rng_.chance(profile_.drop_probability)) return;  // unresponsive sample
   ++served_[static_cast<int>(protocol)];
 
-  const dns::Question& question = query.questions.front();
+  // Copied out: the query itself moves into `finish`, and `finish` into the
+  // event that answers.
+  dns::Question question = query.questions.front();
   auto& sim = network_.simulator();
 
-  auto finish = [this, protocol, query, respond = std::move(respond),
-                 question](std::vector<dns::ResourceRecord> records,
-                           dns::RCode rcode = dns::RCode::kNoError) {
+  auto finish = [this, protocol, query = std::move(query),
+                 respond = std::move(respond)](
+                    std::vector<dns::ResourceRecord> records,
+                    dns::RCode rcode = dns::RCode::kNoError) {
     dns::Message response = dns::make_response(query, rcode);
     response.answers = std::move(records);
 
@@ -172,12 +180,12 @@ void DoxResolver::handle_query(dox::DnsProtocol protocol,
   auto cached = cache_.lookup(question.name, question.type, sim.now());
   if (cached) {
     // NXDOMAIN entries are cached as empty record sets for .invalid names.
-    const dns::RCode rcode =
-        question.name.is_subdomain_of(dns::DnsName::parse("invalid"))
-            ? dns::RCode::kNXDomain
-            : dns::RCode::kNoError;
+    const dns::RCode rcode = question.name.is_subdomain_of(invalid_tld())
+                                 ? dns::RCode::kNXDomain
+                                 : dns::RCode::kNoError;
     sim.schedule(profile_.processing_delay,
-                 [finish, rcode, records = std::move(*cached)]() mutable {
+                 [finish = std::move(finish), rcode,
+                  records = std::move(*cached)]() mutable {
                    finish(std::move(records), rcode);
                  });
     return;
@@ -189,11 +197,11 @@ void DoxResolver::handle_query(dox::DnsProtocol protocol,
   const SimTime recursion =
       from_ms(std::min(rng_.lognormal(mu, 0.5), 10 * mean_ms));
   sim.schedule(
-      profile_.processing_delay + recursion, [this, finish, question] {
+      profile_.processing_delay + recursion,
+      [this, finish = std::move(finish), question = std::move(question)] {
         std::vector<dns::ResourceRecord> records;
         dns::RCode rcode = dns::RCode::kNoError;
-        if (question.name.is_subdomain_of(
-                dns::DnsName::parse("invalid"))) {
+        if (question.name.is_subdomain_of(invalid_tld())) {
           // The reserved .invalid TLD never resolves (RFC 2606).
           rcode = dns::RCode::kNXDomain;
         } else if (question.type == dns::RRType::kA ||
@@ -234,7 +242,7 @@ void DoxResolver::serve_doudp() {
                              util::Buffer payload) {
     auto query = dns::Message::decode(payload);
     if (!query) return;
-    handle_query(dox::DnsProtocol::kDoUdp, *query,
+    handle_query(dox::DnsProtocol::kDoUdp, std::move(*query),
                  [this, from](dns::Message response) {
                    udp53_->send_to(from, response.encode());
                  });
@@ -265,7 +273,7 @@ void DoxResolver::serve_dotcp() {
       for (auto& payload : payloads) {
         auto query = dns::Message::decode(payload);
         if (!query) continue;
-        handle_query(dox::DnsProtocol::kDoTcp, *query,
+        handle_query(dox::DnsProtocol::kDoTcp, std::move(*query),
                      [weak_conn](dns::Message response) {
                        // kSynReceived is legal too: a TFO query is answered
                        // together with the SYN-ACK (0.5-RTT data).
@@ -350,7 +358,7 @@ void DoxResolver::on_dot_stream(const std::shared_ptr<TlsConn>& state,
   for (auto& payload : payloads) {
     auto query = dns::Message::decode(payload);
     if (!query) continue;
-    handle_query(dox::DnsProtocol::kDoT, *query,
+    handle_query(dox::DnsProtocol::kDoT, std::move(*query),
                  [weak_state](dns::Message response) {
                    auto state = weak_state.lock();
                    if (state && !state->closed) {
@@ -392,7 +400,7 @@ std::unique_ptr<h2::H2Connection> DoxResolver::make_doh_session(
     state->bodies.erase(stream_id);
     if (!query) return;
     handle_query(
-        dox::DnsProtocol::kDoH, *query,
+        dox::DnsProtocol::kDoH, std::move(*query),
         [weak_state, stream_id](dns::Message response) {
           auto state = weak_state.lock();
           if (!state || state->closed) return;
@@ -418,6 +426,8 @@ void DoxResolver::serve_doq() {
     server->on_accept([this](const std::shared_ptr<quic::QuicConnection>& conn,
                              const net::Endpoint&) {
       const bool prefix = dox::alpn_uses_length_prefix(profile_.doq_alpn);
+      // Queries that arrive in pieces, by stream; a whole one is decoded
+      // from the datagram itself.
       auto buffers =
           std::make_shared<std::map<std::uint64_t,
                                     std::vector<std::uint8_t>>>();
@@ -429,20 +439,27 @@ void DoxResolver::serve_doq() {
                                    std::uint64_t stream_id,
                                    std::span<const std::uint8_t> data,
                                    bool fin) {
-        auto& buffer = (*buffers)[stream_id];
-        buffer.insert(buffer.end(), data.begin(), data.end());
-        if (!fin) return;
-        const auto payload = dox::doq_stream_message(buffer, prefix);
+        std::vector<std::uint8_t> pieces;
+        auto held = buffers->find(stream_id);
+        if (!fin || held != buffers->end()) {
+          if (held == buffers->end()) held = buffers->try_emplace(stream_id).first;
+          held->second.insert(held->second.end(), data.begin(), data.end());
+          if (!fin) return;
+          pieces = std::move(held->second);
+          buffers->erase(held);
+          data = pieces;
+        }
+        const auto payload = dox::doq_stream_message(data, prefix);
         if (!payload) return;
         auto query = dns::Message::decode(*payload);
-        buffers->erase(stream_id);
         if (!query) return;
-        handle_query(dox::DnsProtocol::kDoQ, *query,
+        handle_query(dox::DnsProtocol::kDoQ, std::move(*query),
                      [weak_conn, stream_id, prefix](dns::Message response) {
                        auto conn = weak_conn.lock();
                        if (!conn || conn->closed()) return;
-                       auto wire = response.encode();
-                       if (prefix) wire = dox::length_prefixed(wire);
+                       util::Buffer wire =
+                           response.encode_buffer(/*headroom=*/2);
+                       if (prefix) wire = dox::length_prefixed(std::move(wire));
                        conn->send_stream(stream_id, std::move(wire), true);
                      });
       });
@@ -484,7 +501,7 @@ void DoxResolver::serve_doh3() {
       bodies->erase(stream_id);
       if (!query) return;
       handle_query(
-          dox::DnsProtocol::kDoH3, *query,
+          dox::DnsProtocol::kDoH3, std::move(*query),
           [weak_conn, weak_h3, stream_id](dns::Message response) {
             auto conn = weak_conn.lock();
             auto h3 = weak_h3.lock();

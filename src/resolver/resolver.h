@@ -106,7 +106,7 @@ class DoxResolver {
 
   /// Resolves `question` (cache or simulated recursion), then calls
   /// `respond` with the complete response message.
-  void handle_query(dox::DnsProtocol protocol, const dns::Message& query,
+  void handle_query(dox::DnsProtocol protocol, dns::Message query,
                     std::function<void(dns::Message)> respond);
 
   void serve_doudp();

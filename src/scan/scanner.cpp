@@ -25,11 +25,15 @@ std::map<net::IpAddress, std::uint16_t> Ipv4Scanner::probe_versions(
   std::map<net::IpAddress, std::uint16_t> responders;
 
   auto socket = udp_.bind_ephemeral();
+  quic::DecodedDatagram reply;
   socket->on_datagram([&](const net::Endpoint& from,
                           util::Buffer payload) {
-    auto packets = quic::decode_datagram(payload);
-    if (!packets || packets->empty()) return;
-    if ((*packets)[0].type != quic::PacketType::kVersionNegotiation) return;
+    if (!quic::decode_datagram(payload, reply) || reply.packets.empty()) {
+      return;
+    }
+    if (reply.packets[0].type != quic::PacketType::kVersionNegotiation) {
+      return;
+    }
     ++report.vn_responses;
     responders.try_emplace(from.address, from.port);
   });
@@ -44,7 +48,9 @@ std::map<net::IpAddress, std::uint16_t> Ipv4Scanner::probe_versions(
       probe.version = static_cast<quic::QuicVersion>(kProbeVersion);
       probe.dcid = 0xF00D;
       probe.scid = 0xBEEF;
-      probe.frames.push_back(quic::Frame::crypto(0, {0}));
+      const std::uint8_t hello[1] = {0};
+      probe.frames.push_back(
+          quic::Frame::crypto(0, util::Buffer::copy_of(hello)));
       std::vector<quic::QuicPacket> packets = {probe};
       ++report.probes_sent;
       socket->send_to(net::Endpoint{address, port},

@@ -163,7 +163,7 @@ TEST(CacheTierCross, SameExpiryInstantEverywhere) {
   l2.insert(0, name, RRType::kA, records, t0);
   l2.sweep(t0);
   SnapshotConfig snap_config;
-  snap_config.path = temp_path("expiry.snap");
+  snap_config.path = temp_path("cross-expiry.snap");
   std::remove(snap_config.path.c_str());
   SnapshotTier snapshot(snap_config);
   snapshot.insert(name, RRType::kA, image_of(name, records), t0);

@@ -309,6 +309,29 @@ TEST_F(DoxFixture, DoqMultipleQueriesShareOneConnection) {
   EXPECT_EQ(b.handshake_time(), 0);
 }
 
+TEST_F(DoxFixture, DoqSessionOutlivesSixteenBitPacketNumbers) {
+  // Each exchange takes two packet numbers per direction (the query or the
+  // answer, and an ACK), so 40,000 of them carry both ends' 1-RTT space
+  // well past 65,535. Each number past the wrap must still read as new,
+  // not as a duplicate of the one 65,536 before it.
+  start_resolver(default_profile());
+  auto transport = make_transport(DnsProtocol::kDoQ, deps(),
+                                  options_for(DnsProtocol::kDoQ));
+  for (int i = 0; i < 40'000; ++i) {
+    std::optional<QueryResult> result;
+    transport->resolve(
+        dns::Question{dns::DnsName::parse("q" + std::to_string(i) +
+                                          ".wrap.example"),
+                      dns::RRType::kA, dns::RRClass::kIN},
+        [&](QueryResult r) { result = std::move(r); });
+    while (!result && sim_.step()) {
+    }
+    ASSERT_TRUE(result.has_value()) << "query " << i;
+    ASSERT_TRUE(result->ok()) << "query " << i;
+    ASSERT_EQ(result->new_session, i == 0) << "query " << i;
+  }
+}
+
 // ----------------------------------------------------------- DoT connection
 // ----------------------------------------------------------- reuse semantics
 

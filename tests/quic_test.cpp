@@ -1,17 +1,22 @@
-// Unit + integration tests for the QUIC model: wire codec, handshake
-// round-trip counts, padding/amplification behaviour, resumption, 0-RTT,
-// Retry, Version Negotiation, streams, loss recovery, teardown, and the
-// received-packet range set behind every ACK.
+// Unit + integration tests for the QUIC model: wire codec (against the
+// frozen vector codec too), packet-number expansion, handshake round-trip
+// counts, padding/amplification behaviour, resumption, 0-RTT, Retry,
+// Version Negotiation, streams, loss recovery, teardown, the received-packet
+// range set behind every ACK and the ACK walk over the packets in flight.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <deque>
 #include <map>
 #include <set>
 
+#include "legacy_quic_codec.h"
 #include "net/network.h"
 #include "net/udp.h"
 #include "quic/connection.h"
 #include "quic/range_set.h"
+#include "quic/sent_packets.h"
 #include "quic/server.h"
 #include "quic/wire.h"
 #include "sim/simulator.h"
@@ -24,6 +29,25 @@ using net::Continent;
 using net::Endpoint;
 using net::IpAddress;
 
+/// A pooled copy of `bytes`: the form stream and CRYPTO payloads take.
+util::Buffer buf(const std::vector<std::uint8_t>& bytes) {
+  return util::Buffer::copy_of(bytes);
+}
+
+std::vector<std::uint8_t> bytes_of(const util::Buffer& buffer) {
+  return {buffer.data(), buffer.data() + buffer.size()};
+}
+
+std::vector<AckRange> ranges_of(const Frame& frame) {
+  return {frame.ack_ranges.begin(), frame.ack_ranges.end()};
+}
+
+std::vector<AckRange> descending(const RangeSet& set) {
+  std::vector<AckRange> out;
+  set.descending(out);
+  return out;
+}
+
 // ---------------------------------------------------------------- wire codec
 
 TEST(QuicWire, InitialPacketRoundTrip) {
@@ -34,14 +58,14 @@ TEST(QuicWire, InitialPacketRoundTrip) {
   p.scid = 0x2222;
   p.packet_number = 7;
   p.token = {1, 2, 3};
-  p.frames.push_back(Frame::crypto(0, {9, 9, 9, 9}));
-  p.frames.push_back(Frame::ack({{0, 5}}));
+  p.frames.push_back(Frame::crypto(0, buf({9, 9, 9, 9})));
+  const AckRange acked[] = {{0, 5}};
+  p.frames.push_back(Frame::ack(acked));
 
-  auto bytes = encode_packet(p);
-  auto decoded = decode_datagram(bytes);
-  ASSERT_TRUE(decoded.has_value());
-  ASSERT_EQ(decoded->size(), 1u);
-  const QuicPacket& q = (*decoded)[0];
+  DecodedDatagram decoded;
+  ASSERT_TRUE(decode_datagram(encode_packet(p), decoded));
+  ASSERT_EQ(decoded.packets.size(), 1u);
+  const QuicPacket& q = decoded.packets[0];
   EXPECT_EQ(q.type, PacketType::kInitial);
   EXPECT_EQ(q.version, QuicVersion::kV1);
   EXPECT_EQ(q.dcid, 0x1111u);
@@ -63,10 +87,10 @@ TEST(QuicWire, StreamFrameRoundTripWithFin) {
   p.type = PacketType::kOneRtt;
   p.dcid = 0xAB;
   p.packet_number = 3;
-  p.frames.push_back(Frame::stream(4, 100, {1, 2}, true));
-  auto decoded = decode_datagram(encode_packet(p));
-  ASSERT_TRUE(decoded.has_value());
-  const Frame& f = (*decoded)[0].frames[0];
+  p.frames.push_back(Frame::stream(4, 100, buf({1, 2}), true));
+  DecodedDatagram decoded;
+  ASSERT_TRUE(decode_datagram(encode_packet(p), decoded));
+  const Frame& f = decoded.packets[0].frames[0];
   EXPECT_EQ(f.type, FrameType::kStream);
   EXPECT_EQ(f.stream_id, 4u);
   EXPECT_EQ(f.offset, 100u);
@@ -78,16 +102,17 @@ TEST(QuicWire, ConnectionCloseRoundTrip) {
   p.type = PacketType::kOneRtt;
   p.packet_number = 1;
   p.frames.push_back(Frame::connection_close(0x0A, "bye"));
-  auto decoded = decode_datagram(encode_packet(p));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ((*decoded)[0].frames[0].error_code, 0x0Au);
-  EXPECT_EQ((*decoded)[0].frames[0].reason, "bye");
+  DecodedDatagram decoded;
+  ASSERT_TRUE(decode_datagram(encode_packet(p), decoded));
+  EXPECT_EQ(decoded.packets[0].frames[0].error_code, 0x0Au);
+  EXPECT_EQ(decoded.packets[0].frames[0].reason, "bye");
 }
 
 TEST(QuicWire, ClientPadsEveryInitialDatagram) {
   QuicPacket ack_only;
   ack_only.type = PacketType::kInitial;
-  ack_only.frames.push_back(Frame::ack({{0, 0}}));
+  const AckRange acked[] = {{0, 0}};
+  ack_only.frames.push_back(Frame::ack(acked));
   auto client_dgram =
       encode_datagram(std::span(&ack_only, 1), /*sender_is_client=*/true);
   EXPECT_GE(client_dgram.size(), kMinInitialDatagram);
@@ -100,7 +125,7 @@ TEST(QuicWire, ClientPadsEveryInitialDatagram) {
 TEST(QuicWire, ServerPadsAckElicitingInitial) {
   QuicPacket initial;
   initial.type = PacketType::kInitial;
-  initial.frames.push_back(Frame::crypto(0, {1}));
+  initial.frames.push_back(Frame::crypto(0, buf({1})));
   auto dgram =
       encode_datagram(std::span(&initial, 1), /*sender_is_client=*/false);
   EXPECT_GE(dgram.size(), kMinInitialDatagram);
@@ -109,21 +134,20 @@ TEST(QuicWire, ServerPadsAckElicitingInitial) {
 TEST(QuicWire, CoalescedPacketsDecodeInOrder) {
   QuicPacket a;
   a.type = PacketType::kInitial;
-  a.frames.push_back(Frame::crypto(0, {1}));
+  a.frames.push_back(Frame::crypto(0, buf({1})));
   QuicPacket b;
   b.type = PacketType::kHandshake;
-  b.frames.push_back(Frame::crypto(0, {2}));
+  b.frames.push_back(Frame::crypto(0, buf({2})));
   QuicPacket c;
   c.type = PacketType::kOneRtt;
   c.frames.push_back(Frame::ping());
   std::vector<QuicPacket> packets = {a, b, c};
-  auto dgram = encode_datagram(packets, true);
-  auto decoded = decode_datagram(dgram);
-  ASSERT_TRUE(decoded.has_value());
-  ASSERT_EQ(decoded->size(), 3u);
-  EXPECT_EQ((*decoded)[0].type, PacketType::kInitial);
-  EXPECT_EQ((*decoded)[1].type, PacketType::kHandshake);
-  EXPECT_EQ((*decoded)[2].type, PacketType::kOneRtt);
+  DecodedDatagram decoded;
+  ASSERT_TRUE(decode_datagram(encode_datagram(packets, true), decoded));
+  ASSERT_EQ(decoded.packets.size(), 3u);
+  EXPECT_EQ(decoded.packets[0].type, PacketType::kInitial);
+  EXPECT_EQ(decoded.packets[1].type, PacketType::kHandshake);
+  EXPECT_EQ(decoded.packets[2].type, PacketType::kOneRtt);
 }
 
 TEST(QuicWire, VersionNegotiationRoundTrip) {
@@ -132,19 +156,20 @@ TEST(QuicWire, VersionNegotiationRoundTrip) {
   vn.dcid = 1;
   vn.scid = 2;
   vn.supported_versions = {QuicVersion::kV1, QuicVersion::kDraft34};
-  auto decoded = decode_datagram(encode_packet(vn));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ((*decoded)[0].type, PacketType::kVersionNegotiation);
-  EXPECT_EQ((*decoded)[0].supported_versions.size(), 2u);
+  DecodedDatagram decoded;
+  ASSERT_TRUE(decode_datagram(encode_packet(vn), decoded));
+  EXPECT_EQ(decoded.packets[0].type, PacketType::kVersionNegotiation);
+  EXPECT_EQ(decoded.packets[0].supported_versions.size(), 2u);
 }
 
 TEST(QuicWire, TruncatedDatagramRejected) {
   QuicPacket p;
   p.type = PacketType::kInitial;
-  p.frames.push_back(Frame::crypto(0, {1, 2, 3}));
-  auto bytes = encode_packet(p);
-  bytes.resize(bytes.size() - 4);
-  EXPECT_FALSE(decode_datagram(bytes).has_value());
+  p.frames.push_back(Frame::crypto(0, buf({1, 2, 3})));
+  util::Buffer bytes = encode_packet(p);
+  bytes.drop_back(4);
+  DecodedDatagram decoded;
+  EXPECT_FALSE(decode_datagram(bytes, decoded));
 }
 
 TEST(QuicWire, AddressTokenRoundTripAndValidation) {
@@ -159,6 +184,365 @@ TEST(QuicWire, AddressTokenRoundTripAndValidation) {
   EXPECT_FALSE(decoded->valid_for(0xBEEF, 0x0A000001, 200));   // wrong secret
   EXPECT_FALSE(decoded->valid_for(0xFEED, 0x0A000002, 200));   // wrong ip
   EXPECT_FALSE(decoded->valid_for(0xFEED, 0x0A000001, 2 * kDay));  // stale
+}
+
+TEST(QuicWire, ExpandsPacketNumbersAcrossTheTwoByteWrap) {
+  // Before anything arrives, and well inside the first window.
+  EXPECT_EQ(expand_packet_number(0, 0), 0u);
+  EXPECT_EQ(expand_packet_number(0, 5), 5u);
+  EXPECT_EQ(expand_packet_number(100, 0x7FFF), 0x7FFFu);
+  // The wrap: after 65,535 the next numbers are 65,536 on, not 0 again.
+  EXPECT_EQ(expand_packet_number(0x10000, 0x0000), 0x10000u);
+  EXPECT_EQ(expand_packet_number(0x10000, 0x0002), 0x10002u);
+  EXPECT_EQ(expand_packet_number(0xFFF0, 0x0001), 0x10001u);
+  // A late packet from just before the wrap stays below it.
+  EXPECT_EQ(expand_packet_number(0x10005, 0xFFFE), 0xFFFEu);
+  EXPECT_EQ(expand_packet_number(0x20003, 0xFFFF), 0x1FFFFu);
+  // Half a window is the turning point (RFC 9000 Appendix A.3).
+  EXPECT_EQ(expand_packet_number(0x18000, 0x0000), 0x20000u);
+  EXPECT_EQ(expand_packet_number(0x18001, 0x0000), 0x20000u);
+  EXPECT_EQ(expand_packet_number(0x17FFF, 0x0000), 0x10000u);
+  // RFC 9000 Appendix A.3's example, with 16 bits on the wire.
+  EXPECT_EQ(expand_packet_number(0xA82F30EA + 1, 0x9B32), 0xA82F9B32u);
+  // Every number within half a window of the expected one round-trips.
+  for (const std::uint64_t expected :
+       {std::uint64_t{1}, std::uint64_t{0x8000}, std::uint64_t{0xFFFF},
+        std::uint64_t{0x10000}, std::uint64_t{0x10001}, std::uint64_t{0x2FFFF},
+        std::uint64_t{0x123456789}}) {
+    const std::uint64_t low = expected > 0x7FFF ? expected - 0x7FFF : 0;
+    for (std::uint64_t pn = low; pn < expected + 0x8000; pn += 97) {
+      ASSERT_EQ(expand_packet_number(expected, pn & 0xFFFF), pn)
+          << "expected " << expected << " pn " << pn;
+    }
+  }
+}
+
+TEST(QuicWire, DecodedPayloadOutlivesTheDatagramBuffer) {
+  std::vector<std::uint8_t> payload(300);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  QuicPacket p;
+  p.type = PacketType::kOneRtt;
+  p.packet_number = 9;
+  p.frames.push_back(Frame::stream(8, 0, buf(payload), true));
+  util::Buffer datagram = encode_datagram(std::span(&p, 1), true);
+  const std::uint8_t* const wire = datagram.data();
+  const std::size_t wire_size = datagram.size();
+
+  DecodedDatagram decoded;
+  ASSERT_TRUE(decode_datagram(datagram, decoded));
+  const Frame frame = decoded.packets[0].frames[0];
+  // A slice of the datagram, not a copy of it.
+  EXPECT_GE(frame.data.data(), wire);
+  EXPECT_LE(frame.data.data() + frame.data.size(), wire + wire_size);
+
+  decoded.packets.clear();
+  datagram.clear();
+  // Had the slab gone back to the pool, one of these would now hold it.
+  std::vector<util::Buffer> churn;
+  for (int i = 0; i < 8; ++i) {
+    util::Buffer b = util::Buffer::allocate(wire_size);
+    std::memset(b.append(wire_size), 0xEE, wire_size);
+    churn.push_back(std::move(b));
+  }
+  EXPECT_EQ(bytes_of(frame.data), payload);
+  EXPECT_EQ(frame.stream_id, 8u);
+  EXPECT_TRUE(frame.fin);
+}
+
+// A differential check against the codec as it stood when every payload
+// and ACK range list was its own vector (legacy_quic_codec.h): the slices
+// must not move a byte on the wire nor a field in a decoded frame.
+class FrozenCodecDiff {
+ public:
+  explicit FrozenCodecDiff(std::uint64_t seed) : rng_(seed) {}
+
+  /// One packet of `type` in both representations, with identical content.
+  std::pair<legacy::QuicPacket, QuicPacket> packet(PacketType type) {
+    legacy::QuicPacket want;
+    QuicPacket got;
+    want.type = got.type = type;
+    want.version = got.version =
+        rng_.chance(0.5) ? QuicVersion::kV1 : QuicVersion::kDraft29;
+    want.dcid = got.dcid = u64(0, 1ll << 40);
+    want.scid = got.scid = u64(0, 1ll << 40);
+    want.packet_number = got.packet_number = u64(0, 0xFFFF);
+    if (type == PacketType::kVersionNegotiation) {
+      want.version = got.version = QuicVersion::kV1;
+      const int n = static_cast<int>(rng_.uniform_int(0, 4));
+      for (int i = 0; i < n; ++i) {
+        const auto v = static_cast<QuicVersion>(u64(1, 0xFFFFFFFF));
+        want.supported_versions.push_back(v);
+        got.supported_versions.push_back(v);
+      }
+      return {std::move(want), std::move(got)};
+    }
+    if (type == PacketType::kRetry ||
+        (type == PacketType::kInitial && rng_.chance(0.5))) {
+      want.token = got.token = bytes(type == PacketType::kRetry ? 1 : 0, 64);
+    }
+    if (type == PacketType::kRetry) return {std::move(want), std::move(got)};
+    const int frames = static_cast<int>(rng_.uniform_int(1, 5));
+    for (int i = 0; i < frames; ++i) add_frame(want, got);
+    return {std::move(want), std::move(got)};
+  }
+
+  Rng& rng() { return rng_; }
+
+ private:
+  std::uint64_t u64(std::int64_t lo, std::int64_t hi) {
+    return static_cast<std::uint64_t>(rng_.uniform_int(lo, hi));
+  }
+  std::vector<std::uint8_t> bytes(std::int64_t min, std::int64_t max) {
+    std::vector<std::uint8_t> out(u64(min, max));
+    for (auto& b : out) b = static_cast<std::uint8_t>(u64(0, 255));
+    return out;
+  }
+  /// `payload` as the middle of a larger buffer, as a split frame holds it.
+  util::Buffer slice(const std::vector<std::uint8_t>& payload) {
+    const std::vector<std::uint8_t> head = bytes(0, 40);
+    const std::vector<std::uint8_t> tail = bytes(0, 40);
+    std::vector<std::uint8_t> whole = head;
+    whole.insert(whole.end(), payload.begin(), payload.end());
+    whole.insert(whole.end(), tail.begin(), tail.end());
+    util::Buffer b = util::Buffer::copy_of(whole);
+    b.drop_front(head.size());
+    b.drop_back(tail.size());
+    return b;
+  }
+
+  void add_frame(legacy::QuicPacket& want, QuicPacket& got) {
+    switch (rng_.uniform_int(0, 7)) {
+      case 0: {  // ACK, up to six ranges, varints of every width
+        std::vector<AckRange> ranges;
+        std::uint64_t next = u64(0, 1) == 0 ? u64(0, 100) : u64(0, 1ll << 40);
+        const int count = static_cast<int>(rng_.uniform_int(1, 6));
+        for (int i = 0; i < count; ++i) {
+          const std::uint64_t first = next;
+          const std::uint64_t last = first + u64(0, 300);
+          ranges.push_back({first, last});
+          next = last + 2 + u64(0, 20000);
+        }
+        std::reverse(ranges.begin(), ranges.end());
+        const auto& stored = ack_storage_.emplace_back(ranges);
+        want.frames.push_back(legacy::Frame::ack(ranges));
+        got.frames.push_back(Frame::ack(stored));
+        break;
+      }
+      case 1: {
+        const std::uint64_t offset = u64(0, 1ll << 20);
+        const std::vector<std::uint8_t> data = bytes(0, 600);
+        want.frames.push_back(legacy::Frame::crypto(offset, data));
+        got.frames.push_back(Frame::crypto(offset, slice(data)));
+        break;
+      }
+      case 2: {
+        const std::uint64_t id = u64(0, 5000) * 4;
+        const std::uint64_t offset = u64(0, 1ll << 32);
+        const std::vector<std::uint8_t> data = bytes(0, 600);
+        const bool fin = rng_.chance(0.5);
+        want.frames.push_back(legacy::Frame::stream(id, offset, data, fin));
+        got.frames.push_back(Frame::stream(id, offset, slice(data), fin));
+        break;
+      }
+      case 3: {
+        const std::vector<std::uint8_t> token = bytes(1, 64);
+        want.frames.push_back(legacy::Frame::new_token(token));
+        got.frames.push_back(Frame::new_token(token));
+        break;
+      }
+      case 4: {
+        const std::uint64_t code = u64(0, 0x1FF);
+        const std::vector<std::uint8_t> text = bytes(0, 30);
+        const std::string reason(text.begin(), text.end());
+        want.frames.push_back(legacy::Frame::connection_close(code, reason));
+        got.frames.push_back(Frame::connection_close(code, reason));
+        break;
+      }
+      case 5:
+        want.frames.push_back(legacy::Frame::ping());
+        got.frames.push_back(Frame::ping());
+        break;
+      case 6:
+        want.frames.push_back(legacy::Frame::handshake_done());
+        got.frames.push_back(Frame::handshake_done());
+        break;
+      default:
+        want.frames.push_back(legacy::Frame{});  // PADDING
+        got.frames.push_back(Frame{});
+        break;
+    }
+  }
+
+  Rng rng_;
+  std::deque<std::vector<AckRange>> ack_storage_;
+};
+
+void expect_same_packet(const legacy::QuicPacket& want, const QuicPacket& got) {
+  EXPECT_EQ(got.type, want.type);
+  EXPECT_EQ(got.version, want.version);
+  EXPECT_EQ(got.dcid, want.dcid);
+  EXPECT_EQ(got.scid, want.scid);
+  EXPECT_EQ(got.packet_number, want.packet_number);
+  EXPECT_EQ(got.token, want.token);
+  EXPECT_EQ(got.supported_versions, want.supported_versions);
+  ASSERT_EQ(got.frames.size(), want.frames.size());
+  for (std::size_t i = 0; i < want.frames.size(); ++i) {
+    const legacy::Frame& w = want.frames[i];
+    const Frame& g = got.frames[i];
+    EXPECT_EQ(g.type, w.type) << "frame " << i;
+    EXPECT_EQ(ranges_of(g), w.ack_ranges) << "frame " << i;
+    EXPECT_EQ(g.offset, w.offset) << "frame " << i;
+    EXPECT_EQ(bytes_of(g.data), w.data) << "frame " << i;
+    EXPECT_EQ(g.stream_id, w.stream_id) << "frame " << i;
+    EXPECT_EQ(g.fin, w.fin) << "frame " << i;
+    EXPECT_EQ(g.token, w.token) << "frame " << i;
+    EXPECT_EQ(g.error_code, w.error_code) << "frame " << i;
+    EXPECT_EQ(g.reason, w.reason) << "frame " << i;
+  }
+}
+
+TEST(QuicWire, MatchesFrozenVectorCodec) {
+  const PacketType types[] = {
+      PacketType::kInitial,   PacketType::kZeroRtt,
+      PacketType::kHandshake, PacketType::kOneRtt,
+      PacketType::kRetry,     PacketType::kVersionNegotiation};
+  FrozenCodecDiff diff(4242);
+  DecodedDatagram decoded;
+  for (int i = 0; i < 3000; ++i) {
+    SCOPED_TRACE("iteration " + std::to_string(i));
+    // One packet: identical bytes and size, then identical fields.
+    auto [want, got] = diff.packet(types[i % 6]);
+    const std::vector<std::uint8_t> legacy_wire = legacy::encode_packet(want);
+    const util::Buffer wire = encode_packet(got);
+    ASSERT_EQ(bytes_of(wire), legacy_wire);
+    ASSERT_EQ(encoded_packet_size(got), legacy::encoded_packet_size(want));
+    auto legacy_decoded = legacy::decode_datagram(legacy_wire);
+    ASSERT_EQ(decode_datagram(wire, decoded), legacy_decoded.has_value());
+    if (legacy_decoded) {
+      ASSERT_EQ(decoded.packets.size(), legacy_decoded->size());
+      for (std::size_t p = 0; p < decoded.packets.size(); ++p) {
+        expect_same_packet((*legacy_decoded)[p], decoded.packets[p]);
+      }
+    }
+
+    // Coalesced long-header and 1-RTT packets: the ACK ranges of several
+    // packets share one decode target.
+    std::vector<QuicPacket> coalesced;
+    std::vector<std::uint8_t> legacy_datagram;
+    const int count = static_cast<int>(diff.rng().uniform_int(2, 3));
+    for (int c = 0; c < count; ++c) {
+      auto [w, g] = diff.packet(types[diff.rng().uniform_int(0, 3)]);
+      const auto bytes = legacy::encode_packet(w);
+      legacy_datagram.insert(legacy_datagram.end(), bytes.begin(), bytes.end());
+      coalesced.push_back(std::move(g));
+    }
+    const util::Buffer datagram =
+        encode_datagram(coalesced, /*sender_is_client=*/false);
+    // The same packets back to back, then the server's padding, if any.
+    ASSERT_GE(datagram.size(), legacy_datagram.size());
+    ASSERT_TRUE(std::equal(legacy_datagram.begin(), legacy_datagram.end(),
+                           datagram.data()));
+
+    // Corrupted and truncated bytes: both accept, or both reject.
+    std::vector<std::uint8_t> mangled = bytes_of(datagram);
+    mangled[static_cast<std::size_t>(diff.rng().uniform_int(
+        0, static_cast<std::int64_t>(mangled.size()) - 1))] ^=
+        static_cast<std::uint8_t>(diff.rng().uniform_int(1, 255));
+    if (diff.rng().chance(0.3)) {
+      mangled.resize(static_cast<std::size_t>(diff.rng().uniform_int(
+          0, static_cast<std::int64_t>(mangled.size()))));
+    }
+    for (const std::vector<std::uint8_t>& input :
+         {bytes_of(datagram), mangled}) {
+      auto want_packets = legacy::decode_datagram(input);
+      ASSERT_EQ(decode_datagram(buf(input), decoded),
+                want_packets.has_value());
+      if (!want_packets) continue;
+      ASSERT_EQ(decoded.packets.size(), want_packets->size());
+      for (std::size_t p = 0; p < decoded.packets.size(); ++p) {
+        expect_same_packet((*want_packets)[p], decoded.packets[p]);
+      }
+    }
+  }
+}
+
+// ------------------------------------------------------------- ACK walk
+
+TEST(QuicAckWalk, MatchesFullScanOnRandomQueues) {
+  Rng rng(2424);
+  for (int round = 0; round < 2000; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    // Packets in flight: ascending numbers with gaps where earlier
+    // packets were acknowledged or declared lost.
+    std::deque<SentPacket> sent;
+    std::uint64_t pn = static_cast<std::uint64_t>(
+        rng.chance(0.5) ? rng.uniform_int(0, 50) : rng.uniform_int(0, 1 << 20));
+    const int in_flight = static_cast<int>(rng.uniform_int(0, 300));
+    for (int i = 0; i < in_flight; ++i) {
+      SentPacket p;
+      p.pn = pn;
+      p.sent_at = 1000 * pn + rng.uniform_int(0, 999);
+      p.size = static_cast<std::size_t>(rng.uniform_int(30, 1252));
+      p.retransmittable.push_back(Frame::ping());
+      sent.push_back(std::move(p));
+      pn += 1 + (rng.chance(0.2)
+                     ? static_cast<std::uint64_t>(rng.uniform_int(1, 6))
+                     : 0);
+    }
+    // An ACK frame: descending ranges from around the newest packet down,
+    // some reaching below the oldest in flight.
+    std::vector<AckRange> ranges;
+    std::int64_t top = static_cast<std::int64_t>(pn) + rng.uniform_int(-40, 10);
+    const int count = static_cast<int>(rng.uniform_int(1, 12));
+    for (int i = 0; i < count && top >= 0; ++i) {
+      const std::int64_t first =
+          std::max<std::int64_t>(0, top - rng.uniform_int(0, 40));
+      ranges.push_back({static_cast<std::uint64_t>(first),
+                        static_cast<std::uint64_t>(top)});
+      top = first - 2 - rng.uniform_int(0, 30);
+    }
+    const Frame ack = Frame::ack(ranges);
+
+    // The full scan the walk replaces: every packet against every range.
+    std::vector<std::uint64_t> want_left;
+    std::size_t want_bytes = 0;
+    std::size_t want_count = 0;
+    std::optional<SimTime> want_rtt_sent_at;
+    SimTime want_newest = 0;
+    for (const SentPacket& p : sent) {
+      if (!ack.acks(p.pn)) {
+        want_left.push_back(p.pn);
+        continue;
+      }
+      ++want_count;
+      want_bytes += p.size;
+      want_newest = p.sent_at;
+      if (p.pn == ranges.front().last) want_rtt_sent_at = p.sent_at;
+    }
+    std::size_t in_flight_bytes = 0;
+    for (const SentPacket& p : sent) in_flight_bytes += p.size;
+
+    std::vector<std::vector<Frame>> spare;
+    const AckedPackets acked = acknowledge(sent, ack.ack_ranges, spare);
+    std::vector<std::uint64_t> left;
+    std::size_t left_bytes = 0;
+    for (const SentPacket& p : sent) {
+      left.push_back(p.pn);
+      left_bytes += p.size;
+    }
+    ASSERT_EQ(left, want_left);
+    ASSERT_EQ(acked.count, want_count);
+    ASSERT_EQ(acked.bytes, want_bytes);
+    ASSERT_EQ(in_flight_bytes - acked.bytes, left_bytes);
+    ASSERT_EQ(acked.largest_sent_at, want_rtt_sent_at);
+    if (want_count > 0) {
+      ASSERT_EQ(acked.newest_sent_at, want_newest);
+    }
+    ASSERT_EQ(spare.size(), want_count);
+    for (const auto& frames : spare) ASSERT_TRUE(frames.empty());
+  }
 }
 
 // ------------------------------------------------------------- range set
@@ -230,7 +614,7 @@ TEST(RangeSet, MatchesStdSetReferenceOnRandomStreams) {
     for (std::uint64_t pn : arrival_stream(seed, 1500)) {
       ASSERT_EQ(ranges.insert(pn), reference.insert(pn).second)
           << "seed " << seed << " pn " << pn;
-      ASSERT_EQ(ranges.descending(), reference_ack_ranges(reference))
+      ASSERT_EQ(descending(ranges), reference_ack_ranges(reference))
           << "seed " << seed << " after pn " << pn;
       const std::uint64_t top = *reference.rbegin();
       for (std::uint64_t v :
@@ -248,15 +632,15 @@ TEST(RangeSet, MergesBothNeighboursAndKeepsRunsMaximal) {
   RangeSet ranges;
   EXPECT_TRUE(ranges.empty());
   for (std::uint64_t pn : {0, 1, 2, 5, 6, 9}) EXPECT_TRUE(ranges.insert(pn));
-  EXPECT_EQ(ranges.descending(),
+  EXPECT_EQ(descending(ranges),
             (std::vector<AckRange>{{9, 9}, {5, 6}, {0, 2}}));
   EXPECT_FALSE(ranges.insert(6));
   EXPECT_TRUE(ranges.insert(4));  // extends {5, 6} downwards
   EXPECT_TRUE(ranges.insert(3));  // joins {0, 2} and {4, 6}
   EXPECT_TRUE(ranges.insert(8));  // extends {9, 9} downwards
-  EXPECT_EQ(ranges.descending(), (std::vector<AckRange>{{8, 9}, {0, 6}}));
+  EXPECT_EQ(descending(ranges), (std::vector<AckRange>{{8, 9}, {0, 6}}));
   EXPECT_TRUE(ranges.insert(7));
-  EXPECT_EQ(ranges.descending(), (std::vector<AckRange>{{0, 9}}));
+  EXPECT_EQ(descending(ranges), (std::vector<AckRange>{{0, 9}}));
   ranges.clear();
   EXPECT_TRUE(ranges.empty());
   EXPECT_FALSE(ranges.contains(0));
@@ -281,8 +665,7 @@ class BareClient {
   QuicConnection& conn() { return *conn_; }
 
   void deliver(const QuicPacket& packet) {
-    const std::vector<std::uint8_t> bytes = encode_packet(packet);
-    conn_->on_datagram(bytes);
+    conn_->on_datagram(encode_packet(packet));
   }
 
   /// An ack-eliciting server INITIAL with packet number `pn`.
@@ -299,13 +682,13 @@ class BareClient {
   /// Ranges of the last INITIAL ACK the client sent since `clear()`, or
   /// none.
   std::vector<AckRange> last_initial_ack() const {
+    DecodedDatagram decoded;
     for (auto it = sent_.rbegin(); it != sent_.rend(); ++it) {
-      const auto packets = decode_datagram(*it);
-      if (!packets) continue;
-      for (const QuicPacket& p : *packets) {
+      if (!decode_datagram(*it, decoded)) continue;
+      for (const QuicPacket& p : decoded.packets) {
         if (p.type != PacketType::kInitial) continue;
         for (const Frame& f : p.frames) {
-          if (f.type == FrameType::kAck) return f.ack_ranges;
+          if (f.type == FrameType::kAck) return ranges_of(f);
         }
       }
     }
@@ -395,8 +778,7 @@ class QuicFixture : public ::testing::Test {
                                    std::span<const std::uint8_t> data,
                                    bool fin) {
         if (!fin) return;
-        std::vector<std::uint8_t> reply(data.rbegin(), data.rend());
-        c->send_stream(id, std::move(reply), true);
+        c->send_stream(id, buf({data.rbegin(), data.rend()}), true);
       });
     });
   }
@@ -513,7 +895,7 @@ TEST_F(QuicFixture, StreamEchoRoundTrip) {
   start_server(server_config());
   auto conn = make_client(client_config());
   conn->connect();
-  std::uint64_t id = conn->open_stream({1, 2, 3}, true);
+  std::uint64_t id = conn->open_stream(buf({1, 2, 3}), true);
   sim_.run_until(3 * kSecond);
   EXPECT_EQ(stream_data_[id], (std::vector<std::uint8_t>{3, 2, 1}));
   EXPECT_TRUE(stream_fin_[id]);
@@ -523,8 +905,8 @@ TEST_F(QuicFixture, MultipleStreamsGetDistinctIds) {
   start_server(server_config());
   auto conn = make_client(client_config());
   conn->connect();
-  std::uint64_t a = conn->open_stream({1}, true);
-  std::uint64_t b = conn->open_stream({2}, true);
+  std::uint64_t a = conn->open_stream(buf({1}), true);
+  std::uint64_t b = conn->open_stream(buf({2}), true);
   sim_.run_until(3 * kSecond);
   EXPECT_EQ(a, 0u);
   EXPECT_EQ(b, 4u);
@@ -597,7 +979,7 @@ TEST_F(QuicFixture, ZeroRttDeliversQueryWithFirstFlight) {
   ccfg.tls.enable_0rtt = true;
   auto conn = make_client(ccfg);
   const SimTime t0 = sim_.now();
-  std::uint64_t id = conn->open_stream({5, 6, 7}, true);  // queued pre-connect
+  std::uint64_t id = conn->open_stream(buf({5, 6, 7}), true);  // queued pre-connect
   conn->connect(ticket, token);
   sim_.run_until(sim_.now() + 3 * kSecond);
   ASSERT_TRUE(client_info_.has_value());
@@ -625,7 +1007,7 @@ TEST_F(QuicFixture, ZeroRttRejectedIsRetransmitted) {
   QuicConfig ccfg = client_config();
   ccfg.tls.enable_0rtt = true;
   auto conn = make_client(ccfg);
-  std::uint64_t id = conn->open_stream({9}, true);
+  std::uint64_t id = conn->open_stream(buf({9}), true);
   conn->connect(ticket, token);
   sim_.run_until(sim_.now() + 3 * kSecond);
   ASSERT_TRUE(client_info_.has_value());
@@ -698,7 +1080,7 @@ TEST_F(QuicFixture, HandshakeSurvivesHeavyLoss) {
   start_server(server_config());
   auto conn = make_client(client_config());
   conn->connect();
-  std::uint64_t id = conn->open_stream({1, 2}, true);
+  std::uint64_t id = conn->open_stream(buf({1, 2}), true);
   sim_.run_until(60 * kSecond);
   EXPECT_TRUE(client_info_.has_value());
   EXPECT_EQ(stream_data_[id], (std::vector<std::uint8_t>{2, 1}));
@@ -743,6 +1125,8 @@ TEST_F(QuicFixture, IdleTimeoutClosesConnection) {
   conn->connect();
   sim_.run_until(30 * kSecond);
   EXPECT_TRUE(conn->closed());
+  // The server's side closed on its own idle timer, and left the map.
+  EXPECT_EQ(server_->connection_count(), 0u);
 }
 
 TEST_F(QuicFixture, StreamsSurviveExtremeJitterReordering) {
@@ -778,7 +1162,7 @@ TEST_F(QuicFixture, StreamsSurviveExtremeJitterReordering) {
                                  std::span<const std::uint8_t> d, bool fin) {
       auto& buffer = (*buffers)[id];
       buffer.insert(buffer.end(), d.begin(), d.end());
-      if (fin) c->send_stream(id, std::move(buffer), true);
+      if (fin) c->send_stream(id, buf(buffer), true);
     });
   });
   auto socket = cu.bind_ephemeral();
@@ -804,7 +1188,7 @@ TEST_F(QuicFixture, StreamsSurviveExtremeJitterReordering) {
     for (std::size_t j = 0; j < payload.size(); ++j) {
       payload[j] = static_cast<std::uint8_t>(i + j);
     }
-    std::uint64_t id = conn->open_stream(payload, true);
+    std::uint64_t id = conn->open_stream(buf(payload), true);
     sent[id] = std::move(payload);
   }
   sim.run_until(60 * kSecond);
@@ -851,7 +1235,7 @@ TEST(QuicStreams, LongConnectionRetiresFinishedStreams) {
       buffer.insert(buffer.end(), d.begin(), d.end());
       if (!fin) return;
       ++requests[id];
-      std::vector<std::uint8_t> reply(buffer.rbegin(), buffer.rend());
+      util::Buffer reply = buf({buffer.rbegin(), buffer.rend()});
       buffers->erase(id);
       c->send_stream(id, std::move(reply), true);
     });
@@ -888,7 +1272,7 @@ TEST(QuicStreams, LongConnectionRetiresFinishedStreams) {
   std::size_t opened = 0;
   while (finished < kStreams && !conn->closed()) {
     while (opened < kStreams && opened - finished < kWindow) {
-      ASSERT_EQ(conn->open_stream(payload(opened), true), 4 * opened);
+      ASSERT_EQ(conn->open_stream(buf(payload(opened)), true), 4 * opened);
       ++opened;
     }
     sim.run_until(sim.now() + from_ms(5));
@@ -994,7 +1378,7 @@ TEST_F(QuicFixture, PacketThresholdLossDetectionDeclaresLosses) {
                                  std::span<const std::uint8_t> data,
                                  bool fin) {
       server_received += data.size();
-      if (fin) c->send_stream(id, {1}, true);
+      if (fin) c->send_stream(id, buf({1}), true);
     });
   });
   QuicConfig config = client_config();
@@ -1003,7 +1387,7 @@ TEST_F(QuicFixture, PacketThresholdLossDetectionDeclaresLosses) {
   conn->connect();
   sim_.run_until(kSecond);
   const std::uint64_t id =
-      conn->open_stream(std::vector<std::uint8_t>(120000, 0x3C), true);
+      conn->open_stream(buf(std::vector<std::uint8_t>(120000, 0x3C)), true);
   sim_.run_until(60 * kSecond);
   ASSERT_TRUE(stream_fin_[id]);
   EXPECT_EQ(server_received, 120000u);
@@ -1022,7 +1406,7 @@ TEST_F(QuicFixture, CwndTraceShowsSlowStartThenRecovery) {
   auto conn = make_client(config);
   conn->connect();
   sim_.run_until(kSecond);
-  conn->open_stream(std::vector<std::uint8_t>(150000, 0x77), true);
+  conn->open_stream(buf(std::vector<std::uint8_t>(150000, 0x77)), true);
   sim_.run_until(30 * kSecond);
   const auto& trace = conn->congestion().trace();
   ASSERT_FALSE(trace.empty());
@@ -1048,7 +1432,7 @@ TEST_F(QuicFixture, BlackholeCollapsesWindowViaPersistentCongestion) {
   const std::size_t cwnd_before = conn->congestion().cwnd();
   // Black-hole the path mid-transfer: consecutive PTOs with nothing acked
   // in between must trip persistent congestion and floor the window.
-  conn->open_stream(std::vector<std::uint8_t>(50000, 0x2A), true);
+  conn->open_stream(buf(std::vector<std::uint8_t>(50000, 0x2A)), true);
   sim_.at(sim_.now() + from_ms(5), [&] {
     network_.set_loss_override(client_host_.address(),
                                server_host_.address(), 1.0);

@@ -53,6 +53,11 @@ trap 'rm -rf "$snapdir"' EXIT
 # queries and both worlds' merges under ASan/UBSan.
 "$root/build-sanitize/tools/doxperf" engine --shards=4 --qps=50000 \
       --seconds=3 --restart-at=2 >/dev/null
+# The benchmark's miss-heavy shape: long-lived DoQ upstreams with about a
+# hundred streams in flight, so QUIC frames' datagram slices, the shared
+# send buffers and the ACK walk run under ASan/UBSan.
+"$root/build-sanitize/tools/doxperf" engine --shards=1 --names=100000 \
+      --qps=5000 --seconds=3 >/dev/null
 
 echo "== race-detector build (${root}/build-tsan, TSan) =="
 cmake -B "$root/build-tsan" -S "$root" -DDOXLAB_TSAN=ON >/dev/null
