@@ -9,8 +9,9 @@
 // baseline. The byte-path suite does the same for the pooled zero-copy
 // send/receive path (util::Buffer + in-place framing + scratch decode) vs
 // the seed's copy chain, writing BENCH_byte_path.json; it also counts heap
-// allocations per forwarded cached query through the full forwarder engine
-// and per insert of a new key into a full image L1.
+// allocations per forwarded cached query through the full forwarder engine,
+// per insert of a new key into a full image L1, and per step of in-flight
+// churn on the engine's (qname, qtype) table.
 // The long-connection probe times 10k distinct-name queries over one DoQ
 // and one DoT transport and compares the last 1000 with the first 1000, so
 // per-query cost that grows with a connection's age shows up as a ratio
@@ -35,6 +36,7 @@
 #include "alloc_count.h"
 #include "bench_util.h"
 #include "dns/message.h"
+#include "dns/record_table.h"
 #include "dns/wire_cache.h"
 #include "dox/transport.h"
 #include "engine/engine.h"
@@ -555,13 +557,16 @@ BytePathSample measure_image_cached(int trials) {
                0);
   const std::vector<std::uint8_t> query_wire = m.query.encode();
   dns::MessageHead head;
+  dns::DnsName name;
   return measure_ops(trials, [&] {
-    if (!dns::scan_message(query_wire, head)) std::abort();
-    const auto hit =
-        cache.lookup(head.question.name, head.question.type, kSecond);
+    if (!dns::scan_message(query_wire, head) ||
+        !dns::read_question_name(query_wire, name)) {
+      std::abort();
+    }
+    const auto hit = cache.lookup(name, head.qtype, kSecond);
     if (!hit) std::abort();
-    util::Buffer out = hit->image->answer(
-        head.id, head.question.klass, dns::TtlRewrite::decay(hit->age_s));
+    util::Buffer out = hit->image->answer(head.id, head.qclass,
+                                          dns::TtlRewrite::decay(hit->age_s));
     benchmark::DoNotOptimize(out.size());
   });
 }
@@ -601,6 +606,49 @@ double measure_l1_insert_allocs(int inserts) {
     return -1.0;
   }
   return static_cast<double>(allocs) / inserts;
+}
+
+/// Heap allocations per step of steady-state in-flight churn on the
+/// engine's (qname, qtype) table: a resolve starts (a new key), a second
+/// query coalesces onto it (the key found again), and the oldest of 64 live
+/// resolves finishes (its key erased). 1024 names of one length, parsed up
+/// front, cycle through the table, so each start reuses a node, and the
+/// name storage in it, that an earlier finish freed. The value is a waiter
+/// count, so every allocation counted is the table's.
+double measure_inflight_churn_allocs(int steps) {
+  constexpr std::size_t kLive = 64;
+  std::vector<dns::DnsName> names;
+  for (std::size_t i = 0; i < 1024; ++i) {
+    char label[16];
+    std::snprintf(label, sizeof(label), "r%08zu", i);
+    names.push_back(dns::DnsName::parse(std::string(label) + ".example.com"));
+  }
+  dns::RecordTable<std::uint32_t> inflight;
+  bool ok = true;
+  const auto step = [&](std::size_t i) {
+    const dns::DnsName& name = names[i % names.size()];
+    ++inflight.value(inflight.try_emplace(name, dns::RRType::kA).first);
+    ++inflight.value(inflight.try_emplace(name, dns::RRType::kA).first);
+    if (i < kLive) return;
+    const dns::NodeIndex done =
+        inflight.find(names[(i - kLive) % names.size()], dns::RRType::kA);
+    ok = ok && done != dns::kNoNode && inflight.value(done) == 2;
+    if (done != dns::kNoNode) inflight.erase(done);
+  };
+  const std::size_t warmup = 2 * names.size();
+  for (std::size_t i = 0; i < warmup; ++i) step(i);
+  const std::uint64_t allocs0 = bench::heap_allocations();
+  for (std::size_t i = warmup; i < warmup + static_cast<std::size_t>(steps);
+       ++i) {
+    step(i);
+  }
+  const std::uint64_t allocs = bench::heap_allocations() - allocs0;
+  if (!ok || inflight.size() != kLive) {
+    std::fprintf(stderr, "in-flight churn probe: %zu live, lookups %s\n",
+                 inflight.size(), ok ? "ok" : "failed");
+    return -1.0;
+  }
+  return static_cast<double>(allocs) / steps;
 }
 
 /// One client host and one loss-free upstream resolver 10 ms away.
@@ -782,6 +830,7 @@ struct BytePathResults {
   BytePathSample image_cached, message_cached;
   double engine_allocs_per_query = 0;
   double l1_insert_allocs = 0;
+  double inflight_churn_allocs = 0;
 };
 
 void keep_best(BytePathSample& best, const BytePathSample& sample) {
@@ -808,6 +857,7 @@ BytePathResults run_byte_path_suite(int trials) {
   }
   r.engine_allocs_per_query = measure_engine_cached_allocs(/*queries=*/1000);
   r.l1_insert_allocs = measure_l1_insert_allocs(/*inserts=*/8192);
+  r.inflight_churn_allocs = measure_inflight_churn_allocs(/*steps=*/8192);
   return r;
 }
 
@@ -843,6 +893,8 @@ void report_byte_path(const BytePathResults& r, bench::JsonReporter& json) {
               r.engine_allocs_per_query);
   std::printf("image L1 insert at capacity heap allocations/insert: %.4f\n",
               r.l1_insert_allocs);
+  std::printf("in-flight table churn heap allocations/step: %.4f\n",
+              r.inflight_churn_allocs);
 
   json.metric("byte_path_roundtrip", "ns_per_op", r.roundtrip_new.ns_per_op);
   json.metric("byte_path_roundtrip", "ns_per_op_legacy",
@@ -868,6 +920,8 @@ void report_byte_path(const BytePathResults& r, bench::JsonReporter& json) {
               r.engine_allocs_per_query);
   json.metric("byte_path_l1_insert", "heap_allocs_per_insert",
               r.l1_insert_allocs);
+  json.metric("byte_path_inflight_churn", "heap_allocs_per_step",
+              r.inflight_churn_allocs);
 }
 
 }  // namespace
@@ -955,6 +1009,13 @@ int main(int argc, char** argv) {
                    "SMOKE FAIL: image L1 insert at capacity allocates (%.4f "
                    "heap allocations per insert; gate 0.01)\n",
                    b.l1_insert_allocs);
+      ok = false;
+    }
+    if (b.inflight_churn_allocs < 0 || b.inflight_churn_allocs > 0.01) {
+      std::fprintf(stderr,
+                   "SMOKE FAIL: in-flight table churn allocates (%.4f heap "
+                   "allocations per step; gate 0.01)\n",
+                   b.inflight_churn_allocs);
       ok = false;
     }
     if (b.image_cached.allocs_per_op > 0.01) {

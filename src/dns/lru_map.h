@@ -1,15 +1,14 @@
 // The LRU map behind the bounded caches (`dns::Cache`, `dns::WireCache`):
-// one hash map keyed by (qname, qtype) whose nodes also form the recency
-// list.
+// one (qname, qtype) table (dns/record_table.h) whose nodes also form the
+// recency list.
 //
-//   * Each key is stored once, in its map node. The recency links are two
-//     pointers in the node, so finding and touching an entry is O(1) and
-//     allocates nothing.
+//   * Each key is stored once, in its table node. The recency links are
+//     two node indices beside the value, so finding and touching an entry
+//     is O(1) and allocates nothing.
 //   * A new key inserted into a full map takes over the least recently
-//     used node: `extract` hands the node back, its key takes the new name
-//     in place (reusing the string's storage), and the node goes back in.
-//     At capacity, an insert allocates nothing when the new name fits the
-//     victim's key storage.
+//     used node: the node is re-keyed in place (its name reusing the old
+//     name's storage) and moves to the newest end. At capacity, an insert
+//     allocates nothing when the new name fits the victim's name storage.
 //   * Unbounded (capacity 0) maps skip the touches. New keys are still
 //     linked in, so a bound set later evicts the oldest inserts first.
 //
@@ -18,9 +17,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 
-#include "dns/record_key.h"
+#include "dns/record_table.h"
 
 namespace doxlab::dns {
 
@@ -34,9 +32,9 @@ class LruMap {
 
    private:
     friend class LruMap;
-    const RecordKey* key_ = nullptr;
-    Node* newer_ = nullptr;
-    Node* older_ = nullptr;
+    NodeIndex self_ = kNoNode;
+    NodeIndex newer_ = kNoNode;
+    NodeIndex older_ = kNoNode;
   };
 
   /// `capacity` bounds the entry count (0 = unbounded).
@@ -45,15 +43,16 @@ class LruMap {
   LruMap(const LruMap&) = delete;
   LruMap& operator=(const LruMap&) = delete;
 
-  /// The entry for (name, type), or null. Finding does not touch.
+  /// The entry for (name, type), or null; valid until the next insert.
+  /// Finding does not touch.
   Node* find(const DnsName& name, RRType type) {
-    const auto it = map_.find(RecordKeyView{name, type});
-    return it == map_.end() ? nullptr : &it->second;
+    const NodeIndex index = table_.find(name, type);
+    return index == kNoNode ? nullptr : &table_.value(index);
   }
 
   /// Marks `node` most recently used.
   void touch(Node& node) {
-    if (capacity_ == 0 || newest_ == &node) return;
+    if (capacity_ == 0 || newest_ == node.self_) return;
     unlink(node);
     link_newest(node);
   }
@@ -63,59 +62,57 @@ class LruMap {
   /// entry's node with its old value still in place, so the caller can
   /// account for what it replaces.
   Value& slot(const DnsName& name, RRType type) {
-    if (Node* node = find(name, type)) {
-      touch(*node);
-      return node->value;
+    const bool full = capacity_ != 0 && table_.size() >= capacity_;
+    const auto [index, inserted] =
+        full ? table_.try_emplace_over(oldest_, name, type)
+             : table_.try_emplace(name, type);
+    Node& node = table_.value(index);
+    if (!inserted) {
+      touch(node);
+      return node.value;
     }
-    Node* node = nullptr;
-    if (capacity_ != 0 && map_.size() >= capacity_) {
-      node = oldest_;
-      unlink(*node);
-      auto handle = map_.extract(*node->key_);
-      handle.key().name = name;
-      handle.key().type = type;
-      map_.insert(std::move(handle));
+    if (full) {
+      unlink(node);
       ++evictions_;
-    } else {
-      auto [it, inserted] = map_.try_emplace(RecordKey{name, type});
-      node = &it->second;
-      node->key_ = &it->first;
     }
-    link_newest(*node);
-    return node->value;
+    node.self_ = index;
+    link_newest(node);
+    return node.value;
   }
 
   /// Rebounds the map; shrinking evicts least recently used entries.
   void set_capacity(std::size_t capacity) {
     capacity_ = capacity;
-    while (capacity_ != 0 && map_.size() > capacity_) {
-      Node* victim = oldest_;
-      unlink(*victim);
-      map_.erase(map_.find(*victim->key_));
+    while (capacity_ != 0 && table_.size() > capacity_) {
+      const NodeIndex victim = oldest_;
+      unlink(table_.value(victim));
+      table_.erase(victim);
       ++evictions_;
     }
   }
 
-  std::size_t size() const { return map_.size(); }
+  std::size_t size() const { return table_.size(); }
   /// Entries evicted by the capacity bound.
   std::uint64_t evictions() const { return evictions_; }
 
  private:
+  Node& at(NodeIndex index) { return table_.value(index); }
+
   void unlink(Node& node) {
-    (node.newer_ != nullptr ? node.newer_->older_ : newest_) = node.older_;
-    (node.older_ != nullptr ? node.older_->newer_ : oldest_) = node.newer_;
+    (node.newer_ != kNoNode ? at(node.newer_).older_ : newest_) = node.older_;
+    (node.older_ != kNoNode ? at(node.older_).newer_ : oldest_) = node.newer_;
   }
 
   void link_newest(Node& node) {
-    node.newer_ = nullptr;
+    node.newer_ = kNoNode;
     node.older_ = newest_;
-    (newest_ != nullptr ? newest_->newer_ : oldest_) = &node;
-    newest_ = &node;
+    (newest_ != kNoNode ? at(newest_).newer_ : oldest_) = node.self_;
+    newest_ = node.self_;
   }
 
-  RecordMap<Node> map_;
-  Node* newest_ = nullptr;
-  Node* oldest_ = nullptr;
+  RecordTable<Node> table_;
+  NodeIndex newest_ = kNoNode;
+  NodeIndex oldest_ = kNoNode;
   std::size_t capacity_ = 0;
   std::uint64_t evictions_ = 0;
 };

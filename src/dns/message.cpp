@@ -333,21 +333,24 @@ bool scan_message(std::span<const std::uint8_t> wire, MessageHead& out) {
   ByteReader r(wire);
   (void)r.seek(12);
   for (std::uint16_t i = 0; i < out.qdcount; ++i) {
-    if (!(i == 0 ? read_name_into(r, out.question.name) : skip_name(r))) {
-      return false;
-    }
+    if (!skip_name(r)) return false;
     const auto fixed = r.bytes(4);  // type, class
     if (!fixed) return false;
     if (i == 0) {
       const std::uint8_t* f = fixed->data();
-      out.question.type = static_cast<RRType>((f[0] << 8) | f[1]);
-      out.question.klass = static_cast<RRClass>((f[2] << 8) | f[3]);
+      out.qtype = static_cast<RRType>((f[0] << 8) | f[1]);
+      out.qclass = static_cast<RRClass>((f[2] << 8) | f[3]);
     }
   }
   for (std::uint32_t i = 0; i < records; ++i) {
     if (!skip_record(r)) return false;
   }
   return true;
+}
+
+bool read_question_name(std::span<const std::uint8_t> wire, DnsName& out) {
+  ByteReader r(wire);
+  return r.seek(12) && read_name_into(r, out);
 }
 
 Message make_query(std::uint16_t id, const DnsName& name, RRType type,

@@ -134,7 +134,9 @@ struct MessageHead {
   std::uint16_t id = 0;
   std::uint16_t flags = 0;    ///< the header flags word, RCODE included
   std::uint16_t qdcount = 0;
-  Question question;          ///< the first question; unset if qdcount == 0
+  /// The first question's type and class; unset if qdcount == 0.
+  RRType qtype = RRType::kA;
+  RRClass qclass = RRClass::kIN;
 
   bool qr() const { return (flags & 0x8000) != 0; }
   bool tc() const { return (flags & 0x0200) != 0; }
@@ -142,11 +144,17 @@ struct MessageHead {
 };
 
 /// Validating scan: accepts exactly the inputs Message::decode_into accepts,
-/// but materializes only the id, the flags and the first question (its name
-/// into `out.question.name`'s retained storage). Every other name and
-/// record is walked and checked, not copied. `out` is unspecified on
-/// failure.
+/// but reads only the header and the first question's type and class.
+/// Every name, the question's included, and every record is walked and
+/// checked, not copied, so answers that never need the question name cost
+/// no name build. `out` is unspecified on failure.
 bool scan_message(std::span<const std::uint8_t> wire, MessageHead& out);
+
+/// Reads the first question's name, which starts right after the 12-byte
+/// header, into `out`'s retained storage in one lower-casing pass. Call it
+/// on a message scan_message accepted with qdcount > 0; it fails only
+/// where that scan would have.
+bool read_question_name(std::span<const std::uint8_t> wire, DnsName& out);
 
 /// Builds a standard recursive query for (name, type) with EDNS0 and an
 /// 8-byte client COOKIE — the same shape dnsperf sends in the paper's

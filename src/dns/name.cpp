@@ -192,14 +192,21 @@ bool walk_name(ByteReader& reader, OnLabel&& on_label) {
 }  // namespace
 
 bool read_name_into(ByteReader& reader, DnsName& out) {
-  std::string& wire = out.wire_;
-  wire.clear();
-  return walk_name(reader, [&wire](std::span<const std::uint8_t> label) {
-    wire.push_back(static_cast<char>(label.size()));
-    const std::size_t start = wire.size();
-    wire.append(reinterpret_cast<const char*>(label.data()), label.size());
-    for (std::size_t i = start; i < wire.size(); ++i) wire[i] = lower(wire[i]);
-  });
+  // One pass: each label is lower-cased as it is copied into a stack
+  // buffer (walk_name bounds the flat bytes at 254), then the name is
+  // assigned once, into the storage `out` already has.
+  char flat[255];
+  std::size_t length = 0;
+  if (!walk_name(reader, [&](std::span<const std::uint8_t> label) {
+        flat[length++] = static_cast<char>(label.size());
+        for (const std::uint8_t byte : label) {
+          flat[length++] = lower(static_cast<char>(byte));
+        }
+      })) {
+    return false;
+  }
+  out.wire_.assign(flat, length);
+  return true;
 }
 
 bool skip_name(ByteReader& reader) {

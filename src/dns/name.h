@@ -15,10 +15,11 @@ namespace doxlab::dns {
 
 class DnsName;
 
-/// Reads a possibly-compressed name into `out`, reusing its storage (the
-/// allocation-free decode path). The reader must be positioned within the
-/// full message buffer (pointer targets are absolute offsets). Returns
-/// false on truncation, pointer loops, or forward pointers.
+/// Reads a possibly-compressed name into `out` in one lower-casing pass,
+/// reusing its storage (the allocation-free decode path). The reader must
+/// be positioned within the full message buffer (pointer targets are
+/// absolute offsets). Returns false, leaving `out` as it was, on
+/// truncation, pointer loops, or forward pointers.
 bool read_name_into(ByteReader& reader, DnsName& out);
 
 /// Steps over a name exactly as read_name_into would read it — same
@@ -29,8 +30,8 @@ bool skip_name(ByteReader& reader);
 /// flattened into one length-prefixed string — the RFC 1035 wire encoding
 /// without the terminating zero octet ("www.google.com" is stored as
 /// "\3www\6google\3com") — so construction and decode cost a single
-/// allocation instead of one per label, and comparison/hashing are single
-/// memcmp-style operations over the flat bytes.
+/// allocation instead of one per label, and comparison and hashing
+/// (`dns::record_hash`) are single passes over the flat bytes.
 class DnsName {
  public:
   DnsName() = default;
@@ -131,10 +132,3 @@ class NameCompressor {
 std::optional<DnsName> read_name(ByteReader& reader);
 
 }  // namespace doxlab::dns
-
-template <>
-struct std::hash<doxlab::dns::DnsName> {
-  std::size_t operator()(const doxlab::dns::DnsName& name) const noexcept {
-    return std::hash<std::string_view>()(name.wire_labels());
-  }
-};

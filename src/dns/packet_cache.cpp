@@ -1,14 +1,12 @@
 #include "dns/packet_cache.h"
 
+#include <tuple>
+
 namespace doxlab::dns {
 
 SharedPacketCache::SharedPacketCache(std::size_t capacity,
                                      std::uint32_t shards)
-    : capacity_(capacity), lanes_(shards == 0 ? 1 : shards) {
-  // One-time bucket reservation: the table never rehashes afterwards, so a
-  // mid-epoch lookup can never land on a growth stall.
-  entries_.reserve(capacity_);
-}
+    : capacity_(capacity), lanes_(shards == 0 ? 1 : shards) {}
 
 bool SharedPacketCache::lookup(std::uint32_t shard, const DnsName& name,
                                RRType type, SimTime now, PacketCacheHit& out,
@@ -25,12 +23,13 @@ bool SharedPacketCache::lookup(std::uint32_t shard, const DnsName& name,
     ++lane.counters.misses;
     return false;
   }
-  const auto it = entries_.find(RecordKeyView{name, type});
-  if (it == entries_.end()) {
+  const NodeIndex node = entries_.find(name, type);
+  if (node == kNoNode) {
     ++lane.counters.misses;
     return false;
   }
-  const std::optional<TierHit> hit = classify(it->second, now, max_stale);
+  const std::optional<TierHit> hit =
+      classify(entries_.value(node), now, max_stale);
   if (!hit) {
     ++lane.counters.misses;
     return false;
@@ -70,34 +69,39 @@ void SharedPacketCache::sweep(SimTime now) {
   for (Lane& lane : lanes_) {
     for (Pending& pending : lane.pending) {
       ++counters_.applied_inserts;
-      const auto it = entries_.find(pending.key);
-      if (it != entries_.end()) {
-        counters_.bytes -= it->second.image.footprint();
-        counters_.bytes += pending.entry.image.footprint();
-        it->second = std::move(pending.entry);
-        ++counters_.replaced;
-        continue;
-      }
+      RecordKey& key = pending.key;
+      NodeIndex node = kNoNode;
+      bool inserted = false;
       if (capacity_ != 0 && entries_.size() >= capacity_) {
-        ++counters_.rejected_capacity;
-        continue;
+        node = entries_.find(key.name, key.type);
+        if (node == kNoNode) {
+          ++counters_.rejected_capacity;
+          continue;
+        }
+      } else {
+        std::tie(node, inserted) =
+            entries_.try_emplace(std::move(key.name), key.type);
+      }
+      TierEntry& entry = entries_.value(node);
+      if (!inserted) {
+        counters_.bytes -= entry.image.footprint();
+        ++counters_.replaced;
       }
       counters_.bytes += pending.entry.image.footprint();
-      entries_.emplace(std::move(pending.key), std::move(pending.entry));
+      entry = std::move(pending.entry);
     }
     lane.pending.clear();
   }
-  for (auto it = entries_.begin(); it != entries_.end();) {
+  entries_.for_each([&](NodeIndex node) {
     // With a stale-retention window, an expired entry stays sweepable for
     // `retain_stale_` past its expiry so lookup() can serve it stale.
-    if (!classify(it->second, now, retain_stale_)) {
-      counters_.bytes -= it->second.image.footprint();
-      it = entries_.erase(it);
+    const TierEntry& entry = entries_.value(node);
+    if (!classify(entry, now, retain_stale_)) {
+      counters_.bytes -= entry.image.footprint();
+      entries_.erase(node);
       ++counters_.expired_evicted;
-    } else {
-      ++it;
     }
-  }
+  });
   ++counters_.sweeps;
 }
 

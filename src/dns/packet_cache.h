@@ -6,8 +6,10 @@
 // borrows the dnsdist packet-cache tricks and adapts them to the
 // discrete-event setting:
 //
-//   * The bucket array is reserve()d once at construction and never rehashes,
-//     so lookups never pay a growth stall.
+//   * The table (dns/record_table.h) is only ever mutated by sweep(), so
+//     it grows — doubling its slots or its node pool — only there, while
+//     no reader runs: a lookup never sees a rehash, and construction
+//     allocates nothing for it.
 //   * Readers take the table lock *shared*, and only with try_lock_shared:
 //     concurrent lookups from different shards never exclude each other. A
 //     reader that does find the lock held exclusively is *not* waited out —
@@ -28,7 +30,9 @@
 //
 // Entries are `TierEntry`s (dns/cache_tier.h) whose image slab has been
 // share()d (atomic refcount). A hit points the reading shard at bytes
-// another shard's thread produced, valid until the next sweep (a barrier);
+// another shard's thread produced, and at the table node holding them:
+// both stay valid until the next sweep (a barrier), the only call that
+// moves or frees nodes;
 // a shard that keeps the image, by promoting it into its L1, takes a
 // refcounted handle, and whichever thread drops the last reference
 // recycles the slab into its own pool.
@@ -42,7 +46,7 @@
 
 #include "dns/cache_tier.h"
 #include "dns/message.h"
-#include "dns/record_key.h"
+#include "dns/record_table.h"
 #include "dns/response_image.h"
 #include "stats/metrics.h"
 #include "util/types.h"
@@ -75,8 +79,9 @@ using PacketCacheHit = TierHit;
 class SharedPacketCache {
  public:
   /// `capacity` bounds the table (entries beyond it are rejected at sweep
-  /// time, not evicted LRU — the L1s in front absorb recency); buckets are
-  /// reserved up front. `shards` fixes the number of insert lanes.
+  /// time, not evicted LRU — the L1s in front absorb recency); the table
+  /// starts empty and grows inside sweeps. `shards` fixes the number of
+  /// insert lanes.
   SharedPacketCache(std::size_t capacity, std::uint32_t shards);
 
   SharedPacketCache(const SharedPacketCache&) = delete;
@@ -126,6 +131,8 @@ class SharedPacketCache {
 
   std::size_t size() const { return entries_.size(); }
   std::size_t capacity() const { return capacity_; }
+  /// Table slots allocated; changes only inside sweep().
+  std::size_t slot_capacity() const { return entries_.slot_capacity(); }
 
   /// Test hooks, never used by the engine: `lock_for_testing` holds the
   /// table lock *exclusively* (as sweep does) so a unit test can force the
@@ -151,12 +158,10 @@ class SharedPacketCache {
     Stats counters;  ///< the lookup and deferred-insert counters
   };
 
-  using Map = RecordMap<TierEntry>;
-
   /// Guards entries_ and the sweep counters: shared for lookups, exclusive
   /// for the barrier-time sweep/stats.
   mutable std::shared_mutex mu_;
-  Map entries_;
+  RecordTable<TierEntry> entries_;
   std::size_t capacity_;
   SimTime retain_stale_ = 0;
   std::vector<Lane> lanes_;

@@ -163,8 +163,10 @@ void SnapshotTier::replay() {
         good_end = reader.position();
         continue;
       }
-      if (entries_.find(key) != entries_.end()) ++replay_stats_.superseded;
-      apply(std::move(key), std::move(entry));
+      if (entries_.find(key.name, key.type) != kNoNode) {
+        ++replay_stats_.superseded;
+      }
+      apply(key.name, key.type, std::move(entry));
       ++replay_stats_.frames_replayed;
       good_end = reader.position();
     }
@@ -178,15 +180,17 @@ void SnapshotTier::replay() {
   log_ = std::fopen(config_.path.c_str(), "ab");
 }
 
-void SnapshotTier::apply(RecordKey key, TierEntry entry) {
-  live_bytes_ += frame_bytes(key.name, entry);
+void SnapshotTier::apply(const DnsName& name, RRType type,
+                         TierEntry entry) {
+  live_bytes_ += frame_bytes(name, entry);
   payload_bytes_ += entry.image.footprint();
-  auto [it, inserted] = entries_.try_emplace(std::move(key));
+  const auto [node, inserted] = entries_.try_emplace(name, type);
+  TierEntry& slot = entries_.value(node);
   if (!inserted) {
-    live_bytes_ -= frame_bytes(it->first.name, it->second);
-    payload_bytes_ -= it->second.image.footprint();
+    live_bytes_ -= frame_bytes(name, slot);
+    payload_bytes_ -= slot.image.footprint();
   }
-  it->second = std::move(entry);
+  slot = std::move(entry);
 }
 
 bool SnapshotTier::append_frame(std::span<const std::uint8_t> payload) {
@@ -198,9 +202,10 @@ bool SnapshotTier::append_frame(std::span<const std::uint8_t> payload) {
 bool SnapshotTier::lookup(const DnsName& name, RRType type, SimTime now,
                           TierHit& out, SimTime max_stale) {
   ++lookups_;
-  auto it = entries_.find(RecordKeyView{name, type});
-  if (it == entries_.end()) return false;
-  if (const auto hit = classify(it->second, now, max_stale)) {
+  const NodeIndex node = entries_.find(name, type);
+  if (node == kNoNode) return false;
+  const TierEntry& entry = entries_.value(node);
+  if (const auto hit = classify(entry, now, max_stale)) {
     out = *hit;
     ++hits_;
     if (hit->stale) ++stale_hits_;
@@ -208,9 +213,9 @@ bool SnapshotTier::lookup(const DnsName& name, RRType type, SimTime now,
   }
   // Past the stale window: dead weight in the index; the log's copy is
   // reclaimed by the next compaction.
-  live_bytes_ -= frame_bytes(it->first.name, it->second);
-  payload_bytes_ -= it->second.image.footprint();
-  entries_.erase(it);
+  live_bytes_ -= frame_bytes(name, entry);
+  payload_bytes_ -= entry.image.footprint();
+  entries_.erase(node);
   ++evictions_;
   return false;
 }
@@ -220,7 +225,7 @@ void SnapshotTier::insert(const DnsName& name, RRType type,
   if (image.ttl_count() == 0 || image.min_ttl() == 0) return;
   TierEntry entry = TierEntry::of(image, now);
   if (!append_frame(encode_payload(name, type, entry))) return;
-  apply(RecordKey{name, type}, std::move(entry));
+  apply(name, type, std::move(entry));
   ++inserts_;
   maybe_compact();
 }
@@ -243,15 +248,14 @@ void SnapshotTier::compact() {
   std::fwrite(kMagic, 1, sizeof(kMagic), out);
   bool ok = true;
   std::uint64_t written = sizeof(kMagic);
-  for (const auto& [key, entry] : entries_) {
+  entries_.for_each([&](NodeIndex node) {
+    if (!ok) return;
+    const RecordKey& key = entries_.key(node);
     const std::vector<std::uint8_t> payload =
-        encode_payload(key.name, key.type, entry);
-    if (!write_frame(out, payload)) {
-      ok = false;
-      break;
-    }
+        encode_payload(key.name, key.type, entries_.value(node));
+    ok = write_frame(out, payload);
     written += 8 + payload.size();
-  }
+  });
   std::fflush(out);
   std::fclose(out);
   if (!ok) {
@@ -278,9 +282,10 @@ void SnapshotTier::compact() {
 }
 
 void SnapshotTier::for_each(const EntryVisitor& visit) const {
-  for (const auto& [key, entry] : entries_) {
-    visit(key.name, key.type, entry);
-  }
+  entries_.for_each([&](NodeIndex node) {
+    const RecordKey& key = entries_.key(node);
+    visit(key.name, key.type, entries_.value(node));
+  });
 }
 
 TierStats SnapshotTier::tier_stats() const {

@@ -41,7 +41,7 @@
 
 #include "dns/cache_tier.h"
 #include "dns/message.h"
-#include "dns/record_key.h"
+#include "dns/record_table.h"
 #include "dns/response_image.h"
 #include "util/types.h"
 
@@ -81,12 +81,15 @@ class SnapshotTier {
   /// so a campaign can checkpoint mid-run.
   void flush();
 
-  /// Rewrites the log to exactly the live index (write-new-then-rename).
-  /// Automatic when the compaction trigger fires inside insert().
+  /// Rewrites the log to exactly the live index (write-new-then-rename),
+  /// in for_each's order. Automatic when the compaction trigger fires
+  /// inside insert().
   void compact();
 
-  /// Visits every live index entry — the warm-start protocol: the engine
-  /// promotes fresh entries into L1/L2 at construction.
+  /// Visits every live index entry in the order the entries were first
+  /// indexed (a slot freed by an eviction is reused by the next new key) —
+  /// the warm-start protocol: the engine promotes fresh entries into L1/L2
+  /// at construction.
   using EntryVisitor = std::function<void(const DnsName& name, RRType type,
                                           const TierEntry& entry)>;
   void for_each(const EntryVisitor& visit) const;
@@ -110,8 +113,6 @@ class SnapshotTier {
   const std::string& path() const { return config_.path; }
 
  private:
-  using Map = RecordMap<TierEntry>;
-
   /// Serializes one record payload (no frame header).
   static std::vector<std::uint8_t> encode_payload(const DnsName& name,
                                                   RRType type,
@@ -123,11 +124,11 @@ class SnapshotTier {
 
   void replay();
   bool append_frame(std::span<const std::uint8_t> payload);
-  void apply(RecordKey key, TierEntry entry);
+  void apply(const DnsName& name, RRType type, TierEntry entry);
   void maybe_compact();
 
   SnapshotConfig config_;
-  Map entries_;
+  RecordTable<TierEntry> entries_;
   std::FILE* log_ = nullptr;
   std::uint64_t log_bytes_ = 0;
   std::uint64_t live_bytes_ = 0;  ///< frame bytes of live index entries

@@ -83,7 +83,7 @@ class DoqTransport final : public QuicTransport<DoqFraming> {
         pieces.empty() ? data : std::span<const std::uint8_t>(pieces);
     const PendingPtr pending = std::move(it->second.pending);
     conn->streams.erase(it);
-    std::erase(conn->in_flight, pending);
+    conn->in_flight.erase(*pending);
     const auto payload = doq_stream_message(bytes, conn->length_prefix);
     if (!payload) {
       finish_error(pending, util::Error::truncated("short DoQ response"));

@@ -46,15 +46,13 @@ class DotTransport final : public TlsTransport<DotFraming> {
     for (auto& payload : payloads) {
       auto message = dns::Message::decode(payload);
       if (!message) continue;
-      for (auto it = conn->in_flight.begin(); it != conn->in_flight.end();
-           ++it) {
-        if (matches(*message, **it)) {
-          auto pending = *it;
-          conn->in_flight.erase(it);
-          finish_success(pending, std::move(*message));
-          break;
-        }
-      }
+      // DoT answers carry no stream id: the first query in send order that
+      // the answer matches takes it.
+      const PendingPtr pending = conn->in_flight.find_if(
+          [&](const PendingQuery& p) { return matches(*message, p); });
+      if (pending == nullptr) continue;
+      conn->in_flight.erase(*pending);
+      finish_success(pending, std::move(*message));
     }
   }
 };

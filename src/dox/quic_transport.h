@@ -56,7 +56,7 @@ class QuicTransport : public TransportBase {
   struct Conn : Framing {
     std::shared_ptr<quic::QuicConnection> quic;
     std::unique_ptr<net::UdpSocket> socket;
-    std::vector<PendingPtr> in_flight;
+    InFlightList in_flight;
     std::vector<PendingPtr> queued;  // waiting for the handshake
   };
   using ConnPtr = std::shared_ptr<Conn>;
@@ -85,10 +85,9 @@ class QuicTransport : public TransportBase {
 
   /// The connection is unusable: every query on it fails with `error`.
   void fail_connection(const ConnPtr& conn, const util::Error& error) {
-    auto in_flight = std::move(conn->in_flight);
-    conn->in_flight.clear();
+    const std::vector<PendingPtr> in_flight = conn->in_flight.take();
     conn->queued.clear();
-    for (auto& pending : in_flight) finish_error(pending, error);
+    for (const auto& pending : in_flight) finish_error(pending, error);
   }
 
  private:
@@ -196,7 +195,7 @@ class QuicTransport : public TransportBase {
       entry.version = info.version;
       entry.alpn = info.alpn;
     }
-    for (auto& p : conn->in_flight) {
+    conn->in_flight.for_each([&](const PendingPtr& p) {
       if (p->result.new_session) {
         mark(p, QueryPhase::kSecure);
         p->result.quic_version = info.version;
@@ -205,7 +204,7 @@ class QuicTransport : public TransportBase {
         p->result.used_0rtt = info.early_data_accepted;
         p->result.tls_version = tls::TlsVersion::kTls13;
       }
-    }
+    });
     auto queued = std::move(conn->queued);
     conn->queued.clear();
     for (auto& pending : queued) {

@@ -62,7 +62,7 @@ class TlsTransport : public TransportBase {
   struct Conn : Framing {
     std::shared_ptr<tcp::TcpConnection> tcp;
     std::unique_ptr<tls::TlsSession> tls;
-    std::vector<PendingPtr> in_flight;
+    InFlightList in_flight;
     std::vector<PendingPtr> queued;  // waiting for the handshake
     /// Application bytes written before the TLS client starts: they ride
     /// the first flight as 0-RTT early data when the ticket allows it.
@@ -107,11 +107,10 @@ class TlsTransport : public TransportBase {
 
   /// The connection is unusable: every query on it fails with `error`.
   void fail_connection(const ConnPtr& conn, const util::Error& error) {
-    auto in_flight = std::move(conn->in_flight);
-    conn->in_flight.clear();
+    const std::vector<PendingPtr> in_flight = conn->in_flight.take();
     conn->queued.clear();
     conn->closed = true;
-    for (auto& pending : in_flight) finish_error(pending, error);
+    for (const auto& pending : in_flight) finish_error(pending, error);
   }
 
  private:
@@ -207,7 +206,7 @@ class TlsTransport : public TransportBase {
     conn->info = info;
     stats_.handshake_c2r = conn->tcp->bytes_sent();
     stats_.handshake_r2c = conn->tcp->bytes_received();
-    for (auto& p : conn->in_flight) {
+    conn->in_flight.for_each([&](const PendingPtr& p) {
       if (p->result.new_session) {
         mark(p, QueryPhase::kSecure);
         p->result.tls_version = info.version;
@@ -215,7 +214,7 @@ class TlsTransport : public TransportBase {
         p->result.used_0rtt = info.early_data_accepted;
         p->result.alpn = info.alpn;
       }
-    }
+    });
     auto queued = std::move(conn->queued);
     conn->queued.clear();
     for (auto& pending : queued) {

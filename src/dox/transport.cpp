@@ -64,18 +64,18 @@ std::unique_ptr<DnsTransport> make_transport(DnsProtocol protocol,
 namespace {
 
 /// Takes the query off a finished request stream and its connection.
-PendingPtr take_stream(DohStreams& streams, std::vector<PendingPtr>& in_flight,
+PendingPtr take_stream(DohStreams& streams, InFlightList& in_flight,
                        std::map<std::uint64_t, PendingPtr>::iterator it) {
   PendingPtr pending = std::move(it->second);
   streams.by_stream.erase(it);
-  std::erase(in_flight, pending);
+  in_flight.erase(*pending);
   return pending;
 }
 
 }  // namespace
 
 void TransportBase::on_doh_headers(DohStreams& streams,
-                                   std::vector<PendingPtr>& in_flight,
+                                   InFlightList& in_flight,
                                    std::uint64_t stream_id,
                                    const std::vector<h2::Header>& headers,
                                    bool end_stream) {
@@ -97,7 +97,7 @@ void TransportBase::on_doh_headers(DohStreams& streams,
 }
 
 void TransportBase::on_doh_data(DohStreams& streams,
-                                std::vector<PendingPtr>& in_flight,
+                                InFlightList& in_flight,
                                 std::uint64_t stream_id,
                                 std::span<const std::uint8_t> data,
                                 bool end_stream) {

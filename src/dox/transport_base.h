@@ -25,8 +25,66 @@ struct PendingQuery {
   std::uint16_t dns_id = 0;
   sim::Timer timeout;
   bool done = false;
+  /// Its slot in the InFlightList that holds it.
+  std::size_t in_flight_slot = 0;
 };
 using PendingPtr = std::shared_ptr<PendingQuery>;
+
+/// The queries sent on one connection, in send order. Each query knows its
+/// slot, so removing an answered one is O(1): the slot goes dead, and the
+/// list compacts (keeping the order) once more than half of it is dead.
+class InFlightList {
+ public:
+  void push_back(PendingPtr pending) {
+    pending->in_flight_slot = slots_.size();
+    slots_.push_back(std::move(pending));
+    ++live_;
+  }
+
+  /// Removes `pending`; a query this list does not hold is left alone.
+  void erase(const PendingQuery& pending) {
+    const std::size_t slot = pending.in_flight_slot;
+    if (slot >= slots_.size() || slots_[slot].get() != &pending) return;
+    slots_[slot] = nullptr;
+    --live_;
+    if (2 * live_ < slots_.size()) {
+      std::erase(slots_, nullptr);
+      for (std::size_t i = 0; i < slots_.size(); ++i) {
+        slots_[i]->in_flight_slot = i;
+      }
+    }
+  }
+
+  bool empty() const { return live_ == 0; }
+
+  /// Calls `visit(pending)` for each held query in send order.
+  template <typename Visit>
+  void for_each(Visit&& visit) const {
+    for (const PendingPtr& pending : slots_) {
+      if (pending != nullptr) visit(pending);
+    }
+  }
+
+  /// The first held query, in send order, that `pred` accepts, or null.
+  template <typename Pred>
+  PendingPtr find_if(Pred&& pred) const {
+    for (const PendingPtr& pending : slots_) {
+      if (pending != nullptr && pred(*pending)) return pending;
+    }
+    return nullptr;
+  }
+
+  /// Empties the list, returning its queries in send order.
+  std::vector<PendingPtr> take() {
+    std::erase(slots_, nullptr);
+    live_ = 0;
+    return std::exchange(slots_, {});
+  }
+
+ private:
+  std::vector<PendingPtr> slots_;
+  std::size_t live_ = 0;
+};
 
 /// DoH (RFC 8484) over HTTP/2 or HTTP/3, per connection: the query each
 /// request stream carries and the response body received so far.
@@ -136,13 +194,13 @@ class TransportBase : public DnsTransport {
 
   /// DoH response HEADERS: a non-200 status, or a response that ends
   /// without a body, fails the query.
-  void on_doh_headers(DohStreams& streams, std::vector<PendingPtr>& in_flight,
+  void on_doh_headers(DohStreams& streams, InFlightList& in_flight,
                       std::uint64_t stream_id,
                       const std::vector<h2::Header>& headers,
                       bool end_stream);
 
   /// DoH response DATA: reassembles the body, then decodes and matches it.
-  void on_doh_data(DohStreams& streams, std::vector<PendingPtr>& in_flight,
+  void on_doh_data(DohStreams& streams, InFlightList& in_flight,
                    std::uint64_t stream_id,
                    std::span<const std::uint8_t> data, bool end_stream);
 

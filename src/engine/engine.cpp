@@ -136,12 +136,9 @@ void ForwarderEngine::answer_stale_with_refresh(
   // Exactly one background refresh per key: a refresh (or a coalesced
   // resolve) already in flight absorbs this hit, so a burst of stale-served
   // queries never turns into a resolve-per-query storm.
-  const dns::RecordKeyView key_view{question.name, question.type};
-  if (inflight_.find(key_view) == inflight_.end()) {
+  if (inflight_.try_emplace(question.name, question.type).second) {
     ++counters_.stale_refreshes;
-    auto [it, inserted] =
-        inflight_.try_emplace(dns::RecordKey{question.name, question.type});
-    start_resolve(it->first, question, pool_index);
+    start_resolve(question, pool_index);
   }
 }
 
@@ -224,16 +221,19 @@ void ForwarderEngine::on_stub_batch(std::span<net::Datagram> batch) {
 
 void ForwarderEngine::on_stub_query(const net::Endpoint& from,
                                     util::Buffer payload) {
-  // One validating pass into reusable scratch: the id, the flags and the
-  // question are all a query needs, and the scan accepts exactly what a
-  // full decode would, so the steady-state path allocates nothing.
+  // One validating pass, then one read of the question name into reusable
+  // scratch: the id, the flags and the question are all a query needs, and
+  // the scan accepts exactly what a full decode would, so the steady-state
+  // path allocates nothing.
   if (!dns::scan_message(payload, scratch_head_) || scratch_head_.qr() ||
-      scratch_head_.qdcount == 0) {
+      scratch_head_.qdcount == 0 ||
+      !dns::read_question_name(payload, scratch_question_.name)) {
     ++counters_.malformed;
     return;
   }
-  const dns::Question& question = scratch_head_.question;
-  const dns::RecordKeyView key_view{question.name, question.type};
+  scratch_question_.type = scratch_head_.qtype;
+  scratch_question_.klass = scratch_head_.qclass;
+  const dns::Question& question = scratch_question_;
   const Waiter waiter{from, scratch_head_.id};
 
   ++counters_.queries;
@@ -290,17 +290,9 @@ void ForwarderEngine::on_stub_query(const net::Endpoint& from,
     }
   }
 
-  if (config_.coalesce) {
-    auto it = inflight_.find(key_view);
-    if (it != inflight_.end()) {
-      ++counters_.coalesced;
-      it->second.waiters.push_back(waiter);
-      return;
-    }
-  }
-  ++counters_.misses;
   if (!config_.coalesce) {
     // Every query pays its own upstream resolve (the ablation baseline).
+    ++counters_.misses;
     ++counters_.upstream_resolves;
     pools_[pool_index]->resolve(
         question, [this, waiter, question](dox::QueryResult result) {
@@ -308,30 +300,33 @@ void ForwarderEngine::on_stub_query(const net::Endpoint& from,
         });
     return;
   }
-  auto [it, inserted] =
-      inflight_.try_emplace(dns::RecordKey{question.name, question.type});
-  it->second.waiters.push_back(waiter);
-  start_resolve(it->first, question, pool_index);
+  const auto [node, inserted] =
+      inflight_.try_emplace(question.name, question.type);
+  inflight_.value(node).waiters.push_back(waiter);
+  if (!inserted) {
+    ++counters_.coalesced;
+    return;
+  }
+  ++counters_.misses;
+  start_resolve(question, pool_index);
 }
 
-void ForwarderEngine::start_resolve(const dns::RecordKey& key,
-                                    const dns::Question& question,
+void ForwarderEngine::start_resolve(const dns::Question& question,
                                     std::uint32_t pool_index) {
   ++counters_.upstream_resolves;
   pools_[pool_index]->resolve(
-      question, [this, key, question](dox::QueryResult result) {
-        on_upstream_result(key, question, std::move(result));
+      question, [this, question](dox::QueryResult result) {
+        on_upstream_result(question, std::move(result));
       });
 }
 
-void ForwarderEngine::on_upstream_result(const dns::RecordKey& key,
-                                         const dns::Question& question,
+void ForwarderEngine::on_upstream_result(const dns::Question& question,
                                          dox::QueryResult result) {
-  auto it = inflight_.find(key);
+  const dns::NodeIndex node = inflight_.find(question.name, question.type);
   std::vector<Waiter> waiters;
-  if (it != inflight_.end()) {
-    waiters = std::move(it->second.waiters);
-    inflight_.erase(it);
+  if (node != dns::kNoNode) {
+    waiters = std::move(inflight_.value(node).waiters);
+    inflight_.erase(node);
   }
   deliver(std::move(waiters), question, std::move(result));
 }

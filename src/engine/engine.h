@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "dns/packet_cache.h"
-#include "dns/record_key.h"
+#include "dns/record_table.h"
 #include "dns/snapshot_tier.h"
 #include "dns/wire_cache.h"
 #include "engine/upstream_pool.h"
@@ -265,12 +265,10 @@ class ForwarderEngine {
   /// policy answers. `tc` sets the truncation bit (policy kTruncate).
   void send_response(const Waiter& waiter, const dns::Question& question,
                      dns::RCode rcode, bool tc = false);
-  /// Starts an upstream resolve for `key` on pool `pool_index` (the
-  /// coalescing point).
-  void start_resolve(const dns::RecordKey& key, const dns::Question& question,
-                     std::uint32_t pool_index);
-  void on_upstream_result(const dns::RecordKey& key,
-                          const dns::Question& question,
+  /// Starts an upstream resolve for `question`'s in-flight entry on pool
+  /// `pool_index` (the coalescing point).
+  void start_resolve(const dns::Question& question, std::uint32_t pool_index);
+  void on_upstream_result(const dns::Question& question,
                           dox::QueryResult result);
   /// Encodes a successful result into one image, stores it in every tier
   /// and answers `waiters` from it (or stale/SERVFAIL on failure).
@@ -291,12 +289,14 @@ class ForwarderEngine {
   dns::WireCache l1_;
   /// Persistent snapshot tier; null when snapshot_dir is empty.
   std::unique_ptr<dns::SnapshotTier> snapshot_;
-  dns::RecordMap<InFlight> inflight_;
-  /// Reusable scratch: every query scans into `scratch_head_` and SERVFAIL,
-  /// policy and image builds stage in `scratch_response_`, so their
-  /// string/vector storage reaches a high-water mark and steady-state
-  /// queries allocate nothing.
+  /// Resolves in flight, by (qname, qtype).
+  dns::RecordTable<InFlight> inflight_;
+  /// Reusable scratch: every query scans into `scratch_head_` and reads
+  /// its question into `scratch_question_`, and SERVFAIL, policy and image
+  /// builds stage in `scratch_response_`, so their string/vector storage
+  /// reaches a high-water mark and steady-state queries allocate nothing.
   dns::MessageHead scratch_head_;
+  dns::Question scratch_question_;
   dns::Message scratch_response_;
   /// True while on_stub_batch is draining a burst: responses stage onto
   /// `response_flush_` instead of going out one send at a time.

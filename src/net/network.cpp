@@ -34,14 +34,14 @@ void Host::set_protocol_batch_handler(int protocol, BatchHandler handler) {
   handlers_row(protocol).batch = std::move(handler);
 }
 
-void Host::deliver(Packet packet) {
+void Host::deliver(Packet& packet) {
   Handlers* row = handlers_for(packet.protocol);
   if (row == nullptr || !row->packet) {
     DOXLAB_DEBUG("host " << name_ << " has no handler for protocol "
                          << packet.protocol);
     return;
   }
-  row->packet(std::move(packet));
+  row->packet(packet);
 }
 
 void Host::deliver_batch(PacketBatch& batch) {
@@ -52,7 +52,7 @@ void Host::deliver_batch(PacketBatch& batch) {
     row->batch(batch);
     return;
   }
-  for (Packet& packet : batch) deliver(std::move(packet));
+  for (Packet& packet : batch) deliver(packet);
 }
 
 Network::Network(sim::Simulator& simulator, Rng rng, LatencyModel latency)
@@ -287,7 +287,7 @@ void Network::send(Packet packet) {
       return;
     }
     ++counters_.packets_delivered;
-    dst->deliver(std::move(p));
+    dst->deliver(p);
   });
 }
 

@@ -60,7 +60,10 @@ using PacketBatch = std::vector<Packet>;
 /// A simulated machine: address, location, and protocol demultiplexers.
 class Host {
  public:
-  using PacketHandler = std::function<void(Packet)>;
+  /// Gets the delivered packet in place, in the storage of the event that
+  /// delivers it: a handler moves out only what it keeps (the payload
+  /// slab), so no Packet moves after delivery fires.
+  using PacketHandler = std::function<void(Packet&)>;
   using BatchHandler = std::function<void(PacketBatch&)>;
 
   const std::string& name() const { return name_; }
@@ -109,7 +112,7 @@ class Host {
   /// The row for `protocol`, appended if missing.
   Handlers& handlers_row(int protocol);
 
-  void deliver(Packet packet);
+  void deliver(Packet& packet);
   void deliver_batch(PacketBatch& batch);
 
   Network* network_;

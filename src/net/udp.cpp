@@ -61,8 +61,8 @@ void UdpSocket::receive_run(PacketBatch& batch, std::size_t begin,
 }
 
 UdpStack::UdpStack(Host& host) : host_(&host) {
-  host_->set_protocol_handler(
-      kProtoUdp, [this](Packet packet) { on_packet(std::move(packet)); });
+  host_->set_protocol_handler(kProtoUdp,
+                              [this](Packet& packet) { on_packet(packet); });
   host_->set_protocol_batch_handler(
       kProtoUdp, [this](PacketBatch& batch) { on_packet_batch(batch); });
 }
@@ -90,7 +90,7 @@ std::unique_ptr<UdpSocket> UdpStack::bind_ephemeral() {
 
 void UdpStack::unbind(std::uint16_t port) { sockets_.erase(port); }
 
-void UdpStack::on_packet(Packet packet) {
+void UdpStack::on_packet(Packet& packet) {
   UdpSocket* socket = sockets_.find(packet.dst.port);
   if (socket == nullptr) return;  // No listener: silently dropped.
   socket->receive(packet.src, std::move(packet.payload));

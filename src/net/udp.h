@@ -126,7 +126,7 @@ class UdpStack {
  private:
   friend class UdpSocket;
   void unbind(std::uint16_t port);
-  void on_packet(Packet packet);
+  void on_packet(Packet& packet);
   void on_packet_batch(PacketBatch& batch);
 
   Host* host_;

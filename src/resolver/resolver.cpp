@@ -138,55 +138,53 @@ quic::QuicConfig DoxResolver::server_quic_config(
 
 // ----------------------------------------------------------- core resolution
 
+dns::Message DoxResolver::build_response(
+    dox::DnsProtocol protocol, const dns::Message& query,
+    std::vector<dns::ResourceRecord> records, dns::RCode rcode) const {
+  dns::Message response = dns::make_response(query, rcode);
+  response.answers = std::move(records);
+
+  const bool encrypted = protocol != dox::DnsProtocol::kDoUdp &&
+                         protocol != dox::DnsProtocol::kDoTcp;
+  if (protocol == dox::DnsProtocol::kDoTcp && profile_.supports_keepalive) {
+    // RFC 7828: advertise an idle timeout (units of 100 ms) so clients
+    // keep the connection for further queries.
+    const std::uint8_t timeout[2] = {0, 100};  // 10 s
+    append_edns_option(response, dns::kEdnsTcpKeepaliveOption, timeout);
+  }
+  if (encrypted && wants_padding(query)) {
+    // RFC 8467: servers pad responses to 468-byte blocks.
+    dns::pad_to_block(response, 468);
+  }
+  if (protocol == dox::DnsProtocol::kDoUdp) {
+    const std::size_t limit =
+        std::min<std::size_t>(dns::advertised_udp_size(query), 1232);
+    dns::truncate_for_udp(response, limit);
+  }
+  return response;
+}
+
+template <typename Respond>
 void DoxResolver::handle_query(dox::DnsProtocol protocol, dns::Message query,
-                               std::function<void(dns::Message)> respond) {
+                               Respond respond) {
   if (query.qr || query.questions.empty()) return;
   if (rng_.chance(profile_.drop_probability)) return;  // unresponsive sample
   ++served_[static_cast<int>(protocol)];
 
-  // Copied out: the query itself moves into `finish`, and `finish` into the
-  // event that answers.
-  dns::Question question = query.questions.front();
   auto& sim = network_.simulator();
-
-  auto finish = [this, protocol, query = std::move(query),
-                 respond = std::move(respond)](
-                    std::vector<dns::ResourceRecord> records,
-                    dns::RCode rcode = dns::RCode::kNoError) {
-    dns::Message response = dns::make_response(query, rcode);
-    response.answers = std::move(records);
-
-    const bool encrypted = protocol != dox::DnsProtocol::kDoUdp &&
-                           protocol != dox::DnsProtocol::kDoTcp;
-    if (protocol == dox::DnsProtocol::kDoTcp &&
-        profile_.supports_keepalive) {
-      // RFC 7828: advertise an idle timeout (units of 100 ms) so clients
-      // keep the connection for further queries.
-      const std::uint8_t timeout[2] = {0, 100};  // 10 s
-      append_edns_option(response, dns::kEdnsTcpKeepaliveOption, timeout);
-    }
-    if (encrypted && wants_padding(query)) {
-      // RFC 8467: servers pad responses to 468-byte blocks.
-      dns::pad_to_block(response, 468);
-    }
-    if (protocol == dox::DnsProtocol::kDoUdp) {
-      const std::size_t limit =
-          std::min<std::size_t>(dns::advertised_udp_size(query), 1232);
-      dns::truncate_for_udp(response, limit);
-    }
-    respond(std::move(response));
-  };
-
-  auto cached = cache_.lookup(question.name, question.type, sim.now());
+  const dns::Question& asked = query.questions.front();
+  auto cached = cache_.lookup(asked.name, asked.type, sim.now());
   if (cached) {
     // NXDOMAIN entries are cached as empty record sets for .invalid names.
-    const dns::RCode rcode = question.name.is_subdomain_of(invalid_tld())
+    const dns::RCode rcode = asked.name.is_subdomain_of(invalid_tld())
                                  ? dns::RCode::kNXDomain
                                  : dns::RCode::kNoError;
     sim.schedule(profile_.processing_delay,
-                 [finish = std::move(finish), rcode,
-                  records = std::move(*cached)]() mutable {
-                   finish(std::move(records), rcode);
+                 [this, protocol, rcode, records = std::move(*cached),
+                  query = std::move(query),
+                  respond = std::move(respond)]() mutable {
+                   respond(build_response(protocol, query, std::move(records),
+                                          rcode));
                  });
     return;
   }
@@ -198,7 +196,11 @@ void DoxResolver::handle_query(dox::DnsProtocol protocol, dns::Message query,
       from_ms(std::min(rng_.lognormal(mu, 0.5), 10 * mean_ms));
   sim.schedule(
       profile_.processing_delay + recursion,
-      [this, finish = std::move(finish), question = std::move(question)] {
+      [this, protocol, query = std::move(query),
+       respond = std::move(respond)]() mutable {
+        // The query moved into this event whole; the question is read from
+        // it, not copied.
+        const dns::Question& question = query.questions.front();
         std::vector<dns::ResourceRecord> records;
         dns::RCode rcode = dns::RCode::kNoError;
         if (question.name.is_subdomain_of(invalid_tld())) {
@@ -230,7 +232,7 @@ void DoxResolver::handle_query(dox::DnsProtocol protocol, dns::Message query,
         }
         cache_.insert(question.name, question.type, records,
                       network_.simulator().now());
-        finish(std::move(records), rcode);
+        respond(build_response(protocol, query, std::move(records), rcode));
       });
 }
 

@@ -104,10 +104,19 @@ class DoxResolver {
   tls::TlsConfig server_tls_config(const std::string& alpn) const;
   quic::QuicConfig server_quic_config(const std::string& alpn) const;
 
-  /// Resolves `question` (cache or simulated recursion), then calls
-  /// `respond` with the complete response message.
+  /// Resolves the query's question (cache or simulated recursion), then
+  /// calls `respond`, any callable taking a dns::Message, with the complete
+  /// response. The query and `respond` move into the event that answers,
+  /// as they are: no copy of the question, no callable wrapper.
+  template <typename Respond>
   void handle_query(dox::DnsProtocol protocol, dns::Message query,
-                    std::function<void(dns::Message)> respond);
+                    Respond respond);
+  /// The response to `query` carrying `records`, framed for `protocol`
+  /// (keepalive, padding, UDP truncation).
+  dns::Message build_response(dox::DnsProtocol protocol,
+                              const dns::Message& query,
+                              std::vector<dns::ResourceRecord> records,
+                              dns::RCode rcode) const;
 
   void serve_doudp();
   void serve_dotcp();

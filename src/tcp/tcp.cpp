@@ -11,8 +11,8 @@ namespace doxlab::tcp {
 // ---------------------------------------------------------------- TcpStack
 
 TcpStack::TcpStack(net::Host& host) : host_(&host) {
-  host_->set_protocol_handler(
-      net::kProtoTcp, [this](net::Packet p) { on_packet(std::move(p)); });
+  host_->set_protocol_handler(net::kProtoTcp,
+                              [this](net::Packet& p) { on_packet(p); });
 }
 
 TcpListener& TcpStack::listen(std::uint16_t port) {
@@ -71,7 +71,7 @@ void TcpStack::remove_connection(const FlowKey& key) {
   }
 }
 
-void TcpStack::on_packet(net::Packet packet) {
+void TcpStack::on_packet(net::Packet& packet) {
   auto meta =
       std::static_pointer_cast<const TcpConnection::Segment>(packet.meta);
   if (!meta) return;

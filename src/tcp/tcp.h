@@ -314,7 +314,7 @@ class TcpStack {
     }
   };
 
-  void on_packet(net::Packet packet);
+  void on_packet(net::Packet& packet);
   void send_segment(const net::Endpoint& from, const net::Endpoint& to,
                     const TcpConnection::Segment& segment);
   void remove_connection(const FlowKey& key);

@@ -4,6 +4,8 @@
 // byte-count shapes behind the paper's Table 1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dox/framing.h"
 #include "dox/transport.h"
 #include "h2/connection.h"
@@ -451,6 +453,78 @@ INSTANTIATE_TEST_SUITE_P(Protocols, Connections,
                                            DnsProtocol::kDoH,
                                            DnsProtocol::kDoQ,
                                            DnsProtocol::kDoH3),
+                         protocol_param_name);
+
+// A connection with queries in flight answers a scattered subset of them,
+// then fails: the rest fail once each, in the order they were sent. The
+// resolver answers the subset, more than half of the queries, from its
+// cache, and must recurse (seconds) for the rest; the path goes dark before
+// any recursion ends, and one more query leaves data unacknowledged, so the
+// connection gives up.
+class InFlight : public AllProtocols {};
+
+TEST_P(InFlight, ConnectionFailureFailsTheRestInSendOrder) {
+  auto profile = default_profile();
+  profile.recursive_latency_mean = 2 * kSecond;
+  start_resolver(profile);
+  const auto name = [](int i) {
+    return "q" + std::to_string(i) + ".inflight.example";
+  };
+  constexpr int kQueries = 12;
+  const std::vector<int> cached = {0, 2, 3, 5, 8, 9, 11};
+  {
+    auto udp = make_transport(DnsProtocol::kDoUdp, deps(),
+                              options_for(DnsProtocol::kDoUdp));
+    for (const int i : cached) ASSERT_TRUE(query(*udp, name(i)).ok());
+  }
+  TransportOptions opts = options_for(GetParam());
+  opts.query_timeout = 60 * kMinute;  // only the connection fails them
+  auto transport = make_transport(GetParam(), deps(), opts);
+  ASSERT_TRUE(query(*transport, name(cached.front())).ok());
+
+  std::vector<std::pair<int, bool>> done;  // (query, ok), completion order
+  const auto issue = [&](int i) {
+    transport->resolve(dns::Question{dns::DnsName::parse(name(i)),
+                                     dns::RRType::kA, dns::RRClass::kIN},
+                       [&done, i](QueryResult r) {
+                         done.emplace_back(i, r.ok());
+                       });
+  };
+  for (int i = 0; i < kQueries; ++i) issue(i);
+  sim_.run_until(sim_.now() + 100 * kMillisecond);
+  ASSERT_EQ(done.size(), cached.size());
+  for (const auto& [i, ok] : done) {
+    EXPECT_NE(std::find(cached.begin(), cached.end(), i), cached.end()) << i;
+    EXPECT_TRUE(ok) << i;
+  }
+
+  network_.set_loss_override(client_host_.address(),
+                             resolver_->profile().address, 1.0);
+  issue(kQueries);
+  sim_.run_until(sim_.now() + 30 * kMinute);
+  std::vector<int> failed;
+  for (std::size_t k = cached.size(); k < done.size(); ++k) {
+    EXPECT_FALSE(done[k].second) << done[k].first;
+    failed.push_back(done[k].first);
+  }
+  std::vector<int> expected;
+  for (int i = 0; i <= kQueries; ++i) {
+    if (std::find(cached.begin(), cached.end(), i) == cached.end()) {
+      expected.push_back(i);
+    }
+  }
+  EXPECT_EQ(failed, expected);
+}
+
+// DoH3 shares its session layer with DoQ and its stream bookkeeping with
+// DoH, but is left out: the resolver's HTTP/3 layer decodes request headers
+// with a stateful decoder in arrival order, so a burst of requests that
+// cross on the jittered path fails its header decode and the session stops
+// answering (a known defect of the HTTP/3 model, not of the in-flight list).
+INSTANTIATE_TEST_SUITE_P(Protocols, InFlight,
+                         ::testing::Values(DnsProtocol::kDoT,
+                                           DnsProtocol::kDoH,
+                                           DnsProtocol::kDoQ),
                          protocol_param_name);
 
 // The resolver's stream listeners read RFC 1035 framing with the clients'

@@ -197,6 +197,75 @@ TEST_F(NetworkFixture, BatchWindowCoalescesDatagramsInSendOrder) {
   EXPECT_EQ(server->bytes_received(), 3u * 9u);
 }
 
+TEST_F(NetworkFixture, UdpPayloadArrivesAsTheSendersSlab) {
+  // Per-packet delivery, and batched delivery through the per-datagram
+  // and the burst handler: the handler gets the very slab the sender
+  // encoded into, held by nobody else.
+  for (const SimTime window : {SimTime{0}, kSecond}) {
+    for (const bool burst : {false, true}) {
+      if (window == 0 && burst) continue;  // bursts need batching
+      SCOPED_TRACE("window " + std::to_string(window) + " burst " +
+                   std::to_string(burst));
+      network_.set_batch_window(window);
+      UdpStack stack_a(a_);
+      UdpStack stack_b(b_);
+      auto server = stack_b.bind(53);
+      auto client = stack_a.bind_ephemeral();
+      const std::uint8_t* received = nullptr;
+      bool unique = false;
+      if (burst) {
+        server->on_batch([&](std::span<Datagram> batch) {
+          ASSERT_EQ(batch.size(), 1u);
+          received = batch[0].payload.data();
+          unique = batch[0].payload.unique();
+        });
+      } else {
+        server->on_datagram([&](const Endpoint&, util::Buffer payload) {
+          received = payload.data();
+          unique = payload.unique();
+        });
+      }
+      const std::vector<std::uint8_t> bytes = {1, 2, 3, 4};
+      util::Buffer payload = util::Buffer::copy_of(bytes);
+      const std::uint8_t* sent = payload.data();
+      client->send_to(Endpoint{b_.address(), 53}, std::move(payload));
+      sim_.run();
+      EXPECT_EQ(received, sent);
+      EXPECT_TRUE(unique);
+    }
+  }
+}
+
+TEST_F(NetworkFixture, TcpHandlerSeesThePacketAsSent) {
+  // A protocol handler reads the delivered packet in place: every field
+  // the sender set, the payload slab and the metadata sidecar included.
+  const auto meta = std::make_shared<const int>(42);
+  const std::vector<std::uint8_t> bytes = {9, 8, 7};
+  util::Buffer payload = util::Buffer::copy_of(bytes);
+  const std::uint8_t* sent = payload.data();
+  bool seen = false;
+  b_.set_protocol_handler(kProtoTcp, [&](Packet& packet) {
+    seen = true;
+    EXPECT_EQ(packet.src, (Endpoint{a_.address(), 40000}));
+    EXPECT_EQ(packet.dst, (Endpoint{b_.address(), 853}));
+    EXPECT_EQ(packet.protocol, kProtoTcp);
+    EXPECT_EQ(packet.header_bytes, 32u);
+    EXPECT_EQ(packet.payload.data(), sent);
+    EXPECT_TRUE(packet.payload.unique());
+    EXPECT_EQ(packet.meta.get(), meta.get());
+  });
+  Packet packet;
+  packet.src = Endpoint{a_.address(), 40000};
+  packet.dst = Endpoint{b_.address(), 853};
+  packet.protocol = kProtoTcp;
+  packet.header_bytes = 32;
+  packet.payload = std::move(payload);
+  packet.meta = meta;
+  network_.send(std::move(packet));
+  sim_.run();
+  EXPECT_TRUE(seen);
+}
+
 TEST_F(NetworkFixture, BatchFallsBackToPerDatagramHandler) {
   network_.set_batch_window(kSecond);
   UdpStack stack_a(a_);

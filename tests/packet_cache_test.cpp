@@ -3,6 +3,8 @@
 // expiry, the capacity bound, and the answer images it stores.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -50,6 +52,45 @@ TEST(SharedPacketCache, DeferredInsertInvisibleUntilSweep) {
   EXPECT_EQ(stats.size, 1u);
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 2u);
+}
+
+TEST(SharedPacketCache, TableGrowsOnlyInSweepAndHitsStayValidUntilIt) {
+  SharedPacketCache cache(0, 2);
+  EXPECT_EQ(cache.slot_capacity(), 0u);  // construction reserves nothing
+  const DnsName first = DnsName::parse("first.example.com");
+  cache.insert(0, first, RRType::kA,
+               std::vector<ResourceRecord>{make_a(first, 300, 0x0A000001)}, 0);
+  EXPECT_EQ(cache.slot_capacity(), 0u);  // parked on a lane
+  cache.sweep(0);
+  const std::size_t slots = cache.slot_capacity();
+  EXPECT_GT(slots, 0u);
+
+  PacketCacheHit hit;
+  ASSERT_TRUE(cache.lookup(1, first, RRType::kA, 0, hit));
+  const ResponseImage* image = hit.image;
+  const std::vector<std::uint8_t> bytes(image->wire().begin(),
+                                        image->wire().end());
+  // A thousand inserts and lookups between two sweeps: the inserts park on
+  // the lanes, so neither the table nor the node behind the hit moves.
+  for (int i = 0; i < 1000; ++i) {
+    std::string text = "n";
+    text += std::to_string(i);
+    const DnsName name = DnsName::parse(text + ".example.com");
+    cache.insert(static_cast<std::uint32_t>(i % 2), name, RRType::kA,
+                 std::vector<ResourceRecord>{make_a(name, 300, 0x0A000002)},
+                 0);
+    PacketCacheHit other;
+    EXPECT_FALSE(cache.lookup(0, name, RRType::kA, 0, other));
+    ASSERT_TRUE(cache.lookup(1, first, RRType::kA, 0, other));
+    EXPECT_EQ(other.image, image);
+  }
+  EXPECT_EQ(cache.slot_capacity(), slots);
+  EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), image->wire().begin(),
+                         image->wire().end()));
+  // The next sweep merges them, and is where the table grows.
+  cache.sweep(0);
+  EXPECT_EQ(cache.size(), 1001u);
+  EXPECT_GE(cache.slot_capacity(), 2 * cache.size());
 }
 
 TEST(SharedPacketCache, HitAgesAndDecodes) {

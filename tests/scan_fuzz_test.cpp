@@ -1,13 +1,17 @@
 // Parity fuzz for dns::scan_message against Message::decode_into: seeded
-// mutations of three base messages — the swarm client's query, an answer
-// with a CNAME chain, and a query without EDNS — must be accepted by the
-// scan exactly when the full decode accepts them, and an accepted message
-// must scan to the decode's id, flags and first question. Mutations are
-// bit flips, truncation at every byte, rewritten section counts and RDATA
-// lengths, and compression-pointer loops and forward pointers.
+// mutations of four base messages — the swarm client's query, the same
+// query with a mixed-case name, an answer with a CNAME chain, and a query
+// without EDNS — must be accepted by the scan, which skips every name,
+// exactly when the full decode accepts them. An accepted message must scan
+// to the decode's id, flags and first question type and class, and the
+// engine's one-pass read of the question name must give the decode's name,
+// which is the wire name case-folded. Mutations are bit flips, truncation
+// at every byte, rewritten section counts and RDATA lengths, and
+// compression-pointer loops and forward pointers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "dns/message.h"
@@ -34,6 +38,30 @@ std::uint16_t decoded_flags(const Message& m) {
   return flags;
 }
 
+/// The first question's name of an accepted message as flat label bytes,
+/// read the slow way: follow each pointer, copy each label, then fold its
+/// ASCII letters to lower case.
+std::string folded_question_name(const Wire& wire) {
+  std::string flat;
+  std::size_t pos = 12;
+  while (wire[pos] != 0) {
+    if ((wire[pos] & 0xC0) == 0xC0) {
+      pos = (std::size_t{wire[pos] & 0x3Fu} << 8) | wire[pos + 1];
+      continue;
+    }
+    const std::size_t len = wire[pos];
+    flat.push_back(static_cast<char>(len));
+    flat.append(reinterpret_cast<const char*>(&wire[pos + 1]), len);
+    pos += 1 + len;
+  }
+  for (std::size_t i = 0; i < flat.size(); i += 1 + std::uint8_t(flat[i])) {
+    for (std::size_t j = i + 1; j <= i + std::uint8_t(flat[i]); ++j) {
+      if (flat[j] >= 'A' && flat[j] <= 'Z') flat[j] += 'a' - 'A';
+    }
+  }
+  return flat;
+}
+
 /// Checks one input; returns whether the decode accepted it.
 bool check_parity(const Wire& wire, Message& decoded, MessageHead& head) {
   const bool decode_ok = Message::decode_into(wire, decoded);
@@ -44,7 +72,13 @@ bool check_parity(const Wire& wire, Message& decoded, MessageHead& head) {
     EXPECT_EQ(head.flags & ~0x0040, decoded_flags(decoded));
     EXPECT_EQ(head.qdcount, decoded.questions.size());
     if (!decoded.questions.empty()) {
-      EXPECT_EQ(head.question, decoded.questions.front())
+      const Question& question = decoded.questions.front();
+      EXPECT_EQ(head.qtype, question.type) << "input " << to_hex(wire);
+      EXPECT_EQ(head.qclass, question.klass) << "input " << to_hex(wire);
+      DnsName name = DnsName::parse("stale.storage.example");
+      EXPECT_TRUE(read_question_name(wire, name)) << "input " << to_hex(wire);
+      EXPECT_EQ(name, question.name) << "input " << to_hex(wire);
+      EXPECT_EQ(name.wire_labels(), folded_question_name(wire))
           << "input " << to_hex(wire);
     }
   }
@@ -110,7 +144,13 @@ std::vector<Wire> bases() {
   bare.id = 0xBEEF;
   bare.questions.push_back(
       Question{DnsName::parse("bare.example"), RRType::kAAAA, RRClass::kIN});
-  return {swarm, chain, bare.encode()};
+  // The swarm query with every other letter of its name upper-cased on the
+  // wire.
+  Wire mixed = swarm;
+  for (std::size_t i = 13; mixed[i - 1] != 0; ++i) {
+    if (i % 2 == 0 && mixed[i] >= 'a' && mixed[i] <= 'z') mixed[i] -= 'a' - 'A';
+  }
+  return {swarm, chain, bare.encode(), mixed};
 }
 
 /// Offsets where a name starts or a label length byte sits — the places a
@@ -205,6 +245,8 @@ TEST(ScanParity, SwarmQuery) { fuzz(bases()[0], 101, kIterations); }
 TEST(ScanParity, CnameChainAnswer) { fuzz(bases()[1], 202, kIterations); }
 
 TEST(ScanParity, QueryWithoutEdns) { fuzz(bases()[2], 303, kIterations); }
+
+TEST(ScanParity, MixedCaseQuery) { fuzz(bases()[3], 404, kIterations); }
 
 TEST(ScanParity, HandWrittenEdgeCases) {
   Message decoded;

@@ -124,14 +124,15 @@ TEST(WireCacheTest, QnameCaseFoldsIntoTheSameKey) {
   // The key is the scanned question, whose name reads lower-cased.
   const auto wire = query_for(2, "WWW.ExAmPlE.CoM").encode();
   MessageHead head;
+  DnsName name;
   ASSERT_TRUE(scan_message(wire, head));
-  const auto hit = cache.lookup(head.question.name, head.question.type, 0);
+  ASSERT_TRUE(read_question_name(wire, name));
+  const auto hit = cache.lookup(name, head.qtype, 0);
   ASSERT_TRUE(hit.has_value());
   // The patched answer carries the stored response bytes — including the
   // lower-case qname — with only the ID swapped.
   const auto decoded = Message::decode(
-      hit->image->answer(head.id, head.question.klass, TtlRewrite::decay(0))
-          .view());
+      hit->image->answer(head.id, head.qclass, TtlRewrite::decay(0)).view());
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->id, 2);
   EXPECT_EQ(decoded->questions[0].name.to_string(), "www.example.com");
@@ -164,7 +165,9 @@ TEST(WireCacheTest, ParseQuestionMatchesFullDecode) {
   const auto wire = query.encode();
   MessageHead head;
   ASSERT_TRUE(scan_message(wire, head));
-  EXPECT_EQ(head.question, query.questions[0]);
+  Question question{DnsName{}, head.qtype, head.qclass};
+  ASSERT_TRUE(read_question_name(wire, question.name));
+  EXPECT_EQ(question, query.questions[0]);
   EXPECT_EQ(head.id, 9);
   EXPECT_FALSE(head.qr());
   EXPECT_FALSE(scan_message(std::span(wire).first(11), head));
